@@ -17,8 +17,13 @@ build:
 vet:
 	$(GO) vet ./...
 
+# test also vets and smoke-tests the bench/ module (~14 s): it compiles
+# against lash/internal/... but is its own module, so root build/vet/lint
+# never reach it and an internal-API change could silently break it.
 test: vet
 	$(GO) test ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 race:
 	$(GO) test -race ./...

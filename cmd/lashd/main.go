@@ -66,7 +66,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 4, "concurrent mining jobs")
 		cacheBytes = flag.Int64("cache-bytes", 256<<20, "result cache byte budget (negative disables)")
-		cacheSize  = flag.Int("cache", 0, "deprecated alias: additional result cache entry bound (negative disables caching; prefer -cache-bytes)")
 		history    = flag.Int("history", 1024, "retained job records (negative retains everything)")
 		dataDir    = flag.String("data", "", "directory for file-based databases (empty disables file loading)")
 		demo       = flag.Bool("demo", false, "preload generated demo databases demo-text and demo-market")
@@ -105,7 +104,6 @@ func main() {
 	srv := server.New(server.Config{
 		Workers:    *workers,
 		CacheBytes: *cacheBytes,
-		CacheSize:  *cacheSize,
 		JobHistory: *history,
 		DataDir:    *dataDir,
 		Logger:     logger,

@@ -70,7 +70,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 // selfScrape writes the production registry's exposition: a throwaway
 // server.New registers every metric family lashd would serve.
 func selfScrape(w io.Writer) error {
-	srv := server.New(server.Config{Workers: 1, CacheSize: 1})
+	srv := server.New(server.Config{Workers: 1})
 	defer srv.Close(context.Background()) //nolint:errcheck // throwaway instance
 	return srv.WriteMetrics(w)
 }

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lash/internal/flist"
@@ -215,30 +214,30 @@ func Frequencies(ctx context.Context, db *gsm.Database, flat bool, cfg mapreduce
 }
 
 // flistFrequencies is the MapReduce core of the preprocessing job (§3.3):
-// map emits each item of G1(T) once per sequence; reduce sums. It returns
-// the per-item hierarchy-aware document frequencies.
+// map emits each item of G1(T) once per sequence; the shuffle sums. It
+// returns the per-item hierarchy-aware document frequencies.
 func flistFrequencies(ctx context.Context, db *gsm.Database, cfg mapreduce.Config) ([]int64, *mapreduce.Stats, error) {
 	type itemFreq struct {
 		w hierarchy.Item
 		n int64
 	}
-	out, stats, err := mapreduce.Run(ctx, cfg, db.Seqs, mapreduce.Job[gsm.Sequence, hierarchy.Item, int64, itemFreq]{
+	// The job's tables hold one entry per (map task, item): a budget would
+	// only turn them into MapTasks × ReduceTasks tiny spill runs.
+	cfg.MemoryBudget = 0
+	out, stats, err := mapreduce.RunAgg(ctx, cfg, db.Seqs, mapreduce.AggJob[gsm.Sequence, itemFreq]{
 		Name: "flist",
-		Map: func(t gsm.Sequence, emit func(hierarchy.Item, int64)) {
+		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
 			for _, g := range gsm.ItemGeneralizations(db.Forest, t) {
-				emit(g, 1)
+				emit(uint32(g), nil, 1)
 			}
 		},
-		Combine: func(a, b int64) int64 { return a + b },
-		Hash:    func(w hierarchy.Item) uint32 { return mapreduce.HashUint32(uint32(w)) },
-		Size:    func(w hierarchy.Item, n int64) int { return 8 },
-		Reduce: func(w hierarchy.Item, vs []int64, emit func(itemFreq)) {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			emit(itemFreq{w, sum})
+		Hash: func(w uint32, _ []byte) uint32 { return mapreduce.HashUint32(w) },
+		Size: func(uint32, int, int64) int { return 8 },
+		Reduce: func(w uint32, entries []mapreduce.Entry, emit func(itemFreq)) error {
+			emit(itemFreq{hierarchy.Item(w), entries[0].Weight})
+			return nil
 		},
+		ReduceRetryable: true,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -281,13 +280,12 @@ type patternOut struct {
 	support int64
 }
 
-// partStat is one partition's mining statistics. When task retries are
-// enabled the job records them by overwriting the pivot's slot in a
-// pivot-indexed slice instead of adding to process-wide atomics: a
+// partStat is one partition's mining statistics. Non-capturing runs record
+// them by overwriting the pivot's slot in a pivot-indexed slice: a
 // re-executed Reduce (after a transient mid-merge failure) rewrites its
 // partitions' slots, so the post-run aggregation counts each partition
-// exactly once, where atomic adds would double-count the groups the failed
-// attempt already mined. Distinct pivots are distinct slots, and one
+// exactly once, where shared accumulators would double-count the groups the
+// failed attempt already mined. Distinct pivots are distinct slots, and one
 // pivot's attempts never run concurrently, so plain writes are race-free.
 type partStat struct {
 	mined    bool
@@ -351,27 +349,20 @@ type reduceScratch struct {
 // Reduce, which cancels the rest of the run.
 func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options, plan *deltaPlan) (*Result, error) {
 	res := &Result{}
-	var explored, output atomic.Int64
-	var partitions, partSeqs atomic.Int64
-	var maxPart atomic.Int64
 	var streamMu sync.Mutex
 
 	// Capturing and delta runs route everything — statistics, fingerprints,
 	// and each partition's patterns — through pivot-rank-indexed capture
 	// slots (overwrite-idempotent, hence retry-safe); chain carries the
-	// rank→item prefix hashes their fingerprints are seeded with.
+	// rank→item prefix hashes their fingerprints are seeded with. Every
+	// other run records its partition statistics in partStats.
 	var capSlots []capPart
 	var chain []uint64
+	var partStats []partStat
 	if opt.Capture || plan != nil {
 		capSlots = make([]capPart, fl.NumFrequent())
 		chain = rankChain(fl)
-	}
-
-	// Retry-enabled runs route partition statistics through the
-	// re-execution-idempotent slice (see partStat); the default path keeps
-	// the atomics and allocates nothing extra.
-	var partStats []partStat
-	if capSlots == nil && opt.MR.Retry.MaxAttempts > 1 {
+	} else {
 		partStats = make([]partStat, fl.NumFrequent())
 	}
 
@@ -497,16 +488,6 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 			}
 			rs.part = miner.Partition{Pivot: pivot, Parent: parent, Seqs: sc.Seqs}
 			nseqs := int64(len(sc.Seqs))
-			if capSlots == nil && partStats == nil {
-				partitions.Add(1)
-				partSeqs.Add(nseqs)
-				for {
-					cur := maxPart.Load()
-					if nseqs <= cur || maxPart.CompareAndSwap(cur, nseqs) {
-						break
-					}
-				}
-			}
 			if opt.Stream != nil {
 				// Streaming: translate each pattern to vocabulary items and
 				// hand it to the callback right away. The first callback
@@ -536,12 +517,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 						panic(streamAbort{})
 					}
 				})
-				if partStats != nil {
-					partStats[pivot] = partStat{mined: true, seqs: nseqs, explored: st.Explored, output: st.Output}
-				} else {
-					explored.Add(st.Explored)
-					output.Add(st.Output)
-				}
+				partStats[pivot] = partStat{mined: true, seqs: nseqs, explored: st.Explored, output: st.Output}
 				streamMu.Lock()
 				defer streamMu.Unlock()
 				return streamErr
@@ -567,18 +543,14 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 					emit(po)
 				}
 			})
-			switch {
-			case capSlots != nil:
+			if capSlots != nil {
 				capSlots[pivot] = capPart{
 					mined: true, fingerprint: fp,
 					seqs: nseqs, explored: st.Explored, output: st.Output,
 					ranks: captured,
 				}
-			case partStats != nil:
+			} else {
 				partStats[pivot] = partStat{mined: true, seqs: nseqs, explored: st.Explored, output: st.Output}
-			default:
-				explored.Add(st.Explored)
-				output.Add(st.Output)
 			}
 			return nil
 		},
@@ -593,39 +565,31 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 	}
 
 	res.Jobs.Mine = stats
-	switch {
-	case capSlots != nil:
+	if capSlots != nil {
 		if err := assembleCapture(res, db, fl, opt, plan, capSlots); err != nil {
 			return nil, err
 		}
-	case partStats != nil:
-		for i := range partStats {
-			ps := &partStats[i]
-			if !ps.mined {
-				continue
-			}
-			res.NumPartitions++
-			res.PartitionSeqs += ps.seqs
-			if ps.seqs > res.MaxPartitionSeqs {
-				res.MaxPartitionSeqs = ps.seqs
-			}
-			res.Miner.Explored += ps.explored
-			res.Miner.Output += ps.output
-		}
-	default:
-		res.Miner = miner.Stats{Explored: explored.Load(), Output: output.Load()}
-		res.NumPartitions = int(partitions.Load())
-		res.PartitionSeqs = partSeqs.Load()
-		res.MaxPartitionSeqs = maxPart.Load()
+		return res, nil
 	}
-	if capSlots == nil {
-		for _, po := range out {
-			items, err := fl.TranslateFromRanks(nil, po.ranks)
-			if err != nil {
-				return nil, err
-			}
-			res.Patterns = append(res.Patterns, gsm.Pattern{Items: items, Support: po.support})
+	for i := range partStats {
+		ps := &partStats[i]
+		if !ps.mined {
+			continue
 		}
+		res.NumPartitions++
+		res.PartitionSeqs += ps.seqs
+		if ps.seqs > res.MaxPartitionSeqs {
+			res.MaxPartitionSeqs = ps.seqs
+		}
+		res.Miner.Explored += ps.explored
+		res.Miner.Output += ps.output
+	}
+	for _, po := range out {
+		items, err := fl.TranslateFromRanks(nil, po.ranks)
+		if err != nil {
+			return nil, err
+		}
+		res.Patterns = append(res.Patterns, gsm.Pattern{Items: items, Support: po.support})
 	}
 	return res, nil
 }

@@ -8,6 +8,8 @@ import (
 
 	"lash/internal/baseline"
 	"lash/internal/core"
+	"lash/internal/datagen"
+	"lash/internal/faults"
 	"lash/internal/gsm"
 	"lash/internal/hierarchy"
 	"lash/internal/mapreduce"
@@ -309,5 +311,81 @@ func TestQuickMRConfigIndependence(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(223))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flistCorpus is the fixed corpus of the f-list job tests below.
+func flistCorpus(t *testing.T) *gsm.Database {
+	t.Helper()
+	db, err := datagen.GenerateText(datagen.TextConfig{Sentences: 3000, Lemmas: 1200, Seed: 1}).Build(datagen.HierarchyCLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// The f-list job's counters feed the paper tables that print FList phases;
+// this golden pins them (they predate the job's move onto RunAgg, which
+// reproduced them exactly).
+func TestFListJobCountersGolden(t *testing.T) {
+	db := flistCorpus(t)
+	_, stats, err := core.FListJob(context.Background(), db, 25, mapreduce.Config{Workers: 4, MapTasks: 7, ReduceTasks: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mapreduce.Counters{
+		MapInputRecords: 3000, MapOutputRecords: 12379, MapOutputBytes: 99032,
+		ReduceInputKeys: 3299, ReduceOutputRecords: 3299,
+	}
+	if stats.Counters != want {
+		t.Fatalf("f-list job counters = %+v, want %+v", stats.Counters, want)
+	}
+}
+
+// A transient map-task fault during the f-list job is retried, and the
+// retried run's frequencies and patterns equal the fault-free run's.
+func TestFListJobRecoversFromMapFault(t *testing.T) {
+	db := flistCorpus(t)
+	opt := core.Options{Params: gsm.Params{Sigma: 25, Gamma: 1, Lambda: 3}, MR: smallMR}
+	want, err := core.Mine(context.Background(), db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := &faults.Registry{}
+	reg.FailNth("mapreduce.map.task", 1, faults.Error) // the run's first map task is the f-list job's
+	opt.MR.Faults = reg
+	opt.MR.Retry = mapreduce.RetryPolicy{MaxAttempts: 2}
+	got, err := core.Mine(context.Background(), db, opt)
+	if err != nil {
+		t.Fatalf("faulted run: %v", err)
+	}
+	if got.Jobs.FList.TaskRetries < 1 || got.Jobs.FList.FaultsInjected != 1 {
+		t.Errorf("f-list job: %d retries, %d faults; want the injected fault retried there",
+			got.Jobs.FList.TaskRetries, got.Jobs.FList.FaultsInjected)
+	}
+	if !gsm.EqualPatterns(got.FrequentItems, want.FrequentItems) {
+		t.Errorf("frequencies diverge after the retry:\n%s", gsm.DiffPatterns(db.Forest, got.FrequentItems, want.FrequentItems))
+	}
+	if !gsm.EqualPatterns(got.Patterns, want.Patterns) {
+		t.Errorf("patterns diverge after the retry:\n%s", gsm.DiffPatterns(db.Forest, got.Patterns, want.Patterns))
+	}
+}
+
+// A memory budget is for the partition+mine shuffle; the f-list job's
+// per-item counts must stay in memory under it.
+func TestFListJobIgnoresMemoryBudget(t *testing.T) {
+	db := flistCorpus(t)
+	mr := smallMR
+	mr.MemoryBudget = 4 << 10
+	mr.SpillDir = t.TempDir()
+	res, err := core.Mine(context.Background(), db, core.Options{Params: gsm.Params{Sigma: 25, Gamma: 1, Lambda: 3}, MR: mr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Jobs.Mine.SpillRuns == 0 {
+		t.Fatal("test vacuous: the budget did not make the mining job spill")
+	}
+	if res.Jobs.FList.SpillRuns != 0 {
+		t.Errorf("f-list job wrote %d spill runs under the budget", res.Jobs.FList.SpillRuns)
 	}
 }

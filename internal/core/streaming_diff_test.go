@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"lash/internal/core"
@@ -17,96 +16,59 @@ import (
 	"lash/internal/seqenc"
 )
 
-// refMineJob is the pre-streaming partition+mine job, kept verbatim as the
-// differential-testing reference: classic barriered Run, one singleton
-// map[string]int64 per emit, map-merge combiner, string-sorted partition
-// keys. The streaming aggregated-shuffle path must reproduce its output
-// exactly.
-func refMineJob(t *testing.T, db *gsm.Database, fl *flist.FList, kind miner.Kind, p gsm.Params, mr mapreduce.Config) []gsm.Pattern {
+// refMineJob is the differential-testing reference for the partition+mine
+// job: the same rewrite → encode → aggregate → sort keys → mine logic as a
+// sequential group-by over plain Go maps, with no substrate underneath. The
+// streaming aggregated-shuffle path must reproduce its output exactly.
+func refMineJob(t *testing.T, db *gsm.Database, fl *flist.FList, kind miner.Kind, p gsm.Params) []gsm.Pattern {
 	t.Helper()
-	type patternOut struct {
-		ranks   []flist.Rank
-		support int64
+	rw := rewrite.NewRewriter(fl, p.Gamma, p.Lambda)
+	parts := make(map[flist.Rank]map[string]int64)
+	var buf []flist.Rank
+	for _, seq := range db.Seqs {
+		for _, pivot := range fl.PivotRanks(nil, seq) {
+			buf = rw.Rewrite(buf[:0], seq, pivot)
+			if len(buf) == 0 {
+				continue
+			}
+			if parts[pivot] == nil {
+				parts[pivot] = make(map[string]int64)
+			}
+			parts[pivot][string(seqenc.AppendSeq(nil, buf))]++
+		}
 	}
-	rewriters := sync.Pool{New: func() any {
-		return rewrite.NewRewriter(fl, p.Gamma, p.Lambda)
-	}}
+
 	localCfg := miner.Config{Sigma: p.Sigma, Gamma: p.Gamma, Lambda: p.Lambda, PivotOnly: true}
 	parent := fl.ParentTable()
-
-	out, _, err := mapreduce.Run(context.Background(), mr, db.Seqs, mapreduce.Job[gsm.Sequence, flist.Rank, map[string]int64, patternOut]{
-		Name: "ref-partition+mine",
-		Map: func(t gsm.Sequence, emit func(flist.Rank, map[string]int64)) {
-			rw := rewriters.Get().(*rewrite.Rewriter)
-			defer rewriters.Put(rw)
-			var buf []flist.Rank
-			for _, pivot := range fl.PivotRanks(nil, t) {
-				buf = rw.Rewrite(buf[:0], t, pivot)
-				if len(buf) == 0 {
-					continue
-				}
-				enc := seqenc.AppendSeq(nil, buf)
-				emit(pivot, map[string]int64{string(enc): 1})
-			}
-		},
-		Combine: func(a, b map[string]int64) map[string]int64 {
-			if len(a) < len(b) {
-				a, b = b, a
-			}
-			for k, v := range b {
-				a[k] += v
-			}
-			return a
-		},
-		Hash: func(pivot flist.Rank) uint32 { return mapreduce.HashUint32(uint32(pivot)) },
-		Reduce: func(pivot flist.Rank, parts []map[string]int64, emit func(patternOut)) {
-			merged := parts[0]
-			for _, m := range parts[1:] {
-				if len(merged) < len(m) {
-					merged, m = m, merged
-				}
-				for k, v := range m {
-					merged[k] += v
-				}
-			}
-			p := &miner.Partition{Pivot: pivot, Parent: parent}
-			keys := make([]string, 0, len(merged))
-			for k := range merged {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				items, err := seqenc.DecodeSeq(nil, []byte(k))
-				if err != nil {
-					continue
-				}
-				p.Seqs = append(p.Seqs, miner.WSeq{Items: items, Weight: merged[k]})
-			}
-			if len(p.Seqs) == 0 {
-				return
-			}
-			miner.New(kind).Mine(p, localCfg, nil, func(pat []flist.Rank, sup int64) {
-				emit(patternOut{ranks: append([]flist.Rank(nil), pat...), support: sup})
-			})
-		},
-	})
-	if err != nil {
-		t.Fatalf("reference job: %v", err)
-	}
 	var patterns []gsm.Pattern
-	for _, po := range out {
-		items, err := fl.TranslateFromRanks(nil, po.ranks)
-		if err != nil {
-			t.Fatalf("reference translate: %v", err)
+	for pivot, agg := range parts {
+		keys := make([]string, 0, len(agg))
+		for k := range agg {
+			keys = append(keys, k)
 		}
-		patterns = append(patterns, gsm.Pattern{Items: items, Support: po.support})
+		sort.Strings(keys)
+		part := &miner.Partition{Pivot: pivot, Parent: parent}
+		for _, k := range keys {
+			items, err := seqenc.DecodeSeq(nil, []byte(k))
+			if err != nil {
+				t.Fatalf("reference decode: %v", err)
+			}
+			part.Seqs = append(part.Seqs, miner.WSeq{Items: items, Weight: agg[k]})
+		}
+		miner.New(kind).Mine(part, localCfg, nil, func(pat []flist.Rank, sup int64) {
+			items, err := fl.TranslateFromRanks(nil, pat)
+			if err != nil {
+				t.Fatalf("reference translate: %v", err)
+			}
+			patterns = append(patterns, gsm.Pattern{Items: items, Support: sup})
+		})
 	}
 	gsm.SortPatterns(patterns)
 	return patterns
 }
 
 // The streaming aggregated-shuffle pipeline must return byte-identical
-// patterns and supports to the old barriered path on randomized databases.
+// patterns and supports to the sequential reference on randomized databases.
 func TestStreamingMatchesReferenceOnRandomDBs(t *testing.T) {
 	type dbCase struct {
 		name string
@@ -140,7 +102,7 @@ func TestStreamingMatchesReferenceOnRandomDBs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := refMineJob(t, c.db, res.FList, kind, params, mr)
+				want := refMineJob(t, c.db, res.FList, kind, params)
 				if len(res.Patterns) > 0 {
 					sawPatterns = true
 				}

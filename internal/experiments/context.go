@@ -34,19 +34,17 @@ func NewContext(s Scale) *Context {
 	}
 }
 
-// mr returns the default MapReduce config with the context's observability
-// hooks attached, so traced runs record job and phase spans.
-func (c *Context) mr(machines int) mapreduce.Config {
-	cfg := defaultMR(machines)
-	cfg.Obs = c.Obs
-	return cfg
+// mr returns the MapReduce configuration shared by all comparative runs —
+// enough tasks for the simulated scheduler to balance — with the context's
+// observability hooks attached, so traced runs record job and phase spans.
+func (c *Context) mr() mapreduce.Config {
+	return mapreduce.Config{MapTasks: 64, ReduceTasks: 64, Obs: c.Obs}
 }
 
-// scalingMR is mr for the speed-up/scale-up experiments' larger task counts.
-func (c *Context) scalingMR(machines int) mapreduce.Config {
-	cfg := scalingMR(machines)
-	cfg.Obs = c.Obs
-	return cfg
+// scalingMR is mr with many small tasks, so that the LPT schedule has room
+// to spread work when the simulated machine count varies (Fig. 6b/6c).
+func (c *Context) scalingMR() mapreduce.Config {
+	return mapreduce.Config{MapTasks: 192, ReduceTasks: 192, Obs: c.Obs}
 }
 
 // TextDB returns the NYT-like database under the given hierarchy variant.

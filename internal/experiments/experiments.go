@@ -233,26 +233,26 @@ func runFig4Common(ctx context.Context, c *Context) ([][3]fig4Run, []string, err
 			return nil, nil, err
 		}
 		var row [3]fig4Run
-		bopt := baseline.Options{Params: set.p, MR: c.mr(0), MaxEmit: c.Scale.NaiveCap}
+		bopt := baseline.Options{Params: set.p, MR: c.mr(), MaxEmit: c.Scale.NaiveCap}
 		if res, err := baseline.MineNaive(ctx, db, bopt); err == nil {
-			row[0] = fig4Run{fmtDur(res.Jobs.Mine.Sim.Total()), fmtBytes(res.Jobs.Mine.MapOutputBytes)}
+			row[0] = fig4Run{fmtDur(sim(res.Jobs.Mine).Total()), fmtBytes(res.Jobs.Mine.MapOutputBytes)}
 		} else if errors.Is(err, baseline.ErrEmitCapExceeded) {
 			row[0] = fig4Run{"DNF", "DNF"}
 		} else {
 			return nil, nil, err
 		}
 		if res, err := baseline.MineSemiNaive(ctx, db, bopt); err == nil {
-			row[1] = fig4Run{fmtDur(res.Jobs.FList.Sim.Total() + res.Jobs.Mine.Sim.Total()), fmtBytes(res.Jobs.Mine.MapOutputBytes)}
+			row[1] = fig4Run{fmtDur(sim(res.Jobs.FList).Total() + sim(res.Jobs.Mine).Total()), fmtBytes(res.Jobs.Mine.MapOutputBytes)}
 		} else if errors.Is(err, baseline.ErrEmitCapExceeded) {
 			row[1] = fig4Run{"DNF", "DNF"}
 		} else {
 			return nil, nil, err
 		}
-		res, err := core.Mine(ctx, db, core.Options{Params: set.p, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: set.p, MR: c.mr()})
 		if err != nil {
 			return nil, nil, err
 		}
-		row[2] = fig4Run{fmtDur(res.Jobs.FList.Sim.Total() + res.Jobs.Mine.Sim.Total()), fmtBytes(res.Jobs.Mine.MapOutputBytes)}
+		row[2] = fig4Run{fmtDur(sim(res.Jobs.FList).Total() + sim(res.Jobs.Mine).Total()), fmtBytes(res.Jobs.Mine.MapOutputBytes)}
 		rows = append(rows, row)
 		labels = append(labels, set.label)
 	}
@@ -288,7 +288,7 @@ func runFig4b(ctx context.Context, c *Context) (*Table, error) {
 
 func runFig4c(ctx context.Context, c *Context) (*Table, error) {
 	return fig4MinerTable(ctx, c, "fig4c", func(res *core.Result) string {
-		return fmtDur(res.Jobs.Mine.Sim.Reduce)
+		return fmtDur(sim(res.Jobs.Mine).Reduce)
 	}, "paper: PSM 9-22× faster than BFS, 2.5-3.5× faster than DFS; BFS runs out of memory at CLP λ=7")
 }
 
@@ -322,7 +322,7 @@ func fig4MinerTable(ctx context.Context, c *Context, id string, cell func(*core.
 		}
 		row := []string{set.label}
 		for _, k := range kinds {
-			res, err := core.Mine(ctx, db, core.Options{Params: set.p, Miner: k, MR: c.mr(0)})
+			res, err := core.Mine(ctx, db, core.Options{Params: set.p, Miner: k, MR: c.mr()})
 			if err != nil {
 				return nil, err
 			}
@@ -347,17 +347,17 @@ func runFig4e(ctx context.Context, c *Context) (*Table, error) {
 	}
 	t := newTable("fig4e", "NYT flat (σ,γ,λ)", "MG-FSM", "LASH")
 	for _, p := range settings {
-		mg, err := core.Mine(ctx, db, core.Options{Params: p, Flat: true, Miner: miner.KindBFS, MR: c.mr(0)})
+		mg, err := core.Mine(ctx, db, core.Options{Params: p, Flat: true, Miner: miner.KindBFS, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
-		la, err := core.Mine(ctx, db, core.Options{Params: p, Flat: true, Miner: miner.KindPSM, MR: c.mr(0)})
+		la, err := core.Mine(ctx, db, core.Options{Params: p, Flat: true, Miner: miner.KindPSM, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("(%d,%d,%d)", p.Sigma, p.Gamma, p.Lambda),
-			fmtDur(mg.Jobs.FList.Sim.Total()+mg.Jobs.Mine.Sim.Total()),
-			fmtDur(la.Jobs.FList.Sim.Total()+la.Jobs.Mine.Sim.Total()))
+			fmtDur(sim(mg.Jobs.FList).Total()+sim(mg.Jobs.Mine).Total()),
+			fmtDur(sim(la.Jobs.FList).Total()+sim(la.Jobs.Mine).Total()))
 	}
 	t.AddNote("paper: LASH 2-5× faster than MG-FSM without hierarchies, entirely due to PSM replacing BFS in the mining phase")
 	return t, nil
@@ -369,8 +369,8 @@ func phaseTable(id, firstCol string) *Table {
 	return newTable(id, firstCol, "Map", "Shuffle", "Reduce", "Total")
 }
 
-func addPhaseRow(t *Table, label string, st *mapreduce.Stats) {
-	t.AddRow(label, fmtDur(st.Sim.Map), fmtDur(st.Sim.Shuffle), fmtDur(st.Sim.Reduce), fmtDur(st.Sim.Total()))
+func addPhaseRow(t *Table, label string, pt mapreduce.PhaseTimes) {
+	t.AddRow(label, fmtDur(pt.Map), fmtDur(pt.Shuffle), fmtDur(pt.Reduce), fmtDur(pt.Total()))
 }
 
 func runFig5a(ctx context.Context, c *Context) (*Table, error) {
@@ -380,11 +380,11 @@ func runFig5a(ctx context.Context, c *Context) (*Table, error) {
 	}
 	t := phaseTable("fig5a", "Support σ")
 	for _, sigma := range []int64{c.Scale.SigmaXLo, c.Scale.SigmaLo, c.Scale.SigmaHi, c.Scale.SigmaXHi} {
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: sigma, Gamma: 1, Lambda: 5}, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: sigma, Gamma: 1, Lambda: 5}, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
-		addPhaseRow(t, fmtCount(sigma), res.Jobs.Mine)
+		addPhaseRow(t, fmtCount(sigma), sim(res.Jobs.Mine))
 	}
 	t.AddNote("paper: map and reduce times shrink as σ grows (fewer frequent items → shallower effective hierarchy, cheaper mining)")
 	return t, nil
@@ -397,11 +397,11 @@ func runFig5b(ctx context.Context, c *Context) (*Table, error) {
 	}
 	t := phaseTable("fig5b", "Gap γ")
 	for gamma := 0; gamma <= 3; gamma++ {
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: gamma, Lambda: 5}, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: gamma, Lambda: 5}, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
-		addPhaseRow(t, fmt.Sprintf("%d", gamma), res.Jobs.Mine)
+		addPhaseRow(t, fmt.Sprintf("%d", gamma), sim(res.Jobs.Mine))
 	}
 	t.AddNote("paper: map time ~flat in γ, reduce time grows steeply (mining search space)")
 	return t, nil
@@ -414,11 +414,11 @@ func runFig5c(ctx context.Context, c *Context) (*Table, error) {
 	}
 	t := phaseTable("fig5c", "Length λ")
 	for lambda := 3; lambda <= 7; lambda++ {
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaXLo, Gamma: 1, Lambda: lambda}, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaXLo, Gamma: 1, Lambda: lambda}, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
-		addPhaseRow(t, fmt.Sprintf("%d", lambda), res.Jobs.Mine)
+		addPhaseRow(t, fmt.Sprintf("%d", lambda), sim(res.Jobs.Mine))
 	}
 	t.AddNote("paper: map time ~flat in λ, reduce time and output size grow with λ")
 	return t, nil
@@ -431,7 +431,7 @@ func runFig5d(ctx context.Context, c *Context) (*Table, error) {
 	}
 	t := newTable("fig5d", "Length λ", "Output sequences")
 	for lambda := 3; lambda <= 7; lambda++ {
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaXLo, Gamma: 1, Lambda: lambda}, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaXLo, Gamma: 1, Lambda: lambda}, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
@@ -448,11 +448,11 @@ func runFig5e(ctx context.Context, c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 2, Lambda: 5}, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 2, Lambda: 5}, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
-		addPhaseRow(t, fmt.Sprintf("h%d", lv), res.Jobs.Mine)
+		addPhaseRow(t, fmt.Sprintf("h%d", lv), sim(res.Jobs.Mine))
 	}
 	t.AddNote("paper: deeper hierarchies increase reduce time (more intermediate items → more partitions); h8 ≈ h4 because most products have ≤4 ancestor categories")
 	return t, nil
@@ -465,11 +465,11 @@ func runFig5f(ctx context.Context, c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
-		addPhaseRow(t, v.String(), res.Jobs.Mine)
+		addPhaseRow(t, v.String(), sim(res.Jobs.Mine))
 	}
 	t.AddNote("paper: P costs more than L (few high-fan-out roots are frequent everywhere); LP/CLP add map and reduce time")
 	return t, nil
@@ -485,11 +485,11 @@ func runFig6a(ctx context.Context, c *Context) (*Table, error) {
 	t := phaseTable("fig6a", "% of data")
 	for _, frac := range []float64{0.25, 0.50, 0.75, 1.0} {
 		db := datagen.Sample(full, frac)
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
-		addPhaseRow(t, fmt.Sprintf("%.0f%%", frac*100), res.Jobs.Mine)
+		addPhaseRow(t, fmt.Sprintf("%.0f%%", frac*100), sim(res.Jobs.Mine))
 	}
 	t.AddNote("paper: map and reduce times grow linearly with input size")
 	return t, nil
@@ -501,14 +501,14 @@ func runFig6b(ctx context.Context, c *Context) (*Table, error) {
 		return nil, err
 	}
 	t := phaseTable("fig6b", "Machines")
-	for _, m := range []int{2, 4, 8} {
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.scalingMR(m)})
-		if err != nil {
-			return nil, err
-		}
-		addPhaseRow(t, fmt.Sprintf("%d", m), res.Jobs.Mine)
+	res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.scalingMR()})
+	if err != nil {
+		return nil, err
 	}
-	t.AddNote("paper: near-linear strong scaling; simulated here by scheduling measured tasks on m×8 slots")
+	for _, m := range []int{2, 4, 8} {
+		addPhaseRow(t, fmt.Sprintf("%d", m), Simulate(res.Jobs.Mine, ClusterSpec{Machines: m}))
+	}
+	t.AddNote("paper: near-linear strong scaling; simulated here by scheduling one run's measured tasks on m×8 slots")
 	t.AddNote("at host scale the largest single partition bounds the reduce makespan (item-partitioning skew); the paper's corpus is ~4000× larger, so its heaviest partition is far below 1/80 of total work")
 	return t, nil
 }
@@ -524,11 +524,11 @@ func runFig6c(ctx context.Context, c *Context) (*Table, error) {
 		frac float64
 	}{{2, 0.25}, {4, 0.50}, {8, 1.0}} {
 		db := datagen.Sample(full, step.frac)
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.scalingMR(step.m)})
+		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.scalingMR()})
 		if err != nil {
 			return nil, err
 		}
-		addPhaseRow(t, fmt.Sprintf("%d (%.0f%%)", step.m, step.frac*100), res.Jobs.Mine)
+		addPhaseRow(t, fmt.Sprintf("%d (%.0f%%)", step.m, step.frac*100), Simulate(res.Jobs.Mine, ClusterSpec{Machines: step.m}))
 	}
 	t.AddNote("paper: weak scaling nearly flat; slight growth because output grows superlinearly with data (2.2× per doubling)")
 	return t, nil
@@ -545,7 +545,7 @@ func runAblation(ctx context.Context, c *Context) (*Table, error) {
 	t := newTable("ablation", "Rewrites", "Shuffled", "Records", "Partition seqs", "Largest partition", "Reduce", "Total")
 	var base *core.Result
 	for _, mode := range []rewrite.Mode{rewrite.ModeNone, rewrite.ModeGeneralizeOnly, rewrite.ModeFull} {
-		res, err := core.Mine(ctx, db, core.Options{Params: p, Rewrites: mode, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: p, Rewrites: mode, MR: c.mr()})
 		if err != nil {
 			return nil, err
 		}
@@ -555,10 +555,11 @@ func runAblation(ctx context.Context, c *Context) (*Table, error) {
 			return nil, fmt.Errorf("ablation: mode %s changed the output (%d vs %d patterns)",
 				mode, len(res.Patterns), len(base.Patterns))
 		}
+		pt := sim(res.Jobs.Mine)
 		t.AddRow(mode.String(), fmtBytes(res.Jobs.Mine.MapOutputBytes),
 			fmtCount(res.Jobs.Mine.MapOutputRecords), fmtCount(res.PartitionSeqs),
 			fmtCount(res.MaxPartitionSeqs),
-			fmtDur(res.Jobs.Mine.Sim.Reduce), fmtDur(res.Jobs.Mine.Sim.Total()))
+			fmtDur(pt.Reduce), fmtDur(pt.Total()))
 	}
 	t.AddNote("all modes produce identical patterns (verified); the §4 discussion predicts the trivial partitioning (P_w(T)=T) suffers from replication, skew and redundant mining — visible above as shuffled-byte and largest-partition growth")
 	return t, nil
@@ -569,11 +570,11 @@ func runAblation(ctx context.Context, c *Context) (*Table, error) {
 func runTable3(ctx context.Context, c *Context) (*Table, error) {
 	t := newTable("table3", "Setting", "Output", "Non-trivial %", "Closed %", "Maximal %")
 	addRow := func(label string, db *gsm.Database, p gsm.Params) error {
-		res, err := core.Mine(ctx, db, core.Options{Params: p, MR: c.mr(0)})
+		res, err := core.Mine(ctx, db, core.Options{Params: p, MR: c.mr()})
 		if err != nil {
 			return err
 		}
-		flat, err := core.Mine(ctx, db, core.Options{Params: p, Flat: true, MR: c.mr(0)})
+		flat, err := core.Mine(ctx, db, core.Options{Params: p, Flat: true, MR: c.mr()})
 		if err != nil {
 			return err
 		}

@@ -6,11 +6,7 @@
 // reproduces; EXPERIMENTS.md records paper-vs-measured per experiment.
 package experiments
 
-import (
-	"fmt"
-
-	"lash/internal/mapreduce"
-)
+import "fmt"
 
 // Scale fixes corpus sizes and the support thresholds standing in for the
 // paper's σ values. The paper mines 50M sentences with σ ∈ {10,…,10000};
@@ -78,27 +74,4 @@ func ScaleByName(name string) (Scale, error) {
 		return Medium, nil
 	}
 	return Scale{}, fmt.Errorf("experiments: unknown scale %q (want tiny, small or medium)", name)
-}
-
-// defaultMR is the MapReduce configuration shared by all comparative runs:
-// enough tasks for the simulated scheduler to balance, the paper's cluster
-// as the simulated target (10 machines × 8 slots, 10 GbE).
-func defaultMR(machines int) mapreduce.Config {
-	if machines <= 0 {
-		machines = 10
-	}
-	return mapreduce.Config{
-		MapTasks:    64,
-		ReduceTasks: 64,
-		Cluster:     mapreduce.ClusterSpec{Machines: machines, SlotsPerMachine: 8},
-	}
-}
-
-// scalingMR uses many small tasks so that the LPT schedule has room to
-// spread work when the simulated machine count varies (Fig. 6b/6c).
-func scalingMR(machines int) mapreduce.Config {
-	cfg := defaultMR(machines)
-	cfg.MapTasks = 192
-	cfg.ReduceTasks = 192
-	return cfg
 }

@@ -601,20 +601,16 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	})
 
 	// One pool of cfg.Workers goroutines serves both phases, so real
-	// concurrency never exceeds the configured bound (the per-task
-	// durations feed the simulated-cluster model and must not be inflated
-	// by oversubscription). Ready partitions are drained in preference to
-	// starting new map tasks — the streaming overlap — and workers block on
-	// `ready` once the map tasks are exhausted. The worker that retires the
-	// last map task (whether it ran or was skipped by cancellation) closes
-	// the channel.
+	// concurrency never exceeds the configured bound (experiments.Simulate
+	// schedules the per-task durations onto a simulated cluster, so they
+	// must not be inflated by oversubscription). Ready partitions are
+	// drained in preference to starting new map tasks — the streaming
+	// overlap — and workers block on `ready` once the map tasks are
+	// exhausted. The worker that retires the last map task (whether it ran
+	// or was skipped by cancellation) closes the channel.
 	var nextMap, mapsRetired atomic.Int64
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -668,8 +664,6 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	if err := runErr(ctx, errs, job.Name, "run"); err != nil {
 		return nil, stats, err
 	}
-
-	simulate(stats, cfg)
 
 	var flat []R
 	for p := range parts {

@@ -11,7 +11,7 @@ import (
 
 var errDecode = errors.New("synthetic decode failure")
 
-// aggWordCount is wordCount on the aggregated-shuffle path: the word bytes
+// aggWordCount is wordCount in the partition+mine job's shape: the word bytes
 // are the key, the count is the weight, and a scratch buffer is reused
 // across emits (the substrate copies keys it has not seen).
 func aggWordCount(cfg mapreduce.Config, docs []string) (map[string]int64, *mapreduce.Stats, error) {
@@ -78,10 +78,10 @@ func TestAggWordCount(t *testing.T) {
 	}
 }
 
-// The aggregated path must produce exactly the classic path's aggregates,
+// The substrate must produce exactly the sequential reference's aggregates,
 // for any worker/task split.
 func TestAggMatchesClassicRun(t *testing.T) {
-	ref, _ := wordCount(mapreduce.Config{Workers: 1, MapTasks: 1, ReduceTasks: 1}, docs)
+	ref := refWordCount(docs)
 	for _, cfg := range []mapreduce.Config{
 		{Workers: 1, MapTasks: 1, ReduceTasks: 1},
 		{Workers: 1, MapTasks: 4, ReduceTasks: 3},
@@ -103,8 +103,8 @@ func TestAggMatchesClassicRun(t *testing.T) {
 	}
 }
 
-// Map-side aggregation must shrink shuffled records exactly like the classic
-// combiner does.
+// Map-side aggregation must shrink shuffled records to one per (map task,
+// distinct key).
 func TestAggMapSideAggregation(t *testing.T) {
 	many := make([]string, 50)
 	for i := range many {
@@ -274,47 +274,5 @@ func TestAggReduceError(t *testing.T) {
 	}
 	if out != nil {
 		t.Fatalf("output not discarded on error: %v", out)
-	}
-}
-
-// Classic-path tasks must convert panics into errors too.
-func TestClassicPanicInMap(t *testing.T) {
-	_, _, err := mapreduce.Run(context.Background(),
-		mapreduce.Config{Workers: 2, MapTasks: 2, ReduceTasks: 2},
-		docs,
-		mapreduce.Job[string, string, int64, struct{}]{
-			Name: "classic-boom",
-			Map: func(doc string, emit func(string, int64)) {
-				panic("classic map exploded")
-			},
-			Hash:   mapreduce.HashString,
-			Reduce: func(string, []int64, func(struct{})) {},
-		})
-	if err == nil || !strings.Contains(err.Error(), "classic map exploded") {
-		t.Fatalf("err = %v, want recovered map panic", err)
-	}
-}
-
-func TestClassicPanicInReduce(t *testing.T) {
-	_, _, err := mapreduce.Run(context.Background(),
-		mapreduce.Config{Workers: 2, MapTasks: 2, ReduceTasks: 2},
-		docs,
-		mapreduce.Job[string, string, int64, struct{}]{
-			Name: "classic-boom-reduce",
-			Map: func(doc string, emit func(string, int64)) {
-				for _, w := range strings.Fields(doc) {
-					emit(w, 1)
-				}
-			},
-			Hash: mapreduce.HashString,
-			Reduce: func(string, []int64, func(struct{})) {
-				panic("classic reduce exploded")
-			},
-		})
-	if err == nil || !strings.Contains(err.Error(), "classic reduce exploded") {
-		t.Fatalf("err = %v, want recovered reduce panic", err)
-	}
-	if !strings.Contains(err.Error(), `job "classic-boom-reduce"`) {
-		t.Errorf("error %q missing job name", err)
 	}
 }

@@ -3,6 +3,7 @@ package mapreduce_test
 import (
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,20 +14,21 @@ import (
 )
 
 // TestRunPreCancelled: a context that is already done must return before
-// any task function runs.
+// any task function runs and before a budgeted run creates its spill
+// directory, naming the job it interrupted.
 func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var maps atomic.Int64
-	_, _, err := mapreduce.Run(ctx, mapreduce.Config{Workers: 2},
+	spillDir := t.TempDir()
+	_, _, err := mapreduce.RunAgg(ctx, mapreduce.Config{Workers: 2, MemoryBudget: 1, SpillDir: spillDir},
 		[]string{"a", "b", "c"},
-		mapreduce.Job[string, string, int64, string]{
+		mapreduce.AggJob[string, string]{
 			Name: "pre-cancelled",
-			Map: func(item string, emit func(string, int64)) {
+			Map: func(item string, emit func(uint32, []byte, int64)) {
 				maps.Add(1)
 			},
-			Hash:   mapreduce.HashString,
-			Reduce: func(k string, vs []int64, emit func(string)) {},
+			Reduce: func(g uint32, es []mapreduce.Entry, emit func(string)) error { return nil },
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in chain", err)
@@ -37,10 +39,12 @@ func TestRunPreCancelled(t *testing.T) {
 	if n := maps.Load(); n != 0 {
 		t.Errorf("%d map calls ran despite pre-cancelled context", n)
 	}
+	if left, _ := os.ReadDir(spillDir); len(left) != 0 {
+		t.Errorf("pre-cancelled budgeted run left %d entries in the spill dir", len(left))
+	}
 }
 
-// TestRunAggPreCancelled mirrors TestRunPreCancelled on the aggregated
-// path.
+// TestRunAggPreCancelled is TestRunPreCancelled for an in-memory run.
 func TestRunAggPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -106,13 +110,12 @@ func TestRunCancelCauseInChain(t *testing.T) {
 	cause := errors.New("operator hit the big red button")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	_, _, err := mapreduce.Run(ctx, mapreduce.Config{Workers: 1},
+	_, _, err := mapreduce.RunAgg(ctx, mapreduce.Config{Workers: 1},
 		[]string{"a"},
-		mapreduce.Job[string, string, int64, string]{
+		mapreduce.AggJob[string, string]{
 			Name:   "cause",
-			Map:    func(item string, emit func(string, int64)) {},
-			Hash:   mapreduce.HashString,
-			Reduce: func(k string, vs []int64, emit func(string)) {},
+			Map:    func(item string, emit func(uint32, []byte, int64)) {},
+			Reduce: func(g uint32, es []mapreduce.Entry, emit func(string)) error { return nil },
 		})
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want both context.Canceled and the cause in chain", err)

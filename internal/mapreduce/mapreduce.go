@@ -1,62 +1,54 @@
 // Package mapreduce is the in-process MapReduce substrate the distributed
-// algorithms run on. It executes map / combine / shuffle / reduce with real
-// (bounded) parallelism on the host, collects Hadoop-style counters
-// (MAP_OUTPUT_BYTES, record counts) and per-task durations, and derives
-// *simulated cluster* phase times by scheduling the measured tasks onto a
-// configurable number of machines × slots (LPT) with a bandwidth model for
-// the shuffle.
+// algorithms run on. It executes map / aggregate / shuffle / reduce with
+// real (bounded) parallelism on the host and collects Hadoop-style counters
+// (MAP_OUTPUT_BYTES, record counts) and per-task durations.
 //
 // This substitutes for the paper's 11-node Hadoop cluster (§6.1): LASH's
 // experimental claims rest on bytes shuffled and relative per-phase work,
 // both of which are preserved by measuring real task costs and real encoded
-// bytes; the scheduler then reproduces cluster scaling shapes (Fig. 6).
+// bytes. Scheduling those measured tasks onto a simulated cluster (Fig. 6)
+// is the experiment harness's business — see experiments.Simulate.
 //
-// Two job shapes are provided:
-//
-//   - Run executes a classic generic job (Job): map emits (K, V) pairs, an
-//     optional combiner pre-aggregates per map task, the shuffle groups by
-//     key, and Reduce sees each key with its value slice. Phases are
-//     barriers: all map tasks finish before the shuffle, the shuffle before
-//     the reduce.
-//   - RunAgg executes a byte-key weighted-aggregation job (AggJob), the
-//     shape of every heavy LASH shuffle: map emits (group, key bytes,
-//     int64 weight) triples that are aggregated into per-map-task flat hash
-//     tables (open addressing over a shared key arena — no per-emit
-//     allocations), merged per reduce partition as map tasks retire, and
-//     reduced *streamingly*: each partition is handed to Reduce as soon as
-//     its last input is merged, overlapping shuffle, merge, and reduce work
-//     instead of phase barriers.
+// There is one job shape. RunAgg executes a byte-key weighted-aggregation
+// job (AggJob): map emits (group, key bytes, int64 weight) triples that are
+// aggregated into per-map-task flat hash tables (open addressing over a
+// shared key arena — no per-emit allocations), merged per reduce partition
+// as map tasks retire, and reduced *streamingly*: each partition is handed
+// to Reduce as soon as its last input is merged, overlapping shuffle,
+// merge, and reduce work instead of phase barriers. Both LASH jobs run on
+// it: the f-list count (group = item, empty key) and partition+mine
+// (group = pivot, key = encoded rewritten sequence).
 //
 // Error contract: a panic inside any user-supplied task function (Map,
-// Combine, Reduce, Size, Hash) is recovered, annotated with the job name,
-// phase, and task index, and returned as an error — one misbehaving job
-// must not take down the process hosting the substrate (lashd runs many).
-// The first task error cancels the run: unstarted tasks are skipped and the
-// partial output is discarded.
+// Reduce, Size, Hash) is recovered, annotated with the job name, phase, and
+// task index, and returned as an error — one misbehaving job must not take
+// down the process hosting the substrate (lashd runs many). The first task
+// error cancels the run: unstarted tasks are skipped and the partial output
+// is discarded.
 //
-// Fault tolerance: Config.Retry re-executes failed RunAgg tasks when the
-// failure classifies as transient (I/O errors, injected faults, errors
-// marked ErrTransient — see IsTransient) with capped exponential backoff.
-// A retried task's partial output is attempt-scoped and discarded — its
+// Fault tolerance: Config.Retry re-executes failed tasks when the failure
+// classifies as transient (I/O errors, injected faults, errors marked
+// ErrTransient — see IsTransient) with capped exponential backoff. A
+// retried task's partial output is attempt-scoped and discarded — its
 // spill runs are dropped and its tables rebuilt — so a retried run's
 // output is byte-identical to a fault-free run's. Recovered panics and
 // decode errors are deterministic and never retried. Config.Faults wires
 // in a fault-injection registry (internal/faults) for chaos testing.
 //
-// Cancellation contract: Run and RunAgg take a context.Context and observe
-// it cooperatively — between tasks, and at every emit point inside a task —
-// so even a single long-running map or reduce task is interrupted promptly.
-// A cancelled run drains its worker pool, discards the partial output, and
-// returns ctx.Err() wrapped with the job name and phase (the cancellation
-// cause, if one was set via context.WithCancelCause, is also in the chain
-// and matchable with errors.Is).
+// Cancellation contract: RunAgg takes a context.Context and observes it
+// cooperatively — between tasks, between reduce groups, and at every emit
+// point inside a task — so even a single long-running map or reduce task
+// is interrupted promptly. A cancelled run drains its worker pool, discards
+// the partial output, and returns ctx.Err() wrapped with the job name and
+// phase (the cancellation cause, if one was set via
+// context.WithCancelCause, is also in the chain and matchable with
+// errors.Is).
 package mapreduce
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,44 +57,21 @@ import (
 	"lash/internal/obs"
 )
 
-// ClusterSpec describes the simulated cluster. The defaults mirror the
-// paper's setup: 10 worker machines with 8 concurrent tasks each, 10 GbE.
-type ClusterSpec struct {
-	Machines        int     // simulated worker machines (default 10)
-	SlotsPerMachine int     // concurrent map or reduce tasks per machine (default 8)
-	NetBytesPerSec  float64 // per-machine shuffle bandwidth (default 1.25e9 ≈ 10 GbE)
-}
-
-func (c ClusterSpec) withDefaults() ClusterSpec {
-	if c.Machines <= 0 {
-		c.Machines = 10
-	}
-	if c.SlotsPerMachine <= 0 {
-		c.SlotsPerMachine = 8
-	}
-	if c.NetBytesPerSec <= 0 {
-		c.NetBytesPerSec = 1.25e9
-	}
-	return c
-}
-
 // Config controls a job run.
 type Config struct {
 	Workers     int // real goroutines (default NumCPU)
 	MapTasks    int // input splits (default 4×Workers)
 	ReduceTasks int // key-space partitions (default 4×Workers)
-	Cluster     ClusterSpec
 
-	// MemoryBudget, when positive, bounds the memory the aggregated shuffle
-	// (RunAgg) may hold in aggregation tables, in bytes. Each map task gets
-	// an equal share (MemoryBudget / Workers); exceeding it flushes the
-	// task's tables to sorted runs in temp files, and the reduce phase
-	// k-way merges each partition's runs back off disk, re-aggregating
-	// across runs, so only one partition's group at a time is materialized.
+	// MemoryBudget, when positive, bounds the memory the shuffle may hold
+	// in aggregation tables, in bytes. Each map task gets an equal share
+	// (MemoryBudget / Workers); exceeding it flushes the task's tables to
+	// sorted runs in temp files, and the reduce phase k-way merges each
+	// partition's runs back off disk, re-aggregating across runs, so only
+	// one partition's group at a time is materialized.
 	// The budget covers the shuffle's aggregation tables, not the input
 	// slice or the reduce outputs; results are byte-identical to the
-	// in-memory path (0 = unlimited, never touch disk). Run ignores it —
-	// the generic path's intermediate data is key-space bounded.
+	// in-memory path (0 = unlimited, never touch disk).
 	MemoryBudget int64
 
 	// SpillDir is the base directory for spill temp files (default
@@ -126,11 +95,10 @@ type Config struct {
 	// bodies need no "is observability on?" branches.
 	Obs *obs.Run
 
-	// Retry re-executes failed RunAgg map and reduce tasks whose failure
+	// Retry re-executes failed map and reduce tasks whose failure
 	// classifies as transient (see IsTransient). Reduce tasks are retried
 	// only when the job declares AggJob.ReduceRetryable. The zero policy
-	// disables retries. The generic Run path ignores it: its tasks perform
-	// no I/O, so their failures are deterministic by construction.
+	// disables retries.
 	Retry RetryPolicy
 
 	// Faults, when non-nil, arms the substrate's fault-injection points
@@ -141,12 +109,11 @@ type Config struct {
 }
 
 // Progress is a point-in-time snapshot of a running job, delivered to
-// Config.Progress. Counts are cumulative; on the streaming aggregated path
-// (RunAgg) map, shuffle, and reduce overlap, so reduce counters can advance
-// while map tasks are still retiring.
+// Config.Progress. Counts are cumulative; map, shuffle, and reduce overlap,
+// so reduce counters can advance while map tasks are still retiring.
 type Progress struct {
 	Job             string
-	Phase           string // "map", "shuffle", "reduce", or "done"
+	Phase           string // "map", "reduce", or "done"
 	MapTasksDone    int
 	MapTasks        int
 	ReduceTasksDone int
@@ -169,28 +136,25 @@ func (c Config) withDefaults() Config {
 	if c.ReduceTasks <= 0 {
 		c.ReduceTasks = 4 * c.Workers
 	}
-	c.Cluster = c.Cluster.withDefaults()
 	return c
 }
 
-// Counters are Hadoop-style job counters.
-//
-// On the aggregated path (RunAgg), MapOutputRecords counts aggregated
+// Counters are Hadoop-style job counters. MapOutputRecords counts aggregated
 // (group, key) entries — each distinct entry in a map task's table is one
 // shuffled record, mirroring what a Hadoop combiner would actually ship —
 // and ReduceInputKeys counts the groups handed to Reduce.
 type Counters struct {
 	MapInputRecords     int64
-	MapOutputRecords    int64 // after combining, i.e. records shuffled
+	MapOutputRecords    int64 // after aggregation, i.e. records shuffled
 	MapOutputBytes      int64 // encoded size of shuffled records (MAP_OUTPUT_BYTES)
 	ReduceInputKeys     int64
 	ReduceOutputRecords int64
 
 	// Spill counters (non-zero only when Config.MemoryBudget forced the
-	// aggregated shuffle to disk): sorted runs written, physical bytes
-	// written to spill files, and aggregated entries spilled. An entry
-	// aggregated in several runs counts once per run — the re-aggregation
-	// happens in the reduce-side merge.
+	// shuffle to disk): sorted runs written, physical bytes written to
+	// spill files, and aggregated entries spilled. An entry aggregated in
+	// several runs counts once per run — the re-aggregation happens in the
+	// reduce-side merge.
 	SpillRuns    int64
 	SpillBytes   int64
 	SpillRecords int64
@@ -202,13 +166,11 @@ type Counters struct {
 	FaultsInjected int64
 }
 
-// PhaseTimes breaks a job into the phases the paper reports.
-//
-// On the streaming aggregated path the phases overlap; the wall times are
-// then cumulative watermarks: Map is the time until the last map function
-// returned, Shuffle the additional time until the last partition merge
-// completed, and Reduce the remaining tail until the last Reduce returned.
-// Their sum is still the true job wall time.
+// PhaseTimes breaks a job into the phases the paper reports. The phases
+// overlap, so the wall times are cumulative watermarks: Map is the time
+// until the last map function returned, Shuffle the additional time until
+// the last partition merge completed, and Reduce the remaining tail until
+// the last Reduce returned. Their sum is still the true job wall time.
 type PhaseTimes struct {
 	Map     time.Duration
 	Shuffle time.Duration
@@ -221,34 +183,9 @@ func (p PhaseTimes) Total() time.Duration { return p.Map + p.Shuffle + p.Reduce 
 // Stats reports everything measured about one job run.
 type Stats struct {
 	Wall PhaseTimes // actually elapsed on this host
-	Sim  PhaseTimes // simulated cluster times (see package doc)
 	Counters
 	MapTaskTimes    []time.Duration
 	ReduceTaskTimes []time.Duration
-}
-
-// Job wires user code into a run. K must be comparable; V is the
-// intermediate value; R the reduce output.
-type Job[I any, K comparable, V any, R any] struct {
-	Name string
-
-	// Map processes one input record, emitting intermediate pairs.
-	Map func(item I, emit func(K, V))
-
-	// Combine merges two intermediate values for the same key (associative,
-	// commutative). Optional: when nil, all values are kept and handed to
-	// Reduce as a slice.
-	Combine func(a, b V) V
-
-	// Hash partitions keys across reduce tasks.
-	Hash func(K) uint32
-
-	// Size returns the encoded size of one intermediate pair, measured once
-	// per (post-combine) record for the MAP_OUTPUT_BYTES counter. Optional.
-	Size func(K, V) int
-
-	// Reduce processes one key group.
-	Reduce func(key K, values []V, emit func(R))
 }
 
 // errOnce records the first task error of a run and flips a cancellation
@@ -321,293 +258,6 @@ func runErr(ctx context.Context, errs *errOnce, jobName, phase string) error {
 		return wrapCtxErr(ctx, jobName, phase)
 	}
 	return nil
-}
-
-// Run executes the job over the input and returns the reduce outputs
-// (ordered by reduce task, then by key hash order — callers needing a total
-// order must sort) together with run statistics. A panic in any task is
-// converted into an error; the first error cancels the run and is returned
-// with partial statistics. Cancelling ctx aborts the run cooperatively
-// (between tasks and at emit points) and returns ctx.Err() wrapped with the
-// job name and phase; a context that is already done returns before any
-// task runs.
-func Run[I any, K comparable, V any, R any](ctx context.Context, cfg Config, input []I, job Job[I, K, V, R]) ([]R, *Stats, error) {
-	cfg = cfg.withDefaults()
-	stats := &Stats{}
-	stats.MapInputRecords = int64(len(input))
-	if ctx.Err() != nil {
-		return nil, stats, wrapCtxErr(ctx, job.Name, "start")
-	}
-	errs := &errOnce{}
-	stop := watchContext(ctx, errs)
-	defer stop()
-
-	mapTasks := cfg.MapTasks
-	if mapTasks > len(input) {
-		mapTasks = len(input)
-	}
-	if mapTasks < 1 {
-		mapTasks = 1
-	}
-	reduceTasks := cfg.ReduceTasks
-
-	rc := &obs.RunCounters{}
-	report := func(phase string) {
-		if cfg.Progress == nil {
-			return
-		}
-		cfg.Progress(Progress{
-			Job:             job.Name,
-			Phase:           phase,
-			MapTasksDone:    int(rc.MapTasksDone.Load()),
-			MapTasks:        mapTasks,
-			ReduceTasksDone: int(rc.ReduceTasksDone.Load()),
-			ReduceTasks:     reduceTasks,
-			ShuffleRecords:  rc.ShuffleRecords.Load(),
-			ShuffleBytes:    rc.ShuffleBytes.Load(),
-		})
-	}
-	defer report("done")
-
-	// --- map phase -----------------------------------------------------
-	type mapOut struct {
-		combined []map[K]V // per reduce partition (combiner present)
-		pairs    [][]kv[K, V]
-	}
-	outs := make([]mapOut, mapTasks)
-	taskTimes := make([]time.Duration, mapTasks)
-
-	mapStart := time.Now()
-	oh := newObsHooks(cfg.Obs, mapStart)
-	defer func() { oh.finish(job.Name, stats.Wall) }()
-	// The generic path never retries (see Config.Retry): the zero policy
-	// caps every task at one attempt, so guard degenerates to cancellation
-	// + panic recovery.
-	noRetry := RetryPolicy{}
-	runPool(cfg.Workers, mapTasks, guard(ctx, errs, noRetry, rc, nil, job.Name, "map", func(task, _ int) error {
-		lo := len(input) * task / mapTasks
-		hi := len(input) * (task + 1) / mapTasks
-		start := time.Now()
-		o := &outs[task]
-		if job.Combine != nil {
-			o.combined = make([]map[K]V, reduceTasks)
-			for p := range o.combined {
-				o.combined[p] = make(map[K]V)
-			}
-		} else {
-			o.pairs = make([][]kv[K, V], reduceTasks)
-		}
-		emit := func(k K, v V) {
-			checkAbort(errs)
-			p := int(job.Hash(k) % uint32(reduceTasks))
-			if job.Combine != nil {
-				m := o.combined[p]
-				if old, ok := m[k]; ok {
-					m[k] = job.Combine(old, v)
-				} else {
-					m[k] = v
-				}
-			} else {
-				o.pairs[p] = append(o.pairs[p], kv[K, V]{k, v})
-			}
-		}
-		for _, rec := range input[lo:hi] {
-			checkAbort(errs)
-			job.Map(rec, emit)
-		}
-		// Account post-combine output.
-		var recs, bytes int64
-		if job.Combine != nil {
-			for _, m := range o.combined {
-				recs += int64(len(m))
-				if job.Size != nil {
-					for k, v := range m {
-						bytes += int64(job.Size(k, v))
-					}
-				}
-			}
-		} else {
-			for _, ps := range o.pairs {
-				recs += int64(len(ps))
-				if job.Size != nil {
-					for _, p := range ps {
-						bytes += int64(job.Size(p.k, p.v))
-					}
-				}
-			}
-		}
-		rc.ShuffleRecords.Add(recs)
-		rc.ShuffleBytes.Add(bytes)
-		oh.shufRecords.Add(recs)
-		oh.shufBytes.Add(bytes)
-		taskTimes[task] = time.Since(start)
-		rc.MapTasksDone.Add(1)
-		oh.taskSpan("map-task", job.Name, "map", task, start)
-		report("map")
-		return nil
-	}))
-	stats.Wall.Map = time.Since(mapStart)
-	stats.MapTaskTimes = taskTimes
-	stats.MapOutputRecords = rc.ShuffleRecords.Load()
-	stats.MapOutputBytes = rc.ShuffleBytes.Load()
-	if err := runErr(ctx, errs, job.Name, "map"); err != nil {
-		return nil, stats, err
-	}
-
-	// --- shuffle: group by key within each reduce partition -------------
-	shufStart := time.Now()
-	groups := make([]map[K][]V, reduceTasks)
-	runPool(cfg.Workers, reduceTasks, guard(ctx, errs, noRetry, rc, nil, job.Name, "shuffle", func(p, _ int) error {
-		g := make(map[K][]V)
-		for t := range outs {
-			checkAbort(errs)
-			if job.Combine != nil {
-				for k, v := range outs[t].combined[p] {
-					g[k] = append(g[k], v)
-				}
-			} else {
-				for _, pr := range outs[t].pairs[p] {
-					g[pr.k] = append(g[pr.k], pr.v)
-				}
-			}
-		}
-		groups[p] = g
-		return nil
-	}))
-	stats.Wall.Shuffle = time.Since(shufStart)
-	report("shuffle")
-	if err := runErr(ctx, errs, job.Name, "shuffle"); err != nil {
-		return nil, stats, err
-	}
-
-	// --- reduce phase ----------------------------------------------------
-	redStart := time.Now()
-	results := make([][]R, reduceTasks)
-	redTimes := make([]time.Duration, reduceTasks)
-	var redKeys, redRecords atomic.Int64
-	runPool(cfg.Workers, reduceTasks, guard(ctx, errs, noRetry, rc, nil, job.Name, "reduce", func(p, _ int) error {
-		start := time.Now()
-		var out []R
-		emit := func(r R) {
-			checkAbort(errs)
-			out = append(out, r)
-		}
-		for k, vs := range groups[p] {
-			checkAbort(errs)
-			job.Reduce(k, vs, emit)
-		}
-		redKeys.Add(int64(len(groups[p])))
-		redRecords.Add(int64(len(out)))
-		results[p] = out
-		redTimes[p] = time.Since(start)
-		rc.ReduceTasksDone.Add(1)
-		oh.taskSpan("reduce-task", job.Name, "reduce", p, start)
-		report("reduce")
-		return nil
-	}))
-	stats.Wall.Reduce = time.Since(redStart)
-	stats.ReduceTaskTimes = redTimes
-	stats.ReduceInputKeys = redKeys.Load()
-	stats.ReduceOutputRecords = redRecords.Load()
-	if err := runErr(ctx, errs, job.Name, "reduce"); err != nil {
-		return nil, stats, err
-	}
-
-	simulate(stats, cfg)
-
-	var flat []R
-	for _, rs := range results {
-		flat = append(flat, rs...)
-	}
-	return flat, stats, nil
-}
-
-// simulate fills Stats.Sim from the measured task durations and shuffled
-// bytes (see package doc).
-func simulate(stats *Stats, cfg Config) {
-	slots := cfg.Cluster.Machines * cfg.Cluster.SlotsPerMachine
-	stats.Sim.Map = lptMakespan(stats.MapTaskTimes, slots)
-	stats.Sim.Reduce = lptMakespan(stats.ReduceTaskTimes, slots)
-	stats.Sim.Shuffle = time.Duration(float64(stats.MapOutputBytes) /
-		(float64(cfg.Cluster.Machines) * cfg.Cluster.NetBytesPerSec) * float64(time.Second))
-}
-
-type kv[K comparable, V any] struct {
-	k K
-	v V
-}
-
-// runPool executes fn(0..n-1) on up to `workers` goroutines.
-func runPool(workers, n int, fn func(int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// lptMakespan schedules task durations onto `slots` parallel slots using
-// longest-processing-time-first and returns the makespan.
-func lptMakespan(tasks []time.Duration, slots int) time.Duration {
-	if len(tasks) == 0 {
-		return 0
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	sorted := append([]time.Duration(nil), tasks...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	loads := make([]time.Duration, slots)
-	for _, t := range sorted {
-		// Place on least-loaded slot (slots is small; linear scan).
-		best := 0
-		for s := 1; s < slots; s++ {
-			if loads[s] < loads[best] {
-				best = s
-			}
-		}
-		loads[best] += t
-	}
-	max := loads[0]
-	for _, l := range loads[1:] {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// HashString is an FNV-1a partitioner for string keys.
-func HashString(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // HashBytes is an FNV-1a partitioner for byte keys.

@@ -2,36 +2,47 @@ package mapreduce_test
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"lash/internal/mapreduce"
 )
 
-// wordCount is the canonical MapReduce job, used to exercise the runner.
+// wordCount is the canonical MapReduce job in the f-list job's shape: the
+// word's interned id is the group, the key is empty, every emit weighs 1,
+// and the shuffle's aggregation is the whole reduction.
 func wordCount(cfg mapreduce.Config, docs []string) (map[string]int64, *mapreduce.Stats) {
 	type outKV struct {
 		word string
 		n    int64
 	}
-	out, stats, err := mapreduce.Run(context.Background(), cfg, docs, mapreduce.Job[string, string, int64, outKV]{
+	ids := map[string]uint32{}
+	var words []string
+	for _, doc := range docs {
+		for _, w := range strings.Fields(doc) {
+			if _, ok := ids[w]; !ok {
+				ids[w] = uint32(len(words))
+				words = append(words, w)
+			}
+		}
+	}
+	out, stats, err := mapreduce.RunAgg(context.Background(), cfg, docs, mapreduce.AggJob[string, outKV]{
 		Name: "wordcount",
-		Map: func(doc string, emit func(string, int64)) {
+		Map: func(doc string, emit func(uint32, []byte, int64)) {
 			for _, w := range strings.Fields(doc) {
-				emit(w, 1)
+				emit(ids[w], nil, 1)
 			}
 		},
-		Combine: func(a, b int64) int64 { return a + b },
-		Hash:    mapreduce.HashString,
-		Size:    func(k string, v int64) int { return len(k) + 8 },
-		Reduce: func(k string, vs []int64, emit func(outKV)) {
-			var sum int64
-			for _, v := range vs {
-				sum += v
+		Hash: func(id uint32, _ []byte) uint32 { return mapreduce.HashUint32(id) },
+		Size: func(id uint32, _ int, _ int64) int { return len(words[id]) + 8 },
+		Reduce: func(id uint32, entries []mapreduce.Entry, emit func(outKV)) error {
+			if len(entries) != 1 || len(entries[0].Key) != 0 {
+				return fmt.Errorf("group %d: %d entries, want one with an empty key", id, len(entries))
 			}
-			emit(outKV{k, sum})
+			emit(outKV{words[id], entries[0].Weight})
+			return nil
 		},
 	})
 	if err != nil {
@@ -42,6 +53,18 @@ func wordCount(cfg mapreduce.Config, docs []string) (map[string]int64, *mapreduc
 		m[o.word] = o.n
 	}
 	return m, stats
+}
+
+// refWordCount is the sequential reference the substrate's word counts are
+// compared against: a plain Go map, no tasks, no shuffle.
+func refWordCount(docs []string) map[string]int64 {
+	m := make(map[string]int64)
+	for _, doc := range docs {
+		for _, w := range strings.Fields(doc) {
+			m[w]++
+		}
+	}
+	return m
 }
 
 var docs = []string{
@@ -79,11 +102,12 @@ func TestWordCount(t *testing.T) {
 	}
 }
 
-// The same job must give identical results for any worker/task/combiner
+// The same job must give the reference counts for any worker/task
 // configuration.
 func TestDeterminismAcrossConfigs(t *testing.T) {
-	base, _ := wordCount(mapreduce.Config{Workers: 1, MapTasks: 1, ReduceTasks: 1}, docs)
+	base := refWordCount(docs)
 	for _, cfg := range []mapreduce.Config{
+		{Workers: 1, MapTasks: 1, ReduceTasks: 1},
 		{Workers: 1, MapTasks: 4, ReduceTasks: 3},
 		{Workers: 4, MapTasks: 2, ReduceTasks: 8},
 		{Workers: 8, MapTasks: 16, ReduceTasks: 1},
@@ -100,50 +124,6 @@ func TestDeterminismAcrossConfigs(t *testing.T) {
 	}
 }
 
-// Without a combiner, every intermediate pair must reach the reducer.
-func TestNoCombiner(t *testing.T) {
-	out, stats, err := mapreduce.Run(context.Background(),
-		mapreduce.Config{Workers: 2, MapTasks: 2, ReduceTasks: 2},
-		docs,
-		mapreduce.Job[string, string, int64, int64]{
-			Map: func(doc string, emit func(string, int64)) {
-				for _, w := range strings.Fields(doc) {
-					emit(w, 1)
-				}
-			},
-			Hash: mapreduce.HashString,
-			Reduce: func(k string, vs []int64, emit func(int64)) {
-				emit(int64(len(vs)))
-			},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, n := range out {
-		total += n
-	}
-	if total != 16 { // 16 words in docs
-		t.Fatalf("total occurrences = %d, want 16", total)
-	}
-	if stats.MapOutputRecords != 16 {
-		t.Fatalf("MapOutputRecords = %d, want 16 (no combining)", stats.MapOutputRecords)
-	}
-}
-
-// The combiner must reduce shuffled records (pre-aggregation).
-func TestCombinerReducesTraffic(t *testing.T) {
-	many := make([]string, 50)
-	for i := range many {
-		many[i] = "x x x x"
-	}
-	_, withC := wordCount(mapreduce.Config{Workers: 2, MapTasks: 5, ReduceTasks: 2}, many)
-	// 5 map tasks × 1 distinct word → 5 records instead of 200.
-	if withC.MapOutputRecords != 5 {
-		t.Fatalf("combined MapOutputRecords = %d, want 5", withC.MapOutputRecords)
-	}
-}
-
 func TestEmptyInput(t *testing.T) {
 	got, stats := wordCount(mapreduce.Config{Workers: 2}, nil)
 	if len(got) != 0 || stats.MapInputRecords != 0 {
@@ -151,61 +131,9 @@ func TestEmptyInput(t *testing.T) {
 	}
 }
 
-func TestSimulatedCluster(t *testing.T) {
-	cfg := mapreduce.Config{
-		Workers: 2, MapTasks: 16, ReduceTasks: 16,
-		Cluster: mapreduce.ClusterSpec{Machines: 4, SlotsPerMachine: 2, NetBytesPerSec: 1e6},
-	}
-	_, stats := wordCount(cfg, docs)
-	if stats.Sim.Map <= 0 || stats.Sim.Reduce < 0 {
-		t.Fatalf("sim times not computed: %+v", stats.Sim)
-	}
-	// More machines must never slow the simulated phases down.
-	cfg2 := cfg
-	cfg2.Cluster.Machines = 8
-	_, stats2 := wordCount(cfg2, docs)
-	// Shuffle halves exactly (bandwidth model); map/reduce are LPT over the
-	// same per-task durations re-measured — compare shuffle only, which is
-	// deterministic given identical bytes.
-	if stats2.MapOutputBytes == stats.MapOutputBytes && stats2.Sim.Shuffle > stats.Sim.Shuffle {
-		t.Errorf("shuffle sim did not scale: %v → %v", stats.Sim.Shuffle, stats2.Sim.Shuffle)
-	}
-}
-
-func TestLPTViaPhases(t *testing.T) {
-	// Construct a job whose task durations we can bound: many map tasks on
-	// one simulated slot must sum, on many slots must approach the max.
-	slow := make([]string, 8)
-	for i := range slow {
-		slow[i] = strings.Repeat("w ", 2000)
-	}
-	one := mapreduce.Config{Workers: 2, MapTasks: 8, ReduceTasks: 2,
-		Cluster: mapreduce.ClusterSpec{Machines: 1, SlotsPerMachine: 1}}
-	_, s1 := wordCount(one, slow)
-	var sum time.Duration
-	for _, d := range s1.MapTaskTimes {
-		sum += d
-	}
-	if s1.Sim.Map != sum {
-		t.Errorf("1 slot: makespan %v != sum %v", s1.Sim.Map, sum)
-	}
-	eight := one
-	eight.Cluster = mapreduce.ClusterSpec{Machines: 8, SlotsPerMachine: 1}
-	_, s8 := wordCount(eight, slow)
-	maxT := time.Duration(0)
-	for _, d := range s8.MapTaskTimes {
-		if d > maxT {
-			maxT = d
-		}
-	}
-	if s8.Sim.Map != maxT {
-		t.Errorf("8 slots over 8 tasks: makespan %v != max %v", s8.Sim.Map, maxT)
-	}
-}
-
 func TestHashHelpers(t *testing.T) {
-	if mapreduce.HashString("abc") == mapreduce.HashString("abd") {
-		t.Error("suspicious string hash collision")
+	if mapreduce.HashBytes([]byte("abc")) == mapreduce.HashBytes([]byte("abd")) {
+		t.Error("suspicious byte hash collision")
 	}
 	seen := map[uint32]bool{}
 	for i := uint32(0); i < 1000; i++ {

@@ -282,8 +282,8 @@ type ProgressEvent struct {
 	// Job is the MapReduce job name: "flist", "partition+mine", "naive",
 	// or "semi-naive".
 	Job string
-	// Phase is "map", "shuffle", "reduce", or "done" (the job finished,
-	// successfully or not).
+	// Phase is "map", "reduce", or "done" (the job finished, successfully
+	// or not).
 	Phase string
 	// MapTasksDone / MapTasks count retired input splits.
 	MapTasksDone int

@@ -33,12 +33,9 @@ type CacheStats struct {
 	// every cached result's charge (its serving index's exact SizeBytes
 	// plus the estimated result footprint), CapacityBytes the configured
 	// budget (0 when the cache is disabled).
-	Bytes         int64 `json:"bytes"`
-	CapacityBytes int64 `json:"capacity_bytes"`
-	// Capacity is the deprecated entry bound (Config.CacheSize alias);
-	// 0 means the cache is bounded by bytes alone.
-	Capacity int               `json:"capacity,omitempty"`
-	Shards   []CacheShardStats `json:"shards,omitempty"`
+	Bytes         int64             `json:"bytes"`
+	CapacityBytes int64             `json:"capacity_bytes"`
+	Shards        []CacheShardStats `json:"shards,omitempty"`
 }
 
 // resultCache is a sharded LRU cache of mining results keyed by database
@@ -56,9 +53,8 @@ type CacheStats struct {
 // handles for GET /metrics; instrument swaps the latter for registry-backed
 // ones before the cache sees traffic.
 type resultCache struct {
-	shardBudget  int64 // byte budget per shard; ≤ 0 disables the cache
-	shardEntries int   // deprecated per-shard entry bound (0 = none)
-	shards       [numCacheShards]cacheShard
+	shardBudget int64 // byte budget per shard; ≤ 0 disables the cache
+	shards      [numCacheShards]cacheShard
 
 	hits      *obs.Counter
 	misses    *obs.Counter
@@ -83,9 +79,8 @@ type cacheEntry struct {
 }
 
 // newResultCache builds a cache with the given total byte budget, split
-// evenly across the shards, and an optional entry bound (the deprecated
-// Config.CacheSize alias), also split across shards rounding up.
-func newResultCache(budgetBytes int64, maxEntries int) *resultCache {
+// evenly across the shards.
+func newResultCache(budgetBytes int64) *resultCache {
 	c := &resultCache{
 		hits:      &obs.Counter{},
 		misses:    &obs.Counter{},
@@ -93,9 +88,6 @@ func newResultCache(budgetBytes int64, maxEntries int) *resultCache {
 	}
 	if budgetBytes > 0 {
 		c.shardBudget = (budgetBytes + numCacheShards - 1) / numCacheShards
-	}
-	if maxEntries > 0 {
-		c.shardEntries = (maxEntries + numCacheShards - 1) / numCacheShards
 	}
 	for i := range c.shards {
 		c.shards[i].ll = list.New()
@@ -204,9 +196,9 @@ func (c *resultCache) recost(key string, bytes int64) {
 }
 
 // evictOverBudgetLocked drops least recently used entries while the shard
-// exceeds its byte budget or the deprecated entry bound. Caller holds sh.mu.
+// exceeds its byte budget. Caller holds sh.mu.
 func (c *resultCache) evictOverBudgetLocked(sh *cacheShard) {
-	for sh.ll.Len() > 0 && (sh.bytes > c.shardBudget || (c.shardEntries > 0 && sh.ll.Len() > c.shardEntries)) {
+	for sh.ll.Len() > 0 && sh.bytes > c.shardBudget {
 		oldest := sh.ll.Back()
 		ent := oldest.Value.(*cacheEntry)
 		sh.ll.Remove(oldest)
@@ -223,7 +215,6 @@ func (c *resultCache) stats() CacheStats {
 	s := CacheStats{Shards: make([]CacheShardStats, numCacheShards)}
 	if c.shardBudget > 0 {
 		s.CapacityBytes = c.shardBudget * numCacheShards
-		s.Capacity = c.shardEntries * numCacheShards
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]

@@ -30,7 +30,7 @@ func TestCacheLRUByteBudget(t *testing.T) {
 	// Budget two single-pattern results per shard: one resultN estimate is
 	// 256 + 32 + 1 + 16 = 305 bytes; give each shard room for two but not
 	// three (total budget = per-shard × numCacheShards).
-	c := newResultCache(700*numCacheShards, 0)
+	c := newResultCache(700 * numCacheShards)
 	k := shardKeys(c, 3)
 	c.add(k[0], resultN(1))
 	c.add(k[1], resultN(2))
@@ -61,7 +61,7 @@ func TestCacheLRUByteBudget(t *testing.T) {
 }
 
 func TestCacheUpdateExisting(t *testing.T) {
-	c := newResultCache(1<<20, 0)
+	c := newResultCache(1 << 20)
 	c.add("a", resultN(1))
 	before := c.stats().Bytes
 	c.add("a", resultN(9))
@@ -79,7 +79,7 @@ func TestCacheUpdateExisting(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := newResultCache(0, 0)
+	c := newResultCache(0)
 	c.add("a", resultN(1))
 	if _, ok := c.get("a"); ok {
 		t.Error("disabled cache stored an entry")
@@ -89,26 +89,8 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCacheEntryBoundAlias(t *testing.T) {
-	// The deprecated entry bound still caps entries even when the byte
-	// budget has room: 1 entry per shard here.
-	c := newResultCache(1<<30, numCacheShards)
-	k := shardKeys(c, 2)
-	c.add(k[0], resultN(1))
-	c.add(k[1], resultN(2))
-	if _, ok := c.get(k[0]); ok {
-		t.Error("entry bound did not evict the older entry")
-	}
-	if _, ok := c.get(k[1]); !ok {
-		t.Error("most recent entry missing")
-	}
-	if s := c.stats(); s.Evictions != 1 || s.Capacity != numCacheShards {
-		t.Errorf("stats = %+v, want 1 eviction, capacity %d", s, numCacheShards)
-	}
-}
-
 func TestCacheRecost(t *testing.T) {
-	c := newResultCache(1000*numCacheShards, 0)
+	c := newResultCache(1000 * numCacheShards)
 	k := shardKeys(c, 2)
 	c.add(k[0], resultN(1))
 	c.add(k[1], resultN(2))
@@ -134,7 +116,7 @@ func TestCacheRecost(t *testing.T) {
 func TestCacheManyEvictions(t *testing.T) {
 	// Per-shard budget fits exactly one resultN estimate (305 bytes), so
 	// every shard holds its most recent entry and evicts the rest.
-	c := newResultCache(400*numCacheShards, 0)
+	c := newResultCache(400 * numCacheShards)
 	for i := range 64 {
 		c.add(fmt.Sprintf("k%d", i), resultN(int64(i)))
 	}
@@ -160,7 +142,7 @@ func TestCacheManyEvictions(t *testing.T) {
 }
 
 func TestCacheShardStatsSum(t *testing.T) {
-	c := newResultCache(1<<20, 0)
+	c := newResultCache(1 << 20)
 	for i := range 32 {
 		c.add(fmt.Sprintf("k%d", i), resultN(int64(i)))
 		c.get(fmt.Sprintf("k%d", i))

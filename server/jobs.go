@@ -161,13 +161,13 @@ var (
 	errOverloaded = errors.New("server overloaded")
 )
 
-func newManager(workers int, cacheBytes int64, cacheEntries, maxJobs int, mineFn MineFunc, streamFn StreamFunc, met *serverMetrics, logger *slog.Logger) *manager {
+func newManager(workers int, cacheBytes int64, maxJobs int, mineFn MineFunc, streamFn StreamFunc, met *serverMetrics, logger *slog.Logger) *manager {
 	if workers < 1 {
 		workers = 1
 	}
 	//lashvet:ignore ctxfirst job lifetimes are server-scoped by design: the manager root context outlives any request, and Close cancels it with the shutdown cause
 	ctx, cancel := context.WithCancelCause(context.Background())
-	cache := newResultCache(cacheBytes, cacheEntries)
+	cache := newResultCache(cacheBytes)
 	cache.instrument(met.cacheHits, met.cacheMisses, met.cacheEvictions)
 	return &manager{
 		mineFn:   mineFn,

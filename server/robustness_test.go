@@ -329,7 +329,7 @@ func TestRequestDeadlineCappedByServer(t *testing.T) {
 		// Deadlines are canonicalized out of the cache key, so repeats of the
 		// same mining options would be answered from cache without ever
 		// reaching the MineFunc. Disable caching so every submit runs.
-		CacheSize:  -1,
+		CacheBytes: -1,
 		MaxJobTime: 50 * time.Millisecond,
 		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			got = opt

@@ -63,8 +63,8 @@ import (
 )
 
 // Config parameterizes New. The zero value is usable: 4 mining workers, a
-// 128-entry result cache, 1024 retained job records, file loading
-// disabled, mining with lash.Mine.
+// 256 MiB result cache, 1024 retained job records, file loading disabled,
+// mining with lash.MineContext.
 type Config struct {
 	// Workers bounds how many mining jobs run concurrently (default 4).
 	// Each job itself parallelizes internally via Options.Workers.
@@ -74,10 +74,6 @@ type Config struct {
 	// serving index's exact SizeBytes plus an estimate of the raw result,
 	// and the 8-way sharded LRU evicts once over budget.
 	CacheBytes int64
-	// CacheSize is the deprecated entry-count bound (the old cache
-	// capacity): when positive it additionally caps cached entries;
-	// negative disables caching entirely. Prefer CacheBytes.
-	CacheSize int
 	// JobHistory bounds the retained job records (default 1024; negative
 	// retains everything). Once past the bound, the oldest finished jobs
 	// are forgotten: their ids stop resolving on GET /v1/jobs/{id}, though
@@ -145,11 +141,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 256 << 20
 	}
-	if cfg.CacheBytes < 0 || cfg.CacheSize < 0 {
-		// Either knob at a negative value disables caching outright (the
-		// old CacheSize: -1 contract keeps working).
-		cfg.CacheBytes, cfg.CacheSize = 0, 0
-	}
 	if cfg.JobHistory == 0 {
 		cfg.JobHistory = 1024
 	}
@@ -168,7 +159,7 @@ func New(cfg Config) *Server {
 	met := newServerMetrics()
 	s := &Server{
 		registry: newRegistry(cfg.DataDir),
-		jobs:     newManager(cfg.Workers, cfg.CacheBytes, cfg.CacheSize, cfg.JobHistory, mineFn, streamFn, met, logger),
+		jobs:     newManager(cfg.Workers, cfg.CacheBytes, cfg.JobHistory, mineFn, streamFn, met, logger),
 		mux:      http.NewServeMux(),
 		metrics:  met,
 		log:      logger,

@@ -610,7 +610,7 @@ func TestGracefulShutdown(t *testing.T) {
 // TestJobHistoryPruning bounds the retained job records: old finished jobs
 // are forgotten, but each database's latest result stays queryable.
 func TestJobHistoryPruning(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{JobHistory: 3, CacheSize: -1})
+	_, ts := newTestServer(t, server.Config{JobHistory: 3, CacheBytes: -1})
 	mustRegister(t, ts, testSpec("paper"))
 
 	ids := make([]string, 6)
@@ -685,7 +685,7 @@ func TestCacheHitJobsEvictFirst(t *testing.T) {
 func TestJobHistoryPruningSkipsRunning(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts := newTestServer(t, server.Config{
-		JobHistory: 2, CacheSize: -1, Workers: 4,
+		JobHistory: 2, CacheBytes: -1, Workers: 4,
 		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			if opt.MaxLength == 99 { // the marker job blocks until released
 				<-gate
