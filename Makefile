@@ -5,7 +5,7 @@ BENCH_OUT ?= BENCH_PR10.json
 BENCH_BASE ?= BENCH_PR9.json
 MAX_REGRESS ?= 40
 FUZZTIME ?= 60s
-FUZZ_PKGS ?= ./internal/seqenc ./internal/seqdb
+FUZZ_PKGS ?= ./internal/seqenc ./internal/seqdb ./server
 PROFILE_BENCH ?= BenchmarkFig4a
 PROFILE_BENCHTIME ?= 3x
 
@@ -77,7 +77,8 @@ fuzz:
 bench:
 	$(GO) test -bench=$(BENCH) -benchtime=$(BENCHTIME) -benchmem -run=^$$ . | tee /dev/stderr | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
-# bench-smoke is the CI pass: every benchmark must still run (1 iteration),
+# bench-smoke is the CI pass: every benchmark of the root package — mining,
+# pindex and the handler-level BenchmarkServePatterns — must still run (1 iteration),
 # so the harness cannot bit-rot; results are parsed but discarded.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . | $(GO) run ./cmd/benchjson > /dev/null

@@ -13,17 +13,19 @@
 //
 //   - lex: the canonical ids sorted in prefix-lexicographic order of their
 //     encoded item sequences. Every pattern set sharing a given item-sequence
-//     prefix is one contiguous lex range, so prefix queries and exact
-//     lookups are a binary search, never a scan.
+//     prefix is one contiguous lex range, so an exact lookup is a binary
+//     search and a prefix query is a binary search plus one walk of that
+//     range (selecting the best-ranked page as it goes), never of the index.
 //   - bySupport: the serving permutation — canonical ids ordered by support
 //     descending, ties by canonical id ascending (the order GET /v1/patterns
 //     has always served). rank[] is its inverse. top-k is a slice of this
 //     permutation; a min-support filter is a prefix of it (supports are
 //     non-increasing along it, so the cutoff is one binary search).
 //   - postings: for each vocabulary item, the serving ranks (ascending) of
-//     the patterns containing it. contains-item queries intersect postings
-//     lists instead of scanning, and the intersection is born in serving
-//     order because rank order is serving order.
+//     the patterns containing it. A contains-item query is a window of one
+//     postings list; several items intersect their lists on the fly, and the
+//     intersection is born in serving order because rank order is serving
+//     order.
 //   - levels and parent: the hierarchy tables. A pattern's level is the
 //     maximum hierarchy level of its items (0 = all items are roots, i.e.
 //     fully generalized); levels[L] lists the ranks at level L. parent maps
@@ -162,12 +164,7 @@ func Build(patterns []Pattern, f *hierarchy.Forest) *Index {
 	maxLevel := 0
 	patLevel := make([]int32, n)
 	for id := 0; id < n; id++ {
-		lvl := int32(0)
-		for _, w := range ix.items(uint32(id)) {
-			if ix.level[w] > lvl {
-				lvl = ix.level[w]
-			}
-		}
+		lvl := ix.patternLevel(uint32(id))
 		patLevel[id] = lvl
 		if int(lvl) > maxLevel {
 			maxLevel = int(lvl)
@@ -379,136 +376,203 @@ const NoLevel = -1
 // Search appends to dst the canonical ids of up to limit matching patterns
 // in serving order (support descending, ties in canonical mining order),
 // skipping the first offset matches, and returns the extended slice plus
-// the total match count. limit < 0 means "no limit". The only allocations
-// are dst growth and, for queries with postings or lex-range terms, one
-// scratch list proportional to the smallest term — never to Len().
+// the exact total match count. limit < 0 means "no limit".
+//
+// Work is proportional to what the query touches, never to Len(), and the
+// only memory written is dst: a permutation walk or a single contains/level
+// term is a window copied out of one immutable list; several such terms are
+// intersected on the fly, driven by the shortest list; and a query with a
+// Prefix term walks the prefix's lex range once — O(R) for a range of R
+// patterns — keeping only the offset+limit best ranks in a bounded heap
+// that lives in dst itself. With cap(dst) ≥ offset+limit (prefix) or
+// ≥ limit (everything else) Search does not allocate.
 func (ix *Index) Search(dst []uint32, q Query, offset, limit int) ([]uint32, int) {
-	if limit < 0 {
-		limit = len(ix.supports)
+	n := len(ix.supports)
+	if limit < 0 || limit > n {
+		limit = n
 	}
+	offset = min(max(offset, 0), n)
 	// cut is the serving-rank cutoff of the min-support filter: supports
 	// are non-increasing along bySupport, so ranks [0, cut) qualify.
-	cut := len(ix.bySupport)
+	cut := n
 	if q.MinSupport > 0 {
-		cut = sort.Search(len(ix.bySupport), func(r int) bool {
+		cut = sort.Search(n, func(r int) bool {
 			return ix.supports[ix.bySupport[r]] < q.MinSupport
 		})
 	}
-
-	lists, ok := ix.gatherLists(q)
+	if q.Level >= len(ix.levels) {
+		return dst, 0
+	}
+	var itemBuf [8]uint32
+	contains, ok := ix.resolve(itemBuf[:0], q.Contains)
 	if !ok {
 		return dst, 0 // a term referenced an unknown item: nothing matches
 	}
-	if lists == nil {
-		// Pure permutation walk: the matches are exactly ranks [0, cut).
-		total := cut
-		for r := offset; r < cut && limit > 0; r++ {
-			dst = append(dst, ix.bySupport[r])
-			limit--
-		}
-		return dst, total
+	if len(q.Prefix) > 0 {
+		return ix.searchPrefix(dst, q.Prefix, contains, q.Level, cut, offset, limit)
 	}
 
-	matches := intersectLists(lists)
-	// Apply the min-support cutoff: ranks are ascending, qualifying ranks
-	// are < cut, so the qualifying matches are a prefix.
-	end := sort.Search(len(matches), func(i int) bool { return int(matches[i]) >= cut })
-	matches = matches[:end]
-	total := len(matches)
-	for i := offset; i < len(matches) && limit > 0; i++ {
-		dst = append(dst, ix.bySupport[matches[i]])
-		limit--
+	var listBuf [4][]uint32
+	lists := listBuf[:0]
+	for _, w := range contains {
+		lists = append(lists, ix.postings[w])
+	}
+	if q.Level >= 0 {
+		lists = append(lists, ix.levels[q.Level])
+	}
+	if len(lists) == 0 {
+		// Pure permutation walk: the matches are exactly ranks [0, cut).
+		return append(dst, ix.bySupport[min(offset, cut):min(offset+limit, cut)]...), cut
+	}
+
+	// Drive from the shortest list, cut at the min-support cutoff: ranks
+	// are ascending and qualifying ranks are < cut, so they are a prefix.
+	slices.SortFunc(lists, func(a, b []uint32) int { return len(a) - len(b) })
+	drive := lists[0]
+	drive = drive[:sort.Search(len(drive), func(i int) bool { return int(drive[i]) >= cut })]
+	if len(lists) == 1 {
+		for _, r := range drive[min(offset, len(drive)):min(offset+limit, len(drive))] {
+			dst = append(dst, ix.bySupport[r])
+		}
+		return dst, len(drive)
+	}
+	total := 0
+	for _, r := range drive {
+		if !inAll(lists[1:], r) {
+			continue
+		}
+		if total >= offset && total-offset < limit {
+			dst = append(dst, ix.bySupport[r])
+		}
+		total++
 	}
 	return dst, total
 }
 
-// gatherLists collects the rank lists of every postings/prefix/level term
-// of q. A nil result with ok=true means q has no such term; ok=false means
-// a term cannot match anything.
-func (ix *Index) gatherLists(q Query) ([][]uint32, bool) {
-	var lists [][]uint32
-	for _, name := range q.Contains {
+// resolve appends the vocabulary ids of names to dst; ok is false when a
+// name is not in the vocabulary (a term that can match nothing).
+func (ix *Index) resolve(dst []uint32, names []string) ([]uint32, bool) {
+	for _, name := range names {
 		id, ok := ix.byName[name]
 		if !ok {
 			return nil, false
 		}
-		lists = append(lists, ix.postings[id])
+		dst = append(dst, id)
 	}
-	if q.Level >= 0 {
-		if q.Level >= len(ix.levels) {
-			return nil, false
-		}
-		lists = append(lists, ix.levels[q.Level])
-	}
-	if len(q.Prefix) > 0 {
-		ranks, ok := ix.prefixRanks(q.Prefix)
-		if !ok {
-			return nil, false
-		}
-		lists = append(lists, ranks)
-	}
-	return lists, true
+	return dst, true
 }
 
-// prefixRanks resolves a prefix term to its serving ranks (ascending): the
-// lex range sharing the prefix, mapped through rank and sorted. Costs
-// O(R log R) for a range of R patterns — proportional to the term's
-// selectivity, never to Len().
-func (ix *Index) prefixRanks(prefix []string) ([]uint32, bool) {
-	want := make([]uint32, len(prefix))
-	for i, name := range prefix {
-		id, ok := ix.byName[name]
-		if !ok {
-			return nil, false
+// inAll reports whether rank r occurs in every list (each ascending).
+func inAll(lists [][]uint32, r uint32) bool {
+	for _, l := range lists {
+		if _, found := slices.BinarySearch(l, r); !found {
+			return false
 		}
-		want[i] = id
+	}
+	return true
+}
+
+// searchPrefix answers a query with a Prefix term. Patterns sharing the
+// prefix are one contiguous lex range; the range is walked once, the other
+// terms (min-support cutoff, contains, level) are per-pattern predicates
+// over the pattern's few items, every match is counted, and the k =
+// offset+limit smallest ranks seen are kept in a bounded max-heap stored
+// in dst's tail. Sorting those k survivors yields serving order.
+func (ix *Index) searchPrefix(dst []uint32, prefix []string, contains []uint32, level, cut, offset, limit int) ([]uint32, int) {
+	var wantBuf [8]uint32
+	want, ok := ix.resolve(wantBuf[:0], prefix)
+	if !ok {
+		return dst, 0
 	}
 	cmpPrefix := func(id uint32) int {
 		items := ix.items(id)
-		if len(items) > len(want) {
-			items = items[:len(want)]
-		}
-		return slices.Compare(items, want)
+		return slices.Compare(items[:min(len(items), len(want))], want)
 	}
 	lo := sort.Search(len(ix.lex), func(i int) bool { return cmpPrefix(ix.lex[i]) >= 0 })
 	hi := lo + sort.Search(len(ix.lex)-lo, func(i int) bool { return cmpPrefix(ix.lex[lo+i]) > 0 })
-	if lo == hi {
-		return nil, false
+
+	k := min(offset+limit, hi-lo)
+	base := len(dst)
+	total := 0
+	filtered := len(contains) > 0 || level >= 0
+	match := func(id uint32) (uint32, bool) {
+		r := ix.rank[id]
+		return r, int(r) < cut && (!filtered || ix.matches(id, contains, level))
 	}
-	ranks := make([]uint32, 0, hi-lo)
-	for _, id := range ix.lex[lo:hi] {
-		ranks = append(ranks, ix.rank[id])
+	// The first k matches fill the selection ...
+	ids := ix.lex[lo:hi]
+	for len(ids) > 0 && len(dst)-base < k {
+		if r, ok := match(ids[0]); ok {
+			dst = append(dst, r)
+			total++
+		}
+		ids = ids[1:]
 	}
-	slices.Sort(ranks)
-	return ranks, true
+	// ... which then becomes a max-heap, so that of the remaining matches —
+	// all counted — only those ranked better than its worst member get in.
+	sel := dst[base:]
+	worst := uint32(0) // no rank is better than 0: an empty selection admits nothing
+	if len(ids) > 0 && len(sel) > 0 {
+		for i := len(sel)/2 - 1; i >= 0; i-- {
+			siftDown(sel, i)
+		}
+		worst = sel[0]
+	}
+	for _, id := range ids {
+		r, ok := match(id)
+		if !ok {
+			continue
+		}
+		total++
+		if r < worst {
+			sel[0] = r
+			siftDown(sel, 0)
+			worst = sel[0]
+		}
+	}
+	slices.Sort(sel)
+	sel = sel[:copy(sel, sel[min(offset, len(sel)):])]
+	for i, r := range sel {
+		sel[i] = ix.bySupport[r]
+	}
+	return dst[:base+len(sel)], total
 }
 
-// intersectLists intersects rank lists (each ascending) into one ascending
-// list. The scratch result is bounded by the smallest input.
-func intersectLists(lists [][]uint32) []uint32 {
-	smallest := 0
-	for i, l := range lists {
-		if len(l) < len(lists[smallest]) {
-			smallest = i
+// matches applies the contains and level terms to one pattern.
+func (ix *Index) matches(id uint32, contains []uint32, level int) bool {
+	items := ix.items(id)
+	for _, w := range contains {
+		if !slices.Contains(items, w) {
+			return false
 		}
 	}
-	out := make([]uint32, 0, len(lists[smallest]))
-	for _, r := range lists[smallest] {
-		inAll := true
-		for i, l := range lists {
-			if i == smallest {
-				continue
-			}
-			// Galloping membership probe; lists are sorted ascending.
-			j := sort.Search(len(l), func(k int) bool { return l[k] >= r })
-			if j == len(l) || l[j] != r {
-				inAll = false
-				break
-			}
-		}
-		if inAll {
-			out = append(out, r)
-		}
+	return level < 0 || int(ix.patternLevel(id)) == level
+}
+
+// patternLevel returns pattern id's level: the maximum hierarchy level over
+// its items.
+func (ix *Index) patternLevel(id uint32) int32 {
+	lvl := int32(0)
+	for _, w := range ix.items(id) {
+		lvl = max(lvl, ix.level[w])
 	}
-	return out
+	return lvl
+}
+
+// siftDown restores the max-heap property of h below position i.
+func siftDown(h []uint32, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

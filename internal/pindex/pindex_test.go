@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"lash/internal/hierarchy"
@@ -284,36 +285,78 @@ func buildLarge(n int) *Index {
 	return Build(pats, nil)
 }
 
-// TestQueryAllocsBound is the regression test for the serving migration:
-// on a 100k-pattern index, queries must run in O(log n + k) work with an
-// allocation count independent of the index size. With a preallocated
-// destination, a top-k/min-support walk allocates nothing at all, and a
-// selective contains/prefix query allocates only its result-proportional
-// scratch — a constant number of allocations, never O(n).
+// largeIndex is the 100k-pattern index the cost-model tests share.
+var largeIndex = sync.OnceValue(func() *Index { return buildLarge(100_000) })
+
+// TestQueryAllocsBound is the regression test for the serving path's cost
+// model: on a 100k-pattern index every query kind runs out of the caller's
+// dst alone. Permutation walks and single-term queries copy a window of one
+// immutable list, multi-term queries intersect on the fly, and a prefix
+// query keeps its bounded selection inside dst — so with a dst of capacity
+// offset+limit nothing allocates, whatever the size of the index or of the
+// lists the terms name.
 func TestQueryAllocsBound(t *testing.T) {
-	ix := buildLarge(100_000)
+	ix := largeIndex()
 	if ix.Len() != 100_000 {
 		t.Fatalf("built %d patterns", ix.Len())
 	}
 	dst := make([]uint32, 0, 256)
 
-	measure := func(name string, q Query, maxAllocs float64) {
+	measure := func(name string, q Query, offset int) {
 		t.Helper()
 		got := testing.AllocsPerRun(100, func() {
-			dst = dst[:0]
-			dst, _ = ix.Search(dst, q, 0, 100)
+			dst, _ = ix.Search(dst[:0], q, offset, 100)
 		})
-		if got > maxAllocs {
-			t.Errorf("%s: %v allocs/op, want <= %v", name, got, maxAllocs)
+		if got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, got)
+		}
+		if len(dst) == 0 {
+			t.Errorf("%s: matched nothing; the bound would be vacuous", name)
 		}
 	}
 
-	// Permutation walks: zero allocations.
 	measure("top-100", Query{Level: NoLevel}, 0)
 	measure("min_support", Query{MinSupport: 500, Level: NoLevel}, 0)
-	// List queries: one scratch slice bounded by the smallest term, plus the
-	// intersection result — a handful of allocations regardless of n.
-	measure("contains", Query{Contains: []string{"item0007"}, Level: NoLevel}, 4)
-	measure("prefix", Query{Prefix: []string{"item0007"}, Level: NoLevel}, 6)
-	measure("combined", Query{Contains: []string{"item0007"}, MinSupport: 100, Level: NoLevel}, 6)
+	measure("contains", Query{Contains: []string{"item0007"}, Level: NoLevel}, 0)
+	measure("contains x2", Query{Contains: []string{"item0007", "item0123"}, Level: NoLevel}, 0)
+	measure("level", Query{Level: 0}, 50)
+	measure("prefix", Query{Prefix: []string{"item0007"}, Level: NoLevel}, 0)
+	measure("prefix paged", Query{Prefix: []string{"item0007"}, Level: NoLevel}, 20)
+	measure("combined", Query{Contains: []string{"item0007"}, MinSupport: 100, Level: NoLevel}, 0)
+	measure("prefix combined", Query{Prefix: []string{"item0007"}, Contains: []string{"item0007"}, MinSupport: 100, Level: 0}, 0)
+}
+
+// TestPrefixSelection pins the bounded selection behind prefix queries
+// against the full answer: every (offset, limit) window over a range much
+// larger than the window — so the heap fills, evicts and is sorted — must be
+// that window of the unlimited result, appended after dst's existing
+// contents, with the exact total.
+func TestPrefixSelection(t *testing.T) {
+	ix := largeIndex()
+	q := Query{Prefix: []string{"item0007"}, Level: NoLevel}
+	all, total := ix.Search(nil, q, 0, -1)
+	if total != len(all) || total < 8 {
+		t.Fatalf("prefix range has %d of %d patterns; need a range worth selecting from", len(all), total)
+	}
+	for i := 1; i < len(all); i++ {
+		if ix.rank[all[i-1]] >= ix.rank[all[i]] {
+			t.Fatalf("unlimited prefix answer not in serving order at %d", i)
+		}
+	}
+	keep := []uint32{7, 7, 7}
+	for _, limit := range []int{0, 1, 2, 3, total - 1, total, total + 5, -1} {
+		for _, offset := range []int{0, 1, 2, total / 2, total - 1, total, total + 3} {
+			got, gotTotal := ix.Search(append([]uint32(nil), keep...), q, offset, limit)
+			want := all[min(offset, total):]
+			if limit >= 0 {
+				want = want[:min(limit, len(want))]
+			}
+			if gotTotal != total {
+				t.Errorf("offset=%d limit=%d: total %d, want %d", offset, limit, gotTotal, total)
+			}
+			if !reflect.DeepEqual(got[:3], keep) || !reflect.DeepEqual(append([]uint32{}, got[3:]...), append([]uint32{}, want...)) {
+				t.Errorf("offset=%d limit=%d: got %v, want %v after %v", offset, limit, got, want, keep)
+			}
+		}
+	}
 }

@@ -174,6 +174,7 @@ func checkQuery(t *testing.T, ix *pindex.Index, ref *refIndex, name string, q pi
 	// Paginated slices must be windows of the same sequence.
 	for _, page := range []struct{ offset, limit int }{
 		{0, 1}, {1, 2}, {len(want) / 2, 3}, {len(want), 5}, {len(want) + 3, 2},
+		{0, 0}, {len(want) / 2, 0}, {0, len(want)}, {1, len(want) + 7},
 	} {
 		ids, total := ix.Search(nil, q, page.offset, page.limit)
 		if total != len(want) {
@@ -277,6 +278,47 @@ func TestPindexDifferential(t *testing.T) {
 					checkQuery(t, ix, ref, "combo:"+mid.key(), combo)
 					combo = pindex.Query{MinSupport: mid.support, Prefix: mid.items[:1], Level: pindex.NoLevel}
 					checkQuery(t, ix, ref, "combo-prefix:"+mid.key(), combo)
+
+					// A prefix term drives the query from its lex range and
+					// turns every other term into a per-pattern predicate:
+					// cross it with each of them, on the widest prefix range
+					// the result has (so pages are real windows) and on the
+					// sampled patterns' own.
+					first := map[string]int{}
+					widest := ref.serving[0].items[0]
+					for _, p := range ref.serving {
+						first[p.items[0]]++
+						if first[p.items[0]] > first[widest] {
+							widest = p.items[0]
+						}
+					}
+					prefixes := [][]string{{widest}}
+					for i := 0; i < len(ref.serving); i += 1 + len(ref.serving)/5 {
+						prefixes = append(prefixes, ref.serving[i].items[:1])
+					}
+					for _, prefix := range prefixes {
+						name := "prefix=" + prefix[0]
+						q := none
+						q.Prefix = prefix
+						in := ref.filter(q)
+						pm := in[len(in)/2]
+						q.MinSupport = pm.support
+						checkQuery(t, ix, ref, name+"×min_support", q)
+						q.MinSupport = in[0].support + 1
+						checkQuery(t, ix, ref, name+"×min_support-above", q)
+						q.MinSupport = 0
+						q.Contains = pm.items[len(pm.items)-1:]
+						checkQuery(t, ix, ref, name+"×contains", q)
+						q.Contains = append([]string{prefix[0]}, pm.items...)
+						checkQuery(t, ix, ref, name+"×contains-many", q)
+						q.Contains = nil
+						for lvl := 0; lvl <= ix.MaxLevel()+1; lvl++ {
+							q.Level = lvl
+							checkQuery(t, ix, ref, fmt.Sprintf("%s×level=%d", name, lvl), q)
+						}
+						q.MinSupport, q.Contains, q.Level = pm.support, pm.items[:1], pm.level
+						checkQuery(t, ix, ref, name+"×all", q)
+					}
 
 					// Roll-up chains, for a sample of patterns and one miss.
 					for i := 0; i < len(ref.serving); i += 1 + len(ref.serving)/11 {

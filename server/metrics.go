@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"strconv"
+	"sync"
 
 	"lash/internal/obs"
 )
@@ -66,6 +67,11 @@ type serverMetrics struct {
 	databases  *obs.Gauge
 	uptime     *obs.Gauge
 	streamEmit *obs.Histogram
+
+	// httpRequests caches the lash_http_requests_total handles by series
+	// (see httpRequest), guarded by httpMu.
+	httpMu       sync.Mutex
+	httpRequests map[httpKey]*obs.Counter
 
 	// Live-corpora families: corpusVersions counts every corpus version
 	// installed (registrations and appends); deltaDirty/deltaReused split
@@ -154,6 +160,7 @@ func newServerMetrics() *serverMetrics {
 		m.pindexQueries[kind] = r.Counter("lash_pindex_queries_total",
 			"Serving-index queries answered, by query kind.", "kind", kind)
 	}
+	m.httpRequests = make(map[httpKey]*obs.Counter)
 	m.spillDirFree.Set(-1) // unknown until the first readiness check or scrape
 	obs.RegisterGoCollector(r)
 	return m
@@ -173,14 +180,33 @@ func (m *serverMetrics) pindexQuery(kind string) {
 	}
 }
 
-// httpRequest counts one served HTTP request. This path tolerates the
-// registry lookup (it is not the mining hot path), which keeps the
-// method × code label space lazily populated.
+// httpKey names one lash_http_requests_total series.
+type httpKey struct {
+	method string
+	code   int
+}
+
+// httpRequest counts one served HTTP request through the cached handle of
+// its (method, code) series: a map read under the cache's own lock and one
+// atomic add. Only the first request of a series reaches the registry,
+// which keeps the method × code label space lazily populated.
 func (m *serverMetrics) httpRequest(method string, code int) {
-	//lashvet:ignore obshandle deliberate lazy label-space population, documented above; HTTP serving is not the mining hot path
-	m.reg.Counter("lash_http_requests_total",
+	key := httpKey{method, code}
+	m.httpMu.Lock()
+	c, ok := m.httpRequests[key]
+	if !ok {
+		c = m.registerHTTPRequest(key)
+		m.httpRequests[key] = c
+	}
+	m.httpMu.Unlock()
+	c.Inc()
+}
+
+// registerHTTPRequest resolves a series httpRequest has not seen yet.
+func (m *serverMetrics) registerHTTPRequest(key httpKey) *obs.Counter {
+	return m.reg.Counter("lash_http_requests_total",
 		"HTTP requests served, by method and status code.",
-		"method", method, "code", strconv.Itoa(code)).Inc()
+		"method", key.method, "code", strconv.Itoa(key.code))
 }
 
 // WriteMetrics renders the server's metric registry in Prometheus text

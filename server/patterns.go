@@ -120,26 +120,26 @@ func (pq *patternQuery) kind() string {
 // parsePatternQuery reads every filter and pagination parameter of
 // GET /v1/patterns. jobID seals the cursor fingerprint to the result being
 // paged, so a cursor cannot cross from one job's index into another's.
-func parsePatternQuery(v url.Values, jobID string) (*patternQuery, error) {
-	pq := &patternQuery{q: pindex.Query{Level: pindex.NoLevel}}
+func parsePatternQuery(v url.Values, jobID string) (patternQuery, error) {
+	pq := patternQuery{q: pindex.Query{Level: pindex.NoLevel}}
 	if s := v.Get("top"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad top %q", s)
+			return pq, fmt.Errorf("bad top %q", s)
 		}
 		pq.top = n
 	}
 	if s := v.Get("min_support"); s != "" {
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad min_support %q", s)
+			return pq, fmt.Errorf("bad min_support %q", s)
 		}
 		pq.q.MinSupport = n
 	}
 	if s := v.Get("level"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad level %q", s)
+			return pq, fmt.Errorf("bad level %q", s)
 		}
 		pq.q.Level = n
 	}
@@ -149,15 +149,18 @@ func parsePatternQuery(v url.Values, jobID string) (*patternQuery, error) {
 	if len(pq.rollup) > 0 &&
 		(pq.top > 0 || pq.q.MinSupport > 0 || pq.q.Level != pindex.NoLevel ||
 			len(pq.q.Contains) > 0 || len(pq.q.Prefix) > 0 || v.Get("limit") != "" || v.Get("cursor") != "") {
-		return nil, errors.New("rollup= cannot be combined with other filters or pagination")
+		return pq, errors.New("rollup= cannot be combined with other filters or pagination")
 	}
 
-	var err error
-	pq.limit, pq.offset, err = parsePage(v, pq.fingerprint(jobID))
-	if err != nil {
-		return nil, err
+	// The fingerprint is only ever compared against a cursor's: without one
+	// there is nothing to seal, so most requests never format it.
+	fingerprint := ""
+	if v.Get("cursor") != "" {
+		fingerprint = pq.fingerprint(jobID)
 	}
-	return pq, nil
+	var err error
+	pq.limit, pq.offset, err = parsePage(v, fingerprint)
+	return pq, err
 }
 
 // fingerprint canonically identifies the query (filters + result identity,
@@ -194,7 +197,7 @@ func (s *Server) resolvePatternsJob(w http.ResponseWriter, v url.Values) (*job, 
 			return nil, false
 		}
 		if status, done := j.terminal(); !done || status != JobDone {
-			writeError(w, http.StatusConflict, fmt.Errorf("job %s has no result (status %s)", id, s.jobs.view(j, false).Status))
+			writeError(w, http.StatusConflict, fmt.Errorf("job %s has no result (status %s)", id, s.jobs.view(j).Status))
 			return nil, false
 		}
 		if dbName != "" && j.dbName != dbName {
@@ -234,17 +237,20 @@ func (s *Server) resolvePatternsJob(w http.ResponseWriter, v url.Values) (*job, 
 // database's most recent successful job, or the named job. Patterns come
 // from the result's immutable serving index in serving order — support
 // descending, ties in canonical mining order — without scanning: top-k and
-// min_support slice the support permutation, contains intersects postings
-// lists, prefix binary-searches one lex range, level reads a bucket, and
-// rollup walks the hierarchy roll-up chain of one pattern. limit/cursor
+// min_support slice the support permutation, contains reads (or intersects)
+// postings lists, prefix selects the page from one binary-searched lex
+// range, level reads a bucket, and rollup walks the hierarchy roll-up chain
+// of one pattern; the reply is encoded straight from the matching ids by
+// the wire writer (wire.go). limit/cursor
 // paginate any of them (except rollup) with an opaque position cursor that
 // stays stable because the index never changes.
 func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.resolvePatternsJob(w, r.URL.Query())
+	v := r.URL.Query()
+	j, ok := s.resolvePatternsJob(w, v)
 	if !ok {
 		return
 	}
-	pq, err := parsePatternQuery(r.URL.Query(), j.id)
+	pq, err := parsePatternQuery(v, j.id)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -262,67 +268,41 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, fmt.Errorf("pattern %q is not in the mined result", strings.Join(pq.rollup, " ")))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"database":       j.dbName,
-			"corpus_version": j.version,
-			"job_id":         j.id,
-			"total":          len(chain),
-			"returned":       len(chain),
-			"patterns":       viewIndexPatterns(ix, chain),
-		})
+		newWireWriter(w).writePatternsBody(j, ix, chain, len(chain), "")
 		return
 	}
 
 	// top caps the result set (the old ?top=K contract); limit/cursor then
 	// page within the capped set. The reported total stays the full match
-	// count, also the old contract.
-	limit := pq.limit
+	// count, also the old contract. size is compared against the room left
+	// under the cap, never added to the offset: both come from the client
+	// and their sum can overflow.
+	size := pq.limit
+	if size == 0 {
+		size = -1 // everything
+	}
 	if pq.top > 0 {
-		if pq.offset >= pq.top {
-			limit = -1 // past the capped set: empty page
-		} else if limit == 0 || pq.offset+limit > pq.top {
-			limit = pq.top - pq.offset
+		if room := max(pq.top-pq.offset, 0); size < 0 || size > room {
+			size = room
 		}
 	}
-	var ids []uint32
+	ww := newWireWriter(w)
 	var total int
-	if limit < 0 {
-		_, total = ix.Search(nil, pq.q, 0, 0)
-	} else if limit == 0 {
-		ids, total = ix.Search(nil, pq.q, pq.offset, -1)
-	} else {
-		ids, total = ix.Search(nil, pq.q, pq.offset, limit)
-	}
+	ww.ids, total = ix.Search(ww.ids[:0], pq.q, pq.offset, size)
 
-	resp := map[string]any{
-		"database":       j.dbName,
-		"corpus_version": j.version,
-		"job_id":         j.id,
-		"total":          total,
-		"returned":       len(ids),
-		"patterns":       viewIndexPatterns(ix, ids),
-	}
 	// A next_cursor appears only when a limited page stopped short of the
 	// (possibly top-capped) result set.
+	nextCursor := ""
 	if pq.limit > 0 {
 		end := total
 		if pq.top > 0 && pq.top < end {
 			end = pq.top
 		}
-		if next := pq.offset + len(ids); next < end {
-			resp["next_cursor"] = encodeCursor(pq.fingerprint(j.id), next)
+		if next := pq.offset + len(ww.ids); next < end {
+			nextCursor = encodeCursor(pq.fingerprint(j.id), next)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// viewIndexPatterns renders index pattern ids to the wire shape.
-func viewIndexPatterns(ix *pindex.Index, ids []uint32) []PatternView {
-	out := make([]PatternView, len(ids))
-	for i, id := range ids {
-		out[i] = PatternView{Items: ix.Items(id), Support: ix.Support(id)}
-	}
-	return out
+	ww.writePatternsBody(j, ix, ww.ids, total, nextCursor)
 }
 
 // handleListJobs answers GET /v1/jobs[?limit=N&cursor=C]: all jobs in
@@ -348,7 +328,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	views := make([]JobView, len(page))
 	for i, j := range page {
-		views[i] = s.jobs.view(j, false)
+		views[i] = s.jobs.view(j)
 	}
 	resp := map[string]any{"jobs": views, "total": total}
 	if limit > 0 && offset+len(page) < total {

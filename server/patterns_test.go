@@ -3,9 +3,11 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -141,6 +143,70 @@ func TestPatternsTopWithPagination(t *testing.T) {
 	}
 	if _, hasCursor := last["next_cursor"]; hasCursor {
 		t.Error("exhausted capped set still returned a next_cursor")
+	}
+}
+
+// TestPatternsHugeLimit is the regression test for the top-cap bypass: with
+// a cursor at position p, limit = MaxInt made offset+limit wrap negative,
+// the "past the cap" clamp was skipped and the page ran to the end of the
+// result instead of stopping at top. limit and cursor are client input; no
+// value of either may widen the capped set or break an uncapped page.
+func TestPatternsHugeLimit(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	mustRegister(t, ts, testSpec("db"))
+	minePatterns(t, ts, "db", map[string]any{"min_support": 1, "max_gap": 1, "max_length": 3})
+
+	status, full := call(t, "GET", ts.URL+"/v1/patterns?db=db", nil)
+	if status != http.StatusOK {
+		t.Fatal("patterns failed")
+	}
+	want := patternsOf(t, full)
+	if len(want) < 5 {
+		t.Fatalf("test database mined only %d patterns", len(want))
+	}
+	huge := strconv.Itoa(math.MaxInt)
+
+	for _, c := range []struct {
+		filter string   // the query the cursor is sealed to
+		want   []string // its whole (capped) result set
+	}{
+		{"&top=3", want[:3]},
+		{"", want},
+		{"&top=3&prefix=a", nil}, // filled in below: a bounded-selection query
+	} {
+		if c.want == nil {
+			_, all := call(t, "GET", ts.URL+"/v1/patterns?db=db&prefix=a", nil)
+			c.want = patternsOf(t, all)[:3]
+		}
+		base := ts.URL + "/v1/patterns?db=db" + c.filter
+		// Without a cursor the huge limit is simply "everything".
+		status, page := call(t, "GET", base+"&limit="+huge, nil)
+		if status != http.StatusOK {
+			t.Fatalf("%q huge limit: status %d, body %v", c.filter, status, page)
+		}
+		if got := patternsOf(t, page); strings.Join(got, "|") != strings.Join(c.want, "|") {
+			t.Errorf("%q&limit=MaxInt = %v, want %v", c.filter, got, c.want)
+		}
+		// With a cursor past the first pattern it is "the rest", and only
+		// the rest: the cap still holds and the set is exhausted.
+		_, first := call(t, "GET", base+"&limit=1", nil)
+		cur, ok := first["next_cursor"].(string)
+		if !ok {
+			t.Fatalf("%q&limit=1 minted no cursor", c.filter)
+		}
+		status, page = call(t, "GET", base+"&limit="+huge+"&cursor="+url.QueryEscape(cur), nil)
+		if status != http.StatusOK {
+			t.Fatalf("%q huge limit with cursor: status %d, body %v", c.filter, status, page)
+		}
+		if got := patternsOf(t, page); strings.Join(got, "|") != strings.Join(c.want[1:], "|") {
+			t.Errorf("%q&limit=MaxInt&cursor=<1> = %v, want %v", c.filter, got, c.want[1:])
+		}
+		if _, more := page["next_cursor"]; more {
+			t.Errorf("%q&limit=MaxInt&cursor=<1> still returned a next_cursor", c.filter)
+		}
+		if int(page["total"].(float64)) != int(first["total"].(float64)) {
+			t.Errorf("%q: total changed between pages: %v vs %v", c.filter, page["total"], first["total"])
+		}
 	}
 }
 

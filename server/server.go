@@ -55,6 +55,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -253,7 +254,7 @@ func probeSpillDir() error {
 // show up in the same place as everything else).
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("req-%d", s.nextReq.Add(1))
+		id := "req-" + strconv.FormatUint(s.nextReq.Add(1), 10)
 		r = r.WithContext(withRequestID(r.Context(), id))
 		sw := &statusWriter{ResponseWriter: w}
 		begin := time.Now()
@@ -269,8 +270,9 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			code = http.StatusOK
 		}
 		s.metrics.httpRequest(r.Method, code)
-		s.log.Info("http request", "request_id", id, "method", r.Method,
-			"path", r.URL.Path, "status", code, "duration_ms", time.Since(begin).Milliseconds())
+		s.log.LogAttrs(r.Context(), slog.LevelInfo, "http request",
+			slog.String("request_id", id), slog.String("method", r.Method), slog.String("path", r.URL.Path),
+			slog.Int("status", code), slog.Int64("duration_ms", time.Since(begin).Milliseconds()))
 	})
 }
 
@@ -453,24 +455,6 @@ func viewPatterns(ps []lash.Pattern) []PatternView {
 	return out
 }
 
-func viewResult(res *lash.Result, version int) *ResultView {
-	return &ResultView{
-		Patterns:              viewPatterns(res.Patterns),
-		FrequentItems:         viewPatterns(res.FrequentItems),
-		CorpusVersion:         version,
-		NumPartitions:         res.NumPartitions,
-		Explored:              res.Explored,
-		MapOutputBytes:        res.Stats.MapOutputBytes,
-		MapOutputRecords:      res.Stats.MapOutputRecords,
-		SpillRuns:             res.Stats.SpillRuns,
-		SpillBytes:            res.Stats.SpillBytes,
-		TaskRetries:           res.Stats.TaskRetries,
-		FaultsInjected:        res.Stats.FaultsInjected,
-		DeltaPartitionsDirty:  res.Stats.DeltaPartitionsDirty,
-		DeltaPartitionsReused: res.Stats.DeltaPartitionsReused,
-	}
-}
-
 // JobView is a job on the wire. RuntimeMS is the job's mining wall-clock
 // duration: final once the job is terminal, live (time mined so far) while
 // it is running.
@@ -492,9 +476,10 @@ type JobView struct {
 	Result    *ResultView `json:"result,omitempty"`
 }
 
-// view snapshots a job. withResult controls whether the (possibly large)
-// pattern list is included.
-func (m *manager) view(j *job, withResult bool) JobView {
+// view snapshots a job, without its Result: the (possibly large) pattern
+// list never passes through a view — writeJobResult renders it straight
+// from the job's lash.Result.
+func (m *manager) view(j *job) JobView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v := JobView{
@@ -523,10 +508,20 @@ func (m *manager) view(j *job, withResult bool) JobView {
 	default: // still waiting for a slot
 		v.QueueMS = time.Since(j.created).Milliseconds()
 	}
-	if withResult && j.status == JobDone {
-		v.Result = viewResult(j.result, j.version)
-	}
 	return v
+}
+
+// writeJobResult answers 200 with the job's view, including the mined
+// result once the job is done.
+func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
+	v := s.jobs.view(j)
+	if v.Status != JobDone {
+		writeJSON(w, http.StatusOK, v)
+		return
+	}
+	// A done job's result is immutable and was published under the lock
+	// view just released.
+	newWireWriter(w).writeJobBody(v, j.result)
 }
 
 // StatsView is the body of GET /v1/stats.
@@ -654,7 +649,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if req.Wait {
 		select {
 		case <-j.done:
-			writeJSON(w, http.StatusOK, s.jobs.view(j, true))
+			s.writeJobResult(w, j)
 		case <-r.Context().Done():
 			// Client went away; the job keeps running and stays pollable.
 		}
@@ -663,10 +658,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	// Already-terminal submissions (cache hits) carry the result inline so
 	// the client need not poll at all.
 	if _, done := j.terminal(); done {
-		writeJSON(w, http.StatusOK, s.jobs.view(j, true))
+		s.writeJobResult(w, j)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.jobs.view(j, false))
+	writeJSON(w, http.StatusAccepted, s.jobs.view(j))
 }
 
 // terminal reports whether the job already reached a terminal status.
@@ -685,7 +680,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", errJobMissing, r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobs.view(j, true))
+	s.writeJobResult(w, j)
 }
 
 // handleCancelJob answers DELETE /v1/jobs/{id}: a queued or running job is
@@ -701,10 +696,10 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if status, done := j.terminal(); done && status == JobCancelled {
-		writeJSON(w, http.StatusOK, s.jobs.view(j, false))
+		writeJSON(w, http.StatusOK, s.jobs.view(j))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.jobs.view(j, false))
+	writeJSON(w, http.StatusAccepted, s.jobs.view(j))
 }
 
 // StreamTrailer is the final NDJSON record of POST /v1/mine/stream. It is

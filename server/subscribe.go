@@ -127,8 +127,9 @@ func (m *manager) follow(dbName string, dbAt func(version int) *lash.Database, s
 	// so a subscriber keeps receiving the tail even if the async job
 	// completes first. The hub outlives its map entry: removal only stops
 	// NEW subscribers from attaching; attached ones drain the log to done.
+	opt := streamableOptions(j.options) // snapshot under m.mu: run() writes j.options when the job starts
 	go func() {
-		_, err := m.stream(m.baseCtx, db, streamableOptions(j.options), func(p lash.Pattern) error {
+		_, err := m.stream(m.baseCtx, db, opt, func(p lash.Pattern) error {
 			hub.append(p)
 			return nil
 		})
