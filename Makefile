@@ -3,13 +3,12 @@ BENCH ?= .
 BENCHTIME ?= 1x
 BENCH_OUT ?= BENCH_PR10.json
 BENCH_BASE ?= BENCH_PR9.json
-MAX_REGRESS ?= 40
 FUZZTIME ?= 60s
 FUZZ_PKGS ?= ./internal/seqenc ./internal/seqdb ./server
 PROFILE_BENCH ?= BenchmarkFig4a
 PROFILE_BENCHTIME ?= 3x
 
-.PHONY: build test vet lint lashvet tools-test bench bench-smoke bench-ci bench-diff bench-gate fuzz profile race chaos clean
+.PHONY: build test vet lint lashvet tools-test bench bench-smoke bench-diff fuzz profile race chaos clean
 
 build:
 	$(GO) build ./...
@@ -83,27 +82,11 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . | $(GO) run ./cmd/benchjson > /dev/null
 
-# bench-ci runs the smoke pass, keeps its JSON, and prints a non-failing
-# delta report against the committed baseline. A 1-iteration run on a shared
-# runner is noisy — the report is informational, never a merge gate.
-bench-ci:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/lash-bench-ci.json
-	-$(GO) run ./cmd/benchjson -diff $(BENCH_OUT) /tmp/lash-bench-ci.json
-
 # bench-diff compares two committed benchmark documents (ns/op and allocs/op
 # with % change), e.g. the PR-over-PR record:
 #	make bench-diff BENCH_BASE=BENCH_PR2.json BENCH_OUT=BENCH_PR3.json
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(BENCH_BASE) $(BENCH_OUT)
-
-# bench-gate reruns the benchmarks (3 iterations for less noise than the
-# smoke pass) and FAILS when any ns/op regresses more than $(MAX_REGRESS)%
-# against the committed baseline. CI runs it soft-fail on PRs and surfaces
-# the delta table in the step summary; run it locally before committing a
-# perf-sensitive change.
-bench-gate:
-	$(GO) test -bench=$(BENCH) -benchtime=3x -benchmem -run=^$$ . | $(GO) run ./cmd/benchjson > /tmp/lash-bench-gate.json
-	$(GO) run ./cmd/benchjson -diff -max-regress $(MAX_REGRESS) $(BENCH_OUT) /tmp/lash-bench-gate.json
 
 # profile captures CPU and heap profiles of the Fig. 4(a) benchmarks (the
 # end-to-end distributed-mining comparison). See "Profiling" in README.md.

@@ -527,7 +527,7 @@ func deltaBenchSetup() {
 		deltaBench.err = err
 		return
 	}
-	opt := lash.Options{MinSupport: 200, MaxGap: 1, MaxLength: 4, Capture: true}
+	opt := lash.Options{MinSupport: 200, MaxGap: 1, MaxLength: 4}
 	v1, err := lash.Mine(base, opt)
 	if err != nil {
 		deltaBench.err = err

@@ -67,18 +67,16 @@ func TestDeltaDifferential(t *testing.T) {
 						opt.MaxLength = 3
 					}
 
-					capOpt := opt
-					capOpt.Capture = true
-					v1, err := lash.Mine(base, capOpt)
+					v1, err := lash.Mine(base, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					isLASH := algo == lash.AlgorithmLASH || algo == lash.AlgorithmLASHFlat || algo == lash.AlgorithmMGFSM
 					if isLASH && v1.State == nil {
-						t.Fatal("Capture run returned no state")
+						t.Fatal("batch run returned no state")
 					}
 					if !isLASH && v1.State != nil {
-						t.Fatal("baseline run unexpectedly captured state")
+						t.Fatal("baseline run unexpectedly returned state")
 					}
 
 					frag := fragmentOf(t, base, 3, base.NumSequences()/100+2,
@@ -96,7 +94,6 @@ func TestDeltaDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					deltaOpt := opt
-					deltaOpt.Capture = true
 					deltaOpt.Resume = v1.State
 					delta, err := lash.Mine(v2db, deltaOpt)
 					if err != nil {
@@ -107,7 +104,7 @@ func TestDeltaDifferential(t *testing.T) {
 					// Chain one more version through the delta-captured state.
 					if isLASH {
 						if delta.State == nil {
-							t.Fatal("delta run with Capture returned no state")
+							t.Fatal("delta run returned no state")
 						}
 						v3db, err := v2db.Append(fragmentOf(t, v2db, 11, 5, nil))
 						if err != nil {
@@ -156,7 +153,7 @@ func TestDeltaReusesPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := lash.Options{MinSupport: 10, MaxGap: 1, MaxLength: 4, Capture: true}
+	opt := lash.Options{MinSupport: 10, MaxGap: 1, MaxLength: 4}
 	v1, err := lash.Mine(base, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -202,9 +199,7 @@ func TestDeltaRestrictions(t *testing.T) {
 	}
 	for _, r := range []lash.Restriction{lash.RestrictClosed, lash.RestrictMaximal} {
 		opt := lash.Options{MinSupport: 8, MaxGap: 1, MaxLength: 4, Restriction: r}
-		capOpt := opt
-		capOpt.Capture = true
-		v1, err := lash.Mine(base, capOpt)
+		v1, err := lash.Mine(base, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +309,7 @@ func TestResumeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3, Capture: true}
+	opt := lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3}
 	v1, err := lash.Mine(base, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -378,24 +373,19 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatal("delta mine across a fork differs from cold mine")
 	}
 
-	// Streaming rejects Capture and Resume.
-	sOpt := lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3, Capture: true}
-	if err := sOpt.ValidateStream(); err == nil {
-		t.Fatal("ValidateStream accepted Capture")
-	}
-	sOpt = lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3, Resume: v1.State}
+	// Streaming rejects Resume.
+	sOpt := lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3, Resume: v1.State}
 	if err := sOpt.ValidateStream(); err == nil {
 		t.Fatal("ValidateStream accepted Resume")
 	}
 
-	// CacheKey ignores Capture/Resume: a captured result answers the same
-	// cache lookups a plain mine would.
+	// CacheKey ignores Resume: a delta-mined result answers the same cache
+	// lookups a cold mine would.
 	plain := lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3}
 	withState := plain
-	withState.Capture = true
 	withState.Resume = v1.State
 	if plain.CacheKey() != withState.CacheKey() {
-		t.Fatal("CacheKey depends on Capture/Resume")
+		t.Fatal("CacheKey depends on Resume")
 	}
 }
 

@@ -15,7 +15,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lash/internal/flist"
@@ -56,30 +58,24 @@ type Options struct {
 	// MR configures the MapReduce substrate.
 	MR mapreduce.Config
 
-	// Capture, when set, records the run's reusable residue — f-list
-	// counts and per-partition fingerprints, statistics, and pattern sets —
-	// in Result.Delta, for seeding a later delta re-mine via Prev.
-	// Incompatible with Stream (capture needs the full per-partition
-	// output).
-	Capture bool
-
 	// Prev, when non-nil, switches the run to delta mode over an
-	// append-only extension of the corpus the state was captured from:
+	// append-only extension of the corpus the state (an earlier run's
+	// Result.Delta) covers:
 	// frequencies are recomputed incrementally from the appended suffix,
 	// provably unchanged partitions are spliced from the state instead of
 	// being shuffled and mined, and the result is byte-identical to a
-	// from-scratch run. The caller must guarantee Prev was captured on a
-	// prefix of db.Seqs under the same Params, Miner, Flat, and Rewrites.
+	// from-scratch run. The caller must guarantee Prev comes from a run over
+	// a prefix of db.Seqs under the same Params, Miner, Flat, and Rewrites.
 	// Incompatible with Stream.
 	Prev *DeltaState
 
 	// Stream, when non-nil, receives every mined pattern (translated to
-	// the vocabulary item space) the moment its partition's local miner
-	// emits it, instead of the pattern being collected into
-	// Result.Patterns. Calls are serialized, but their order is
-	// partition-completion order, which is nondeterministic. A non-nil
-	// error stops streaming and fails the run with that error in the
-	// chain; the remaining partitions are cancelled cooperatively.
+	// the vocabulary item space) as its partition's local mining completes,
+	// instead of the pattern being collected into Result.Patterns; the run
+	// then keeps no state (Result.Delta is nil). Calls are serialized, but
+	// their order is partition-completion order, which is nondeterministic.
+	// A non-nil error stops streaming and fails the run with that error in
+	// the chain; partitions still being mined are aborted.
 	Stream func(items gsm.Sequence, support int64) error
 }
 
@@ -111,7 +107,9 @@ type Result struct {
 	Jobs JobStats
 	// FList exposes the rank space for downstream analysis.
 	FList *flist.FList
-	// Delta is the captured reusable residue (Options.Capture).
+	// Delta is the run's reusable residue, for seeding a delta re-mine of
+	// an appended corpus via Options.Prev. Every batch run returns one;
+	// streaming runs (Options.Stream) return nil.
 	Delta *DeltaState
 	// DeltaDirty and DeltaReused count, for delta runs (Options.Prev), the
 	// partitions that were re-mined vs. spliced from the previous state.
@@ -129,8 +127,8 @@ func Mine(ctx context.Context, db *gsm.Database, opt Options) (*Result, error) {
 	if err := db.Validate(); err != nil {
 		return nil, err
 	}
-	if (opt.Capture || opt.Prev != nil) && opt.Stream != nil {
-		return nil, fmt.Errorf("core: Capture/Prev need the full per-partition output and cannot be combined with Stream")
+	if opt.Prev != nil && opt.Stream != nil {
+		return nil, fmt.Errorf("core: Prev splices previous partition results and cannot be combined with Stream")
 	}
 	work := db
 	if opt.Flat {
@@ -280,40 +278,28 @@ type patternOut struct {
 	support int64
 }
 
-// partStat is one partition's mining statistics. Non-capturing runs record
-// them by overwriting the pivot's slot in a pivot-indexed slice: a
-// re-executed Reduce (after a transient mid-merge failure) rewrites its
-// partitions' slots, so the post-run aggregation counts each partition
-// exactly once, where shared accumulators would double-count the groups the
-// failed attempt already mined. Distinct pivots are distinct slots, and one
-// pivot's attempts never run concurrently, so plain writes are race-free.
-type partStat struct {
-	mined    bool
-	seqs     int64
-	explored int64
-	output   int64
+// partOut is the one record a partition's Reduce emits, whatever the run
+// mode. It travels through RunAgg's attempt-scoped output, so a re-executed
+// Reduce replaces its partitions' records instead of double-counting them.
+type partOut struct {
+	pivot flist.Rank
+	// fingerprint hashes the partition's aggregated input (see
+	// entriesFingerprint); zero on streaming runs, which keep no state.
+	fingerprint uint64
+	// seqs, explored, output are the partition's mining statistics.
+	seqs, explored, output int64
+	// ranks holds the freshly mined patterns of a batch run; a streaming run
+	// has delivered them already and leaves it nil.
+	ranks []patternOut
+	// spliced, when non-nil, is the previous version's partition whose
+	// input fingerprinted identically: it stands in for the whole record.
+	spliced *DeltaPart
 }
 
-// streamAbort is the panic sentinel a streaming emit callback uses to
-// unwind an in-flight local miner once streaming has failed (emit error,
-// translation error, or run cancellation).
-type streamAbort struct{}
-
-// mineStreaming runs one partition's local mining with a streaming emit
-// callback, recovering the callback's abort sentinel so a failed stream
-// stops the miner mid-partition instead of letting it explore to
-// exhaustion. An aborted mine returns zero Stats — the run is failing, so
-// its work counters no longer matter.
-func mineStreaming(rs *reduceScratch, cfg miner.Config, sc *miner.Scratch, emit miner.Emit) (st miner.Stats) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(streamAbort); !ok {
-				panic(r)
-			}
-		}
-	}()
-	return rs.m.Mine(&rs.part, cfg, sc, emit)
-}
+// mineAbort is the panic sentinel the miner-emit callback uses to unwind an
+// in-flight local miner once the run is over (context done, or the stream
+// failed in another partition); Reduce recovers it.
+type mineAbort struct{}
 
 // mineScratch is the pooled per-map-call working set of the partition+mine
 // job: the rewriter plus reusable pivot, rank, and encode buffers, so the
@@ -326,14 +312,16 @@ type mineScratch struct {
 }
 
 // reduceScratch is the pooled per-Reduce working set of the partition+mine
-// job: a miner instance, its Scratch (candidate tables, posting arenas),
-// and — via the Scratch's exported decode buffers — the rank arena every
-// partition sequence is decoded into. One reduceScratch serves one Reduce
-// call at a time; the pool hands them to the reduce workers.
+// job: a miner instance, its Scratch (candidate tables, posting arenas, and
+// — via the Scratch's exported decode buffers — the rank arena every
+// partition sequence is decoded into), and the list the partition's patterns
+// are collected in. One reduceScratch serves one Reduce call at a time; the
+// pool hands them to the reduce workers.
 type reduceScratch struct {
 	m    miner.Miner
 	sc   *miner.Scratch
 	part miner.Partition
+	pats []patternOut
 }
 
 // mineJob runs the partitioning and mining phases (Alg. 1) as one streaming
@@ -343,28 +331,29 @@ type reduceScratch struct {
 // each partition is mined the moment its last input arrives, overlapping
 // shuffle, merge, and local mining.
 //
-// With opt.Stream set, mined patterns are translated and handed to the
-// stream callback as the local miners emit them (serialized by streamMu)
-// instead of being collected; a callback error fails the partition's
-// Reduce, which cancels the rest of the run.
+// Reduce is the paper's one reduce step — decode the pivot's partition, mine
+// it, output its pivot sequences — for every run mode. A batch run keeps
+// state: it fingerprints each partition's input (splicing the previous
+// version's result on a match when opt.Prev is set) and emits the mined
+// patterns in the partition's record. A streaming run hands each completed
+// partition's patterns to opt.Stream (serialized by streamMu) and emits the
+// statistics alone. assemble turns the records into the Result.
 func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options, plan *deltaPlan) (*Result, error) {
-	res := &Result{}
+	keep := opt.Stream == nil
+	// chain carries the rank→item prefix hashes fingerprints are seeded with.
+	var chain []uint64
+	if keep {
+		chain = rankChain(fl)
+	}
 	var streamMu sync.Mutex
 
-	// Capturing and delta runs route everything — statistics, fingerprints,
-	// and each partition's patterns — through pivot-rank-indexed capture
-	// slots (overwrite-idempotent, hence retry-safe); chain carries the
-	// rank→item prefix hashes their fingerprints are seeded with. Every
-	// other run records its partition statistics in partStats.
-	var capSlots []capPart
-	var chain []uint64
-	var partStats []partStat
-	if opt.Capture || plan != nil {
-		capSlots = make([]capPart, fl.NumFrequent())
-		chain = rankChain(fl)
-	} else {
-		partStats = make([]partStat, fl.NumFrequent())
-	}
+	// over flips once the run is lost — ctx is done, or a stream delivery
+	// failed — so local miners still running abort at their next pattern
+	// instead of exploring to exhaustion. Both ways RunAgg returns an error
+	// and discards every record, which is why a Reduce that observes it
+	// returns nil without emitting one.
+	var over atomic.Bool
+	defer context.AfterFunc(ctx, func() { over.Store(true) })()
 
 	scratch := sync.Pool{New: func() any {
 		rw := rewrite.NewRewriter(fl, opt.Params.Gamma, opt.Params.Lambda)
@@ -394,7 +383,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		localCfg.Obs = &pm.Miner
 	}
 
-	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, mapreduce.AggJob[gsm.Sequence, patternOut]{
+	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, mapreduce.AggJob[gsm.Sequence, partOut]{
 		Name: "partition+mine",
 		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
 			s := scratch.Get().(*mineScratch)
@@ -420,41 +409,44 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		Size: func(pivot uint32, keyLen int, weight int64) int {
 			return seqenc.UvarintLen(uint64(pivot)) + keyLen + seqenc.UvarintLen(uint64(weight))
 		},
-		Reduce: func(group uint32, entries []mapreduce.Entry, emit func(patternOut)) error {
-			pivot := flist.Rank(group)
+		Reduce: func(group uint32, entries []mapreduce.Entry, emit func(partOut)) error {
+			rec := partOut{pivot: flist.Rank(group)}
 			begin := time.Now()
 			defer func() {
+				// An aborted local mine ends the Reduce here (Scratch
+				// tolerates abandoned mid-mine state, see miner.Scratch).
+				if r := recover(); r != nil {
+					if _, abort := r.(mineAbort); !abort {
+						panic(r)
+					}
+				}
 				partMined.Inc()
 				partSeconds.Observe(time.Since(begin).Seconds())
 				if tr != nil {
 					tr.Record(obs.SpanRecord{
 						Parent: o.JobSpan(), Name: "mine", Job: "partition+mine",
-						Phase: "reduce", Partition: int(pivot),
+						Phase: "reduce", Partition: int(rec.pivot),
 						Start: begin, Duration: time.Since(begin),
 					})
 				}
 			}()
-			rs := reducers.Get().(*reduceScratch)
-			defer reducers.Put(rs)
-			sc := rs.sc
-			// Capture/delta: fingerprint the aggregated input first. When a
-			// previous version's partition fingerprints identically, its
-			// result is spliced and the decode and mine are skipped
-			// entirely; a mismatch just falls through to a fresh mine.
-			var fp uint64
-			if capSlots != nil {
-				fp = entriesFingerprint(chain[pivot], entries)
+			// Fingerprint the aggregated input first. When the previous
+			// version's partition fingerprints identically, its result is
+			// spliced and the decode and mine are skipped entirely; a
+			// mismatch just falls through to a fresh mine.
+			if keep {
+				rec.fingerprint = entriesFingerprint(chain[rec.pivot], entries)
 				if plan != nil {
-					if pp := plan.prev.part(fl.VocabOf(pivot)); pp != nil && pp.Fingerprint == fp {
-						capSlots[pivot] = capPart{
-							mined: true, spliced: true, fingerprint: fp,
-							seqs: pp.Seqs, explored: pp.Explored, output: pp.Output,
-							items: pp.Patterns,
-						}
+					if pp := plan.prev.part(fl.VocabOf(rec.pivot)); pp != nil && pp.Fingerprint == rec.fingerprint {
+						rec.spliced = pp
+						emit(rec)
 						return nil
 					}
 				}
 			}
+			rs := reducers.Get().(*reduceScratch)
+			defer reducers.Put(rs)
+			sc := rs.sc
 			// Decode the whole partition into one grown-once rank arena:
 			// size it exactly, then append every sequence back to back.
 			total := 0
@@ -464,7 +456,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 					// A decode failure means partition data was corrupted in
 					// flight; dropping the sequence would silently undercount
 					// supports, so fail the run instead.
-					return fmt.Errorf("core: partition %d: corrupt partition sequence: %w", pivot, err)
+					return fmt.Errorf("core: partition %d: corrupt partition sequence: %w", rec.pivot, err)
 				}
 				total += n
 			}
@@ -479,117 +471,73 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 				var err error
 				sc.RankArena, err = seqenc.DecodeSeq(sc.RankArena, e.Key)
 				if err != nil {
-					return fmt.Errorf("core: partition %d: corrupt partition sequence: %w", pivot, err)
+					return fmt.Errorf("core: partition %d: corrupt partition sequence: %w", rec.pivot, err)
 				}
 				sc.Seqs = append(sc.Seqs, miner.WSeq{
 					Items:  sc.RankArena[start:len(sc.RankArena):len(sc.RankArena)],
 					Weight: e.Weight,
 				})
 			}
-			rs.part = miner.Partition{Pivot: pivot, Parent: parent, Seqs: sc.Seqs}
-			nseqs := int64(len(sc.Seqs))
-			if opt.Stream != nil {
-				// Streaming: translate each pattern to vocabulary items and
-				// hand it to the callback right away. The first callback
-				// error — or a cancelled run context, honoring the
-				// substrate's emit-point cancellation contract — aborts the
-				// in-flight local mining by unwinding it with a recovered
-				// panic sentinel (mirroring the substrate's own emit-point
-				// aborts; Scratch tolerates abandoned mid-mine state, see
-				// miner.Scratch), then fails the Reduce, cancelling the
-				// rest of the run.
-				var streamErr error
-				st := mineStreaming(rs, localCfg, sc, func(pat []flist.Rank, sup int64) {
-					streamMu.Lock()
-					defer streamMu.Unlock()
-					if streamErr == nil {
-						if cerr := ctx.Err(); cerr != nil {
-							streamErr = cerr
-						}
-					}
-					if streamErr == nil {
-						var items gsm.Sequence
-						if items, streamErr = fl.TranslateFromRanks(nil, pat); streamErr == nil {
-							streamErr = opt.Stream(items, sup)
-						}
-					}
-					if streamErr != nil {
-						panic(streamAbort{})
-					}
-				})
-				partStats[pivot] = partStat{mined: true, seqs: nseqs, explored: st.Explored, output: st.Output}
-				streamMu.Lock()
-				defer streamMu.Unlock()
-				return streamErr
-			}
-			// Emitted patterns escape the reduce call, so they cannot live in
-			// pooled scratch; copy them into chunks amortizing one allocation
-			// over many patterns instead of one per pattern. Capturing runs
-			// keep the patterns in their pivot's slot (attempt-overwritten,
-			// hence retry-safe) instead of emitting them, so the post-run
-			// assembly knows which partition produced what.
+			rs.part = miner.Partition{Pivot: rec.pivot, Parent: parent, Seqs: sc.Seqs}
+			rec.seqs = int64(len(sc.Seqs))
+
+			// Mined patterns outlive the miner's buffers (and, on batch runs,
+			// the reduce call), so copy them into chunks amortizing one
+			// allocation over many patterns instead of one per pattern.
 			var chunk []flist.Rank
-			var captured []patternOut
+			rs.pats = rs.pats[:0]
 			st := rs.m.Mine(&rs.part, localCfg, sc, func(pat []flist.Rank, sup int64) {
+				if over.Load() {
+					panic(mineAbort{})
+				}
 				if len(chunk)+len(pat) > cap(chunk) {
 					chunk = make([]flist.Rank, 0, max(1024, len(pat)))
 				}
 				start := len(chunk)
 				chunk = append(chunk, pat...)
-				po := patternOut{ranks: chunk[start:len(chunk):len(chunk)], support: sup}
-				if capSlots != nil {
-					captured = append(captured, po)
-				} else {
-					emit(po)
-				}
+				rs.pats = append(rs.pats, patternOut{ranks: chunk[start:len(chunk):len(chunk)], support: sup})
 			})
-			if capSlots != nil {
-				capSlots[pivot] = capPart{
-					mined: true, fingerprint: fp,
-					seqs: nseqs, explored: st.Explored, output: st.Output,
-					ranks: captured,
-				}
+			rec.explored, rec.output = st.Explored, st.Output
+
+			if keep {
+				rec.ranks = slices.Clone(rs.pats)
 			} else {
-				partStats[pivot] = partStat{mined: true, seqs: nseqs, explored: st.Explored, output: st.Output}
+				// Streaming: the partition's local mining is complete; hand
+				// its patterns, translated to vocabulary items, to the
+				// callback. The first error ends all delivery — here and in
+				// every other partition — and fails the run.
+				streamMu.Lock()
+				defer streamMu.Unlock()
+				for _, po := range rs.pats {
+					if over.Load() {
+						return nil
+					}
+					items, err := fl.TranslateFromRanks(nil, po.ranks)
+					if err == nil {
+						err = opt.Stream(items, po.support)
+					}
+					if err != nil {
+						over.Store(true)
+						return err
+					}
+				}
 			}
+			emit(rec)
 			return nil
 		},
-		// Reduce re-runs safely in batch mode: emitted patterns are
-		// attempt-scoped and the statistics above are overwrite-idempotent.
-		// Streaming delivery is not replayable — a retried partition would
-		// hand the consumer duplicate patterns — so it stays single-attempt.
-		ReduceRetryable: opt.Stream == nil,
+		// A batch Reduce re-runs safely: its only output is the record, and
+		// emitted records are attempt-scoped. Streaming delivery is not
+		// replayable — a retried partition would hand the consumer duplicate
+		// patterns — so it stays single-attempt.
+		ReduceRetryable: keep,
 	})
 	if err != nil {
 		return nil, err
 	}
-
+	res := &Result{}
 	res.Jobs.Mine = stats
-	if capSlots != nil {
-		if err := assembleCapture(res, db, fl, opt, plan, capSlots); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	for i := range partStats {
-		ps := &partStats[i]
-		if !ps.mined {
-			continue
-		}
-		res.NumPartitions++
-		res.PartitionSeqs += ps.seqs
-		if ps.seqs > res.MaxPartitionSeqs {
-			res.MaxPartitionSeqs = ps.seqs
-		}
-		res.Miner.Explored += ps.explored
-		res.Miner.Output += ps.output
-	}
-	for _, po := range out {
-		items, err := fl.TranslateFromRanks(nil, po.ranks)
-		if err != nil {
-			return nil, err
-		}
-		res.Patterns = append(res.Patterns, gsm.Pattern{Items: items, Support: po.support})
+	if err := assemble(res, db, fl, plan, out, keep); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

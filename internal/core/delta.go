@@ -44,10 +44,10 @@ import (
 	"lash/internal/mapreduce"
 )
 
-// DeltaState is the reusable residue of a captured run (Options.Capture):
-// the corpus prefix it covers, the per-item f-list counts, and one
-// DeltaPart per non-empty partition. It is immutable once returned and safe
-// to share across goroutines.
+// DeltaState is the reusable residue of a batch run (Result.Delta): the
+// corpus prefix it covers, the per-item f-list counts, and one DeltaPart per
+// non-empty partition. It is immutable once returned and safe to share
+// across goroutines.
 type DeltaState struct {
 	// NumSeqs is the number of input sequences the run covered; a delta
 	// re-mine treats db.Seqs[NumSeqs:] as the appended suffix.
@@ -261,67 +261,26 @@ func entriesFingerprint(seed uint64, entries []mapreduce.Entry) uint64 {
 	return h
 }
 
-// assembleCapture turns the capture slots of a capturing or delta run into
-// the run's result: per-partition statistics and patterns — freshly mined,
-// fingerprint-spliced, or (for reuse-masked partitions that were never
-// shuffled) taken from the previous state — are merged, and Result.Delta is
-// filled when the run captures. Iteration is in pivot-rank order; the
-// caller canonicalizes the final pattern order with gsm.SortPatterns, which
-// is total over the distinct patterns (each belongs to exactly one
-// partition), so splice order cannot leak into the output.
-func assembleCapture(res *Result, db *gsm.Database, fl *flist.FList, opt Options, plan *deltaPlan, slots []capPart) error {
+// assemble turns a run's per-partition records into its result: partition
+// statistics and patterns — freshly mined, fingerprint-spliced, or (for
+// reuse-masked partitions that were never shuffled) taken from the previous
+// state — are merged, and Result.Delta is built when the run keeps state.
+// The caller canonicalizes the final pattern order with gsm.SortPatterns,
+// which is total over the distinct patterns (each belongs to exactly one
+// partition), so record and splice order cannot leak into the output.
+func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, recs []partOut, keep bool) error {
 	var delta *DeltaState
-	if opt.Capture {
+	if keep {
 		freqs := make([]int64, db.Forest.Size())
 		for w := range freqs {
 			freqs[w] = fl.Freq(hierarchy.Item(w))
 		}
 		delta = &DeltaState{NumSeqs: len(db.Seqs), Freqs: freqs}
 	}
-	for r := 0; r < len(slots); r++ {
-		pivot := fl.VocabOf(flist.Rank(r))
-		slot := &slots[r]
-		var part DeltaPart
-		switch {
-		case plan != nil && plan.reuse[r]:
-			pp := plan.prev.part(pivot)
-			if pp == nil {
-				continue // empty partition in both versions
-			}
-			res.DeltaReused++
-			part = *pp
-		case slot.mined && slot.spliced:
-			res.DeltaReused++
-			part = DeltaPart{
-				Pivot: pivot, Fingerprint: slot.fingerprint,
-				Seqs: slot.seqs, Explored: slot.explored, Output: slot.output,
-				Patterns: slot.items,
-			}
-		case slot.mined:
-			if plan != nil {
-				res.DeltaDirty++
-			}
-			pats := make([]gsm.Pattern, 0, len(slot.ranks))
-			for _, po := range slot.ranks {
-				items, err := fl.TranslateFromRanks(nil, po.ranks)
-				if err != nil {
-					return err
-				}
-				pats = append(pats, gsm.Pattern{Items: items, Support: po.support})
-			}
-			part = DeltaPart{
-				Pivot: pivot, Fingerprint: slot.fingerprint,
-				Seqs: slot.seqs, Explored: slot.explored, Output: slot.output,
-				Patterns: pats,
-			}
-		default:
-			continue // empty partition in this version
-		}
+	add := func(part DeltaPart) {
 		res.NumPartitions++
 		res.PartitionSeqs += part.Seqs
-		if part.Seqs > res.MaxPartitionSeqs {
-			res.MaxPartitionSeqs = part.Seqs
-		}
+		res.MaxPartitionSeqs = max(res.MaxPartitionSeqs, part.Seqs)
 		res.Miner.Explored += part.Explored
 		res.Miner.Output += part.Output
 		res.Patterns = append(res.Patterns, part.Patterns...)
@@ -329,29 +288,47 @@ func assembleCapture(res *Result, db *gsm.Database, fl *flist.FList, opt Options
 			delta.Parts = append(delta.Parts, part)
 		}
 	}
+	for i := range recs {
+		rec := &recs[i]
+		if rec.spliced != nil {
+			res.DeltaReused++
+			add(*rec.spliced)
+			continue
+		}
+		if plan != nil {
+			res.DeltaDirty++
+		}
+		pats := make([]gsm.Pattern, 0, len(rec.ranks))
+		for _, po := range rec.ranks {
+			items, err := fl.TranslateFromRanks(nil, po.ranks)
+			if err != nil {
+				return err
+			}
+			pats = append(pats, gsm.Pattern{Items: items, Support: po.support})
+		}
+		add(DeltaPart{
+			Pivot: fl.VocabOf(rec.pivot), Fingerprint: rec.fingerprint,
+			Seqs: rec.seqs, Explored: rec.explored, Output: rec.output,
+			Patterns: pats,
+		})
+	}
+	if plan != nil {
+		for r, reuse := range plan.reuse {
+			if !reuse {
+				continue
+			}
+			// nil: the partition is empty in both versions.
+			if pp := plan.prev.part(fl.VocabOf(flist.Rank(r))); pp != nil {
+				res.DeltaReused++
+				add(*pp)
+			}
+		}
+	}
 	if delta != nil {
-		// part() binary-searches by pivot item; rank order is frequency
+		// part() binary-searches by pivot item; records arrive in reduce
 		// order, not id order.
 		sort.Slice(delta.Parts, func(i, j int) bool { return delta.Parts[i].Pivot < delta.Parts[j].Pivot })
 		res.Delta = delta
 	}
 	return nil
-}
-
-// capPart is one partition's capture slot during a capturing or delta run.
-// Slots are pivot-rank-indexed and overwrite-idempotent, so retried Reduce
-// attempts stay safe (same argument as partStat).
-type capPart struct {
-	mined bool
-	// spliced marks a partition whose previous result was reused via the
-	// fingerprint check (its items slice aliases the previous state).
-	spliced     bool
-	fingerprint uint64
-	seqs        int64
-	explored    int64
-	output      int64
-	// ranks holds freshly mined patterns (current-run rank space); items
-	// holds spliced patterns (vocabulary item space). Exactly one is set.
-	ranks []patternOut
-	items []gsm.Pattern
 }

@@ -382,17 +382,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// Children are snapshotted under the lock too: register appends to
+	// fam.children while lazily labeled series appear mid-scrape.
 	fams := make([]*family, len(names))
+	kids := make([][]*child, len(names))
 	for i, name := range names {
 		fams[i] = r.families[name]
+		kids[i] = append([]*child(nil), fams[i].children...)
 	}
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for _, fam := range fams {
+	for i, fam := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", fam.name, escapeHelp(fam.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", fam.name, fam.typ)
-		children := append([]*child(nil), fam.children...)
+		children := kids[i]
 		sort.Slice(children, func(i, j int) bool { return children[i].labels < children[j].labels })
 		for _, c := range children {
 			switch fam.typ {

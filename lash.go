@@ -208,33 +208,26 @@ type Options struct {
 	// internal package: it is settable only from inside this module;
 	// external callers leave it nil. Ignored by CacheKey.
 	Faults *faults.Registry
-	// Capture, when set, records the run's reusable residue — the f-list
-	// counts and each partition's input fingerprint, statistics, and
-	// pattern set — in Result.State, so a later run over an appended corpus
-	// version can resume from it (see Resume). Supported by the LASH
-	// variants (AlgorithmLASH, AlgorithmLASHFlat, AlgorithmMGFSM); the
-	// baselines have no partitions to capture and ignore it. Capture does
-	// not affect the mined output and is ignored by CacheKey; streaming
-	// runs reject it (ValidateStream).
-	Capture bool
-	// Resume, when non-nil, seeds a delta re-mine: the run recomputes item
-	// frequencies incrementally from the sequences appended since the state
-	// was captured, re-shuffles only sequences contributing to dirty
-	// pivots, re-mines only dirty partitions, and splices every provably
-	// unchanged partition's pattern set from the state. The output is
-	// byte-identical to a from-scratch mine (Result.Stats reports the
-	// dirty/reused split). The state must come from a Capture run on an
-	// earlier version of the same database lineage with equal canonical
-	// options (see MineState.ValidFor); baselines ignore Resume and mine
-	// from scratch. Ignored by CacheKey; rejected for streaming runs.
+	// Resume, when non-nil, seeds a delta re-mine from an earlier run's
+	// Result.State: the run recomputes item frequencies incrementally from
+	// the sequences appended since that run, re-shuffles only sequences
+	// contributing to dirty pivots, re-mines only dirty partitions, and
+	// splices every provably unchanged partition's pattern set from the
+	// state. The output is byte-identical to a from-scratch mine
+	// (Result.Stats reports the dirty/reused split). The state must come
+	// from a run on an earlier version of the same database lineage with
+	// equal canonical options (see MineState.ValidFor); baselines ignore
+	// Resume and mine from scratch. Ignored by CacheKey; rejected for
+	// streaming runs (ValidateStream).
 	Resume *MineState
 }
 
-// MineState is the opaque, reusable residue of a Capture mining run: the
-// corpus version it covered, plus the internal f-list counts and
-// per-partition results a Resume run splices from. States are immutable and
-// safe to share across goroutines; they are only meaningful for databases
-// descended (by Append) from the snapshot they were captured on.
+// MineState is the opaque, reusable residue of a mining run (Result.State):
+// the corpus version it covered, plus the internal f-list counts and each
+// partition's input fingerprint, statistics, and pattern set, which a Resume
+// run splices from. States are immutable and safe to share across
+// goroutines; they are only meaningful for databases descended (by Append)
+// from the snapshot they were taken on.
 type MineState struct {
 	ident   *corpusID
 	version int
@@ -243,7 +236,7 @@ type MineState struct {
 	delta   *core.DeltaState
 }
 
-// CorpusVersion returns the Database.Version the state was captured at.
+// CorpusVersion returns the Database.Version the state was taken at.
 func (s *MineState) CorpusVersion() int {
 	if s == nil {
 		return 0
@@ -260,9 +253,9 @@ func (s *MineState) NumSequences() int {
 }
 
 // ValidFor reports whether the state can seed a delta re-mine of db under
-// opt: db must descend from the snapshot the state was captured on (so the
+// opt: db must descend from the snapshot the state was taken on (so the
 // state's corpus is a prefix of db's sequences — checked by identity token,
-// which holds across append forks for states captured at or before the fork
+// which holds across append forks for states taken at or before the fork
 // point), with equal canonical options.
 func (s *MineState) ValidFor(db *Database, opt Options) bool {
 	return s != nil && s.delta != nil && s.ident != nil &&
@@ -355,9 +348,12 @@ type Result struct {
 	Explored int64
 	// Stats reports MapReduce phase measurements of the main mining job.
 	Stats RunStats
-	// State is the run's captured reusable residue (Options.Capture on a
-	// LASH variant); nil otherwise. Pass it as Options.Resume to delta-mine
-	// a later version of the same database lineage.
+	// State is the run's reusable residue: every batch run (Mine,
+	// MineContext) of a LASH variant (AlgorithmLASH, AlgorithmLASHFlat,
+	// AlgorithmMGFSM) returns one; the baselines have no partitions to keep,
+	// and streaming runs never materialize them, so both leave it nil. Pass
+	// it as Options.Resume to delta-mine a later version of the same
+	// database lineage. It does not depend on Options.Restriction.
 	State *MineState
 
 	// forest is the hierarchy the patterns were named under, stashed by
@@ -448,14 +444,6 @@ func Stream(ctx context.Context, db *Database, opt Options, emit func(Pattern) e
 	return mine(ctx, db, opt, nil, emit)
 }
 
-// streamState carries the per-run plumbing of a streaming mine: the
-// cancel-on-emit-error context and the first emit error, which wins over
-// the substrate's cancellation error on the way out.
-type streamState struct {
-	mu  sync.Mutex
-	err error
-}
-
 // mine implements Mine, MineContext, and Stream; freqs optionally
 // short-circuits the preprocessing job for the LASH variants (see Miner),
 // and a non-nil emit selects the streaming path.
@@ -471,25 +459,6 @@ func mine(ctx context.Context, db *Database, opt Options, freqs []int64, emit fu
 	} else if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	// Capture/Resume only apply to the partitioned LASH variants; the
-	// baselines have no per-partition structure to reuse and silently mine
-	// from scratch. An invalid Resume state is an error rather than a
-	// silent cold mine, so a differential harness cannot accidentally
-	// "pass" without exercising the delta path.
-	capture, resume := opt.Capture, opt.Resume
-	switch opt.Algorithm {
-	case AlgorithmLASH, AlgorithmLASHFlat, AlgorithmMGFSM:
-		if resume != nil && !resume.ValidFor(db, opt) {
-			return nil, fmt.Errorf("lash: Resume state is not valid for this database and options (want a Capture state from a snapshot this database descends from, with equal canonical options)")
-		}
-	default:
-		capture, resume = false, nil
-	}
-	var prevDelta *core.DeltaState
-	if resume != nil {
-		prevDelta = resume.delta
-	}
-
 	params := gsm.Params{Sigma: opt.MinSupport, Gamma: opt.MaxGap, Lambda: opt.MaxLength}
 	mr := mapreduce.Config{
 		Workers:      opt.Workers,
@@ -526,10 +495,13 @@ func mine(ctx context.Context, db *Database, opt Options, freqs []int64, emit fu
 	}
 
 	// The streaming path wraps emit: translate to item names, record the
-	// first emit error, and cancel the run's context with it so the other
-	// partitions abort instead of mining into the void.
+	// first emit error — it wins over the substrate's cancellation error on
+	// the way out — and cancel the run's context with it so the other
+	// partitions abort instead of mining into the void. core and baseline
+	// serialize their Stream calls and the run is over before emitErr is
+	// read back, so it needs no lock.
 	var (
-		st         *streamState
+		emitErr    error
 		coreStream func(items gsm.Sequence, support int64) error
 	)
 	f := db.db.Forest
@@ -537,23 +509,18 @@ func mine(ctx context.Context, db *Database, opt Options, freqs []int64, emit fu
 		var cancel context.CancelCauseFunc
 		ctx, cancel = context.WithCancelCause(ctx)
 		defer cancel(nil)
-		st = &streamState{}
 		coreStream = func(items gsm.Sequence, support int64) error {
+			if emitErr != nil {
+				return emitErr
+			}
 			names := make([]string, len(items))
 			for i, w := range items {
 				names[i] = f.Name(w)
 			}
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			if st.err != nil {
-				return st.err
+			if emitErr = emit(Pattern{Items: names, Support: support}); emitErr != nil {
+				cancel(emitErr)
 			}
-			if err := emit(Pattern{Items: names, Support: support}); err != nil {
-				st.err = err
-				cancel(err)
-				return err
-			}
-			return nil
+			return emitErr
 		}
 	}
 
@@ -562,12 +529,24 @@ func mine(ctx context.Context, db *Database, opt Options, freqs []int64, emit fu
 		err error
 	)
 	switch opt.Algorithm {
-	case AlgorithmLASH:
-		res, err = core.Mine(ctx, db.db, core.Options{Params: params, Miner: opt.LocalMiner.kind(), MR: mr, Freqs: freqs, Stream: coreStream, Capture: capture, Prev: prevDelta})
-	case AlgorithmLASHFlat:
-		res, err = core.Mine(ctx, db.db, core.Options{Params: params, Miner: opt.LocalMiner.kind(), Flat: true, MR: mr, Freqs: freqs, Stream: coreStream, Capture: capture, Prev: prevDelta})
-	case AlgorithmMGFSM:
-		res, err = core.Mine(ctx, db.db, core.Options{Params: params, Miner: miner.KindBFS, Flat: true, MR: mr, Freqs: freqs, Stream: coreStream, Capture: capture, Prev: prevDelta})
+	case AlgorithmLASH, AlgorithmLASHFlat, AlgorithmMGFSM:
+		co := core.Options{Params: params, Miner: opt.LocalMiner.kind(), MR: mr, Freqs: freqs, Stream: coreStream}
+		co.Flat = opt.Algorithm != AlgorithmLASH
+		if opt.Algorithm == AlgorithmMGFSM {
+			co.Miner = miner.KindBFS
+		}
+		// Resume only applies to the partitioned LASH variants; the
+		// baselines have no per-partition structure to reuse and silently
+		// mine from scratch. An invalid state is an error rather than a
+		// silent cold mine, so a differential harness cannot accidentally
+		// "pass" without exercising the delta path.
+		if opt.Resume != nil {
+			if !opt.Resume.ValidFor(db, opt) {
+				return nil, fmt.Errorf("lash: Resume state is not valid for this database and options (want the State of a run on a snapshot this database descends from, with equal canonical options)")
+			}
+			co.Prev = opt.Resume.delta
+		}
+		res, err = core.Mine(ctx, db.db, co)
 	case AlgorithmNaive:
 		res, err = baseline.MineNaive(ctx, db.db, baseline.Options{Params: params, MR: mr, MaxEmit: opt.MaxIntermediate, Stream: coreStream})
 	case AlgorithmSemiNaive:
@@ -578,13 +557,8 @@ func mine(ctx context.Context, db *Database, opt Options, freqs []int64, emit fu
 	if err != nil {
 		// The emit error caused the cancellation; report it, not the
 		// substrate's wrapping of it.
-		if st != nil {
-			st.mu.Lock()
-			emitErr := st.err
-			st.mu.Unlock()
-			if emitErr != nil {
-				return nil, emitErr
-			}
+		if emitErr != nil {
+			return nil, emitErr
 		}
 		return nil, err
 	}

@@ -70,16 +70,14 @@ func (o Options) Validate() error {
 // streaming run (Stream and Miner.Stream call it): everything Validate
 // checks, plus the restrictions that post-process the full pattern set —
 // RestrictClosed and RestrictMaximal — are rejected, because a streaming
-// run never materializes that set.
+// run never materializes that set, and so is Resume, which splices
+// materialized partition results.
 func (o Options) ValidateStream() error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
 	if o.Restriction != RestrictNone {
 		return fmt.Errorf("lash: restriction %q needs the full pattern set and cannot be streamed (use MineContext, or RestrictNone)", o.Restriction)
-	}
-	if o.Capture {
-		return fmt.Errorf("lash: Capture needs the full per-partition output and cannot be streamed (use MineContext)")
 	}
 	if o.Resume != nil {
 		return fmt.Errorf("lash: Resume splices previous partition results and cannot be streamed (use MineContext)")
@@ -108,9 +106,7 @@ func (o Options) Canonical() Options {
 	o.Deadline = 0
 	o.MaxAttempts = 0
 	o.Faults = nil
-	// Capture only adds State to the result; Resume is differential-tested
-	// byte-identical to a from-scratch mine. Neither affects the output.
-	o.Capture = false
+	// Resume is differential-tested byte-identical to a from-scratch mine.
 	o.Resume = nil
 	switch o.Algorithm {
 	case AlgorithmLASH, AlgorithmLASHFlat:

@@ -7,44 +7,27 @@ import (
 	"lash"
 )
 
+// resultN is a single-pattern result; its estimate is 256 + 32 + 1 + 16 =
+// 305 bytes.
 func resultN(n int64) *lash.Result {
 	return &lash.Result{Patterns: []lash.Pattern{{Items: []string{"x"}, Support: n}}}
 }
 
-// shardKeys returns n distinct keys that all hash to the same cache shard,
-// so LRU-order tests see one deterministic eviction list instead of being
-// spread across shards.
-func shardKeys(c *resultCache, n int) []string {
-	want := c.shardFor("probe")
-	keys := make([]string, 0, n)
-	for i := 0; len(keys) < n; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shardFor(k) == want {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
 func TestCacheLRUByteBudget(t *testing.T) {
-	// Budget two single-pattern results per shard: one resultN estimate is
-	// 256 + 32 + 1 + 16 = 305 bytes; give each shard room for two but not
-	// three (total budget = per-shard × numCacheShards).
-	c := newResultCache(700 * numCacheShards)
-	k := shardKeys(c, 3)
-	c.add(k[0], resultN(1))
-	c.add(k[1], resultN(2))
-	if _, ok := c.get(k[0]); !ok { // promotes k0 over k1
+	c := newResultCache(700) // room for two resultN, not three
+	c.add("k0", resultN(1))
+	c.add("k1", resultN(2))
+	if _, ok := c.get("k0"); !ok { // promotes k0 over k1
 		t.Fatal("k0 missing")
 	}
-	c.add(k[2], resultN(3)) // over budget: evicts k1, the least recently used
-	if _, ok := c.get(k[1]); ok {
+	c.add("k2", resultN(3)) // over budget: evicts k1, the least recently used
+	if _, ok := c.get("k1"); ok {
 		t.Error("k1 survived eviction")
 	}
-	if _, ok := c.get(k[0]); !ok {
+	if _, ok := c.get("k0"); !ok {
 		t.Error("k0 evicted out of LRU order")
 	}
-	if _, ok := c.get(k[2]); !ok {
+	if _, ok := c.get("k2"); !ok {
 		t.Error("k2 missing")
 	}
 	s := c.stats()
@@ -55,8 +38,27 @@ func TestCacheLRUByteBudget(t *testing.T) {
 	if s.Hits != 3 || s.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 3/1", s.Hits, s.Misses)
 	}
-	if s.CapacityBytes != 700*numCacheShards {
-		t.Errorf("CapacityBytes = %d, want %d", s.CapacityBytes, 700*numCacheShards)
+	if s.CapacityBytes != 700 {
+		t.Errorf("CapacityBytes = %d, want 700", s.CapacityBytes)
+	}
+}
+
+// One result may use any share of the budget: an entry charged half of it
+// (at insertion, and again after the index recost) stays cached. A budget
+// split across shards evicted it on its own insertion.
+func TestCacheHalfBudgetEntryStays(t *testing.T) {
+	res := resultN(1)
+	c := newResultCache(2 * estimateResultBytes(res))
+	c.add("big", res)
+	if _, ok := c.get("big"); !ok {
+		t.Fatal("entry charged half the budget was evicted on insertion")
+	}
+	c.recost("big", estimateResultBytes(res)) // the exact size confirms the estimate
+	if _, ok := c.get("big"); !ok {
+		t.Fatal("entry charged half the budget was evicted on recost")
+	}
+	if s := c.stats(); s.Size != 1 || s.Evictions != 0 || s.Bytes*2 != s.CapacityBytes {
+		t.Errorf("stats = %+v, want one entry at half the capacity, no evictions", s)
 	}
 }
 
@@ -90,20 +92,19 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheRecost(t *testing.T) {
-	c := newResultCache(1000 * numCacheShards)
-	k := shardKeys(c, 2)
-	c.add(k[0], resultN(1))
-	c.add(k[1], resultN(2))
+	c := newResultCache(1000)
+	c.add("k0", resultN(1))
+	c.add("k1", resultN(2))
 	if s := c.stats(); s.Size != 2 {
 		t.Fatalf("size = %d, want 2", s.Size)
 	}
-	// Recosting k0 far above the shard budget evicts from the LRU end —
-	// k0 itself is the least recently used, so it goes.
-	c.recost(k[0], 10_000)
-	if _, ok := c.get(k[0]); ok {
+	// Recosting k0 far above the budget evicts from the LRU end — k0 itself
+	// is the least recently used, so it goes.
+	c.recost("k0", 10_000)
+	if _, ok := c.get("k0"); ok {
 		t.Error("k0 survived recost past the budget")
 	}
-	if _, ok := c.get(k[1]); !ok {
+	if _, ok := c.get("k1"); !ok {
 		t.Error("k1 evicted although within budget after k0 left")
 	}
 	// Recosting a missing key is a no-op.
@@ -114,59 +115,20 @@ func TestCacheRecost(t *testing.T) {
 }
 
 func TestCacheManyEvictions(t *testing.T) {
-	// Per-shard budget fits exactly one resultN estimate (305 bytes), so
-	// every shard holds its most recent entry and evicts the rest.
-	c := newResultCache(400 * numCacheShards)
+	// The budget fits exactly one resultN estimate, so the cache holds its
+	// most recent entry and evicts the rest.
+	c := newResultCache(400)
 	for i := range 64 {
 		c.add(fmt.Sprintf("k%d", i), resultN(int64(i)))
 	}
 	s := c.stats()
-	if s.Size+int(s.Evictions) != 64 {
-		t.Errorf("size %d + evictions %d != 64 adds", s.Size, s.Evictions)
+	if s.Size != 1 || s.Evictions != 63 {
+		t.Errorf("size %d, evictions %d, want 1 and 63", s.Size, s.Evictions)
 	}
-	if s.Size < 1 || s.Size > numCacheShards {
-		t.Errorf("size = %d, want between 1 and %d (one per touched shard)", s.Size, numCacheShards)
+	if s.Bytes > 400 {
+		t.Errorf("cache holds %d bytes, budget 400", s.Bytes)
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n, bytes := sh.ll.Len(), sh.bytes
-		sh.mu.Unlock()
-		if n > 1 {
-			t.Errorf("shard %d holds %d entries, budget fits 1", i, n)
-		}
-		if bytes > 400 {
-			t.Errorf("shard %d holds %d bytes, budget 400", i, bytes)
-		}
-	}
-}
-
-func TestCacheShardStatsSum(t *testing.T) {
-	c := newResultCache(1 << 20)
-	for i := range 32 {
-		c.add(fmt.Sprintf("k%d", i), resultN(int64(i)))
-		c.get(fmt.Sprintf("k%d", i))
-	}
-	c.get("missing")
-	s := c.stats()
-	if len(s.Shards) != numCacheShards {
-		t.Fatalf("got %d shard stats, want %d", len(s.Shards), numCacheShards)
-	}
-	var hits, misses, evictions uint64
-	var size int
-	var bytes int64
-	for _, ss := range s.Shards {
-		hits += ss.Hits
-		misses += ss.Misses
-		evictions += ss.Evictions
-		size += ss.Size
-		bytes += ss.Bytes
-	}
-	if hits != s.Hits || misses != s.Misses || evictions != s.Evictions || size != s.Size || bytes != s.Bytes {
-		t.Errorf("shard sums %d/%d/%d/%d/%d != totals %d/%d/%d/%d/%d",
-			hits, misses, evictions, size, bytes, s.Hits, s.Misses, s.Evictions, s.Size, s.Bytes)
-	}
-	if s.Hits != 32 || s.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 32/1", s.Hits, s.Misses)
+	if _, ok := c.get("k63"); !ok {
+		t.Error("the most recent entry was evicted")
 	}
 }

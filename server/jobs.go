@@ -134,7 +134,7 @@ type manager struct {
 	maxJobs  int                     // retained job records; older terminal jobs are pruned
 	nextID   uint64
 
-	// states holds the capture state of the most recent successful run per
+	// states holds the Result.State of the most recent successful run per
 	// (database, canonical options), keyed without the corpus version: an
 	// append bumps the version but the old state is exactly what the next
 	// run wants to resume from. stateOrder bounds the store FIFO-by-first-
@@ -145,8 +145,8 @@ type manager struct {
 }
 
 // maxMineStates bounds the resume-state store. Each state holds the f-list
-// counts and per-partition fingerprints plus captured partition outputs of
-// one run — useful, but strictly droppable.
+// counts and per-partition fingerprints plus the partition outputs of one
+// run — useful, but strictly droppable.
 const maxMineStates = 256
 
 var (
@@ -266,12 +266,11 @@ func (m *manager) submit(ctx context.Context, dbName string, db *lash.Database, 
 		}
 	}
 
-	// Fresh job: capture delta state so a future append can re-mine only
-	// the partitions it dirties, and resume from the previous version's
-	// state when one is valid for this snapshot. Neither affects the job
-	// key or the cached result — Canonical zeroes both, and a delta run is
-	// differentially identical to a cold one.
-	opt.Capture = true
+	// Fresh job: resume from the previous version's state when one is valid
+	// for this snapshot, so an append re-mines only the partitions it
+	// dirties (finish stores every run's Result.State for the next one).
+	// Resume does not affect the job key or the cached result — Canonical
+	// zeroes it, and a delta run is differentially identical to a cold one.
 	if s, ok := m.states[stateKey(dbName, opt)]; ok && s.ValidFor(db, opt) {
 		opt.Resume = s
 	}
@@ -563,25 +562,33 @@ func (m *manager) stream(ctx context.Context, db *lash.Database, opt lash.Option
 	stopWatch := context.AfterFunc(m.baseCtx, func() { cancel(errShutdown) })
 	defer stopWatch()
 
+	// A stream cancelled (client gone, shutdown) while it waits for a slot
+	// never mines, but it ends like any other: the switch below counts it,
+	// so submitted stays the sum of the terminal counters once idle.
+	var (
+		res *lash.Result
+		err error
+		ran time.Duration
+	)
 	wait := time.Now()
 	select {
 	case m.sem <- struct{}{}:
+		defer func() { <-m.sem }()
 	case <-sctx.Done():
-		m.met.queueSeconds.Observe(time.Since(wait).Seconds())
-		return nil, causeOf(sctx)
+		err = causeOf(sctx)
 	}
-	defer func() { <-m.sem }()
 	m.met.queueSeconds.Observe(time.Since(wait).Seconds())
-	m.met.minesRun.Inc()
-
-	// Feed the same process-wide pipeline families the async jobs feed.
-	opt.Metrics = m.met.pm
-	start := time.Now()
-	res, err := safeMine(func() (*lash.Result, error) {
-		return m.streamFn(sctx, db, opt, emit)
-	})
-
-	m.met.runSeconds.Observe(time.Since(start).Seconds())
+	if err == nil {
+		m.met.minesRun.Inc()
+		// Feed the same process-wide pipeline families the async jobs feed.
+		opt.Metrics = m.met.pm
+		start := time.Now()
+		res, err = safeMine(func() (*lash.Result, error) {
+			return m.streamFn(sctx, db, opt, emit)
+		})
+		ran = time.Since(start)
+		m.met.runSeconds.Observe(ran.Seconds())
+	}
 	if res != nil {
 		m.met.spilledRuns.Add(res.Stats.SpillRuns)
 		m.met.spilledBytes.Add(res.Stats.SpillBytes)
@@ -605,7 +612,7 @@ func (m *manager) stream(ctx context.Context, db *lash.Database, opt lash.Option
 		outcome = "failed"
 	}
 	m.log.Info("stream finished", "request_id", reqID, "status", outcome,
-		"run_ms", time.Since(start).Milliseconds())
+		"run_ms", ran.Milliseconds())
 	return res, err
 }
 
@@ -617,7 +624,7 @@ func (m *manager) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// storeStateLocked publishes a run's capture state for future delta mines,
+// storeStateLocked publishes a run's Result.State for future delta mines,
 // evicting the store's oldest key once the bound is hit. Replacing the
 // state under an existing key keeps its slot. Caller holds m.mu.
 func (m *manager) storeStateLocked(key string, s *lash.MineState) {

@@ -347,3 +347,64 @@ func TestMineStreamErrorInTrailer(t *testing.T) {
 		t.Errorf("stats failed = %v, want 1", n)
 	}
 }
+
+// TestStreamCancelledWhileQueuedIsCounted: a stream whose client goes away
+// while it waits for a worker slot ends as cancelled, so the stats keep the
+// invariant submitted == completed + failed + cancelled once idle.
+func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	_, ts := newTestServer(t, server.Config{Workers: 1, MineFunc: blockingMine(started, release)})
+	mustRegister(t, ts, testSpec("db"))
+
+	req := map[string]any{"database": "db", "options": testOptions()}
+	status, body := call(t, "POST", ts.URL+"/v1/mine", req)
+	if status != http.StatusAccepted {
+		t.Fatalf("mine: status %d, body %v", status, body)
+	}
+	<-started // the job holds the only worker slot
+
+	jobStats := func() map[string]any {
+		_, stats := call(t, "GET", ts.URL+"/v1/stats", nil)
+		return stats["jobs"].(map[string]any)
+	}
+	waitFor := func(what string, cond func(map[string]any) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond(jobStats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; stats %v", what, jobStats())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	raw, _ := json.Marshal(req)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/mine/stream", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamDone := make(chan struct{})
+	go func() {
+		defer close(streamDone)
+		if resp, err := http.DefaultClient.Do(hreq); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor("the stream to be accepted", func(j map[string]any) bool { return j["streams"].(float64) == 1 })
+	cancel() // the client goes away while the stream waits for the slot
+	<-streamDone
+	waitFor("the waiting stream to count as cancelled", func(j map[string]any) bool { return j["cancelled"].(float64) == 1 })
+
+	close(release)
+	waitForJob(t, ts, body["job_id"].(string))
+	j := jobStats()
+	if j["submitted"].(float64) != j["completed"].(float64)+j["failed"].(float64)+j["cancelled"].(float64) {
+		t.Errorf("submitted != completed + failed + cancelled: %v", j)
+	}
+	if j["submitted"].(float64) != 2 || j["completed"].(float64) != 1 || j["mines_run"].(float64) != 1 {
+		t.Errorf("stats = %v, want 2 submitted, 1 completed, 1 mine run", j)
+	}
+}

@@ -72,11 +72,10 @@ func (h *subHub) next(ctx context.Context, pos int) (chunk []lash.Pattern, done 
 	return h.log[pos:], h.done, h.err
 }
 
-// streamableOptions strips a job's capture/resume fields — server jobs
-// always capture delta state, but streaming runs cannot (ValidateStream's
-// contract) — leaving the options the feeder stream runs with.
+// streamableOptions strips a job's resume state — server jobs delta-mine
+// whenever they can, but streaming runs cannot (ValidateStream's contract)
+// — leaving the options the feeder stream runs with.
 func streamableOptions(opt lash.Options) lash.Options {
-	opt.Capture = false
 	opt.Resume = nil
 	return opt
 }
