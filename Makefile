@@ -24,8 +24,12 @@ test: vet
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
+# race is the EXACT gate the CI race job runs. The second pass repeats
+# ./server: its lifecycle tests race real goroutines against HTTP requests,
+# and PRs 13 and 14 each found a data race there that a single run missed.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 ./server
 
 # chaos runs the fault-injection differential tests under the race
 # detector: with faults armed and retries enabled, mining output must be

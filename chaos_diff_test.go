@@ -108,7 +108,16 @@ func TestChaosDifferential(t *testing.T) {
 					chaos := opt
 					chaos.MaxAttempts = 3
 					chaos.Faults = reg
-					got, err := lash.Mine(db, chaos)
+					// A fresh snapshot of the same seed has no frequencies
+					// yet, so the f-list job runs under fault too — and, its
+					// tasks being the run's first, takes the task faults.
+					flistFaults := int64(0)
+					chaos.Progress = func(e lash.ProgressEvent) {
+						if e.Job == "flist" && e.Phase == "done" {
+							flistFaults = e.FaultsInjected
+						}
+					}
+					got, err := lash.Mine(genDB(t, 200, seed), chaos)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -120,6 +129,9 @@ func TestChaosDifferential(t *testing.T) {
 					if got.Stats.FaultsInjected != wantFired || got.Stats.TaskRetries != wantFired {
 						t.Errorf("count-armed: FaultsInjected=%d TaskRetries=%d, want %d/%d",
 							got.Stats.FaultsInjected, got.Stats.TaskRetries, wantFired, wantFired)
+					}
+					if alg != lash.AlgorithmNaive && flistFaults == 0 {
+						t.Error("count-armed: no injection landed in the f-list job")
 					}
 
 					// Probability-armed: seeded PRNG draws decide each hit, so
@@ -147,7 +159,7 @@ func TestChaosDifferential(t *testing.T) {
 					preg.FailProb("mapreduce.spill.merge", 0.1, uint64(seed)+3, faults.Error)
 					chaos.MaxAttempts = 8
 					chaos.Faults = preg
-					got, err = lash.Mine(db, chaos)
+					got, err = lash.Mine(genDB(t, 200, seed), chaos)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,12 +2,16 @@ package lash
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
+	"lash/internal/core"
 	"lash/internal/gsm"
 	"lash/internal/hierarchy"
+	"lash/internal/mapreduce"
 	"lash/internal/seqdb"
 )
 
@@ -16,6 +20,11 @@ import (
 // the next corpus version from an existing snapshot with Append — the old
 // snapshot stays valid and readable (copy-on-append), the new one carries a
 // monotonically increasing Version.
+//
+// A snapshot also keeps its item frequencies once a run has counted them —
+// the reuse of §3.4 of the paper ("item frequencies and total order can be
+// reused when LASH is run with different parameters; only the generalized
+// f-list needs to be adapted") — see "Parameter sweeps" in the package doc.
 type Database struct {
 	db *gsm.Database
 	// version is the corpus version of this snapshot (1 for freshly built
@@ -30,6 +39,51 @@ type Database struct {
 	// depends on. Appending from an older snapshot simply starts a
 	// diverging suffix: both branches keep the common prefix tokens.
 	idents []*corpusID
+	// hier and flat are the snapshot's lazily counted item frequencies, one
+	// per hierarchy mode (AlgorithmLASH mines under the hierarchy; the flat
+	// variants ignore it).
+	hier, flat freqCache
+}
+
+// freqCache is one hierarchy mode's lazily counted frequency slice. The
+// slice is shared read-only with every run and never mutated once set.
+type freqCache struct {
+	mu    sync.Mutex
+	freqs []int64
+}
+
+// frequencies returns the snapshot's item frequencies for one hierarchy
+// mode, on first use running the counting job under ctx and cfg — the
+// calling run's own, so its deadline, retries, faults, trace and progress
+// hook cover the job. Each mode has its own lock: the first caller counts
+// while concurrent callers for that mode wait for its result, and a failed
+// count caches nothing, so the next run tries again. The run that paid for
+// the job reports its retry and fault counts, read off the job's final
+// ("done") progress event.
+func (d *Database) frequencies(ctx context.Context, flat bool, cfg mapreduce.Config) (freqs []int64, retries, injected int64, err error) {
+	c := &d.hier
+	if flat {
+		c = &d.flat
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.freqs != nil {
+		return c.freqs, 0, 0, nil
+	}
+	progress := cfg.Progress
+	cfg.Progress = func(p mapreduce.Progress) {
+		if p.Phase == "done" {
+			retries, injected = p.TaskRetries, p.FaultsInjected
+		}
+		if progress != nil {
+			progress(p)
+		}
+	}
+	if freqs, err = core.Frequencies(ctx, d.db, flat, cfg); err != nil {
+		return nil, 0, 0, err
+	}
+	c.freqs = freqs
+	return freqs, retries, injected, nil
 }
 
 // corpusID is a unique per-version identity token; only pointer identity

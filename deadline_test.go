@@ -3,6 +3,7 @@ package lash_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,6 +52,31 @@ func TestDeadlinePreExpired(t *testing.T) {
 	}
 	if elapsed := time.Since(begin); elapsed > time.Second {
 		t.Errorf("pre-expired run took %v to fail, want fast rejection", elapsed)
+	}
+
+	// The failed run was the snapshot's first, so its f-list job ran under
+	// the deadline and counted nothing: the next run on the same snapshot
+	// still runs the job — inside its own trace — and the one after reuses
+	// the counts.
+	var jobs atomic.Int64
+	tr := lash.NewTrace()
+	opt := countFListJobs(lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3, Trace: tr}, &jobs)
+	for i := 0; i < 2; i++ {
+		if _, err := lash.Mine(db, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := jobs.Load(); n != 1 {
+		t.Errorf("%d f-list jobs in two runs after the expired one, want 1 (an expired run caches nothing)", n)
+	}
+	flistSpans := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name == "job" && sp.Job == "flist" {
+			flistSpans++
+		}
+	}
+	if flistSpans != 1 {
+		t.Errorf("trace holds %d f-list job spans, want 1 (the job runs under the run's Trace)", flistSpans)
 	}
 }
 

@@ -88,27 +88,33 @@ func ExampleSessionBuilder() {
 	// camera → photo-book → flash
 }
 
-// A Miner caches item frequencies across parameter sweeps (§3.4).
-func ExampleMiner() {
+// A threshold sweep over one snapshot: the first run counts the item
+// frequencies, the snapshot keeps them, and the later runs skip the
+// preprocessing job (§3.4).
+func ExampleMine_sweep() {
 	db, err := lash.GenerateMarketDatabase(lash.MarketConfig{Users: 500, Products: 300, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	m, err := lash.NewMiner(db)
-	if err != nil {
-		panic(err)
-	}
+	flistJobs := 0
 	for _, sigma := range []int64{20, 10, 5} {
-		res, err := m.Mine(lash.Options{MinSupport: sigma, MaxGap: 1, MaxLength: 3})
+		res, err := lash.Mine(db, lash.Options{
+			MinSupport: sigma, MaxGap: 1, MaxLength: 3,
+			Progress: func(e lash.ProgressEvent) {
+				if e.Job == "flist" && e.Phase == "done" {
+					flistJobs++
+				}
+			},
+		})
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("σ=%d: %d patterns\n", sigma, len(res.Patterns))
 	}
-	fmt.Println("frequency jobs run:", m.FrequencyJobsRun())
+	fmt.Println("f-list jobs run:", flistJobs)
 	// Output:
 	// σ=20: 185 patterns
 	// σ=10: 979 patterns
 	// σ=5: 3681 patterns
-	// frequency jobs run: 1
+	// f-list jobs run: 1
 }

@@ -157,7 +157,7 @@ func Mine(ctx context.Context, db *gsm.Database, opt Options) (*Result, error) {
 		}
 		plan, err = planDelta(work.Forest, fl, opt.Prev, add)
 	case opt.Freqs != nil:
-		fl, err = flist.Build(work.Forest, opt.Freqs, opt.Params.Sigma)
+		fl, err = buildFList(opt.MR.Obs, work.Forest, opt.Freqs, opt.Params.Sigma)
 	default:
 		fl, flStats, err = FListJob(ctx, work, opt.Params.Sigma, opt.MR)
 	}
@@ -254,11 +254,21 @@ func FListJob(ctx context.Context, db *gsm.Database, sigma int64, cfg mapreduce.
 	if err != nil {
 		return nil, nil, err
 	}
-	o := cfg.Obs
-	begin := time.Now()
-	fl, err := flist.Build(db.Forest, freq, sigma)
+	fl, err := buildFList(cfg.Obs, db.Forest, freq, sigma)
 	if err != nil {
 		return nil, nil, err
+	}
+	return fl, stats, nil
+}
+
+// buildFList derives the rank space for σ from counted frequencies — the
+// only preprocessing left when the counts are reused (Options.Freqs) — and
+// records the build's duration and span.
+func buildFList(o *obs.Run, forest *hierarchy.Forest, freq []int64, sigma int64) (*flist.FList, error) {
+	begin := time.Now()
+	fl, err := flist.Build(forest, freq, sigma)
+	if err != nil {
+		return nil, err
 	}
 	if pm := o.PipelineMetricsOf(); pm != nil {
 		pm.FListBuildSeconds.Observe(time.Since(begin).Seconds())
@@ -269,7 +279,7 @@ func FListJob(ctx context.Context, db *gsm.Database, sigma int64, cfg mapreduce.
 			Start: begin, Duration: time.Since(begin),
 		})
 	}
-	return fl, stats, nil
+	return fl, nil
 }
 
 // patternOut is one mined pattern in rank space.

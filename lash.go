@@ -25,15 +25,21 @@
 //
 // # Cancellation, streaming, and progress
 //
-// Long runs are controlled through contexts: MineContext (and
-// Miner.MineContext) is Mine with a context.Context — cancel it and the
-// run aborts cooperatively, returning an error that matches ctx.Err()
-// under errors.Is. Stream (and Miner.Stream) delivers patterns
+// Long runs are controlled through contexts: MineContext is Mine with a
+// context.Context — cancel it and the run aborts cooperatively, returning
+// an error that matches ctx.Err() under errors.Is. Stream delivers patterns
 // incrementally through a callback as each partition's local mining
 // completes, instead of materializing the whole result; and
 // Options.Progress receives live phase/partition/shuffle updates while a
-// run is in flight. Mine is a thin context.Background() wrapper around
-// MineContext, so existing callers are unaffected.
+// run is in flight. Mine is MineContext under context.Background().
+//
+// # Parameter sweeps
+//
+// A Database snapshot keeps its item frequencies once a run has counted
+// them (§3.4 of the paper), so mining one snapshot again under a different
+// σ, γ or λ skips the preprocessing job: reuse is per snapshot and
+// automatic. Two runs on one *Database are therefore not independent —
+// build a fresh snapshot to force the job.
 package lash
 
 import (
@@ -416,7 +422,7 @@ type RunStats struct {
 // Mine runs the selected algorithm over the database. It is
 // MineContext(context.Background(), db, opt).
 func Mine(db *Database, opt Options) (*Result, error) {
-	return mine(context.Background(), db, opt, nil, nil)
+	return mine(context.Background(), db, opt, nil)
 }
 
 // MineContext runs the selected algorithm over the database under a
@@ -425,7 +431,7 @@ func Mine(db *Database, opt Options) (*Result, error) {
 // matching ctx.Err() (and the cancellation cause, if one was set) under
 // errors.Is. A context that is already done returns before any job runs.
 func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error) {
-	return mine(ctx, db, opt, nil, nil)
+	return mine(ctx, db, opt, nil)
 }
 
 // Stream mines like MineContext but delivers patterns incrementally: emit
@@ -441,13 +447,12 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 // full output to post-process (RestrictClosed, RestrictMaximal) are
 // rejected by ValidateStream, which Stream applies.
 func Stream(ctx context.Context, db *Database, opt Options, emit func(Pattern) error) (*Result, error) {
-	return mine(ctx, db, opt, nil, emit)
+	return mine(ctx, db, opt, emit)
 }
 
-// mine implements Mine, MineContext, and Stream; freqs optionally
-// short-circuits the preprocessing job for the LASH variants (see Miner),
-// and a non-nil emit selects the streaming path.
-func mine(ctx context.Context, db *Database, opt Options, freqs []int64, emit func(Pattern) error) (*Result, error) {
+// mine implements Mine, MineContext, and Stream; a non-nil emit selects the
+// streaming path.
+func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) error) (*Result, error) {
 	if db == nil || db.db == nil {
 		return nil, fmt.Errorf("lash: nil database (use NewDatabaseBuilder().Build())")
 	}
@@ -527,10 +532,13 @@ func mine(ctx context.Context, db *Database, opt Options, freqs []int64, emit fu
 	var (
 		res *core.Result
 		err error
+		// flistRetries and flistInjected are the preprocessing job's share
+		// of the run's fault-tolerance counters.
+		flistRetries, flistInjected int64
 	)
 	switch opt.Algorithm {
 	case AlgorithmLASH, AlgorithmLASHFlat, AlgorithmMGFSM:
-		co := core.Options{Params: params, Miner: opt.LocalMiner.kind(), MR: mr, Freqs: freqs, Stream: coreStream}
+		co := core.Options{Params: params, Miner: opt.LocalMiner.kind(), MR: mr, Stream: coreStream}
 		co.Flat = opt.Algorithm != AlgorithmLASH
 		if opt.Algorithm == AlgorithmMGFSM {
 			co.Miner = miner.KindBFS
@@ -545,6 +553,13 @@ func mine(ctx context.Context, db *Database, opt Options, freqs []int64, emit fu
 				return nil, fmt.Errorf("lash: Resume state is not valid for this database and options (want the State of a run on a snapshot this database descends from, with equal canonical options)")
 			}
 			co.Prev = opt.Resume.delta
+		} else {
+			// A delta run extends its state's item counts; every other run
+			// takes the snapshot's, counting them if it is the first.
+			co.Freqs, flistRetries, flistInjected, err = db.frequencies(ctx, co.Flat, mr)
+			if err != nil {
+				return nil, err
+			}
 		}
 		res, err = core.Mine(ctx, db.db, co)
 	case AlgorithmNaive:
@@ -606,12 +621,14 @@ func mine(ctx context.Context, db *Database, opt Options, freqs []int64, emit fu
 		out.Stats.TaskRetries = res.Jobs.Mine.TaskRetries
 		out.Stats.FaultsInjected = res.Jobs.Mine.FaultsInjected
 	}
+	// Preprocessing-job retries/faults count toward the run too (the mining
+	// job's other counters keep their main-job-only meaning). The semi-naïve
+	// baseline runs its own f-list job; the LASH variants' was counted above.
 	if res.Jobs.FList != nil {
-		// Preprocessing-job retries/faults count toward the run too (the
-		// mining job's other counters keep their main-job-only meaning).
-		out.Stats.TaskRetries += res.Jobs.FList.TaskRetries
-		out.Stats.FaultsInjected += res.Jobs.FList.FaultsInjected
+		flistRetries, flistInjected = res.Jobs.FList.TaskRetries, res.Jobs.FList.FaultsInjected
 	}
+	out.Stats.TaskRetries += flistRetries
+	out.Stats.FaultsInjected += flistInjected
 	return out, nil
 }
 

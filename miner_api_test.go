@@ -2,19 +2,30 @@ package lash_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lash"
 )
 
-// The Miner must reuse frequencies across parameter changes (§3.4) while
-// producing exactly the same results as one-shot Mine calls.
+// countFListJobs returns opt with a Progress hook that counts, into n, the
+// f-list jobs the runs it is passed to execute — how the tests observe the
+// per-snapshot frequency reuse (§3.4). The counter is atomic because hooks
+// of concurrent runs are not serialized against each other.
+func countFListJobs(opt lash.Options, n *atomic.Int64) lash.Options {
+	opt.Progress = func(e lash.ProgressEvent) {
+		if e.Job == "flist" && e.Phase == "done" {
+			n.Add(1)
+		}
+	}
+	return opt
+}
+
+// A snapshot must reuse its frequencies across parameter changes (§3.4)
+// while producing exactly the same results as runs on a fresh snapshot.
 func TestMinerFrequencyReuse(t *testing.T) {
 	db := paperDB(t)
-	m, err := lash.NewMiner(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var jobs atomic.Int64
 	sweeps := []lash.Options{
 		{MinSupport: 2, MaxGap: 1, MaxLength: 3},
 		{MinSupport: 3, MaxGap: 1, MaxLength: 3}, // different σ
@@ -22,81 +33,76 @@ func TestMinerFrequencyReuse(t *testing.T) {
 		{MinSupport: 2, MaxGap: 1, MaxLength: 2}, // different λ
 	}
 	for _, opt := range sweeps {
-		got, err := m.Mine(opt)
+		got, err := lash.Mine(db, countFListJobs(opt, &jobs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := lash.Mine(db, opt)
+		want, err := lash.Mine(paperDB(t), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if patternChecksum(got.Patterns) != patternChecksum(want.Patterns) {
-			t.Fatalf("cached run differs for %+v", opt)
+			t.Fatalf("run on reused frequencies differs for %+v", opt)
 		}
 	}
-	if m.FrequencyJobsRun() != 1 {
-		t.Fatalf("frequency job ran %d times across the sweep, want 1", m.FrequencyJobsRun())
+	if n := jobs.Load(); n != 1 {
+		t.Fatalf("f-list job ran %d times across the sweep, want 1", n)
 	}
-	// A flat-mode run needs (and caches) flat frequencies.
-	if _, err := m.Mine(lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3, Algorithm: lash.AlgorithmMGFSM}); err != nil {
-		t.Fatal(err)
+	// A flat-mode run needs (and the snapshot keeps) flat frequencies.
+	for _, alg := range []lash.Algorithm{lash.AlgorithmMGFSM, lash.AlgorithmLASHFlat} {
+		opt := lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3, Algorithm: alg}
+		if _, err := lash.Mine(db, countFListJobs(opt, &jobs)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := m.Mine(lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3, Algorithm: lash.AlgorithmLASHFlat}); err != nil {
-		t.Fatal(err)
-	}
-	if m.FrequencyJobsRun() != 2 {
-		t.Fatalf("flat frequency job not shared: %d runs", m.FrequencyJobsRun())
+	if n := jobs.Load(); n != 2 {
+		t.Fatalf("flat f-list job not shared: %d runs in total, want 2", n)
 	}
 }
 
-// Baselines pass through the Miner unchanged.
+// The baselines neither fill nor read the snapshot's frequencies: the
+// semi-naïve f-list job runs on every call, and leaves a later LASH run its
+// own to do.
 func TestMinerBaselinePassthrough(t *testing.T) {
 	db := paperDB(t)
-	m, err := lash.NewMiner(db)
-	if err != nil {
+	var jobs atomic.Int64
+	semi := countFListJobs(lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3, Algorithm: lash.AlgorithmSemiNaive}, &jobs)
+	for i := 0; i < 2; i++ {
+		res, err := lash.Mine(db, semi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPaperResult(t, res, "semi-naive on a shared snapshot")
+	}
+	if n := jobs.Load(); n != 2 {
+		t.Fatalf("semi-naive ran %d f-list jobs in 2 runs, want 2 (baselines do not read the cache)", n)
+	}
+	if _, err := lash.Mine(db, countFListJobs(lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3}, &jobs)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Mine(lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3, Algorithm: lash.AlgorithmSemiNaive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPaperResult(t, res, "miner semi-naive")
-	if m.FrequencyJobsRun() != 0 {
-		t.Fatal("baseline triggered frequency caching")
+	if n := jobs.Load(); n != 3 {
+		t.Fatalf("%d f-list jobs after the first LASH run, want 3 (baselines do not fill the cache)", n)
 	}
 }
 
-func TestMinerErrors(t *testing.T) {
-	if _, err := lash.NewMiner(nil); err == nil {
-		t.Error("nil database accepted")
-	}
-	db := paperDB(t)
-	m, err := lash.NewMiner(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Mine(lash.Options{MinSupport: 0, MaxLength: 3}); err == nil {
-		t.Error("invalid options accepted")
-	}
-}
-
-// Restrictions compose with the cached Miner.
+// Restrictions compose with reused frequencies.
 func TestMinerWithRestriction(t *testing.T) {
 	db := paperDB(t)
-	m, err := lash.NewMiner(db)
-	if err != nil {
+	opt := lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3}
+	if _, err := lash.Mine(db, opt); err != nil { // counts the frequencies
 		t.Fatal(err)
 	}
-	res, err := m.Mine(lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3, Restriction: lash.RestrictMaximal})
+	opt.Restriction = lash.RestrictMaximal
+	res, err := lash.Mine(db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range res.Patterns {
 		if strings.Join(p.Items, " ") == "a B" {
-			t.Fatal("non-maximal pattern survived restriction via Miner")
+			t.Fatal("non-maximal pattern survived restriction on reused frequencies")
 		}
 	}
 	if len(res.Patterns) == 0 {
-		t.Fatal("no maximal patterns via Miner")
+		t.Fatal("no maximal patterns on reused frequencies")
 	}
 }

@@ -2,22 +2,18 @@ package lash_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lash"
 )
 
-// A Miner is documented as safe for concurrent use: lashd can serve many
-// jobs against one database at once, and the first calls race to populate
-// the lazy frequency caches. Hammer Mine from many goroutines across
+// A snapshot is safe to mine from many goroutines at once: lashd serves
+// concurrent jobs against one database, and the first calls race to count
+// the lazily kept frequencies. Hammer Mine from many goroutines across
 // algorithms and parameters; run under -race this catches any unguarded
 // access to the caches, and the checksums catch torn results.
 func TestMinerConcurrentMine(t *testing.T) {
-	db := paperDB(t)
-	m, err := lash.NewMiner(db)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := []lash.Options{
 		{MinSupport: 2, MaxGap: 1, MaxLength: 3},
 		{MinSupport: 3, MaxGap: 1, MaxLength: 3},
@@ -28,13 +24,15 @@ func TestMinerConcurrentMine(t *testing.T) {
 	}
 	want := make([]uint64, len(opts))
 	for i, opt := range opts {
-		res, err := lash.Mine(db, opt)
+		res, err := lash.Mine(paperDB(t), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = patternChecksum(res.Patterns)
 	}
 
+	db := paperDB(t) // the shared snapshot starts cold
+	var jobs atomic.Int64
 	const goroutines = 8
 	const iters = 5
 	var wg sync.WaitGroup
@@ -45,7 +43,7 @@ func TestMinerConcurrentMine(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				i := (g + it) % len(opts)
-				res, err := m.Mine(opts[i])
+				res, err := lash.Mine(db, countFListJobs(opts[i], &jobs))
 				if err != nil {
 					errc <- err
 					return
@@ -62,8 +60,8 @@ func TestMinerConcurrentMine(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	// The frequency jobs must still have run at most once per hierarchy mode.
-	if n := m.FrequencyJobsRun(); n > 2 {
-		t.Fatalf("frequency job ran %d times under concurrency, want ≤ 2", n)
+	// The f-list job must have run exactly once per hierarchy mode.
+	if n := jobs.Load(); n != 2 {
+		t.Fatalf("f-list job ran %d times under concurrency, want 2", n)
 	}
 }

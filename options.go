@@ -6,7 +6,7 @@ import (
 )
 
 // Validate checks that o is a well-formed mining configuration and returns a
-// descriptive error for the first violated constraint. Mine and Miner.Mine
+// descriptive error for the first violated constraint. Mine and MineContext
 // call it before doing any work; servers can call it earlier to reject bad
 // requests at the API boundary.
 func (o Options) Validate() error {
@@ -67,7 +67,7 @@ func (o Options) Validate() error {
 }
 
 // ValidateStream checks that o is a well-formed configuration for a
-// streaming run (Stream and Miner.Stream call it): everything Validate
+// streaming run (Stream calls it): everything Validate
 // checks, plus the restrictions that post-process the full pattern set —
 // RestrictClosed and RestrictMaximal — are rejected, because a streaming
 // run never materializes that set, and so is Resume, which splices

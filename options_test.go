@@ -2,6 +2,7 @@ package lash_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lash"
@@ -192,22 +193,22 @@ func TestParseHelpers(t *testing.T) {
 	}
 }
 
-// TestMinerValidates ensures the frequency-reusing Miner rejects invalid
-// options before running any job.
+// TestMinerValidates ensures invalid options are rejected before any job
+// runs — the snapshot's frequencies are not counted on their behalf.
 func TestMinerValidates(t *testing.T) {
 	db, err := lash.NewDatabaseBuilder().AddSequence("a", "b").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := lash.NewMiner(db)
-	if err != nil {
+	var jobs atomic.Int64
+	if _, err := lash.Mine(db, countFListJobs(lash.Options{MinSupport: 1, MaxLength: 1}, &jobs)); err == nil {
+		t.Error("Mine accepted MaxLength 1")
+	}
+	if _, err := lash.Mine(db, countFListJobs(lash.Options{MinSupport: 1, MaxLength: 2}, &jobs)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Mine(lash.Options{MinSupport: 1, MaxLength: 1}); err == nil {
-		t.Error("Miner.Mine accepted MaxLength 1")
-	}
-	if m.FrequencyJobsRun() != 0 {
-		t.Error("invalid options still ran a frequency job")
+	if n := jobs.Load(); n != 1 {
+		t.Errorf("%d f-list jobs after an invalid and a valid run, want 1 (the valid run's)", n)
 	}
 }
 

@@ -396,11 +396,11 @@ func TestSubscribeSurvivesAppend(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{
 		// Async jobs park until shutdown so the subscription always finds
 		// them in flight; the feeders do the actual delivering.
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
-			<-ctx.Done()
-			return nil, ctx.Err()
-		},
-		StreamFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+			if emit == nil {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
 			if db.NumSequences() == baseSeqs { // feeder for the version-1 run
 				for _, p := range patsA {
 					if err := emit(p); err != nil {

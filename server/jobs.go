@@ -49,8 +49,9 @@ type JobStats struct {
 	// Cancelled counts jobs cancelled via DELETE /v1/jobs/{id} or server
 	// shutdown before completing.
 	Cancelled uint64 `json:"cancelled"`
-	// Streams counts streaming mining runs (POST /v1/mine/stream); they
-	// also count into MinesRun when mining actually starts.
+	// Streams counts streaming runs (POST /v1/mine/stream and subscribe
+	// feeders); they are jobs too, so they also count into Submitted, into
+	// MinesRun when mining actually starts, and into one terminal counter.
 	Streams uint64 `json:"streams"`
 	// QueueTimeMS and RunTimeMS split what used to be reported as one
 	// mine_time_ms field: cumulative milliseconds finished runs spent
@@ -67,16 +68,19 @@ type JobStats struct {
 	Running      int    `json:"running"`
 }
 
-// job is one asynchronous mining run. Fields past `cancelCause` are guarded
-// by the owning manager's mutex; done is closed exactly once when the job
-// reaches a terminal status. ctx is derived from the manager's base context
-// at submission, so server shutdown cancels every job, and DELETE
+// job is one mining run. Fields past `cancelCause` are guarded by the owning
+// manager's mutex; done is closed exactly once when the job reaches a
+// terminal status. Server shutdown cancels every job's ctx, and DELETE
 // /v1/jobs/{id} cancels one.
 type job struct {
-	id          string
-	key         string
-	dbName      string
-	version     int // corpus version the job mines (immutable snapshot)
+	id      string
+	key     string
+	dbName  string
+	version int // corpus version the job mines (immutable snapshot)
+	// stream marks a streaming run (POST /v1/mine/stream or a subscribe
+	// feeder): it delivers its patterns as it mines instead of keeping a
+	// result, so it bypasses the cache, singleflight and resume states.
+	stream      bool
 	options     lash.Options
 	done        chan struct{}
 	ctx         context.Context
@@ -92,31 +96,37 @@ type job struct {
 	finished  time.Time
 }
 
-// MineFunc runs one blocking mining job under a context.
-type MineFunc func(context.Context, *lash.Database, lash.Options) (*lash.Result, error)
+// MineFunc runs one blocking mining run under a context: a batch run
+// (lash.MineContext's contract) when emit is nil, a streaming run delivering
+// its patterns through emit (lash.Stream's contract) otherwise.
+type MineFunc func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error)
 
-// StreamFunc runs one streaming mining job under a context, delivering
-// patterns through emit (lash.Stream's contract).
-type StreamFunc func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error)
+// mine is the default MineFunc.
+func mine(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+	if emit == nil {
+		return lash.MineContext(ctx, db, opt)
+	}
+	return lash.Stream(ctx, db, opt, emit)
+}
 
 // manager runs mining jobs on a bounded worker pool. Identical in-flight
 // requests (same database, same canonical options) coalesce onto one job,
 // and finished results land in an LRU cache so repeats skip mining
 // entirely.
 type manager struct {
-	mineFn   MineFunc
-	streamFn StreamFunc
-	cache    *resultCache
-	met      *serverMetrics // all manager counters live here, never locally
-	log      *slog.Logger
-	sem      chan struct{} // worker slots
-	wg       sync.WaitGroup
-	baseCtx  context.Context
-	cancel   context.CancelCauseFunc
+	mineFn  MineFunc
+	cache   *resultCache
+	met     *serverMetrics // all manager counters live here, never locally
+	log     *slog.Logger
+	sem     chan struct{} // worker slots
+	wg      sync.WaitGroup
+	baseCtx context.Context
+	cancel  context.CancelCauseFunc
 
 	// Robustness knobs, set once by New before the manager serves anything.
-	// maxQueue bounds the fresh-job backlog (0 = unbounded): submissions
-	// that would queue past it are refused with errOverloaded. maxJobTime
+	// maxQueue bounds the backlog of runs waiting for a worker slot (0 =
+	// unbounded): jobs, streams and subscribe feeders that would queue past
+	// it are refused with errOverloaded. maxJobTime
 	// caps every run's Options.Deadline (0 = uncapped): a request may set a
 	// tighter deadline, never a looser one. faults arms the run-level
 	// injection points of every mine (nil in production).
@@ -161,7 +171,7 @@ var (
 	errOverloaded = errors.New("server overloaded")
 )
 
-func newManager(workers int, cacheBytes int64, maxJobs int, mineFn MineFunc, streamFn StreamFunc, met *serverMetrics, logger *slog.Logger) *manager {
+func newManager(workers int, cacheBytes int64, maxJobs int, mineFn MineFunc, met *serverMetrics, logger *slog.Logger) *manager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -171,7 +181,6 @@ func newManager(workers int, cacheBytes int64, maxJobs int, mineFn MineFunc, str
 	cache.instrument(met.cacheHits, met.cacheMisses, met.cacheEvictions)
 	return &manager{
 		mineFn:   mineFn,
-		streamFn: streamFn,
 		cache:    cache,
 		met:      met,
 		log:      logger,
@@ -219,23 +228,21 @@ func (m *manager) applyPolicies(opt lash.Options) lash.Options {
 // submit registers a mining request and returns the job that answers it.
 // Three paths, checked in order: a cached result yields an already-done job
 // without mining; an identical in-flight job absorbs the request
-// (singleflight); otherwise a fresh job is queued on the worker pool —
-// unless the queue is at its admission bound, which refuses the request
-// with errOverloaded (429) instead of letting the backlog grow unbounded.
+// (singleflight); otherwise a fresh job passes admission and is queued on
+// the worker pool.
 func (m *manager) submit(ctx context.Context, dbName string, db *lash.Database, opt lash.Options) (*job, error) {
-	opt = m.applyPolicies(opt)
 	version := db.Version()
 	key := jobKey(dbName, version, opt)
 	reqID := requestIDFrom(ctx)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
+	if m.closed { // a draining server refuses even what it could answer
 		return nil, errShutdown
 	}
 
 	if res, ok := m.cache.get(key); ok {
-		j := m.newJobLocked(key, dbName, version, opt)
+		j := m.newJobLocked(m.baseCtx, key, dbName, version, opt)
 		j.status = JobDone
 		j.cached = true
 		j.result = res
@@ -257,38 +264,60 @@ func (m *manager) submit(ctx context.Context, dbName string, db *lash.Database, 
 		return running, nil
 	}
 
-	// Admission control: only now would a fresh job join the queue. Cache
-	// hits and coalesced submits are always admitted above — they cost no
-	// queue slot — so saturation never degrades already-answerable requests.
+	// Only now would a fresh job join the queue. Cache hits and coalesced
+	// submits are always admitted above — they cost no queue slot — so
+	// saturation never degrades already-answerable requests.
+	j, err := m.admitLocked(m.baseCtx, reqID, key, dbName, version, opt, false)
+	if err != nil {
+		return nil, err
+	}
+	// Resume from the previous version's state when one is valid for this
+	// snapshot, so an append re-mines only the partitions it dirties (finish
+	// stores every run's Result.State for the next one). Resume does not
+	// affect the job key or the cached result — Canonical zeroes it, and a
+	// delta run is differentially identical to a cold one.
+	if s, ok := m.states[stateKey(dbName, opt)]; ok && s.ValidFor(db, opt) {
+		j.options.Resume = s
+	}
+	m.inflight[key] = j
+	go m.run(j, db, nil)
+	return j, nil
+}
+
+// admitLocked is the one admission step of every fresh run — batch job,
+// stream, or subscribe feeder: a draining manager refuses it with
+// errShutdown and a full queue with errOverloaded (429) instead of letting
+// the backlog grow unbounded; otherwise the run gets its record, queued and
+// counted, with the server's policies applied to its options. parent is the
+// context the run dies with. The caller holds m.mu and must hand the job to
+// run, which releases the wait-group count taken here.
+func (m *manager) admitLocked(parent context.Context, reqID, key, dbName string, version int, opt lash.Options, stream bool) (*job, error) {
+	if m.closed {
+		return nil, errShutdown
+	}
 	if m.maxQueue > 0 {
 		if queued := int(m.met.jobsQueued.Value()); queued >= m.maxQueue {
 			return nil, fmt.Errorf("%w: %d jobs queued (bound %d)", errOverloaded, queued, m.maxQueue)
 		}
 	}
-
-	// Fresh job: resume from the previous version's state when one is valid
-	// for this snapshot, so an append re-mines only the partitions it
-	// dirties (finish stores every run's Result.State for the next one).
-	// Resume does not affect the job key or the cached result — Canonical
-	// zeroes it, and a delta run is differentially identical to a cold one.
-	if s, ok := m.states[stateKey(dbName, opt)]; ok && s.ValidFor(db, opt) {
-		opt.Resume = s
-	}
-	j := m.newJobLocked(key, dbName, version, opt)
-	m.met.jobsSubmitted.Inc()
+	j := m.newJobLocked(parent, key, dbName, version, m.applyPolicies(opt))
+	j.stream = stream
 	j.status = JobQueued
-	m.inflight[key] = j
+	m.met.jobsSubmitted.Inc()
 	m.met.jobsQueued.Inc()
-	m.log.Info("job queued", "job_id", j.id, "request_id", reqID, "database", dbName)
+	if stream {
+		m.met.streams.Inc()
+	}
 	m.wg.Add(1)
-	go m.run(j, db)
+	m.log.Info("job queued", "job_id", j.id, "request_id", reqID, "database", dbName, "stream", stream)
 	return j, nil
 }
 
 // newJobLocked allocates and registers a job record, pruning the oldest
 // terminal records past the retention bound so a long-running server does
-// not accumulate every result ever mined. Caller holds m.mu.
-func (m *manager) newJobLocked(key, dbName string, version int, opt lash.Options) *job {
+// not accumulate every result ever mined. The job's context derives from
+// parent. Caller holds m.mu.
+func (m *manager) newJobLocked(parent context.Context, key, dbName string, version int, opt lash.Options) *job {
 	m.nextID++
 	j := &job{
 		id:      fmt.Sprintf("job-%d", m.nextID),
@@ -299,7 +328,7 @@ func (m *manager) newJobLocked(key, dbName string, version int, opt lash.Options
 		done:    make(chan struct{}),
 		created: time.Now().UTC(),
 	}
-	j.ctx, j.cancelCause = context.WithCancelCause(m.baseCtx)
+	j.ctx, j.cancelCause = context.WithCancelCause(parent)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	if m.maxJobs > 0 && len(m.order) > m.maxJobs {
@@ -331,18 +360,21 @@ func (m *manager) newJobLocked(key, dbName string, version int, opt lash.Options
 	return j
 }
 
-// run executes one job on a worker slot. The job's context — derived from
-// the manager's base context and cancellable via DELETE /v1/jobs/{id} —
-// covers both the wait for a slot and the mining itself.
-func (m *manager) run(j *job, db *lash.Database) {
+// run executes one job on a worker slot — the only place one is acquired —
+// and returns what finish was told. The job's context covers both the wait
+// for the slot and the mining itself. Batch jobs run on their own goroutine
+// with a nil emit; a stream runs on its caller's, which passes the emit it
+// delivers through (it is never stored).
+func (m *manager) run(j *job, db *lash.Database, emit func(lash.Pattern) error) (*lash.Result, error) {
 	defer m.wg.Done()
 	defer j.cancelCause(nil) // release the context's resources
 
 	select {
 	case m.sem <- struct{}{}:
 	case <-j.ctx.Done():
-		m.finish(j, nil, causeOf(j.ctx))
-		return
+		err := causeOf(j.ctx)
+		m.finish(j, nil, err)
+		return nil, err
 	}
 	defer func() { <-m.sem }()
 
@@ -350,7 +382,7 @@ func (m *manager) run(j *job, db *lash.Database) {
 	if m.closed {
 		m.mu.Unlock()
 		m.finish(j, nil, errShutdown)
-		return
+		return nil, errShutdown
 	}
 	j.status = JobRunning
 	j.started = time.Now().UTC()
@@ -367,9 +399,10 @@ func (m *manager) run(j *job, db *lash.Database) {
 		"queued_ms", j.started.Sub(j.created).Milliseconds())
 
 	res, err := safeMine(func() (*lash.Result, error) {
-		return m.mineFn(j.ctx, db, j.options)
+		return m.mineFn(j.ctx, db, j.options, emit)
 	})
 	m.finish(j, res, err)
+	return res, err
 }
 
 // causeOf resolves a done context into its most specific error: the
@@ -396,11 +429,12 @@ func safeMine(fn func() (*lash.Result, error)) (res *lash.Result, err error) {
 	return fn()
 }
 
-// finish moves a job to its terminal status, publishes the result to the
-// cache, and wakes all waiters — including every request that coalesced
-// onto the job. A run that ended because the job's context was cancelled —
-// by DELETE /v1/jobs/{id} or by server shutdown — lands in JobCancelled,
-// not JobFailed.
+// finish moves a job to its terminal status — the only place a run's
+// outcome is decided and counted — publishes a batch job's result to the
+// cache, and wakes all waiters, including every request that coalesced onto
+// the job. A run that ended because the job's context was cancelled — by
+// DELETE /v1/jobs/{id}, by server shutdown, or by a stream's client going
+// away — lands in JobCancelled, not JobFailed.
 func (m *manager) finish(j *job, res *lash.Result, err error) {
 	m.mu.Lock()
 	j.finished = time.Now().UTC()
@@ -420,10 +454,13 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 	switch {
 	case err == nil:
 		j.status = JobDone
-		j.result = res
 		m.met.jobsCompleted.Inc()
 		m.met.spilledRuns.Add(res.Stats.SpillRuns)
 		m.met.spilledBytes.Add(res.Stats.SpillBytes)
+		if j.stream {
+			break // delivered as it was mined; nothing to keep or serve
+		}
+		j.result = res
 		// The result enters the cache immediately, charged at an estimate,
 		// so an identical resubmission in the next instant is a hit rather
 		// than a re-mine. The serving index is built asynchronously — off
@@ -442,7 +479,7 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 		}
 		m.wg.Add(1)
 		go m.buildIndex(j.key, res)
-	case wasCancelled(j.ctx, err):
+	case wasCancelled(j, err):
 		j.status = JobCancelled
 		j.err = err
 		m.met.jobsCancelled.Inc()
@@ -457,7 +494,9 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 			m.met.jobsDeadline.Inc()
 		}
 	}
-	delete(m.inflight, j.key)
+	if !j.stream { // a stream never took the singleflight slot of its key
+		delete(m.inflight, j.key)
+	}
 	close(j.done)
 	status, jerr := j.status, j.err
 	m.mu.Unlock()
@@ -489,15 +528,21 @@ func (m *manager) buildIndex(key string, res *lash.Result) {
 // cancelled rather than mining failing on its own: the cancel sentinels in
 // the error chain directly, or a context.Canceled whose job context was
 // cancelled by DELETE or shutdown. (A MineFunc may surface either the
-// plain ctx error or the substrate's cause-carrying wrap.)
-func wasCancelled(ctx context.Context, err error) bool {
+// plain ctx error or the substrate's cause-carrying wrap.) A stream's
+// context also dies with its request, and there any error counts: a
+// disconnect can surface as the NDJSON write error, because the emit error
+// takes precedence over the context error in lash.Stream.
+func wasCancelled(j *job, err error) bool {
 	if errors.Is(err, errJobCancelled) || errors.Is(err, errShutdown) {
 		return true
+	}
+	if j.stream {
+		return j.ctx.Err() != nil
 	}
 	if !errors.Is(err, context.Canceled) {
 		return false
 	}
-	cause := context.Cause(ctx)
+	cause := context.Cause(j.ctx)
 	return errors.Is(cause, errJobCancelled) || errors.Is(cause, errShutdown)
 }
 
@@ -537,83 +582,21 @@ func (m *manager) cancelJob(id string) (*job, error) {
 	return j, nil
 }
 
-// stream runs one streaming mining request under the manager's worker
-// bound. Streaming runs are not jobs: they bypass the cache and
-// singleflight (their results are never materialized), but they hold a
-// worker slot, count into the stats, and participate in shutdown draining
-// — closing the manager cancels their context.
-func (m *manager) stream(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
-	opt = m.applyPolicies(opt)
+// stream runs one streaming mining request as a job on the caller's
+// goroutine: admitted, listed, cancellable and counted like any other, it
+// waits for a worker slot and mines under the request's context — a client
+// that goes away cancels it, as does closing the manager — delivering its
+// patterns through emit.
+func (m *manager) stream(ctx context.Context, dbName string, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, errShutdown
-	}
-	m.met.jobsSubmitted.Inc()
-	m.met.streams.Inc()
-	m.wg.Add(1)
+	j, err := m.admitLocked(ctx, requestIDFrom(ctx), jobKey(dbName, db.Version(), opt), dbName, db.Version(), opt, true)
 	m.mu.Unlock()
-	defer m.wg.Done()
-	reqID := requestIDFrom(ctx)
-	m.log.Info("stream accepted", "request_id", reqID, "options", opt.CacheKey())
-
-	sctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	stopWatch := context.AfterFunc(m.baseCtx, func() { cancel(errShutdown) })
-	defer stopWatch()
-
-	// A stream cancelled (client gone, shutdown) while it waits for a slot
-	// never mines, but it ends like any other: the switch below counts it,
-	// so submitted stays the sum of the terminal counters once idle.
-	var (
-		res *lash.Result
-		err error
-		ran time.Duration
-	)
-	wait := time.Now()
-	select {
-	case m.sem <- struct{}{}:
-		defer func() { <-m.sem }()
-	case <-sctx.Done():
-		err = causeOf(sctx)
+	if err != nil {
+		return nil, err
 	}
-	m.met.queueSeconds.Observe(time.Since(wait).Seconds())
-	if err == nil {
-		m.met.minesRun.Inc()
-		// Feed the same process-wide pipeline families the async jobs feed.
-		opt.Metrics = m.met.pm
-		start := time.Now()
-		res, err = safeMine(func() (*lash.Result, error) {
-			return m.streamFn(sctx, db, opt, emit)
-		})
-		ran = time.Since(start)
-		m.met.runSeconds.Observe(ran.Seconds())
-	}
-	if res != nil {
-		m.met.spilledRuns.Add(res.Stats.SpillRuns)
-		m.met.spilledBytes.Add(res.Stats.SpillBytes)
-	}
-	outcome := "done"
-	switch {
-	case err == nil:
-		m.met.jobsCompleted.Inc()
-	case errors.Is(err, context.Canceled) || errors.Is(err, errShutdown) || sctx.Err() != nil:
-		// The client went away or the server is draining — the run was
-		// cancelled, mining did not fail. The sctx check also catches a
-		// disconnect surfacing as the NDJSON write error (the emit error
-		// takes precedence over the context error in lash.Stream).
-		m.met.jobsCancelled.Inc()
-		outcome = "cancelled"
-	default:
-		m.met.jobsFailed.Inc()
-		if errors.Is(err, lash.ErrDeadlineExceeded) {
-			m.met.jobsDeadline.Inc()
-		}
-		outcome = "failed"
-	}
-	m.log.Info("stream finished", "request_id", reqID, "status", outcome,
-		"run_ms", ran.Milliseconds())
-	return res, err
+	stop := context.AfterFunc(m.baseCtx, func() { j.cancelCause(errShutdown) })
+	defer stop()
+	return m.run(j, db, emit)
 }
 
 // get returns the job with the given id.

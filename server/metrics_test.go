@@ -118,6 +118,25 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metric %s is zero or missing after a spill-mode job", name)
 		}
 	}
+
+	// A threshold sweep over the registered snapshot counts its item
+	// frequencies once (§3.4): three mines, three rank-space builds, one
+	// f-list job.
+	for _, sigma := range []int{3, 4} {
+		opts := testOptions()
+		opts["min_support"] = sigma
+		if status, body := call(t, "POST", ts.URL+"/v1/mine",
+			map[string]any{"database": "db", "options": opts, "wait": true}); status != http.StatusOK || body["status"] != "done" {
+			t.Fatalf("mine at min_support %d: status %d body %v", sigma, status, body)
+		}
+	}
+	text = scrapeMetrics(t, ts)
+	if n := sampleSum(text, `lash_phase_duration_seconds_count{job="flist",phase="map"}`); n != 1 {
+		t.Errorf("f-list job ran %v times across a three-mine sweep of one database, want 1", n)
+	}
+	if n := sampleSum(text, "lash_flist_build_seconds_count"); n != 3 {
+		t.Errorf("lash_flist_build_seconds_count = %v after three mines, want 3", n)
+	}
 }
 
 // typeLines extracts the sorted family catalog ("name kind") of an

@@ -196,7 +196,7 @@ func (s *Server) resolvePatternsJob(w http.ResponseWriter, v url.Values) (*job, 
 			writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", errJobMissing, id))
 			return nil, false
 		}
-		if status, done := j.terminal(); !done || status != JobDone {
+		if status, done := j.terminal(); !done || status != JobDone || j.stream {
 			writeError(w, http.StatusConflict, fmt.Errorf("job %s has no result (status %s)", id, s.jobs.view(j).Status))
 			return nil, false
 		}

@@ -79,7 +79,7 @@ func TestShutdownDrainRefusesSubmissions(t *testing.T) {
 	gate := make(chan struct{})
 	srv, ts := newTestServer(t, server.Config{
 		Workers: 1,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			<-gate
 			return lash.Mine(db, opt)
 		},
@@ -147,70 +147,95 @@ func TestShutdownDrainRefusesSubmissions(t *testing.T) {
 	}
 }
 
-// TestQueueBoundAdmission: submissions that would queue a fresh job past
-// MaxQueue are refused with 429 + Retry-After, while coalescible and
-// cached submissions are still admitted — saturation never degrades
-// requests that cost no queue slot.
+// TestQueueBoundAdmission: runs that would wait for a worker slot past
+// MaxQueue — jobs, streams and subscribe feeders alike — are refused with
+// 429 + Retry-After, whichever kind filled the queue, while coalescible
+// submissions are still admitted — saturation never degrades requests that
+// cost no queue slot.
 func TestQueueBoundAdmission(t *testing.T) {
-	gate := make(chan struct{})
-	defer close(gate)
-	_, ts := newTestServer(t, server.Config{
-		Workers:  1,
-		MaxQueue: 1,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
-			<-gate
-			return lash.Mine(db, opt)
-		},
-	})
-	mustRegister(t, ts, testSpec("paper"))
+	for _, filler := range []string{"job", "stream"} {
+		t.Run(filler+" fills the queue", func(t *testing.T) {
+			gate := make(chan struct{})
+			_, ts := newTestServer(t, server.Config{
+				Workers:  1,
+				MaxQueue: 1,
+				MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+					<-gate
+					return lash.Mine(db, opt)
+				},
+			})
+			mustRegister(t, ts, testSpec("paper"))
 
-	distinct := func(maxLength int) map[string]any {
-		opts := testOptions()
-		opts["max_length"] = maxLength
-		return map[string]any{"database": "paper", "options": opts}
-	}
+			distinct := func(maxLength int) map[string]any {
+				opts := testOptions()
+				opts["max_length"] = maxLength
+				return map[string]any{"database": "paper", "options": opts}
+			}
+			waitForStat := func(name string) {
+				t.Helper()
+				waitUntil(t, "stats "+name+" to reach 1", func() bool { return jobStats(t, ts)[name].(float64) == 1 })
+			}
 
-	// Job A occupies the single worker...
-	status, a := call(t, "POST", ts.URL+"/v1/mine", distinct(3))
-	if status != http.StatusAccepted {
-		t.Fatalf("job A: %d %v", status, a)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, stats := call(t, "GET", ts.URL+"/v1/stats", nil)
-		if stats["jobs"].(map[string]any)["running"].(float64) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job A never started running")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+			// Job A occupies the single worker...
+			status, a := call(t, "POST", ts.URL+"/v1/mine", distinct(3))
+			if status != http.StatusAccepted {
+				t.Fatalf("job A: %d %v", status, a)
+			}
+			waitForStat("running")
 
-	// ...job B fills the queue...
-	status, b := call(t, "POST", ts.URL+"/v1/mine", distinct(4))
-	if status != http.StatusAccepted {
-		t.Fatalf("job B: %d %v", status, b)
-	}
+			// ...run B — a job, or a stream waiting for the slot — fills the
+			// queue...
+			var b map[string]any
+			streamDone := make(chan struct{})
+			if filler == "job" {
+				if status, b = call(t, "POST", ts.URL+"/v1/mine", distinct(4)); status != http.StatusAccepted {
+					t.Fatalf("job B: %d %v", status, b)
+				}
+				close(streamDone)
+			} else {
+				go func() {
+					defer close(streamDone)
+					if status, lines := streamLines(t, ts.URL, distinct(4)); status != http.StatusOK {
+						t.Errorf("stream B: %d %v", status, lines)
+					}
+				}()
+				waitForStat("queued")
+			}
+			defer func() { // release A, then B, and let the stream's request end
+				close(gate)
+				<-streamDone
+			}()
 
-	// ...so a third distinct job is refused with 429 + Retry-After.
-	resp, body := callRaw(t, "POST", ts.URL+"/v1/mine", distinct(5))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("job C: %d %v, want 429", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 carries no Retry-After header")
-	}
+			// ...so a third distinct job, a stream, and the feeder a live
+			// subscription to job A needs are refused: 429 + Retry-After for
+			// the first two, no live tail (here: nothing to serve at all)
+			// for the subscriber.
+			for _, path := range []string{"/v1/mine", "/v1/mine/stream"} {
+				resp, body := callRaw(t, "POST", ts.URL+path, distinct(5))
+				if resp.StatusCode != http.StatusTooManyRequests {
+					t.Fatalf("POST %s with a full queue: %d %v, want 429", path, resp.StatusCode, body)
+				}
+				if resp.Header.Get("Retry-After") == "" {
+					t.Errorf("POST %s: 429 carries no Retry-After header", path)
+				}
+			}
+			if resp, body := callRaw(t, "GET", ts.URL+"/v1/patterns/subscribe?db=paper", nil); resp.StatusCode != http.StatusNotFound {
+				t.Errorf("subscribe with a full queue: %d %v, want 404 (feeder refused, nothing completed)", resp.StatusCode, body)
+			}
 
-	// The saturated queue also flips readiness.
-	if resp, _ := callRaw(t, "GET", ts.URL+"/readyz", nil); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz with saturated queue: %d, want 503", resp.StatusCode)
-	}
+			// The saturated queue also flips readiness.
+			if resp, _ := callRaw(t, "GET", ts.URL+"/readyz", nil); resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("readyz with saturated queue: %d, want 503", resp.StatusCode)
+			}
 
-	// A repeat of job B's request coalesces — no queue slot, still admitted.
-	status, coalesced := call(t, "POST", ts.URL+"/v1/mine", distinct(4))
-	if status != http.StatusAccepted || coalesced["job_id"] != b["job_id"] {
-		t.Fatalf("coalescible submit during saturation: %d %v, want job %v", status, coalesced, b["job_id"])
+			// A repeat of job B's request coalesces — no queue slot, still admitted.
+			if filler == "job" {
+				status, coalesced := call(t, "POST", ts.URL+"/v1/mine", distinct(4))
+				if status != http.StatusAccepted || coalesced["job_id"] != b["job_id"] {
+					t.Fatalf("coalescible submit during saturation: %d %v, want job %v", status, coalesced, b["job_id"])
+				}
+			}
+		})
 	}
 }
 
@@ -295,7 +320,7 @@ func TestDeadlineJobFailsFast(t *testing.T) {
 func TestDeadlinePreExpiredJob(t *testing.T) {
 	var mined bool
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			mined = true // reached only if the deadline were ignored
 			return lash.MineContext(ctx, db, opt)
 		},
@@ -331,7 +356,7 @@ func TestRequestDeadlineCappedByServer(t *testing.T) {
 		// reaching the MineFunc. Disable caching so every submit runs.
 		CacheBytes: -1,
 		MaxJobTime: 50 * time.Millisecond,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			got = opt
 			return lash.MineContext(ctx, db, opt)
 		},

@@ -4,9 +4,10 @@
 //   - a database registry that loads named sequence databases once (from
 //     server-side files, inline request payloads, or the built-in synthetic
 //     generators) and shares the immutable *lash.Database across requests;
-//   - a job manager that runs lash.Mine asynchronously on a bounded worker
-//     pool, coalescing identical in-flight requests onto a single run
-//     (singleflight);
+//   - a job manager that runs every mine — asynchronous batch job, stream,
+//     or subscribe feeder — through one admission step and one lifecycle on
+//     a bounded worker pool, coalescing identical in-flight batch requests
+//     onto a single run (singleflight);
 //   - an LRU result cache keyed by database + canonical options, so repeated
 //     queries are answered without re-mining.
 //
@@ -17,10 +18,10 @@
 //	GET    /v1/databases/{name}   one database's metadata
 //	POST   /v1/databases/{name}/sequences  append sequences; installs the next corpus version
 //	POST   /v1/mine               submit a mining job (MineRequest)
-//	POST   /v1/mine/stream        mine and stream patterns as NDJSON
-//	GET    /v1/jobs               list jobs
-//	GET    /v1/jobs/{id}          poll one job; includes the result when done
-//	DELETE /v1/jobs/{id}          cancel a queued or running job
+//	POST   /v1/mine/stream        mine and stream patterns as NDJSON (a job like any other)
+//	GET    /v1/jobs               list jobs, streams included ("stream": true)
+//	GET    /v1/jobs/{id}          poll one job; includes the result when done (streams keep none)
+//	DELETE /v1/jobs/{id}          cancel a queued or running job or stream
 //	GET    /v1/patterns           query a database's latest mined patterns
 //	GET    /v1/patterns/subscribe replay mined patterns, then follow a live run (NDJSON)
 //	GET    /v1/stats              registry / job / cache counters
@@ -30,7 +31,8 @@
 //
 // Robustness: every run can carry a deadline (deadline_ms, capped by
 // Config.MaxJobTime) and a task-retry budget (max_attempts); the manager
-// refuses submissions past its queue bound and rate-limits per client,
+// refuses runs — jobs, streams and subscribe feeders alike — that would
+// wait for a worker past its queue bound, and rate-limits per client,
 // answering 429 with Retry-After in both cases. Shutdown flips /readyz to
 // 503 immediately and refuses new submissions with 503 + Retry-After while
 // in-flight jobs drain.
@@ -73,7 +75,7 @@ type Config struct {
 	// CacheBytes is the result cache's byte budget (default 256 MiB;
 	// negative disables caching). Every cached result is charged its
 	// serving index's exact SizeBytes plus an estimate of the raw result,
-	// and the 8-way sharded LRU evicts once over budget.
+	// and the LRU evicts once over budget.
 	CacheBytes int64
 	// JobHistory bounds the retained job records (default 1024; negative
 	// retains everything). Once past the bound, the oldest finished jobs
@@ -83,12 +85,10 @@ type Config struct {
 	// DataDir, when non-empty, enables file-based DatabaseSpecs resolved
 	// relative to this directory.
 	DataDir string
-	// MineFunc replaces lash.MineContext; tests use it to observe and
-	// stall mining runs. It must honor ctx cancellation.
+	// MineFunc replaces lash.MineContext (and, for streaming runs,
+	// lash.Stream); tests use it to observe and stall mining runs and to
+	// script streamed deliveries. It must honor ctx cancellation.
 	MineFunc MineFunc
-	// StreamFunc replaces lash.Stream for POST /v1/mine/stream; tests use
-	// it to script streamed deliveries. It must honor ctx cancellation.
-	StreamFunc StreamFunc
 	// Logger receives structured request and job-lifecycle logs. Every
 	// record carries the ids needed to correlate them: request_id for HTTP
 	// requests, job_id for jobs, both where a request touches a job. Nil
@@ -99,10 +99,10 @@ type Config struct {
 	// never loosen it; runs past it fail with a timeout error counted by
 	// lash_jobs_deadline_exceeded_total.
 	MaxJobTime time.Duration
-	// MaxQueue, when positive, bounds the fresh-job backlog (lashd
-	// -max-queue): submissions that would queue past it are refused with
-	// 429 + Retry-After. Cache hits and coalesced submissions are always
-	// admitted — they cost no queue slot.
+	// MaxQueue, when positive, bounds the backlog of runs waiting for a
+	// worker (lashd -max-queue): jobs, streams and subscribe feeders that
+	// would queue past it are refused with 429 + Retry-After. Cache hits and
+	// coalesced submissions are always admitted — they cost no queue slot.
 	MaxQueue int
 	// RateLimit, when positive, enables per-client token-bucket rate
 	// limiting (lashd -rate-limit): sustained requests per second allowed
@@ -147,11 +147,7 @@ func New(cfg Config) *Server {
 	}
 	mineFn := cfg.MineFunc
 	if mineFn == nil {
-		mineFn = lash.MineContext
-	}
-	streamFn := cfg.StreamFunc
-	if streamFn == nil {
-		streamFn = lash.Stream
+		mineFn = mine
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -160,7 +156,7 @@ func New(cfg Config) *Server {
 	met := newServerMetrics()
 	s := &Server{
 		registry: newRegistry(cfg.DataDir),
-		jobs:     newManager(cfg.Workers, cfg.CacheBytes, cfg.JobHistory, mineFn, streamFn, met, logger),
+		jobs:     newManager(cfg.Workers, cfg.CacheBytes, cfg.JobHistory, mineFn, met, logger),
 		mux:      http.NewServeMux(),
 		metrics:  met,
 		log:      logger,
@@ -465,10 +461,14 @@ type JobView struct {
 	// version current at submission; appends never retarget them).
 	CorpusVersion int       `json:"corpus_version,omitempty"`
 	Status        JobStatus `json:"status"`
-	Cached        bool      `json:"cached"`
-	Coalesced     int       `json:"coalesced"`
-	Error         string    `json:"error,omitempty"`
-	Created       time.Time `json:"created"`
+	// Stream marks a streaming run (POST /v1/mine/stream, or the feeder of a
+	// live subscription); its patterns were delivered as it mined, so it
+	// never carries a Result.
+	Stream    bool      `json:"stream,omitempty"`
+	Cached    bool      `json:"cached"`
+	Coalesced int       `json:"coalesced"`
+	Error     string    `json:"error,omitempty"`
+	Created   time.Time `json:"created"`
 	// QueueMS is how long the job waited for a worker slot: final once it
 	// started (or terminally never started), live while still queued.
 	QueueMS   int64       `json:"queue_ms,omitempty"`
@@ -487,6 +487,7 @@ func (m *manager) view(j *job) JobView {
 		Database:      j.dbName,
 		CorpusVersion: j.version,
 		Status:        j.status,
+		Stream:        j.stream,
 		Cached:        j.cached,
 		Coalesced:     j.coalesced,
 		Created:       j.created,
@@ -515,7 +516,7 @@ func (m *manager) view(j *job) JobView {
 // result once the job is done.
 func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
 	v := s.jobs.view(j)
-	if v.Status != JobDone {
+	if v.Status != JobDone || v.Stream {
 		writeJSON(w, http.StatusOK, v)
 		return
 	}
@@ -724,9 +725,9 @@ type StreamTrailer struct {
 // handleMineStream answers POST /v1/mine/stream: it mines synchronously,
 // writing each pattern as one NDJSON line the moment its partition
 // completes, then exactly one trailer line. Closing the request (client
-// disconnect) or shutting the server down cancels the run. Since patterns
-// are delivered before the run's fate is known, errors after the first
-// write surface in the trailer, not the HTTP status.
+// disconnect), DELETE /v1/jobs/{id} or shutting the server down cancels
+// the run. Since patterns are delivered before the run's fate is known,
+// errors after the first write surface in the trailer, not the HTTP status.
 func (s *Server) handleMineStream(w http.ResponseWriter, r *http.Request) {
 	var req MineRequest
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -769,7 +770,7 @@ func (s *Server) handleMineStream(w http.ResponseWriter, r *http.Request) {
 		s.metrics.streamEmit.Observe(time.Since(begin).Seconds())
 		return nil
 	}
-	res, err := s.jobs.stream(r.Context(), db, opt, emit)
+	res, err := s.jobs.stream(r.Context(), req.Database, db, opt, emit)
 
 	// Nothing has been written yet for runs that failed before their first
 	// pattern (e.g. refused at shutdown), so those can still carry a real
@@ -893,7 +894,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, errBadSpec):
 		return http.StatusBadRequest
-	case errors.Is(err, errConflict):
+	case errors.Is(err, errConflict), errors.Is(err, errJobCancelled): // a stream DELETEd before its first pattern
 		return http.StatusConflict
 	case errors.Is(err, errShutdown):
 		return http.StatusServiceUnavailable

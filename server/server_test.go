@@ -132,6 +132,23 @@ func waitForJob(t *testing.T, ts *httptest.Server, id string) map[string]any {
 	return nil
 }
 
+// waitUntil polls cond until it holds, failing the test after five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// jobStats returns the "jobs" block of GET /v1/stats.
+func jobStats(t *testing.T, ts *httptest.Server) map[string]any {
+	t.Helper()
+	_, stats := call(t, "GET", ts.URL+"/v1/stats", nil)
+	return stats["jobs"].(map[string]any)
+}
+
 // patternSet converts a JobView result payload to "items→support" for
 // comparison with direct lash.Mine output.
 func patternSet(t *testing.T, body map[string]any) map[string]int64 {
@@ -217,7 +234,7 @@ func TestCoalescingAndCache(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, server.Config{
 		Workers: 4,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			runs.Add(1)
 			<-gate // hold the job in-flight so the second request must coalesce
 			return lash.Mine(db, opt)
@@ -293,7 +310,9 @@ func TestCoalescingAndCache(t *testing.T) {
 	status, fourth := call(t, "POST", ts.URL+"/v1/mine", map[string]any{
 		"database": "paper", "options": opts,
 	})
-	if status != http.StatusAccepted {
+	// The gate is open, so this small mine can finish before the handler
+	// answers — in which case the reply is the finished job, not a 202.
+	if status != http.StatusAccepted && status != http.StatusOK {
 		t.Fatalf("fourth mine: %d %v", status, fourth)
 	}
 	waitForJob(t, ts, fourth["job_id"].(string))
@@ -548,7 +567,7 @@ func TestPatternsEndpoint(t *testing.T) {
 
 func TestFailedJob(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			return nil, fmt.Errorf("synthetic mining failure")
 		},
 	})
@@ -686,7 +705,7 @@ func TestJobHistoryPruningSkipsRunning(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts := newTestServer(t, server.Config{
 		JobHistory: 2, CacheBytes: -1, Workers: 4,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			if opt.MaxLength == 99 { // the marker job blocks until released
 				<-gate
 			}
@@ -734,7 +753,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 	var concurrent, peak atomic.Int64
 	_, ts := newTestServer(t, server.Config{
 		Workers: 2,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			n := concurrent.Add(1)
 			for {
 				p := peak.Load()
@@ -788,7 +807,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 func TestPanickingMineFailsJob(t *testing.T) {
 	calls := 0
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			calls++
 			if calls == 1 {
 				panic("miner exploded")

@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -19,7 +21,7 @@ import (
 // blocks until its context is cancelled (returning the ctx error) or the
 // release channel closes (returning a result).
 func blockingMine(started chan<- string, release <-chan struct{}) server.MineFunc {
-	return func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+	return func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 		select {
 		case started <- opt.CacheKey():
 		default:
@@ -165,7 +167,7 @@ func TestCancelConflicts(t *testing.T) {
 // TestJobDurations: terminal jobs report their mining wall-clock in
 // runtime_ms, and the stats counters accumulate it.
 func TestJobDurations(t *testing.T) {
-	slowMine := func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+	slowMine := func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 		select {
 		case <-time.After(30 * time.Millisecond):
 		case <-ctx.Done():
@@ -294,6 +296,28 @@ func TestMineStreamEndpoint(t *testing.T) {
 	if n := jobs["streams"].(float64); n != 1 {
 		t.Errorf("stats streams = %v, want 1", n)
 	}
+
+	// The stream was a job: listed as done and marked as a stream, with
+	// nothing kept to serve — its patterns went down the wire.
+	_, page := call(t, "GET", ts.URL+"/v1/jobs", nil)
+	listed := page["jobs"].([]any)
+	if len(listed) != 1 {
+		t.Fatalf("GET /v1/jobs lists %d jobs after one stream, want 1: %v", len(listed), listed)
+	}
+	view := listed[0].(map[string]any)
+	if view["stream"] != true || view["status"] != "done" || view["result"] != nil {
+		t.Errorf("stream listed as %v, want stream:true, status done, no result", view)
+	}
+	id := view["job_id"].(string)
+	if status, one := call(t, "GET", ts.URL+"/v1/jobs/"+id, nil); status != http.StatusOK || one["result"] != nil || one["stream"] != true {
+		t.Errorf("GET /v1/jobs/%s: status %d body %v, want the same view", id, status, one)
+	}
+	if status, body := call(t, "GET", ts.URL+"/v1/patterns?job="+id, nil); status != http.StatusConflict {
+		t.Errorf("GET /v1/patterns?job=%s: status %d body %v, want 409 (a stream keeps no result)", id, status, body)
+	}
+	if status, body := call(t, "DELETE", ts.URL+"/v1/jobs/"+id, nil); status != http.StatusConflict {
+		t.Errorf("DELETE of the finished stream: status %d body %v, want 409", status, body)
+	}
 }
 
 // TestMineStreamRejectsRestrictions: restrictions need the full output and
@@ -324,7 +348,7 @@ func TestMineStreamErrorInTrailer(t *testing.T) {
 		}
 		return nil, boom
 	}
-	_, ts := newTestServer(t, server.Config{StreamFunc: streamFn})
+	_, ts := newTestServer(t, server.Config{MineFunc: streamFn})
 	mustRegister(t, ts, testSpec("db"))
 	status, lines := streamLines(t, ts.URL, map[string]any{"database": "db", "options": testOptions()})
 	if status != http.StatusOK {
@@ -348,63 +372,185 @@ func TestMineStreamErrorInTrailer(t *testing.T) {
 	}
 }
 
-// TestStreamCancelledWhileQueuedIsCounted: a stream whose client goes away
-// while it waits for a worker slot ends as cancelled, so the stats keep the
-// invariant submitted == completed + failed + cancelled once idle.
+// TestStreamCancelledWhileQueuedIsCounted: however a run ends — the case
+// that names the test is a stream whose client goes away while it waits for
+// a worker slot — it is listed with that status, a stream marked
+// "stream":true and never carrying a result, and the stats keep their
+// invariants once idle: submitted == completed + failed + cancelled, and
+// nothing queued or running. Jobs and streams go through the same
+// lifecycle, so the matrix is {job, stream} × every way a run can end.
 func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
-	started := make(chan string, 1)
-	release := make(chan struct{})
-	_, ts := newTestServer(t, server.Config{Workers: 1, MineFunc: blockingMine(started, release)})
-	mustRegister(t, ts, testSpec("db"))
-
-	req := map[string]any{"database": "db", "options": testOptions()}
-	status, body := call(t, "POST", ts.URL+"/v1/mine", req)
-	if status != http.StatusAccepted {
-		t.Fatalf("mine: status %d, body %v", status, body)
+	outcomes := []struct {
+		name, status string
+		queued       bool // the run under test never gets the worker slot
+	}{
+		{"done", "done", false},
+		{"failed", "failed", false},
+		{"deadline", "failed", false},
+		{"cancelled while running", "cancelled", false},
+		{"shutdown", "cancelled", false},
+		{"cancelled while queued", "cancelled", true},
+		{"client gone while queued", "cancelled", true},
 	}
-	<-started // the job holds the only worker slot
-
-	jobStats := func() map[string]any {
-		_, stats := call(t, "GET", ts.URL+"/v1/stats", nil)
-		return stats["jobs"].(map[string]any)
-	}
-	waitFor := func(what string, cond func(map[string]any) bool) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond(jobStats()) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s; stats %v", what, jobStats())
+	for _, kind := range []string{"job", "stream"} {
+		for _, oc := range outcomes {
+			if kind == "job" && oc.name == "client gone while queued" {
+				continue // an async job outlives the request that submitted it
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+			t.Run(kind+"/"+oc.name, func(t *testing.T) {
+				started := make(chan struct{}, 2)
+				release := make(chan struct{}) // frees the blocker holding the worker slot
+				srv, ts := newTestServer(t, server.Config{
+					Workers: 1,
+					MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+						started <- struct{}{}
+						if opt.MinSupport == 1 { // the blocker
+							select {
+							case <-release:
+								return &lash.Result{}, nil
+							case <-ctx.Done():
+								return nil, ctx.Err()
+							}
+						}
+						switch oc.name {
+						case "done":
+							if emit != nil {
+								if err := emit(lash.Pattern{Items: []string{"a", "B"}, Support: 2}); err != nil {
+									return nil, err
+								}
+							}
+							return &lash.Result{}, nil
+						case "failed":
+							return nil, errors.New("partition 3 caught fire")
+						case "deadline":
+							return nil, fmt.Errorf("scripted: %w", lash.ErrDeadlineExceeded)
+						case "cancelled while running", "shutdown":
+							<-ctx.Done()
+							return nil, ctx.Err()
+						}
+						t.Errorf("a run that should have ended in the queue was mined")
+						return nil, errors.New("unreachable")
+					},
+				})
+				mustRegister(t, ts, testSpec("db"))
+				request := func(minSupport int) map[string]any {
+					opts := testOptions()
+					opts["min_support"] = minSupport
+					return map[string]any{"database": "db", "options": opts}
+				}
+				// listed returns the view GET /v1/jobs gives of the job with
+				// that id — or, for "", of the (only) stream.
+				listed := func(id string) map[string]any {
+					_, page := call(t, "GET", ts.URL+"/v1/jobs", nil)
+					for _, j := range page["jobs"].([]any) {
+						if j := j.(map[string]any); j["job_id"] == id || (id == "" && j["stream"] == true) {
+							return j
+						}
+					}
+					return nil
+				}
 
-	raw, _ := json.Marshal(req)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/mine/stream", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamDone := make(chan struct{})
-	go func() {
-		defer close(streamDone)
-		if resp, err := http.DefaultClient.Do(hreq); err == nil {
-			resp.Body.Close()
-		}
-	}()
-	waitFor("the stream to be accepted", func(j map[string]any) bool { return j["streams"].(float64) == 1 })
-	cancel() // the client goes away while the stream waits for the slot
-	<-streamDone
-	waitFor("the waiting stream to count as cancelled", func(j map[string]any) bool { return j["cancelled"].(float64) == 1 })
+				submitted, blockerID := 1, ""
+				if oc.queued {
+					status, body := call(t, "POST", ts.URL+"/v1/mine", request(1))
+					if status != http.StatusAccepted {
+						t.Fatalf("blocker: status %d, body %v", status, body)
+					}
+					<-started // the blocker holds the only worker slot
+					submitted, blockerID = 2, body["job_id"].(string)
+				}
 
-	close(release)
-	waitForJob(t, ts, body["job_id"].(string))
-	j := jobStats()
-	if j["submitted"].(float64) != j["completed"].(float64)+j["failed"].(float64)+j["cancelled"].(float64) {
-		t.Errorf("submitted != completed + failed + cancelled: %v", j)
-	}
-	if j["submitted"].(float64) != 2 || j["completed"].(float64) != 1 || j["mines_run"].(float64) != 1 {
-		t.Errorf("stats = %v, want 2 submitted, 1 completed, 1 mine run", j)
+				// Start the run under test and learn its job id: from the
+				// 202 for a job, from the listing for a stream.
+				var id string
+				ctx, hangUp := context.WithCancel(context.Background())
+				defer hangUp()
+				streamDone := make(chan struct{})
+				if kind == "job" {
+					// 200 when the scripted run ended before the handler answered.
+					status, body := call(t, "POST", ts.URL+"/v1/mine", request(2))
+					if status != http.StatusAccepted && status != http.StatusOK {
+						t.Fatalf("mine: status %d, body %v", status, body)
+					}
+					id = body["job_id"].(string)
+					close(streamDone)
+				} else {
+					raw, _ := json.Marshal(request(2))
+					hreq, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/mine/stream", bytes.NewReader(raw))
+					if err != nil {
+						t.Fatal(err)
+					}
+					go func() {
+						defer close(streamDone)
+						if resp, err := http.DefaultClient.Do(hreq); err == nil {
+							io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining; the stream's fate is read off the job
+							resp.Body.Close()
+						}
+					}()
+					waitUntil(t, "the stream to show in GET /v1/jobs", func() bool { return listed("") != nil })
+					id = listed("")["job_id"].(string)
+				}
+
+				switch oc.name {
+				case "cancelled while queued":
+					if v := listed(id); v["status"] != "queued" {
+						t.Errorf("waiting run listed as %v, want queued", v["status"])
+					}
+					call(t, "DELETE", ts.URL+"/v1/jobs/"+id, nil)
+				case "client gone while queued":
+					hangUp()
+				case "cancelled while running":
+					<-started
+					call(t, "DELETE", ts.URL+"/v1/jobs/"+id, nil)
+				case "shutdown":
+					<-started
+					closeCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					defer cancel()
+					if err := srv.Close(closeCtx); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				final := waitForJob(t, ts, id)
+				<-streamDone
+				close(release)
+				if oc.queued {
+					waitForJob(t, ts, blockerID)
+				}
+				// Every run is terminal (a view is taken under the lock finish
+				// counts under), so the counters have settled.
+				j := jobStats(t, ts)
+				if j["queued"].(float64) != 0 || j["running"].(float64) != 0 {
+					t.Errorf("idle server reports queued/running runs: %v", j)
+				}
+
+				if final["status"] != oc.status {
+					t.Errorf("status = %v, want %s (view %v)", final["status"], oc.status, final)
+				}
+				if v := listed(id); v == nil || v["status"] != oc.status {
+					t.Errorf("GET /v1/jobs lists the run as %v, want status %s", v, oc.status)
+				}
+				if isStream, _ := final["stream"].(bool); isStream != (kind == "stream") {
+					t.Errorf("view %v: stream = %v for a %s", final, final["stream"], kind)
+				}
+				if _, has := final["result"]; has != (kind == "job" && oc.name == "done") {
+					t.Errorf("view %v: result present = %v for a %s that ended %s", final, has, kind, oc.name)
+				}
+				if j["submitted"].(float64) != j["completed"].(float64)+j["failed"].(float64)+j["cancelled"].(float64) {
+					t.Errorf("submitted != completed + failed + cancelled: %v", j)
+				}
+				if j["submitted"].(float64) != float64(submitted) {
+					t.Errorf("submitted = %v, want %d: %v", j["submitted"], submitted, j)
+				}
+				// Either the run under test mined, or the blocker did and the
+				// run under test ended in the queue without mining.
+				if j["mines_run"].(float64) != 1 {
+					t.Errorf("mines_run = %v, want 1: %v", j["mines_run"], j)
+				}
+				if n := metricValue(t, ts, "lash_jobs_deadline_exceeded_total"); (n == 1) != (oc.name == "deadline") {
+					t.Errorf("lash_jobs_deadline_exceeded_total = %v after a run that ended %s", n, oc.name)
+				}
+			})
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // This file is the live half of the pattern-serving tier:
 // GET /v1/patterns/subscribe replays a database's latest completed serving
 // index as NDJSON, then follows a still-mining job live. The live tail
-// comes from a per-job subscription hub — one streaming re-mine through the
-// manager's existing Stream path feeding an append-only pattern log that
+// comes from a per-job subscription hub — one streaming re-mine, a stream
+// job like any other, feeding an append-only pattern log that
 // any number of subscribers replay and tail at their own pace, each
 // delivered every pattern exactly once (positions into an append-only log
 // cannot skip or repeat).
@@ -80,23 +80,23 @@ func streamableOptions(opt lash.Options) lash.Options {
 	return opt
 }
 
-// follow attaches to the most recent queued or running job of dbName whose
-// options can stream, creating the job's hub — and the one streaming run
+// follow attaches to the most recent queued or running batch job of dbName
+// whose options can stream, creating the job's hub — and the one stream job
 // that feeds it — on first use. dbAt resolves the corpus version the job
 // was pinned to (appends never retarget a run, so neither may its live
 // feed); jobs in skip are ignored (a subscriber passes the jobs it already
 // tailed, so re-following after an append can only move forward). Returns
-// nils when nothing suitable is in flight (or the manager is draining).
+// nils when nothing suitable is in flight, or when the feeder is refused
+// admission (the manager is draining, or its queue is full).
 func (m *manager) follow(dbName string, dbAt func(version int) *lash.Database, skip map[string]bool) (*job, *subHub) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return nil, nil
-	}
 	var j *job
 	for i := len(m.order) - 1; i >= 0; i-- {
 		cand := m.jobs[m.order[i]]
-		if cand.dbName != dbName || skip[cand.id] || (cand.status != JobQueued && cand.status != JobRunning) {
+		// Stream jobs — feeders included — keep nothing to replay and are
+		// never themselves followed.
+		if cand.stream || cand.dbName != dbName || skip[cand.id] || (cand.status != JobQueued && cand.status != JobRunning) {
 			continue
 		}
 		// Restricted runs cannot stream (ValidateStream's contract), so
@@ -117,18 +117,21 @@ func (m *manager) follow(dbName string, dbAt func(version int) *lash.Database, s
 	if db == nil {
 		return nil, nil
 	}
+	// The feeder is one ordinary stream job: it passes admission, queues
+	// for a worker slot, counts into the stats, and drains on shutdown like
+	// every other. It runs under the manager's base context — not the
+	// followed job's, which is released the moment that job finishes — so
+	// a subscriber keeps receiving the tail even if the async job completes
+	// first. The hub outlives its map entry: removal only stops NEW
+	// subscribers from attaching; attached ones drain the log to done.
+	feeder, err := m.admitLocked(m.baseCtx, "", j.key, dbName, j.version, streamableOptions(j.options), true)
+	if err != nil {
+		return nil, nil
+	}
 	hub := newSubHub()
 	m.hubs[j.id] = hub
-	// The feeder is one ordinary streaming run through m.stream: it queues
-	// for a worker slot, counts into the stats, and drains on shutdown like
-	// every other stream. It runs under the manager's base context — not
-	// the followed job's, which is released the moment that job finishes —
-	// so a subscriber keeps receiving the tail even if the async job
-	// completes first. The hub outlives its map entry: removal only stops
-	// NEW subscribers from attaching; attached ones drain the log to done.
-	opt := streamableOptions(j.options) // snapshot under m.mu: run() writes j.options when the job starts
 	go func() {
-		_, err := m.stream(m.baseCtx, db, opt, func(p lash.Pattern) error {
+		_, err := m.run(feeder, db, func(p lash.Pattern) error {
 			hub.append(p)
 			return nil
 		})

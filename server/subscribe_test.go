@@ -144,18 +144,18 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 
 	release := make(chan struct{}) // holds the followed job open
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			if opt.MinSupport == 1 { // job A: the completed result to replay
 				return &lash.Result{Patterns: append([]lash.Pattern(nil), replayPats...)}, nil
 			}
-			select { // job B: stays running while subscribers follow
-			case <-release:
-			case <-ctx.Done():
+			if emit == nil {
+				select { // job B: stays running while subscribers follow
+				case <-release:
+				case <-ctx.Done():
+				}
+				return &lash.Result{}, nil
 			}
-			return &lash.Result{}, nil
-		},
-		StreamFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
-			for _, p := range livePats {
+			for _, p := range livePats { // job B's feeder
 				if err := emit(p); err != nil {
 					return nil, err
 				}
@@ -215,6 +215,14 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 		}(sub)
 	}
 	wg.Wait()
+
+	// One feeder — a stream job, the most recent in-flight run of the
+	// database while the later subscribers attached — served all three, and
+	// was never itself followed: that would have started a feeder's feeder.
+	_, stats := call(t, "GET", ts.URL+"/v1/stats", nil)
+	if n := stats["jobs"].(map[string]any)["streams"].(float64); n != 1 {
+		t.Errorf("stats streams = %v after three subscribers of one run, want 1", n)
+	}
 }
 
 func equalStrings(a, b []string) bool {
@@ -238,14 +246,14 @@ func TestSubscribeLiveOnly(t *testing.T) {
 	}
 	release := make(chan struct{})
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
-			select {
-			case <-release:
-			case <-ctx.Done():
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+			if emit == nil {
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+				return &lash.Result{}, nil
 			}
-			return &lash.Result{}, nil
-		},
-		StreamFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			for _, p := range livePats {
 				if err := emit(p); err != nil {
 					return nil, err

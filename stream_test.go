@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,14 +189,9 @@ func TestStreamEmitErrorCancelsRun(t *testing.T) {
 }
 
 // TestStreamRejectsRestrictions: closed/maximal need the full output and
-// are rejected up front, for both the package-level and Miner entry
-// points.
+// are rejected up front.
 func TestStreamRejectsRestrictions(t *testing.T) {
 	db := paperDB(t)
-	m, err := lash.NewMiner(db)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range []lash.Restriction{lash.RestrictClosed, lash.RestrictMaximal} {
 		opt := lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3, Restriction: r}
 		if err := opt.ValidateStream(); err == nil {
@@ -203,9 +199,6 @@ func TestStreamRejectsRestrictions(t *testing.T) {
 		}
 		if _, err := lash.Stream(context.Background(), db, opt, discard); err == nil {
 			t.Errorf("Stream(%s) = nil error, want rejection", r)
-		}
-		if _, err := m.Stream(context.Background(), opt, discard); err == nil {
-			t.Errorf("Miner.Stream(%s) = nil error, want rejection", r)
 		}
 		// The plain paths still accept restrictions.
 		if _, err := lash.Mine(db, opt); err != nil {
@@ -216,28 +209,25 @@ func TestStreamRejectsRestrictions(t *testing.T) {
 
 func discard(lash.Pattern) error { return nil }
 
-// TestMinerStreamReusesFrequencies: Miner.Stream goes through the same
-// frequency cache as Miner.Mine.
+// TestMinerStreamReusesFrequencies: Stream reads the same per-snapshot
+// frequencies Mine counted.
 func TestMinerStreamReusesFrequencies(t *testing.T) {
 	db := paperDB(t)
-	m, err := lash.NewMiner(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3}
-	want, err := m.Mine(opt)
+	var jobs atomic.Int64
+	opt := countFListJobs(lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3}, &jobs)
+	want, err := lash.Mine(db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamed []lash.Pattern
-	if _, err := m.Stream(context.Background(), opt, func(p lash.Pattern) error {
+	if _, err := lash.Stream(context.Background(), db, opt, func(p lash.Pattern) error {
 		streamed = append(streamed, p)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.FrequencyJobsRun(); got != 1 {
-		t.Errorf("FrequencyJobsRun = %d after Mine+Stream, want 1 (cache reuse)", got)
+	if n := jobs.Load(); n != 1 {
+		t.Errorf("%d f-list jobs after Mine+Stream on one snapshot, want 1 (reuse)", n)
 	}
 	sort.Slice(streamed, func(i, j int) bool { return patternKey(streamed[i]) < patternKey(streamed[j]) })
 	wantSorted := append([]lash.Pattern(nil), want.Patterns...)
