@@ -1,14 +1,10 @@
 GO ?= go
-BENCH ?= .
-BENCHTIME ?= 1x
-BENCH_OUT ?= BENCH_PR10.json
-BENCH_BASE ?= BENCH_PR9.json
 FUZZTIME ?= 60s
-FUZZ_PKGS ?= ./internal/seqenc ./internal/seqdb ./server
+FUZZ_PKGS ?= ./internal/seqenc ./internal/seqdb ./internal/mapreduce ./server
 PROFILE_BENCH ?= BenchmarkFig4a
 PROFILE_BENCHTIME ?= 3x
 
-.PHONY: build test vet lint lashvet tools-test bench bench-smoke bench-diff fuzz profile race chaos clean
+.PHONY: build test vet lint lashvet tools-test bench-smoke fuzz profile race chaos clean
 
 build:
 	$(GO) build ./...
@@ -74,23 +70,12 @@ fuzz:
 		done; \
 	done
 
-# bench runs the mining benchmarks with allocation reporting and records
-# the parsed results as JSON (committed as $(BENCH_OUT)). Tune with e.g.
-# `make bench BENCH=Fig4 BENCHTIME=3x`.
-bench:
-	$(GO) test -bench=$(BENCH) -benchtime=$(BENCHTIME) -benchmem -run=^$$ . | tee /dev/stderr | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
-
 # bench-smoke is the CI pass: every benchmark of the root package — mining,
-# pindex and the handler-level BenchmarkServePatterns — must still run (1 iteration),
-# so the harness cannot bit-rot; results are parsed but discarded.
+# pindex and the handler-level BenchmarkServePatterns — must still run (1
+# iteration), so the harness cannot bit-rot. Numbers worth quoting come from
+# bench/ (see bench/README.md); allocations are held by TestAllocBudget.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . | $(GO) run ./cmd/benchjson > /dev/null
-
-# bench-diff compares two committed benchmark documents (ns/op and allocs/op
-# with % change), e.g. the PR-over-PR record:
-#	make bench-diff BENCH_BASE=BENCH_PR2.json BENCH_OUT=BENCH_PR3.json
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff $(BENCH_BASE) $(BENCH_OUT)
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ .
 
 # profile captures CPU and heap profiles of the Fig. 4(a) benchmarks (the
 # end-to-end distributed-mining comparison). See "Profiling" in README.md.

@@ -38,8 +38,9 @@ var (
 	amznH8    *gsm.Database
 )
 
-func benchSetup(b *testing.B) {
-	b.Helper()
+// benchCorpora builds the shared tiny-scale corpora once (TestAllocBudget
+// uses them too).
+func benchCorpora() {
 	benchOnce.Do(func() {
 		benchCtx = experiments.NewContext(experiments.Tiny)
 		var err error
@@ -56,6 +57,11 @@ func benchSetup(b *testing.B) {
 			panic(err)
 		}
 	})
+}
+
+func benchSetup(b *testing.B) {
+	b.Helper()
+	benchCorpora()
 	b.ResetTimer()
 }
 
@@ -127,7 +133,7 @@ func BenchmarkFig4aLASH(b *testing.B) {
 // BenchmarkObsOverhead is BenchmarkFig4aLASH with full observability
 // attached — span tracing plus registered pipeline metrics — sharing one
 // tracer and registry across iterations like a long-lived server would.
-// The acceptance bar (BENCH_PR6.json vs BenchmarkFig4aLASH) is ns/op
+// The acceptance bar against BenchmarkFig4aLASH on the same host is ns/op
 // within 2% and no extra allocs/op: the hot-path handles are 1–2 atomics
 // and the span ring is preallocated, so instrumentation must be free at
 // mining granularity.
@@ -460,8 +466,9 @@ func spillParams() gsm.Params {
 	return gsm.Params{Sigma: experiments.Tiny.SigmaLo, Gamma: 1, Lambda: 5}
 }
 
-func spillSetup(b *testing.B) int64 {
-	benchSetup(b)
+// spillBudget is a quarter of the spill benchmark's shuffle volume.
+func spillBudget() int64 {
+	benchCorpora()
 	spillOnce.Do(func() {
 		res, err := core.Mine(context.Background(), nytCLP, core.Options{Params: spillParams(), MR: benchMR()})
 		if err != nil {
@@ -472,8 +479,13 @@ func spillSetup(b *testing.B) int64 {
 			spillBudgetBytes = 1
 		}
 	})
-	b.ResetTimer()
 	return spillBudgetBytes
+}
+
+func spillSetup(b *testing.B) int64 {
+	budget := spillBudget()
+	b.ResetTimer()
+	return budget
 }
 
 func BenchmarkSpillInMemory(b *testing.B) {

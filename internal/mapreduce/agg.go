@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,30 +193,27 @@ func (t *byteTable) grow() {
 	}
 }
 
-// merge folds src into t.
-func (t *byteTable) merge(src *byteTable) {
-	for i := range src.entries {
-		e := &src.entries[i]
-		if e.hash != 0 {
-			t.add(e.group, src.key(e), e.weight)
-		}
-	}
-}
-
 // reset clears the table for reuse, keeping capacity.
 func (t *byteTable) reset() {
-	for i := range t.entries {
-		t.entries[i] = aggEntry{}
-	}
+	clear(t.entries)
 	t.arena = t.arena[:0]
 	t.n = 0
 }
 
-// aggPart is the reduce-side state of one partition.
+// aggEntrySize approximates the in-memory footprint of one byteTable slot
+// for budget accounting (hash + group + klen + off + weight, padded).
+const aggEntrySize = 32
+
+// mem estimates the table's memory footprint: the slot array plus the key
+// arena's capacity.
+func (t *byteTable) mem() int64 {
+	return int64(len(t.entries))*aggEntrySize + int64(cap(t.arena))
+}
+
+// aggPart is the reduce-side state of one partition; its runs live in the
+// shuffle.
 type aggPart[R any] struct {
-	mu      sync.Mutex
-	merged  *byteTable
-	contrib int // map tasks merged so far; == mapTasks ⇒ ready
+	contrib atomic.Int64 // map tasks retired so far; == mapTasks ⇒ ready
 	out     []R
 }
 
@@ -253,18 +251,21 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	// pipeline metrics are all derived reads of it.
 	rc := &obs.RunCounters{}
 
-	// Budgeted runs route the shuffle through sorted on-disk runs (see
-	// spill.go). The spill directory lives for exactly this call: the
-	// deferred cleanup runs after the worker pool has drained, so
-	// cancellation and errors leave no orphan temp files behind.
-	var spill *spillState
+	// Config.MemoryBudget is consulted here and nowhere else. With a budget
+	// the runs land in spill files instead of memory, a task also flushes
+	// whenever its tables outgrow its share (without one, only when it
+	// retires), and flushed tables are not recycled. The spill directory
+	// lives for exactly this call: the deferred cleanup runs after the
+	// worker pool has drained, so cancellation and errors leave no orphan
+	// temp files behind.
+	sh := newShuffle(reduceTasks, mapTasks, rc)
+	share, recycle := int64(math.MaxInt64), true
 	if cfg.MemoryBudget > 0 {
-		var err error
-		if spill, err = newSpillState(cfg.SpillDir, reduceTasks, rc); err != nil {
+		if err := sh.openDisk(cfg.SpillDir, cfg.Faults, cfg.Obs.PipelineMetricsOf()); err != nil {
 			return nil, stats, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
 		}
-		spill.faults = cfg.Faults
-		defer spill.cleanup()
+		defer sh.cleanup()
+		share, recycle = max(cfg.MemoryBudget/int64(cfg.Workers), 1), false
 	}
 
 	parts := make([]aggPart[R], reduceTasks)
@@ -275,29 +276,10 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	mapTimes := make([]time.Duration, mapTasks)
 	redTimes := make([]time.Duration, reduceTasks)
 
-	// Per-task shuffle tallies for the spill path (nil on in-memory runs):
-	// flushes accumulate here instead of charging the run counters directly,
-	// so a failed attempt's partial accounting dies with it and a retried
-	// task charges the counters exactly once — same totals as the in-memory
-	// path's task-end accounting. Indexed by map task; one task's attempts
-	// are sequential, so no locking. (The spill counters inside writeRun
-	// stay cumulative across attempts on purpose: they report physical I/O,
-	// and a rewritten run really was written twice.)
-	var taskShufRecs, taskShufBytes []int64
-	if spill != nil {
-		taskShufRecs = make([]int64, mapTasks)
-		taskShufBytes = make([]int64, mapTasks)
-	}
-
 	start := time.Now()
 	oh := newObsHooks(cfg.Obs, start)
 	defer func() { oh.finish(job.Name, stats.Wall) }()
-	if spill != nil {
-		spill.pmRuns, spill.pmBytes, spill.pmRecords = oh.spillRuns, oh.spillBytes, oh.spillRecords
-		spill.pmFaults, spill.pmCleanupErrs = oh.faultsInjected, oh.spillCleanupErr
-	}
-	var mergesDone atomic.Int64
-	var mapWall, shufWall time.Duration // written once by the last task of each kind
+	var mapWall, shufWall time.Duration // watermarks, each written once: last map task done, last map task retired
 
 	report := func(phase string) {
 		if cfg.Progress == nil {
@@ -322,9 +304,10 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 
 	// Reduce tasks re-execute on transient failures only when the job
 	// declares Reduce re-runnable; otherwise the zero policy caps them at
-	// one attempt. Each attempt rebuilds the partition's output and group
-	// count from scratch, committing them only on success — a retried
-	// partition is indistinguishable from a fault-free one.
+	// one attempt. Each attempt merges the partition's runs again and
+	// rebuilds its output and group count from scratch, committing them
+	// only on success — a retried partition is indistinguishable from a
+	// fault-free one.
 	reducePol := cfg.Retry
 	if !job.ReduceRetryable {
 		reducePol = RetryPolicy{}
@@ -338,155 +321,91 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 		st := &parts[p]
 		st.out = st.out[:0] // attempt-scoped: discard a failed attempt's output
 		var keys int64
-		aborted := false
-		if spill != nil {
-			// Budgeted path: k-way merge the partition's sorted runs off
-			// disk. Groups arrive in ascending (group, key) order with
-			// weights re-aggregated across runs — the same delivery the
-			// in-memory sort below produces.
-			sp := &spill.parts[p]
-			if len(sp.runs) > 0 {
-				begin := time.Now()
-				defer func() {
-					redTimes[p] = time.Since(begin)
-					oh.mergeSeconds.Observe(redTimes[p].Seconds())
-					oh.taskSpan("reduce-partition", job.Name, "reduce", p, begin)
-				}()
-				emit := func(r R) {
-					checkAbort(errs)
-					st.out = append(st.out, r)
-				}
-				err := spill.mergeRuns(p,
-					func() bool { return errs.canceled.Load() },
-					func(group uint32, entries []Entry) error {
-						keys++
-						return job.Reduce(group, entries, emit)
-					})
-				if err != nil {
-					return err
-				}
-				// The partition's spill file is fully consumed; release its
-				// file descriptor now instead of at run end.
-				sp.mu.Lock()
-				if sp.f != nil {
-					sp.f.Close()
-					sp.f = nil
-				}
-				sp.mu.Unlock()
-			}
-		} else if t := st.merged; t != nil && t.n > 0 {
+		if len(sh.parts[p].runs) > 0 {
 			begin := time.Now()
 			defer func() {
 				redTimes[p] = time.Since(begin)
 				oh.taskSpan("reduce-partition", job.Name, "reduce", p, begin)
 			}()
-
-			// Deterministic group order: entries sorted by (group, key bytes).
-			idx := t.sortedIndex()
-
 			emit := func(r R) {
 				checkAbort(errs)
 				st.out = append(st.out, r)
 			}
-			entries := make([]Entry, 0, len(idx))
-			for lo := 0; lo < len(idx); {
-				// Cancellation check between groups: one reduce partition can
-				// hold many groups, each an independent Reduce call.
-				if errs.canceled.Load() {
-					aborted = true
-					break
-				}
-				group := t.entries[idx[lo]].group
-				hi := lo
-				entries = entries[:0]
-				for ; hi < len(idx) && t.entries[idx[hi]].group == group; hi++ {
-					e := &t.entries[idx[hi]]
-					entries = append(entries, Entry{Key: t.key(e), Weight: e.weight})
-				}
+			err := sh.mergeRuns(p, errs.canceled.Load, func(group uint32, entries []Entry) error {
 				keys++
-				if err := job.Reduce(group, entries, emit); err != nil {
-					return err
-				}
-				lo = hi
+				return job.Reduce(group, entries, emit)
+			})
+			if err != nil {
+				return err
 			}
 		}
-		// Commit region: the attempt succeeded (or was aborted by
+		// Commit region: the attempt succeeded (or was cut short by
 		// cancellation, whose partial counts die with the run).
-		if !aborted {
-			redKeys.Add(keys)
-			redRecords.Add(int64(len(st.out)))
-		}
+		redKeys.Add(keys)
+		redRecords.Add(int64(len(st.out)))
 		rc.ReduceTasksDone.Add(1)
 		report("reduce")
 		return nil
 	})
 
-	// accountTable charges one table to the shuffle counters.
-	accountTable := func(t *byteTable) {
-		size := tableShuffleSize(job, t)
-		rc.ShuffleRecords.Add(int64(t.n))
-		rc.ShuffleBytes.Add(size)
-		oh.shufRecords.Add(int64(t.n))
-		oh.shufBytes.Add(size)
-	}
-
-	// --- map + map-side aggregation + merge ------------------------------
-	// The map body is organized so every failure-capable step (the fault
-	// hook, user Map code, spill writes) precedes the commit region
-	// (counters, contrib/ready handoff). A retried attempt therefore only
-	// has to drop its own spill runs and rebuild its tables; nothing
-	// partially-committed exists to undo.
+	// --- map + map-side aggregation + flush ------------------------------
+	// Every failure-capable step (the fault hook, user Map code, flushing
+	// runs) precedes the commit region (counters, contrib/ready handoff). A
+	// retried attempt therefore only has to drop its own runs and rebuild
+	// its tables; nothing partially-committed exists to undo.
 	mapOne := guard(ctx, errs, cfg.Retry, rc, oh.taskRetries, job.Name, "map", func(task, attempt int) error {
 		if err := cfg.Faults.Hit("mapreduce.map.task"); err != nil {
 			rc.FaultsInjected.Add(1)
 			oh.faultsInjected.Inc()
 			return err
 		}
-		if spill != nil && attempt > 0 {
+		if attempt > 0 {
 			// Drop the failed attempt's committed runs before rewriting
-			// them — a partition must never merge two copies of one
-			// task's output.
-			spill.dropTask(task)
+			// them — a partition must never merge two copies of one task's
+			// output.
+			sh.dropTask(task)
 		}
 		lo := len(input) * task / mapTasks
 		hi := len(input) * (task + 1) / mapTasks
 		begin := time.Now()
 		tables := make([]*byteTable, reduceTasks)
 
-		// Budgeted runs bound this task's tables by its share of the budget
-		// and flush them all as sorted runs when it is exceeded. Spilled
-		// tables are dropped, not pooled: a pooled table keeps its capacity,
-		// which would charge the next task's budget before it aggregated a
-		// single record.
-		var taskMem, perTask int64
-		if spill != nil {
-			perTask = cfg.MemoryBudget / int64(cfg.Workers)
-			if perTask < 1 {
-				perTask = 1
-			}
-		}
-		if spill != nil {
-			taskShufRecs[task], taskShufBytes[task] = 0, 0 // attempt-scoped
-		}
-		spillTables := func() error {
+		// Attempt-scoped: the shuffle tally is charged to the run counters
+		// only in the commit region, so a failed attempt's accounting dies
+		// with it and a retried task counts exactly once. (The spill
+		// counters inside appendRun stay cumulative across attempts on
+		// purpose: they report physical I/O, and a rewritten run really was
+		// written twice.)
+		var taskMem, shufRecs, shufBytes int64
+		var idx []int32 // flush scratch, reused across tables
+		var enc []byte
+
+		// flush writes every table out as one sorted run for its partition.
+		// Under a budget the flushed tables are dropped, not recycled: a
+		// pooled table keeps its capacity, so a task's flush points (and
+		// with them the spill counters) would depend on which tables it
+		// happened to be handed instead of on its input alone.
+		flush := func() error {
 			flushed := false
 			for p, t := range tables {
 				if t == nil {
 					continue
 				}
-				if t.n > 0 {
-					flushed = true
-					taskShufRecs[task] += int64(t.n)
-					taskShufBytes[task] += tableShuffleSize(job, t)
-					if err := spill.writeRun(p, task, t); err != nil {
-						return err
-					}
+				flushed = true
+				shufRecs += int64(t.n)
+				shufBytes += tableShuffleSize(job, t)
+				idx, enc = t.encodeRun(idx[:0], enc[:0])
+				if err := sh.appendRun(p, task, enc, t.n); err != nil {
+					return err
 				}
 				tables[p] = nil
+				if recycle {
+					t.reset()
+					tablePool.Put(t)
+				}
 			}
 			if flushed {
-				rc.SpillFlushes.Add(1)
-				oh.spillFlushes.Inc()
+				sh.pmFlushes.Inc()
 			}
 			taskMem = 0
 			return nil
@@ -495,22 +414,14 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 			checkAbort(errs)
 			p := int(job.hash(group, key) % uint32(reduceTasks))
 			t := tables[p]
-			if spill == nil {
-				if t == nil {
-					t = tablePool.Get().(*byteTable)
-					tables[p] = t
-				}
-				t.add(group, key, weight)
-				return
-			}
 			if t == nil {
-				t = &byteTable{}
+				t = tablePool.Get().(*byteTable)
 				tables[p] = t
 			}
 			before := t.mem()
 			t.add(group, key, weight)
-			if taskMem += t.mem() - before; taskMem > perTask {
-				if err := spillTables(); err != nil {
+			if taskMem += t.mem() - before; taskMem > share {
+				if err := flush(); err != nil {
 					// Emit cannot return an error; unwind the attempt with
 					// the failure so the retry loop can classify it.
 					panic(attemptFail{err})
@@ -521,80 +432,29 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 			checkAbort(errs)
 			job.Map(rec, emit)
 		}
-
-		if spill != nil {
-			// Flush the tables that stayed under budget as final runs (the
-			// reduce-side merge is uniform over runs either way) BEFORE the
-			// commit region below: this final flush is the task's last
-			// failure-capable step, and a failed one must leave the task
-			// uncounted so its retry counts it exactly once.
-			if err := spillTables(); err != nil {
-				return err
-			}
-			rc.ShuffleRecords.Add(taskShufRecs[task])
-			rc.ShuffleBytes.Add(taskShufBytes[task])
-			oh.shufRecords.Add(taskShufRecs[task])
-			oh.shufBytes.Add(taskShufBytes[task])
-			mapTimes[task] = time.Since(begin)
-			oh.taskSpan("map-task", job.Name, "map", task, begin)
-			if rc.MapTasksDone.Add(1) == int64(mapTasks) {
-				mapWall = time.Since(start)
-			}
-			for p := range parts {
-				st := &parts[p]
-				st.mu.Lock()
-				st.contrib++
-				isLast := st.contrib == mapTasks
-				st.mu.Unlock()
-				if isLast && !errs.canceled.Load() {
-					ready <- p
-				}
-			}
-			if mergesDone.Add(1) == int64(mapTasks) {
-				shufWall = time.Since(start)
-			}
-			report("map")
-			return nil
+		// The final flush is the task's last failure-capable step, and a
+		// failed one must leave the task uncounted so its retry counts it
+		// exactly once.
+		if err := flush(); err != nil {
+			return err
 		}
 
-		// In-memory commit region: nothing below can fail.
+		// Commit region: nothing below can fail. A partition is handed to a
+		// worker the moment its last map task retires — the reduce phase
+		// overlaps the map phase instead of waiting behind it.
+		rc.ShuffleRecords.Add(shufRecs)
+		rc.ShuffleBytes.Add(shufBytes)
+		oh.shufRecords.Add(shufRecs)
+		oh.shufBytes.Add(shufBytes)
 		mapTimes[task] = time.Since(begin)
 		oh.taskSpan("map-task", job.Name, "map", task, begin)
 		if rc.MapTasksDone.Add(1) == int64(mapTasks) {
 			mapWall = time.Since(start)
 		}
-
-		// Account post-aggregation output, then merge into the partitions.
-		// Merging happens as each map task retires — the shuffle overlaps
-		// the map phase instead of waiting behind it.
-		for _, t := range tables {
-			if t != nil {
-				accountTable(t)
+		for p := range parts {
+			if parts[p].contrib.Add(1) == int64(mapTasks) && !errs.canceled.Load() {
+				ready <- p
 			}
-		}
-
-		for p := range tables {
-			t := tables[p]
-			st := &parts[p]
-			st.mu.Lock()
-			if t != nil {
-				if st.merged == nil {
-					st.merged = t // first contributor's table is adopted wholesale
-				} else {
-					st.merged.merge(t)
-					t.reset()
-					tablePool.Put(t)
-				}
-			}
-			st.contrib++
-			isLast := st.contrib == mapTasks
-			st.mu.Unlock()
-			if isLast && !errs.canceled.Load() {
-				ready <- p // hand the completed partition to a worker now
-			}
-		}
-		if mergesDone.Add(1) == int64(mapTasks) {
-			shufWall = time.Since(start)
 		}
 		report("map")
 		return nil
@@ -628,9 +488,10 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 					mapOne(task)
 					// Count retirements (run, skipped, or panicked alike):
 					// the worker that retires the last map task closes the
-					// channel — all merges, and therefore all sends, have
-					// happened by then.
+					// channel — every run has been handed over, and
+					// therefore every send has happened, by then.
 					if mapsRetired.Add(1) == int64(mapTasks) {
+						shufWall = time.Since(start)
 						close(ready)
 					}
 					continue

@@ -67,8 +67,11 @@ func TestRunAggPreCancelled(t *testing.T) {
 }
 
 // TestRunCancelMidEmit: a single map task spinning on emit must observe
-// cancellation at an emit point, not run to completion.
+// cancellation at an emit point, not run to completion — and a merge must
+// observe it between groups.
 func TestRunCancelMidEmit(t *testing.T) {
+	cancelInMerge(t, mapreduce.Config{})
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	started := make(chan struct{})

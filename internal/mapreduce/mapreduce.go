@@ -9,13 +9,16 @@
 // bytes. Scheduling those measured tasks onto a simulated cluster (Fig. 6)
 // is the experiment harness's business — see experiments.Simulate.
 //
-// There is one job shape. RunAgg executes a byte-key weighted-aggregation
-// job (AggJob): map emits (group, key bytes, int64 weight) triples that are
-// aggregated into per-map-task flat hash tables (open addressing over a
-// shared key arena — no per-emit allocations), merged per reduce partition
-// as map tasks retire, and reduced *streamingly*: each partition is handed
-// to Reduce as soon as its last input is merged, overlapping shuffle,
-// merge, and reduce work instead of phase barriers. Both LASH jobs run on
+// There is one job shape and one shuffle. RunAgg executes a byte-key
+// weighted-aggregation job (AggJob): map emits (group, key bytes, int64
+// weight) triples that each map task aggregates into flat hash tables (open
+// addressing over a shared key arena — no per-emit allocations), one per
+// reduce partition, and flushes as sorted runs; a partition is reduced
+// *streamingly*, the moment its last map task retires, by k-way merging its
+// runs — overlapping map and reduce work instead of phase barriers.
+// Config.MemoryBudget picks where a run's bytes live (memory, or a spill
+// file once the budget makes tasks flush early) and nothing else; see
+// spill.go for the run format and the two backings. Both LASH jobs run on
 // it: the f-list count (group = item, empty key) and partition+mine
 // (group = pivot, key = encoded rewritten sequence).
 //
@@ -29,11 +32,11 @@
 // Fault tolerance: Config.Retry re-executes failed tasks when the failure
 // classifies as transient (I/O errors, injected faults, errors marked
 // ErrTransient — see IsTransient) with capped exponential backoff. A
-// retried task's partial output is attempt-scoped and discarded — its
-// spill runs are dropped and its tables rebuilt — so a retried run's
-// output is byte-identical to a fault-free run's. Recovered panics and
-// decode errors are deterministic and never retried. Config.Faults wires
-// in a fault-injection registry (internal/faults) for chaos testing.
+// retried task's partial output is attempt-scoped and discarded — its runs
+// are dropped and its tables rebuilt — so a retried run's output is
+// byte-identical to a fault-free run's. Recovered panics and corrupt runs
+// are deterministic and never retried. Config.Faults wires in a
+// fault-injection registry (internal/faults) for chaos testing.
 //
 // Cancellation contract: RunAgg takes a context.Context and observes it
 // cooperatively — between tasks, between reduce groups, and at every emit
@@ -63,15 +66,16 @@ type Config struct {
 	MapTasks    int // input splits (default 4×Workers)
 	ReduceTasks int // key-space partitions (default 4×Workers)
 
-	// MemoryBudget, when positive, bounds the memory the shuffle may hold
-	// in aggregation tables, in bytes. Each map task gets an equal share
-	// (MemoryBudget / Workers); exceeding it flushes the task's tables to
-	// sorted runs in temp files, and the reduce phase k-way merges each
-	// partition's runs back off disk, re-aggregating across runs, so only
-	// one partition's group at a time is materialized.
-	// The budget covers the shuffle's aggregation tables, not the input
-	// slice or the reduce outputs; results are byte-identical to the
-	// in-memory path (0 = unlimited, never touch disk).
+	// MemoryBudget, when positive, bounds the memory the shuffle may hold,
+	// in bytes, by moving its sorted runs to temp files: each map task gets
+	// an equal share (MemoryBudget / Workers) for its aggregation tables
+	// and flushes them as runs whenever it is exceeded, not only when the
+	// task retires, and the reduce side merges each partition's runs back
+	// through small read windows, so only one group at a time is
+	// materialized. 0 keeps the runs in memory and never touches disk. The
+	// shuffle is the same either way — only where a run's bytes live
+	// differs — and so are the results. The budget covers the shuffle, not
+	// the input slice or the reduce outputs.
 	MemoryBudget int64
 
 	// SpillDir is the base directory for spill temp files (default
@@ -120,7 +124,7 @@ type Progress struct {
 	ReduceTasks     int
 	ShuffleRecords  int64 // aggregated records shuffled so far
 	ShuffleBytes    int64 // encoded bytes shuffled so far (MAP_OUTPUT_BYTES)
-	SpillRuns       int64 // sorted spill runs written so far (budgeted runs)
+	SpillRuns       int64 // sorted runs written to spill files so far (budgeted runs)
 	SpillBytes      int64 // physical spill bytes written so far
 	TaskRetries     int64 // task re-executions after transient failures
 	FaultsInjected  int64 // synthetic faults injected so far (chaos runs)
@@ -150,8 +154,8 @@ type Counters struct {
 	ReduceInputKeys     int64
 	ReduceOutputRecords int64
 
-	// Spill counters (non-zero only when Config.MemoryBudget forced the
-	// shuffle to disk): sorted runs written, physical bytes written to
+	// Spill counters (physical I/O — zero unless Config.MemoryBudget put
+	// the shuffle's runs on disk): sorted runs written, bytes written to
 	// spill files, and aggregated entries spilled. An entry aggregated in
 	// several runs counts once per run — the re-aggregation happens in the
 	// reduce-side merge.
@@ -168,9 +172,12 @@ type Counters struct {
 
 // PhaseTimes breaks a job into the phases the paper reports. The phases
 // overlap, so the wall times are cumulative watermarks: Map is the time
-// until the last map function returned, Shuffle the additional time until
-// the last partition merge completed, and Reduce the remaining tail until
-// the last Reduce returned. Their sum is still the true job wall time.
+// until the last map task had mapped its split and sorted and encoded its
+// runs, Shuffle the additional time until the last task had retired (every
+// partition holds all its runs; next to nothing in-process, where handing a
+// run over is an append), and Reduce the remaining tail until the last
+// Reduce returned — the k-way merges happen there, at the head of each
+// partition's reduce. Their sum is still the true job wall time.
 type PhaseTimes struct {
 	Map     time.Duration
 	Shuffle time.Duration
@@ -180,7 +187,9 @@ type PhaseTimes struct {
 // Total sums the phases.
 func (p PhaseTimes) Total() time.Duration { return p.Map + p.Shuffle + p.Reduce }
 
-// Stats reports everything measured about one job run.
+// Stats reports everything measured about one job run. A map task's time
+// covers mapping its split and sorting and encoding its runs; a reduce
+// task's covers merging the partition's runs and reducing its groups.
 type Stats struct {
 	Wall PhaseTimes // actually elapsed on this host
 	Counters

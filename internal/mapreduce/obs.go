@@ -18,17 +18,12 @@ type obsHooks struct {
 	start time.Time
 
 	// Process-wide pipeline counters (nil when no metrics are attached).
-	pm              *obs.PipelineMetrics
-	shufRecords     *obs.Counter
-	shufBytes       *obs.Counter
-	spillFlushes    *obs.Counter
-	spillRuns       *obs.Counter
-	spillBytes      *obs.Counter
-	spillRecords    *obs.Counter
-	mergeSeconds    *obs.Histogram
-	taskRetries     *obs.Counter
-	faultsInjected  *obs.Counter
-	spillCleanupErr *obs.Counter
+	// The lash_spill_* handles are the disk-backed shuffle's (openDisk).
+	pm             *obs.PipelineMetrics
+	shufRecords    *obs.Counter
+	shufBytes      *obs.Counter
+	taskRetries    *obs.Counter
+	faultsInjected *obs.Counter
 }
 
 // newObsHooks pre-allocates the job's span id (published through
@@ -42,14 +37,8 @@ func newObsHooks(o *obs.Run, start time.Time) obsHooks {
 	if h.pm != nil {
 		h.shufRecords = h.pm.ShuffleRecords
 		h.shufBytes = h.pm.ShuffleBytes
-		h.spillFlushes = h.pm.SpillFlushes
-		h.spillRuns = h.pm.SpillRuns
-		h.spillBytes = h.pm.SpillBytes
-		h.spillRecords = h.pm.SpillRecords
-		h.mergeSeconds = h.pm.MergeSeconds
 		h.taskRetries = h.pm.TaskRetries
 		h.faultsInjected = h.pm.FaultsInjected
-		h.spillCleanupErr = h.pm.SpillCleanupErrors
 	}
 	if h.tr != nil {
 		h.jobID = h.tr.NextID()

@@ -1,10 +1,12 @@
 package mapreduce
 
 import (
-	"bufio"
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,14 +75,68 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestRetryAfterEmit fails one map attempt after it emitted — unwinding it
+// the way a failed mid-task flush does — on both backings. Under the budget
+// the failed attempt has already committed runs, which the retry must drop;
+// without one its tables are simply rebuilt. Either way the output and the
+// shuffle counters are those of a run that never failed.
+func TestRetryAfterEmit(t *testing.T) {
+	input := []int{0, 1, 2, 3, 4, 5}
+	makeJob := func(failOnce bool) AggJob[int, string] {
+		return AggJob[int, string]{
+			Name: "retry-after-emit",
+			Map: func(item int, emit func(uint32, []byte, int64)) {
+				for i := 0; i < 50; i++ {
+					emit(uint32(i%7), []byte{byte(i % 11), byte(item % 2)}, int64(item+1))
+				}
+				if item == 3 && failOnce {
+					failOnce = false
+					panic(attemptFail{fmt.Errorf("synthetic flake: %w", ErrTransient)})
+				}
+			},
+			Reduce: func(group uint32, entries []Entry, emit func(string)) error {
+				for _, e := range entries {
+					emit(fmt.Sprintf("%d|%x|%d", group, e.Key, e.Weight))
+				}
+				return nil
+			},
+		}
+	}
+	for _, budget := range []int64{0, 64} {
+		cfg := Config{Workers: 2, MapTasks: 3, ReduceTasks: 2, MemoryBudget: budget, SpillDir: t.TempDir()}
+		want, wantStats, err := RunAgg(context.Background(), cfg, input, makeJob(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Retry = RetryPolicy{MaxAttempts: 2}
+		got, stats, err := RunAgg(context.Background(), cfg, input, makeJob(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("budget %d: retried run delivered %d records that differ from the fault-free run's %d", budget, len(got), len(want))
+		}
+		if stats.TaskRetries != 1 || stats.MapOutputRecords != wantStats.MapOutputRecords || stats.MapOutputBytes != wantStats.MapOutputBytes {
+			t.Errorf("budget %d: TaskRetries=%d shuffled %d/%d, want 1 and %d/%d", budget, stats.TaskRetries,
+				stats.MapOutputRecords, stats.MapOutputBytes, wantStats.MapOutputRecords, wantStats.MapOutputBytes)
+		}
+	}
+}
+
+// newDiskShuffle is a shuffle on the disk backing under a test temp dir.
+func newDiskShuffle(t *testing.T, reduceTasks int) *shuffle {
+	t.Helper()
+	s := newShuffle(reduceTasks, 1, &obs.RunCounters{})
+	if err := s.openDisk(t.TempDir(), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestCleanupCountsErrors: a close failure during cleanup cannot be returned
 // (the run's error is already decided) but must land in the counters.
 func TestCleanupCountsErrors(t *testing.T) {
-	rc := &obs.RunCounters{}
-	s, err := newSpillState(t.TempDir(), 2, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newDiskShuffle(t, 2)
 	f, err := os.CreateTemp(s.dir, "part-0-")
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +146,7 @@ func TestCleanupCountsErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.cleanup()
-	if got := rc.SpillCleanupErrors.Load(); got != 1 {
+	if got := s.rc.SpillCleanupErrors.Load(); got != 1 {
 		t.Fatalf("SpillCleanupErrors = %d, want 1", got)
 	}
 	if _, err := os.Stat(s.dir); !os.IsNotExist(err) {
@@ -99,65 +155,46 @@ func TestCleanupCountsErrors(t *testing.T) {
 }
 
 // TestFailRunRollback: a failed append truncates the partition file back to
-// the last committed boundary and discards the writer's buffered bytes.
+// the last committed boundary, and the next run lands there.
 func TestFailRunRollback(t *testing.T) {
-	rc := &obs.RunCounters{}
-	s, err := newSpillState(t.TempDir(), 1, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newDiskShuffle(t, 1)
 	defer s.cleanup()
 	st := &s.parts[0]
-	f, err := os.CreateTemp(s.dir, "part-0-")
-	if err != nil {
+	if err := s.appendRun(0, 0, []byte("committed"), 1); err != nil {
 		t.Fatal(err)
 	}
-	st.f = f
-	if _, err := f.WriteString("committed"); err != nil {
+	if _, err := st.f.WriteAt([]byte("partial-failed-run"), st.off); err != nil {
 		t.Fatal(err)
 	}
-	st.off = int64(len("committed"))
-	if _, err := f.WriteString("partial-failed-run"); err != nil {
-		t.Fatal(err)
-	}
-	st.w = bufio.NewWriterSize(f, 1<<16)
-	st.w.WriteString("buffered-tail")
 
 	boom := errors.New("synthetic append failure")
-	if got := s.failRun(st, boom); got != boom {
+	if got := failRun(st, boom); got != boom {
 		t.Fatalf("failRun returned %v, want %v", got, boom)
 	}
-	if st.bad != nil {
-		t.Fatalf("partition poisoned on successful rollback: %v", st.bad)
-	}
-	data, err := os.ReadFile(f.Name())
+	data, err := os.ReadFile(st.f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(data) != "committed" {
 		t.Fatalf("file = %q after rollback, want %q", data, "committed")
 	}
-	// The writer must be usable again at the rollback offset.
-	st.w.WriteString("next-run")
-	if err := st.w.Flush(); err != nil {
+	if err := s.appendRun(0, 0, []byte("next-run"), 1); err != nil {
 		t.Fatal(err)
 	}
-	data, _ = os.ReadFile(f.Name())
+	data, _ = os.ReadFile(st.f.Name())
 	if string(data) != "committednext-run" {
 		t.Fatalf("file = %q after rewrite, want %q", data, "committednext-run")
+	}
+	if len(st.runs) != 2 || st.runs[1].off != int64(len("committed")) {
+		t.Fatalf("runs after rewrite: %+v", st.runs)
 	}
 }
 
 // TestDropTask removes exactly the retrying task's runs, across partitions.
 func TestDropTask(t *testing.T) {
-	rc := &obs.RunCounters{}
-	s, err := newSpillState(t.TempDir(), 2, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.cleanup()
-	s.parts[0].runs = []spillRun{{owner: 0}, {owner: 1}, {owner: 0}}
-	s.parts[1].runs = []spillRun{{owner: 1}}
+	s := newShuffle(2, 1, &obs.RunCounters{})
+	s.parts[0].runs = []run{{owner: 0}, {owner: 1}, {owner: 0}}
+	s.parts[1].runs = []run{{owner: 1}}
 	s.dropTask(0)
 	if got := len(s.parts[0].runs); got != 1 || s.parts[0].runs[0].owner != 1 {
 		t.Fatalf("partition 0 runs after dropTask(0): %+v", s.parts[0].runs)

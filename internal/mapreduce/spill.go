@@ -1,119 +1,143 @@
 package mapreduce
 
 import (
-	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
+	"slices"
 	"sync"
+	"time"
 
 	"lash/internal/faults"
 	"lash/internal/obs"
 )
 
-// The spillable shuffle: when Config.MemoryBudget is set, RunAgg routes the
-// aggregated shuffle through disk instead of holding every partition's
-// merged table in memory. Map tasks still aggregate into flat hash tables,
-// but each task's tables are bounded by its share of the budget — exceeding
-// it flushes every table as a *sorted run* (entries ordered by (group, key
-// bytes), the reduce delivery order) appended to the owning partition's
-// spill file — and the tables remaining when the task retires are flushed
-// the same way. The reduce side then k-way merges each partition's runs,
-// re-aggregating equal (group, key) entries across runs and handing every
-// group to Reduce exactly as the in-memory path would: ascending group
-// order, entries sorted by key, weights summed. The two paths are
-// differential-tested byte-identical.
+// The shuffle between RunAgg's map and reduce sides is sort → run → merge.
+// A map task aggregates into one flat hash table per reduce partition and
+// flushes each table as a *sorted run* — its entries ordered by (group, key
+// bytes), the reduce delivery order — appended to the owning partition. The
+// reduce side k-way merges a partition's runs, re-aggregating equal
+// (group, key) entries across runs, and hands every group to Reduce in
+// ascending group order with its entries sorted by key and weights summed.
 //
 // Run record wire format (per aggregated entry, varint-encoded):
 //
 //	uvarint(group) uvarint(len(key)) key-bytes varint(weight)
 //
-// Spill files live in a fresh directory under Config.SpillDir (default
-// os.TempDir()), one file per reduce partition, and the whole directory is
-// removed when RunAgg returns — on success, error, and cancellation alike.
+// A run's bytes have one of two backings, chosen per RunAgg call by
+// Config.MemoryBudget and by nothing else. Without a budget a run is a byte
+// slice the partition keeps and the merge reads in place. With one it is a
+// section of the partition's spill file, read back through a window of at
+// most runWindow bytes; spill files live in a fresh directory under
+// Config.SpillDir (default os.TempDir()), one per reduce partition, and the
+// whole directory is removed when RunAgg returns — on success, error, and
+// cancellation alike. Encoder, parser, cursor, heap and merge loop are the
+// same code over both.
 
-// aggEntrySize approximates the in-memory footprint of one byteTable slot
-// for budget accounting (hash + group + klen + off + weight, padded).
-const aggEntrySize = 32
+// runWindow caps the read window of one disk run during the merge.
+const runWindow = 1 << 16
 
-// mem estimates the table's memory footprint: the slot array plus the key
-// arena's capacity.
-func (t *byteTable) mem() int64 {
-	return int64(len(t.entries))*aggEntrySize + int64(cap(t.arena))
-}
+// errCorruptRun is the deterministic (never retried) failure of a run whose
+// bytes do not parse as exactly its recorded number of records.
+var errCorruptRun = errors.New("mapreduce: corrupt spill run")
 
-// sortedIndex returns the table's live slot indexes ordered by (group, key
-// bytes) — the one reduce delivery order, shared by the in-memory reduce
-// and the spill-run writer so the two paths cannot drift apart.
-func (t *byteTable) sortedIndex() []int32 {
-	idx := make([]int32, 0, t.n)
+// encodeRun appends t's entries to enc in the run record format, ordered by
+// (group, key bytes). idx is scratch for the sort; both slices are returned
+// for reuse.
+func (t *byteTable) encodeRun(idx []int32, enc []byte) ([]int32, []byte) {
+	idx = slices.Grow(idx, t.n)
 	for i := range t.entries {
 		if t.entries[i].hash != 0 {
 			idx = append(idx, int32(i))
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ea, eb := &t.entries[idx[a]], &t.entries[idx[b]]
-		if ea.group != eb.group {
-			return ea.group < eb.group
+	slices.SortFunc(idx, func(a, b int32) int {
+		ea, eb := &t.entries[a], &t.entries[b]
+		if c := cmp.Compare(ea.group, eb.group); c != 0 {
+			return c
 		}
-		return bytes.Compare(t.key(ea), t.key(eb)) < 0
+		return bytes.Compare(t.key(ea), t.key(eb))
 	})
-	return idx
+	for _, i := range idx {
+		e := &t.entries[i]
+		enc = binary.AppendUvarint(enc, uint64(e.group))
+		enc = binary.AppendUvarint(enc, uint64(e.klen))
+		enc = append(enc, t.key(e)...)
+		enc = binary.AppendVarint(enc, e.weight)
+	}
+	return idx, enc
 }
 
-// spillRun is one sorted run inside a partition's spill file. owner is the
-// map task that wrote it, so a retried task's stale runs can be dropped
-// (dropTask) before the attempt rewrites them.
-type spillRun struct {
-	off     int64
+// run is one sorted run of a partition. owner is the map task that wrote
+// it, so a retried task's stale runs can be dropped (dropTask) before the
+// attempt rewrites them.
+type run struct {
+	data    []byte // memory backing: the run's bytes; nil on disk
+	off     int64  // disk backing: the run is f[off : off+len]
 	len     int64
 	records int
 	owner   int
 }
 
-// spillPart is the per-partition spill state. mu serializes file appends
-// from concurrently-retiring map tasks; by the time the partition is
-// reduced, every map task has retired, so the reader needs no lock. bad
-// poisons the partition when a failed append could not be rolled back —
-// the file tail is then in an unknown state and no further runs may land.
-type spillPart struct {
+// shufflePart is one partition's runs. mu serializes appends from
+// concurrently-flushing map tasks; by the time the partition is reduced,
+// every map task has retired, so the merge needs no lock.
+type shufflePart struct {
 	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer // created with f, reused across runs
-	off  int64
-	runs []spillRun
-	bad  error
+	runs []run
+	f    *os.File // disk backing: created by the first append
+	off  int64    // end of the last committed run in f
 }
 
-// spillState owns a run's spill directory and per-partition files. Spill
-// volume is accounted into the run's counters (rc) and, when pipeline
-// metrics are attached, mirrored into the process-wide counters (pm*,
-// nil-safe).
-type spillState struct {
+// shuffle holds every partition's runs. dir == "" is the memory backing.
+// The fields below it are set by openDisk only: the spill fault points and
+// the lash_spill_* metric handles (nil-safe, mirrored from the run's spill
+// counters in rc) report physical I/O and stay idle on memory runs.
+type shuffle struct {
+	parts []shufflePart
+	rc    *obs.RunCounters
+
 	dir    string
-	parts  []spillPart
-	rc     *obs.RunCounters
 	faults *faults.Registry
 
+	pmFlushes     *obs.Counter
 	pmRuns        *obs.Counter
 	pmBytes       *obs.Counter
 	pmRecords     *obs.Counter
+	pmMerge       *obs.Histogram
 	pmFaults      *obs.Counter
 	pmCleanupErrs *obs.Counter
 }
 
-// newSpillState creates the run's private spill directory under baseDir
-// (os.TempDir() when empty).
-func newSpillState(baseDir string, reduceTasks int, rc *obs.RunCounters) (*spillState, error) {
+// newShuffle returns a shuffle on the memory backing with room for one run
+// per (map task, partition) — all an unbudgeted run writes.
+func newShuffle(reduceTasks, mapTasks int, rc *obs.RunCounters) *shuffle {
+	s := &shuffle{parts: make([]shufflePart, reduceTasks), rc: rc}
+	for p := range s.parts {
+		s.parts[p].runs = make([]run, 0, mapTasks)
+	}
+	return s
+}
+
+// openDisk switches the shuffle to the disk backing: it creates the run's
+// private spill directory under baseDir (os.TempDir() when empty) and arms
+// the spill fault points and metrics.
+func (s *shuffle) openDisk(baseDir string, reg *faults.Registry, pm *obs.PipelineMetrics) error {
 	dir, err := os.MkdirTemp(baseDir, "lash-spill-")
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: create spill dir: %w", err)
+		return fmt.Errorf("mapreduce: create spill dir: %w", err)
 	}
-	return &spillState{dir: dir, parts: make([]spillPart, reduceTasks), rc: rc}, nil
+	s.dir, s.faults = dir, reg
+	if pm != nil {
+		s.pmFlushes, s.pmRuns, s.pmBytes, s.pmRecords = pm.SpillFlushes, pm.SpillRuns, pm.SpillBytes, pm.SpillRecords
+		s.pmMerge, s.pmFaults, s.pmCleanupErrs = pm.MergeSeconds, pm.FaultsInjected, pm.SpillCleanupErrors
+	}
+	return nil
 }
 
 // cleanup closes every partition file and removes the spill directory with
@@ -123,7 +147,7 @@ func newSpillState(baseDir string, reduceTasks int, rc *obs.RunCounters) (*spill
 // remove error means a temp file or the directory may have leaked, so each
 // one is counted into the run's counters and the process-wide gauge feeding
 // lash_spill_cleanup_errors_total.
-func (s *spillState) cleanup() {
+func (s *shuffle) cleanup() {
 	for p := range s.parts {
 		if f := s.parts[p].f; f != nil {
 			if err := f.Close(); err != nil {
@@ -139,147 +163,184 @@ func (s *spillState) cleanup() {
 	}
 }
 
-// writeRun sorts t's entries by (group, key bytes) and appends them as one
-// run to partition p's spill file, tagged with the owning map task. The
-// caller accounts shuffle counters; writeRun accounts the spill counters.
-// A run is committed atomically: it joins st.runs only after every byte
-// reached the file, and a failed append rolls the file back to the last
-// committed boundary (failRun) so a retried task can rewrite it.
-func (s *spillState) writeRun(p, owner int, t *byteTable) error {
-	idx := t.sortedIndex()
-
+// appendRun commits enc — records encoded entries in run order, as
+// byteTable.encodeRun produces them — as one run of partition p, tagged
+// with the owning map task. The caller accounts shuffle counters; the disk
+// backing accounts the spill counters. A run is committed atomically: it
+// joins st.runs only after every byte is in place, and a failed file append
+// rolls back to the last committed boundary (failRun) so a retried task can
+// rewrite it. enc is the caller's to reuse afterwards.
+func (s *shuffle) appendRun(p, owner int, enc []byte, records int) error {
 	st := &s.parts[p]
+	r := run{len: int64(len(enc)), records: records, owner: owner}
+	if s.dir == "" {
+		r.data = bytes.Clone(enc)
+		st.mu.Lock()
+		st.runs = append(st.runs, r)
+		st.mu.Unlock()
+		return nil
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.bad != nil {
-		return st.bad
-	}
 	if st.f == nil {
 		f, err := os.CreateTemp(s.dir, fmt.Sprintf("part-%d-", p))
 		if err != nil {
 			return fmt.Errorf("mapreduce: create spill file: %w", err)
 		}
 		st.f = f
-		st.w = bufio.NewWriterSize(f, 1<<16)
 	}
-	w := st.w
-	var scratch [binary.MaxVarintLen64]byte
-	var written int64
-	for _, i := range idx {
-		e := &t.entries[i]
-		n := binary.PutUvarint(scratch[:], uint64(e.group))
-		n += binary.PutUvarint(scratch[n:], uint64(e.klen))
-		if _, err := w.Write(scratch[:n]); err != nil {
-			return s.failRun(st, fmt.Errorf("mapreduce: write spill run: %w", err))
-		}
-		written += int64(n)
-		if _, err := w.Write(t.key(e)); err != nil {
-			return s.failRun(st, fmt.Errorf("mapreduce: write spill run: %w", err))
-		}
-		written += int64(e.klen)
-		n = binary.PutVarint(scratch[:], e.weight)
-		if _, err := w.Write(scratch[:n]); err != nil {
-			return s.failRun(st, fmt.Errorf("mapreduce: write spill run: %w", err))
-		}
-		written += int64(n)
+	if _, err := st.f.WriteAt(enc, st.off); err != nil {
+		return failRun(st, fmt.Errorf("mapreduce: write spill run: %w", err))
 	}
-	// The injection point sits just before the final flush, when the
-	// buffer (and possibly the file tail) holds a run's worth of
-	// uncommitted bytes — the worst case the rollback must handle.
+	// The injection point sits after the write, when the file tail holds a
+	// run's worth of uncommitted bytes — the worst case the rollback must
+	// handle.
 	if err := s.faults.Hit("mapreduce.spill.write"); err != nil {
 		s.rc.FaultsInjected.Add(1)
 		s.pmFaults.Inc()
-		return s.failRun(st, fmt.Errorf("mapreduce: write spill run: %w", err))
+		return failRun(st, fmt.Errorf("mapreduce: write spill run: %w", err))
 	}
-	if err := w.Flush(); err != nil {
-		return s.failRun(st, fmt.Errorf("mapreduce: flush spill run: %w", err))
-	}
-	st.runs = append(st.runs, spillRun{off: st.off, len: written, records: len(idx), owner: owner})
-	st.off += written
+	r.off = st.off
+	st.off += r.len
+	st.runs = append(st.runs, r)
 	s.rc.SpillRuns.Add(1)
-	s.rc.SpillBytes.Add(written)
-	s.rc.SpillRecords.Add(int64(len(idx)))
+	s.rc.SpillBytes.Add(r.len)
+	s.rc.SpillRecords.Add(int64(records))
 	s.pmRuns.Inc()
-	s.pmBytes.Add(written)
-	s.pmRecords.Add(int64(len(idx)))
+	s.pmBytes.Add(r.len)
+	s.pmRecords.Add(int64(records))
 	return nil
 }
 
 // failRun rolls partition st back to its last committed run boundary after
-// a failed append: the writer's buffered bytes are discarded and the file
-// is truncated to st.off (a bufio flush may already have pushed part of the
-// failed run to disk). When the rollback itself fails the partition is
-// poisoned — the file tail is unknowable, so every later writeRun returns
-// the poisoning error instead of appending garbage. Always returns err.
-func (s *spillState) failRun(st *spillPart, err error) error {
-	st.w.Reset(st.f)
-	if terr := st.f.Truncate(st.off); terr != nil {
-		st.bad = fmt.Errorf("mapreduce: spill rollback failed: %w (rolling back: %w)", terr, err)
-		return err
-	}
-	if _, serr := st.f.Seek(st.off, io.SeekStart); serr != nil {
-		st.bad = fmt.Errorf("mapreduce: spill rollback failed: %w (rolling back: %w)", serr, err)
-	}
+// a failed append by truncating the file to st.off, and returns err. The
+// truncate is best effort (it gives the space back — the append may have
+// failed for want of it): runs are written and read at explicit offsets, so
+// bytes past st.off are never read and the next append overwrites them.
+func failRun(st *shufflePart, err error) error {
+	_ = st.f.Truncate(st.off)
 	return err
 }
 
-// dropTask removes every run the given map task has written, across all
+// dropTask removes every run the given map task has committed, across all
 // partitions — called by a retrying attempt before it rewrites them, so a
-// partition never merges two copies of one task's output. The dead bytes
-// stay in the files unread (runs are addressed by offset, never scanned).
-func (s *spillState) dropTask(owner int) {
+// partition never merges two copies of one task's output. On disk the dead
+// bytes stay in the files unread (runs are addressed by offset, never
+// scanned).
+func (s *shuffle) dropTask(owner int) {
 	for p := range s.parts {
 		st := &s.parts[p]
 		st.mu.Lock()
-		kept := st.runs[:0]
-		for _, r := range st.runs {
-			if r.owner != owner {
-				kept = append(kept, r)
-			}
-		}
-		st.runs = kept
+		st.runs = slices.DeleteFunc(st.runs, func(r run) bool { return r.owner == owner })
 		st.mu.Unlock()
 	}
 }
 
-// runCursor streams one sorted run back off disk. group/key/weight hold the
-// record at the cursor; key bytes live in the cursor-owned buffer and stay
-// valid until the next advance.
+// runCursor reads one sorted run record by record. group/key/weight hold
+// the record at the cursor; key aliases the window and stays valid until
+// the next advance. A memory run's window is the run itself and rest is 0;
+// a disk run's window is buf, refilled from the rest bytes at f[off:].
 type runCursor struct {
-	r      *bufio.Reader
-	left   int // records remaining, current one included
+	win  []byte // unparsed bytes in hand
+	left int    // records remaining
+	f    io.ReaderAt
+	off  int64
+	rest int64
+	buf  []byte
+
 	group  uint32
 	key    []byte
 	weight int64
 }
 
-// next advances the cursor to its next record. Returns false at run end.
+// next advances the cursor to its next record. Returns false at run end. A
+// run that does not hold exactly its recorded number of records within its
+// recorded length fails with errCorruptRun; no length read from the run is
+// trusted beyond the bytes the run has left.
 func (c *runCursor) next() (bool, error) {
 	if c.left == 0 {
+		if len(c.win) > 0 || c.rest > 0 {
+			return false, fmt.Errorf("%w: bytes left after the last record", errCorruptRun)
+		}
 		return false, nil
 	}
 	c.left--
-	g, err := binary.ReadUvarint(c.r)
-	if err != nil {
-		return false, fmt.Errorf("mapreduce: corrupt spill run: %w", err)
+	for {
+		need, err := c.parse()
+		if need == 0 || err != nil {
+			return err == nil, err
+		}
+		if int64(need) > int64(len(c.win))+c.rest {
+			return false, fmt.Errorf("%w: record overruns the run", errCorruptRun)
+		}
+		if err := c.fill(need); err != nil {
+			return false, err
+		}
 	}
-	klen, err := binary.ReadUvarint(c.r)
-	if err != nil {
-		return false, fmt.Errorf("mapreduce: corrupt spill run: %w", err)
+}
+
+// parse decodes the record at the head of the window into the cursor and
+// consumes it, returning 0. When the window ends inside the record it
+// returns a window length that would get further instead.
+func (c *runCursor) parse() (need int, err error) {
+	w := c.win
+	g, n := binary.Uvarint(w)
+	if n == 0 {
+		return len(w) + 1, nil
 	}
-	if cap(c.key) < int(klen) {
-		c.key = make([]byte, klen)
+	if n < 0 || g > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: malformed group", errCorruptRun)
 	}
-	c.key = c.key[:klen]
-	if _, err := io.ReadFull(c.r, c.key); err != nil {
-		return false, fmt.Errorf("mapreduce: corrupt spill run: %w", err)
+	klen, m := binary.Uvarint(w[n:])
+	if m == 0 {
+		return len(w) + 1, nil
 	}
-	w, err := binary.ReadVarint(c.r)
-	if err != nil {
-		return false, fmt.Errorf("mapreduce: corrupt spill run: %w", err)
+	// The key, and the weight's at least one byte after it, must fit in what
+	// the run has left — checked before klen sizes anything.
+	if m < 0 || klen >= uint64(len(w)-n-m)+uint64(c.rest) {
+		return 0, fmt.Errorf("%w: key length overruns the run", errCorruptRun)
 	}
-	c.group, c.weight = uint32(g), w
-	return true, nil
+	n += m
+	end := n + int(klen)
+	if end >= len(w) {
+		return end + 1, nil
+	}
+	weight, m := binary.Varint(w[end:])
+	if m == 0 {
+		return len(w) + 1, nil
+	}
+	if m < 0 {
+		return 0, fmt.Errorf("%w: malformed weight", errCorruptRun)
+	}
+	c.group, c.key, c.weight = uint32(g), w[n:end:end], weight
+	c.win = w[end+m:]
+	return 0, nil
+}
+
+// fill slides the unparsed tail to the front of the cursor's buffer and
+// reads the run's next bytes in behind it: a window of runWindow bytes, or
+// need if that is more, or whatever the run has left if that is less (the
+// caller has checked it has need).
+func (c *runCursor) fill(need int) error {
+	size := int(min(int64(len(c.win))+c.rest, int64(max(need, runWindow))))
+	if cap(c.buf) < size {
+		c.buf = append(make([]byte, 0, size), c.win...)
+	} else {
+		c.buf = append(c.buf[:0], c.win...)
+	}
+	have := len(c.buf)
+	c.buf = c.buf[:size]
+	n, err := c.f.ReadAt(c.buf[have:], c.off)
+	if n < size-have {
+		if err == io.EOF {
+			return fmt.Errorf("%w: spill file ends inside the run", errCorruptRun)
+		}
+		return fmt.Errorf("mapreduce: read spill run: %w", err)
+	}
+	c.off += int64(n)
+	c.rest -= int64(n)
+	c.win = c.buf
+	return nil
 }
 
 // cursorLess orders cursors by their current record's (group, key bytes).
@@ -339,28 +400,27 @@ func (h *cursorHeap) popRoot() {
 
 // mergeRuns k-way merges partition p's sorted runs, re-aggregating equal
 // (group, key) entries, and hands each group to reduce with its entries
-// sorted by key — exactly the in-memory reduce delivery. reduce may keep
-// the entries only for the duration of the call (keys alias a per-group
-// arena). abort is polled between groups for cooperative cancellation.
-func (s *spillState) mergeRuns(p int, abort func() bool, reduce func(group uint32, entries []Entry) error) error {
+// sorted by key. reduce may keep the entries only for the duration of the
+// call (keys alias a per-group arena). abort is polled between groups for
+// cooperative cancellation. The merge is re-runnable — every call reads the
+// runs from their start — so a retried reduce task simply merges again;
+// once one succeeds the partition's runs are released.
+func (s *shuffle) mergeRuns(p int, abort func() bool, reduce func(group uint32, entries []Entry) error) error {
 	st := &s.parts[p]
-	if len(st.runs) == 0 {
-		return nil
-	}
-	// Injected merge failures model a read error at merge start; the merge
-	// is re-runnable (fresh section readers per call), so a retried reduce
-	// task simply merges again.
+	// Injected merge failures model a read error at merge start.
 	if err := s.faults.Hit("mapreduce.spill.merge"); err != nil {
 		s.rc.FaultsInjected.Add(1)
 		s.pmFaults.Inc()
 		return fmt.Errorf("mapreduce: merge spill runs: %w", err)
 	}
+	begin := time.Now()
+	defer func() { s.pmMerge.Observe(time.Since(begin).Seconds()) }()
+
+	cursors := make([]runCursor, len(st.runs))
 	heap := make(cursorHeap, 0, len(st.runs))
-	for _, run := range st.runs {
-		c := &runCursor{
-			r:    bufio.NewReaderSize(io.NewSectionReader(st.f, run.off, run.len), 1<<16),
-			left: run.records,
-		}
+	for i, r := range st.runs {
+		c := &cursors[i]
+		*c = runCursor{win: r.data, left: r.records, f: st.f, off: r.off, rest: r.len - int64(len(r.data))}
 		ok, err := c.next()
 		if err != nil {
 			return err
@@ -373,54 +433,50 @@ func (s *spillState) mergeRuns(p int, abort func() bool, reduce func(group uint3
 	var (
 		entries []Entry
 		arena   []byte
-		group   uint32
-		started bool
 	)
-	flush := func() error {
-		if !started || len(entries) == 0 {
+	for len(heap) > 0 {
+		if abort() {
 			return nil
 		}
-		err := reduce(group, entries)
-		entries = entries[:0]
-		arena = arena[:0]
-		return err
-	}
-	for len(heap) > 0 {
-		c := heap[0]
-		if started && c.group != group {
-			if abort() {
-				return nil
+		group := heap[0].group
+		for len(heap) > 0 && heap[0].group == group {
+			// Aggregate every run's copy of this (group, key): consume the
+			// root, then any new root with the same record.
+			off := len(arena)
+			arena = append(arena, heap[0].key...)
+			key := arena[off:len(arena):len(arena)]
+			weight := int64(0)
+			for len(heap) > 0 {
+				c := heap[0]
+				if c.group != group || !bytes.Equal(c.key, key) {
+					break
+				}
+				weight += c.weight
+				ok, err := c.next()
+				if err != nil {
+					return err
+				}
+				if ok {
+					heap.fix()
+				} else {
+					heap.popRoot()
+				}
 			}
-			if err := flush(); err != nil {
-				return err
-			}
+			entries = append(entries, Entry{Key: key, Weight: weight})
 		}
-		group = c.group
-		started = true
+		if err := reduce(group, entries); err != nil {
+			return err
+		}
+		entries, arena = entries[:0], arena[:0]
+	}
 
-		// Aggregate every run's copy of this (group, key): consume the root,
-		// then any new root with the same record.
-		off := len(arena)
-		arena = append(arena, c.key...)
-		key := arena[off:len(arena):len(arena)]
-		weight := int64(0)
-		for len(heap) > 0 {
-			c = heap[0]
-			if c.group != group || !bytes.Equal(c.key, key) {
-				break
-			}
-			weight += c.weight
-			ok, err := c.next()
-			if err != nil {
-				return err
-			}
-			if ok {
-				heap.fix()
-			} else {
-				heap.popRoot()
-			}
-		}
-		entries = append(entries, Entry{Key: key, Weight: weight})
+	// The partition is fully consumed: release its runs' bytes and its file
+	// descriptor (the file was only read since its last append, so a close
+	// error has nothing to lose) now instead of at run end.
+	st.runs = nil
+	if st.f != nil {
+		_ = st.f.Close()
+		st.f = nil
 	}
-	return flush()
+	return nil
 }

@@ -14,14 +14,13 @@ type RunCounters struct {
 	ReduceTasksDone atomic.Int64
 	ShuffleRecords  atomic.Int64
 	ShuffleBytes    atomic.Int64
-	SpillFlushes    atomic.Int64
 	SpillRuns       atomic.Int64
 	SpillBytes      atomic.Int64
 	SpillRecords    atomic.Int64
 
 	// Fault tolerance: task re-executions after transient failures,
 	// synthetic faults injected (chaos runs), and spill cleanup failures
-	// (leaked temp dirs/files — see spillState.cleanup).
+	// (leaked temp dirs/files — see the shuffle's cleanup).
 	TaskRetries        atomic.Int64
 	FaultsInjected     atomic.Int64
 	SpillCleanupErrors atomic.Int64

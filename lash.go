@@ -164,13 +164,14 @@ type Options struct {
 	// emit before aborting with ErrAborted (0 = unlimited).
 	MaxIntermediate int64
 	// MemoryBudget, when positive, bounds the bytes the mining shuffle may
-	// hold in in-memory aggregation tables: past the budget, sorted runs
-	// spill to temp files and partitions are k-way merged back off disk
-	// before mining, so corpora whose shuffle exceeds RAM still mine — with
-	// byte-identical results (0 = unlimited, never touch disk). Spill
-	// volume is reported in Result.Stats. The budget is a cap on shuffle
-	// table memory, not total process memory: each partition being mined
-	// must still fit (the paper's partition-at-a-time contract).
+	// hold: the sorted runs it merges into partitions then live in temp
+	// files instead of memory, so corpora whose shuffle exceeds RAM still
+	// mine. It is the same shuffle either way — the budget only decides
+	// where a run's bytes are kept — with byte-identical results (0 = keep
+	// them in memory, never touch disk). Spill volume is reported in
+	// Result.Stats. The budget caps shuffle memory, not total process
+	// memory: each partition being mined must still fit (the paper's
+	// partition-at-a-time contract).
 	MemoryBudget int64
 	// Restriction optionally thins the output to closed or maximal patterns
 	// (computed relative to the mined output, i.e. supersequences up to

@@ -87,16 +87,16 @@ func (o Options) ValidateStream() error {
 
 // Canonical returns o with every field that cannot affect Mine's output
 // normalized to its zero value: Workers (a pure parallelism knob), the
-// observability hooks (Progress, Trace, Metrics), MemoryBudget (an
-// execution-mode knob — the spill path is differential-tested
-// byte-identical to the in-memory path), and the robustness knobs
-// (Deadline, MaxAttempts, Faults — retried runs are differential-tested
-// byte-identical to fault-free runs, and deadlines only decide whether a
-// run finishes, not what it outputs) are always zeroed, LocalMiner is
-// zeroed for algorithms that do not run a local miner, and MaxIntermediate
-// is zeroed for algorithms that never emit intermediate records. Two valid
-// Options values with equal canonical forms produce identical results on
-// the same database.
+// observability hooks (Progress, Trace, Metrics), MemoryBudget (it only
+// decides whether the shuffle's runs live in memory or in spill files —
+// both backings are differential-tested byte-identical), and the
+// robustness knobs (Deadline, MaxAttempts, Faults — retried runs are
+// differential-tested byte-identical to fault-free runs, and deadlines only
+// decide whether a run finishes, not what it outputs) are always zeroed,
+// LocalMiner is zeroed for algorithms that do not run a local miner, and
+// MaxIntermediate is zeroed for algorithms that never emit intermediate
+// records. Two valid Options values with equal canonical forms produce
+// identical results on the same database.
 func (o Options) Canonical() Options {
 	o.Workers = 0
 	o.Progress = nil

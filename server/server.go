@@ -344,10 +344,11 @@ type OptionsSpec struct {
 	Restriction     string `json:"restriction,omitempty"`
 	Workers         int    `json:"workers,omitempty"`
 	MaxIntermediate int64  `json:"max_intermediate,omitempty"`
-	// MemoryBudget bounds the job's shuffle memory in bytes; past it the
-	// shuffle spills sorted runs to disk (see lash.Options.MemoryBudget).
-	// 0 = unlimited. Does not affect the mined result, so cache hits and
-	// singleflight coalescing work across different budgets.
+	// MemoryBudget bounds the job's shuffle memory in bytes by keeping the
+	// shuffle's sorted runs in temp files instead of memory (see
+	// lash.Options.MemoryBudget). 0 = in memory. Does not affect the mined
+	// result, so cache hits and singleflight coalescing work across
+	// different budgets.
 	MemoryBudget int64 `json:"memory_budget,omitempty"`
 	// DeadlineMS, when positive, bounds the run's mining wall time in
 	// milliseconds: a run still in flight past it fails with a timeout
