@@ -4,7 +4,7 @@ FUZZ_PKGS ?= ./internal/seqenc ./internal/seqdb ./internal/mapreduce ./server
 PROFILE_BENCH ?= BenchmarkFig4a
 PROFILE_BENCHTIME ?= 3x
 
-.PHONY: build test vet lint lashvet tools-test bench-smoke fuzz profile race chaos clean
+.PHONY: build test vet lint lashvet tools-test bench-smoke fuzz profile race chaos loc clean
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,22 @@ profile:
 	@echo "profiles written: cpu.pprof mem.pprof (binary: lash-bench.test)"
 	@echo "  $(GO) tool pprof -top cpu.pprof"
 	@echo "  $(GO) tool pprof -top -sample_index=alloc_objects mem.pprof"
+
+# loc prints the per-package line table (wc -l) that simplicity PRs quote in
+# CHANGES.md, as Markdown: non-test Go, _test.go, and files under testdata/,
+# for the root module, bench/ and tools/ separately.
+loc:
+	@for mod in . bench tools; do \
+		echo "module $$mod"; echo; echo "| package | non-test | test | testdata |"; echo "|---|---:|---:|---:|"; \
+		(cd $$mod && find . \( -path ./bench -o -path ./tools -o -path './.*' \) -prune -o \
+			-type f \( -name '*.go' -o -path '*/testdata/*' \) -print0 | xargs -0 wc -l | awk ' \
+			$$2 != "total" { f = $$2; sub(/^\.\//, "", f); \
+				if (f ~ /(^|\/)testdata\//) { k = 3; sub(/\/?testdata\/.*/, "", f) } \
+				else { k = f ~ /_test\.go$$/ ? 2 : 1; sub(/\/?[^\/]*$$/, "", f) } \
+				if (f == "") f = "."; n[f, k] += $$1; pkgs[f]; total[k] += $$1 } \
+			END { for (p in pkgs) printf "| `%s` | %d | %d | %d |\n", p, n[p, 1], n[p, 2], n[p, 3] | "sort"; close("sort"); \
+				printf "| **total** | %d | %d | %d |\n\n", total[1], total[2], total[3] }'); \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -11,14 +11,14 @@
 // -data) and then answers mining queries concurrently: jobs run
 // asynchronously on a bounded worker pool under per-job contexts,
 // identical in-flight requests coalesce onto one run, and finished results
-// are cached so repeats are answered instantly. DELETE /v1/jobs/{id}
-// cancels a queued or running job; POST /v1/mine/stream streams patterns
-// as NDJSON while the run is still mining. Databases are mutable by
-// append: POST /v1/databases/{name}/sequences installs a new immutable
-// corpus version, later mines resume incrementally from the previous
-// version's captured state, and every non-2xx response carries the
-// uniform {"error": {...}} envelope. See package lash/server for the
-// HTTP API.
+// are retained under -cache-bytes so repeats are answered instantly.
+// DELETE /v1/jobs/{id} cancels a queued or running job; POST
+// /v1/mine/stream streams patterns as NDJSON while the run is still
+// mining. Databases are mutable by append: POST
+// /v1/databases/{name}/sequences installs a new immutable corpus version,
+// later mines resume incrementally from the newest retained state, and
+// every non-2xx response carries the uniform {"error": {...}} envelope.
+// See package lash/server for the HTTP API.
 //
 // Robustness: -max-job-time caps every run's mining wall time (requests
 // may tighten it with deadline_ms, never loosen it), -max-queue bounds the
@@ -65,8 +65,8 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 4, "concurrent mining jobs")
-		cacheBytes = flag.Int64("cache-bytes", 256<<20, "result cache byte budget (negative disables)")
-		history    = flag.Int("history", 1024, "retained job records (negative retains everything)")
+		cacheBytes = flag.Int64("cache-bytes", 256<<20, "bytes of mined results (patterns, state, index) retained for resubmissions, job polls, /v1/patterns and delta resume; least recently used go first (negative: no budget, resubmissions re-mine)")
+		history    = flag.Int("history", 1024, "retained job records, a few hundred bytes each; their results live under -cache-bytes (negative retains everything)")
 		dataDir    = flag.String("data", "", "directory for file-based databases (empty disables file loading)")
 		demo       = flag.Bool("demo", false, "preload generated demo databases demo-text and demo-market")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")

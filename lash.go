@@ -241,6 +241,7 @@ type MineState struct {
 	numSeqs int
 	key     string
 	delta   *core.DeltaState
+	size    int64 // SizeBytes, computed once when the run assembles the state
 }
 
 // CorpusVersion returns the Database.Version the state was taken at.
@@ -257,6 +258,32 @@ func (s *MineState) NumSequences() int {
 		return 0
 	}
 	return s.numSeqs
+}
+
+// SizeBytes returns the deterministic byte accounting of what the state
+// retains: the f-list counts, one record per partition, and every
+// partition pattern with its items at their element widths. Two runs over
+// equal inputs report equal sizes, so a holder can charge the state against
+// a memory budget.
+func (s *MineState) SizeBytes() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.size
+}
+
+func deltaStateBytes(d *core.DeltaState) int64 {
+	const (
+		partBytes    = 64 // core.DeltaPart: pivot, fingerprint, three counters, one slice header
+		patternBytes = 32 // gsm.Pattern: one slice header plus the support
+	)
+	size := int64(len(d.Freqs))*8 + int64(len(d.Parts))*partBytes
+	for i := range d.Parts {
+		for _, p := range d.Parts[i].Patterns {
+			size += patternBytes + int64(len(p.Items))*4
+		}
+	}
+	return size
 }
 
 // ValidFor reports whether the state can seed a delta re-mine of db under
@@ -597,6 +624,7 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 			numSeqs: db.NumSequences(),
 			key:     opt.CacheKey(),
 			delta:   res.Delta,
+			size:    deltaStateBytes(res.Delta),
 		}
 	}
 	out.Stats.DeltaPartitionsDirty = int64(res.DeltaDirty)

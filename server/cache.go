@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"lash"
@@ -16,149 +17,194 @@ type CacheStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Size      int    `json:"size"`
-	// Bytes and CapacityBytes report the byte budget: Bytes is the sum of
-	// every cached result's charge (its serving index's exact SizeBytes
-	// plus the estimated result footprint), CapacityBytes the configured
-	// budget (0 when the cache is disabled).
+	// Bytes is the sum of every retained result's charge, CapacityBytes the
+	// configured budget (0 when there is none).
 	Bytes         int64 `json:"bytes"`
 	CapacityBytes int64 `json:"capacity_bytes"`
 }
 
-// resultCache is an LRU cache of mining results keyed by database name +
-// corpus version + canonical options (see jobKey), bounded by a byte budget
-// rather than an entry count: every entry is charged its serving-index
-// SizeBytes plus an estimate of the raw result, and least recently used
-// entries are evicted once the budget is exceeded. An entry's charge starts
-// as a cheap estimate at insertion (insertion happens under the job
-// manager's lock; building the index there would stall it) and is corrected
-// by recost once the manager's index-build goroutine knows the exact size.
+// resultCache is the only long-lived holder of finished mining results:
+// job records, the pattern endpoints and delta resume read a result — its
+// patterns, its State, its memoized serving index — through here and keep
+// no pointer of their own, so the server remembers of a run what this file
+// retains.
 //
-// A budget ≤ 0 disables caching: every lookup is a miss, nothing is stored.
-// instrument swaps the hit/miss/eviction counters for registry-backed ones
-// before the cache sees traffic.
+// The policy is one LRU list under one byte budget. add charges a result
+// its estimated footprint plus its State, recost adds the serving index
+// once it is built, and every read (get, result, latest, resume) promotes.
+// add and recost then evict from the least recently used end while the
+// charges exceed the budget, but never the most recently used entry: a
+// result larger than the whole budget still reaches whoever waits on it,
+// and goes at the next add. An evicted result is gone for every reader at
+// once — an identical resubmission re-mines, its job records answer without
+// a result, the pattern endpoints answer as if it had never been mined, and
+// the next append resumes from an older retained State or mines cold.
+//
+// A budget ≤ 0 means resubmissions always re-mine (every get is a miss)
+// and, there being no budget, nothing is ever evicted.
 type resultCache struct {
-	budget int64 // byte budget; ≤ 0 disables the cache
+	budget int64
 
 	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	ll    *list.List               // of *cacheEntry; front = most recently used
+	items map[string]*list.Element // job key → entry
+	// byDB orders each database's entries by corpus version, equal versions
+	// by insertion: the last is what /v1/patterns serves by default.
+	byDB  map[string][]*list.Element
 	bytes int64
 
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
+	hits, misses, evictions *obs.Counter
 }
 
+// cacheEntry is one retained result. Everything but the charge is
+// immutable, so readers use what a lookup returned without the lock.
 type cacheEntry struct {
-	key   string
-	res   *lash.Result
-	bytes int64
+	job     *job   // the run that mined res: its id, key, database and corpus version name the result
+	optKey  string // the run's canonical options without the corpus version: what a resume must match
+	res     *lash.Result
+	bytes   int64
+	indexed bool // recost has charged res's serving index
 }
 
-// newResultCache builds a cache with the given byte budget.
-func newResultCache(budgetBytes int64) *resultCache {
-	return &resultCache{
-		budget:    budgetBytes,
-		ll:        list.New(),
-		items:     make(map[string]*list.Element),
-		hits:      &obs.Counter{},
-		misses:    &obs.Counter{},
-		evictions: &obs.Counter{},
-	}
+// newResultCache builds a cache with the given byte budget, counting into
+// the given handles.
+func newResultCache(budgetBytes int64, hits, misses, evictions *obs.Counter) *resultCache {
+	return &resultCache{budget: budgetBytes, ll: list.New(), items: make(map[string]*list.Element),
+		byDB: make(map[string][]*list.Element), hits: hits, misses: misses, evictions: evictions}
 }
 
-// instrument replaces the cache's private obs counters with registry-backed
-// ones. Call it before the cache sees traffic.
-func (c *resultCache) instrument(hits, misses, evictions *obs.Counter) {
-	c.hits, c.misses, c.evictions = hits, misses, evictions
-}
-
-// get returns the cached result for key, promoting it to most recently
-// used. Every call counts as exactly one hit or one miss.
+// get answers a resubmission with the retained result for key. It is the
+// one lookup that counts: every call is exactly one hit or one miss.
 func (c *resultCache) get(key string) (*lash.Result, bool) {
+	if res, ok := c.result(key); ok && c.budget > 0 {
+		c.hits.Inc()
+		return res, true
+	}
+	c.misses.Inc()
+	return nil, false
+}
+
+// result returns the retained result for key: what a job record with that
+// key reports.
+func (c *resultCache) result(key string) (*lash.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses.Inc()
 		return nil, false
 	}
-	c.hits.Inc()
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).res, true
 }
 
-// estimateResultBytes approximates a result's memory footprint before its
-// serving index exists: per-pattern and per-item overheads plus string
-// bytes. recost replaces the guess with index-exact accounting later; the
-// estimate only has to be sane enough to keep a burst of insertions from
-// blowing the budget in the window before their indexes are built.
-func estimateResultBytes(res *lash.Result) int64 {
-	bytes := int64(256)
-	for _, p := range res.Patterns {
-		bytes += 32 // Pattern header
-		for _, it := range p.Items {
-			bytes += int64(len(it)) + 16
+// latest returns the most recently mined retained result of a database at
+// the given corpus version — at the highest retained one when version is 0
+// — with the job that mined it.
+func (c *resultCache) latest(dbName string, version int) (*job, *lash.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	els := c.byDB[dbName]
+	for i := len(els) - 1; i >= 0; i-- {
+		e := els[i].Value.(*cacheEntry)
+		if version == 0 || e.job.version == version {
+			c.ll.MoveToFront(els[i])
+			return e.job, e.res, true
+		}
+		if e.job.version < version {
+			break
 		}
 	}
-	for _, p := range res.FrequentItems {
-		bytes += 32
-		for _, it := range p.Items {
-			bytes += int64(len(it)) + 16
+	return nil, nil, false
+}
+
+// resume returns the State a mine of db under opt can delta from: that of
+// the highest retained corpus version whose State is valid for the
+// snapshot, nil when no retained run left one.
+func (c *resultCache) resume(dbName string, db *lash.Database, opt lash.Options) *lash.MineState {
+	optKey := opt.CacheKey()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	els := c.byDB[dbName]
+	for i := len(els) - 1; i >= 0; i-- {
+		e := els[i].Value.(*cacheEntry)
+		if e.optKey == optKey && e.res.State.ValidFor(db, opt) {
+			c.ll.MoveToFront(els[i])
+			return e.res.State
+		}
+	}
+	return nil
+}
+
+// estimateResultBytes approximates the footprint of a result's pattern
+// lists: per-pattern and per-item overheads plus string bytes.
+func estimateResultBytes(res *lash.Result) int64 {
+	bytes := int64(256)
+	for _, ps := range [][]lash.Pattern{res.Patterns, res.FrequentItems} {
+		for _, p := range ps {
+			bytes += 32 // Pattern header
+			for _, it := range p.Items {
+				bytes += int64(len(it)) + 16
+			}
 		}
 	}
 	return bytes
 }
 
-// add stores a result charged at its estimated size, evicting least
-// recently used entries if the budget is exceeded.
-func (c *resultCache) add(key string, res *lash.Result) {
-	if c.budget <= 0 {
-		return
-	}
+// add retains the result job j mined as the most recently used entry,
+// replacing one already held under j's key, and re-applies the budget.
+func (c *resultCache) add(j *job, res *lash.Result) {
+	e := &cacheEntry{job: j, optKey: j.options.CacheKey(), res: res,
+		bytes: estimateResultBytes(res) + res.State.SizeBytes()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	bytes := estimateResultBytes(res)
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.bytes += bytes - ent.bytes
-		ent.res, ent.bytes = res, bytes
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, bytes: bytes})
-		c.bytes += bytes
+	if old, ok := c.items[j.key]; ok {
+		c.removeLocked(old)
 	}
+	el := c.ll.PushFront(e)
+	c.items[j.key] = el
+	els := c.byDB[j.dbName]
+	i := len(els)
+	for i > 0 && els[i-1].Value.(*cacheEntry).job.version > j.version {
+		i--
+	}
+	c.byDB[j.dbName] = slices.Insert(els, i, el)
+	c.bytes += e.bytes
 	c.evictOverBudgetLocked()
 }
 
-// recost corrects a cached entry's byte charge once its exact size is
-// known (the estimate from add plus the serving index's SizeBytes), then
-// re-applies the budget. Missing keys — the entry may have been evicted in
-// the meantime — are ignored.
-func (c *resultCache) recost(key string, bytes int64) {
+// recost adds the size of an entry's serving index, built after add, to its
+// charge — once — and re-applies the budget. The entry may have been
+// evicted in the meantime (ignored) or re-mined (the late report still
+// fits: results under one key, and so their indexes, are byte-identical).
+func (c *resultCache) recost(key string, indexBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return
+	if el, ok := c.items[key]; ok && !el.Value.(*cacheEntry).indexed {
+		e := el.Value.(*cacheEntry)
+		e.indexed, e.bytes = true, e.bytes+indexBytes
+		c.bytes += indexBytes
+		c.evictOverBudgetLocked()
 	}
-	ent := el.Value.(*cacheEntry)
-	c.bytes += bytes - ent.bytes
-	ent.bytes = bytes
-	c.evictOverBudgetLocked()
 }
 
 // evictOverBudgetLocked drops least recently used entries while the cache
-// exceeds its byte budget. Caller holds c.mu.
+// exceeds its byte budget, never the most recently used one. Caller holds
+// c.mu.
 func (c *resultCache) evictOverBudgetLocked() {
-	for c.ll.Len() > 0 && c.bytes > c.budget {
-		oldest := c.ll.Back()
-		ent := oldest.Value.(*cacheEntry)
-		c.ll.Remove(oldest)
-		delete(c.items, ent.key)
-		c.bytes -= ent.bytes
+	for c.budget > 0 && c.bytes > c.budget && c.ll.Len() > 1 {
+		c.removeLocked(c.ll.Back())
 		c.evictions.Inc()
 	}
+}
+
+// removeLocked forgets one entry. Caller holds c.mu.
+func (c *resultCache) removeLocked(el *list.Element) {
+	e := c.ll.Remove(el).(*cacheEntry)
+	delete(c.items, e.job.key)
+	c.bytes -= e.bytes
+	els := c.byDB[e.job.dbName]
+	i := slices.Index(els, el)
+	c.byDB[e.job.dbName] = slices.Delete(els, i, i+1)
 }
 
 // stats snapshots the cache counters.

@@ -5,7 +5,13 @@ import (
 	"testing"
 
 	"lash"
+	"lash/internal/obs"
 )
+
+// testCache is a cache counting into handles of its own.
+func testCache(budget int64) *resultCache {
+	return newResultCache(budget, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
+}
 
 // resultN is a single-pattern result; its estimate is 256 + 32 + 1 + 16 =
 // 305 bytes.
@@ -14,13 +20,13 @@ func resultN(n int64) *lash.Result {
 }
 
 func TestCacheLRUByteBudget(t *testing.T) {
-	c := newResultCache(700) // room for two resultN, not three
-	c.add("k0", resultN(1))
-	c.add("k1", resultN(2))
+	c := testCache(700) // room for two resultN, not three
+	c.add(&job{key: "k0"}, resultN(1))
+	c.add(&job{key: "k1"}, resultN(2))
 	if _, ok := c.get("k0"); !ok { // promotes k0 over k1
 		t.Fatal("k0 missing")
 	}
-	c.add("k2", resultN(3)) // over budget: evicts k1, the least recently used
+	c.add(&job{key: "k2"}, resultN(3)) // over budget: evicts k1, the least recently used
 	if _, ok := c.get("k1"); ok {
 		t.Error("k1 survived eviction")
 	}
@@ -44,16 +50,17 @@ func TestCacheLRUByteBudget(t *testing.T) {
 }
 
 // One result may use any share of the budget: an entry charged half of it
-// (at insertion, and again after the index recost) stays cached. A budget
-// split across shards evicted it on its own insertion.
+// (part at insertion, the rest when recost adds its index) stays cached. A
+// budget split across shards evicted it on its own insertion.
 func TestCacheHalfBudgetEntryStays(t *testing.T) {
 	res := resultN(1)
-	c := newResultCache(2 * estimateResultBytes(res))
-	c.add("big", res)
+	const indexBytes = 40
+	c := testCache(2 * (estimateResultBytes(res) + indexBytes))
+	c.add(&job{key: "big"}, res)
 	if _, ok := c.get("big"); !ok {
 		t.Fatal("entry charged half the budget was evicted on insertion")
 	}
-	c.recost("big", estimateResultBytes(res)) // the exact size confirms the estimate
+	c.recost("big", indexBytes)
 	if _, ok := c.get("big"); !ok {
 		t.Fatal("entry charged half the budget was evicted on recost")
 	}
@@ -63,10 +70,10 @@ func TestCacheHalfBudgetEntryStays(t *testing.T) {
 }
 
 func TestCacheUpdateExisting(t *testing.T) {
-	c := newResultCache(1 << 20)
-	c.add("a", resultN(1))
+	c := testCache(1 << 20)
+	c.add(&job{key: "a"}, resultN(1))
 	before := c.stats().Bytes
-	c.add("a", resultN(9))
+	c.add(&job{key: "a"}, resultN(9))
 	res, ok := c.get("a")
 	if !ok || res.Patterns[0].Support != 9 {
 		t.Fatalf("re-add did not replace the entry: %+v", res)
@@ -80,21 +87,23 @@ func TestCacheUpdateExisting(t *testing.T) {
 	}
 }
 
+// A non-positive budget retains without serving resubmissions: every get is
+// a miss, and with no budget nothing is evicted.
 func TestCacheDisabled(t *testing.T) {
-	c := newResultCache(0)
-	c.add("a", resultN(1))
+	c := testCache(0)
+	c.add(&job{key: "a"}, resultN(1))
 	if _, ok := c.get("a"); ok {
-		t.Error("disabled cache stored an entry")
+		t.Error("disabled cache answered a resubmission")
 	}
-	if s := c.stats(); s.Misses != 1 || s.Size != 0 || s.CapacityBytes != 0 {
-		t.Errorf("stats = %+v, want 1 miss, size 0, no capacity", s)
+	if s := c.stats(); s.Misses != 1 || s.Size != 1 || s.CapacityBytes != 0 {
+		t.Errorf("stats = %+v, want 1 miss, size 1, no capacity", s)
 	}
 }
 
 func TestCacheRecost(t *testing.T) {
-	c := newResultCache(1000)
-	c.add("k0", resultN(1))
-	c.add("k1", resultN(2))
+	c := testCache(1000)
+	c.add(&job{key: "k0"}, resultN(1))
+	c.add(&job{key: "k1"}, resultN(2))
 	if s := c.stats(); s.Size != 2 {
 		t.Fatalf("size = %d, want 2", s.Size)
 	}
@@ -117,9 +126,9 @@ func TestCacheRecost(t *testing.T) {
 func TestCacheManyEvictions(t *testing.T) {
 	// The budget fits exactly one resultN estimate, so the cache holds its
 	// most recent entry and evicts the rest.
-	c := newResultCache(400)
+	c := testCache(400)
 	for i := range 64 {
-		c.add(fmt.Sprintf("k%d", i), resultN(int64(i)))
+		c.add(&job{key: fmt.Sprintf("k%d", i)}, resultN(int64(i)))
 	}
 	s := c.stats()
 	if s.Size != 1 || s.Evictions != 63 {

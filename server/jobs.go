@@ -78,8 +78,8 @@ type job struct {
 	dbName  string
 	version int // corpus version the job mines (immutable snapshot)
 	// stream marks a streaming run (POST /v1/mine/stream or a subscribe
-	// feeder): it delivers its patterns as it mines instead of keeping a
-	// result, so it bypasses the cache, singleflight and resume states.
+	// feeder): it delivers its patterns as it mines instead of leaving a
+	// result, so it bypasses the cache, singleflight and resume.
 	stream      bool
 	options     lash.Options
 	done        chan struct{}
@@ -89,7 +89,6 @@ type job struct {
 	status    JobStatus
 	cached    bool // result came from the cache, no mining ran
 	coalesced int  // extra submits answered by this job
-	result    *lash.Result
 	err       error
 	created   time.Time
 	started   time.Time
@@ -111,8 +110,7 @@ func mine(ctx context.Context, db *lash.Database, opt lash.Options, emit func(la
 
 // manager runs mining jobs on a bounded worker pool. Identical in-flight
 // requests (same database, same canonical options) coalesce onto one job,
-// and finished results land in an LRU cache so repeats skip mining
-// entirely.
+// and finished results go to the result cache, so repeats skip mining.
 type manager struct {
 	mineFn  MineFunc
 	cache   *resultCache
@@ -137,27 +135,12 @@ type manager struct {
 	mu       sync.Mutex
 	closed   bool
 	jobs     map[string]*job
-	order    []string                // submission order, for stable listings
-	inflight map[string]*job         // key → queued/running job (singleflight)
-	latest   map[string]map[int]*job // database → corpus version → most recent successful job
-	hubs     map[string]*subHub      // job id → live subscription hub (see subscribe.go)
-	maxJobs  int                     // retained job records; older terminal jobs are pruned
+	order    []string           // submission order, for stable listings
+	inflight map[string]*job    // key → queued/running job (singleflight)
+	hubs     map[string]*subHub // job id → live subscription hub (see subscribe.go)
+	maxJobs  int                // retained job records; older terminal jobs are pruned
 	nextID   uint64
-
-	// states holds the Result.State of the most recent successful run per
-	// (database, canonical options), keyed without the corpus version: an
-	// append bumps the version but the old state is exactly what the next
-	// run wants to resume from. stateOrder bounds the store FIFO-by-first-
-	// insert — states are a pure optimization, so evicting one only costs a
-	// future run its delta splice.
-	states     map[string]*lash.MineState
-	stateOrder []string
 }
-
-// maxMineStates bounds the resume-state store. Each state holds the f-list
-// counts and per-partition fingerprints plus the partition outputs of one
-// run — useful, but strictly droppable.
-const maxMineStates = 256
 
 var (
 	errBadSpec      = errors.New("bad request")
@@ -177,11 +160,9 @@ func newManager(workers int, cacheBytes int64, maxJobs int, mineFn MineFunc, met
 	}
 	//lashvet:ignore ctxfirst job lifetimes are server-scoped by design: the manager root context outlives any request, and Close cancels it with the shutdown cause
 	ctx, cancel := context.WithCancelCause(context.Background())
-	cache := newResultCache(cacheBytes)
-	cache.instrument(met.cacheHits, met.cacheMisses, met.cacheEvictions)
 	return &manager{
 		mineFn:   mineFn,
-		cache:    cache,
+		cache:    newResultCache(cacheBytes, met.cacheHits, met.cacheMisses, met.cacheEvictions),
 		met:      met,
 		log:      logger,
 		sem:      make(chan struct{}, workers),
@@ -189,9 +170,7 @@ func newManager(workers int, cacheBytes int64, maxJobs int, mineFn MineFunc, met
 		cancel:   cancel,
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		latest:   make(map[string]map[int]*job),
 		hubs:     make(map[string]*subHub),
-		states:   make(map[string]*lash.MineState),
 		maxJobs:  maxJobs,
 	}
 }
@@ -200,16 +179,9 @@ func newManager(workers int, cacheBytes int64, maxJobs int, mineFn MineFunc, met
 // version, same canonical options. The version is part of the identity —
 // results mined against an old snapshot stay cached and servable after an
 // append, and a request against the new version is never answered from a
-// stale entry.
+// stale entry. It is also how a finished job's record finds its result.
 func jobKey(dbName string, version int, opt lash.Options) string {
 	return dbName + "@v" + fmt.Sprint(version) + "|" + opt.CacheKey()
-}
-
-// stateKey identifies resume states: database + canonical options, without
-// the version — the state from version N is the input for delta-mining
-// version N+1.
-func stateKey(dbName string, opt lash.Options) string {
-	return dbName + "|" + opt.CacheKey()
 }
 
 // applyPolicies caps opt's deadline at the server-wide bound and arms the
@@ -241,11 +213,10 @@ func (m *manager) submit(ctx context.Context, dbName string, db *lash.Database, 
 		return nil, errShutdown
 	}
 
-	if res, ok := m.cache.get(key); ok {
+	if _, ok := m.cache.get(key); ok {
 		j := m.newJobLocked(m.baseCtx, key, dbName, version, opt)
 		j.status = JobDone
 		j.cached = true
-		j.result = res
 		j.started = j.created
 		j.finished = j.created
 		j.cancelCause(nil) // no run to cancel; release the context now
@@ -271,14 +242,11 @@ func (m *manager) submit(ctx context.Context, dbName string, db *lash.Database, 
 	if err != nil {
 		return nil, err
 	}
-	// Resume from the previous version's state when one is valid for this
-	// snapshot, so an append re-mines only the partitions it dirties (finish
-	// stores every run's Result.State for the next one). Resume does not
+	// Resume from the newest retained state that is valid for this snapshot,
+	// so an append re-mines only the partitions it dirties. Resume does not
 	// affect the job key or the cached result — Canonical zeroes it, and a
 	// delta run is differentially identical to a cold one.
-	if s, ok := m.states[stateKey(dbName, opt)]; ok && s.ValidFor(db, opt) {
-		j.options.Resume = s
-	}
+	j.options.Resume = m.cache.resume(dbName, db, opt)
 	m.inflight[key] = j
 	go m.run(j, db, nil)
 	return j, nil
@@ -314,8 +282,7 @@ func (m *manager) admitLocked(parent context.Context, reqID, key, dbName string,
 }
 
 // newJobLocked allocates and registers a job record, pruning the oldest
-// terminal records past the retention bound so a long-running server does
-// not accumulate every result ever mined. The job's context derives from
+// terminal records past the retention bound. The job's context derives from
 // parent. Caller holds m.mu.
 func (m *manager) newJobLocked(parent context.Context, key, dbName string, version int, opt lash.Options) *job {
 	m.nextID++
@@ -430,14 +397,22 @@ func safeMine(fn func() (*lash.Result, error)) (res *lash.Result, err error) {
 }
 
 // finish moves a job to its terminal status — the only place a run's
-// outcome is decided and counted — publishes a batch job's result to the
-// cache, and wakes all waiters, including every request that coalesced onto
-// the job. A run that ended because the job's context was cancelled — by
+// outcome is decided and counted — hands a batch job's result to the cache,
+// and wakes all waiters, including every request that coalesced onto the
+// job. A run that ended because the job's context was cancelled — by
 // DELETE /v1/jobs/{id}, by server shutdown, or by a stream's client going
 // away — lands in JobCancelled, not JobFailed.
 func (m *manager) finish(j *job, res *lash.Result, err error) {
+	mined := err == nil && !j.stream // a stream delivered as it mined; nothing to keep or serve
+	if mined {
+		// Before the job leaves its singleflight slot, so a resubmission is
+		// coalesced or a hit, never a re-mine; ahead of the lock, because
+		// charging a result walks every pattern.
+		m.cache.add(j, res)
+	}
 	m.mu.Lock()
 	j.finished = time.Now().UTC()
+	j.options.Resume = nil // the run is over; only the cache retains states
 	// Settle the state gauges from the status being left behind, and time
 	// the interval the job just completed: its run when it held a worker,
 	// or its whole queued life when it never got one.
@@ -457,26 +432,14 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 		m.met.jobsCompleted.Inc()
 		m.met.spilledRuns.Add(res.Stats.SpillRuns)
 		m.met.spilledBytes.Add(res.Stats.SpillBytes)
-		if j.stream {
-			break // delivered as it was mined; nothing to keep or serve
+		if !mined {
+			break
 		}
-		j.result = res
-		// The result enters the cache immediately, charged at an estimate,
-		// so an identical resubmission in the next instant is a hit rather
-		// than a re-mine. The serving index is built asynchronously — off
-		// both the worker goroutine and this lock — and the cache charge is
-		// corrected to the exact size once it exists. The wg.Add is safe
-		// against close(): the caller still holds its own wg count.
-		m.cache.add(j.key, res)
-		if m.latest[j.dbName] == nil {
-			m.latest[j.dbName] = make(map[int]*job)
-		}
-		m.latest[j.dbName][j.version] = j
 		m.met.deltaDirty.Add(res.Stats.DeltaPartitionsDirty)
 		m.met.deltaReused.Add(res.Stats.DeltaPartitionsReused)
-		if res.State != nil {
-			m.storeStateLocked(stateKey(j.dbName, j.options), res.State)
-		}
+		// The serving index is built off both the worker goroutine and this
+		// lock. The wg.Add is safe against close(): the caller still holds
+		// its own wg count.
 		m.wg.Add(1)
 		go m.buildIndex(j.key, res)
 	case wasCancelled(j, err):
@@ -510,18 +473,18 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 }
 
 // buildIndex builds a finished result's serving index off the worker
-// goroutine, records the build cost, and corrects the cache's byte charge
-// for the entry to estimate + exact index size. Result.Index is memoized,
-// so the pattern endpoints share the one index built here; a request that
-// races ahead of this goroutine simply builds it first and this call
-// returns the memoized copy instantly.
+// goroutine, records the build cost, and adds the index's exact size to the
+// result's cache charge. Result.Index is memoized, so the pattern endpoints
+// share the one index built here; a request that races ahead of this
+// goroutine simply builds it first and this call returns the memoized copy
+// instantly.
 func (m *manager) buildIndex(key string, res *lash.Result) {
 	defer m.wg.Done()
 	begin := time.Now()
 	ix := res.Index()
 	m.met.pindexBuildSeconds.Observe(time.Since(begin).Seconds())
 	m.met.pindexBytes.Add(ix.SizeBytes())
-	m.cache.recost(key, estimateResultBytes(res)+ix.SizeBytes())
+	m.cache.recost(key, ix.SizeBytes())
 }
 
 // wasCancelled reports whether a run's error means its context was
@@ -604,44 +567,6 @@ func (m *manager) get(id string) (*job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
-	return j, ok
-}
-
-// storeStateLocked publishes a run's Result.State for future delta mines,
-// evicting the store's oldest key once the bound is hit. Replacing the
-// state under an existing key keeps its slot. Caller holds m.mu.
-func (m *manager) storeStateLocked(key string, s *lash.MineState) {
-	if _, ok := m.states[key]; !ok {
-		if len(m.stateOrder) >= maxMineStates {
-			oldest := m.stateOrder[0]
-			m.stateOrder = m.stateOrder[1:]
-			delete(m.states, oldest)
-		}
-		m.stateOrder = append(m.stateOrder, key)
-	}
-	m.states[key] = s
-}
-
-// latestResult returns the most recent successful job for a database at its
-// highest mined corpus version — the default the pattern endpoints serve.
-func (m *manager) latestResult(dbName string) (*job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var best *job
-	for _, j := range m.latest[dbName] {
-		if best == nil || j.version > best.version {
-			best = j
-		}
-	}
-	return best, best != nil
-}
-
-// latestResultAt returns the most recent successful job for a database at
-// one specific corpus version.
-func (m *manager) latestResultAt(dbName string, version int) (*job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.latest[dbName][version]
 	return j, ok
 }
 

@@ -124,15 +124,15 @@ func newServerMetrics() *serverMetrics {
 			"Bytes of shuffle data spilled to disk by completed runs."),
 
 		cacheHits: r.Counter("lash_cache_hits_total",
-			"Result-cache lookups answered without mining."),
+			"Mine requests answered from a retained result, without mining."),
 		cacheMisses: r.Counter("lash_cache_misses_total",
-			"Result-cache lookups that found nothing."),
+			"Mine requests that found no retained result to answer them."),
 		cacheEvictions: r.Counter("lash_cache_evictions_total",
-			"Results dropped from the cache to make room (LRU)."),
+			"Results dropped, least recently used first, to fit the byte budget; gone for every reader."),
 		cacheEntries: r.Gauge("lash_cache_entries",
-			"Entries currently held by the result cache."),
+			"Mined results the server currently retains."),
 		cacheBytes: r.Gauge("lash_cache_bytes",
-			"Bytes currently charged against the result cache's byte budget (index-exact after recosting)."),
+			"Bytes charged for the retained results: patterns, state and serving index."),
 
 		pindexBuildSeconds: r.Histogram("lash_pindex_build_seconds",
 			"Time to build one serving index over a completed mining result.", obs.DurationBuckets),

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"lash"
 	"lash/internal/pindex"
 )
 
@@ -170,23 +171,24 @@ func (pq *patternQuery) fingerprint(jobID string) string {
 		strings.Join(pq.q.Contains, ","), strings.Join(pq.q.Prefix, ","), pq.q.Level)
 }
 
-// resolvePatternsJob picks the job whose result a pattern query reads: the
-// named job (which must be terminal and successful) or the database's most
-// recent successful job — at the requested corpus version when version= is
-// given, otherwise at the highest version with a complete result. Shared by
-// GET /v1/patterns and /v1/patterns/subscribe.
-func (s *Server) resolvePatternsJob(w http.ResponseWriter, v url.Values) (*job, bool) {
+// resolvePatternsJob picks the result a pattern query reads, and the job it
+// is served under: the named job (which must be terminal and successful) or
+// the database's most recent successful job — at the requested corpus
+// version when version= is given, otherwise at the highest version with a
+// complete result. Either way the result comes from the cache, so one that
+// was evicted answers like one never mined.
+func (s *Server) resolvePatternsJob(w http.ResponseWriter, v url.Values) (*job, *lash.Result, bool) {
 	dbName := v.Get("db")
 	if dbName == "" && v.Get("job") == "" {
 		writeError(w, http.StatusBadRequest, errors.New("db or job query parameter is required"))
-		return nil, false
+		return nil, nil, false
 	}
 	version := 0 // 0 = latest complete
 	if raw := v.Get("version"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad version %q", raw))
-			return nil, false
+			return nil, nil, false
 		}
 		version = n
 	}
@@ -194,41 +196,39 @@ func (s *Server) resolvePatternsJob(w http.ResponseWriter, v url.Values) (*job, 
 		j, ok := s.jobs.get(id)
 		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", errJobMissing, id))
-			return nil, false
+			return nil, nil, false
 		}
-		if status, done := j.terminal(); !done || status != JobDone || j.stream {
+		var res *lash.Result
+		if status, done := j.terminal(); done && status == JobDone && !j.stream {
+			res, _ = s.jobs.cache.result(j.key)
+		}
+		if res == nil {
 			writeError(w, http.StatusConflict, fmt.Errorf("job %s has no result (status %s)", id, s.jobs.view(j).Status))
-			return nil, false
+			return nil, nil, false
 		}
 		if dbName != "" && j.dbName != dbName {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("job %s mined database %q, not %q", id, j.dbName, dbName))
-			return nil, false
+			return nil, nil, false
 		}
 		if version != 0 && j.version != version {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("job %s mined corpus version %d, not %d", id, j.version, version))
-			return nil, false
+			return nil, nil, false
 		}
-		return j, true
+		return j, res, true
 	}
 	if _, ok := s.registry.get(dbName); !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w %q", errDBMissing, dbName))
-		return nil, false
+		return nil, nil, false
 	}
-	if version != 0 {
-		j, ok := s.jobs.latestResultAt(dbName, version)
-		if !ok {
-			writeError(w, http.StatusNotFound,
-				fmt.Errorf("database %q has no mined results for corpus version %d", dbName, version))
-			return nil, false
-		}
-		return j, true
-	}
-	j, ok := s.jobs.latestResult(dbName)
+	j, res, ok := s.jobs.cache.latest(dbName, version)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("database %q has no mined results yet (POST /v1/mine first)", dbName))
-		return nil, false
+		err := fmt.Errorf("database %q has no mined results yet (POST /v1/mine first)", dbName)
+		if version != 0 {
+			err = fmt.Errorf("database %q has no mined results for corpus version %d", dbName, version)
+		}
+		writeError(w, http.StatusNotFound, err)
 	}
-	return j, true
+	return j, res, ok
 }
 
 // handlePatterns answers GET /v1/patterns?db=NAME[&job=ID][&top=K]
@@ -246,7 +246,7 @@ func (s *Server) resolvePatternsJob(w http.ResponseWriter, v url.Values) (*job, 
 // stays stable because the index never changes.
 func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	v := r.URL.Query()
-	j, ok := s.resolvePatternsJob(w, v)
+	j, res, ok := s.resolvePatternsJob(w, v)
 	if !ok {
 		return
 	}
@@ -257,10 +257,10 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.pindexQuery(pq.kind())
 
-	// The job is terminal, so its result — and the memoized index — is
-	// immutable: no lock needed. A request racing the manager's async
-	// index build simply builds it first (Result.Index is memoized).
-	ix := j.result.Index()
+	// A finished result — and its memoized index — is immutable: no lock
+	// needed. A request racing the manager's async index build simply builds
+	// it first (Result.Index is memoized).
+	ix := res.Index()
 
 	if len(pq.rollup) > 0 {
 		chain := ix.Rollup(pq.rollup)

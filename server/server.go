@@ -8,8 +8,9 @@
 //     or subscribe feeder — through one admission step and one lifecycle on
 //     a bounded worker pool, coalescing identical in-flight batch requests
 //     onto a single run (singleflight);
-//   - an LRU result cache keyed by database + canonical options, so repeated
-//     queries are answered without re-mining.
+//   - a result cache, the only holder of finished results: resubmissions,
+//     job records, the pattern endpoints and delta resume all read through
+//     its one LRU list under Config.CacheBytes (see cache.go).
 //
 // The HTTP/JSON API (all stdlib) is:
 //
@@ -20,9 +21,9 @@
 //	POST   /v1/mine               submit a mining job (MineRequest)
 //	POST   /v1/mine/stream        mine and stream patterns as NDJSON (a job like any other)
 //	GET    /v1/jobs               list jobs, streams included ("stream": true)
-//	GET    /v1/jobs/{id}          poll one job; includes the result when done (streams keep none)
+//	GET    /v1/jobs/{id}          poll one job; includes the result when done and still retained (streams leave none)
 //	DELETE /v1/jobs/{id}          cancel a queued or running job or stream
-//	GET    /v1/patterns           query a database's latest mined patterns
+//	GET    /v1/patterns           query a database's latest retained mined patterns
 //	GET    /v1/patterns/subscribe replay mined patterns, then follow a live run (NDJSON)
 //	GET    /v1/stats              registry / job / cache counters
 //	GET    /metrics               Prometheus text exposition of the same counters
@@ -72,15 +73,14 @@ type Config struct {
 	// Workers bounds how many mining jobs run concurrently (default 4).
 	// Each job itself parallelizes internally via Options.Workers.
 	Workers int
-	// CacheBytes is the result cache's byte budget (default 256 MiB;
-	// negative disables caching). Every cached result is charged its
-	// serving index's exact SizeBytes plus an estimate of the raw result,
-	// and the LRU evicts once over budget.
+	// CacheBytes bounds the bytes of mined results — patterns, state,
+	// index — the server retains for every purpose (default 256 MiB); see
+	// resultCache for the policy. Negative means no budget: resubmissions
+	// always re-mine and nothing is evicted.
 	CacheBytes int64
 	// JobHistory bounds the retained job records (default 1024; negative
 	// retains everything). Once past the bound, the oldest finished jobs
-	// are forgotten: their ids stop resolving on GET /v1/jobs/{id}, though
-	// each database's most recent result stays available to /v1/patterns.
+	// are forgotten: their ids stop resolving on GET /v1/jobs/{id}.
 	JobHistory int
 	// DataDir, when non-empty, enables file-based DatabaseSpecs resolved
 	// relative to this directory.
@@ -479,7 +479,7 @@ type JobView struct {
 
 // view snapshots a job, without its Result: the (possibly large) pattern
 // list never passes through a view — writeJobResult renders it straight
-// from the job's lash.Result.
+// from the cached lash.Result.
 func (m *manager) view(j *job) JobView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -514,16 +514,17 @@ func (m *manager) view(j *job) JobView {
 }
 
 // writeJobResult answers 200 with the job's view, including the mined
-// result once the job is done.
+// result once the job is done, for as long as the cache retains it (it
+// entered the cache before the job turned done).
 func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
 	v := s.jobs.view(j)
-	if v.Status != JobDone || v.Stream {
-		writeJSON(w, http.StatusOK, v)
-		return
+	if v.Status == JobDone && !v.Stream {
+		if res, ok := s.jobs.cache.result(j.key); ok {
+			newWireWriter(w).writeJobBody(v, res)
+			return
+		}
 	}
-	// A done job's result is immutable and was published under the lock
-	// view just released.
-	newWireWriter(w).writeJobBody(v, j.result)
+	writeJSON(w, http.StatusOK, v)
 }
 
 // StatsView is the body of GET /v1/stats.

@@ -217,7 +217,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 
 	followed := make(map[string]bool)
-	latest, hasLatest := s.jobs.latestResult(dbName)
+	latest, res, hasLatest := s.jobs.cache.latest(dbName, 0)
 	liveJob, hub := s.jobs.follow(dbName, dbAt, followed)
 	if !hasLatest && hub == nil {
 		writeError(w, http.StatusNotFound,
@@ -240,7 +240,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if err := enc.Encode(SubscribeMarker{Version: curVer}); err != nil {
 			return
 		}
-		ix := latest.result.Index()
+		ix := res.Index()
 		ids, _ := ix.Search(nil, pindex.Query{Level: pindex.NoLevel}, 0, -1)
 		for _, id := range ids {
 			if err := enc.Encode(SubscribeRecord{Items: ix.Items(id), Support: ix.Support(id), Replay: true}); err != nil {

@@ -263,11 +263,21 @@ func wireTestServer(t *testing.T) (*Server, *job) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mine: %d %s", rec.Code, rec.Body)
 	}
-	j, ok := s.jobs.latestResult("db")
+	j, _, ok := s.jobs.cache.latest("db", 0)
 	if !ok {
 		t.Fatal("no mined result")
 	}
 	return s, j
+}
+
+// resultOf is the mined result a done job's record reports.
+func resultOf(t *testing.T, s *Server, j *job) *lash.Result {
+	t.Helper()
+	res, ok := s.jobs.cache.result(j.key)
+	if !ok {
+		t.Fatalf("job %s has no retained result", j.id)
+	}
+	return res
 }
 
 // TestHandlersServeEncodingJSONBytes drives the real handlers: every kind
@@ -276,7 +286,7 @@ func wireTestServer(t *testing.T) (*Server, *job) {
 // same state.
 func TestHandlersServeEncodingJSONBytes(t *testing.T) {
 	s, j := wireTestServer(t)
-	ix := j.result.Index()
+	ix := resultOf(t, s, j).Index()
 	n := ix.Len()
 	if n < 8 {
 		t.Fatalf("corpus mined only %d patterns", n)
@@ -365,7 +375,7 @@ func TestHandlersServeEncodingJSONBytes(t *testing.T) {
 
 	// The job endpoints: GET /v1/jobs/{id}, and POST /v1/mine answered from
 	// the cache (a fresh job id, cached: true, the same result).
-	checkBody(t, "GET job", get("/v1/jobs/"+j.id), refJobBody(s.jobs.view(j), j.result))
+	checkBody(t, "GET job", get("/v1/jobs/"+j.id), refJobBody(s.jobs.view(j), resultOf(t, s, j)))
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/mine", strings.NewReader(
 		`{"database":"db","options":{"min_support":1,"max_gap":1,"max_length":3}}`)))
@@ -374,7 +384,7 @@ func TestHandlersServeEncodingJSONBytes(t *testing.T) {
 		t.Fatalf("repeat mine was not a cache hit: %v %s", err, rec.Body)
 	}
 	hj, _ := s.jobs.get(hit.ID)
-	checkBody(t, "POST mine (cache hit)", rec, refJobBody(s.jobs.view(hj), hj.result))
+	checkBody(t, "POST mine (cache hit)", rec, refJobBody(s.jobs.view(hj), resultOf(t, s, hj)))
 }
 
 // discardResponse is the cheapest possible ResponseWriter, so that the
@@ -427,14 +437,14 @@ func TestServeTop100AllocsBound(t *testing.T) {
 // out twice or recycled while still in use shows up.
 func TestConcurrentPatternRequests(t *testing.T) {
 	s, j := wireTestServer(t)
-	ix := j.result.Index()
+	ix := resultOf(t, s, j).Index()
 	all, total := ix.Search(nil, pindex.Query{Level: pindex.NoLevel}, 0, -1)
 	withA, totalA := ix.Search(nil, pindex.Query{Level: pindex.NoLevel, Prefix: []string{"a"}}, 0, -1)
 	targets := map[string][]byte{
 		"/v1/patterns?db=db":            refPatternsBody(j, ix, all, total, ""),
 		"/v1/patterns?db=db&top=2":      refPatternsBody(j, ix, all[:2], total, ""),
 		"/v1/patterns?db=db&prefix=a":   refPatternsBody(j, ix, withA, totalA, ""),
-		"/v1/jobs/" + j.id:              refJobBody(s.jobs.view(j), j.result),
+		"/v1/jobs/" + j.id:              refJobBody(s.jobs.view(j), resultOf(t, s, j)),
 		"/v1/patterns?db=db&top=notint": nil, // a 400 through writeError, counted under another series
 	}
 	var wg sync.WaitGroup
