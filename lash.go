@@ -272,6 +272,7 @@ func (s *MineState) SizeBytes() int64 {
 	return s.size
 }
 
+// deltaStateBytes is SizeBytes' accounting of d.
 func deltaStateBytes(d *core.DeltaState) int64 {
 	const (
 		partBytes    = 64 // core.DeltaPart: pivot, fingerprint, three counters, one slice header

@@ -46,11 +46,11 @@ type resultCache struct {
 	budget int64
 
 	mu    sync.Mutex
-	ll    *list.List               // of *cacheEntry; front = most recently used
-	items map[string]*list.Element // job key → entry
+	ll    *list.List             // of *cacheEntry; front = most recently used
+	items map[string]*cacheEntry // by job key
 	// byDB orders each database's entries by corpus version, equal versions
 	// by insertion: the last is what /v1/patterns serves by default.
-	byDB  map[string][]*list.Element
+	byDB  map[string][]*cacheEntry
 	bytes int64
 
 	hits, misses, evictions *obs.Counter
@@ -63,14 +63,15 @@ type cacheEntry struct {
 	optKey  string // the run's canonical options without the corpus version: what a resume must match
 	res     *lash.Result
 	bytes   int64
-	indexed bool // recost has charged res's serving index
+	indexed bool          // recost has charged res's serving index
+	el      *list.Element // the entry's place in the LRU list
 }
 
 // newResultCache builds a cache with the given byte budget, counting into
 // the given handles.
 func newResultCache(budgetBytes int64, hits, misses, evictions *obs.Counter) *resultCache {
-	return &resultCache{budget: budgetBytes, ll: list.New(), items: make(map[string]*list.Element),
-		byDB: make(map[string][]*list.Element), hits: hits, misses: misses, evictions: evictions}
+	return &resultCache{budget: budgetBytes, ll: list.New(), items: make(map[string]*cacheEntry),
+		byDB: make(map[string][]*cacheEntry), hits: hits, misses: misses, evictions: evictions}
 }
 
 // get answers a resubmission with the retained result for key. It is the
@@ -89,12 +90,12 @@ func (c *resultCache) get(key string) (*lash.Result, bool) {
 func (c *resultCache) result(key string) (*lash.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	c.ll.MoveToFront(e.el)
+	return e.res, true
 }
 
 // latest returns the most recently mined retained result of a database at
@@ -103,15 +104,10 @@ func (c *resultCache) result(key string) (*lash.Result, bool) {
 func (c *resultCache) latest(dbName string, version int) (*job, *lash.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	els := c.byDB[dbName]
-	for i := len(els) - 1; i >= 0; i-- {
-		e := els[i].Value.(*cacheEntry)
+	for _, e := range slices.Backward(c.byDB[dbName]) {
 		if version == 0 || e.job.version == version {
-			c.ll.MoveToFront(els[i])
+			c.ll.MoveToFront(e.el)
 			return e.job, e.res, true
-		}
-		if e.job.version < version {
-			break
 		}
 	}
 	return nil, nil, false
@@ -124,11 +120,9 @@ func (c *resultCache) resume(dbName string, db *lash.Database, opt lash.Options)
 	optKey := opt.CacheKey()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	els := c.byDB[dbName]
-	for i := len(els) - 1; i >= 0; i-- {
-		e := els[i].Value.(*cacheEntry)
+	for _, e := range slices.Backward(c.byDB[dbName]) {
 		if e.optKey == optKey && e.res.State.ValidFor(db, opt) {
-			c.ll.MoveToFront(els[i])
+			c.ll.MoveToFront(e.el)
 			return e.res.State
 		}
 	}
@@ -160,14 +154,14 @@ func (c *resultCache) add(j *job, res *lash.Result) {
 	if old, ok := c.items[j.key]; ok {
 		c.removeLocked(old)
 	}
-	el := c.ll.PushFront(e)
-	c.items[j.key] = el
+	e.el = c.ll.PushFront(e)
+	c.items[j.key] = e
 	els := c.byDB[j.dbName]
 	i := len(els)
-	for i > 0 && els[i-1].Value.(*cacheEntry).job.version > j.version {
+	for i > 0 && els[i-1].job.version > j.version {
 		i--
 	}
-	c.byDB[j.dbName] = slices.Insert(els, i, el)
+	c.byDB[j.dbName] = slices.Insert(els, i, e)
 	c.bytes += e.bytes
 	c.evictOverBudgetLocked()
 }
@@ -179,8 +173,7 @@ func (c *resultCache) add(j *job, res *lash.Result) {
 func (c *resultCache) recost(key string, indexBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok && !el.Value.(*cacheEntry).indexed {
-		e := el.Value.(*cacheEntry)
+	if e, ok := c.items[key]; ok && !e.indexed {
 		e.indexed, e.bytes = true, e.bytes+indexBytes
 		c.bytes += indexBytes
 		c.evictOverBudgetLocked()
@@ -192,18 +185,18 @@ func (c *resultCache) recost(key string, indexBytes int64) {
 // c.mu.
 func (c *resultCache) evictOverBudgetLocked() {
 	for c.budget > 0 && c.bytes > c.budget && c.ll.Len() > 1 {
-		c.removeLocked(c.ll.Back())
+		c.removeLocked(c.ll.Back().Value.(*cacheEntry))
 		c.evictions.Inc()
 	}
 }
 
 // removeLocked forgets one entry. Caller holds c.mu.
-func (c *resultCache) removeLocked(el *list.Element) {
-	e := c.ll.Remove(el).(*cacheEntry)
+func (c *resultCache) removeLocked(e *cacheEntry) {
+	c.ll.Remove(e.el)
 	delete(c.items, e.job.key)
 	c.bytes -= e.bytes
 	els := c.byDB[e.job.dbName]
-	i := slices.Index(els, el)
+	i := slices.Index(els, e)
 	c.byDB[e.job.dbName] = slices.Delete(els, i, i+1)
 }
 

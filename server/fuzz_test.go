@@ -28,17 +28,11 @@ func fuzzServer(t testing.TB) *Server {
 	if _, err := s.AddDatabase(paperSpec("paper")); err != nil {
 		t.Fatal(err)
 	}
-	rec := fuzzPost(s, "/v1/mine", []byte(`{"database":"paper","options":{"min_support":2,"max_gap":1,"max_length":3},"wait":true}`))
+	rec := serve(s, "POST", "/v1/mine", `{"database":"paper","options":{"min_support":2,"max_gap":1,"max_length":3},"wait":true}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mine: %d %s", rec.Code, rec.Body)
 	}
 	return s
-}
-
-func fuzzPost(s *Server, path string, body []byte) *httptest.ResponseRecorder {
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
-	return rec
 }
 
 // checkFuzzReply holds a reply to the invariant: its status is one of want,
@@ -134,7 +128,7 @@ func FuzzMineRequest(f *testing.F) {
 	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var v JobView
-		checkFuzzReply(t, fuzzPost(s, "/v1/mine", body), &v,
+		checkFuzzReply(t, serve(s, "POST", "/v1/mine", string(body)), &v,
 			http.StatusOK, http.StatusAccepted, http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge)
 	})
 }
@@ -164,7 +158,7 @@ func FuzzDatabaseSpec(f *testing.F) {
 			t.Skip("generator sized past what a fuzz iteration should build")
 		}
 		var info DatabaseInfo
-		rec := fuzzPost(s, "/v1/databases", body)
+		rec := serve(s, "POST", "/v1/databases", string(body))
 		checkFuzzReply(t, rec, &info,
 			http.StatusCreated, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge)
 		if rec.Code != http.StatusCreated {

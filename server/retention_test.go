@@ -45,10 +45,16 @@ func newRetentionClient(t *testing.T, cfg Config) retentionClient {
 	return retentionClient{t, s}
 }
 
+// serve sends one request straight to the server's handler.
+func serve(s *Server, method, target, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	return rec
+}
+
 func (c retentionClient) do(method, target, body string) (int, map[string]any) {
 	c.t.Helper()
-	rec := httptest.NewRecorder()
-	c.s.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	rec := serve(c.s, method, target, body)
 	var out map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		c.t.Fatalf("%s %s: %v in %s", method, target, err, rec.Body)
