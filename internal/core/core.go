@@ -72,8 +72,9 @@ type Options struct {
 	// Stream, when non-nil, receives every mined pattern (translated to
 	// the vocabulary item space) as its partition's local mining completes,
 	// instead of the pattern being collected into Result.Patterns; the run
-	// then keeps no state (Result.Delta is nil). Calls are serialized, but
-	// their order is partition-completion order, which is nondeterministic.
+	// then keeps no state (Result.Delta is nil). items is the callback's to
+	// keep. Calls are serialized, but their order is partition-completion
+	// order, which is nondeterministic.
 	// A non-nil error stops streaming and fails the run with that error in
 	// the chain; partitions still being mined are aborted.
 	Stream func(items gsm.Sequence, support int64) error
@@ -282,30 +283,6 @@ func buildFList(o *obs.Run, forest *hierarchy.Forest, freq []int64, sigma int64)
 	return fl, nil
 }
 
-// patternOut is one mined pattern in rank space.
-type patternOut struct {
-	ranks   []flist.Rank
-	support int64
-}
-
-// partOut is the one record a partition's Reduce emits, whatever the run
-// mode. It travels through RunAgg's attempt-scoped output, so a re-executed
-// Reduce replaces its partitions' records instead of double-counting them.
-type partOut struct {
-	pivot flist.Rank
-	// fingerprint hashes the partition's aggregated input (see
-	// entriesFingerprint); zero on streaming runs, which keep no state.
-	fingerprint uint64
-	// seqs, explored, output are the partition's mining statistics.
-	seqs, explored, output int64
-	// ranks holds the freshly mined patterns of a batch run; a streaming run
-	// has delivered them already and leaves it nil.
-	ranks []patternOut
-	// spliced, when non-nil, is the previous version's partition whose
-	// input fingerprinted identically: it stands in for the whole record.
-	spliced *DeltaPart
-}
-
 // mineAbort is the panic sentinel the miner-emit callback uses to unwind an
 // in-flight local miner once the run is over (context done, or the stream
 // failed in another partition); Reduce recovers it.
@@ -324,14 +301,16 @@ type mineScratch struct {
 // reduceScratch is the pooled per-Reduce working set of the partition+mine
 // job: a miner instance, its Scratch (candidate tables, posting arenas, and
 // — via the Scratch's exported decode buffers — the rank arena every
-// partition sequence is decoded into), and the list the partition's patterns
-// are collected in. One reduceScratch serves one Reduce call at a time; the
-// pool hands them to the reduce workers.
+// partition sequence is decoded into), and the partition's mined patterns,
+// translated to vocabulary items back to back in the items arena. One
+// reduceScratch serves one Reduce call at a time; the pool hands them to the
+// reduce workers.
 type reduceScratch struct {
-	m    miner.Miner
-	sc   *miner.Scratch
-	part miner.Partition
-	pats []patternOut
+	m     miner.Miner
+	sc    *miner.Scratch
+	part  miner.Partition
+	items []hierarchy.Item
+	pats  []gsm.Pattern
 }
 
 // mineJob runs the partitioning and mining phases (Alg. 1) as one streaming
@@ -342,19 +321,14 @@ type reduceScratch struct {
 // shuffle, merge, and local mining.
 //
 // Reduce is the paper's one reduce step — decode the pivot's partition, mine
-// it, output its pivot sequences — for every run mode. A batch run keeps
-// state: it fingerprints each partition's input (splicing the previous
-// version's result on a match when opt.Prev is set) and emits the mined
-// patterns in the partition's record. A streaming run hands each completed
-// partition's patterns to opt.Stream (serialized by streamMu) and emits the
-// statistics alone. assemble turns the records into the Result.
+// it, output its pivot sequences — for every run mode, and its record is the
+// DeltaPart the run's state keeps. The miner-emit closure is the one place a
+// mined pattern leaves rank space. A batch run copies the partition's
+// patterns into the record; a streaming run hands them to opt.Stream
+// (serialized by streamMu) and emits the statistics alone. assemble turns
+// the records into the Result.
 func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options, plan *deltaPlan) (*Result, error) {
 	keep := opt.Stream == nil
-	// chain carries the rank→item prefix hashes fingerprints are seeded with.
-	var chain []uint64
-	if keep {
-		chain = rankChain(fl)
-	}
 	var streamMu sync.Mutex
 
 	// over flips once the run is lost — ctx is done, or a stream delivery
@@ -393,7 +367,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		localCfg.Obs = &pm.Miner
 	}
 
-	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, mapreduce.AggJob[gsm.Sequence, partOut]{
+	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, mapreduce.AggJob[gsm.Sequence, DeltaPart]{
 		Name: "partition+mine",
 		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
 			s := scratch.Get().(*mineScratch)
@@ -419,8 +393,9 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		Size: func(pivot uint32, keyLen int, weight int64) int {
 			return seqenc.UvarintLen(uint64(pivot)) + keyLen + seqenc.UvarintLen(uint64(weight))
 		},
-		Reduce: func(group uint32, entries []mapreduce.Entry, emit func(partOut)) error {
-			rec := partOut{pivot: flist.Rank(group)}
+		Reduce: func(group uint32, entries []mapreduce.Entry, emit func(DeltaPart)) error {
+			pivot := flist.Rank(group)
+			rec := DeltaPart{Pivot: fl.VocabOf(pivot)}
 			begin := time.Now()
 			defer func() {
 				// An aborted local mine ends the Reduce here (Scratch
@@ -435,25 +410,11 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 				if tr != nil {
 					tr.Record(obs.SpanRecord{
 						Parent: o.JobSpan(), Name: "mine", Job: "partition+mine",
-						Phase: "reduce", Partition: int(rec.pivot),
+						Phase: "reduce", Partition: int(pivot),
 						Start: begin, Duration: time.Since(begin),
 					})
 				}
 			}()
-			// Fingerprint the aggregated input first. When the previous
-			// version's partition fingerprints identically, its result is
-			// spliced and the decode and mine are skipped entirely; a
-			// mismatch just falls through to a fresh mine.
-			if keep {
-				rec.fingerprint = entriesFingerprint(chain[rec.pivot], entries)
-				if plan != nil {
-					if pp := plan.prev.part(fl.VocabOf(rec.pivot)); pp != nil && pp.Fingerprint == rec.fingerprint {
-						rec.spliced = pp
-						emit(rec)
-						return nil
-					}
-				}
-			}
 			rs := reducers.Get().(*reduceScratch)
 			defer reducers.Put(rs)
 			sc := rs.sc
@@ -466,7 +427,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 					// A decode failure means partition data was corrupted in
 					// flight; dropping the sequence would silently undercount
 					// supports, so fail the run instead.
-					return fmt.Errorf("core: partition %d: corrupt partition sequence: %w", rec.pivot, err)
+					return fmt.Errorf("core: partition %d: corrupt partition sequence: %w", pivot, err)
 				}
 				total += n
 			}
@@ -481,52 +442,55 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 				var err error
 				sc.RankArena, err = seqenc.DecodeSeq(sc.RankArena, e.Key)
 				if err != nil {
-					return fmt.Errorf("core: partition %d: corrupt partition sequence: %w", rec.pivot, err)
+					return fmt.Errorf("core: partition %d: corrupt partition sequence: %w", pivot, err)
 				}
 				sc.Seqs = append(sc.Seqs, miner.WSeq{
 					Items:  sc.RankArena[start:len(sc.RankArena):len(sc.RankArena)],
 					Weight: e.Weight,
 				})
 			}
-			rs.part = miner.Partition{Pivot: rec.pivot, Parent: parent, Seqs: sc.Seqs}
-			rec.seqs = int64(len(sc.Seqs))
+			rs.part = miner.Partition{Pivot: pivot, Parent: parent, Seqs: sc.Seqs}
+			rec.Seqs = int64(len(sc.Seqs))
 
-			// Mined patterns outlive the miner's buffers (and, on batch runs,
-			// the reduce call), so copy them into chunks amortizing one
-			// allocation over many patterns instead of one per pattern.
-			var chunk []flist.Rank
-			rs.pats = rs.pats[:0]
+			// Mined patterns outlive the miner's buffers, so translate them
+			// into the scratch arena as they come. An append that grows the
+			// arena moves it but leaves the old array, and the patterns
+			// already slicing it, intact.
+			rs.items, rs.pats = rs.items[:0], rs.pats[:0]
 			st := rs.m.Mine(&rs.part, localCfg, sc, func(pat []flist.Rank, sup int64) {
 				if over.Load() {
 					panic(mineAbort{})
 				}
-				if len(chunk)+len(pat) > cap(chunk) {
-					chunk = make([]flist.Rank, 0, max(1024, len(pat)))
+				start := len(rs.items)
+				for _, r := range pat {
+					rs.items = append(rs.items, fl.VocabOf(r))
 				}
-				start := len(chunk)
-				chunk = append(chunk, pat...)
-				rs.pats = append(rs.pats, patternOut{ranks: chunk[start:len(chunk):len(chunk)], support: sup})
+				rs.pats = append(rs.pats, gsm.Pattern{Items: rs.items[start:], Support: sup})
 			})
-			rec.explored, rec.output = st.Explored, st.Output
+			rec.Explored, rec.Output = st.Explored, st.Output
 
 			if keep {
-				rec.ranks = slices.Clone(rs.pats)
+				// The record outlives the scratch: one exact-size arena per
+				// partition, every pattern a capped slice of it.
+				arena := slices.Clone(rs.items)
+				rec.Patterns = make([]gsm.Pattern, len(rs.pats))
+				for i, p := range rs.pats {
+					n := len(p.Items)
+					rec.Patterns[i] = gsm.Pattern{Items: arena[:n:n], Support: p.Support}
+					arena = arena[n:]
+				}
 			} else {
 				// Streaming: the partition's local mining is complete; hand
-				// its patterns, translated to vocabulary items, to the
-				// callback. The first error ends all delivery — here and in
-				// every other partition — and fails the run.
+				// its patterns to the callback. The first error ends all
+				// delivery — here and in every other partition — and fails
+				// the run.
 				streamMu.Lock()
 				defer streamMu.Unlock()
-				for _, po := range rs.pats {
+				for _, p := range rs.pats {
 					if over.Load() {
 						return nil
 					}
-					items, err := fl.TranslateFromRanks(nil, po.ranks)
-					if err == nil {
-						err = opt.Stream(items, po.support)
-					}
-					if err != nil {
+					if err := opt.Stream(slices.Clone(p.Items), p.Support); err != nil {
 						over.Store(true)
 						return err
 					}
@@ -546,8 +510,6 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 	}
 	res := &Result{}
 	res.Jobs.Mine = stats
-	if err := assemble(res, db, fl, plan, out, keep); err != nil {
-		return nil, err
-	}
+	assemble(res, db, fl, plan, out, keep)
 	return res, nil
 }

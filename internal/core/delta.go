@@ -13,7 +13,7 @@
 // shuffled or mined again: their pattern sets are spliced from the captured
 // previous state, and only the dirty remainder is recomputed.
 //
-// Reuse rule (first level, decided before any shuffle): call an item dirty
+// Reuse rule (the only one, decided before any shuffle): call an item dirty
 // when the appended sequences changed its frequency (the item or a
 // descendant occurs in them) — new items are always dirty. A clean frequent
 // pivot w is reusable iff no dirty OLD item crosses it in the total order:
@@ -23,15 +23,8 @@
 // never occur in old sequences, and only the visible SET matters to the
 // rewrite and to pattern-partition ownership, so an uncrossed clean pivot's
 // partition is unchanged in item space. Crossings are computed in O(F + D)
-// with clean-prefix counts and one interval per dirty item.
-//
-// Second level (decided per shuffled partition): every captured partition
-// stores a fingerprint of its aggregated input (entry bytes and weights in
-// the substrate's deterministic sorted order, chained with a prefix hash of
-// the rank→item table up to the pivot, so equal fingerprints mean equal
-// item-space input). A dirty partition whose fresh input fingerprints the
-// same as the previous version's is spliced instead of mined. A mismatch
-// merely re-mines — fingerprints can only skip work, never change output.
+// with clean-prefix counts and one interval per dirty item. Every other
+// partition is shuffled, and a shuffled partition is always mined.
 package core
 
 import (
@@ -41,7 +34,6 @@ import (
 	"lash/internal/flist"
 	"lash/internal/gsm"
 	"lash/internal/hierarchy"
-	"lash/internal/mapreduce"
 )
 
 // DeltaState is the reusable residue of a batch run (Result.Delta): the
@@ -64,10 +56,6 @@ type DeltaState struct {
 // version-stable vocabulary item.
 type DeltaPart struct {
 	Pivot hierarchy.Item
-	// Fingerprint hashes the partition's aggregated input (see
-	// entriesFingerprint); equal fingerprints across runs mean identical
-	// item-space input.
-	Fingerprint uint64
 	// Seqs, Explored, Output are the partition's mining statistics, spliced
 	// so a delta run reports the same counters a cold run would.
 	Seqs     int64
@@ -211,124 +199,46 @@ func planDelta(forest *hierarchy.Forest, fl *flist.FList, prev *DeltaState, add 
 	return &deltaPlan{prev: prev, reuse: reuse}, nil
 }
 
-const (
-	fnvOffset = uint64(14695981039346656037)
-	fnvPrime  = uint64(1099511628211)
-)
-
-func fnvMix64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-func fnvMixBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// rankChain returns, per rank r, the FNV-64a chain over the rank→item table
-// up to and including r. Partition inputs are encoded in rank space, so a
-// fingerprint mixes in the chain value of its pivot: equal fingerprints
-// then certify that every rank the input mentions names the same
-// (version-stable) vocabulary item.
-func rankChain(fl *flist.FList) []uint64 {
-	chain := make([]uint64, fl.NumFrequent())
-	h := fnvOffset
-	for r := range chain {
-		h = fnvMix64(h, uint64(uint32(fl.VocabOf(flist.Rank(r)))))
-		chain[r] = h
-	}
-	return chain
-}
-
-// entriesFingerprint hashes one partition's aggregated input. The substrate
-// hands entries sorted by key bytes, so the fingerprint is deterministic
-// for a given input multiset.
-func entriesFingerprint(seed uint64, entries []mapreduce.Entry) uint64 {
-	h := seed
-	for i := range entries {
-		h = fnvMix64(h, uint64(len(entries[i].Key)))
-		h = fnvMixBytes(h, entries[i].Key)
-		h = fnvMix64(h, uint64(entries[i].Weight))
-	}
-	return h
-}
-
-// assemble turns a run's per-partition records into its result: partition
-// statistics and patterns — freshly mined, fingerprint-spliced, or (for
-// reuse-masked partitions that were never shuffled) taken from the previous
-// state — are merged, and Result.Delta is built when the run keeps state.
-// The caller canonicalizes the final pattern order with gsm.SortPatterns,
-// which is total over the distinct patterns (each belongs to exactly one
-// partition), so record and splice order cannot leak into the output.
-func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, recs []partOut, keep bool) error {
-	var delta *DeltaState
-	if keep {
-		freqs := make([]int64, db.Forest.Size())
-		for w := range freqs {
-			freqs[w] = fl.Freq(hierarchy.Item(w))
-		}
-		delta = &DeltaState{NumSeqs: len(db.Seqs), Freqs: freqs}
-	}
-	add := func(part DeltaPart) {
-		res.NumPartitions++
-		res.PartitionSeqs += part.Seqs
-		res.MaxPartitionSeqs = max(res.MaxPartitionSeqs, part.Seqs)
-		res.Miner.Explored += part.Explored
-		res.Miner.Output += part.Output
-		res.Patterns = append(res.Patterns, part.Patterns...)
-		if delta != nil {
-			delta.Parts = append(delta.Parts, part)
-		}
-	}
-	for i := range recs {
-		rec := &recs[i]
-		if rec.spliced != nil {
-			res.DeltaReused++
-			add(*rec.spliced)
-			continue
-		}
-		if plan != nil {
-			res.DeltaDirty++
-		}
-		pats := make([]gsm.Pattern, 0, len(rec.ranks))
-		for _, po := range rec.ranks {
-			items, err := fl.TranslateFromRanks(nil, po.ranks)
-			if err != nil {
-				return err
-			}
-			pats = append(pats, gsm.Pattern{Items: items, Support: po.support})
-		}
-		add(DeltaPart{
-			Pivot: fl.VocabOf(rec.pivot), Fingerprint: rec.fingerprint,
-			Seqs: rec.seqs, Explored: rec.explored, Output: rec.output,
-			Patterns: pats,
-		})
-	}
+// assemble turns a run's per-partition records into its result: it sums the
+// statistics and gathers the patterns of the mined records and of the
+// reuse-masked partitions, which were never shuffled and come from the
+// previous state, and when the run keeps state adopts the record slice as
+// Result.Delta's parts. The caller canonicalizes the final pattern order
+// with gsm.SortPatterns, which is total over the distinct patterns (each
+// belongs to exactly one partition), so record order cannot leak into the
+// output.
+func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, recs []DeltaPart, keep bool) {
 	if plan != nil {
+		res.DeltaDirty = len(recs)
 		for r, reuse := range plan.reuse {
 			if !reuse {
 				continue
 			}
 			// nil: the partition is empty in both versions.
 			if pp := plan.prev.part(fl.VocabOf(flist.Rank(r))); pp != nil {
-				res.DeltaReused++
-				add(*pp)
+				recs = append(recs, *pp)
 			}
 		}
+		res.DeltaReused = len(recs) - res.DeltaDirty
 	}
-	if delta != nil {
-		// part() binary-searches by pivot item; records arrive in reduce
-		// order, not id order.
-		sort.Slice(delta.Parts, func(i, j int) bool { return delta.Parts[i].Pivot < delta.Parts[j].Pivot })
-		res.Delta = delta
+	res.NumPartitions = len(recs)
+	for i := range recs {
+		part := &recs[i]
+		res.PartitionSeqs += part.Seqs
+		res.MaxPartitionSeqs = max(res.MaxPartitionSeqs, part.Seqs)
+		res.Miner.Explored += part.Explored
+		res.Miner.Output += part.Output
+		res.Patterns = append(res.Patterns, part.Patterns...)
 	}
-	return nil
+	if !keep {
+		return
+	}
+	freqs := make([]int64, db.Forest.Size())
+	for w := range freqs {
+		freqs[w] = fl.Freq(hierarchy.Item(w))
+	}
+	// part() binary-searches by pivot item; records arrive in reduce order,
+	// not id order.
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Pivot < recs[j].Pivot })
+	res.Delta = &DeltaState{NumSeqs: len(db.Seqs), Freqs: freqs, Parts: recs}
 }

@@ -231,10 +231,10 @@ type Options struct {
 
 // MineState is the opaque, reusable residue of a mining run (Result.State):
 // the corpus version it covered, plus the internal f-list counts and each
-// partition's input fingerprint, statistics, and pattern set, which a Resume
-// run splices from. States are immutable and safe to share across
-// goroutines; they are only meaningful for databases descended (by Append)
-// from the snapshot they were taken on.
+// partition's statistics and pattern set, which a Resume run splices from.
+// States are immutable and safe to share across goroutines; they are only
+// meaningful for databases descended (by Append) from the snapshot they were
+// taken on.
 type MineState struct {
 	ident   *corpusID
 	version int
@@ -275,7 +275,7 @@ func (s *MineState) SizeBytes() int64 {
 // deltaStateBytes is SizeBytes' accounting of d.
 func deltaStateBytes(d *core.DeltaState) int64 {
 	const (
-		partBytes    = 64 // core.DeltaPart: pivot, fingerprint, three counters, one slice header
+		partBytes    = 56 // core.DeltaPart: pivot (padded to a word), three counters, one slice header
 		patternBytes = 32 // gsm.Pattern: one slice header plus the support
 	)
 	size := int64(len(d.Freqs))*8 + int64(len(d.Parts))*partBytes
@@ -630,7 +630,11 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 	}
 	out.Stats.DeltaPartitionsDirty = int64(res.DeltaDirty)
 	out.Stats.DeltaPartitionsReused = int64(res.DeltaReused)
+	if len(res.Patterns) > 0 {
+		out.Patterns = make([]Pattern, 0, len(res.Patterns))
+	}
 	for _, p := range res.Patterns {
+		// One []string per pattern: holding a pattern pins only itself.
 		items := make([]string, len(p.Items))
 		for i, w := range p.Items {
 			items[i] = f.Name(w)
