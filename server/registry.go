@@ -37,7 +37,7 @@ type DatabaseSpec struct {
 	// hierarchy).
 	Generator string `json:"generator,omitempty"`
 	// Size scales the generator: sentences for "text", users for "market"
-	// (0 = the generator's default of 1000).
+	// (0 = the generator's default of 1000, at most 1 << 20).
 	Size int `json:"size,omitempty"`
 	// TextHierarchy picks the "text" hierarchy variant: L, P, LP or CLP.
 	TextHierarchy string `json:"text_hierarchy,omitempty"`
@@ -249,7 +249,14 @@ func (r *registry) load(spec DatabaseSpec) (*lash.Database, string, error) {
 	return db, source, nil
 }
 
+// maxGeneratedSequences caps DatabaseSpec.Size: at ≈ 35 bytes a sequence in
+// .ldb form it is what maxBodyBytes already lets an upload carry.
+const maxGeneratedSequences = 1 << 20
+
 func (r *registry) generate(spec DatabaseSpec) (*lash.Database, error) {
+	if spec.Size > maxGeneratedSequences {
+		return nil, fmt.Errorf("%w: generator size %d exceeds %d", errBadSpec, spec.Size, maxGeneratedSequences)
+	}
 	switch spec.Generator {
 	case "text":
 		db, err := lash.GenerateTextDatabase(lash.TextConfig{
