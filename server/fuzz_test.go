@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path"
 	"testing"
 
 	"lash"
@@ -14,8 +15,8 @@ import (
 
 // This file fuzzes the decoders of untrusted input that name what the
 // result cache holds — pattern queries and their cursors, mine requests,
-// database specs — under one invariant: a documented reply or the error
-// envelope, never a panic and never a 5xx. Seeds live in testdata/fuzz.
+// database specs, appends — under one invariant: a documented reply or the
+// error envelope, never a panic and never a 5xx. Seeds live in testdata/fuzz.
 
 // fuzzServer is a server over the paper example, mined once, whose runs are
 // a stub: the fuzzers explore request decoding, not the miner. Its retention
@@ -134,8 +135,9 @@ func FuzzMineRequest(f *testing.F) {
 }
 
 // FuzzDatabaseSpec sends arbitrary bodies to POST /v1/databases. The
-// generators build as many sequences as the caller asks for, so specs that
-// ask for many are skipped: the decoder is on trial, not the generators.
+// generators build as many sequences as the caller asks for up to
+// maxGeneratedSequences, so specs that ask for many the server would build
+// are skipped: the decoder is on trial, not the generators.
 func FuzzDatabaseSpec(f *testing.F) {
 	for _, body := range []string{
 		`{"name":"d","hierarchy":["b1 B","b2 B"],"sequences":["a b1 a","a b2 c","a b1 b2"]}`,
@@ -147,6 +149,7 @@ func FuzzDatabaseSpec(f *testing.F) {
 		`{"name":"h","hierarchy":["a b c"],"sequences":["a"]}`, `{"name":"e","sequences":["", "  "]}`,
 		`{"name":"","sequences":["a"]}`, `{"sequences":["a"]}`, `{"name":"u","size":"big"}`, `{"name":"u","extra":true}`,
 		`[]`, `null`, ``, `{`, "\x00",
+		`{"name":"big","generator":"text","size":2147483648}`, `{"name":"big","generator":"market","size":4611686018427387904}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -154,13 +157,16 @@ func FuzzDatabaseSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec DatabaseSpec
 		json.NewDecoder(bytes.NewReader(body)).Decode(&spec) //nolint:errcheck // the server judges the body; this only reads the size it asks for
-		if spec.Generator != "" && spec.Size > 500 {
+		if spec.Generator != "" && spec.Size > 500 && spec.Size <= maxGeneratedSequences {
 			t.Skip("generator sized past what a fuzz iteration should build")
+		}
+		want := []int{http.StatusCreated, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge}
+		if spec.Generator != "" && spec.Size > maxGeneratedSequences {
+			want = want[1:] // refused before anything is generated
 		}
 		var info DatabaseInfo
 		rec := serve(s, "POST", "/v1/databases", string(body))
-		checkFuzzReply(t, rec, &info,
-			http.StatusCreated, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge)
+		checkFuzzReply(t, rec, &info, want...)
 		if rec.Code != http.StatusCreated {
 			return
 		}
@@ -170,6 +176,65 @@ func FuzzDatabaseSpec(f *testing.F) {
 		// Databases cannot be dropped; start over before they pile up.
 		if registered++; registered == 256 {
 			s, registered = fuzzServer(t), 0
+		}
+	})
+}
+
+// FuzzAppendSpec sends arbitrary JSON and raw .ldb bodies to
+// POST /v1/databases/{name}/sequences: the database's version moves by one
+// on a 200 and not at all otherwise.
+func FuzzAppendSpec(f *testing.F) {
+	frag, err := lash.NewDatabaseBuilder().AddParent("b3", "B").AddSequence("a", "b3", "d").Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var ldb bytes.Buffer
+	if err := frag.WriteBinary(&ldb); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct {
+		name string
+		ldb  bool
+		body string
+	}{
+		{"paper", false, `{"sequences":["a b1","c d"]}`}, {"paper", false, `{"sequences":["a b3"],"hierarchy":["b3 B"]}`},
+		{"paper", false, `{"sequences":["b1 a"],"hierarchy":["b1 C"]}`}, {"paper", false, `{"sequences":["a"],"hierarchy":["a b c"]}`},
+		{"paper", false, `{"sequences":["a"],"hierarchy":["x y","y x"]}`}, {"paper", false, `{"sequences":[]}`},
+		{"paper", false, `{"sequences":["", "# c"]}`}, {"paper", false, `{"sequences":["a"],"extra":1}`},
+		{"paper", false, `{"sequences":"a"}`}, {"paper", false, `null`}, {"paper", false, ``}, {"paper", false, ldb.String()},
+		{"nope", false, `{"sequences":["a"]}`}, {"a/b c%", false, `{"sequences":["a"]}`},
+		{"paper", true, ldb.String()}, {"paper", true, ldb.String()[:ldb.Len()-1]}, {"paper", true, lash.BinaryMagic},
+		{"paper", true, `{"sequences":["a"]}`}, {"paper", true, ``}, {"nope", true, ldb.String()},
+	} {
+		f.Add(seed.name, seed.ldb, []byte(seed.body))
+	}
+	s, version := fuzzServer(f), 1
+	f.Fuzz(func(t *testing.T, name string, ldb bool, body []byte) {
+		if target := "/v1/databases/" + name + "/sequences"; path.Clean(target) != target {
+			t.Skip("the mux answers an unclean path itself, before a handler sees it")
+		}
+		req := httptest.NewRequest("POST", "/v1/databases/"+url.PathEscape(name)+"/sequences", bytes.NewReader(body))
+		if ldb {
+			req.Header.Set("Content-Type", ldbContentType)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		var info DatabaseInfo
+		checkFuzzReply(t, rec, &info,
+			http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge)
+		if rec.Code == http.StatusOK {
+			if name != "paper" || info.Version != version+1 {
+				t.Fatalf("append to %q answered %+v at version %d", name, info, version)
+			}
+			version++
+		}
+		checkFuzzReply(t, serve(s, "GET", "/v1/databases/paper", ""), &info, http.StatusOK)
+		if info.Version != version {
+			t.Fatalf("append to %q answered %d and left version %d, want %d", name, rec.Code, info.Version, version)
+		}
+		// Versions cannot be dropped; start over before they pile up.
+		if version == 256 {
+			s, version = fuzzServer(t), 1
 		}
 	})
 }
