@@ -298,23 +298,6 @@ func BenchmarkFig6aDataScale(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6bStrongScaling mines once and schedules that run's measured
-// tasks onto 2, 4 and 8 simulated machines: the sub-benchmarks time only
-// the scheduling, sim-ms is the figure's y-axis.
-func BenchmarkFig6bStrongScaling(b *testing.B) {
-	benchSetup(b)
-	res := mineOrFatal(b, nytCLP, core.Options{Params: gsm.Params{Sigma: experiments.Tiny.SigmaLo, Gamma: 0, Lambda: 5}, MR: benchMR()})
-	for _, m := range []int{2, 4, 8} {
-		b.Run(fmtI64(int64(m)), func(b *testing.B) {
-			var sim mapreduce.PhaseTimes
-			for i := 0; i < b.N; i++ {
-				sim = experiments.Simulate(res.Jobs.Mine, experiments.ClusterSpec{Machines: m})
-			}
-			b.ReportMetric(sim.Total().Seconds()*1000, "sim-ms")
-		})
-	}
-}
-
 func BenchmarkFig6cWeakScaling(b *testing.B) {
 	benchSetup(b)
 	for _, step := range []struct {
