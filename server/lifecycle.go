@@ -1,0 +1,261 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime/debug"
+	"time"
+
+	"lash"
+)
+
+// run executes one job on a worker slot — the only place one is acquired —
+// and returns what finish was told. The job's context covers both the wait
+// for the slot and the mining itself. Batch jobs run on their own goroutine
+// with a nil emit; a stream runs on its caller's, which passes the emit it
+// delivers through (it is never stored).
+func (m *manager) run(j *job, db *lash.Database, emit func(lash.Pattern) error) (*lash.Result, error) {
+	defer m.wg.Done()
+	defer j.cancelCause(nil) // release the context's resources
+
+	select {
+	case m.sem <- struct{}{}:
+	case <-j.ctx.Done():
+		err := causeOf(j.ctx)
+		m.finish(j, nil, err)
+		return nil, err
+	}
+	defer func() { <-m.sem }()
+
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		m.finish(j, nil, errShutdown)
+		return nil, errShutdown
+	}
+	j.status = JobRunning
+	j.started = time.Now().UTC()
+	// The run feeds the server-wide pipeline families (per-phase duration
+	// histograms, spill counters, ...) scraped on GET /metrics. The job key
+	// is unaffected: Canonical() zeroes Metrics.
+	j.options.Metrics = m.met.pm
+	m.met.jobsQueued.Dec()
+	m.met.jobsRunning.Inc()
+	m.met.minesRun.Inc()
+	m.met.queueSeconds.Observe(j.started.Sub(j.created).Seconds())
+	m.mu.Unlock()
+	m.log.Info("job running", "job_id", j.id, "database", j.dbName,
+		"queued_ms", j.started.Sub(j.created).Milliseconds())
+
+	res, err := safeMine(func() (*lash.Result, error) {
+		return m.mineFn(j.ctx, db, j.options, emit)
+	})
+	m.finish(j, res, err)
+	return res, err
+}
+
+// causeOf resolves a done context into its most specific error: the
+// cancellation cause if one was set (errJobCancelled for DELETE,
+// errShutdown when the manager's base context died), otherwise the plain
+// context error (e.g. a streaming client disconnecting).
+func causeOf(ctx context.Context) error {
+	if cause := context.Cause(ctx); cause != nil && cause != ctx.Err() {
+		return cause
+	}
+	return ctx.Err()
+}
+
+// safeMine invokes one mining closure, converting a panic into an error.
+// The MapReduce substrate already recovers panics inside map/reduce tasks;
+// this guards the rest of the mining path so a single bad request can fail
+// its run without taking down the long-running server.
+func safeMine(fn func() (*lash.Result, error)) (res *lash.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("server: mining panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return fn()
+}
+
+// finish moves a job to its terminal status — the only place a run's
+// outcome is decided and counted — hands a batch job's result to the cache,
+// and wakes all waiters, including every request that coalesced onto the
+// job. A run that ended because the job's context was cancelled — by
+// DELETE /v1/jobs/{id}, by server shutdown, or by a stream's client going
+// away — lands in JobCancelled, not JobFailed.
+func (m *manager) finish(j *job, res *lash.Result, err error) {
+	mined := err == nil && !j.stream // a stream delivered as it mined; nothing to keep or serve
+	if mined {
+		// Before the job leaves its singleflight slot, so a resubmission is
+		// coalesced or a hit, never a re-mine; ahead of the lock, because
+		// charging a result walks every pattern.
+		m.cache.add(j, res)
+	}
+	m.mu.Lock()
+	j.finished = time.Now().UTC()
+	j.options.Resume = nil // the run is over; only the cache retains states
+	// Settle the state gauges from the status being left behind, and time
+	// the interval the job just completed: its run when it held a worker,
+	// or its whole queued life when it never got one.
+	switch j.status {
+	case JobQueued:
+		m.met.jobsQueued.Dec()
+		m.met.queueSeconds.Observe(j.finished.Sub(j.created).Seconds())
+	case JobRunning:
+		m.met.jobsRunning.Dec()
+	}
+	if !j.started.IsZero() {
+		m.met.runSeconds.Observe(j.finished.Sub(j.started).Seconds())
+	}
+	switch {
+	case err == nil:
+		j.status = JobDone
+		m.met.jobsCompleted.Inc()
+		m.met.spilledRuns.Add(res.Stats.SpillRuns)
+		m.met.spilledBytes.Add(res.Stats.SpillBytes)
+		if !mined {
+			break
+		}
+		m.met.deltaDirty.Add(res.Stats.DeltaPartitionsDirty)
+		m.met.deltaReused.Add(res.Stats.DeltaPartitionsReused)
+		// The serving index is built off both the worker goroutine and this
+		// lock. The wg.Add is safe against close(): the caller still holds
+		// its own wg count.
+		m.wg.Add(1)
+		go m.buildIndex(j.key, res)
+	case wasCancelled(j, err):
+		j.status = JobCancelled
+		j.err = err
+		m.met.jobsCancelled.Inc()
+	default:
+		j.status = JobFailed
+		j.err = err
+		m.met.jobsFailed.Inc()
+		// A deadline expiry is cancellation-shaped but counts as a failure:
+		// the server (or the request's deadline_ms) decided the run was not
+		// worth finishing, and operators alert on this separately.
+		if errors.Is(err, lash.ErrDeadlineExceeded) {
+			m.met.jobsDeadline.Inc()
+		}
+	}
+	if !j.stream { // a stream never took the singleflight slot of its key
+		delete(m.inflight, j.key)
+	}
+	close(j.done)
+	status, jerr := j.status, j.err
+	m.mu.Unlock()
+	if jerr != nil {
+		m.log.Info("job finished", "job_id", j.id, "database", j.dbName,
+			"status", string(status), "error", jerr.Error())
+		return
+	}
+	m.log.Info("job finished", "job_id", j.id, "database", j.dbName,
+		"status", string(status), "run_ms", j.finished.Sub(j.started).Milliseconds())
+}
+
+// buildIndex builds a finished result's serving index off the worker
+// goroutine, records the build cost, and adds the index's exact size to the
+// result's cache charge. Result.Index is memoized, so the pattern endpoints
+// share the one index built here; a request that races ahead of this
+// goroutine simply builds it first and this call returns the memoized copy
+// instantly.
+func (m *manager) buildIndex(key string, res *lash.Result) {
+	defer m.wg.Done()
+	begin := time.Now()
+	ix := res.Index()
+	m.met.pindexBuildSeconds.Observe(time.Since(begin).Seconds())
+	m.met.pindexBytes.Add(ix.SizeBytes())
+	m.cache.recost(key, ix.SizeBytes())
+}
+
+// wasCancelled reports whether a run's error means its context was
+// cancelled rather than mining failing on its own: the cancel sentinels in
+// the error chain directly, or a context.Canceled whose job context was
+// cancelled by DELETE or shutdown. (A MineFunc may surface either the
+// plain ctx error or the substrate's cause-carrying wrap.) A stream's
+// context also dies with its request, and there any error counts: a
+// disconnect can surface as the NDJSON write error, because the emit error
+// takes precedence over the context error in lash.Stream.
+func wasCancelled(j *job, err error) bool {
+	if errors.Is(err, errJobCancelled) || errors.Is(err, errShutdown) {
+		return true
+	}
+	if j.stream {
+		return j.ctx.Err() != nil
+	}
+	if !errors.Is(err, context.Canceled) {
+		return false
+	}
+	cause := context.Cause(j.ctx)
+	return errors.Is(cause, errJobCancelled) || errors.Is(cause, errShutdown)
+}
+
+// cancelJob cancels the job with the given id. Queued and running jobs are
+// cancelled (the run notices via its context and finishes as
+// JobCancelled); cancelling an already-cancelled job is a no-op; any other
+// terminal job is a conflict. Cancellation applies to every submitter
+// coalesced onto the job — their shared done channel is closed exactly
+// once by finish, and the singleflight slot frees so an identical resubmit
+// starts a fresh run.
+func (m *manager) cancelJob(id string) (*job, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", errJobMissing, id)
+	}
+	// Decide and cancel under the lock: finish() also takes it, so a job
+	// observed queued/running here cannot turn done before the cancel
+	// lands. (cancelCause never invokes finish synchronously — the job's
+	// own goroutine observes the context and finishes — so this cannot
+	// deadlock.)
+	switch j.status {
+	case JobCancelled:
+		return j, nil // idempotent
+	case JobDone, JobFailed:
+		return j, fmt.Errorf("%w: job %s already %s", errConflict, id, j.status)
+	}
+	// Queued or running: cancel the job context; the goroutine that owns
+	// the job observes it (in the slot wait or inside mining) and calls
+	// finish. The status flip is therefore asynchronous — callers see
+	// queued/running until the run actually unwinds. A run that had
+	// already produced its result when the cancel landed may still finish
+	// as done; poll until terminal either way.
+	j.cancelCause(errJobCancelled)
+	m.log.Info("job cancel requested", "job_id", j.id, "database", j.dbName, "status", string(j.status))
+	return j, nil
+}
+
+// draining reports whether close has begun: from that moment every new
+// submission is refused with errShutdown (503 + Retry-After) and /readyz
+// answers 503, while in-flight runs finish under the drain timeout.
+func (m *manager) draining() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.closed
+}
+
+// close stops accepting jobs and waits for in-flight ones to drain or ctx
+// to expire, whichever comes first. Queued jobs that have not claimed a
+// worker slot yet fail with errShutdown. Idempotent: repeated closes (and
+// submissions racing them) all observe the same refused state.
+func (m *manager) close(ctx context.Context) error {
+	m.mu.Lock()
+	m.closed = true
+	m.mu.Unlock()
+	m.cancel(errShutdown)
+
+	drained := make(chan struct{})
+	go func() {
+		m.wg.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("server: shutdown timed out with jobs still running: %w", ctx.Err())
+	}
+}
