@@ -52,8 +52,8 @@ type DeltaState struct {
 	Parts []DeltaPart
 }
 
-// DeltaPart is one partition's captured result, keyed by the pivot's
-// version-stable vocabulary item.
+// DeltaPart is one partition's result — the record its Reduce emits and the
+// one the state keeps — keyed by the pivot's version-stable vocabulary item.
 type DeltaPart struct {
 	Pivot hierarchy.Item
 	// Seqs, Explored, Output are the partition's mining statistics, spliced
@@ -62,7 +62,8 @@ type DeltaPart struct {
 	Explored int64
 	Output   int64
 	// Patterns are the partition's mined patterns in vocabulary item space
-	// (version-stable ids), before any output restriction.
+	// (version-stable ids), before any output restriction; their Items share
+	// one array per partition. Nil on a streaming run, which delivered them.
 	Patterns []gsm.Pattern
 }
 
