@@ -356,14 +356,13 @@ func BenchmarkMicroRewrite(b *testing.B) {
 		b.Fatal(err)
 	}
 	rw := rewrite.NewRewriter(fl, 1, 5)
-	var pivots []flist.Rank
 	var buf []flist.Rank
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := nytCLP.Seqs[i%len(nytCLP.Seqs)]
-		pivots = fl.PivotRanks(pivots[:0], t)
-		for _, pv := range pivots {
-			buf = rw.Rewrite(buf[:0], t, pv)
+		rw.Load(nytCLP.Seqs[i%len(nytCLP.Seqs)])
+		for _, ok := rw.Next(); ok; _, ok = rw.Next() {
+			buf = rw.Rewritten(buf[:0])
 		}
 	}
 }

@@ -266,8 +266,10 @@ func MineSemiNaive(ctx context.Context, db *gsm.Database, opt Options) (*core.Re
 // of the naïve partitioning discussion (§4). Exposed for experiments.
 func CountG1(db *gsm.Database) int64 {
 	var n int64
+	var g1 gsm.Sequence
 	for _, t := range db.Seqs {
-		n += int64(len(gsm.ItemGeneralizations(db.Forest, t)))
+		g1 = gsm.AppendItemGeneralizations(g1[:0], db.Forest, t)
+		n += int64(len(g1))
 	}
 	return n
 }

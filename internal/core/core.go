@@ -223,10 +223,14 @@ func flistFrequencies(ctx context.Context, db *gsm.Database, cfg mapreduce.Confi
 	// The job's tables hold one entry per (map task, item): a budget would
 	// only turn them into MapTasks × ReduceTasks tiny spill runs.
 	cfg.MemoryBudget = 0
+	scratch := sync.Pool{New: func() any { return new([]hierarchy.Item) }}
 	out, stats, err := mapreduce.RunAgg(ctx, cfg, db.Seqs, mapreduce.AggJob[gsm.Sequence, itemFreq]{
 		Name: "flist",
 		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
-			for _, g := range gsm.ItemGeneralizations(db.Forest, t) {
+			g1 := scratch.Get().(*[]hierarchy.Item)
+			defer scratch.Put(g1)
+			*g1 = gsm.AppendItemGeneralizations((*g1)[:0], db.Forest, t)
+			for _, g := range *g1 {
 				emit(uint32(g), nil, 1)
 			}
 		},
@@ -289,13 +293,13 @@ func buildFList(o *obs.Run, forest *hierarchy.Forest, freq []int64, sigma int64)
 type mineAbort struct{}
 
 // mineScratch is the pooled per-map-call working set of the partition+mine
-// job: the rewriter plus reusable pivot, rank, and encode buffers, so the
-// map hot path performs no per-emit heap allocation.
+// job: the rewriter, which is loaded once per input sequence and holds that
+// sequence's pivots, plus reusable rank and encode buffers, so the map hot
+// path performs no per-emit heap allocation.
 type mineScratch struct {
-	rw     *rewrite.Rewriter
-	pivots []flist.Rank
-	buf    []flist.Rank
-	enc    []byte
+	rw  *rewrite.Rewriter
+	buf []flist.Rank
+	enc []byte
 }
 
 // reduceScratch is the pooled per-Reduce working set of the partition+mine
@@ -314,11 +318,12 @@ type reduceScratch struct {
 }
 
 // mineJob runs the partitioning and mining phases (Alg. 1) as one streaming
-// aggregated-shuffle job: map rewrites each input sequence per pivot and
-// emits the encoded partition sequence with weight 1; the substrate
-// aggregates duplicates (§4.4) map-side and during the partition merge; and
-// each partition is mined the moment its last input arrives, overlapping
-// shuffle, merge, and local mining.
+// aggregated-shuffle job: map loads each input sequence into the rewriter
+// once — one walk yields its pivots and what their rewrites share — and
+// emits, per pivot, the encoded partition sequence with weight 1; the
+// substrate aggregates duplicates (§4.4) map-side and during the partition
+// merge; and each partition is mined the moment its last input arrives,
+// overlapping shuffle, merge, and local mining.
 //
 // Reduce is the paper's one reduce step — decode the pivot's partition, mine
 // it, output its pivot sequences — for every run mode, and its record is the
@@ -372,14 +377,14 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
 			s := scratch.Get().(*mineScratch)
 			defer scratch.Put(s)
-			s.pivots = fl.PivotRanks(s.pivots[:0], t)
-			for _, pivot := range s.pivots {
+			s.rw.Load(t)
+			for pivot, ok := s.rw.Next(); ok; pivot, ok = s.rw.Next() {
 				if plan != nil && plan.reuse[pivot] {
 					// Delta: this partition's input is provably unchanged —
 					// its previous result is spliced, nothing is shuffled.
 					continue
 				}
-				s.buf = s.rw.Rewrite(s.buf[:0], t, pivot)
+				s.buf = s.rw.Rewritten(s.buf[:0])
 				if len(s.buf) == 0 {
 					continue
 				}

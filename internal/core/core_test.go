@@ -342,6 +342,48 @@ func TestFListJobCountersGolden(t *testing.T) {
 	}
 }
 
+// The partition+mine job's counters say what the map-side rewrite shuffled:
+// one rewritten byte more or less moves MapOutputBytes, a lost or spurious
+// emission moves the record and partition counts. The values were recorded
+// before the rewrite was given its one-Load-per-sequence, windowed form, which
+// must reproduce them; the weaker modes are lash-exp's ablation rows.
+func TestMineJobCountersGolden(t *testing.T) {
+	db := flistCorpus(t)
+	type golden struct {
+		in, out, bytes, keys int64
+		parts                int
+		partSeqs             int64
+		explored, output     int64
+	}
+	cases := []struct {
+		params gsm.Params
+		mode   rewrite.Mode
+		want   golden
+	}{
+		{gsm.Params{Sigma: 25, Gamma: 0, Lambda: 3}, rewrite.ModeFull,
+			golden{3000, 68632, 541124, 390, 390, 63922, 72937, 3322}},
+		{gsm.Params{Sigma: 25, Gamma: 1, Lambda: 4}, rewrite.ModeFull,
+			golden{3000, 76029, 1048664, 390, 390, 74229, 305989, 22054}},
+		{gsm.Params{Sigma: 25, Gamma: 1, Lambda: 4}, rewrite.ModeGeneralizeOnly,
+			golden{3000, 81079, 1979872, 390, 390, 81017, 305989, 22054}},
+		{gsm.Params{Sigma: 25, Gamma: 1, Lambda: 4}, rewrite.ModeNone,
+			golden{3000, 81510, 2627995, 390, 390, 81510, 305989, 22054}},
+	}
+	for _, c := range cases {
+		res, err := core.Mine(context.Background(), db, core.Options{Params: c.params, Rewrites: c.mode,
+			MR: mapreduce.Config{Workers: 4, MapTasks: 7, ReduceTasks: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := res.Jobs.Mine.Counters
+		got := golden{n.MapInputRecords, n.MapOutputRecords, n.MapOutputBytes, n.ReduceInputKeys,
+			res.NumPartitions, res.PartitionSeqs, res.Miner.Explored, res.Miner.Output}
+		if got != c.want {
+			t.Errorf("%+v %v: partition+mine counters = %+v, want %+v", c.params, c.mode, got, c.want)
+		}
+	}
+}
+
 // A transient map-task fault during the f-list job is retried, and the
 // retried run's frequencies and patterns equal the fault-free run's.
 func TestFListJobRecoversFromMapFault(t *testing.T) {

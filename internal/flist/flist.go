@@ -13,6 +13,7 @@ package flist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lash/internal/gsm"
@@ -195,16 +196,8 @@ func (fl *FList) PivotRanks(dst []Rank, t gsm.Sequence) []Rank {
 			}
 		}
 	}
-	tail := dst[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
-	// Deduplicate in place.
-	out := dst[:start]
-	for i, r := range tail {
-		if i == 0 || r != tail[i-1] {
-			out = append(out, r)
-		}
-	}
-	return out
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 // TranslateToRanks maps a vocabulary sequence into rank space with no

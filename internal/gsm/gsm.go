@@ -8,6 +8,7 @@ package gsm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -207,20 +208,17 @@ func Frequency(db *Database, s Sequence, gamma int) int64 {
 // ItemGeneralizations returns G1(T): the distinct items occurring in T
 // together with all their generalizations, in ascending item order.
 func ItemGeneralizations(f *hierarchy.Forest, t Sequence) []hierarchy.Item {
-	seen := make(map[hierarchy.Item]struct{}, 2*len(t))
-	var scratch []hierarchy.Item
+	return AppendItemGeneralizations(nil, f, t)
+}
+
+// AppendItemGeneralizations appends G1(T) to dst, in ascending item order.
+func AppendItemGeneralizations(dst []hierarchy.Item, f *hierarchy.Forest, t Sequence) []hierarchy.Item {
+	start := len(dst)
 	for _, w := range t {
-		scratch = f.SelfAndAncestors(scratch[:0], w)
-		for _, g := range scratch {
-			seen[g] = struct{}{}
-		}
+		dst = f.SelfAndAncestors(dst, w)
 	}
-	out := make([]hierarchy.Item, 0, len(seen))
-	for g := range seen {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 // EnumerateGenSubseqs calls fn once for each DISTINCT generalized
