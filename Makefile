@@ -1,6 +1,6 @@
 GO ?= go
 FUZZTIME ?= 60s
-FUZZ_PKGS ?= . ./internal/seqenc ./internal/seqdb ./internal/mapreduce ./internal/rewrite ./server
+FUZZ_PKGS ?= . ./internal/seqenc ./internal/seqdb ./internal/mapreduce ./internal/rewrite ./internal/miner ./server
 PROFILE_BENCH ?= BenchmarkFig4a
 PROFILE_BENCHTIME ?= 3x
 

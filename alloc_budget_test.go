@@ -42,12 +42,12 @@ func TestAllocBudget(t *testing.T) {
 		mine    func(spillDir string) error
 		ceiling float64 // measured + 10%
 	}{
-		{"Fig4aLASH", coreMine(nytP, p, 0), 7_300},                                // 6 640
-		{"SpillBudgeted", coreMine(nytCLP, spillParams(), spillBudget()), 21_000}, // 19 100
+		{"Fig4aLASH", coreMine(nytP, p, 0), 6_000},                                // 5 450
+		{"SpillBudgeted", coreMine(nytCLP, spillParams(), spillBudget()), 19_700}, // 17 910
 		{"Fig4aLASHPublic", func(string) error {
 			_, err := lash.Mine(public, lash.Options{MinSupport: p.Sigma, MaxGap: p.Gamma, MaxLength: p.Lambda, Workers: 1})
 			return err
-		}, 7_950}, // 7 225
+		}, 6_640}, // 6 035
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -33,6 +33,7 @@ type bfsScratch struct {
 	seedPrefix [1]flist.Rank
 	joinBuf    bfsPosting
 	emitIDs    []int32
+	anc, anc2  []flist.Rank // seedLevel2's two generalization chains
 }
 
 // bfsLevel interns the candidate patterns of one level: pattern id i has
@@ -117,25 +118,23 @@ func (BFS) Mine(p *Partition, cfg Config, sc *Scratch, emit Emit) Stats {
 		sc = NewScratch()
 	}
 	//lashvet:ignore emitgo bfsRun is call-scoped traversal state; Mine returns before the struct is released and emit never crosses a goroutine
-	b := &bfsRun{p: p, cfg: cfg, emit: emit, bound: cfg.bound(p), sc: sc, n: maxRankPlus1(p)}
+	b := &bfsRun{walk: walk{p: p, cfg: cfg, bound: cfg.bound(p), sc: sc, n: maxRankPlus1(p)}, emit: emit}
 	b.run()
 	cfg.record(b.stats)
 	return b.stats
 }
 
 type bfsRun struct {
-	p     *Partition
-	cfg   Config
+	walk
 	emit  Emit
 	stats Stats
-	bound flist.Rank
-	sc    *Scratch
-	n     int // dense table size (1 + max rank in the partition)
 }
 
 func (b *bfsRun) run() {
 	bs := &b.sc.bfs
-	items := b.itemPostings()
+	// Hierarchy-aware single-item postings; they stay valid (and are joined
+	// against) for the whole run.
+	items := b.itemPostings(&bs.items)
 	// Frequent single items, in rank order.
 	bs.f1 = bs.f1[:0]
 	if len(bs.f1set) < b.n {
@@ -200,28 +199,16 @@ func appendRanksKey(b []byte, rs []flist.Rank) []byte {
 	return b
 }
 
-// itemPostings builds the vertical single-item index, hierarchy-aware: the
-// posting of item a holds every position where a or a descendant occurs.
-// It returns the occurring ranks ascending; postings stay valid (and are
-// joined against) for the whole run.
-func (b *bfsRun) itemPostings() []flist.Rank {
-	t := &b.sc.bfs.items
-	t.begin(b.n)
-	for tid, ws := range b.p.Seqs {
-		for pos, r := range ws.Items {
-			if r == flist.NoRank {
-				continue
-			}
-			b.sc.anc = b.p.SelfAnc(b.sc.anc[:0], r)
-			for _, a := range b.sc.anc {
-				if a > b.bound {
-					continue
-				}
-				t.add(a, int32(tid), ws.Weight, int32(pos), true)
-			}
+// SelfAnc appends r and its ancestors (via the rank-parent table) to dst.
+func (p *Partition) SelfAnc(dst []flist.Rank, r flist.Rank) []flist.Rank {
+	for r != flist.NoRank {
+		dst = append(dst, r)
+		if int(r) >= len(p.Parent) {
+			break
 		}
+		r = p.Parent[r]
 	}
-	return t.finish()
+	return dst
 }
 
 // seedLevel2 scans each sequence for G2(T): all generalized 2-subsequences
@@ -244,13 +231,13 @@ func (b *bfsRun) seedLevel2(lv *bfsLevel) {
 				if seq[j] == flist.NoRank {
 					continue
 				}
-				b.sc.anc = b.p.SelfAnc(b.sc.anc[:0], seq[i])
-				b.sc.anc2 = b.p.SelfAnc(b.sc.anc2[:0], seq[j])
-				for _, u := range b.sc.anc {
+				bs.anc = b.p.SelfAnc(bs.anc[:0], seq[i])
+				bs.anc2 = b.p.SelfAnc(bs.anc2[:0], seq[j])
+				for _, u := range bs.anc {
 					if !bs.f1set[u] {
 						continue
 					}
-					for _, v := range b.sc.anc2 {
+					for _, v := range bs.anc2 {
 						if !bs.f1set[v] {
 							continue
 						}

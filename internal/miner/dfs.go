@@ -10,7 +10,9 @@ import "lash/internal/flist"
 //
 // Projected databases are accumulated in the dense rank-indexed tables of
 // Scratch, one table per pattern length, reused across sibling expansions
-// via the epoch counter.
+// via the epoch counter. A pattern of λ items is emitted and never expanded,
+// so no projection is built for it: a pattern of λ−1 items takes only the
+// supports of its expansions (Scratch's count table).
 type DFS struct{}
 
 // Mine implements Miner.
@@ -18,8 +20,11 @@ func (DFS) Mine(p *Partition, cfg Config, sc *Scratch, emit Emit) Stats {
 	if sc == nil {
 		sc = NewScratch()
 	}
-	//lashvet:ignore emitgo dfsRun is call-scoped traversal state; Mine returns before the struct is released and emit never crosses a goroutine
-	d := &dfsRun{p: p, cfg: cfg, emit: emit, bound: cfg.bound(p), sc: sc, n: maxRankPlus1(p)}
+	d := &dfsRun{
+		walk: walk{p: p, cfg: cfg, bound: cfg.bound(p), sc: sc, n: maxRankPlus1(p)},
+		//lashvet:ignore emitgo dfsRun is call-scoped traversal state; Mine returns before the struct is released and emit never crosses a goroutine
+		emit: emit,
+	}
 	d.run()
 	sc.pattern = d.pattern[:0]
 	cfg.record(d.stats)
@@ -27,13 +32,9 @@ func (DFS) Mine(p *Partition, cfg Config, sc *Scratch, emit Emit) Stats {
 }
 
 type dfsRun struct {
-	p     *Partition
-	cfg   Config
+	walk
 	emit  Emit
 	stats Stats
-	bound flist.Rank
-	sc    *Scratch
-	n     int // dense table size (1 + max rank in the partition)
 
 	pattern []flist.Rank
 }
@@ -43,23 +44,8 @@ func (d *dfsRun) run() {
 	// single-item pattern are all positions where the item or one of its
 	// descendants occurs.
 	rt := d.sc.rightAt(0)
-	rt.begin(d.n)
-	for tid, ws := range d.p.Seqs {
-		for pos, r := range ws.Items {
-			if r == flist.NoRank {
-				continue
-			}
-			d.sc.anc = d.p.SelfAnc(d.sc.anc[:0], r)
-			for _, a := range d.sc.anc {
-				if a > d.bound {
-					continue
-				}
-				rt.add(a, int32(tid), ws.Weight, int32(pos), true)
-			}
-		}
-	}
 	d.pattern = d.sc.pattern[:0]
-	for _, a := range rt.finish() {
+	for _, a := range d.itemPostings(rt) {
 		row := &rt.rows[a]
 		d.stats.Explored++ // the frequency of each single item is computed
 		if row.support < d.cfg.Sigma {
@@ -70,66 +56,33 @@ func (d *dfsRun) run() {
 	}
 }
 
-// expand grows the current pattern (already frequent) to the right.
+// expand grows the current pattern (already frequent) to the right. The
+// projections of a pattern of λ items would never be read, so the last level
+// takes supports only (see walk.collectRight).
 func (d *dfsRun) expand(proj postList, hasPivot bool) {
-	if len(d.pattern) == d.cfg.Lambda {
+	if len(d.pattern) >= d.cfg.Lambda {
 		return
 	}
-	gamma := int32(d.cfg.Gamma)
-	rt := d.sc.rightAt(len(d.pattern))
-	rt.begin(d.n)
-	for i := range proj.tids {
-		tid := proj.tids[i]
-		ws := d.p.Seqs[tid]
-		seq := ws.Items
-		// Merge the per-end windows into a sorted, distinct position list.
-		qbuf := d.sc.qbuf[:0]
-		n := int32(len(seq))
-		next := int32(0) // next unvisited position, keeps qbuf sorted+unique
-		for _, end := range proj.ends[proj.offs[i]:proj.offs[i+1]] {
-			lo := end + 1
-			if lo < next {
-				lo = next
-			}
-			hi := end + 1 + gamma
-			if hi >= n {
-				hi = n - 1
-			}
-			for q := lo; q <= hi; q++ {
-				qbuf = append(qbuf, q)
-			}
-			if hi+1 > next {
-				next = hi + 1
-			}
-		}
-		d.sc.qbuf = qbuf
-		for _, q := range qbuf {
-			r := seq[q]
-			if r == flist.NoRank {
-				continue
-			}
-			d.sc.anc = d.p.SelfAnc(d.sc.anc[:0], r)
-			for _, a := range d.sc.anc {
-				if a > d.bound {
-					continue
-				}
-				rt.add(a, tid, ws.Weight, q, false) // q ascending per tid → sorted+unique
-			}
-		}
+	last := len(d.pattern) == d.cfg.Lambda-1
+	var rt *postTable
+	if !last {
+		rt = d.sc.rightAt(len(d.pattern))
 	}
-	for _, a := range rt.finish() {
-		row := &rt.rows[a]
+	for _, a := range d.collectRight(proj, rt, flist.NoRank, nil) {
 		d.stats.Explored++
-		if row.support < d.cfg.Sigma {
+		support := d.rightSupport(rt, a)
+		if support < d.cfg.Sigma {
 			continue
 		}
 		d.pattern = append(d.pattern, a)
 		hp := hasPivot || a == d.p.Pivot
-		if len(d.pattern) >= 2 && (!d.cfg.PivotOnly || hp) {
-			d.emit(d.pattern, row.support)
+		if !d.cfg.PivotOnly || hp {
+			d.emit(d.pattern, support)
 			d.stats.Output++
 		}
-		d.expand(row.list(), hp)
+		if !last {
+			d.expand(rt.rows[a].list(), hp)
+		}
 		d.pattern = d.pattern[:len(d.pattern)-1]
 	}
 }

@@ -18,7 +18,9 @@ import (
 
 // diffPartition builds a random weighted partition. Unlike randPartition it
 // also exercises large rank spaces (ranks ≥ 256, multi-byte interning keys)
-// and deeper hierarchies.
+// and deeper hierarchies, and one partition in four holds ranks above the
+// pivot — the shape rewrite.ModeNone hands the miners, which is what their
+// "a ≤ bound" test exists for.
 func diffPartition(r *rand.Rand) *miner.Partition {
 	nRanks := 2 + r.Intn(8)
 	if r.Intn(4) == 0 {
@@ -34,6 +36,10 @@ func diffPartition(r *rand.Rand) *miner.Partition {
 	}
 	pivot := flist.Rank(1 + r.Intn(nRanks-1))
 	p := &miner.Partition{Pivot: pivot, Parent: parent}
+	top := int(pivot) + 1
+	if r.Intn(4) == 0 {
+		top = nRanks
+	}
 	for i, k := 0, 1+r.Intn(7); i < k; i++ {
 		l := 2 + r.Intn(9)
 		items := make([]flist.Rank, l)
@@ -41,7 +47,7 @@ func diffPartition(r *rand.Rand) *miner.Partition {
 			if r.Intn(6) == 0 {
 				items[j] = flist.NoRank
 			} else {
-				items[j] = flist.Rank(r.Intn(int(pivot) + 1))
+				items[j] = flist.Rank(r.Intn(top))
 			}
 		}
 		p.Seqs = append(p.Seqs, miner.WSeq{Items: items, Weight: 1 + int64(r.Intn(4))})

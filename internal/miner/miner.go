@@ -21,6 +21,14 @@
 // bitsets for PSM's right-expansion index. Callers that mine many partitions
 // should pool Scratch values (one per worker) and pass them to Mine; the
 // hot path then performs no per-expansion allocation.
+//
+// The pattern-growth miners (PSM, DFS) share their scans (walk.go): each
+// climbs the rank-parent chain in place from the item at a position, and
+// filters a candidate before anything is stored for it. They keep posting
+// lists only for patterns that will be expanded: a pattern of λ−1 items —
+// the last level — takes just the supports of its expansions, which are
+// emitted (the emit callback is still called per pattern: it is where a
+// cancelled job stops the miner) and never grown.
 package miner
 
 import (
@@ -44,18 +52,6 @@ type Partition struct {
 	Pivot  flist.Rank
 	Seqs   []WSeq
 	Parent []flist.Rank
-}
-
-// SelfAnc appends r and its ancestors (via the rank-parent table) to dst.
-func (p *Partition) SelfAnc(dst []flist.Rank, r flist.Rank) []flist.Rank {
-	for r != flist.NoRank {
-		dst = append(dst, r)
-		if int(r) >= len(p.Parent) {
-			break
-		}
-		r = p.Parent[r]
-	}
-	return dst
 }
 
 // Config carries the local mining parameters.

@@ -1,6 +1,7 @@
 package miner_test
 
 import (
+	"slices"
 	"testing"
 
 	"lash/internal/flist"
@@ -115,5 +116,190 @@ func TestPSMWeightedLeftExpansion(t *testing.T) {
 	got, _ := minerOutputMap(miner.New(miner.KindPSM), p, cfg)
 	if got[rankKey([]flist.Rank{a, pv})] != 3 {
 		t.Fatalf("weighted support = %v, want 3", got)
+	}
+}
+
+type lastLevelCase struct {
+	name     string
+	p        *miner.Partition
+	cfg      miner.Config
+	kinds    []miner.Kind
+	want     []miner.WSeq // patterns and supports, in emit order
+	explored int64        // -1: the reference decides
+}
+
+// lastLevelCases are TestLastLevel's table and FuzzMinersAgree's seeds.
+func lastLevelCases() []lastLevelCase {
+	const none = flist.NoRank
+	psmKinds := []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex}
+	return []lastLevelCase{
+		{
+			// The root is the last level: right counts, then left counts.
+			name: "lambda 2 gamma 0",
+			p: flatPartition(2, 3, []int64{2, 1},
+				[]flist.Rank{0, 2, 1},
+				[]flist.Rank{1, 2, 1}),
+			cfg:   miner.Config{Sigma: 2, Gamma: 0, Lambda: 2, PivotOnly: true},
+			kinds: psmKinds,
+			want: []miner.WSeq{
+				{[]flist.Rank{2, 1}, 3},
+				{[]flist.Rank{0, 2}, 2},
+			},
+			explored: 3, // right: 1; left: 0, 1
+		},
+		{
+			name: "lambda 2 gamma 1, a blank inside the window",
+			p: flatPartition(2, 3, []int64{2, 1},
+				[]flist.Rank{0, 1, 2, 0, 1},
+				[]flist.Rank{2, none, 1}),
+			cfg:      miner.Config{Sigma: 3, Gamma: 1, Lambda: 2, PivotOnly: true},
+			kinds:    psmKinds,
+			want:     []miner.WSeq{{[]flist.Rank{2, 1}, 3}},
+			explored: 4, // right: 0 (2), 1 (3); left: 0 (2), 1 (2)
+		},
+		{
+			// Both pivot occurrences see item 0, right and left: one
+			// sequence, counted once at its weight.
+			name: "a candidate in two windows of one sequence",
+			p: flatPartition(1, 2, []int64{3},
+				[]flist.Rank{0, 1, 0, 1, 0}),
+			cfg:   miner.Config{Sigma: 1, Gamma: 0, Lambda: 2, PivotOnly: true},
+			kinds: psmKinds,
+			want: []miner.WSeq{
+				{[]flist.Rank{1, 0}, 3},
+				{[]flist.Rank{0, 1}, 3},
+			},
+			explored: 2,
+		},
+		{
+			// Ranks 1 and 2 both generalize to 0; one window holds both.
+			name: "two descendants of one ancestor",
+			p: &miner.Partition{Pivot: 3, Parent: []flist.Rank{none, 0, 0, none},
+				Seqs: []miner.WSeq{{Items: []flist.Rank{3, 1, 2}, Weight: 2}}},
+			cfg:   miner.Config{Sigma: 2, Gamma: 1, Lambda: 2, PivotOnly: true},
+			kinds: []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex, miner.KindDFS},
+			want: []miner.WSeq{
+				{[]flist.Rank{3, 0}, 2},
+				{[]flist.Rank{3, 1}, 2},
+				{[]flist.Rank{3, 2}, 2},
+			},
+			explored: -1, // DFS explores more than PSM; the reference decides
+		},
+		{
+			// The pivot is no right candidate (unique decomposition) but is
+			// a left one.
+			name: "pivot to the right skipped",
+			p: flatPartition(1, 2, nil,
+				[]flist.Rank{1, 1, 0}),
+			cfg:   miner.Config{Sigma: 1, Gamma: 0, Lambda: 2, PivotOnly: true},
+			kinds: psmKinds,
+			want: []miner.WSeq{
+				{[]flist.Rank{1, 0}, 1},
+				{[]flist.Rank{1, 1}, 1},
+			},
+			explored: 2,
+		},
+		{
+			// TestPSMIndexPruningScenario's partition: x (1) is infrequent
+			// after the pivot, so under the anchor y·pivot — a last level at
+			// λ 3 — the index drops it before its support is counted.
+			name: "index-pruned candidate",
+			p: flatPartition(2, 3, nil,
+				[]flist.Rank{0, 2, 1},
+				[]flist.Rank{0, 2, 0},
+				[]flist.Rank{0, 2, 0}),
+			cfg:   miner.Config{Sigma: 2, Gamma: 0, Lambda: 3, PivotOnly: true},
+			kinds: []miner.Kind{miner.KindPSM},
+			want: []miner.WSeq{
+				{[]flist.Rank{2, 0}, 2},
+				{[]flist.Rank{0, 2}, 3},
+				{[]flist.Rank{0, 2, 0}, 2},
+			},
+			explored: 4, // 5 without the index
+		},
+		{
+			// A rank above the pivot (rewrite.ModeNone) is no candidate.
+			name: "rank above the pivot",
+			p: flatPartition(1, 3, nil,
+				[]flist.Rank{2, 1, 2},
+				[]flist.Rank{0, 1, 2}),
+			cfg:      miner.Config{Sigma: 1, Gamma: 0, Lambda: 2, PivotOnly: true},
+			kinds:    psmKinds,
+			want:     []miner.WSeq{{[]flist.Rank{0, 1}, 1}},
+			explored: 1,
+		},
+	}
+}
+
+// The last level: a pattern of λ−1 items takes only the supports of its
+// expansions (Scratch's count table) — no postings, no occurrence pairs.
+// Each case pins the emissions in order and Stats.Explored by hand, and
+// holds them against the preserved reference miner too.
+func TestLastLevel(t *testing.T) {
+	for _, tc := range lastLevelCases() {
+		for _, kind := range tc.kinds {
+			var got []miner.WSeq
+			stats := miner.New(kind).Mine(tc.p, tc.cfg, nil, func(pat []flist.Rank, sup int64) {
+				got = append(got, miner.WSeq{Items: slices.Clone(pat), Weight: sup})
+			})
+			sorted := slices.Clone(got)
+			sortWSeqs(sorted)
+			ref, refStats := collect(refNew(kind), tc.p, tc.cfg, nil)
+			if stats != refStats || !equalWSeqs(sorted, ref) {
+				t.Errorf("%s/%s: %v %+v, reference %v %+v", tc.name, kind, sorted, stats, ref, refStats)
+			}
+			if tc.explored >= 0 && stats.Explored != tc.explored {
+				t.Errorf("%s/%s: explored %d, want %d", tc.name, kind, stats.Explored, tc.explored)
+			}
+			if kind == miner.KindDFS {
+				got = sorted // the same set in its own order; the cases list theirs sorted
+			}
+			if !equalWSeqs(got, tc.want) {
+				t.Errorf("%s/%s: emitted %v, want %v", tc.name, kind, got, tc.want)
+			}
+		}
+	}
+}
+
+// A panic out of emit in the middle of a last level (how core.mineJob
+// cancels an in-flight miner) leaves the Scratch ready: the next Mine with
+// it equals one with a fresh Scratch.
+func TestLastLevelPanicThenReuse(t *testing.T) {
+	p := flatPartition(2, 3, []int64{2, 1, 1},
+		[]flist.Rank{0, 1, 2, 0, 1},
+		[]flist.Rank{1, 2, 1, 0},
+		[]flist.Rank{0, 2, 2, 1})
+	cfg := miner.Config{Sigma: 1, Gamma: 1, Lambda: 3, PivotOnly: true}
+	for _, kind := range []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex, miner.KindDFS} {
+		want, wantStats := collect(miner.New(kind), p, cfg, nil)
+		lastLevel := 0
+		for _, w := range want {
+			if len(w.Items) == cfg.Lambda {
+				lastLevel++
+			}
+		}
+		if lastLevel < 4 {
+			t.Fatalf("%s: only %d patterns of length λ; the case does not reach mid last level", kind, lastLevel)
+		}
+		sc := miner.NewScratch()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: emit never reached a second pattern of length λ", kind)
+				}
+			}()
+			seen := 0
+			miner.New(kind).Mine(p, cfg, sc, func(pat []flist.Rank, _ int64) {
+				if len(pat) == cfg.Lambda {
+					if seen++; seen == 2 {
+						panic("abort mid last level")
+					}
+				}
+			})
+		}()
+		got, gotStats := collect(miner.New(kind), p, cfg, sc)
+		if !equalWSeqs(got, want) || gotStats != wantStats {
+			t.Errorf("%s: after an aborted mine the reused scratch gave %v %+v, want %v %+v", kind, got, gotStats, want, wantStats)
+		}
 	}
 }
