@@ -42,12 +42,12 @@ func TestAllocBudget(t *testing.T) {
 		mine    func(spillDir string) error
 		ceiling float64 // measured + 10%
 	}{
-		{"Fig4aLASH", coreMine(nytP, p, 0), 6_000},                                // 5 450
-		{"SpillBudgeted", coreMine(nytCLP, spillParams(), spillBudget()), 19_700}, // 17 910
+		{"Fig4aLASH", coreMine(nytP, p, 0), 5_890},                                // 5 357
+		{"SpillBudgeted", coreMine(nytCLP, spillParams(), spillBudget()), 19_600}, // 17 824
 		{"Fig4aLASHPublic", func(string) error {
 			_, err := lash.Mine(public, lash.Options{MinSupport: p.Sigma, MaxGap: p.Gamma, MaxLength: p.Lambda, Workers: 1})
 			return err
-		}, 6_640}, // 6 035
+		}, 6_620}, // 6 026
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -75,26 +75,6 @@ func (job AggJob[I, R]) hash(group uint32, key []byte) uint32 {
 	return HashUint32(group) ^ HashBytes(key)
 }
 
-func (job AggJob[I, R]) size(group uint32, keyLen int, weight int64) int {
-	if job.Size != nil {
-		return job.Size(group, keyLen, weight)
-	}
-	return keyLen + uvarintLen(uint64(weight))
-}
-
-// tableShuffleSize measures one table's aggregated entries for the
-// MAP_OUTPUT_BYTES counter (post-aggregation output — what actually
-// ships).
-func tableShuffleSize[I any, R any](job AggJob[I, R], t *byteTable) int64 {
-	var size int64
-	for i := range t.entries {
-		if e := &t.entries[i]; e.hash != 0 {
-			size += int64(job.size(e.group, int(e.klen), e.weight))
-		}
-	}
-	return size
-}
-
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
@@ -377,8 +357,7 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 		// purpose: they report physical I/O, and a rewritten run really was
 		// written twice.)
 		var taskMem, shufRecs, shufBytes int64
-		var idx []int32 // flush scratch, reused across tables
-		var enc []byte
+		var enc []byte // flush scratch, reused across tables
 
 		// flush writes every table out as one sorted run for its partition.
 		// Under a budget the flushed tables are dropped, not recycled: a
@@ -393,8 +372,9 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 				}
 				flushed = true
 				shufRecs += int64(t.n)
-				shufBytes += tableShuffleSize(job, t)
-				idx, enc = t.encodeRun(idx[:0], enc[:0])
+				var size int64
+				size, enc = t.encodeRun(enc[:0], job.Size)
+				shufBytes += size
 				if err := sh.appendRun(p, task, enc, t.n); err != nil {
 					return err
 				}

@@ -75,7 +75,10 @@ type Config struct {
 	// materialized. 0 keeps the runs in memory and never touches disk. The
 	// shuffle is the same either way — only where a run's bytes live
 	// differs — and so are the results. The budget covers the shuffle, not
-	// the input slice or the reduce outputs.
+	// the input slice or the reduce outputs, and within the shuffle the
+	// aggregation tables, not the scratch of a flush: while a worker writes
+	// one table out it also holds that table's sort records (at most 24
+	// bytes per entry, pooled across flushes) and its encoded run.
 	MemoryBudget int64
 
 	// SpillDir is the base directory for spill temp files (default

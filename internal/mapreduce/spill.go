@@ -38,6 +38,15 @@ import (
 // whole directory is removed when RunAgg returns — on success, error, and
 // cancellation alike. Encoder, parser, cursor, heap and merge loop are the
 // same code over both.
+//
+// The flush sort (encodeRun) never orders table slots directly: it copies
+// each entry's slot index and a 16-byte integer image of its sort key into a
+// sortRec and sorts those, so a comparison is two integer compares on
+// records already in cache instead of two slot loads, two arena loads and a
+// bytes.Compare. The records are transient scratch — at most
+// unsafe.Sizeof(sortRec) = 24 bytes per entry of the one table a worker is
+// flushing, pooled across flushes, and like the encoded run beside them not
+// part of byteTable.mem(), so outside Config.MemoryBudget.
 
 // runWindow caps the read window of one disk run during the merge.
 const runWindow = 1 << 16
@@ -46,31 +55,83 @@ const runWindow = 1 << 16
 // bytes do not parse as exactly its recorded number of records.
 var errCorruptRun = errors.New("mapreduce: corrupt spill run")
 
+// sortRec is one table entry as the flush sort sees it: the entry's slot and
+// an order-preserving integer image of its sort key — the group in the high
+// 32 bits of hi, then the key's first 12 bytes big-endian, zero-padded, in
+// the low 32 bits of hi and in lo. Comparing (hi, lo) as unsigned integers
+// decides (group, key bytes) order for every pair whose keys differ inside
+// those 12 bytes, without touching the table or the arena.
+type sortRec struct {
+	hi, lo uint64
+	slot   int32
+}
+
+// sortPrefix is the number of leading key bytes a sortRec carries.
+const sortPrefix = 12
+
+// sortScratch pools the sort records of encodeRun across flushes, map tasks
+// and runs, so a worker sorts in the same few arrays for as long as it keeps
+// flushing. The scratch is never a table's: under a budget tables are
+// dropped after each flush, and a scratch that went with them would be
+// allocated again for every run.
+var sortScratch = sync.Pool{New: func() any { return new([]sortRec) }}
+
 // encodeRun appends t's entries to enc in the run record format, ordered by
-// (group, key bytes). idx is scratch for the sort; both slices are returned
-// for reuse.
-func (t *byteTable) encodeRun(idx []int32, enc []byte) ([]int32, []byte) {
-	idx = slices.Grow(idx, t.n)
-	for i := range t.entries {
-		if t.entries[i].hash != 0 {
-			idx = append(idx, int32(i))
-		}
+// (group, key bytes), and returns with it the entries' total MAP_OUTPUT_BYTES
+// size under size (nil: the AggJob.Size default) — one walk of the slot array
+// to collect the sort records, and one walk of the sorted records to encode
+// and measure.
+//
+// The sort compares the records' integer images and reads the keys
+// themselves only when two images tie. The tie arm is what keeps the order
+// exact: zero padding makes "a" and "a\x00" the same image, and keys longer
+// than sortPrefix bytes can differ past it; bytes.Compare on the full keys
+// settles both, and a tie between distinct entries cannot be equality, so the
+// order stays total.
+func (t *byteTable) encodeRun(enc []byte, size func(group uint32, keyLen int, weight int64) int) (int64, []byte) {
+	if size == nil {
+		size = func(_ uint32, keyLen int, weight int64) int { return keyLen + uvarintLen(uint64(weight)) }
 	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		ea, eb := &t.entries[a], &t.entries[b]
-		if c := cmp.Compare(ea.group, eb.group); c != 0 {
+	scratch := sortScratch.Get().(*[]sortRec)
+	recs := slices.Grow((*scratch)[:0], t.n)
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.hash == 0 {
+			continue
+		}
+		prefix := t.key(e)
+		if len(prefix) < sortPrefix {
+			var pad [sortPrefix]byte
+			copy(pad[:], prefix)
+			prefix = pad[:]
+		}
+		recs = append(recs, sortRec{
+			hi:   uint64(e.group)<<32 | uint64(binary.BigEndian.Uint32(prefix)),
+			lo:   binary.BigEndian.Uint64(prefix[4:]),
+			slot: int32(i),
+		})
+	}
+	slices.SortFunc(recs, func(a, b sortRec) int {
+		if c := cmp.Compare(a.hi, b.hi); c != 0 {
 			return c
 		}
-		return bytes.Compare(t.key(ea), t.key(eb))
+		if c := cmp.Compare(a.lo, b.lo); c != 0 {
+			return c
+		}
+		return bytes.Compare(t.key(&t.entries[a.slot]), t.key(&t.entries[b.slot]))
 	})
-	for _, i := range idx {
-		e := &t.entries[i]
+	var shuffleBytes int64
+	for i := range recs {
+		e := &t.entries[recs[i].slot]
 		enc = binary.AppendUvarint(enc, uint64(e.group))
 		enc = binary.AppendUvarint(enc, uint64(e.klen))
 		enc = append(enc, t.key(e)...)
 		enc = binary.AppendVarint(enc, e.weight)
+		shuffleBytes += int64(size(e.group, int(e.klen), e.weight))
 	}
-	return idx, enc
+	*scratch = recs
+	sortScratch.Put(scratch)
+	return shuffleBytes, enc
 }
 
 // run is one sorted run of a partition. owner is the map task that wrote

@@ -2,14 +2,18 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"lash/internal/obs"
 )
@@ -110,6 +114,163 @@ func FuzzRunRecords(f *testing.F) {
 		if err != nil || seen != tbl.n {
 			t.Fatalf("round trip delivered %d of %d entries, err %v", seen, tbl.n, err)
 		}
+	})
+}
+
+// checkEncodeRun builds a table from the emits and requires encodeRun's bytes
+// equal to the run the definition produces — the aggregated entries sorted by
+// cmp.Compare(group) then bytes.Compare(key), the comparator encodeRun itself
+// used before it sorted on integer images, kept here as the reference — its
+// size equal to the default AggJob.Size summed, and the records a cursor
+// reads back to be in strictly ascending cursorLess order (the order the
+// merge's heap assumes of a run).
+func checkEncodeRun(t *testing.T, emits []triple) {
+	t.Helper()
+	type groupKey struct {
+		group uint32
+		key   string
+	}
+	var tbl byteTable
+	sums := map[groupKey]int64{}
+	for _, e := range emits {
+		tbl.add(e.group, []byte(e.key), e.weight)
+		sums[groupKey{e.group, e.key}] += e.weight
+	}
+	want := make([]triple, 0, len(sums))
+	for k, w := range sums {
+		want = append(want, triple{k.group, k.key, w})
+	}
+	slices.SortFunc(want, func(a, b triple) int {
+		if c := cmp.Compare(a.group, b.group); c != 0 {
+			return c
+		}
+		return bytes.Compare([]byte(a.key), []byte(b.key))
+	})
+	var wantEnc []byte
+	var wantSize int64
+	for _, e := range want {
+		wantEnc = binary.AppendUvarint(wantEnc, uint64(e.group))
+		wantEnc = binary.AppendUvarint(wantEnc, uint64(len(e.key)))
+		wantEnc = append(wantEnc, e.key...)
+		wantEnc = binary.AppendVarint(wantEnc, e.weight)
+		wantSize += int64(len(e.key) + uvarintLen(uint64(e.weight)))
+	}
+
+	size, enc := tbl.encodeRun(nil, nil)
+	got, err := readRun(memCursor(enc, tbl.n))
+	if err != nil || size != wantSize || !bytes.Equal(enc, wantEnc) {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("run of %d records, size %d, read error %v; the definition gives %d records, size %d; first difference at record %d:\n got %q\nwant %q",
+			len(got), size, err, len(want), wantSize, i, got[i:min(len(got), i+3)], want[i:min(len(want), i+3)])
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if !cursorLess(&runCursor{group: a.group, key: []byte(a.key)}, &runCursor{group: b.group, key: []byte(b.key)}) {
+			t.Fatalf("record %d (%d, %q) does not follow (%d, %q) in cursorLess order", i, b.group, b.key, a.group, a.key)
+		}
+	}
+	// A second encode sorts in the scratch the first one left in the pool, and
+	// appends.
+	if _, again := tbl.encodeRun([]byte("head"), nil); !bytes.Equal(again, append([]byte("head"), wantEnc...)) {
+		t.Fatal("second encodeRun of the same table differs from the first")
+	}
+}
+
+// orderGroups are the group values the order tests draw from: both ends of
+// the range and the sign bit of an int32.
+var orderGroups = []uint32{0, 1, 1 << 31, math.MaxUint32}
+
+// TestEncodeRunOrder pins encodeRun's order to the definition on the keys an
+// integer image of a 12-byte prefix can get wrong: keys that differ only in
+// trailing zero bytes (equal images), keys equal through the prefix and
+// differing after it, proper prefixes of each other across the image's two
+// word boundaries (bytes 4 and 12), 0xFF bytes (a signed compare), and the
+// extreme groups (a group stored below the key bytes, or compared signed).
+func TestEncodeRunOrder(t *testing.T) {
+	// The record's size is a documented bound on what a flush holds outside
+	// Config.MemoryBudget.
+	if size := unsafe.Sizeof(sortRec{}); size > 24 {
+		t.Fatalf("sortRec is %d bytes, documented as at most 24", size)
+	}
+	long := "0123456789ab" // exactly the prefix
+	keys := []string{
+		"", "\x00", "\x00\x00",
+		"a", "a\x00", "a\x00\x00", "a\x00\x01", "a\x01", "b",
+		"abc", "abcd", "abcde", "abcd\x00", "abc\x00", "abce",
+		long[:11], long, long + "c", long + "\x00", long[:11] + "\x00", long[:11] + "\x00\x00",
+		long + "cX", long + "cY", long + "d", long + "\xff", long + "c\x00",
+		"\xff", "\xff\xff", "\xff\xff\xff\xff", "\xff\xff\xff\xff\xff", "\x7f", "\x80",
+		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x00",
+		"\x00\x00\x00\x01", "\x00\x00\x00\x00\x01", "\x01\x00\x00\x00", "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01",
+	}
+	weights := []int64{1, 0, -1, math.MinInt64, math.MaxInt64, 300}
+	var table []triple
+	for i, k := range keys {
+		for j, g := range orderGroups {
+			table = append(table, triple{g, k, weights[(i+j)%len(weights)]})
+		}
+	}
+	t.Run("table", func(t *testing.T) { checkEncodeRun(t, table) })
+	t.Run("table-reversed", func(t *testing.T) {
+		rev := slices.Clone(table)
+		slices.Reverse(rev)
+		checkEncodeRun(t, append(rev, table[:len(table)/2]...)) // half the entries hit twice
+	})
+	t.Run("empty", func(t *testing.T) { checkEncodeRun(t, nil) })
+
+	// Random keys over {0x00, 'a', 0xFF} of length 0..15: every pair shares a
+	// long prefix, so ties in the image and zero-padding collisions are the
+	// common case instead of the rare one.
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("random-%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			emits := make([]triple, 2000)
+			for i := range emits {
+				key := make([]byte, rng.Intn(16))
+				for j := range key {
+					key[j] = "\x00a\xff"[min(rng.Intn(4), 2)]
+				}
+				group := orderGroups[rng.Intn(len(orderGroups))]
+				if seed%2 == 0 {
+					group = rng.Uint32() >> uint(rng.Intn(32))
+				}
+				emits[i] = triple{group, string(key), int64(rng.Intn(7) - 3)}
+			}
+			checkEncodeRun(t, emits)
+		})
+	}
+}
+
+// FuzzEncodeRunOrder decodes the input into (group, key, weight) emits —
+// per emit one byte choosing the group, one whose low four bits are the key
+// length, the key bytes, one weight byte — and holds encodeRun to the same
+// definition as TestEncodeRunOrder.
+func FuzzEncodeRunOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x01a\x01\x00\x02a\x00\xff\x00\x03a\x00\x00\x00"))                                   // "a", "a\x00", "a\x00\x00" in one group
+	f.Add([]byte("\x03\x0d0123456789abX\x01\x03\x0d0123456789abY\x02\x03\x0c0123456789ab\x03"))            // equal through byte 12
+	f.Add([]byte("\x00\x02ab\x01\x00\x02ba\x01\x00\x06aaaaab\x01\x00\x06aaaaba\x01"))                      // byte order inside a word
+	f.Add([]byte("\x02\x04\xff\xff\xff\xff\x80\x01\x04\xff\xff\xff\xff\x7f\x90\x00\x00\xa0\x05abcde\x00")) // groups across the sign bit
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var emits []triple
+		for len(data) >= 2 {
+			group := uint32(data[0])
+			if data[0] < 0x80 {
+				group = orderGroups[data[0]%4]
+			}
+			klen := min(int(data[1]&15), len(data)-2)
+			key := data[2 : 2+klen]
+			data = data[2+klen:]
+			var weight int64
+			if len(data) > 0 {
+				weight, data = int64(int8(data[0])), data[1:]
+			}
+			emits = append(emits, triple{group, string(key), weight})
+		}
+		checkEncodeRun(t, emits)
 	})
 }
 

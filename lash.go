@@ -171,7 +171,10 @@ type Options struct {
 	// them in memory, never touch disk). Spill volume is reported in
 	// Result.Stats. The budget caps shuffle memory, not total process
 	// memory: each partition being mined must still fit (the paper's
-	// partition-at-a-time contract).
+	// partition-at-a-time contract), and a worker writing one aggregation
+	// table out as a run holds, for that moment and outside the budget, a
+	// sort scratch of at most 24 bytes per entry of that table beside the
+	// run's encoded bytes.
 	MemoryBudget int64
 	// Restriction optionally thins the output to closed or maximal patterns
 	// (computed relative to the mined output, i.e. supersequences up to

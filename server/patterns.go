@@ -1,7 +1,9 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,7 +23,7 @@ import (
 // pagination helper with GET /v1/jobs. GET /v1/patterns/subscribe lives in
 // subscribe.go.
 
-// pageCursor is the decoded form of the opaque pagination cursor: a
+// pageCursor is the decoded form of the opaque pagination cursor: the sealed
 // fingerprint of the query it belongs to and the position to resume from.
 // Positions index the serving permutation of an immutable index (or the
 // submission-ordered job list), so a cursor stays valid for as long as the
@@ -31,9 +33,19 @@ type pageCursor struct {
 	Pos   int    `json:"pos"`
 }
 
+// sealQuery is the form a query fingerprint takes inside a cursor: a
+// fixed-width hex digest. Filter values are arbitrary bytes (prefix=%80), and
+// json.Marshal rewrites invalid UTF-8 to U+FFFD, so a fingerprint sealed as
+// itself would not match the very query that minted it; the digest survives
+// the cursor's round trip whatever the filters hold.
+func sealQuery(fingerprint string) string {
+	sum := sha256.Sum256([]byte(fingerprint))
+	return hex.EncodeToString(sum[:16])
+}
+
 // encodeCursor renders a cursor opaquely (base64url of its JSON).
 func encodeCursor(fingerprint string, pos int) string {
-	raw, _ := json.Marshal(pageCursor{Query: fingerprint, Pos: pos}) //nolint:errcheck // struct of two plain fields cannot fail to marshal
+	raw, _ := json.Marshal(pageCursor{Query: sealQuery(fingerprint), Pos: pos}) //nolint:errcheck // struct of two plain fields cannot fail to marshal
 	return base64.RawURLEncoding.EncodeToString(raw)
 }
 
@@ -49,7 +61,7 @@ func decodeCursor(s, fingerprint string) (int, error) {
 	if err := json.Unmarshal(raw, &c); err != nil || c.Pos < 0 {
 		return 0, fmt.Errorf("bad cursor %q", s)
 	}
-	if c.Query != fingerprint {
+	if c.Query != sealQuery(fingerprint) {
 		return 0, fmt.Errorf("cursor does not match this query (mint a fresh one without cursor=)")
 	}
 	return c.Pos, nil
