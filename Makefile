@@ -29,9 +29,11 @@ race:
 
 # chaos runs the fault-injection differential tests under the race
 # detector: with faults armed and retries enabled, mining output must be
-# byte-identical to the fault-free run. Set LASH_CHAOS_SEED to shift the
-# deterministic seed window (CI randomizes it so every run exercises a
-# fresh fault schedule; the seed is echoed for reproduction).
+# byte-identical to the fault-free run (TestChaosDifferential) and a stream
+# must deliver that run's patterns exactly once (TestChaosStreamExactlyOnce).
+# Set LASH_CHAOS_SEED to shift the deterministic seed window (CI randomizes
+# it so every run exercises a fresh fault schedule; the seed is echoed for
+# reproduction).
 chaos:
 	$(GO) test -race -count=1 -run '^TestChaos' -v .
 

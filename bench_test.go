@@ -123,6 +123,31 @@ func BenchmarkFig4aSemiNaive(b *testing.B) {
 	}
 }
 
+// TestBaselineCountersGolden pins what the two baselines shuffle on the
+// BenchmarkFig4a shape — Fig. 4(b)'s quantity, and the one thing a change to
+// their shared counting job must not move. Recorded when the two jobs became
+// one.
+func TestBaselineCountersGolden(t *testing.T) {
+	benchCorpora()
+	for _, c := range []struct {
+		name           string
+		mine           func(context.Context, *gsm.Database, baseline.Options) (*core.Result, error)
+		records, bytes int64
+	}{
+		{"naive", baseline.MineNaive, 261126, 1155998},
+		{"semi-naive", baseline.MineSemiNaive, 184575, 779850},
+	} {
+		res, err := c.mine(context.Background(), nytP, baseline.Options{Params: fig4Params(), MR: benchMR()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Jobs.Mine.Counters; n.MapOutputRecords != c.records || n.MapOutputBytes != c.bytes {
+			t.Errorf("%s: shuffled %d records / %d bytes, want %d / %d",
+				c.name, n.MapOutputRecords, n.MapOutputBytes, c.records, c.bytes)
+		}
+	}
+}
+
 func BenchmarkFig4aLASH(b *testing.B) {
 	benchSetup(b)
 	for i := 0; i < b.N; i++ {

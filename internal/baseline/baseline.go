@@ -8,9 +8,10 @@
 //     is replaced by its closest frequent ancestor (or a blank), and only
 //     blank-free subsequences are enumerated.
 //
-// Both run on the aggregated-shuffle path of internal/mapreduce: the
-// encoded subsequence is the byte key, counts are the weights, and the
-// reducer keeps keys whose aggregated weight reaches σ.
+// Both are one counting job (count) on the aggregated-shuffle path of
+// internal/mapreduce — the encoded subsequence is the byte key, counts are
+// the weights, and the reducer keeps keys whose aggregated weight reaches σ —
+// and differ in the space the keys live in (counting).
 //
 // Both support an emission cap standing in for the paper's 12-hour abort on
 // NYT-CLP ("> 12 hrs" in Fig. 4a): runs exceeding MaxEmit return
@@ -42,14 +43,17 @@ type Options struct {
 	// across all mappers (0 = unlimited).
 	MaxEmit int64
 	// Stream, when non-nil, receives every frequent pattern (vocabulary
-	// item space) as its reduce partition is aggregated, instead of the
-	// pattern being collected into Result.Patterns. Calls are serialized;
+	// item space) once its reduce partition has committed, instead of the
+	// pattern being collected into Result.Patterns. It is the counting job's
+	// mapreduce.AggJob.Deliver: reduce tasks retry under MR.Retry as in a
+	// batch run and each pattern still arrives once. Calls are serialized;
 	// order is partition-completion order. A non-nil error fails the run.
 	Stream func(items gsm.Sequence, support int64) error
 }
 
-// MineNaive runs the naïve algorithm. Cancelling ctx aborts the run
-// cooperatively and returns the wrapped ctx.Err().
+// MineNaive runs the naïve algorithm: the counting job over every
+// generalized subsequence, keyed in vocabulary space. Cancelling ctx aborts
+// the run cooperatively and returns the wrapped ctx.Err().
 func MineNaive(ctx context.Context, db *gsm.Database, opt Options) (*core.Result, error) {
 	if err := opt.Params.Validate(); err != nil {
 		return nil, err
@@ -57,95 +61,21 @@ func MineNaive(ctx context.Context, db *gsm.Database, opt Options) (*core.Result
 	if err := db.Validate(); err != nil {
 		return nil, err
 	}
-	var emitted atomic.Int64
-	capped := opt.MaxEmit > 0
-	encPool := sync.Pool{New: func() any { return new([]byte) }}
-	var streamMu sync.Mutex
-
-	type pat struct {
-		items   gsm.Sequence
-		support int64
-	}
-	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, mapreduce.AggJob[gsm.Sequence, pat]{
-		Name: "naive",
-		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
-			encp := encPool.Get().(*[]byte)
-			defer encPool.Put(encp)
-			gsm.EnumerateGenSubseqs(db.Forest, t, opt.Params.Gamma, 2, opt.Params.Lambda, nil,
-				func(s gsm.Sequence) bool {
-					if capped && emitted.Add(1) > opt.MaxEmit {
-						return false
-					}
-					*encp = seqenc.AppendVocabSeq((*encp)[:0], s)
-					// Each distinct subsequence is its own reduction unit;
-					// group by the key's hash so partitions stay balanced.
-					emit(mapreduce.HashBytes(*encp), *encp, 1)
-					return true
-				})
+	return count(ctx, db, opt, counting{
+		name:    "naive",
+		prepare: func(_ *scratch, t gsm.Sequence) (gsm.Sequence, func(int) bool) { return t, nil },
+		encode: func(sc *scratch, s gsm.Sequence) []byte {
+			sc.enc = seqenc.AppendVocabSeq(sc.enc[:0], s)
+			return sc.enc
 		},
-		// Size: the default (keyLen + uvarint(weight)) is exactly this job's
-		// wire format.
-		Reduce: func(_ uint32, entries []mapreduce.Entry, emit func(pat)) error {
-			for _, e := range entries {
-				if e.Weight < opt.Params.Sigma {
-					continue
-				}
-				items, err := seqenc.DecodeVocabSeq(nil, e.Key)
-				if err != nil {
-					return err
-				}
-				if opt.Stream != nil {
-					// A tripped emission cap means the map side stopped
-					// enumerating and aggregated supports may be silently
-					// undercounted. Batch mode discards such output after
-					// the run; streaming must not hand it to the consumer,
-					// so fail before delivering anything further.
-					if capped && emitted.Load() > opt.MaxEmit {
-						return ErrEmitCapExceeded
-					}
-					streamMu.Lock()
-					err = opt.Stream(items, e.Weight)
-					streamMu.Unlock()
-					if err != nil {
-						return err
-					}
-					continue
-				}
-				emit(pat{items, e.Weight})
-			}
-			return nil
-		},
-		// Batch-mode Reduce only filters and decodes — safe to re-run for a
-		// partition whose earlier attempt failed transiently. Streaming
-		// delivery is not replayable, so it stays single-attempt.
-		ReduceRetryable: opt.Stream == nil,
+		decode: func(key []byte) (gsm.Sequence, error) { return seqenc.DecodeVocabSeq(nil, key) },
 	})
-	if err != nil {
-		return nil, err
-	}
-	if capped && emitted.Load() > opt.MaxEmit {
-		return nil, ErrEmitCapExceeded
-	}
-	res := &core.Result{Jobs: core.JobStats{Mine: stats}}
-	for _, p := range out {
-		res.Patterns = append(res.Patterns, gsm.Pattern{Items: p.items, Support: p.support})
-	}
-	gsm.SortPatterns(res.Patterns)
-	return res, nil
-}
-
-// snScratch is the pooled per-map-call working set of the semi-naïve job.
-type snScratch struct {
-	ranks []flist.Rank
-	gen   gsm.Sequence
-	buf   []flist.Rank
-	enc   []byte
 }
 
 // MineSemiNaive runs the semi-naïve algorithm: an f-list job, then the
-// counting job over generalized sequences with frequent items only.
-// Cancelling ctx aborts the run cooperatively and returns the wrapped
-// ctx.Err().
+// counting job over generalized sequences with frequent items only, keyed in
+// the f-list's rank space (frequent items have small ids). Cancelling ctx
+// aborts the run cooperatively and returns the wrapped ctx.Err().
 func MineSemiNaive(ctx context.Context, db *gsm.Database, opt Options) (*core.Result, error) {
 	if err := opt.Params.Validate(); err != nil {
 		return nil, err
@@ -157,25 +87,13 @@ func MineSemiNaive(ctx context.Context, db *gsm.Database, opt Options) (*core.Re
 	if err != nil {
 		return nil, err
 	}
-	var emitted atomic.Int64
-	capped := opt.MaxEmit > 0
-	scratch := sync.Pool{New: func() any { return new(snScratch) }}
-	var streamMu sync.Mutex
-
-	type pat struct {
-		ranks   []flist.Rank // rank space — frequent items have small ids
-		support int64
-	}
-	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, mapreduce.AggJob[gsm.Sequence, pat]{
-		Name: "semi-naive",
-		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
-			sc := scratch.Get().(*snScratch)
-			defer scratch.Put(sc)
-			// Generalize each item to its closest frequent ancestor; items
-			// without one become blanks (skipped positions that still
-			// consume gap budget).
-			sc.ranks = sc.ranks[:0]
-			sc.gen = sc.gen[:0]
+	res, err := count(ctx, db, opt, counting{
+		name: "semi-naive",
+		// Generalize each item to its closest frequent ancestor; items
+		// without one become blanks (skipped positions that still consume
+		// gap budget).
+		prepare: func(sc *scratch, t gsm.Sequence) (gsm.Sequence, func(int) bool) {
+			sc.ranks, sc.gen = sc.ranks[:0], sc.gen[:0]
 			for _, w := range t {
 				r := fl.FrequentRank(w)
 				sc.ranks = append(sc.ranks, r)
@@ -185,79 +103,130 @@ func MineSemiNaive(ctx context.Context, db *gsm.Database, opt Options) (*core.Re
 					sc.gen = append(sc.gen, 0)
 				}
 			}
-			accept := func(i int) bool { return sc.ranks[i] != flist.NoRank }
-			gsm.EnumerateGenSubseqs(db.Forest, sc.gen, opt.Params.Gamma, 2, opt.Params.Lambda, accept,
-				func(s gsm.Sequence) bool {
-					if capped && emitted.Add(1) > opt.MaxEmit {
-						return false
-					}
-					sc.buf = sc.buf[:0]
-					for _, w := range s {
-						sc.buf = append(sc.buf, fl.RankOf(w))
-					}
-					sc.enc = seqenc.AppendSeq(sc.enc[:0], sc.buf)
-					emit(mapreduce.HashBytes(sc.enc), sc.enc, 1)
-					return true
-				})
+			return sc.gen, func(i int) bool { return sc.ranks[i] != flist.NoRank }
 		},
-		// Size: the default (keyLen + uvarint(weight)) is exactly this job's
-		// wire format.
-		Reduce: func(_ uint32, entries []mapreduce.Entry, emit func(pat)) error {
-			for _, e := range entries {
-				if e.Weight < opt.Params.Sigma {
-					continue
-				}
-				ranks, err := seqenc.DecodeSeq(nil, e.Key)
-				if err != nil {
-					return err
-				}
-				if opt.Stream != nil {
-					// See MineNaive: a tripped cap means possibly
-					// undercounted supports — never stream those.
-					if capped && emitted.Load() > opt.MaxEmit {
-						return ErrEmitCapExceeded
-					}
-					items, err := fl.TranslateFromRanks(nil, ranks)
-					if err != nil {
-						return err
-					}
-					streamMu.Lock()
-					err = opt.Stream(items, e.Weight)
-					streamMu.Unlock()
-					if err != nil {
-						return err
-					}
-					continue
-				}
-				emit(pat{ranks, e.Weight})
+		encode: func(sc *scratch, s gsm.Sequence) []byte {
+			sc.buf = sc.buf[:0]
+			for _, w := range s {
+				sc.buf = append(sc.buf, fl.RankOf(w))
 			}
-			return nil
+			sc.enc = seqenc.AppendSeq(sc.enc[:0], sc.buf)
+			return sc.enc
 		},
-		// Batch-mode Reduce only filters and decodes — safe to re-run for a
-		// partition whose earlier attempt failed transiently. Streaming
-		// delivery is not replayable, so it stays single-attempt.
-		ReduceRetryable: opt.Stream == nil,
+		decode: func(key []byte) (gsm.Sequence, error) {
+			ranks, err := seqenc.DecodeSeq(nil, key)
+			if err != nil {
+				return nil, err
+			}
+			return fl.TranslateFromRanks(nil, ranks)
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if capped && emitted.Load() > opt.MaxEmit {
-		return nil, ErrEmitCapExceeded
-	}
-	res := &core.Result{Jobs: core.JobStats{FList: flStats, Mine: stats}, FList: fl}
-	for _, p := range out {
-		items, err := fl.TranslateFromRanks(nil, p.ranks)
-		if err != nil {
-			return nil, err
-		}
-		res.Patterns = append(res.Patterns, gsm.Pattern{Items: items, Support: p.support})
-	}
-	gsm.SortPatterns(res.Patterns)
+	res.Jobs.FList, res.FList = flStats, fl
 	for r := 0; r < fl.NumFrequent(); r++ {
 		res.FrequentItems = append(res.FrequentItems, gsm.Pattern{
 			Items:   gsm.Sequence{fl.VocabOf(flist.Rank(r))},
 			Support: fl.FreqOfRank(flist.Rank(r)),
 		})
+	}
+	return res, nil
+}
+
+// counting is what tells the two algorithms apart — the space their keys are
+// counted in: prepare readies one input sequence for enumeration (what to
+// enumerate over and, unless every position may be used, which may), encode
+// turns an enumerated subsequence into its byte key, and decode turns a
+// frequent key back into vocabulary items.
+type counting struct {
+	name    string
+	prepare func(sc *scratch, t gsm.Sequence) (gsm.Sequence, func(int) bool)
+	encode  func(sc *scratch, s gsm.Sequence) []byte
+	decode  func(key []byte) (gsm.Sequence, error)
+}
+
+// scratch is the pooled per-map-call working set of the counting job.
+type scratch struct {
+	ranks []flist.Rank
+	gen   gsm.Sequence
+	buf   []flist.Rank
+	enc   []byte
+}
+
+// count runs the counting job (§3.2's "word counting"): map enumerates the
+// generalized subsequences of each prepared input sequence and emits every
+// one as a key of weight 1, the shuffle sums, and reduce keeps the keys whose
+// aggregated weight reaches σ. A streaming run hands each committed
+// partition's patterns to opt.Stream instead of returning them.
+func count(ctx context.Context, db *gsm.Database, opt Options, c counting) (*core.Result, error) {
+	var emitted atomic.Int64
+	capped := opt.MaxEmit > 0
+	pool := sync.Pool{New: func() any { return new(scratch) }}
+
+	job := mapreduce.AggJob[gsm.Sequence, gsm.Pattern]{
+		Name: c.name,
+		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
+			sc := pool.Get().(*scratch)
+			defer pool.Put(sc)
+			seq, accept := c.prepare(sc, t)
+			gsm.EnumerateGenSubseqs(db.Forest, seq, opt.Params.Gamma, 2, opt.Params.Lambda, accept,
+				func(s gsm.Sequence) bool {
+					if capped && emitted.Add(1) > opt.MaxEmit {
+						return false
+					}
+					key := c.encode(sc, s)
+					// Each distinct subsequence is its own reduction unit;
+					// group by the key's hash so partitions stay balanced.
+					emit(mapreduce.HashBytes(key), key, 1)
+					return true
+				})
+		},
+		// Size: the default (keyLen + uvarint(weight)) is exactly this job's
+		// wire format.
+		Reduce: func(_ uint32, entries []mapreduce.Entry, emit func(gsm.Pattern)) error {
+			// A tripped emission cap means the map side stopped enumerating
+			// and aggregated supports may be silently undercounted: fail
+			// before anything is output, let alone delivered. Every map task
+			// has retired before a partition reduces, so the count is final.
+			if capped && emitted.Load() > opt.MaxEmit {
+				return ErrEmitCapExceeded
+			}
+			for _, e := range entries {
+				if e.Weight < opt.Params.Sigma {
+					continue
+				}
+				items, err := c.decode(e.Key)
+				if err != nil {
+					return err
+				}
+				emit(gsm.Pattern{Items: items, Support: e.Weight})
+			}
+			return nil
+		},
+	}
+	if opt.Stream != nil {
+		job.Deliver = func(pats []gsm.Pattern) error {
+			for _, p := range pats {
+				if err := opt.Stream(p.Items, p.Support); err != nil {
+					return err
+				}
+			}
+			clear(pats) // handed on: the run keeps nothing it delivered
+			return nil
+		}
+	}
+	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, job)
+	if errors.Is(err, ErrEmitCapExceeded) {
+		return nil, ErrEmitCapExceeded // the sentinel itself, not the job's annotation of it
+	}
+	if err != nil {
+		return nil, err
+	}
+	res := &core.Result{Jobs: core.JobStats{Mine: stats}}
+	if opt.Stream == nil {
+		res.Patterns = out
+		gsm.SortPatterns(res.Patterns)
 	}
 	return res, nil
 }

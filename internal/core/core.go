@@ -70,11 +70,13 @@ type Options struct {
 	Prev *DeltaState
 
 	// Stream, when non-nil, receives every mined pattern (translated to
-	// the vocabulary item space) as its partition's local mining completes,
+	// the vocabulary item space) once its reduce partition has committed,
 	// instead of the pattern being collected into Result.Patterns; the run
-	// then keeps no state (Result.Delta is nil). items is the callback's to
-	// keep. Calls are serialized, but their order is partition-completion
-	// order, which is nondeterministic.
+	// then keeps no state (Result.Delta is nil). It is the job's
+	// mapreduce.AggJob.Deliver: reduce tasks retry under MR.Retry exactly as
+	// in a batch run, and a retried partition's patterns still arrive once.
+	// items is the callback's to keep. Calls are serialized, but their order
+	// is partition-completion order, which is nondeterministic.
 	// A non-nil error stops streaming and fails the run with that error in
 	// the chain; partitions still being mined are aborted.
 	Stream func(items gsm.Sequence, support int64) error
@@ -240,7 +242,6 @@ func flistFrequencies(ctx context.Context, db *gsm.Database, cfg mapreduce.Confi
 			emit(itemFreq{hierarchy.Item(w), entries[0].Weight})
 			return nil
 		},
-		ReduceRetryable: true,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -328,14 +329,12 @@ type reduceScratch struct {
 // Reduce is the paper's one reduce step — decode the pivot's partition, mine
 // it, output its pivot sequences — for every run mode, and its record is the
 // DeltaPart the run's state keeps. The miner-emit closure is the one place a
-// mined pattern leaves rank space. A batch run copies the partition's
-// patterns into the record; a streaming run hands them to opt.Stream
-// (serialized by streamMu) and emits the statistics alone. assemble turns
-// the records into the Result.
+// mined pattern leaves rank space. Reduce has no side effect beyond its
+// record, so it retries under opt.MR.Retry in every mode; a streaming run is
+// the same job with a Deliver, which hands each committed record's patterns
+// to opt.Stream and strips them from the record. assemble turns the records
+// into the Result.
 func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options, plan *deltaPlan) (*Result, error) {
-	keep := opt.Stream == nil
-	var streamMu sync.Mutex
-
 	// over flips once the run is lost — ctx is done, or a stream delivery
 	// failed — so local miners still running abort at their next pattern
 	// instead of exploring to exhaustion. Both ways RunAgg returns an error
@@ -372,7 +371,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		localCfg.Obs = &pm.Miner
 	}
 
-	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, mapreduce.AggJob[gsm.Sequence, DeltaPart]{
+	job := mapreduce.AggJob[gsm.Sequence, DeltaPart]{
 		Name: "partition+mine",
 		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
 			s := scratch.Get().(*mineScratch)
@@ -474,47 +473,45 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 			})
 			rec.Explored, rec.Output = st.Explored, st.Output
 
-			if keep {
-				// The record outlives the scratch: one exact-size arena per
-				// partition, every pattern a capped slice of it.
-				arena := slices.Clone(rs.items)
-				rec.Patterns = make([]gsm.Pattern, len(rs.pats))
-				for i, p := range rs.pats {
-					n := len(p.Items)
-					rec.Patterns[i] = gsm.Pattern{Items: arena[:n:n], Support: p.Support}
-					arena = arena[n:]
-				}
-			} else {
-				// Streaming: the partition's local mining is complete; hand
-				// its patterns to the callback. The first error ends all
-				// delivery — here and in every other partition — and fails
-				// the run.
-				streamMu.Lock()
-				defer streamMu.Unlock()
-				for _, p := range rs.pats {
-					if over.Load() {
-						return nil
-					}
-					if err := opt.Stream(slices.Clone(p.Items), p.Support); err != nil {
-						over.Store(true)
-						return err
-					}
-				}
+			// The record outlives the scratch: one exact-size arena per
+			// partition, every pattern a capped slice of it.
+			arena := slices.Clone(rs.items)
+			rec.Patterns = make([]gsm.Pattern, len(rs.pats))
+			for i, p := range rs.pats {
+				n := len(p.Items)
+				rec.Patterns[i] = gsm.Pattern{Items: arena[:n:n], Support: p.Support}
+				arena = arena[n:]
 			}
 			emit(rec)
 			return nil
 		},
-		// A batch Reduce re-runs safely: its only output is the record, and
-		// emitted records are attempt-scoped. Streaming delivery is not
-		// replayable — a retried partition would hand the consumer duplicate
-		// patterns — so it stays single-attempt.
-		ReduceRetryable: keep,
-	})
+	}
+	if opt.Stream != nil {
+		// The first error ends all delivery, here and in every later
+		// partition; so does a run lost some other way, whose aborted Reduces
+		// committed short records.
+		job.Deliver = func(recs []DeltaPart) error {
+			for i := range recs {
+				for _, p := range recs[i].Patterns {
+					if over.Load() {
+						return nil
+					}
+					if err := opt.Stream(p.Items, p.Support); err != nil {
+						over.Store(true)
+						return err
+					}
+				}
+				recs[i].Patterns = nil
+			}
+			return nil
+		}
+	}
+	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, job)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
 	res.Jobs.Mine = stats
-	assemble(res, db, fl, plan, out, keep)
+	assemble(res, db, fl, plan, out, opt.Stream == nil)
 	return res, nil
 }

@@ -58,21 +58,27 @@ func TestRunModesAgree(t *testing.T) {
 					t.Error("batch run returned no state")
 				}
 
-				var streamed []gsm.Pattern
-				sOpt := opt
-				sOpt.Stream = func(items gsm.Sequence, support int64) error {
-					streamed = append(streamed, gsm.Pattern{Items: items, Support: support})
-					return nil
+				// streamRun mines with a collecting Stream and returns the
+				// result with the delivered patterns, sorted, in Patterns.
+				streamRun := func(o core.Options) *core.Result {
+					t.Helper()
+					var streamed []gsm.Pattern
+					o.Stream = func(items gsm.Sequence, support int64) error {
+						streamed = append(streamed, gsm.Pattern{Items: items, Support: support})
+						return nil
+					}
+					res, err := core.Mine(ctx, db, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Delta != nil || len(res.Patterns) != 0 {
+						t.Error("streaming run kept state or patterns")
+					}
+					gsm.SortPatterns(streamed)
+					res.Patterns = streamed
+					return res
 				}
-				stream, err := core.Mine(ctx, db, sOpt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stream.Delta != nil || len(stream.Patterns) != 0 {
-					t.Error("streaming run kept state or patterns")
-				}
-				gsm.SortPatterns(streamed)
-				stream.Patterns = streamed
+				stream := streamRun(opt)
 
 				prefix := &gsm.Database{Seqs: db.Seqs[:len(db.Seqs)-10], Forest: db.Forest}
 				v1, err := core.Mine(ctx, prefix, opt)
@@ -92,24 +98,32 @@ func TestRunModesAgree(t *testing.T) {
 				sawReuse = sawReuse || (resumed.DeltaReused > 0 && resumed.DeltaDirty > 0)
 
 				// The mining job's second reduce task fails once (the first
-				// ReduceTasks hits of the point belong to the f-list job).
-				fOpt := opt
-				fOpt.MR.Faults = &faults.Registry{}
-				fOpt.MR.Faults.FailNth("mapreduce.reduce.task", mr.ReduceTasks+2, faults.Error)
-				fOpt.MR.Retry = mapreduce.RetryPolicy{MaxAttempts: 2}
-				retried, err := core.Mine(ctx, db, fOpt)
+				// ReduceTasks hits of the point belong to the f-list job) —
+				// batch and streamed alike: Reduce retries in every mode, and
+				// a retried partition is still delivered once.
+				faulted := func() core.Options {
+					o := opt
+					o.MR.Faults = &faults.Registry{}
+					o.MR.Faults.FailNth("mapreduce.reduce.task", mr.ReduceTasks+2, faults.Error)
+					o.MR.Retry = mapreduce.RetryPolicy{MaxAttempts: 2}
+					return o
+				}
+				retried, err := core.Mine(ctx, db, faulted())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if retried.Jobs.Mine.TaskRetries != 1 || retried.Jobs.Mine.FaultsInjected != 1 {
-					t.Errorf("retried run: %d retries, %d faults in the mining job; want 1 and 1",
-						retried.Jobs.Mine.TaskRetries, retried.Jobs.Mine.FaultsInjected)
+				streamRetried := streamRun(faulted())
+				for _, r := range []*core.Result{retried, streamRetried} {
+					if r.Jobs.Mine.TaskRetries != 1 || r.Jobs.Mine.FaultsInjected != 1 {
+						t.Errorf("retried run: %d retries, %d faults in the mining job; want 1 and 1",
+							r.Jobs.Mine.TaskRetries, r.Jobs.Mine.FaultsInjected)
+					}
 				}
 
 				for _, m := range []struct {
 					name string
 					res  *core.Result
-				}{{"batch", batch}, {"stream", stream}, {"resume", resumed}, {"retried", retried}} {
+				}{{"batch", batch}, {"stream", stream}, {"resume", resumed}, {"retried", retried}, {"streamed + retried", streamRetried}} {
 					if !gsm.EqualPatterns(m.res.Patterns, want) {
 						t.Errorf("%s: patterns diverge from the reference:\n%s", m.name, gsm.DiffPatterns(db.Forest, m.res.Patterns, want))
 					}

@@ -320,8 +320,7 @@ func TestCorruptRunFailsRun(t *testing.T) {
 	cfg := Config{Workers: 1, MapTasks: 2, ReduceTasks: 2, MemoryBudget: 1 << 20, SpillDir: dir,
 		Retry: RetryPolicy{MaxAttempts: 3}}
 	_, stats, err := RunAgg(context.Background(), cfg, []int{0, 1, 2, 3}, AggJob[int, string]{
-		Name:            "corrupt-run",
-		ReduceRetryable: true,
+		Name: "corrupt-run",
 		Map: func(item int, emit func(uint32, []byte, int64)) {
 			emit(uint32(item%2), []byte("a key long enough to overwrite"), 1)
 		},

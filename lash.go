@@ -210,7 +210,9 @@ type Options struct {
 	// MaxAttempts, when > 1, re-executes MapReduce tasks that fail
 	// transiently (I/O errors on the spill path, injected faults) up to
 	// this many total attempts each, with capped exponential backoff.
-	// Retried runs produce byte-identical output to fault-free runs.
+	// Retried runs produce byte-identical output to fault-free runs, and
+	// Stream retries the same tasks: a partition's patterns are delivered
+	// once, after the attempt that mined them has committed.
 	// 0 (or 1) disables retries. Ignored by CacheKey.
 	MaxAttempts int
 	// Faults, when non-nil, arms the pipeline's fault-injection points for
@@ -467,10 +469,13 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 }
 
 // Stream mines like MineContext but delivers patterns incrementally: emit
-// is called once per frequent pattern as each partition's local mining
-// completes, instead of the full pattern set being materialized in the
-// Result. The returned Result carries FrequentItems, Stats, and the
-// partition/exploration counters, but an empty Patterns slice.
+// is called once per frequent pattern as each reduce partition commits,
+// instead of the full pattern set being materialized in the Result. The
+// returned Result carries FrequentItems, Stats, and the partition/exploration
+// counters, but an empty Patterns slice. It is the same run as MineContext's
+// up to the point of delivery: Options.MaxAttempts retries its map and reduce
+// tasks alike, and a task that was retried still has its patterns delivered
+// exactly once. What is never retried is emit itself.
 //
 // Deliveries are serialized (emit is never called concurrently) but arrive
 // in partition-completion order, which is nondeterministic; collect and
@@ -534,9 +539,9 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 	// The streaming path wraps emit: translate to item names, record the
 	// first emit error — it wins over the substrate's cancellation error on
 	// the way out — and cancel the run's context with it so the other
-	// partitions abort instead of mining into the void. core and baseline
-	// serialize their Stream calls and the run is over before emitErr is
-	// read back, so it needs no lock.
+	// partitions abort instead of mining into the void. Stream calls are
+	// the job's deliveries, which the substrate serializes, and the run is
+	// over before emitErr is read back, so it needs no lock.
 	var (
 		emitErr    error
 		coreStream func(items gsm.Sequence, support int64) error

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"path"
+	"strings"
 	"testing"
+	"time"
 
 	"lash"
 )
@@ -122,6 +125,10 @@ func FuzzMineRequest(f *testing.F) {
 		`{"database":"paper","options":{"min_support":0}}`,
 		`{"database":"paper","options":{"min_support":2,"max_gap":1,"max_length":3,"algorithm":"apriori"}}`,
 		`{"database":"paper","options":{"min_support":9223372036854775807,"max_gap":-5,"max_length":1e3,"deadline_ms":9223372036854775807}}`,
+		// deadline_ms × 1e6 wraps an int64: to 448 µs, and to −1 ms.
+		`{"database":"paper","options":{"min_support":2,"max_gap":1,"max_length":3,"deadline_ms":18446744073710},"wait":true}`,
+		`{"database":"paper","options":{"min_support":2,"max_gap":1,"max_length":3,"deadline_ms":9223372036854775807},"wait":true}`,
+		`{"database":"paper","options":{"min_support":2,"max_gap":1,"max_length":3,"workers":300000},"wait":true}`,
 		`{"database":"paper","unknown":1}`, `{"database":7}`, `{"options":null}`, `[]`, `null`, ``, `{`, "\xff\xfe",
 	} {
 		f.Add([]byte(body))
@@ -132,6 +139,31 @@ func FuzzMineRequest(f *testing.F) {
 		checkFuzzReply(t, serve(s, "POST", "/v1/mine", string(body)), &v,
 			http.StatusOK, http.StatusAccepted, http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge)
 	})
+}
+
+// TestOptionsSpecDeadline: a deadline_ms is taken as sent or refused by name,
+// never wrapped into some other deadline.
+func TestOptionsSpecDeadline(t *testing.T) {
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration // -1: refused, naming deadline_ms
+	}{
+		{0, 0}, {5, 5 * time.Millisecond}, {maxMS, time.Duration(maxMS) * time.Millisecond},
+		{maxMS + 1, -1},
+		{18446744073710, -1},  // × 1e6 wraps to 448 µs
+		{math.MaxInt64, -1},   // wraps to −1 ms
+		{math.MinInt64, -1},   // wraps to 0, "no deadline"
+		{-18446744073709, -1}, // wraps to a positive 552 µs
+	} {
+		opt, err := OptionsSpec{MinSupport: 2, MaxGap: 1, MaxLength: 3, DeadlineMS: c.ms}.toOptions()
+		switch {
+		case c.want >= 0 && (err != nil || opt.Deadline != c.want):
+			t.Errorf("deadline_ms %d: Deadline %v, err %v; want %v", c.ms, opt.Deadline, err, c.want)
+		case c.want < 0 && (err == nil || !strings.Contains(err.Error(), "deadline_ms")):
+			t.Errorf("deadline_ms %d: Deadline %v, err %v; want an error naming deadline_ms", c.ms, opt.Deadline, err)
+		}
+	}
 }
 
 // FuzzDatabaseSpec sends arbitrary bodies to POST /v1/databases. The

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -386,6 +387,31 @@ func TestRequestDeadlineCappedByServer(t *testing.T) {
 	mine(10) // ...but a tighter one wins.
 	if got.Deadline != 10*time.Millisecond {
 		t.Errorf("tight request deadline ran as %v, want 10ms", got.Deadline)
+	}
+}
+
+// TestRequestWorkersClamped: a request cannot size a job's task arrays and
+// goroutines past the cores the server has — the job is admitted with
+// Workers clamped and answers as usual.
+func TestRequestWorkersClamped(t *testing.T) {
+	var got lash.Options
+	_, ts := newTestServer(t, server.Config{
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+			got = opt
+			return lash.MineContext(ctx, db, opt)
+		},
+	})
+	mustRegister(t, ts, testSpec("paper"))
+	opts := testOptions()
+	opts["workers"] = 300000
+	status, body := call(t, "POST", ts.URL+"/v1/mine", map[string]any{
+		"database": "paper", "options": opts, "wait": true,
+	})
+	if status != http.StatusOK || body["status"] != "done" {
+		t.Fatalf("mine with workers 300000: %d %v", status, body)
+	}
+	if want := runtime.GOMAXPROCS(0); got.Workers != want {
+		t.Errorf("job ran with Workers %d, want GOMAXPROCS %d", got.Workers, want)
 	}
 }
 

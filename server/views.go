@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"runtime"
 	"time"
 
 	"lash"
@@ -9,14 +11,15 @@ import (
 // OptionsSpec is the wire form of lash.Options: enums travel as the names
 // the CLI accepts (see lash.ParseAlgorithm and friends).
 type OptionsSpec struct {
-	MinSupport      int64  `json:"min_support"`
-	MaxGap          int    `json:"max_gap"`
-	MaxLength       int    `json:"max_length"`
-	Algorithm       string `json:"algorithm,omitempty"`
-	LocalMiner      string `json:"local_miner,omitempty"`
-	Restriction     string `json:"restriction,omitempty"`
-	Workers         int    `json:"workers,omitempty"`
-	MaxIntermediate int64  `json:"max_intermediate,omitempty"`
+	MinSupport  int64  `json:"min_support"`
+	MaxGap      int    `json:"max_gap"`
+	MaxLength   int    `json:"max_length"`
+	Algorithm   string `json:"algorithm,omitempty"`
+	LocalMiner  string `json:"local_miner,omitempty"`
+	Restriction string `json:"restriction,omitempty"`
+	// Workers above the server's GOMAXPROCS are clamped to it.
+	Workers         int   `json:"workers,omitempty"`
+	MaxIntermediate int64 `json:"max_intermediate,omitempty"`
 	// MemoryBudget bounds the job's shuffle memory in bytes by keeping the
 	// shuffle's sorted runs in temp files instead of memory (see
 	// lash.Options.MemoryBudget). 0 = in memory. Does not affect the mined
@@ -32,9 +35,9 @@ type OptionsSpec struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// MaxAttempts, when > 1, re-executes transiently-failed MapReduce
 	// tasks (spill I/O errors and the like) up to this many total attempts
-	// each (see lash.Options.MaxAttempts). Retried runs are differentially
-	// tested byte-identical to fault-free runs, so this too is invisible
-	// to the cache key.
+	// each (see lash.Options.MaxAttempts), on POST /v1/mine/stream as on
+	// POST /v1/mine. Retried runs are differentially tested byte-identical
+	// to fault-free runs, so this too is invisible to the cache key.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
@@ -52,17 +55,26 @@ func (o OptionsSpec) toOptions() (lash.Options, error) {
 	if err != nil {
 		return lash.Options{}, err
 	}
+	deadline := time.Duration(o.DeadlineMS) * time.Millisecond
+	if deadline/time.Millisecond != time.Duration(o.DeadlineMS) {
+		// The product wrapped: unchecked, an absurdly long deadline would run
+		// as a microsecond one, or be refused as a negative nobody sent.
+		return lash.Options{}, fmt.Errorf("deadline_ms: %d ms does not fit a time.Duration", o.DeadlineMS)
+	}
 	opt := lash.Options{
-		MinSupport:      o.MinSupport,
-		MaxGap:          o.MaxGap,
-		MaxLength:       o.MaxLength,
-		Algorithm:       alg,
-		LocalMiner:      mnr,
-		Restriction:     restr,
-		Workers:         o.Workers,
+		MinSupport:  o.MinSupport,
+		MaxGap:      o.MaxGap,
+		MaxLength:   o.MaxLength,
+		Algorithm:   alg,
+		LocalMiner:  mnr,
+		Restriction: restr,
+		// More mining goroutines than cores buy nothing, and each one sizes
+		// map tasks, reduce partitions and table arrays: an unclamped request
+		// could ask the process out of memory.
+		Workers:         min(o.Workers, runtime.GOMAXPROCS(0)),
 		MaxIntermediate: o.MaxIntermediate,
 		MemoryBudget:    o.MemoryBudget,
-		Deadline:        time.Duration(o.DeadlineMS) * time.Millisecond,
+		Deadline:        deadline,
 		MaxAttempts:     o.MaxAttempts,
 	}
 	if err := opt.Validate(); err != nil {

@@ -292,18 +292,22 @@ func TestProgressEvents(t *testing.T) {
 // ErrAborted before delivering any of them.
 func TestStreamBaselineCapAborts(t *testing.T) {
 	db := genDB(t, 400, 9)
-	streamed := 0
-	_, err := lash.Stream(context.Background(), db,
-		lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3,
-			Algorithm: lash.AlgorithmNaive, MaxIntermediate: 50},
-		func(p lash.Pattern) error {
-			streamed++
-			return nil
+	for _, alg := range []lash.Algorithm{lash.AlgorithmNaive, lash.AlgorithmSemiNaive} {
+		t.Run(alg.String(), func(t *testing.T) {
+			streamed := 0
+			_, err := lash.Stream(context.Background(), db,
+				lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3,
+					Algorithm: alg, MaxIntermediate: 50},
+				func(p lash.Pattern) error {
+					streamed++
+					return nil
+				})
+			if !errors.Is(err, lash.ErrAborted) {
+				t.Fatalf("err = %v, want ErrAborted", err)
+			}
+			if streamed != 0 {
+				t.Errorf("%d possibly-undercounted patterns were streamed before the cap abort", streamed)
+			}
 		})
-	if !errors.Is(err, lash.ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
-	}
-	if streamed != 0 {
-		t.Errorf("%d possibly-undercounted patterns were streamed before the cap abort", streamed)
 	}
 }
