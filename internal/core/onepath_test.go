@@ -30,8 +30,9 @@ func statsOf(res *core.Result) partitionStats {
 	return partitionStats{res.NumPartitions, res.PartitionSeqs, res.MaxPartitionSeqs, res.Miner.Explored, res.Miner.Output}
 }
 
-// The one reduce path serves batch, streaming, delta and retried runs: each
-// must mine the sequential reference's patterns and report identical
+// The one reduce path serves batch, streaming, delta and retried runs: at a
+// scale the oracle cannot reach (TestOracleMatrix is the oracle-sized
+// counterpart), each must mine the batch run's patterns and report identical
 // partition statistics — but for a delta run's Explored, which its grown
 // partitions (none under BFS) leave lower.
 func TestRunModesAgree(t *testing.T) {
@@ -51,7 +52,7 @@ func TestRunModesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := refMineJob(t, db, batch.FList, kind, params)
+				want := batch.Patterns
 				if len(want) == 0 || batch.NumPartitions == 0 {
 					t.Fatal("test vacuous: nothing to mine")
 				}
@@ -127,9 +128,9 @@ func TestRunModesAgree(t *testing.T) {
 				for _, m := range []struct {
 					name string
 					res  *core.Result
-				}{{"batch", batch}, {"stream", stream}, {"resume", resumed}, {"retried", retried}, {"streamed + retried", streamRetried}} {
+				}{{"stream", stream}, {"resume", resumed}, {"retried", retried}, {"streamed + retried", streamRetried}} {
 					if !gsm.EqualPatterns(m.res.Patterns, want) {
-						t.Errorf("%s: patterns diverge from the reference:\n%s", m.name, gsm.DiffPatterns(db.Forest, m.res.Patterns, want))
+						t.Errorf("%s: patterns diverge from the batch run's:\n%s", m.name, gsm.DiffPatterns(db.Forest, m.res.Patterns, want))
 					}
 					got, want := statsOf(m.res), statsOf(batch)
 					// A grown partition explores only what its appended

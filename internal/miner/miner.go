@@ -173,9 +173,10 @@ func New(k Kind) Miner {
 	panic("miner: unknown kind")
 }
 
-// ContainsPivot reports whether a rank pattern contains the pivot. Because
-// partition items never exceed the pivot, this is equivalent to
-// p(S) = pivot.
+// ContainsPivot reports whether a rank pattern contains the pivot. A
+// partition may hold ranks above the pivot (rewrite.ModeNone partitions do),
+// but with PivotOnly set the miners expand no candidate above it (walk.bound),
+// so on the patterns they build this is equivalent to p(S) = pivot.
 func ContainsPivot(pattern []flist.Rank, pivot flist.Rank) bool {
 	for _, r := range pattern {
 		if r == pivot {

@@ -166,74 +166,6 @@ func randPartition(r *rand.Rand) *miner.Partition {
 	return p
 }
 
-// bruteMine is an independent rank-space reference: enumerate the distinct
-// generalized subsequences of every sequence (via the parent table) and
-// count weighted document frequency.
-func bruteMine(p *miner.Partition, cfg miner.Config) map[string]int64 {
-	counts := make(map[string]int64)
-	for _, ws := range p.Seqs {
-		seen := make(map[string]bool)
-		var cur []flist.Rank
-		var rec func(last int)
-		selfAnc := func(r flist.Rank) []flist.Rank {
-			var out []flist.Rank
-			for r != flist.NoRank {
-				out = append(out, r)
-				if int(r) >= len(p.Parent) {
-					break
-				}
-				r = p.Parent[r]
-			}
-			return out
-		}
-		rec = func(last int) {
-			if len(cur) >= 2 {
-				seen[rankKey(cur)] = true
-			}
-			if len(cur) == cfg.Lambda {
-				return
-			}
-			hi := last + 1 + cfg.Gamma
-			if hi >= len(ws.Items) {
-				hi = len(ws.Items) - 1
-			}
-			for j := last + 1; j <= hi; j++ {
-				if ws.Items[j] == flist.NoRank {
-					continue
-				}
-				for _, a := range selfAnc(ws.Items[j]) {
-					cur = append(cur, a)
-					rec(j)
-					cur = cur[:len(cur)-1]
-				}
-			}
-		}
-		for i := range ws.Items {
-			if ws.Items[i] == flist.NoRank {
-				continue
-			}
-			for _, a := range selfAnc(ws.Items[i]) {
-				cur = append(cur[:0], a)
-				rec(i)
-			}
-		}
-		for k := range seen {
-			counts[k] += ws.Weight
-		}
-	}
-	out := make(map[string]int64)
-	for k, n := range counts {
-		if n < cfg.Sigma {
-			continue
-		}
-		if cfg.PivotOnly && !miner.ContainsPivot(ranksFromKey(k), p.Pivot) {
-			continue
-		}
-		out[k] = n
-	}
-	return out
-}
-
 func minerOutputMap(m miner.Miner, p *miner.Partition, cfg miner.Config) (map[string]int64, miner.Stats) {
 	out := make(map[string]int64)
 	stats := m.Mine(p, cfg, nil, func(pat []flist.Rank, sup int64) {
@@ -254,7 +186,7 @@ func mapsEqual(a, b map[string]int64) bool {
 	return true
 }
 
-// Property: all four miners agree with the brute-force reference on random
+// Property: all four miners agree with the definition (oracleMine) on random
 // partitions, in pivot-only mode.
 func TestQuickMinersMatchBrute(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -266,10 +198,9 @@ func TestQuickMinersMatchBrute(t *testing.T) {
 			Lambda:    2 + r.Intn(3),
 			PivotOnly: true,
 		}
-		want := bruteMine(p, cfg)
+		want := oracleMine(p, cfg)
 		for _, kind := range allKinds {
-			got, _ := minerOutputMap(miner.New(kind), p, cfg)
-			if !mapsEqual(got, want) {
+			if got, _ := collect(miner.New(kind), p, cfg, nil); !equalWSeqs(got, want) {
 				return false
 			}
 		}
@@ -280,7 +211,7 @@ func TestQuickMinersMatchBrute(t *testing.T) {
 	}
 }
 
-// Property: BFS and DFS agree with brute force when mining everything
+// Property: BFS and DFS agree with the definition when mining everything
 // (PivotOnly = false) — the whole-database mode.
 func TestQuickFullMiningMatchesBrute(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -291,10 +222,9 @@ func TestQuickFullMiningMatchesBrute(t *testing.T) {
 			Gamma:  r.Intn(3),
 			Lambda: 2 + r.Intn(3),
 		}
-		want := bruteMine(p, cfg)
+		want := oracleMine(p, cfg)
 		for _, kind := range []miner.Kind{miner.KindBFS, miner.KindDFS} {
-			got, _ := minerOutputMap(miner.New(kind), p, cfg)
-			if !mapsEqual(got, want) {
+			if got, _ := collect(miner.New(kind), p, cfg, nil); !equalWSeqs(got, want) {
 				return false
 			}
 		}

@@ -79,14 +79,13 @@ func TestPSMUniqueDecomposition(t *testing.T) {
 		[]flist.Rank{a, pv, a, pv},
 	)
 	cfg := miner.Config{Sigma: 2, Gamma: 0, Lambda: 4, PivotOnly: true}
-	got, _ := minerOutputMap(miner.New(miner.KindPSMNoIndex), p, cfg)
-	want := bruteMine(p, cfg)
-	if !mapsEqual(got, want) {
-		t.Fatalf("PSM output %v != brute %v", got, want)
+	got, _ := collect(miner.New(miner.KindPSMNoIndex), p, cfg, nil)
+	if want := oracleMine(p, cfg); !equalWSeqs(got, want) {
+		t.Fatalf("PSM output %v, by definition %v", got, want)
 	}
 	// p·a·p must be present exactly once with support 2 — the duplicate-free
 	// enumeration of Fig. 3's discussion.
-	if got[rankKey([]flist.Rank{pv, a, pv})] != 2 {
+	if !slices.ContainsFunc(got, func(w miner.WSeq) bool { return slices.Equal(w.Items, []flist.Rank{pv, a, pv}) && w.Weight == 2 }) {
 		t.Fatalf("pivot-in-middle pattern wrong: %v", got)
 	}
 }
@@ -125,13 +124,21 @@ type lastLevelCase struct {
 	cfg      miner.Config
 	kinds    []miner.Kind
 	want     []miner.WSeq // patterns and supports, in emit order
-	explored int64        // -1: the reference decides
+	explored int64
 }
 
 // lastLevelCases are TestLastLevel's table and FuzzMinersAgree's seeds.
 func lastLevelCases() []lastLevelCase {
 	const none = flist.NoRank
 	psmKinds := []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex}
+	twoDescendants := &miner.Partition{Pivot: 3, Parent: []flist.Rank{none, 0, 0, none},
+		Seqs: []miner.WSeq{{Items: []flist.Rank{3, 1, 2}, Weight: 2}}}
+	twoDescendantsCfg := miner.Config{Sigma: 2, Gamma: 1, Lambda: 2, PivotOnly: true}
+	twoDescendantsWant := []miner.WSeq{
+		{[]flist.Rank{3, 0}, 2},
+		{[]flist.Rank{3, 1}, 2},
+		{[]flist.Rank{3, 2}, 2},
+	}
 	return []lastLevelCase{
 		{
 			// The root is the last level: right counts, then left counts.
@@ -173,17 +180,20 @@ func lastLevelCases() []lastLevelCase {
 		},
 		{
 			// Ranks 1 and 2 both generalize to 0; one window holds both.
-			name: "two descendants of one ancestor",
-			p: &miner.Partition{Pivot: 3, Parent: []flist.Rank{none, 0, 0, none},
-				Seqs: []miner.WSeq{{Items: []flist.Rank{3, 1, 2}, Weight: 2}}},
-			cfg:   miner.Config{Sigma: 2, Gamma: 1, Lambda: 2, PivotOnly: true},
-			kinds: []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex, miner.KindDFS},
-			want: []miner.WSeq{
-				{[]flist.Rank{3, 0}, 2},
-				{[]flist.Rank{3, 1}, 2},
-				{[]flist.Rank{3, 2}, 2},
-			},
-			explored: -1, // DFS explores more than PSM; the reference decides
+			name:     "two descendants of one ancestor",
+			p:        twoDescendants,
+			cfg:      twoDescendantsCfg,
+			kinds:    psmKinds,
+			want:     twoDescendantsWant,
+			explored: 3,
+		},
+		{
+			name:     "two descendants of one ancestor, by DFS",
+			p:        twoDescendants,
+			cfg:      twoDescendantsCfg,
+			kinds:    []miner.Kind{miner.KindDFS},
+			want:     twoDescendantsWant,
+			explored: 11, // the 4 items, then the right expansions of 3 (3), 1 (2) and 0 (2)
 		},
 		{
 			// The pivot is no right candidate (unique decomposition) but is
@@ -234,7 +244,7 @@ func lastLevelCases() []lastLevelCase {
 // The last level: a pattern of λ−1 items takes only the supports of its
 // expansions (Scratch's count table) — no postings, no occurrence pairs.
 // Each case pins the emissions in order and Stats.Explored by hand, and
-// holds them against the preserved reference miner too.
+// holds the patterns to the definition too.
 func TestLastLevel(t *testing.T) {
 	for _, tc := range lastLevelCases() {
 		for _, kind := range tc.kinds {
@@ -244,11 +254,10 @@ func TestLastLevel(t *testing.T) {
 			})
 			sorted := slices.Clone(got)
 			sortWSeqs(sorted)
-			ref, refStats := collect(refNew(kind), tc.p, tc.cfg, nil)
-			if stats != refStats || !equalWSeqs(sorted, ref) {
-				t.Errorf("%s/%s: %v %+v, reference %v %+v", tc.name, kind, sorted, stats, ref, refStats)
+			if want := oracleMine(tc.p, tc.cfg); !equalWSeqs(sorted, want) || stats.Output != int64(len(want)) {
+				t.Errorf("%s/%s: %v %+v, by definition %v", tc.name, kind, sorted, stats, want)
 			}
-			if tc.explored >= 0 && stats.Explored != tc.explored {
+			if stats.Explored != tc.explored {
 				t.Errorf("%s/%s: explored %d, want %d", tc.name, kind, stats.Explored, tc.explored)
 			}
 			if kind == miner.KindDFS {
