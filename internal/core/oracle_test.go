@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"lash/internal/baseline"
 	"lash/internal/core"
@@ -78,6 +79,85 @@ func randDB(r *rand.Rand) *gsm.Database {
 		db.Seqs = append(db.Seqs, s)
 	}
 	return db
+}
+
+// Property: LASH (all four local miners), naïve, and semi-naïve all equal
+// the brute-force oracle on random databases.
+func TestQuickAllAlgorithmsAgree(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		db := randDB(r)
+		p := gsm.Params{
+			Sigma:  1 + int64(r.Intn(3)),
+			Gamma:  r.Intn(3),
+			Lambda: 2 + r.Intn(3),
+		}
+		want := gsm.MineBruteForce(db, p)
+		for _, kind := range []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex, miner.KindBFS, miner.KindDFS} {
+			res, err := core.Mine(context.Background(), db, core.Options{Params: p, Miner: kind, MR: smallMR})
+			if err != nil || !gsm.EqualPatterns(res.Patterns, want) {
+				return false
+			}
+		}
+		nv, err := baseline.MineNaive(context.Background(), db, baseline.Options{Params: p, MR: smallMR})
+		if err != nil || !gsm.EqualPatterns(nv.Patterns, want) {
+			return false
+		}
+		sn, err := baseline.MineSemiNaive(context.Background(), db, baseline.Options{Params: p, MR: smallMR})
+		if err != nil || !gsm.EqualPatterns(sn.Patterns, want) {
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(211))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: every rewrite mode equals the brute-force oracle on random
+// databases.
+func TestQuickRewriteModesAgree(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		db := randDB(r)
+		p := gsm.Params{Sigma: 1 + int64(r.Intn(3)), Gamma: r.Intn(3), Lambda: 2 + r.Intn(3)}
+		want := gsm.MineBruteForce(db, p)
+		for _, mode := range []rewrite.Mode{rewrite.ModeFull, rewrite.ModeGeneralizeOnly, rewrite.ModeNone} {
+			res, err := core.Mine(context.Background(), db, core.Options{Params: p, Rewrites: mode, MR: smallMR})
+			if err != nil || !gsm.EqualPatterns(res.Patterns, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(227))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: under every MapReduce configuration the result equals the
+// brute-force oracle.
+func TestQuickMRConfigIndependence(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		db := randDB(r)
+		p := gsm.Params{Sigma: 1 + int64(r.Intn(2)), Gamma: r.Intn(2), Lambda: 2 + r.Intn(2)}
+		want := gsm.MineBruteForce(db, p)
+		for _, cfg := range []mapreduce.Config{
+			{Workers: 1, MapTasks: 1, ReduceTasks: 1},
+			{Workers: 4, MapTasks: 7, ReduceTasks: 5},
+			{Workers: 2, MapTasks: 1, ReduceTasks: 9},
+		} {
+			res, err := core.Mine(context.Background(), db, core.Options{Params: p, MR: cfg})
+			if err != nil || !gsm.EqualPatterns(res.Patterns, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(223))}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // generatedCorpora are datagen corpora at the oracle's scale: text under two
