@@ -25,32 +25,16 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of executions one task may get,
 	// first attempt included. <= 1 disables retries.
 	MaxAttempts int
-
-	// BaseBackoff is the delay before the first re-execution; each further
-	// attempt doubles it, capped at MaxBackoff. Defaults: 2ms base, 250ms
-	// cap. The actual sleep is jittered deterministically into
-	// [d/2, d) from Seed, the task index, and the attempt number, so
-	// concurrent retries decorrelate without shared RNG state.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-
-	// Seed feeds the jitter hash. Runs with equal seeds (and equal task
-	// failures) sleep identically.
-	Seed uint64
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 2 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 250 * time.Millisecond
-	}
-	return p
-}
+// The delay before a task's first re-execution is baseBackoff; each further
+// attempt doubles it, capped at maxBackoff. The actual sleep is jittered
+// deterministically into [d/2, d) from the task index and the attempt
+// number, so concurrent retries decorrelate without shared RNG state.
+const (
+	baseBackoff = 2 * time.Millisecond
+	maxBackoff  = 250 * time.Millisecond
+)
 
 // IsTransient classifies a task failure: transient failures are worth
 // re-executing (the task's inputs are intact and the failure came from the
@@ -137,7 +121,6 @@ func runAttempt(fn func(task, attempt int) error, task, attempt int) (err error)
 // sentinel retires the task quietly. Retries are counted into rc and the
 // (nil-safe) pipeline counter, and backoff sleeps observe ctx.
 func guard(ctx context.Context, errs *errOnce, pol RetryPolicy, rc *obs.RunCounters, retried *obs.Counter, jobName, phase string, fn func(task, attempt int) error) func(int) {
-	pol = pol.withDefaults()
 	return func(task int) {
 		if errs.canceled.Load() {
 			return
@@ -166,7 +149,7 @@ func guard(ctx context.Context, errs *errOnce, pol RetryPolicy, rc *obs.RunCount
 			}
 			rc.TaskRetries.Add(1)
 			retried.Inc()
-			if !sleepCtx(ctx, backoffDelay(pol, task, attempt)) {
+			if !sleepCtx(ctx, backoffDelay(task, attempt)) {
 				return
 			}
 			if errs.canceled.Load() {
@@ -177,19 +160,19 @@ func guard(ctx context.Context, errs *errOnce, pol RetryPolicy, rc *obs.RunCount
 }
 
 // backoffDelay computes the attempt'th re-execution delay: exponential
-// growth from BaseBackoff capped at MaxBackoff, jittered deterministically
-// into [d/2, d) by hashing (Seed, task, attempt).
-func backoffDelay(pol RetryPolicy, task, attempt int) time.Duration {
-	d := pol.BaseBackoff
+// growth from baseBackoff capped at maxBackoff, jittered deterministically
+// into [d/2, d) by hashing (task, attempt).
+func backoffDelay(task, attempt int) time.Duration {
+	d := baseBackoff
 	for i := 0; i < attempt; i++ {
 		d *= 2
-		if d >= pol.MaxBackoff || d <= 0 {
-			d = pol.MaxBackoff
+		if d >= maxBackoff {
+			d = maxBackoff
 			break
 		}
 	}
-	// splitmix64 over the (seed, task, attempt) triple.
-	z := pol.Seed ^ (uint64(task)+1)*0x9e3779b97f4a7c15 ^ (uint64(attempt)+1)*0xbf58476d1ce4e5b9
+	// splitmix64 over the (task, attempt) pair.
+	z := (uint64(task)+1)*0x9e3779b97f4a7c15 ^ (uint64(attempt)+1)*0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31

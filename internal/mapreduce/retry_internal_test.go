@@ -43,35 +43,26 @@ func TestIsTransientClassification(t *testing.T) {
 }
 
 func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 8, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, Seed: 7}
 	for task := 0; task < 4; task++ {
-		for attempt := 0; attempt < 8; attempt++ {
-			d := pol.BaseBackoff
-			for i := 0; i < attempt; i++ {
-				d *= 2
-				if d >= pol.MaxBackoff {
-					d = pol.MaxBackoff
-					break
-				}
-			}
-			got := backoffDelay(pol, task, attempt)
+		d := 2 * time.Millisecond // doubles per attempt up to the 250ms cap
+		for attempt := 0; attempt < 10; attempt++ {
+			got := backoffDelay(task, attempt)
 			if got < d/2 || got >= d {
 				t.Fatalf("task %d attempt %d: delay %v outside [%v, %v)", task, attempt, got, d/2, d)
 			}
-			if again := backoffDelay(pol, task, attempt); again != got {
+			if again := backoffDelay(task, attempt); again != got {
 				t.Fatalf("task %d attempt %d: nondeterministic delay %v != %v", task, attempt, again, got)
 			}
+			d = min(2*d, 250*time.Millisecond)
 		}
 	}
-	// Different seeds must decorrelate at least somewhere.
-	other := pol
-	other.Seed = 8
+	// Different tasks must decorrelate at least somewhere.
 	same := true
 	for attempt := 0; attempt < 8 && same; attempt++ {
-		same = backoffDelay(pol, 0, attempt) == backoffDelay(other, 0, attempt)
+		same = backoffDelay(0, attempt) == backoffDelay(1, attempt)
 	}
 	if same {
-		t.Fatal("seeds 7 and 8 produced identical jitter across all attempts")
+		t.Fatal("tasks 0 and 1 produced identical jitter across all attempts")
 	}
 }
 

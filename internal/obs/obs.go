@@ -23,10 +23,13 @@
 // Registry.WritePrometheus renders the classic Prometheus text exposition
 // format (version 0.0.4): one HELP and TYPE line per family, families
 // sorted by name, children sorted by label signature, histograms expanded
-// into cumulative _bucket/_sum/_count series. Registration panics on
-// malformed names, label sets, or a re-registration that changes a
-// family's type or help text — these are programmer errors, and
-// cmd/metriclint re-checks the rendered output in CI.
+// into cumulative _bucket/_sum/_count series ending in a +Inf bucket.
+// Registration is the only metric check: it panics on malformed names or
+// label sets, blank help text, a counter without the _total suffix (or a
+// non-counter with it), a histogram labelled le, a family colliding with a
+// histogram's _bucket/_sum/_count series, or a re-registration that changes
+// a family's type or help text. These are programmer errors; everything
+// else the text format requires holds by construction of WritePrometheus.
 package obs
 
 import (
@@ -290,7 +293,7 @@ func (r *Registry) register(name, help string, typ metricType, bounds []float64,
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: bad metric name %q", name))
 	}
-	if help == "" {
+	if strings.TrimSpace(help) == "" {
 		panic(fmt.Sprintf("obs: metric %s registered without help text", name))
 	}
 	if typ == typeCounter && !strings.HasSuffix(name, "_total") {
@@ -300,10 +303,20 @@ func (r *Registry) register(name, help string, typ metricType, bounds []float64,
 		panic(fmt.Sprintf("obs: %s %s must not end in _total", typ, name))
 	}
 	sig := labelSignature(name, labels)
+	if typ == typeHistogram {
+		for i := 0; i < len(labels); i += 2 {
+			if labels[i] == "le" {
+				panic(fmt.Sprintf("obs: histogram %s must not carry an le label", name))
+			}
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fam := r.families[name]
 	if fam == nil {
+		if series := r.seriesClash(name, typ); series != "" {
+			panic(fmt.Sprintf("obs: metric %s: series %s would be written by two families", name, series))
+		}
 		fam = &family{name: name, help: help, typ: typ, index: make(map[string]*child)}
 		r.families[name] = fam
 	} else {
@@ -329,6 +342,23 @@ func (r *Registry) register(name, help string, typ metricType, bounds []float64,
 	fam.index[sig] = c
 	fam.children = append(fam.children, c)
 	return c
+}
+
+// seriesClash returns the sample name a new family called name would share
+// with an existing one — a histogram's _bucket, _sum or _count series — or
+// "" when there is none. Called with r.mu held.
+func (r *Registry) seriesClash(name string, typ metricType) string {
+	for _, s := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, s); ok {
+			if f := r.families[base]; f != nil && f.typ == typeHistogram {
+				return name
+			}
+		}
+		if typ == typeHistogram && r.families[name+s] != nil {
+			return name + s
+		}
+	}
+	return ""
 }
 
 // Counter registers (or finds) a counter series and returns its handle.

@@ -58,8 +58,10 @@ type JobStats struct {
 	QueueTimeMS int64 `json:"queue_time_ms"`
 	RunTimeMS   int64 `json:"run_time_ms"`
 	// SpilledRuns and SpilledBytes accumulate the shuffle spilling of every
-	// completed run (jobs and streams) whose memory_budget forced it to
-	// disk — how much external-memory work this server has absorbed.
+	// run (jobs and streams, failed and cancelled ones included) whose
+	// memory_budget forced it to disk — how much external-memory work this
+	// server has absorbed. They read lash_spill_runs_total and
+	// lash_spill_bytes_total.
 	SpilledRuns  uint64 `json:"spilled_runs"`
 	SpilledBytes uint64 `json:"spilled_bytes"`
 	Queued       int    `json:"queued"`
@@ -207,8 +209,8 @@ func (m *manager) stats() JobStats {
 		Streams:      uint64(m.met.streams.Value()),
 		QueueTimeMS:  int64(m.met.queueSeconds.Sum() * 1000),
 		RunTimeMS:    int64(m.met.runSeconds.Sum() * 1000),
-		SpilledRuns:  uint64(m.met.spilledRuns.Value()),
-		SpilledBytes: uint64(m.met.spilledBytes.Value()),
+		SpilledRuns:  uint64(m.met.pm.SpillRuns.Value()),
+		SpilledBytes: uint64(m.met.pm.SpillBytes.Value()),
 		Queued:       int(m.met.jobsQueued.Value()),
 		Running:      int(m.met.jobsRunning.Value()),
 	}

@@ -113,8 +113,6 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 	case err == nil:
 		j.status = JobDone
 		m.met.jobsCompleted.Inc()
-		m.met.spilledRuns.Add(res.Stats.SpillRuns)
-		m.met.spilledBytes.Add(res.Stats.SpillBytes)
 		if !mined {
 			break
 		}

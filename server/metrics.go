@@ -43,13 +43,6 @@ type serverMetrics struct {
 	rateLimited  *obs.Counter
 	spillDirFree *obs.Gauge
 
-	// spilledRuns/spilledBytes accumulate the shuffle spilling of completed
-	// runs (jobs and streams). They are the single source of truth for
-	// JobStats.SpilledRuns/SpilledBytes — the manager keeps no shadow
-	// counters, so GET /v1/stats and GET /metrics cannot drift apart.
-	spilledRuns  *obs.Counter
-	spilledBytes *obs.Counter
-
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
@@ -119,11 +112,6 @@ func newServerMetrics() *serverMetrics {
 			"HTTP requests rejected with 429 by the per-client rate limiter."),
 		spillDirFree: r.Gauge("lash_spill_dir_free_bytes",
 			"Free bytes on the filesystem holding the shuffle spill directory (-1 when unknown)."),
-
-		spilledRuns: r.Counter("lash_jobs_spilled_runs_total",
-			"Sorted shuffle runs spilled to disk by completed runs whose memory_budget forced external sorting."),
-		spilledBytes: r.Counter("lash_jobs_spilled_bytes_total",
-			"Bytes of shuffle data spilled to disk by completed runs."),
 
 		cacheHits: r.Counter("lash_cache_hits_total",
 			"Mine requests answered from a retained result, without mining."),
@@ -214,8 +202,7 @@ func (m *serverMetrics) registerHTTPRequest(key httpKey) *obs.Counter {
 }
 
 // WriteMetrics renders the server's metric registry in Prometheus text
-// exposition format — the body of GET /metrics. cmd/metriclint uses it to
-// lint the production metric set without a running server.
+// exposition format — the body of GET /metrics.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	return s.metrics.reg.WritePrometheus(w)
 }

@@ -8,23 +8,14 @@
 //	faultpoint  fault-injection points are constant, package-prefixed, unique names
 //	apierr      server handlers respond non-2xx only through the writeError envelope
 //
-// It runs in two modes:
-//
-// Standalone (the `make lint` gate):
+// Usage (the `make lint` gate):
 //
 //	lashvet [-dir dir] [packages...]
 //
 // loads the packages (default ./...) via `go list -export`, runs every
 // analyzer, prints findings as file:line:col: [analyzer] message, and
-// exits 1 if there were any.
-//
-// Vet tool:
-//
-//	go vet -vettool=$(which lashvet) ./...
-//
-// implements the cmd/vet unitchecker protocol (-V=full, -flags, and the
-// per-package .cfg invocation). Diagnostics in _test.go files are skipped
-// in both modes: the invariants are production-code contracts.
+// exits 1 if there were any. Diagnostics in _test.go files are skipped:
+// the invariants are production-code contracts.
 //
 // Findings are suppressed by a directive on the same line or the line
 // above:
@@ -56,8 +47,6 @@ import (
 	"lash/tools/internal/analysis/obshandle"
 )
 
-const version = "1.0.0"
-
 // suite is every analyzer lashvet runs, in reporting order.
 var suite = []*analysis.Analyzer{
 	ctxfirst.Analyzer,
@@ -70,29 +59,13 @@ var suite = []*analysis.Analyzer{
 }
 
 func main() {
-	args := os.Args[1:]
-	// cmd/vet unitchecker protocol: version probe, flag probe, then one
-	// .cfg invocation per package.
-	if len(args) == 1 {
-		switch {
-		case strings.HasPrefix(args[0], "-V"):
-			fmt.Printf("lashvet version %s\n", version)
-			return
-		case args[0] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(args[0], ".cfg"):
-			os.Exit(unitMain(args[0]))
-		}
-	}
-
 	fs := flag.NewFlagSet("lashvet", flag.ExitOnError)
 	dir := fs.String("dir", ".", "directory to resolve packages from")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: lashvet [-dir dir] [packages...]\n")
 		fs.PrintDefaults()
 	}
-	fs.Parse(args)
+	fs.Parse(os.Args[1:])
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

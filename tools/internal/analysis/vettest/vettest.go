@@ -76,8 +76,8 @@ func runOne(t *testing.T, imp *testImporter, a *analysis.Analyzer, pkg string) {
 
 // Filter applies the driver-side suppression pass: diagnostics covered by
 // a //lashvet:ignore directive for name are dropped, and malformed
-// directives are reported as diagnostics of their own. Both lashvet modes
-// (standalone and vettool) and this harness share it so testdata exercises
+// directives are reported as diagnostics of their own — the same
+// ParseDirectives/Suppressed pass lashvet applies, so testdata exercises
 // production semantics.
 func Filter(fset *token.FileSet, files []*ast.File, name string, diags []analysis.Diagnostic) []analysis.Diagnostic {
 	dirs, bad := analysis.ParseDirectives(fset, files)
