@@ -1,10 +1,8 @@
 GO ?= go
 FUZZTIME ?= 60s
 FUZZ_PKGS ?= . ./internal/seqenc ./internal/seqdb ./internal/mapreduce ./internal/rewrite ./internal/miner ./server
-PROFILE_BENCH ?= BenchmarkFig4a
-PROFILE_BENCHTIME ?= 3x
 
-.PHONY: build test vet lint lashvet tools-test bench-smoke fuzz profile race chaos loc clean
+.PHONY: build test vet lint lashvet tools-test bench-smoke fuzz race chaos loc clean
 
 build:
 	$(GO) build ./...
@@ -72,22 +70,14 @@ fuzz:
 		done; \
 	done
 
-# bench-smoke is the CI pass: every benchmark of the root package — mining,
-# pindex and the handler-level BenchmarkServePatterns — must still run (1
-# iteration), so the harness cannot bit-rot. Numbers worth quoting come from
-# bench/ (see bench/README.md); allocations are held by TestAllocBudget.
+# bench-smoke is the CI pass: the root package's benchmarks —
+# BenchmarkDeltaMine, the handler-level BenchmarkServePatterns and the
+# BenchmarkPindex* queries — must still run (1 iteration), so they cannot
+# bit-rot. Numbers worth quoting come from bench/ (see bench/README.md);
+# allocations are held by TestAllocBudget and the paper's claims by
+# TestPaperClaims (internal/experiments).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ .
-
-# profile captures CPU and heap profiles of the Fig. 4(a) benchmarks (the
-# end-to-end distributed-mining comparison). See "Profiling" in README.md.
-profile:
-	$(GO) test -bench=$(PROFILE_BENCH) -benchtime=$(PROFILE_BENCHTIME) -benchmem -run=^$$ \
-		-cpuprofile=cpu.pprof -memprofile=mem.pprof -o lash-bench.test .
-	@echo ""
-	@echo "profiles written: cpu.pprof mem.pprof (binary: lash-bench.test)"
-	@echo "  $(GO) tool pprof -top cpu.pprof"
-	@echo "  $(GO) tool pprof -top -sample_index=alloc_objects mem.pprof"
 
 # loc prints the per-package line table (wc -l) that simplicity PRs quote in
 # CHANGES.md, as Markdown: non-test Go, _test.go, and files under testdata/,
@@ -107,4 +97,4 @@ loc:
 
 clean:
 	$(GO) clean ./...
-	rm -f cpu.pprof mem.pprof lash-bench.test
+	rm -f cpu.pprof mem.pprof

@@ -7,8 +7,9 @@
 //	lash-exp -scale tiny -exp fig4a,fig4c
 //	lash-exp -list
 //
-// See DESIGN.md §4 for the experiment ↔ module mapping and EXPERIMENTS.md
-// for paper-vs-measured discussion.
+// Each table ends in note: lines stating what the paper reports for it, to
+// read the measured rows against. TestPaperClaims (internal/experiments)
+// asserts the qualitative results on deterministic counters.
 package main
 
 import (

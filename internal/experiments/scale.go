@@ -3,7 +3,8 @@
 // same rows/series the paper reports. Absolute numbers differ (host-scale
 // corpora on an in-process MapReduce), but the comparisons — who wins, by
 // what rough factor, and where the crossovers are — are what each runner
-// reproduces; EXPERIMENTS.md records paper-vs-measured per experiment.
+// reproduces. Each table's note: lines state the paper's expectation, and
+// TestPaperClaims asserts the qualitative results on deterministic counters.
 package experiments
 
 import "fmt"
@@ -11,7 +12,7 @@ import "fmt"
 // Scale fixes corpus sizes and the support thresholds standing in for the
 // paper's σ values. The paper mines 50M sentences with σ ∈ {10,…,10000};
 // at host scale the thresholds are mapped so that relative output sizes
-// stay in the same regime (the mapping is recorded in EXPERIMENTS.md).
+// stay in the same regime (lash-exp prints the mapping in its header).
 type Scale struct {
 	Name string
 
@@ -33,7 +34,8 @@ type Scale struct {
 	Seed int64
 }
 
-// Tiny is the benchmark scale: fast enough for `go test -bench`.
+// Tiny is the smallest named scale: the root package's counter and
+// allocation tests mine its corpora.
 var Tiny = Scale{
 	Name:         "tiny",
 	NYTSentences: 1500, NYTLemmas: 600,
