@@ -85,8 +85,8 @@ func (m *manager) submit(ctx context.Context, dbName string, db *lash.Database, 
 	return j, nil
 }
 
-// admitLocked is the one admission step of every fresh run — batch job,
-// stream, or subscribe feeder: a draining manager refuses it with
+// admitLocked is the one admission step of every fresh run — batch job or
+// stream: a draining manager refuses it with
 // errShutdown and a full queue with errOverloaded (429) instead of letting
 // the backlog grow unbounded; otherwise the run gets its record, queued and
 // counted, with the server's policies applied to its options. parent is the

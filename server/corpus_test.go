@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"lash"
 	"lash/server"
@@ -383,40 +383,29 @@ func TestLiveCorporaEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSubscribeSurvivesAppend: a subscription tailing a live run does not
-// end when an append installs a new corpus version — it emits a version
-// marker and continues with the new version's live run.
-func TestSubscribeSurvivesAppend(t *testing.T) {
+// subscribeAcrossAppend follows a version-1 job held in flight while an
+// append installs version 2 and a job mines it, and checks the subscription
+// sent v1's result (a1 a2), then v2's (b1 b2) behind a fresh marker, and
+// ended at corpus version 2. With v2Done the version-2 job is mined to
+// completion (wait:true) before the version-1 job is released; otherwise it
+// stays in flight until the subscriber has v1's result, so the subscription
+// follows it while it runs.
+func subscribeAcrossAppend(t *testing.T, v2Done bool) {
+	t.Helper()
 	patsA := []lash.Pattern{{Items: []string{"a1"}, Support: 4}, {Items: []string{"a2"}, Support: 3}}
 	patsB := []lash.Pattern{{Items: []string{"b1"}, Support: 2}, {Items: []string{"b2"}, Support: 1}}
-	streamAStarted := make(chan struct{})
-	appendInstalled := make(chan struct{})
+	releaseA, releaseB := make(chan struct{}), make(chan struct{})
+	if v2Done {
+		close(releaseB)
+	}
 	baseSeqs := len(testSpec("db").Sequences)
 
 	_, ts := newTestServer(t, server.Config{
-		// Async jobs park until shutdown so the subscription always finds
-		// them in flight; the feeders do the actual delivering.
 		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
-			if emit == nil {
-				<-ctx.Done()
-				return nil, ctx.Err()
+			if db.NumSequences() == baseSeqs {
+				return gatedResult(ctx, releaseA, patsA)
 			}
-			if db.NumSequences() == baseSeqs { // feeder for the version-1 run
-				for _, p := range patsA {
-					if err := emit(p); err != nil {
-						return nil, err
-					}
-				}
-				close(streamAStarted)
-				<-appendInstalled // hold v1 open until the append landed
-				return &lash.Result{}, nil
-			}
-			for _, p := range patsB { // feeder for the version-2 run
-				if err := emit(p); err != nil {
-					return nil, err
-				}
-			}
-			return &lash.Result{}, nil
+			return gatedResult(ctx, releaseB, patsB)
 		},
 	})
 	mustRegister(t, ts, testSpec("db"))
@@ -426,57 +415,59 @@ func TestSubscribeSurvivesAppend(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("submit v1 job: status %d, body %v", status, body)
 	}
+	resp := openSubscription(t, ts.URL+"/v1/patterns/subscribe?db=db") // following the v1 job
 
-	type subResult struct {
-		records []subLine
-		markers []int
-		trailer subLine
-	}
-	got := make(chan subResult, 1)
-	go func() {
-		records, markers, trailer := subscribe(t, ts.URL+"/v1/patterns/subscribe?db=db")
-		got <- subResult{records, markers, trailer}
-	}()
-
-	<-streamAStarted // the subscriber is attached and has v1's patterns in flight
 	status, info := call(t, "POST", ts.URL+"/v1/databases/db/sequences",
 		map[string]any{"sequences": []string{"a b1 c"}})
 	if status != http.StatusOK || int(info["version"].(float64)) != 2 {
 		t.Fatalf("append: status %d, body %v", status, info)
 	}
 	status, body = call(t, "POST", ts.URL+"/v1/mine",
-		map[string]any{"database": "db", "options": testOptions()})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit v2 job: status %d, body %v", status, body)
+		map[string]any{"database": "db", "options": testOptions(), "wait": v2Done})
+	want := http.StatusAccepted
+	if v2Done {
+		want = http.StatusOK
 	}
-	liveBID := body["job_id"].(string)
-	close(appendInstalled) // let v1's feeder finish; the subscription re-follows
-
-	var sub subResult
-	select {
-	case sub = <-got:
-	case <-time.After(10 * time.Second):
-		t.Fatal("subscription did not reach its trailer")
+	if status != want {
+		t.Fatalf("mine v2: status %d, body %v, want %d", status, body, want)
 	}
+	v2ID := body["job_id"].(string)
+	close(releaseA)
+	// The handler flushes v1's result only after it picked its next job, so
+	// once a2 is read the version-2 job has been followed.
+	records, markers, tr := readSubscription(t, resp, func(rec subLine) {
+		if !v2Done && rec.Items[0] == "a2" {
+			close(releaseB)
+		}
+	})
 
 	var items []string
-	for _, rec := range sub.records {
+	for _, rec := range records {
 		if rec.Replay {
 			t.Errorf("record %v marked replay with nothing completed", rec.Items)
 		}
 		items = append(items, strings.Join(rec.Items, " "))
 	}
-	if want := []string{"a1", "a2", "b1", "b2"}; !equalStrings(items, want) {
-		t.Errorf("live records = %v, want %v (v1 tail, then v2 tail)", items, want)
+	if want := []string{"a1", "a2", "b1", "b2"}; !slices.Equal(items, want) {
+		t.Errorf("live records = %v, want %v (v1's result, then v2's)", items, want)
 	}
-	if want := []int{1, 2}; len(sub.markers) != 2 || sub.markers[0] != 1 || sub.markers[1] != 2 {
-		t.Errorf("version markers = %v, want %v", sub.markers, want)
+	if want := []int{1, 2}; !slices.Equal(markers, want) {
+		t.Errorf("version markers = %v, want %v", markers, want)
 	}
-	tr := sub.trailer
-	if !tr.Done || tr.CorpusVersion != 2 || tr.Live != 4 || tr.LiveJobID != liveBID || tr.Error != "" {
-		t.Errorf("trailer = %+v, want done at corpus_version 2 with live=4 from %s", tr, liveBID)
+	if !tr.Done || tr.CorpusVersion != 2 || tr.Live != 4 || tr.LiveJobID != v2ID || tr.Error != "" {
+		t.Errorf("trailer = %+v, want done at corpus_version 2 with live=4 from %s", tr, v2ID)
 	}
 }
+
+// TestSubscribeSurvivesAppend: a subscription following a job does not end
+// when an append installs a new corpus version — it emits a version marker
+// and continues with the job mining the new version.
+func TestSubscribeSurvivesAppend(t *testing.T) { subscribeAcrossAppend(t, false) }
+
+// TestSubscribeDeliversVersionCompletedWhileTailing: a version mined to
+// completion while the subscriber still waits on an older job is sent too,
+// after that job's result.
+func TestSubscribeDeliversVersionCompletedWhileTailing(t *testing.T) { subscribeAcrossAppend(t, true) }
 
 // TestConcurrentAppendsRace exercises appends racing in-flight mining,
 // subscriptions, and pattern queries (run under -race). Appends must

@@ -47,9 +47,9 @@ type JobStats struct {
 	// Cancelled counts jobs cancelled via DELETE /v1/jobs/{id} or server
 	// shutdown before completing.
 	Cancelled uint64 `json:"cancelled"`
-	// Streams counts streaming runs (POST /v1/mine/stream and subscribe
-	// feeders); they are jobs too, so they also count into Submitted, into
-	// MinesRun when mining actually starts, and into one terminal counter.
+	// Streams counts streaming runs (POST /v1/mine/stream); they are jobs
+	// too, so they also count into Submitted, into MinesRun when mining
+	// actually starts, and into one terminal counter.
 	Streams uint64 `json:"streams"`
 	// QueueTimeMS and RunTimeMS split what used to be reported as one
 	// mine_time_ms field: cumulative milliseconds finished runs spent
@@ -77,9 +77,9 @@ type job struct {
 	key     string
 	dbName  string
 	version int // corpus version the job mines (immutable snapshot)
-	// stream marks a streaming run (POST /v1/mine/stream or a subscribe
-	// feeder): it delivers its patterns as it mines instead of leaving a
-	// result, so it bypasses the cache, singleflight and resume.
+	// stream marks a streaming run (POST /v1/mine/stream): it delivers its
+	// patterns as it mines instead of leaving a result, so it bypasses the
+	// cache, singleflight and resume.
 	stream      bool
 	options     lash.Options
 	done        chan struct{}
@@ -123,11 +123,11 @@ type manager struct {
 
 	// Robustness knobs, set once by New before the manager serves anything.
 	// maxQueue bounds the backlog of runs waiting for a worker slot (0 =
-	// unbounded): jobs, streams and subscribe feeders that would queue past
-	// it are refused with errOverloaded. maxJobTime
-	// caps every run's Options.Deadline (0 = uncapped): a request may set a
-	// tighter deadline, never a looser one. faults arms the run-level
-	// injection points of every mine (nil in production).
+	// unbounded): jobs and streams that would queue past it are refused
+	// with errOverloaded. maxJobTime caps every run's Options.Deadline (0 =
+	// uncapped): a request may set a tighter deadline, never a looser one.
+	// faults arms the run-level injection points of every mine (nil in
+	// production).
 	maxQueue   int
 	maxJobTime time.Duration
 	faults     *faults.Registry
@@ -135,10 +135,9 @@ type manager struct {
 	mu       sync.Mutex
 	closed   bool
 	jobs     map[string]*job
-	order    []string           // submission order, for stable listings
-	inflight map[string]*job    // key → queued/running job (singleflight)
-	hubs     map[string]*subHub // job id → live subscription hub (see subscribe.go)
-	maxJobs  int                // retained job records; older terminal jobs are pruned
+	order    []string        // submission order, for stable listings
+	inflight map[string]*job // key → queued/running job (singleflight)
+	maxJobs  int             // retained job records; older terminal jobs are pruned
 	nextID   uint64
 }
 
@@ -170,7 +169,6 @@ func newManager(workers int, cacheBytes int64, maxJobs int, mineFn MineFunc, met
 		cancel:   cancel,
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		hubs:     make(map[string]*subHub),
 		maxJobs:  maxJobs,
 	}
 }

@@ -149,9 +149,9 @@ func TestShutdownDrainRefusesSubmissions(t *testing.T) {
 }
 
 // TestQueueBoundAdmission: runs that would wait for a worker slot past
-// MaxQueue — jobs, streams and subscribe feeders alike — are refused with
-// 429 + Retry-After, whichever kind filled the queue, while coalescible
-// submissions are still admitted — saturation never degrades requests that
+// MaxQueue — jobs and streams alike — are refused with 429 + Retry-After,
+// whichever kind filled the queue, while coalescible submissions and
+// subscriptions are still admitted — saturation never degrades requests that
 // cost no queue slot.
 func TestQueueBoundAdmission(t *testing.T) {
 	for _, filler := range []string{"job", "stream"} {
@@ -207,10 +207,8 @@ func TestQueueBoundAdmission(t *testing.T) {
 				<-streamDone
 			}()
 
-			// ...so a third distinct job, a stream, and the feeder a live
-			// subscription to job A needs are refused: 429 + Retry-After for
-			// the first two, no live tail (here: nothing to serve at all)
-			// for the subscriber.
+			// ...so a third distinct job and a stream are refused with 429 +
+			// Retry-After...
 			for _, path := range []string{"/v1/mine", "/v1/mine/stream"} {
 				resp, body := callRaw(t, "POST", ts.URL+path, distinct(5))
 				if resp.StatusCode != http.StatusTooManyRequests {
@@ -220,8 +218,15 @@ func TestQueueBoundAdmission(t *testing.T) {
 					t.Errorf("POST %s: 429 carries no Retry-After header", path)
 				}
 			}
-			if resp, body := callRaw(t, "GET", ts.URL+"/v1/patterns/subscribe?db=paper", nil); resp.StatusCode != http.StatusNotFound {
-				t.Errorf("subscribe with a full queue: %d %v, want 404 (feeder refused, nothing completed)", resp.StatusCode, body)
+			// ...while a subscriber of the in-flight jobs is admitted: it
+			// mines nothing, so it takes no queue slot and submits nothing.
+			before := jobStats(t, ts)
+			openSubscription(t, ts.URL+"/v1/patterns/subscribe?db=paper")
+			after := jobStats(t, ts)
+			for _, name := range []string{"queued", "submitted"} {
+				if after[name] != before[name] {
+					t.Errorf("subscribing moved %s: %v → %v", name, before[name], after[name])
+				}
 			}
 
 			// The saturated queue also flips readiness.

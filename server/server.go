@@ -4,10 +4,10 @@
 //   - a database registry that loads named sequence databases once (from
 //     server-side files, inline request payloads, or the built-in synthetic
 //     generators) and shares the immutable *lash.Database across requests;
-//   - a job manager that runs every mine — asynchronous batch job, stream,
-//     or subscribe feeder — through one admission step and one lifecycle on
-//     a bounded worker pool, coalescing identical in-flight batch requests
-//     onto a single run (singleflight);
+//   - a job manager that runs every mine — asynchronous batch job or
+//     stream — through one admission step and one lifecycle on a bounded
+//     worker pool, coalescing identical in-flight batch requests onto a
+//     single run (singleflight);
 //   - a result cache, the only holder of finished results: resubmissions,
 //     job records, the pattern endpoints and delta resume all read through
 //     its one LRU list under Config.CacheBytes (see cache.go).
@@ -24,7 +24,7 @@
 //	GET    /v1/jobs/{id}          poll one job; includes the result when done and still retained (streams leave none)
 //	DELETE /v1/jobs/{id}          cancel a queued or running job or stream
 //	GET    /v1/patterns           query a database's latest retained mined patterns
-//	GET    /v1/patterns/subscribe replay mined patterns, then follow a live run (NDJSON)
+//	GET    /v1/patterns/subscribe replay mined patterns, then each in-flight job's result (NDJSON)
 //	GET    /v1/stats              registry / job / cache counters
 //	GET    /metrics               Prometheus text exposition of the same counters
 //	GET    /healthz               liveness probe (200 while the process serves)
@@ -32,8 +32,8 @@
 //
 // Robustness: every run can carry a deadline (deadline_ms, capped by
 // Config.MaxJobTime) and a task-retry budget (max_attempts); the manager
-// refuses runs — jobs, streams and subscribe feeders alike — that would
-// wait for a worker past its queue bound, and rate-limits per client,
+// refuses runs — jobs and streams alike — that would wait for a worker
+// past its queue bound, and rate-limits per client,
 // answering 429 with Retry-After in both cases. Shutdown flips /readyz to
 // 503 immediately and refuses new submissions with 503 + Retry-After while
 // in-flight jobs drain.
@@ -98,9 +98,9 @@ type Config struct {
 	// lash_jobs_deadline_exceeded_total.
 	MaxJobTime time.Duration
 	// MaxQueue, when positive, bounds the backlog of runs waiting for a
-	// worker (lashd -max-queue): jobs, streams and subscribe feeders that
-	// would queue past it are refused with 429 + Retry-After. Cache hits and
-	// coalesced submissions are always admitted — they cost no queue slot.
+	// worker (lashd -max-queue): jobs and streams that would queue past it
+	// are refused with 429 + Retry-After. Cache hits, coalesced submissions
+	// and subscriptions are always admitted — they cost no queue slot.
 	MaxQueue int
 	// RateLimit, when positive, enables per-client token-bucket rate
 	// limiting (lashd -rate-limit): sustained requests per second allowed

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,21 +40,44 @@ type subLine struct {
 // a pattern record or the trailer.
 func (l subLine) isMarker() bool { return !l.Done && l.Items == nil && l.Version != 0 }
 
-// subscribe reads a full subscription stream to its trailer and returns the
-// pattern records, the version markers in emission order, and the trailer.
-func subscribe(t *testing.T, url string) ([]subLine, []int, subLine) {
+// openSubscription sends GET /v1/patterns/subscribe and returns the response
+// once its headers arrive. The handler sends them before it waits on a
+// followed job, so by then the subscription has taken its replay and picked
+// the job it follows: a test may release that job next. A handler that held
+// the headers back fails the test instead of deadlocking it.
+func openSubscription(t *testing.T, url string) *http.Response {
 	t.Helper()
-	resp, err := http.Get(url)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel) // hang up before the server's cleanup waits on the handler
+	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	timer := time.AfterFunc(5*time.Second, cancel)
+	resp, err := http.DefaultClient.Do(req)
+	if !timer.Stop() {
+		t.Fatal("subscribe: no response headers within 5s")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
 		t.Fatalf("subscribe: status %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		resp.Body.Close()
 		t.Fatalf("subscribe: content-type %q", ct)
 	}
+	return resp
+}
+
+// readSubscription reads a subscription stream to its trailer, passing each
+// pattern record to onRecord (when non-nil) as it arrives, and returns the
+// pattern records, the version markers in emission order, and the trailer.
+func readSubscription(t *testing.T, resp *http.Response, onRecord func(subLine)) ([]subLine, []int, subLine) {
+	t.Helper()
+	defer resp.Body.Close()
 	var records []subLine
 	var markers []int
 	sc := bufio.NewScanner(resp.Body)
@@ -71,14 +97,24 @@ func subscribe(t *testing.T, url string) ([]subLine, []int, subLine) {
 			markers = append(markers, line.Version)
 			continue
 		}
+		if onRecord != nil {
+			onRecord(line)
+		}
 		records = append(records, line)
 	}
 	t.Fatalf("subscribe: stream ended without a trailer (after %d records): %v", len(records), sc.Err())
 	return nil, nil, subLine{}
 }
 
+// subscribe reads a full subscription stream; see readSubscription.
+func subscribe(t *testing.T, url string) ([]subLine, []int, subLine) {
+	t.Helper()
+	return readSubscription(t, openSubscription(t, url), nil)
+}
+
+// patKey renders a pattern the way patternsOf renders a listing entry.
 func patKey(items []string, support int64) string {
-	return fmt.Sprintf("%v=%d", items, support)
+	return fmt.Sprintf("%s=%d", strings.Join(items, " "), support)
 }
 
 // TestSubscribeReplayOnly covers the degenerate subscription: a database
@@ -105,8 +141,7 @@ func TestSubscribeReplayOnly(t *testing.T) {
 		if !rec.Replay {
 			t.Errorf("record %d not marked replay", i)
 		}
-		got := fmt.Sprintf("%s=%d", joinItems(rec.Items), rec.Support)
-		if got != want[i] {
+		if got := patKey(rec.Items, rec.Support); got != want[i] {
 			t.Errorf("record %d = %s, want %s (serving order must match /v1/patterns)", i, got, want[i])
 		}
 	}
@@ -116,21 +151,22 @@ func TestSubscribeReplayOnly(t *testing.T) {
 	}
 }
 
-func joinItems(items []string) string {
-	out := ""
-	for i, it := range items {
-		if i > 0 {
-			out += " "
-		}
-		out += it
+// gatedResult is a MineFunc body for scripted jobs: it holds the run until
+// gate closes (or the job is cancelled), then returns pats as the result.
+func gatedResult(ctx context.Context, gate <-chan struct{}, pats []lash.Pattern) (*lash.Result, error) {
+	select {
+	case <-gate:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	return out
+	return &lash.Result{Patterns: slices.Clone(pats)}, nil
 }
 
 // TestSubscribeReplayAndLive is the full contract under -race: concurrent
 // subscribers each get the complete replay of the latest finished result,
-// then the complete live tail of the in-flight run — every pattern exactly
-// once, in order — then one trailer.
+// then the complete result of the job in flight when they subscribed — every
+// pattern exactly once, in serving order — then one trailer. Following costs
+// no run: the only mines are the two jobs'.
 func TestSubscribeReplayAndLive(t *testing.T) {
 	replayPats := []lash.Pattern{
 		{Items: []string{"x"}, Support: 9},
@@ -146,25 +182,11 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{
 		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
 			if opt.MinSupport == 1 { // job A: the completed result to replay
-				return &lash.Result{Patterns: append([]lash.Pattern(nil), replayPats...)}, nil
+				return &lash.Result{Patterns: slices.Clone(replayPats)}, nil
 			}
-			if emit == nil {
-				select { // job B: stays running while subscribers follow
-				case <-release:
-				case <-ctx.Done():
-				}
-				return &lash.Result{}, nil
-			}
-			for _, p := range livePats { // job B's feeder
-				if err := emit(p); err != nil {
-					return nil, err
-				}
-				time.Sleep(time.Millisecond) // let subscribers interleave with appends
-			}
-			return &lash.Result{Patterns: append([]lash.Pattern(nil), livePats...)}, nil
+			return gatedResult(ctx, release, livePats) // job B: in flight while subscribers attach
 		},
 	})
-	defer close(release)
 	mustRegister(t, ts, testSpec("db"))
 
 	minePatterns(t, ts, "db", map[string]any{"min_support": 1, "max_gap": 1, "max_length": 3})
@@ -184,12 +206,18 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 		wantLive = append(wantLive, patKey(p.Items, p.Support))
 	}
 
+	var subs []*http.Response
+	for range 3 {
+		subs = append(subs, openSubscription(t, ts.URL+"/v1/patterns/subscribe?db=db"))
+	}
+	close(release)
+
 	var wg sync.WaitGroup
-	for sub := 0; sub < 3; sub++ {
+	for sub, resp := range subs {
 		wg.Add(1)
-		go func(sub int) {
+		go func() {
 			defer wg.Done()
-			records, _, trailer := subscribe(t, ts.URL+"/v1/patterns/subscribe?db=db")
+			records, _, trailer := readSubscription(t, resp, nil)
 			var gotReplay, gotLive []string
 			for _, rec := range records {
 				if rec.Replay {
@@ -201,40 +229,25 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 					gotLive = append(gotLive, patKey(rec.Items, rec.Support))
 				}
 			}
-			if !equalStrings(gotReplay, wantReplay) {
+			if !slices.Equal(gotReplay, wantReplay) {
 				t.Errorf("sub %d: replay = %v, want %v", sub, gotReplay, wantReplay)
 			}
-			if !equalStrings(gotLive, wantLive) {
-				t.Errorf("sub %d: live tail = %v, want %v (no duplicates, no gaps)", sub, gotLive, wantLive)
+			if !slices.Equal(gotLive, wantLive) {
+				t.Errorf("sub %d: live = %v, want %v (no duplicates, no gaps)", sub, gotLive, wantLive)
 			}
 			if !trailer.Done || trailer.Replayed != len(wantReplay) || trailer.Live != len(wantLive) ||
 				trailer.LiveJobID != liveID || trailer.Error != "" {
 				t.Errorf("sub %d: trailer = %+v, want replayed=%d live=%d live_job_id=%s",
 					sub, trailer, len(wantReplay), len(wantLive), liveID)
 			}
-		}(sub)
+		}()
 	}
 	wg.Wait()
 
-	// One feeder — a stream job, the most recent in-flight run of the
-	// database while the later subscribers attached — served all three, and
-	// was never itself followed: that would have started a feeder's feeder.
-	_, stats := call(t, "GET", ts.URL+"/v1/stats", nil)
-	if n := stats["jobs"].(map[string]any)["streams"].(float64); n != 1 {
-		t.Errorf("stats streams = %v after three subscribers of one run, want 1", n)
+	jobs := jobStats(t, ts)
+	if jobs["streams"].(float64) != 0 || jobs["mines_run"].(float64) != 2 || jobs["submitted"].(float64) != 2 {
+		t.Errorf("stats after three subscribers of one run: %v, want streams 0, mines_run 2, submitted 2 (the two jobs)", jobs)
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSubscribeLiveOnly: a database with a run in flight but nothing
@@ -247,22 +260,9 @@ func TestSubscribeLiveOnly(t *testing.T) {
 	release := make(chan struct{})
 	_, ts := newTestServer(t, server.Config{
 		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
-			if emit == nil {
-				select {
-				case <-release:
-				case <-ctx.Done():
-				}
-				return &lash.Result{}, nil
-			}
-			for _, p := range livePats {
-				if err := emit(p); err != nil {
-					return nil, err
-				}
-			}
-			return &lash.Result{}, nil
+			return gatedResult(ctx, release, livePats)
 		},
 	})
-	defer close(release)
 	mustRegister(t, ts, testSpec("db"))
 	status, body := call(t, "POST", ts.URL+"/v1/mine",
 		map[string]any{"database": "db", "options": testOptions()})
@@ -270,7 +270,9 @@ func TestSubscribeLiveOnly(t *testing.T) {
 		t.Fatalf("submit: status %d, body %v", status, body)
 	}
 
-	records, markers, trailer := subscribe(t, ts.URL+"/v1/patterns/subscribe?db=db")
+	resp := openSubscription(t, ts.URL+"/v1/patterns/subscribe?db=db")
+	close(release)
+	records, markers, trailer := readSubscription(t, resp, nil)
 	if len(records) != len(livePats) {
 		t.Fatalf("got %d records, want %d", len(records), len(livePats))
 	}
@@ -288,6 +290,118 @@ func TestSubscribeLiveOnly(t *testing.T) {
 	if !trailer.Done || trailer.Replayed != 0 || trailer.ReplayJobID != "" || trailer.Live != len(livePats) {
 		t.Errorf("trailer = %+v, want live-only with %d patterns", trailer, len(livePats))
 	}
+}
+
+// TestSubscribeSendsFollowedJobsListing mines for real: a subscriber of an
+// in-flight job receives exactly that job's GET /v1/patterns?job= listing,
+// in order, and mines nothing itself — mines_run rises by the job's one run.
+// Restricted runs, which cannot stream, are followed like any other.
+func TestSubscribeSendsFollowedJobsListing(t *testing.T) {
+	for _, restriction := range []string{"none", "closed"} {
+		t.Run(restriction, func(t *testing.T) {
+			gate := make(chan struct{})
+			_, ts := newTestServer(t, server.Config{
+				// The patterns are the library's; the gate only holds the
+				// job in flight until the subscriber follows it.
+				MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+					select {
+					case <-gate:
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+					return lash.MineContext(ctx, db, opt)
+				},
+			})
+			mustRegister(t, ts, server.DatabaseSpec{Name: "gen", Generator: "text", Size: 300, Seed: 3})
+			opts := map[string]any{"min_support": 5, "max_gap": 1, "max_length": 3, "restriction": restriction}
+			status, body := call(t, "POST", ts.URL+"/v1/mine", map[string]any{"database": "gen", "options": opts})
+			if status != http.StatusAccepted {
+				t.Fatalf("submit: status %d, body %v", status, body)
+			}
+			id := body["job_id"].(string)
+
+			resp := openSubscription(t, ts.URL+"/v1/patterns/subscribe?db=gen")
+			close(gate)
+			records, _, trailer := readSubscription(t, resp, nil)
+
+			status, listing := call(t, "GET", ts.URL+"/v1/patterns?job="+id, nil)
+			if status != http.StatusOK {
+				t.Fatalf("patterns?job=%s: status %d, body %v", id, status, listing)
+			}
+			want := patternsOf(t, listing)
+			got := make([]string, 0, len(records))
+			for _, rec := range records {
+				if rec.Replay {
+					t.Fatalf("record %v marked replay with nothing completed", rec.Items)
+				}
+				got = append(got, patKey(rec.Items, rec.Support))
+			}
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Errorf("live records (%d) differ from the job's listing (%d)", len(got), len(want))
+			}
+			if trailer.LiveJobID != id || trailer.Live != len(want) || trailer.Replayed != 0 || trailer.Error != "" {
+				t.Errorf("trailer = %+v, want live=%d from %s", trailer, len(want), id)
+			}
+			jobs := jobStats(t, ts)
+			if jobs["mines_run"].(float64) != 1 || jobs["streams"].(float64) != 0 || jobs["submitted"].(float64) != 1 {
+				t.Errorf("stats = %v, want mines_run 1, streams 0, submitted 1: following costs no run", jobs)
+			}
+		})
+	}
+}
+
+// TestSubscribeEndsOnUnsendableJob: a followed job that was cancelled, or
+// whose result the cache evicted before the subscriber read it, ends the
+// subscription with the reason in the trailer.
+func TestSubscribeEndsOnUnsendableJob(t *testing.T) {
+	pats := []lash.Pattern{{Items: []string{"a"}, Support: 2}}
+	gates := map[int]chan struct{}{3: make(chan struct{}), 4: make(chan struct{})}
+	newServer := func(cacheBytes int64) *httptest.Server {
+		_, ts := newTestServer(t, server.Config{
+			CacheBytes: cacheBytes,
+			MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+				return gatedResult(ctx, gates[opt.MaxLength], pats)
+			},
+		})
+		mustRegister(t, ts, testSpec("db"))
+		return ts
+	}
+	submit := func(ts *httptest.Server, maxLength int) string {
+		opts := testOptions()
+		opts["max_length"] = maxLength
+		status, body := call(t, "POST", ts.URL+"/v1/mine", map[string]any{"database": "db", "options": opts})
+		if status != http.StatusAccepted {
+			t.Fatalf("submit: status %d, body %v", status, body)
+		}
+		return body["job_id"].(string)
+	}
+
+	t.Run("cancelled", func(t *testing.T) {
+		ts := newServer(0)
+		id := submit(ts, 3)
+		resp := openSubscription(t, ts.URL+"/v1/patterns/subscribe?db=db")
+		if status, body := call(t, "DELETE", ts.URL+"/v1/jobs/"+id, nil); status != http.StatusAccepted {
+			t.Fatalf("cancel: status %d, body %v", status, body)
+		}
+		records, _, tr := readSubscription(t, resp, nil)
+		if len(records) != 0 || tr.LiveJobID != id || !strings.Contains(tr.Error, "cancelled") {
+			t.Errorf("records %v, trailer %+v: want none, and an error naming %s cancelled", records, tr, id)
+		}
+	})
+
+	t.Run("evicted", func(t *testing.T) {
+		ts := newServer(1) // every add evicts all but the newest result
+		older := submit(ts, 3)
+		newer := submit(ts, 4)
+		resp := openSubscription(t, ts.URL+"/v1/patterns/subscribe?db=db") // follows newer first
+		close(gates[3])
+		waitForJob(t, ts, older)
+		close(gates[4]) // newer's result evicts older's
+		records, _, tr := readSubscription(t, resp, nil)
+		if len(records) != len(pats) || tr.LiveJobID != older || !strings.Contains(tr.Error, "evicted") {
+			t.Errorf("records %v, trailer %+v: want %s's result, then an error naming %s evicted", records, tr, newer, older)
+		}
+	})
 }
 
 // TestSubscribeErrors: parameter and not-found paths.

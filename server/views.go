@@ -150,9 +150,8 @@ type JobView struct {
 	// version current at submission; appends never retarget them).
 	CorpusVersion int       `json:"corpus_version,omitempty"`
 	Status        JobStatus `json:"status"`
-	// Stream marks a streaming run (POST /v1/mine/stream, or the feeder of a
-	// live subscription); its patterns were delivered as it mined, so it
-	// never carries a Result.
+	// Stream marks a streaming run (POST /v1/mine/stream); its patterns were
+	// delivered as it mined, so it never carries a Result.
 	Stream    bool      `json:"stream,omitempty"`
 	Cached    bool      `json:"cached"`
 	Coalesced int       `json:"coalesced"`
