@@ -94,7 +94,7 @@ type JobStats struct {
 // Result is the output of a LASH run.
 type Result struct {
 	// Patterns are the frequent generalized sequences, 2 ≤ |S| ≤ λ, in
-	// canonical order.
+	// canonical order (gsm.SortPatterns).
 	Patterns []gsm.Pattern
 	// FrequentItems are the length-1 frequent items with their generalized
 	// f-list frequencies (determined during preprocessing; the problem

@@ -241,13 +241,18 @@ func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, r
 		res.DeltaReused = len(recs) - res.DeltaDirty
 	}
 	res.NumPartitions = len(recs)
+	total := 0
 	for i := range recs {
 		part := &recs[i]
 		res.PartitionSeqs += part.Seqs
 		res.MaxPartitionSeqs = max(res.MaxPartitionSeqs, part.Seqs)
 		res.Miner.Explored += part.Explored
 		res.Miner.Output += part.Output
-		res.Patterns = append(res.Patterns, part.Patterns...)
+		total += len(part.Patterns)
+	}
+	res.Patterns = slices.Grow(res.Patterns, total)
+	for i := range recs {
+		res.Patterns = append(res.Patterns, recs[i].Patterns...)
 	}
 	if !keep {
 		return

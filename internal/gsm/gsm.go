@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"lash/internal/hierarchy"
+	"lash/internal/radix"
 )
 
 // Sequence is a sequence of vocabulary items.
@@ -288,29 +289,6 @@ func EnumerateGenSubseqs(f *hierarchy.Forest, t Sequence, gamma, minLen, maxLen 
 	return true
 }
 
-// GenSubseqSet materializes G_λ(T) as a sorted slice (tests/small inputs).
-func GenSubseqSet(f *hierarchy.Forest, t Sequence, gamma, minLen, maxLen int) []Sequence {
-	var out []Sequence
-	EnumerateGenSubseqs(f, t, gamma, minLen, maxLen, nil, func(s Sequence) bool {
-		out = append(out, append(Sequence(nil), s...))
-		return true
-	})
-	SortPatternsSeq(out)
-	return out
-}
-
-// GenSubseqSetFiltered is GenSubseqSet with a position-acceptance filter
-// (see EnumerateGenSubseqs).
-func GenSubseqSetFiltered(f *hierarchy.Forest, t Sequence, gamma, minLen, maxLen int, accept func(int) bool) []Sequence {
-	var out []Sequence
-	EnumerateGenSubseqs(f, t, gamma, minLen, maxLen, accept, func(s Sequence) bool {
-		out = append(out, append(Sequence(nil), s...))
-		return true
-	})
-	SortPatternsSeq(out)
-	return out
-}
-
 // MineBruteForce is the reference GSM miner: it gathers every candidate from
 // the G_λ(T) sets and then recomputes each candidate's support with the
 // independent IsGenSubseq test. Quadratic and intended only as a test oracle.
@@ -337,16 +315,32 @@ func MineBruteForce(db *Database, p Params) []Pattern {
 }
 
 // SortPatterns orders patterns by length, then lexicographically by item id,
-// providing the canonical output order used across the repository.
+// providing the canonical output order used across the repository. The sort
+// is stable and linear: one counting pass per item position, the last
+// position first, where a position past a pattern's end sorts lowest, then
+// one pass by length (radix.Sort).
 func SortPatterns(ps []Pattern) {
-	sort.Slice(ps, func(i, j int) bool { return lessSeq(ps[i].Items, ps[j].Items) })
+	maxLen, maxItem := 0, uint64(0)
+	for _, p := range ps {
+		maxLen = max(maxLen, len(p.Items))
+		for _, w := range p.Items {
+			maxItem = max(maxItem, uint64(w))
+		}
+	}
+	// Key 0 is the length; key k ≥ 1 is item k-1 plus one, or 0 past the end.
+	radix.Sort(ps, maxLen+1, max(maxItem+1, uint64(maxLen)), func(p Pattern, k int) uint64 {
+		if k == 0 {
+			return uint64(len(p.Items))
+		}
+		if k <= len(p.Items) {
+			return uint64(p.Items[k-1]) + 1
+		}
+		return 0
+	})
 }
 
-// SortPatternsSeq orders raw sequences canonically.
-func SortPatternsSeq(ss []Sequence) {
-	sort.Slice(ss, func(i, j int) bool { return lessSeq(ss[i], ss[j]) })
-}
-
+// lessSeq is SortPatterns' order as a comparison, for binary searches over a
+// sorted pattern list.
 func lessSeq(a, b Sequence) bool {
 	if len(a) != len(b) {
 		return len(a) < len(b)

@@ -2,6 +2,7 @@ package gsm_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,18 @@ import (
 func seq(t testing.TB, f *hierarchy.Forest, s string) gsm.Sequence {
 	t.Helper()
 	return paperex.Seq(f, s)
+}
+
+// genSubseqSet materializes G_λ(T) (restricted to the positions accept
+// admits, when non-nil) as a canonically sorted slice.
+func genSubseqSet(f *hierarchy.Forest, t gsm.Sequence, gamma, minLen, maxLen int, accept func(int) bool) []gsm.Sequence {
+	var out []gsm.Sequence
+	gsm.EnumerateGenSubseqs(f, t, gamma, minLen, maxLen, accept, func(s gsm.Sequence) bool {
+		out = append(out, slices.Clone(s))
+		return true
+	})
+	slices.SortFunc(out, compareCanonical)
+	return out
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -148,7 +161,7 @@ func TestItemGeneralizations(t *testing.T) {
 func TestEnumerateG3T4(t *testing.T) {
 	f := paperex.Forest()
 	t4 := seq(t, f, "b11 a e a")
-	got := gsm.GenSubseqSet(f, t4, 1, 2, 3)
+	got := genSubseqSet(f, t4, 1, 2, 3, nil)
 	wantStrs := []string{
 		"b11 a", "b11 e", "a e", "a a", "e a", "b11 a e", "b11 a a",
 		"b11 e a", "a e a",
@@ -159,7 +172,7 @@ func TestEnumerateG3T4(t *testing.T) {
 	for i, s := range wantStrs {
 		want[i] = seq(t, f, s)
 	}
-	gsm.SortPatternsSeq(want)
+	slices.SortFunc(want, compareCanonical)
 	if len(got) != len(want) {
 		t.Fatalf("|G3(T4)| = %d, want %d", len(got), len(want))
 	}
@@ -175,7 +188,7 @@ func TestEnumerateG3T4(t *testing.T) {
 func TestEnumeratePivotFilter(t *testing.T) {
 	f := paperex.Forest()
 	t1 := seq(t, f, "a b1 a b1")
-	all := gsm.GenSubseqSet(f, t1, 1, 2, 2)
+	all := genSubseqSet(f, t1, 1, 2, 2, nil)
 	// Order of the paper: a < B < b1; pivot b1 = largest item must appear.
 	b1, _ := f.Lookup("b1")
 	var got []string
@@ -218,7 +231,7 @@ func TestEnumerateAcceptFilter(t *testing.T) {
 	f := paperex.Forest()
 	t4 := seq(t, f, "b11 a e a")
 	// Block position 2 (item e): like a blank — gaps still count positions.
-	got := gsm.GenSubseqSetFiltered(f, t4, 1, 2, 3, func(i int) bool { return i != 2 })
+	got := genSubseqSet(f, t4, 1, 2, 3, func(i int) bool { return i != 2 })
 	for _, s := range got {
 		for _, w := range s {
 			if f.Name(w) == "e" {

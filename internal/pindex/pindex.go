@@ -45,6 +45,7 @@ import (
 	"sort"
 
 	"lash/internal/hierarchy"
+	"lash/internal/radix"
 )
 
 // Pattern is one mined pattern handed to Build, in the lash package's wire
@@ -99,9 +100,10 @@ func Build(patterns []Pattern, f *hierarchy.Forest) *Index {
 	}
 
 	// Intern the vocabulary and encode every pattern into the arena.
-	total := 0
+	total, maxLen := 0, 0
 	for _, p := range patterns {
 		total += len(p.Items)
+		maxLen = max(maxLen, len(p.Items))
 	}
 	ix.arena = make([]uint32, 0, total)
 	for i, p := range patterns {
@@ -130,28 +132,26 @@ func Build(patterns []Pattern, f *hierarchy.Forest) *Index {
 		}
 	}
 
-	// Lex table: canonical ids sorted by encoded item sequence.
-	ix.lex = make([]uint32, n)
-	for i := range ix.lex {
-		ix.lex[i] = uint32(i)
-	}
-	slices.SortFunc(ix.lex, func(a, b uint32) int {
-		return slices.Compare(ix.items(a), ix.items(b))
+	// Lex table: canonical ids sorted by encoded item sequence. Position k
+	// keys as vocab id + 1, and a position past the end as 0, so a pattern
+	// sorts before its extensions.
+	ix.lex = canonicalIDs(n)
+	radix.Sort(ix.lex, maxLen, uint64(len(ix.names)), func(id uint32, k int) uint64 {
+		if items := ix.items(id); k < len(items) {
+			return uint64(items[k]) + 1
+		}
+		return 0
 	})
 
-	// Serving permutation: support descending, ties canonical-id ascending.
-	ix.bySupport = make([]uint32, n)
-	for i := range ix.bySupport {
-		ix.bySupport[i] = uint32(i)
+	// Serving permutation: support descending, ties canonical-id ascending —
+	// the sort is stable and starts from canonical order.
+	ix.bySupport = canonicalIDs(n)
+	maxSup, minSup := int64(0), int64(0)
+	if n > 0 {
+		maxSup, minSup = slices.Max(ix.supports), slices.Min(ix.supports)
 	}
-	slices.SortFunc(ix.bySupport, func(a, b uint32) int {
-		if ix.supports[a] != ix.supports[b] {
-			if ix.supports[a] > ix.supports[b] {
-				return -1
-			}
-			return 1
-		}
-		return int(a) - int(b)
+	radix.Sort(ix.bySupport, 1, uint64(maxSup-minSup), func(id uint32, _ int) uint64 {
+		return uint64(maxSup - ix.supports[id])
 	})
 	ix.rank = make([]uint32, n)
 	for r, id := range ix.bySupport {
@@ -225,6 +225,15 @@ func (ix *Index) intern(name string, f *hierarchy.Forest) uint32 {
 	ix.level = append(ix.level, lvl)
 	ix.byName[name] = id
 	return id
+}
+
+// canonicalIDs returns the identity permutation of n canonical ids.
+func canonicalIDs(n int) []uint32 {
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
 }
 
 func seenBefore(prefix []uint32, w uint32) bool {

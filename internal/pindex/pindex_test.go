@@ -1,9 +1,11 @@
 package pindex
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -247,6 +249,100 @@ func TestSizeBytesDeterministic(t *testing.T) {
 	}
 	if a.SizeBytes() <= 0 {
 		t.Fatalf("SizeBytes = %d, want > 0", a.SizeBytes())
+	}
+}
+
+// TestWideKeys holds the lex and serving tables to their comparison-sort
+// definitions where the keys outgrow one 16-bit digit: a vocabulary of more
+// than 65 536 items, and supports above 2¹⁶ and above 2³², with ties. Search
+// (top, min-support, prefix) and Lookup must then answer as a scan of the
+// comparison-sorted tables does.
+func TestWideKeys(t *testing.T) {
+	const vocab = 70_000
+	name := func(i int) string { return fmt.Sprintf("w%05d", i) }
+	rng := rand.New(rand.NewSource(7))
+	supports := []int64{1, 9, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<32 - 1, 1 << 32, 1<<32 + 3, 1 << 40}
+	support := func() int64 {
+		if rng.Intn(4) == 0 {
+			return 1 + rng.Int63n(1<<34)
+		}
+		return supports[rng.Intn(len(supports))]
+	}
+	// Every item once on its own, then longer patterns whose first items
+	// come from a few hundred, so prefix ranges are wide.
+	var pats []Pattern
+	seen := map[string]bool{}
+	for i := range vocab {
+		pats = append(pats, Pattern{Items: []string{name(vocab - 1 - i)}, Support: support()})
+	}
+	for len(pats) < vocab+30_000 {
+		items := []string{name(rng.Intn(300))}
+		for range 1 + rng.Intn(3) {
+			items = append(items, name(rng.Intn(vocab)))
+		}
+		if key := fmt.Sprint(items); !seen[key] {
+			seen[key] = true
+			pats = append(pats, Pattern{Items: items, Support: support()})
+		}
+	}
+	ix := Build(pats, nil)
+	if ix.NumItems() != vocab {
+		t.Fatalf("vocabulary has %d items, want %d", ix.NumItems(), vocab)
+	}
+
+	n := len(pats)
+	lex := canonicalIDs(n)
+	slices.SortFunc(lex, func(a, b uint32) int { return slices.Compare(ix.items(a), ix.items(b)) })
+	if !slices.Equal(ix.lex, lex) {
+		t.Fatal("lex table differs from the comparison sort")
+	}
+	serving := canonicalIDs(n)
+	slices.SortStableFunc(serving, func(a, b uint32) int { return cmp.Compare(pats[b].Support, pats[a].Support) })
+	if !slices.Equal(ix.bySupport, serving) {
+		t.Fatal("serving permutation differs from the comparison sort")
+	}
+
+	scan := func(keep func(p Pattern) bool) []uint32 {
+		var out []uint32
+		for _, id := range serving {
+			if keep(pats[id]) {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	check := func(what string, q Query, limit int, want []uint32) {
+		t.Helper()
+		got, total := ix.Search(nil, q, 0, limit)
+		if total != len(want) {
+			t.Fatalf("%s: total %d, want %d", what, total, len(want))
+		}
+		if limit >= 0 {
+			want = want[:min(limit, len(want))]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: answer differs from the scan", what)
+		}
+	}
+	check("top-100", Query{Level: NoLevel}, 100, serving)
+	check("all", Query{Level: NoLevel}, -1, serving)
+	for _, s := range append(supports, 1<<33, 1<<41) {
+		check(fmt.Sprintf("min_support=%d", s), Query{MinSupport: s, Level: NoLevel}, -1,
+			scan(func(p Pattern) bool { return p.Support >= s }))
+	}
+	for _, prefix := range [][]string{{name(0)}, {name(299)}, {name(vocab - 1)}, pats[vocab+17].Items[:2]} {
+		check(fmt.Sprintf("prefix=%v", prefix), Query{Prefix: prefix, Level: NoLevel}, -1,
+			scan(func(p Pattern) bool {
+				return len(p.Items) >= len(prefix) && slices.Equal(p.Items[:len(prefix)], prefix)
+			}))
+	}
+	for id, p := range pats {
+		if got, ok := ix.Lookup(p.Items); !ok || got != uint32(id) {
+			t.Fatalf("Lookup(%v) = %d, %v; want %d", p.Items, got, ok, id)
+		}
+	}
+	if _, ok := ix.Lookup([]string{name(vocab - 1), name(0), name(0), name(0), name(0)}); ok {
+		t.Fatal("Lookup found a pattern that was never indexed")
 	}
 }
 

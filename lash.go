@@ -378,8 +378,9 @@ type Pattern struct {
 // Result is the output of Mine.
 type Result struct {
 	// Patterns holds the frequent generalized sequences (2 ≤ length ≤
-	// MaxLength) in canonical order: by length, then by item frequency
-	// rank.
+	// MaxLength) in canonical order: by length, then lexicographically by
+	// vocabulary item id, which is the order items were interned in, not
+	// their names' or frequencies' order.
 	Patterns []Pattern
 	// FrequentItems are the frequent single items with their hierarchy-aware
 	// document frequencies (the generalized f-list).
