@@ -173,6 +173,100 @@ func TestChaosDifferential(t *testing.T) {
 				})
 			}
 		}
+		for _, alg := range []lash.Algorithm{lash.AlgorithmLASH, lash.AlgorithmLASHFlat} {
+			for _, budget := range []int64{0, 4 << 10} {
+				mode := "in-memory"
+				if budget > 0 {
+					mode = "spill"
+				}
+				t.Run(fmt.Sprintf("seed%d/%s/%s/chained-resume", seed, alg, mode), func(t *testing.T) {
+					chaosChainedResume(t, db, seed, lash.Options{
+						MinSupport: 5, MaxGap: 1, MaxLength: 3,
+						Algorithm: alg, MemoryBudget: budget, Workers: 4,
+					})
+				})
+			}
+		}
+	}
+}
+
+// chaosChainedResume is TestChaosDifferential's chained-resume row: two
+// appends of the corpus's own sentences, the second resumed from the first
+// resume's state, so that its grown partitions read their old sequences
+// from the inputs that state kept. Resumed from that state again under
+// faults at the map and reduce tasks (and the spill points, under a budget)
+// with retries, it must reproduce the fault-free resume and the cold mine.
+func chaosChainedResume(t *testing.T, db *lash.Database, seed int64, opt lash.Options) {
+	v1, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, err = db.Append(fragmentOf(t, db, 7, 8, nil)); err != nil {
+		t.Fatal(err)
+	}
+	ropt := opt
+	ropt.Resume = v1.State
+	v2, err := lash.Mine(db, ropt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, err = db.Append(fragmentOf(t, db, 31, 8, nil)); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ropt.Resume = v2.State
+	want, err := lash.Mine(db, ropt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMining(t, cold, want, true)
+	if want.Stats.DeltaPartitionsGrown == 0 {
+		t.Fatal("the chained resume grew no partition — no kept input is read")
+	}
+	if opt.MemoryBudget > 0 && want.Stats.SpillRuns == 0 {
+		t.Fatal("budgeted reference resume did not spill — spill points see no traffic")
+	}
+
+	// Count-armed, as above; a resume runs no f-list job, so every point
+	// fires in the partition+mine job.
+	points := mapreducePoints[:2]
+	if opt.MemoryBudget > 0 {
+		points = mapreducePoints
+	}
+	reg := &faults.Registry{}
+	for _, p := range points {
+		reg.FailNth(p, 1, faults.Error)
+	}
+	chaos := ropt
+	chaos.MaxAttempts = 3
+	chaos.Faults = reg
+	got, err := lash.Mine(db, chaos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, got, want)
+	if n := int64(len(points)); got.Stats.FaultsInjected != n || got.Stats.TaskRetries != n {
+		t.Errorf("count-armed: FaultsInjected=%d TaskRetries=%d, want %d/%d",
+			got.Stats.FaultsInjected, got.Stats.TaskRetries, n, n)
+	}
+
+	// Probability-armed at the task points, so retries land on partitions
+	// other than the first.
+	preg := &faults.Registry{}
+	preg.FailProb("mapreduce.map.task", 0.1, uint64(seed), faults.Error)
+	preg.FailProb("mapreduce.reduce.task", 0.2, uint64(seed)+1, faults.Error)
+	chaos.MaxAttempts = 8
+	chaos.Faults = preg
+	if got, err = lash.Mine(db, chaos); err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, got, want)
+	if got.Stats.FaultsInjected != preg.Injected() {
+		t.Errorf("prob-armed: run counted %d injections, registry %d",
+			got.Stats.FaultsInjected, preg.Injected())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"lash"
@@ -230,6 +232,129 @@ func TestDeltaGrowsHotPartitions(t *testing.T) {
 			t.Fatalf("append %d: explored %d, cold mine %d", i+1, delta.Explored, cold.Explored)
 		}
 		prev = delta
+	}
+}
+
+// TestDeltaRankShiftChain holds a grown partition read from its kept input
+// to the cold mine while old items' ranks move under it. The first append
+// makes new items frequent mid-order, shifting the ranks of every old item
+// after them; the next ones resample the corpus, reordering near-ties. Each
+// version must equal its cold mine. From the second resume on, the state
+// holds kept inputs: the same version resumed from a cold mine of the
+// previous one must agree on the patterns and shuffle strictly more.
+func TestDeltaRankShiftChain(t *testing.T) {
+	db, err := lash.GenerateTextDatabase(lash.TextConfig{Sentences: 1500, Lemmas: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := lash.Options{MinSupport: 10, MaxGap: 1, MaxLength: 4}
+	prev, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevCold := prev
+	var novel [][]string
+	for range 30 {
+		novel = append(novel, []string{"shift_a", "shift_b", "shift_a"}, []string{"shift_c", "shift_b"})
+	}
+	for i := range 3 {
+		var extra [][]string
+		if i == 0 {
+			extra = novel
+		}
+		if db, err = db.Append(fragmentOf(t, db, 200+53*i, 12, extra)); err != nil {
+			t.Fatal(err)
+		}
+		cold, err := lash.Mine(db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dOpt := opt
+		dOpt.Resume = prev.State
+		delta, err := lash.Mine(db, dOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameMining(t, cold, delta, true)
+		if delta.Stats.DeltaPartitionsGrown == 0 {
+			t.Fatalf("append %d grew no partition", i+1)
+		}
+		if i > 0 {
+			dOpt.Resume = prevCold.State
+			fromCold, err := lash.Mine(db, dOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fromCold.Patterns, delta.Patterns) {
+				t.Fatalf("append %d: resumes from the delta and the cold state disagree", i+1)
+			}
+			if delta.Stats.MapOutputRecords >= fromCold.Stats.MapOutputRecords {
+				t.Fatalf("append %d: resumed from kept inputs, shuffled %d records; from a cold state, %d",
+					i+1, delta.Stats.MapOutputRecords, fromCold.Stats.MapOutputRecords)
+			}
+		}
+		prev, prevCold = delta, cold
+	}
+}
+
+// TestDeltaSharedStateResumes: a state is shared by every resume from it —
+// lashd resumes concurrent jobs from one cached state — and its kept inputs
+// by every later state that reused their records. Two concurrent resumes
+// from one delta state must both equal the cold mine and leave the state's
+// kept inputs byte-identical.
+func TestDeltaSharedStateResumes(t *testing.T) {
+	db, err := lash.GenerateTextDatabase(lash.TextConfig{Sentences: 1500, Lemmas: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := lash.Options{MinSupport: 10, MaxGap: 1, MaxLength: 4}
+	v1, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, err = db.Append(fragmentOf(t, db, 100, 10, nil)); err != nil {
+		t.Fatal(err)
+	}
+	dOpt := opt
+	dOpt.Resume = v1.State
+	v2, err := lash.Mine(db, dOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := lash.KeptInputs(v2.State)
+	if !slices.ContainsFunc(before, func(in []byte) bool { return in != nil }) {
+		t.Fatal("the delta state keeps no input")
+	}
+	if db, err = db.Append(fragmentOf(t, db, 400, 10, nil)); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dOpt.Resume = v2.State
+	var res [2]*lash.Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = lash.Mine(db, dOpt)
+		}()
+	}
+	wg.Wait()
+	for i := range res {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if res[i].Stats.DeltaPartitionsGrown == 0 {
+			t.Fatal("the resume grew no partition")
+		}
+		assertSameMining(t, cold, res[i], true)
+	}
+	if !reflect.DeepEqual(lash.KeptInputs(v2.State), before) {
+		t.Fatal("resuming from the state changed its kept inputs")
 	}
 }
 

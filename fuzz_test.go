@@ -140,24 +140,63 @@ func FuzzMergeAppend(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := Mine(next, opt)
+		// resume mines db from state and holds it to a cold mine; grown counts
+		// the partitions that the states it descends from grew.
+		resume := func(db *Database, state *MineState, grown int64) *Result {
+			t.Helper()
+			cold, err := Mine(db, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ropt := opt
+			ropt.Resume = state
+			resumed, err := Mine(db, ropt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grown += resumed.Stats.DeltaPartitionsGrown
+			if !reflect.DeepEqual(resumed.Patterns, cold.Patterns) || !reflect.DeepEqual(resumed.FrequentItems, cold.FrequentItems) ||
+				resumed.NumPartitions != cold.NumPartitions || resumed.Explored > cold.Explored || (grown == 0 && resumed.Explored != cold.Explored) {
+				t.Fatalf("resumed mine: %d patterns, %d partitions, %d explored (%d grown)\n%v\ncold mine: %d patterns, %d partitions, %d explored\n%v",
+					len(resumed.Patterns), resumed.NumPartitions, resumed.Explored, grown, resumed.Patterns,
+					len(cold.Patterns), cold.NumPartitions, cold.Explored, cold.Patterns)
+			}
+			if st := resumed.Stats; int(st.DeltaPartitionsDirty+st.DeltaPartitionsReused) != resumed.NumPartitions || st.DeltaPartitionsGrown > st.DeltaPartitionsDirty {
+				t.Fatalf("%d dirty (%d grown) + %d reused != %d partitions", st.DeltaPartitionsDirty, st.DeltaPartitionsGrown, st.DeltaPartitionsReused, resumed.NumPartitions)
+			}
+			return resumed
+		}
+		resume(next, before.State, 0)
+
+		// The same fragment in two appends: the second resume starts from the
+		// first one's state, which keeps the inputs of the partitions it mined.
+		half := frag.NumSequences() / 2
+		if half == 0 {
+			return
+		}
+		split := func(lo, hi int) *Database {
+			b := NewDatabaseBuilder()
+			if err := b.ReadHierarchy(strings.NewReader(fragEdges)); err != nil {
+				t.Fatal(err)
+			}
+			for i := lo; i < hi; i++ {
+				b.AddSequence(frag.Sequence(i)...)
+			}
+			part, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return part
+		}
+		mid, err := base.Append(split(0, half))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("first half of an appendable fragment: %v", err)
 		}
-		opt.Resume = before.State
-		resumed, err := Mine(next, opt)
+		last, err := mid.Append(split(half, frag.NumSequences()))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("second half of an appendable fragment: %v", err)
 		}
-		grown := resumed.Stats.DeltaPartitionsGrown
-		if !reflect.DeepEqual(resumed.Patterns, cold.Patterns) || !reflect.DeepEqual(resumed.FrequentItems, cold.FrequentItems) ||
-			resumed.NumPartitions != cold.NumPartitions || resumed.Explored > cold.Explored || (grown == 0 && resumed.Explored != cold.Explored) {
-			t.Fatalf("resumed mine: %d patterns, %d partitions, %d explored (%d grown)\n%v\ncold mine: %d patterns, %d partitions, %d explored\n%v",
-				len(resumed.Patterns), resumed.NumPartitions, resumed.Explored, grown, resumed.Patterns,
-				len(cold.Patterns), cold.NumPartitions, cold.Explored, cold.Patterns)
-		}
-		if st := resumed.Stats; int(st.DeltaPartitionsDirty+st.DeltaPartitionsReused) != resumed.NumPartitions || grown > st.DeltaPartitionsDirty {
-			t.Fatalf("%d dirty (%d grown) + %d reused != %d partitions", st.DeltaPartitionsDirty, grown, st.DeltaPartitionsReused, resumed.NumPartitions)
-		}
+		first := resume(mid, before.State, 0)
+		resume(last, first.State, first.Stats.DeltaPartitionsGrown)
 	})
 }

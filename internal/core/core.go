@@ -65,9 +65,12 @@ type Options struct {
 	// the appended suffix, and each partition is reused (spliced from the
 	// state, neither shuffled nor mined), grown (mined only for the patterns
 	// its appended sequences reach, the rest taken from the state) or
-	// re-mined (see delta.go). Patterns and every statistic but
-	// Miner.Explored are byte-identical to a from-scratch run; a grown
-	// partition's Explored is at most the cold count. The caller must
+	// re-mined (see delta.go). A grown partition whose record in Prev kept
+	// its input reads its old sequences from there, so only the appended
+	// sequences are shuffled for it; the run's own state keeps the input of
+	// every partition it mined (DeltaPart.Input). Patterns and every
+	// statistic but Miner.Explored are byte-identical to a from-scratch run;
+	// a grown partition's Explored is at most the cold count. The caller must
 	// guarantee Prev comes from a run over a prefix of db.Seqs under the
 	// same Params, Miner, Flat, and Rewrites. Incompatible with Stream.
 	Prev *DeltaState
@@ -312,15 +315,20 @@ type mineScratch struct {
 // job: a miner instance, its Scratch (candidate tables, posting arenas, and
 // — via the Scratch's exported decode buffers — the rank arena every
 // partition sequence is decoded into), and the partition's mined patterns,
-// translated to vocabulary items back to back in the items arena. One
-// reduceScratch serves one Reduce call at a time; the pool hands them to the
-// reduce workers.
+// translated to vocabulary items back to back in the items arena. A delta
+// run also builds each partition's kept input in in, and a grown
+// partition's fold index over its fresh sequences in keys and folded (see
+// growKept). One reduceScratch serves one Reduce call at a time; the pool
+// hands them to the reduce workers.
 type reduceScratch struct {
-	m     miner.Miner
-	sc    *miner.Scratch
-	part  miner.Partition
-	items []hierarchy.Item
-	pats  []gsm.Pattern
+	m      miner.Miner
+	sc     *miner.Scratch
+	part   miner.Partition
+	items  []hierarchy.Item
+	pats   []gsm.Pattern
+	in     []byte
+	keys   []freshKey
+	folded []bool
 }
 
 // mineJob runs the partitioning and mining phases (Alg. 1) as one streaming
@@ -335,7 +343,8 @@ type reduceScratch struct {
 // it, output its pivot sequences — for every run mode, and its record is the
 // DeltaPart the run's state keeps; a grown partition of a delta run mines
 // only what its appended sequences reach and takes the rest from the
-// previous state (delta.go). The miner-emit closure is the one place a
+// previous state, its old sequences too when that state kept its input
+// (delta.go). The miner-emit closure is the one place a
 // mined pattern leaves rank space. Reduce has no side effect beyond its
 // record and reads only the immutable plan and states, so it retries under
 // opt.MR.Retry in every mode; a streaming run is
@@ -379,16 +388,23 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		localCfg.Obs = &pm.Miner
 	}
 
-	job := mapreduce.AggJob[gsm.Sequence, DeltaPart]{
+	// The map reads each sequence by its index, which tells a delta run's
+	// old sequences from its appended ones.
+	input := make([]int32, len(db.Seqs))
+	for i := range input {
+		input[i] = int32(i)
+	}
+	job := mapreduce.AggJob[int32, DeltaPart]{
 		Name: "partition+mine",
-		Map: func(t gsm.Sequence, emit func(uint32, []byte, int64)) {
+		Map: func(i int32, emit func(uint32, []byte, int64)) {
 			s := scratch.Get().(*mineScratch)
 			defer scratch.Put(s)
-			s.rw.Load(t)
+			s.rw.Load(db.Seqs[i])
 			for pivot, ok := s.rw.Next(); ok; pivot, ok = s.rw.Next() {
-				if plan != nil && plan.reuse[pivot] {
-					// Delta: this partition's input is provably unchanged —
-					// its previous result is spliced, nothing is shuffled.
+				if plan.skips(pivot, int(i)) {
+					// Delta: what this sequence would add to the partition
+					// is already in the state — the partition is spliced,
+					// or grown from the input its record kept.
 					continue
 				}
 				s.buf = s.rw.Rewritten(s.buf[:0])
@@ -443,6 +459,17 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 				}
 				total += n
 			}
+			// A grown partition whose previous record kept its input: the
+			// entries are its appended rewrites, the rest is read from there.
+			var kept []byte
+			if in := plan.keptInput(pivot, rec.Pivot); in != nil {
+				var n int
+				var ok bool
+				if kept, n, ok = keptBody(in); !ok {
+					return fmt.Errorf("core: partition %d: corrupt kept input header", pivot)
+				}
+				total += n
+			}
 			if cap(sc.RankArena) < total {
 				sc.RankArena = make([]flist.Rank, 0, total)
 			} else {
@@ -461,23 +488,43 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 					Weight: e.Weight,
 				})
 			}
-			rs.part = miner.Partition{Pivot: pivot, Parent: parent, Seqs: sc.Seqs}
-			rec.Seqs = int64(len(sc.Seqs))
+			nFresh := 0
 			if fresh := plan.freshOf(pivot); fresh != nil {
 				// A grown partition: the entries holding one of its appended
 				// rewrites go first, as its Fresh sequences. Entries and
-				// rewrites are both sorted by key bytes: one merge walk.
+				// rewrites are both sorted by key bytes: one merge walk. (With
+				// a kept input every entry is fresh, but a partition grown
+				// from the shuffle has its old sequences among them.)
 				j := 0
 				for i, e := range entries {
 					for j < len(fresh) && bytes.Compare(fresh[j], e.Key) < 0 {
 						j++
 					}
 					if j < len(fresh) && bytes.Equal(fresh[j], e.Key) {
-						sc.Seqs[rs.part.Fresh], sc.Seqs[i] = sc.Seqs[i], sc.Seqs[rs.part.Fresh]
-						rs.part.Fresh++
+						sc.Seqs[nFresh], sc.Seqs[i] = sc.Seqs[i], sc.Seqs[nFresh]
+						nFresh++
 					}
 				}
 			}
+			if plan.keepsInputs() {
+				// The record keeps the partition's input for the next delta
+				// run to grow it from (DeltaPart.Input).
+				body := rs.in[:0]
+				if kept != nil {
+					var err error
+					if body, err = growKept(body, rs, fl, pivot, kept, nFresh); err != nil {
+						return err
+					}
+				} else {
+					for _, s := range sc.Seqs {
+						body = appendKept(body, fl, s.Items, s.Weight)
+					}
+				}
+				rs.in = body
+				rec.Input = sealInput(len(sc.RankArena), body)
+			}
+			rs.part = miner.Partition{Pivot: pivot, Parent: parent, Seqs: sc.Seqs, Fresh: nFresh}
+			rec.Seqs = int64(len(sc.Seqs))
 
 			// Mined patterns outlive the miner's buffers, so translate them
 			// into the scratch arena as they come. An append that grows the
@@ -540,7 +587,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 			return nil
 		}
 	}
-	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, job)
+	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, input, job)
 	if err != nil {
 		return nil, err
 	}

@@ -29,13 +29,25 @@
 //     input is its old input, its pattern set is spliced from the state, and
 //     nothing is shuffled for it.
 //   - An unchanged pivot that some appended rewrite reaches is grown: its
-//     input is its old input plus those rewrites. It is shuffled as usual;
-//     Reduce puts the entries holding one of them first and mines only the
-//     patterns occurring there (miner.Partition.Fresh). Every other pattern
-//     kept its old support, so it is frequent iff the state holds it:
-//     gsm.MergeGrown completes the output from the state's pattern set.
+//     input is its old input plus those rewrites. Reduce puts the entries
+//     holding one of them first and mines only the patterns occurring there
+//     (miner.Partition.Fresh). Every other pattern kept its old support, so
+//     it is frequent iff the state holds it: gsm.MergeGrown completes the
+//     output from the state's pattern set.
 //   - Every other pivot is re-mined in full. So is a grown one under BFS,
 //     which has no pattern-growth search to limit.
+//
+// A grown partition's old sequences have one of two sources. Every
+// partition a delta run mines keeps its aggregated input in its record
+// (DeltaPart.Input, in item space: old items keep their visible set but not
+// their ranks). When the previous record kept one, the map skips the pivot
+// for old sequences exactly as for a reused one, only the appended rewrites
+// are shuffled, and Reduce appends the kept input after them, translated to
+// this run's ranks, folding an old sequence equal to a fresh one into it.
+// When it kept none — the first delta run after a cold mine, whose state
+// keeps no inputs — the old sequences are shuffled with the appended ones
+// and the fresh-entry walk picks the latter out, as it does for the fresh
+// half of a kept partition.
 //
 // A pivot no appended sequence mentions is never reached, so every pivot
 // the crossing-interval rule this replaced reused (clean, and uncrossed by
@@ -44,6 +56,8 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -88,6 +102,17 @@ type DeltaPart struct {
 	// (version-stable ids), before any output restriction; their Items share
 	// one array per partition. Nil on a streaming run, which delivered them.
 	Patterns []gsm.Pattern
+	// Input is the partition's aggregated input, kept for the next delta run
+	// to grow the partition from without shuffling its old sequences. Delta
+	// runs keep it for every partition they mine; a cold run keeps none, and
+	// neither do runs whose old input it could not stand for (BFS, which never
+	// grows, and rewrite.ModeNone, whose sequences hold items the pivot cannot
+	// see). A reused record shares its predecessor's. It is in vocabulary
+	// item space — old items' ranks move between versions even when a pivot's
+	// visible set does not: uvarint(positions), the total length of its
+	// sequences, then per distinct sequence uvarint(weight), uvarint(length)
+	// and the sequence in seqenc's token format over item ids.
+	Input []byte
 }
 
 // part returns the captured partition for pivot, or nil.
@@ -143,6 +168,12 @@ type deltaPlan struct {
 	// rewrites, encoded as the map side encodes them, sorted and distinct;
 	// nil for every pivot that is not grown.
 	fresh [][][]byte
+	// kept, indexed by new rank, marks the grown partitions whose previous
+	// record kept its input: their old sequences are read from it, not
+	// shuffled.
+	kept []bool
+	// keep: the run keeps every mined partition's input (DeltaPart.Input).
+	keep bool
 }
 
 // freshOf returns pivot's appended rewrites if its partition is grown.
@@ -152,6 +183,25 @@ func (p *deltaPlan) freshOf(pivot flist.Rank) [][]byte {
 	}
 	return p.fresh[pivot]
 }
+
+// skips reports whether the map emits nothing for pivot from input sequence
+// i: a reused partition takes no sequence, and a grown one whose input the
+// state kept takes only the appended ones.
+func (p *deltaPlan) skips(pivot flist.Rank, i int) bool {
+	return p != nil && (p.reuse[pivot] || p.kept[pivot] && i < p.prev.NumSeqs)
+}
+
+// keptInput returns the input the previous state kept for a grown pivot
+// whose old sequences are read from it, or nil.
+func (p *deltaPlan) keptInput(pivot flist.Rank, w hierarchy.Item) []byte {
+	if p == nil || !p.kept[pivot] {
+		return nil
+	}
+	return p.prev.part(w).Input
+}
+
+// keepsInputs reports whether the run keeps its mined partitions' inputs.
+func (p *deltaPlan) keepsInputs() bool { return p != nil && p.keep }
 
 // planDelta decides every pivot's outcome (see the package doc). fl is the
 // new version's f-list over db, the run's working database.
@@ -200,6 +250,10 @@ func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, erro
 			}
 		}
 	}
+	// Kept inputs are read only by runs that keep them: a state whose
+	// options match this run's kept them under the same rule.
+	keep := opt.Miner != miner.KindBFS && opt.Rewrites != rewrite.ModeNone
+	kept := make([]bool, len(unchanged))
 	for r, keys := range fresh {
 		if keys == nil {
 			continue
@@ -211,8 +265,165 @@ func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, erro
 		}
 		slices.SortFunc(keys, bytes.Compare)
 		fresh[r] = slices.CompactFunc(keys, bytes.Equal)
+		// Nil when the pivot's old partition is empty: then the old sequences
+		// emit nothing for it anyway.
+		if pp := prev.part(fl.VocabOf(flist.Rank(r))); keep && pp != nil && pp.Input != nil {
+			kept[r] = true
+		}
 	}
-	return &deltaPlan{prev: prev, reuse: unchanged, fresh: fresh}, nil
+	return &deltaPlan{prev: prev, reuse: unchanged, fresh: fresh, kept: kept, keep: keep}, nil
+}
+
+// keptBody returns a kept input's sequence records and the total length of
+// their sequences (see DeltaPart.Input); ok is false if the header is
+// corrupt.
+func keptBody(input []byte) (body []byte, positions int, ok bool) {
+	v, n := binary.Uvarint(input)
+	if n <= 0 {
+		return nil, 0, false
+	}
+	return input[n:], int(v), true
+}
+
+// sealInput returns a record's kept input: the header for positions, then
+// body, in one exact-size array the record owns.
+func sealInput(positions int, body []byte) []byte {
+	in := make([]byte, 0, seqenc.UvarintLen(uint64(positions))+len(body))
+	in = binary.AppendUvarint(in, uint64(positions))
+	return append(in, body...)
+}
+
+// appendKept appends one aggregated partition sequence to a kept input's
+// body: its weight, its length, and its items as vocabulary ids in seqenc's
+// token format.
+func appendKept(dst []byte, fl *flist.FList, seq []flist.Rank, weight int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(weight))
+	dst = binary.AppendUvarint(dst, uint64(len(seq)))
+	for i := 0; i < len(seq); {
+		if seq[i] != flist.NoRank {
+			dst = binary.AppendUvarint(dst, (uint64(fl.VocabOf(seq[i]))+1)<<1)
+			i++
+			continue
+		}
+		run := i
+		for i < len(seq) && seq[i] == flist.NoRank {
+			i++
+		}
+		dst = binary.AppendUvarint(dst, uint64(i-run)<<1|1)
+	}
+	return dst
+}
+
+// freshKey indexes a grown partition's fresh sequence by the hash of its
+// ranks, for folding equal old sequences into it.
+type freshKey struct {
+	h uint64
+	i int32
+}
+
+// hashRanks is FNV-1a over a rank sequence.
+func hashRanks(s []flist.Rank) uint64 {
+	h := uint64(14695981039346656037)
+	for _, r := range s {
+		h = (h ^ uint64(r)) * 1099511628211
+	}
+	return h
+}
+
+// growKept appends a grown partition's old sequences, read from the kept
+// input body of its previous record, to the decoded partition in rs.sc,
+// whose first nFresh sequences are the fresh ones. Each item is translated
+// to its rank under fl on its way into the rank arena. An old sequence equal
+// to a fresh one is folded into that fresh entry instead. It appends to out
+// the body of the record's new input: the kept one with the folded weights,
+// then the fresh sequences that folded into nothing. body is only read: the
+// previous state, and every version that reused the record, share it.
+func growKept(out []byte, rs *reduceScratch, fl *flist.FList, pivot flist.Rank, body []byte, nFresh int) ([]byte, error) {
+	sc := rs.sc
+	keys := rs.keys[:0]
+	for i, s := range sc.Seqs[:nFresh] {
+		keys = append(keys, freshKey{hashRanks(s.Items), int32(i)})
+	}
+	slices.SortFunc(keys, func(a, b freshKey) int { return cmp.Compare(a.h, b.h) })
+	rs.keys = keys
+	folded := slices.Grow(rs.folded[:0], nFresh)[:nFresh]
+	clear(folded)
+	rs.folded = folded
+	corrupt := func() ([]byte, error) { return nil, fmt.Errorf("core: partition %d: corrupt kept input", pivot) }
+	items := uint64(fl.Forest().Size())
+
+	copied := 0
+	for off := 0; off < len(body); {
+		start := off
+		w, n := binary.Uvarint(body[off:])
+		if n <= 0 {
+			return corrupt()
+		}
+		off += n
+		weightEnd := off
+		length, n := binary.Uvarint(body[off:])
+		if n <= 0 || length > seqenc.MaxDecodedLen {
+			return corrupt()
+		}
+		off += n
+		seqStart := len(sc.RankArena)
+		for pos := uint64(0); pos < length; {
+			v, n := binary.Uvarint(body[off:])
+			if n <= 0 {
+				return corrupt()
+			}
+			off += n
+			if v&1 == 1 { // blank run
+				run := v >> 1
+				if run == 0 || pos+run > length {
+					return corrupt()
+				}
+				for range run {
+					sc.RankArena = append(sc.RankArena, flist.NoRank)
+				}
+				pos += run
+				continue
+			}
+			item := v>>1 - 1
+			if item >= items {
+				return corrupt()
+			}
+			r := fl.RankOf(hierarchy.Item(item))
+			if r == flist.NoRank {
+				return nil, fmt.Errorf("core: partition %d: kept input holds item %d, which is no longer frequent", pivot, item)
+			}
+			sc.RankArena = append(sc.RankArena, r)
+			pos++
+		}
+		seq := sc.RankArena[seqStart:len(sc.RankArena):len(sc.RankArena)]
+
+		j := -1
+		h := hashRanks(seq)
+		k, _ := slices.BinarySearchFunc(keys, h, func(e freshKey, h uint64) int { return cmp.Compare(e.h, h) })
+		for ; k < len(keys) && keys[k].h == h; k++ {
+			if slices.Equal(sc.Seqs[keys[k].i].Items, seq) {
+				j = int(keys[k].i)
+				break
+			}
+		}
+		if j < 0 {
+			sc.Seqs = append(sc.Seqs, miner.WSeq{Items: seq, Weight: int64(w)})
+			continue
+		}
+		sc.Seqs[j].Weight += int64(w)
+		folded[j] = true
+		sc.RankArena = sc.RankArena[:seqStart]
+		out = append(out, body[copied:start]...)
+		out = binary.AppendUvarint(out, uint64(sc.Seqs[j].Weight))
+		copied = weightEnd
+	}
+	out = append(out, body[copied:]...)
+	for i, s := range sc.Seqs[:nFresh] {
+		if !folded[i] {
+			out = appendKept(out, fl, s.Items, s.Weight)
+		}
+	}
+	return out, nil
 }
 
 // assemble turns a run's per-partition records into its result: it sums the

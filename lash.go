@@ -227,7 +227,10 @@ type Options struct {
 	// did not change is spliced from the state; one whose old input is
 	// unchanged but gained appended sequences is grown — mined only for the
 	// patterns those sequences reach, the rest taken from the state; every
-	// other partition is re-mined. The patterns are byte-identical to a
+	// other partition is re-mined. A grown partition whose input the state
+	// kept (states taken by Resume runs keep the input of every partition
+	// they mined) reads its old sequences from there, and only the appended
+	// sequences are partitioned for it. The patterns are byte-identical to a
 	// from-scratch mine (Result.Stats reports the dirty/reused/grown split;
 	// Result.Explored may be lower). The state must come
 	// from a run on an earlier version of the same database lineage with
@@ -240,9 +243,12 @@ type Options struct {
 // MineState is the opaque, reusable residue of a mining run (Result.State):
 // the corpus version it covered, plus the internal f-list counts and each
 // partition's statistics and pattern set, which a Resume run splices from.
-// States are immutable and safe to share across goroutines; they are only
-// meaningful for databases descended (by Append) from the snapshot they were
-// taken on.
+// A state taken by a Resume run also keeps the aggregated input of every
+// partition that run mined, from which the next Resume run grows the
+// partition without repartitioning its old sequences; a from-scratch run's
+// state keeps no inputs. States are immutable and safe to share across
+// goroutines; they are only meaningful for databases descended (by Append)
+// from the snapshot they were taken on.
 type MineState struct {
 	ident   *corpusID
 	version int
@@ -269,10 +275,11 @@ func (s *MineState) NumSequences() int {
 }
 
 // SizeBytes returns the deterministic byte accounting of what the state
-// retains: the f-list counts, one record per partition, and every
-// partition pattern with its items at their element widths. Two runs over
-// equal inputs report equal sizes, so a holder can charge the state against
-// a memory budget.
+// retains: the f-list counts, one record per partition, every partition
+// pattern with its items at their element widths, and the encoded input of
+// each partition a Resume run kept (none in a from-scratch run's state).
+// Two runs over equal inputs report equal sizes, so a holder can charge the
+// state against a memory budget.
 func (s *MineState) SizeBytes() int64 {
 	if s == nil {
 		return 0
@@ -280,14 +287,17 @@ func (s *MineState) SizeBytes() int64 {
 	return s.size
 }
 
-// deltaStateBytes is SizeBytes' accounting of d.
+// deltaStateBytes is SizeBytes' accounting of d. A kept input shared with
+// the state a record was reused from is charged again: each state is
+// charged as if it were the only one held.
 func deltaStateBytes(d *core.DeltaState) int64 {
 	const (
-		partBytes    = 56 // core.DeltaPart: pivot (padded to a word), three counters, one slice header
+		partBytes    = 80 // core.DeltaPart: pivot (padded to a word), three counters, two slice headers
 		patternBytes = 32 // gsm.Pattern: one slice header plus the support
 	)
 	size := int64(len(d.Freqs))*8 + int64(len(d.Parts))*partBytes
 	for i := range d.Parts {
+		size += int64(len(d.Parts[i].Input))
 		for _, p := range d.Parts[i].Patterns {
 			size += patternBytes + int64(len(p.Items))*4
 		}
