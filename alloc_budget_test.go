@@ -4,6 +4,7 @@ package lash_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"lash"
@@ -42,6 +43,29 @@ func TestAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The steady state of a live corpus: the second of two resumes, whose
+	// grown partitions read their old sequences from the kept inputs and
+	// their supports from the previous patterns.
+	opt := lash.Options{MinSupport: p.Sigma, MaxGap: p.Gamma, MaxLength: p.Lambda, Workers: 1}
+	v1, err := lash.Mine(public, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2db, err := public.Append(fragmentOf(t, public, 5, 10, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := opt
+	resume.Resume = v1.State
+	v2, err := lash.Mine(v2db, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3db, err := v2db.Append(fragmentOf(t, v2db, 40, 10, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume.Resume = v2.State
 	cases := []struct {
 		name    string
 		mine    func(spillDir string) error
@@ -54,9 +78,16 @@ func TestAllocBudget(t *testing.T) {
 		}), 5_890}, // 5 358
 		{"SpillBudgeted", coreMine(nytCLP, spillParams(), spillBudget(), nil), 19_600}, // 17 824
 		{"Fig4aLASHPublic", func(string) error {
-			_, err := lash.Mine(public, lash.Options{MinSupport: p.Sigma, MaxGap: p.Gamma, MaxLength: p.Lambda, Workers: 1})
+			_, err := lash.Mine(public, opt)
 			return err
 		}, 6_620}, // 6 026
+		{"DeltaSteady", func(string) error {
+			res, err := lash.Mine(v3db, resume)
+			if err == nil && res.Stats.DeltaPartitionsGrown == 0 {
+				err = errors.New("the resume grew no partition")
+			}
+			return err
+		}, 6_790}, // 6 166
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -358,6 +358,55 @@ func TestDeltaSharedStateResumes(t *testing.T) {
 	}
 }
 
+// TestDeltaAppendedCopies holds a grown partition's supports to how many
+// times the append holds each sequence. Each of two appends repeats the same
+// old sentences twice, so every appended rewrite equals an old one: the first
+// resume (from a cold mine) finds the old copies in the same shuffled entry,
+// the second (from that resume's state) folds them in from the kept input.
+// A grown node answered from the state must add the appended copies alone;
+// both versions must equal their cold mines.
+func TestDeltaAppendedCopies(t *testing.T) {
+	db, err := lash.GenerateTextDatabase(lash.TextConfig{Sentences: 1500, Lemmas: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := lash.Options{MinSupport: 10, MaxGap: 1, MaxLength: 4}
+	prev, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		b := lash.NewDatabaseBuilder()
+		for range 2 {
+			for j := range 8 {
+				b.AddSequence(db.Sequence(150 + j)...)
+			}
+		}
+		frag, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db, err = db.Append(frag); err != nil {
+			t.Fatal(err)
+		}
+		cold, err := lash.Mine(db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dOpt := opt
+		dOpt.Resume = prev.State
+		delta, err := lash.Mine(db, dOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta.Stats.DeltaPartitionsGrown == 0 {
+			t.Fatalf("append %d grew no partition", i+1)
+		}
+		assertSameMining(t, cold, delta, true)
+		prev = delta
+	}
+}
+
 // TestDeltaRestrictions: restrictions post-process the spliced pattern set,
 // so closed/maximal outputs must also match a cold mine exactly.
 func TestDeltaRestrictions(t *testing.T) {

@@ -15,6 +15,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -318,17 +319,22 @@ type mineScratch struct {
 // translated to vocabulary items back to back in the items arena. A delta
 // run also builds each partition's kept input in in, and a grown
 // partition's fold index over its fresh sequences in keys and folded (see
-// growKept). One reduceScratch serves one Reduce call at a time; the pool
+// growKept), its fresh entries' appended multiplicities in appended, and the
+// previous record's patterns in known, through the rank buffer ranks
+// (fillKnown). One reduceScratch serves one Reduce call at a time; the pool
 // hands them to the reduce workers.
 type reduceScratch struct {
-	m      miner.Miner
-	sc     *miner.Scratch
-	part   miner.Partition
-	items  []hierarchy.Item
-	pats   []gsm.Pattern
-	in     []byte
-	keys   []freshKey
-	folded []bool
+	m        miner.Miner
+	sc       *miner.Scratch
+	part     miner.Partition
+	items    []hierarchy.Item
+	pats     []gsm.Pattern
+	in       []byte
+	keys     []freshKey
+	folded   []bool
+	appended []int64
+	known    miner.Known
+	ranks    []flist.Rank
 }
 
 // mineJob runs the partitioning and mining phases (Alg. 1) as one streaming
@@ -397,6 +403,9 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 	job := mapreduce.AggJob[int32, DeltaPart]{
 		Name: "partition+mine",
 		Map: func(i int32, emit func(uint32, []byte, int64)) {
+			if plan.skipsSeq(int(i), db.Seqs[i]) {
+				return // Delta: no pivot of this old sequence takes it.
+			}
 			s := scratch.Get().(*mineScratch)
 			defer scratch.Put(s)
 			s.rw.Load(db.Seqs[i])
@@ -421,15 +430,19 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		Size: func(pivot uint32, keyLen int, weight int64) int {
 			return seqenc.UvarintLen(uint64(pivot)) + keyLen + seqenc.UvarintLen(uint64(weight))
 		},
-		Reduce: func(group uint32, entries []mapreduce.Entry, emit func(DeltaPart)) error {
+		Reduce: func(group uint32, entries []mapreduce.Entry, emit func(DeltaPart)) (err error) {
 			pivot := flist.Rank(group)
 			rec := DeltaPart{Pivot: fl.VocabOf(pivot)}
 			begin := time.Now()
 			defer func() {
 				// An aborted local mine ends the Reduce here (Scratch
-				// tolerates abandoned mid-mine state, see miner.Scratch).
+				// tolerates abandoned mid-mine state, see miner.Scratch), and
+				// so does one whose previous patterns could not give a
+				// support, which fails the run.
 				if r := recover(); r != nil {
-					if _, abort := r.(mineAbort); !abort {
+					if e, ok := r.(error); ok && errors.Is(e, miner.ErrKnown) {
+						err = fmt.Errorf("core: partition %d: %w", pivot, e)
+					} else if _, abort := r.(mineAbort); !abort {
 						panic(r)
 					}
 				}
@@ -489,12 +502,16 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 				})
 			}
 			nFresh := 0
-			if fresh := plan.freshOf(pivot); fresh != nil {
+			rs.appended = rs.appended[:0]
+			if fresh, appended := plan.freshOf(pivot); fresh != nil {
 				// A grown partition: the entries holding one of its appended
-				// rewrites go first, as its Fresh sequences. Entries and
-				// rewrites are both sorted by key bytes: one merge walk. (With
-				// a kept input every entry is fresh, but a partition grown
-				// from the shuffle has its old sequences among them.)
+				// rewrites go first, as its Fresh sequences, each with how
+				// many appended sequences it stands for — its weight also
+				// counts the old copies of a partition grown from the
+				// shuffle, and growKept folds more in. Entries and rewrites
+				// are both sorted by key bytes: one merge walk. (With a kept
+				// input every entry is fresh, but a partition grown from the
+				// shuffle has its old sequences among them.)
 				j := 0
 				for i, e := range entries {
 					for j < len(fresh) && bytes.Compare(fresh[j], e.Key) < 0 {
@@ -502,6 +519,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 					}
 					if j < len(fresh) && bytes.Equal(fresh[j], e.Key) {
 						sc.Seqs[nFresh], sc.Seqs[i] = sc.Seqs[i], sc.Seqs[nFresh]
+						rs.appended = append(rs.appended, appended[j])
 						nFresh++
 					}
 				}
@@ -525,6 +543,18 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 			}
 			rs.part = miner.Partition{Pivot: pivot, Parent: parent, Seqs: sc.Seqs, Fresh: nFresh}
 			rec.Seqs = int64(len(sc.Seqs))
+			// The previous record's patterns, for PSM to take supports from
+			// instead of the old sequences (miner.Partition.Known).
+			var old []gsm.Pattern
+			if pp := plan.grownPart(rec.Pivot, nFresh); pp != nil {
+				old = pp.Patterns
+				if plan.known {
+					if err := fillKnown(&rs.known, &rs.ranks, fl, pivot, old); err != nil {
+						return err
+					}
+					rs.part.Known, rs.part.Appended = &rs.known, rs.appended
+				}
+			}
 
 			// Mined patterns outlive the miner's buffers, so translate them
 			// into the scratch arena as they come. An append that grows the
@@ -556,10 +586,6 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 			} else {
 				// Grown: MergeGrown builds the arena, adding the previous
 				// state's patterns that no appended sequence reaches.
-				var old []gsm.Pattern
-				if pp := plan.prev.part(rec.Pivot); pp != nil {
-					old = pp.Patterns
-				}
 				rec.Patterns = gsm.MergeGrown(rs.pats, old)
 				rec.Output = int64(len(rec.Patterns))
 			}

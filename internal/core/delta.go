@@ -33,7 +33,11 @@
 //     holding one of them first and mines only the patterns occurring there
 //     (miner.Partition.Fresh). Every other pattern kept its old support, so
 //     it is frequent iff the state holds it: gsm.MergeGrown completes the
-//     output from the state's pattern set.
+//     output from the state's pattern set. Under PSM that set also gives
+//     supports: Reduce hands it to the miner (miner.Partition.Known) with
+//     how many appended sequences each fresh entry stands for, and a search
+//     node whose reachable patterns the state all holds adds their appended
+//     support to the state's without reading an old sequence.
 //   - Every other pivot is re-mined in full. So is a grown one under BFS,
 //     which has no pattern-growth search to limit.
 //
@@ -48,6 +52,11 @@
 // keeps no inputs — the old sequences are shuffled with the appended ones
 // and the fresh-entry walk picks the latter out, as it does for the fresh
 // half of a kept partition.
+//
+// So an old sequence is read only for a re-mined pivot or for a grown one
+// whose record kept no input. The plan marks every vocabulary item with such
+// a pivot among its frequent generalizations, and the map skips an old
+// sequence with no marked item before loading it into the rewriter.
 //
 // A pivot no appended sequence mentions is never reached, so every pivot
 // the crossing-interval rule this replaced reused (clean, and uncrossed by
@@ -166,22 +175,32 @@ type deltaPlan struct {
 	reuse []bool
 	// fresh, indexed by new rank, holds a grown partition's appended
 	// rewrites, encoded as the map side encodes them, sorted and distinct;
-	// nil for every pivot that is not grown.
-	fresh [][][]byte
+	// nil for every pivot that is not grown. appended[r][j] is how many
+	// appended sequences rewrite to fresh[r][j].
+	fresh    [][][]byte
+	appended [][]int64
 	// kept, indexed by new rank, marks the grown partitions whose previous
 	// record kept its input: their old sequences are read from it, not
 	// shuffled.
 	kept []bool
+	// oldNeeded, indexed by vocabulary item, marks the items with a frequent
+	// generalization (self included) that is a pivot the map does not skip
+	// old sequences for. The map skips an old sequence without one whole.
+	oldNeeded []bool
 	// keep: the run keeps every mined partition's input (DeltaPart.Input).
 	keep bool
+	// known: grown partitions are mined with the previous record's patterns
+	// (miner.Partition.Known), which PSM, with or without the index, reads.
+	known bool
 }
 
-// freshOf returns pivot's appended rewrites if its partition is grown.
-func (p *deltaPlan) freshOf(pivot flist.Rank) [][]byte {
+// freshOf returns pivot's appended rewrites, and how many appended
+// sequences rewrite to each, if its partition is grown.
+func (p *deltaPlan) freshOf(pivot flist.Rank) ([][]byte, []int64) {
 	if p == nil {
-		return nil
+		return nil, nil
 	}
-	return p.fresh[pivot]
+	return p.fresh[pivot], p.appended[pivot]
 }
 
 // skips reports whether the map emits nothing for pivot from input sequence
@@ -191,6 +210,21 @@ func (p *deltaPlan) skips(pivot flist.Rank, i int) bool {
 	return p != nil && (p.reuse[pivot] || p.kept[pivot] && i < p.prev.NumSeqs)
 }
 
+// skipsSeq reports, without loading it, whether the map emits nothing at
+// all from t, input sequence i: t is old and none of its items generalizes
+// to a pivot that takes old sequences (skips).
+func (p *deltaPlan) skipsSeq(i int, t gsm.Sequence) bool {
+	if p == nil || i >= p.prev.NumSeqs {
+		return false
+	}
+	for _, w := range t {
+		if p.oldNeeded[w] {
+			return false
+		}
+	}
+	return true
+}
+
 // keptInput returns the input the previous state kept for a grown pivot
 // whose old sequences are read from it, or nil.
 func (p *deltaPlan) keptInput(pivot flist.Rank, w hierarchy.Item) []byte {
@@ -198,6 +232,41 @@ func (p *deltaPlan) keptInput(pivot flist.Rank, w hierarchy.Item) []byte {
 		return nil
 	}
 	return p.prev.part(w).Input
+}
+
+// grownPart returns the previous record of pivot w if its partition is
+// mined grown, with nFresh fresh entries, or nil: not grown, or empty in the
+// previous version.
+func (p *deltaPlan) grownPart(w hierarchy.Item, nFresh int) *DeltaPart {
+	if nFresh == 0 {
+		return nil
+	}
+	return p.prev.part(w)
+}
+
+// fillKnown restates a grown partition's previous patterns, in vocabulary
+// item space, as k in this run's rank space (miner.Partition.Known), through
+// the reusable rank buffer *buf. The pivot's visible items are the ones they
+// were, so every item is still frequent.
+func fillKnown(k *miner.Known, buf *[]flist.Rank, fl *flist.FList, pivot flist.Rank, pats []gsm.Pattern) error {
+	n := 0
+	for _, p := range pats {
+		n += len(p.Items)
+	}
+	k.Reset(len(pats), n)
+	for _, p := range pats {
+		ranks := (*buf)[:0]
+		for _, w := range p.Items {
+			r := fl.RankOf(w)
+			if r == flist.NoRank {
+				return fmt.Errorf("core: partition %d: a previous pattern holds item %d, which is no longer frequent", pivot, w)
+			}
+			ranks = append(ranks, r)
+		}
+		*buf = ranks
+		k.Add(ranks, p.Support)
+	}
+	return nil
 }
 
 // keepsInputs reports whether the run keeps its mined partitions' inputs.
@@ -254,6 +323,12 @@ func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, erro
 	// options match this run's kept them under the same rule.
 	keep := opt.Miner != miner.KindBFS && opt.Rewrites != rewrite.ModeNone
 	kept := make([]bool, len(unchanged))
+	appended := make([][]int64, len(unchanged))
+	total := 0
+	for _, keys := range fresh {
+		total += len(keys)
+	}
+	counts := make([]int64, 0, total) // every pivot's appended, back to back
 	for r, keys := range fresh {
 		if keys == nil {
 			continue
@@ -264,14 +339,38 @@ func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, erro
 			continue
 		}
 		slices.SortFunc(keys, bytes.Compare)
-		fresh[r] = slices.CompactFunc(keys, bytes.Equal)
+		start, n := len(counts), 0
+		for _, key := range keys {
+			if n > 0 && bytes.Equal(key, keys[n-1]) {
+				counts[len(counts)-1]++
+				continue
+			}
+			keys[n] = key
+			counts = append(counts, 1)
+			n++
+		}
+		fresh[r], appended[r] = keys[:n], counts[start:len(counts):len(counts)]
 		// Nil when the pivot's old partition is empty: then the old sequences
 		// emit nothing for it anyway.
 		if pp := prev.part(fl.VocabOf(flist.Rank(r))); keep && pp != nil && pp.Input != nil {
 			kept[r] = true
 		}
 	}
-	return &deltaPlan{prev: prev, reuse: unchanged, fresh: fresh, kept: kept, keep: keep}, nil
+	plan := &deltaPlan{
+		prev: prev, reuse: unchanged, fresh: fresh, appended: appended, kept: kept, keep: keep,
+		known: opt.Miner == miner.KindPSM || opt.Miner == miner.KindPSMNoIndex,
+	}
+	parent := fl.ParentTable()
+	plan.oldNeeded = make([]bool, db.Forest.Size())
+	for w := range plan.oldNeeded {
+		for r := fl.FrequentRank(hierarchy.Item(w)); r != flist.NoRank; r = parent[r] {
+			if !unchanged[r] && !kept[r] { // re-mined, or grown from the shuffle
+				plan.oldNeeded[w] = true
+				break
+			}
+		}
+	}
+	return plan, nil
 }
 
 // keptBody returns a kept input's sequence records and the total length of
@@ -330,6 +429,19 @@ func hashRanks(s []flist.Rank) uint64 {
 	return h
 }
 
+// keptToken decodes the uvarint token at body[off:], inlining the one- and
+// two-byte forms every item id below 8 191 takes.
+func keptToken(body []byte, off int) (uint64, int) {
+	if off+1 < len(body) {
+		if b := body[off]; b < 0x80 {
+			return uint64(b), 1
+		} else if c := body[off+1]; c < 0x80 {
+			return uint64(b&0x7f) | uint64(c)<<7, 2
+		}
+	}
+	return binary.Uvarint(body[off:])
+}
+
 // growKept appends a grown partition's old sequences, read from the kept
 // input body of its previous record, to the decoded partition in rs.sc,
 // whose first nFresh sequences are the fresh ones. Each item is translated
@@ -368,7 +480,7 @@ func growKept(out []byte, rs *reduceScratch, fl *flist.FList, pivot flist.Rank, 
 		off += n
 		seqStart := len(sc.RankArena)
 		for pos := uint64(0); pos < length; {
-			v, n := binary.Uvarint(body[off:])
+			v, n := keptToken(body, off)
 			if n <= 0 {
 				return corrupt()
 			}

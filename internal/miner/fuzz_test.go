@@ -2,6 +2,8 @@ package miner_test
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lash/internal/flist"
@@ -146,6 +148,14 @@ func FuzzMinersAgree(f *testing.F) {
 // output on the old part, must equal the definition's output on the whole
 // (oracleMine, where affordable), and explore no more than the miner's own
 // full mine of the whole.
+//
+// For both PSMs the grown partition is mined once more with the old part's
+// patterns (Partition.Known: the definition's output on the old part where
+// affordable, else PSM's own mine of it) and the appended multiplicities.
+// Every other appended entry also carries one folded old copy of itself in
+// its Weight, as a fresh entry of a delta run does when an old sequence
+// equals it; that copy counts in Known, not in Appended. The emission order,
+// the supports and the Stats must be those of the grown mine without Known.
 func FuzzGrownPartition(f *testing.F) {
 	addFuzzSeeds(f)
 	sc := miner.NewScratch()
@@ -181,7 +191,109 @@ func FuzzGrownPartition(f *testing.F) {
 				t.Fatalf("%s %s: grown mine %v merged with %v is %v, by definition %v", label, kind, mined, before, got, want)
 			}
 		}
+
+		folded, oldSeqs := foldOldCopies(&grown)
+		oldFolded := &miner.Partition{Pivot: p.Pivot, Parent: p.Parent, Seqs: oldSeqs}
+		var prev []miner.WSeq
+		if oracleCost(oldFolded, cfg) <= oracleBudget {
+			prev = oracleMine(oldFolded, cfg)
+		} else {
+			prev, _ = collect(miner.New(miner.KindPSM), oldFolded, cfg, sc)
+		}
+		for _, kind := range []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex} {
+			wantOrder, wantStats := mineOrdered(miner.New(kind), folded, cfg, sc)
+			lean := *folded
+			lean.Known = knownOf(prev)
+			gotOrder, gotStats := mineOrdered(miner.New(kind), &lean, cfg, sc)
+			if gotStats != wantStats || !equalWSeqs(gotOrder, wantOrder) {
+				t.Fatalf("%s %s: with the old patterns %v and appended %v mined %v %+v, without %v %+v",
+					label, kind, prev, lean.Appended, gotOrder, gotStats, wantOrder, wantStats)
+			}
+		}
 	})
+}
+
+// foldOldCopies returns grown with one old copy of every other appended
+// entry folded into its Weight and the appended multiplicities those entries
+// had before, and the old sequences that partition stands for: Seqs[Fresh:]
+// and the folded copies.
+func foldOldCopies(grown *miner.Partition) (*miner.Partition, []miner.WSeq) {
+	folded := *grown
+	folded.Seqs = slices.Clone(grown.Seqs)
+	folded.Appended = make([]int64, grown.Fresh)
+	old := slices.Clone(grown.Seqs[grown.Fresh:])
+	for i := range folded.Appended {
+		folded.Appended[i] = folded.Seqs[i].Weight
+		if i%2 == 0 {
+			folded.Seqs[i].Weight++
+			old = append(old, miner.WSeq{Items: folded.Seqs[i].Items, Weight: 1})
+		}
+	}
+	return &folded, old
+}
+
+// knownOf restates mined patterns as a Known.
+func knownOf(pats []miner.WSeq) *miner.Known {
+	k := new(miner.Known)
+	k.Reset(len(pats), 0)
+	for _, p := range pats {
+		k.Add(p.Items, p.Weight)
+	}
+	return k
+}
+
+// mineOrdered runs a miner and returns its output in emission order.
+func mineOrdered(m miner.Miner, p *miner.Partition, cfg miner.Config, sc *miner.Scratch) ([]miner.WSeq, miner.Stats) {
+	var out []miner.WSeq
+	stats := m.Mine(p, cfg, sc, func(pat []flist.Rank, sup int64) {
+		out = append(out, miner.WSeq{Items: slices.Clone(pat), Weight: sup})
+	})
+	return out, stats
+}
+
+// TestGrownLeanRoot is FuzzGrownPartition's non-vacuity case. An append that
+// repeats old sequences, at σ 1, reaches only patterns the old mine holds:
+// the root is lean, and the mine with Known must read no old sequence. It
+// must mine the same with the old sequences emptied — while the mine without
+// Known, which reads them, must not, on some partition.
+func TestGrownLeanRoot(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	sc := miner.NewScratch()
+	reads := 0
+	for trial := range 300 {
+		p := diffPartition(r)
+		cfg := diffConfig(r)
+		cfg.Sigma, cfg.PivotOnly = 1, true
+		k := 1 + r.Intn(len(p.Seqs))
+		grown := &miner.Partition{Pivot: p.Pivot, Parent: p.Parent, Fresh: k}
+		for range k {
+			grown.Seqs = append(grown.Seqs, miner.WSeq{Items: p.Seqs[r.Intn(len(p.Seqs))].Items, Weight: 1 + int64(r.Intn(3))})
+		}
+		grown.Seqs = append(grown.Seqs, p.Seqs...)
+		folded, oldSeqs := foldOldCopies(grown)
+		prev, _ := collect(miner.New(miner.KindPSM), &miner.Partition{Pivot: p.Pivot, Parent: p.Parent, Seqs: oldSeqs}, cfg, sc)
+
+		emptied := *folded
+		emptied.Seqs = slices.Clone(folded.Seqs)
+		for i := k; i < len(emptied.Seqs); i++ {
+			emptied.Seqs[i].Items = nil
+		}
+		for _, kind := range []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex} {
+			want, wantStats := mineOrdered(miner.New(kind), folded, cfg, sc)
+			if without, _ := mineOrdered(miner.New(kind), &emptied, cfg, sc); !equalWSeqs(without, want) {
+				reads++
+			}
+			lean := emptied
+			lean.Known = knownOf(prev)
+			got, gotStats := mineOrdered(miner.New(kind), &lean, cfg, sc)
+			if gotStats != wantStats || !equalWSeqs(got, want) {
+				t.Fatalf("trial %d %s: old sequences emptied, mined %v %+v; want %v %+v", trial, kind, got, gotStats, want, wantStats)
+			}
+		}
+	}
+	if reads == 0 {
+		t.Fatal("no trial's old sequences changed the mine without Known")
+	}
 }
 
 // asPatterns restates rank-space sequences as patterns, rank r as item r.

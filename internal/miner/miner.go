@@ -36,6 +36,20 @@
 // sequence. Growing S only ever adds items to one end of an occurrence, so a
 // pattern occurring in a fresh sequence is reached through parents that all
 // do: nothing it needs is pruned, and nothing else is explored.
+//
+// Given the earlier mine's patterns (Partition.Known), PSM reads old
+// sequences only where a support needs them. A pattern Known holds has
+// support Known's plus its support over the appended sequences; one Known
+// lacks had old support below σ, and so do all its extensions. A pre-pass
+// first walks PSM's search tree over the fresh sequences alone, with no σ
+// and no index, so it reaches every node the mine can; it stops at each
+// pattern Known lacks and marks every proper ancestor of one. In the mine, a
+// node Known holds and the pre-pass left unmarked is lean: it scans its
+// fresh occurrences alone, at their appended multiplicities, and its
+// children are lean too. Every other node scans in full, as above. A lean
+// root reads no old sequence at all. The nodes visited, their order and
+// every support are those of the mine without Known; only where a support
+// comes from differs.
 package miner
 
 import (
@@ -59,14 +73,28 @@ type Partition struct {
 	Pivot  flist.Rank
 	Seqs   []WSeq
 	Parent []flist.Rank
-	// Fresh, when positive, names Seqs[:Fresh] as the sequences appended
-	// since the rest of the partition was mined (a grown partition). PSM and
-	// DFS then explore only the patterns that occur in one of them, each
-	// still with its support over all of Seqs; every other pattern kept the
-	// support the earlier mine found, and merging the two is the caller's
-	// (gsm.MergeGrown). BFS ignores it and mines everything. Zero mines
-	// everything.
+	// Fresh, when positive, names Seqs[:Fresh] as the entries holding the
+	// sequences appended since the rest of the partition was mined (a grown
+	// partition). PSM and DFS then explore only the patterns that occur in
+	// one of them, each still with its support over all of Seqs; every other
+	// pattern kept the support the earlier mine found, and merging the two is
+	// the caller's (gsm.MergeGrown). BFS ignores it and mines everything.
+	// Zero mines everything.
 	Fresh int
+	// Known and Appended, on a grown partition, let PSM (with or without the
+	// index) take supports from the earlier mine instead of the old
+	// sequences (see the package doc); DFS keeps the grown mine above and
+	// BFS ignores both. Known holds every pattern the earlier mine emitted,
+	// with its support over the old sequences: those in Seqs[Fresh:] and the
+	// old copies an entry of Seqs[:Fresh] may have folded into its Weight.
+	// Appended[i], for i < Fresh, is how many appended sequences entry i
+	// stands for: its Weight less those copies. Output, emission order and
+	// Stats are those of the mine without them. A lean node that reaches a
+	// pattern Known cannot give a support for — which a Known true to the
+	// old sequences never lets happen — panics with an error wrapping
+	// ErrKnown.
+	Known    *Known
+	Appended []int64
 }
 
 // Config carries the local mining parameters.

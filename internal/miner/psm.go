@@ -1,6 +1,11 @@
 package miner
 
-import "lash/internal/flist"
+import (
+	"fmt"
+	"slices"
+
+	"lash/internal/flist"
+)
 
 // PSM is the pivot sequence miner (§5.2 of the paper). It explores only
 // pivot sequences by growing patterns from the pivot item outwards, using
@@ -40,7 +45,8 @@ func (m *PSM) Mine(p *Partition, cfg Config, sc *Scratch, emit Emit) Stats {
 	if sc == nil {
 		sc = NewScratch()
 	}
-	n := maxRankPlus1(p)
+	// Every candidate is at most the pivot, so that bounds the tables.
+	n := int(p.Pivot) + 1
 	run := &psmRun{
 		walk: walk{p: p, cfg: cfg, bound: p.Pivot, sc: sc, n: n},
 		//lashvet:ignore emitgo psmRun is call-scoped traversal state; Mine returns before the struct is released and emit never crosses a goroutine
@@ -62,22 +68,66 @@ type psmRun struct {
 	pattern []flist.Rank
 }
 
+// nodeKind is how a node of a grown partition with Partition.Known takes its
+// children's supports. Every node of any other partition is nodeFull.
+type nodeKind uint8
+
+const (
+	// nodeFull: a pattern Known lacks. Its children scan every occurrence,
+	// and Known lacks them too.
+	nodeFull nodeKind = iota
+	// nodeMarked: a pattern Known holds, with a descendant the fresh
+	// sequences reach that Known lacks. Its children scan every occurrence.
+	nodeMarked
+	// nodeLean: a pattern Known holds, and so does every descendant the
+	// fresh sequences reach. Its children scan the fresh occurrences alone:
+	// support = support in Known + support over the appended sequences.
+	nodeLean
+)
+
 func (d *psmRun) run() {
 	if d.cfg.Lambda < 2 {
 		return // a pattern has at least two items
 	}
-	// Occurrences of the pivot itself: positions whose item generalizes to
-	// the pivot. (After w-generalization these are exactly the positions
-	// equal to the pivot, but accepting descendants keeps PSM correct on
-	// arbitrary partitions.)
-	sc := d.sc
+	sc, p := d.sc, d.p
 	sc.anchorTids = sc.anchorTids[:0]
-	sc.anchorOffs = sc.anchorOffs[:0]
+	sc.anchorOffs = append(sc.anchorOffs[:0], 0)
 	sc.anchorOccs = sc.anchorOccs[:0]
+	d.pattern = append(sc.pattern[:0], p.Pivot)
+	root, old := nodeFull, 0
+	if p.Known != nil && p.Fresh > 0 {
+		// The pre-pass reads the fresh sequences alone. If nothing they
+		// reach is missing from Known, neither does the mine read the rest.
+		d.anchors(0, p.Fresh)
+		n := len(p.Known.sups)
+		sc.marked = slices.Grow(sc.marked[:0], n)[:n]
+		clear(sc.marked)
+		root, old = nodeLean, p.Fresh
+		if d.markAnchor(d.anchorList()) {
+			root = nodeMarked
+		}
+	}
+	if root != nodeLean {
+		d.anchors(old, len(p.Seqs))
+	}
+	if len(sc.anchorTids) == 0 {
+		return
+	}
+	d.expandAnchor(d.anchorList(), nil, root)
+}
+
+// anchors appends to the anchor list the occurrences of the pivot itself in
+// Seqs[lo:hi]: positions whose item generalizes to the pivot. (After
+// w-generalization these are exactly the positions equal to the pivot, but
+// accepting descendants keeps PSM correct on arbitrary partitions.) Parents
+// have smaller ranks, so the climb stops below the pivot.
+func (d *psmRun) anchors(lo, hi int) {
+	sc := d.sc
+	sc.anchorOffs = sc.anchorOffs[:len(sc.anchorTids)] // drop the sentinel
 	parent, pivot := d.p.Parent, d.p.Pivot
-	for tid, ws := range d.p.Seqs {
-		for pos, a := range ws.Items {
-			for a != pivot && a != flist.NoRank && int(a) < len(parent) {
+	for tid := lo; tid < hi; tid++ {
+		for pos, a := range d.p.Seqs[tid].Items {
+			for a > pivot && a != flist.NoRank && int(a) < len(parent) {
 				a = parent[a]
 			}
 			if a != pivot {
@@ -90,19 +140,106 @@ func (d *psmRun) run() {
 			sc.anchorOccs = append(sc.anchorOccs, occPair{int32(pos), int32(pos)})
 		}
 	}
-	if len(sc.anchorTids) == 0 {
-		return
-	}
 	sc.anchorOffs = append(sc.anchorOffs, int32(len(sc.anchorOccs)))
-	d.pattern = append(sc.pattern[:0], pivot)
-	d.expandAnchor(occList{sc.anchorTids, sc.anchorOffs, sc.anchorOccs}, nil)
+}
+
+// anchorList is the anchor list anchors built.
+func (d *psmRun) anchorList() occList {
+	return occList{d.sc.anchorTids, d.sc.anchorOffs, d.sc.anchorOccs}
+}
+
+// markAnchor is the pre-pass at a left-anchor pattern: it walks the search
+// tree below it as expandAnchor does, over the fresh sequences alone, with
+// no σ and no right-expansion index — so it reaches every node the mine can
+// reach from the fresh sequences, and more. It stops at each pattern Known
+// lacks, marks (sc.marked) each pattern Known holds that has such a
+// descendant, and reports whether the anchor has one.
+func (d *psmRun) markAnchor(anchor occList) bool {
+	last := len(d.pattern) == d.cfg.Lambda-1
+	need := d.markRight(d.endsOf(anchor))
+	var lt *occTable
+	if !last {
+		lt = d.sc.leftAt(len(d.pattern))
+	}
+	for _, a := range d.scanLeft(anchor, lt, nil, nil) {
+		if i := d.p.Known.find(d.pattern, a, true); i < 0 {
+			need = true
+		} else if !last {
+			d.prepend(a)
+			if d.markAnchor(lt.rows[a].list()) {
+				d.sc.marked[i], need = true, true
+			}
+			d.unprepend()
+		}
+	}
+	return need
+}
+
+// markRight is markAnchor's pre-pass along a right-expansion chain.
+func (d *psmRun) markRight(state postList) bool {
+	last := len(d.pattern) == d.cfg.Lambda-1
+	var rt *postTable
+	if !last {
+		rt = d.sc.rightAt(len(d.pattern))
+	}
+	need := false
+	for _, a := range d.scanRight(state, rt, d.p.Pivot, nil, nil) {
+		if i := d.p.Known.find(d.pattern, a, false); i < 0 {
+			need = true
+		} else if !last {
+			d.pattern = append(d.pattern, a)
+			if d.markRight(rt.rows[a].list()) {
+				d.sc.marked[i], need = true, true
+			}
+			d.pattern = d.pattern[:len(d.pattern)-1]
+		}
+	}
+	return need
+}
+
+// prepend puts a in front of the current pattern; unprepend takes it off.
+func (d *psmRun) prepend(a flist.Rank) {
+	d.pattern = append(d.pattern, 0)
+	copy(d.pattern[1:], d.pattern)
+	d.pattern[0] = a
+}
+
+func (d *psmRun) unprepend() {
+	copy(d.pattern, d.pattern[1:])
+	d.pattern = d.pattern[:len(d.pattern)-1]
+}
+
+// child returns the support of the current pattern's child by a (prepended
+// when left) and the child's kind, given the parent's kind and the support
+// the parent's scan found for it. A lean parent's child must be a lean node:
+// anything else means Known and the pre-pass disagree, and the mine panics
+// with an error wrapping ErrKnown rather than emit a wrong support.
+func (d *psmRun) child(kind nodeKind, a flist.Rank, left bool, scanned int64) (int64, nodeKind) {
+	if kind == nodeFull || kind == nodeMarked && len(d.pattern)+1 == d.cfg.Lambda {
+		return scanned, nodeFull // a pattern of λ items has no children
+	}
+	i := d.p.Known.find(d.pattern, a, left)
+	switch {
+	case kind == nodeLean && (i < 0 || d.sc.marked[i]):
+		panic(fmt.Errorf("%w: pivot %d, pattern %v, item %d (left %v)", ErrKnown, d.p.Pivot, d.pattern, a, left))
+	case kind == nodeLean:
+		return d.p.Known.sups[i] + scanned, nodeLean
+	case i < 0:
+		return scanned, nodeFull
+	case d.sc.marked[i]:
+		return scanned, nodeMarked
+	}
+	return scanned, nodeLean
 }
 
 // expandAnchor handles a left-anchor pattern (of the form Sl·w) shorter than
 // λ: first all right-expansion chains, then the left expansions, each
 // recursing as a new anchor (Alg. 2 lines 16-22) unless it has reached λ.
-func (d *psmRun) expandAnchor(anchor occList, parentIdx *rIndex) {
+func (d *psmRun) expandAnchor(anchor occList, parentIdx *rIndex, kind nodeKind) {
 	last := len(d.pattern) == d.cfg.Lambda-1
+	if kind == nodeLean {
+		anchor = d.freshOccs(anchor)
+	}
 	// The right expansions of an anchor of length k record into its index
 	// for the anchors of length k+1 to consult. At length λ−1 those children
 	// have length λ and expand nothing, so there is no index to keep.
@@ -110,13 +247,13 @@ func (d *psmRun) expandAnchor(anchor occList, parentIdx *rIndex) {
 	if d.useIndex && !last {
 		myIdx = d.sc.ridxAt(len(d.pattern), d.cfg.Lambda, d.words)
 	}
-	d.expandRight(d.endsOf(anchor), 1, parentIdx, myIdx)
+	d.expandRight(d.endsOf(anchor), 1, parentIdx, myIdx, kind)
 
 	var lt *occTable
 	if !last {
 		lt = d.sc.leftAt(len(d.pattern))
 	}
-	for _, a := range d.collectLeft(anchor, lt) {
+	for _, a := range d.collectLeft(anchor, lt, kind) {
 		d.stats.Explored++
 		var support int64
 		if last {
@@ -124,20 +261,17 @@ func (d *psmRun) expandAnchor(anchor occList, parentIdx *rIndex) {
 		} else {
 			support = lt.rows[a].support
 		}
+		support, ck := d.child(kind, a, true, support)
 		if support < d.cfg.Sigma {
 			continue
 		}
-		// Prepend a to the pattern.
-		d.pattern = append(d.pattern, 0)
-		copy(d.pattern[1:], d.pattern)
-		d.pattern[0] = a
+		d.prepend(a)
 		d.emit(d.pattern, support)
 		d.stats.Output++
 		if !last {
-			d.expandAnchor(lt.rows[a].list(), myIdx)
+			d.expandAnchor(lt.rows[a].list(), myIdx, ck)
 		}
-		copy(d.pattern, d.pattern[1:])
-		d.pattern = d.pattern[:len(d.pattern)-1]
+		d.unprepend()
 	}
 }
 
@@ -146,7 +280,7 @@ func (d *psmRun) expandAnchor(anchor occList, parentIdx *rIndex) {
 // only with items the parent anchor's index holds at this depth. Both tests
 // run inside the scan: a candidate they drop has no support computed and
 // nothing stored.
-func (d *psmRun) expandRight(state postList, depth int, parentIdx, myIdx *rIndex) {
+func (d *psmRun) expandRight(state postList, depth int, parentIdx, myIdx *rIndex, kind nodeKind) {
 	var allow []uint64
 	if parentIdx != nil {
 		if allow = parentIdx.levels[depth-1]; allow == nil {
@@ -158,9 +292,15 @@ func (d *psmRun) expandRight(state postList, depth int, parentIdx, myIdx *rIndex
 	if !last {
 		rt = d.sc.rightAt(len(d.pattern))
 	}
-	for _, a := range d.collectRight(state, rt, d.p.Pivot, allow) {
+	var cands []flist.Rank
+	if kind == nodeLean {
+		cands = d.scanRight(d.freshPosts(state), rt, d.p.Pivot, allow, d.p.Appended)
+	} else {
+		cands = d.collectRight(state, rt, d.p.Pivot, allow)
+	}
+	for _, a := range cands {
 		d.stats.Explored++
-		support := d.rightSupport(rt, a)
+		support, ck := d.child(kind, a, false, d.rightSupport(rt, a))
 		if support < d.cfg.Sigma {
 			continue
 		}
@@ -173,7 +313,7 @@ func (d *psmRun) expandRight(state postList, depth int, parentIdx, myIdx *rIndex
 			// and a pattern of λ items expands nothing. So what a pattern of
 			// λ−1 items would record is never read, and is not recorded.
 			myIdx.add(depth, a)
-			d.expandRight(rt.rows[a].list(), depth+1, parentIdx, myIdx)
+			d.expandRight(rt.rows[a].list(), depth+1, parentIdx, myIdx, ck)
 		}
 		d.pattern = d.pattern[:len(d.pattern)-1]
 	}
@@ -186,23 +326,34 @@ func (d *psmRun) expandRight(state postList, depth int, parentIdx, myIdx *rIndex
 // taken (sc.count): positions need visiting once per sequence, so the
 // windows of its occurrences (ascending by start) are merged. On a grown
 // partition the candidates are limited to those the anchor's fresh entries
-// reach, as in walk.collectRight.
-func (d *psmRun) collectLeft(anchor occList, lt *occTable) []flist.Rank {
+// reach, as in walk.collectRight; a lean anchor, whose entries are all
+// fresh, counts them at their appended multiplicities.
+func (d *psmRun) collectLeft(anchor occList, lt *occTable, kind nodeKind) []flist.Rank {
+	if kind == nodeLean {
+		return d.scanLeft(anchor, lt, nil, d.p.Appended)
+	}
 	var allow []uint64
 	if d.p.Fresh > 0 {
-		k := d.freshEntries(anchor.tids)
-		cands := d.scanLeft(occList{anchor.tids[:k], anchor.offs[:k+1], anchor.occs}, nil, nil)
+		cands := d.scanLeft(d.freshOccs(anchor), nil, nil, nil)
 		if len(cands) == 0 {
 			return cands
 		}
 		allow = d.freshBits(cands)
 	}
-	return d.scanLeft(anchor, lt, allow)
+	return d.scanLeft(anchor, lt, allow, nil)
+}
+
+// freshOccs returns the entries of an occurrence list that lie in the fresh
+// sequences.
+func (d *psmRun) freshOccs(l occList) occList {
+	k := d.freshEntries(l.tids)
+	return occList{l.tids[:k], l.offs[:k+1], l.occs}
 }
 
 // scanLeft is collectLeft's scan over every entry of anchor; a candidate
 // outside allow (nil allows everything) is dropped before it is stored.
-func (d *psmRun) scanLeft(anchor occList, lt *occTable, allow []uint64) []flist.Rank {
+// Sequence tid counts at weight wt[tid], or at its Weight when wt is nil.
+func (d *psmRun) scanLeft(anchor occList, lt *occTable, allow []uint64, wt []int64) []flist.Rank {
 	ct := &d.sc.count
 	if lt != nil {
 		lt.begin(d.n)
@@ -211,8 +362,10 @@ func (d *psmRun) scanLeft(anchor occList, lt *occTable, allow []uint64) []flist.
 	}
 	parent, bound, gamma := d.p.Parent, d.bound, int32(d.cfg.Gamma)
 	for i, tid := range anchor.tids {
-		ws := &d.p.Seqs[tid]
-		seq := ws.Items
+		seq, weight := d.p.Seqs[tid].Items, d.p.Seqs[tid].Weight
+		if wt != nil {
+			weight = wt[tid]
+		}
 		next := int32(0) // first position no earlier window has counted
 		for _, oc := range anchor.occs[anchor.offs[i]:anchor.offs[i+1]] {
 			lo := max(oc.start-1-gamma, 0)
@@ -224,9 +377,9 @@ func (d *psmRun) scanLeft(anchor occList, lt *occTable, allow []uint64) []flist.
 				for a := seq[q]; a != flist.NoRank; {
 					if a <= bound && (allow == nil || allow[a>>6]&(1<<(a&63)) != 0) {
 						if lt != nil {
-							lt.add(a, tid, ws.Weight, occPair{q, oc.end})
+							lt.add(a, tid, weight, occPair{q, oc.end})
 						} else {
-							ct.add(a, tid, ws.Weight)
+							ct.add(a, tid, weight)
 						}
 					}
 					if int(a) >= len(parent) {

@@ -16,7 +16,7 @@ type walk struct {
 	cfg   Config
 	bound flist.Rank // largest admissible candidate rank
 	sc    *Scratch
-	n     int // dense table size (1 + max rank in the partition)
+	n     int // dense table size: above every candidate rank
 }
 
 // itemPostings fills t with the hierarchy-aware single-item postings — the
@@ -59,14 +59,13 @@ func (w *walk) itemPostings(t *postTable) []flist.Rank {
 // entries of state reach (see the package doc).
 func (w *walk) collectRight(state postList, rt *postTable, skip flist.Rank, allow []uint64) []flist.Rank {
 	if w.p.Fresh > 0 {
-		k := w.freshEntries(state.tids)
-		cands := w.scanRight(postList{state.tids[:k], state.offs[:k+1], state.ends}, nil, skip, allow)
+		cands := w.scanRight(w.freshPosts(state), nil, skip, allow, nil)
 		if len(cands) == 0 {
 			return cands
 		}
 		allow = w.freshBits(cands)
 	}
-	return w.scanRight(state, rt, skip, allow)
+	return w.scanRight(state, rt, skip, allow, nil)
 }
 
 // freshEntries returns how many of a node's entries, listed by ascending
@@ -74,6 +73,13 @@ func (w *walk) collectRight(state postList, rt *postTable, skip flist.Rank, allo
 func (w *walk) freshEntries(tids []int32) int {
 	k, _ := slices.BinarySearch(tids, int32(w.p.Fresh))
 	return k
+}
+
+// freshPosts returns the entries of a posting list that lie in the fresh
+// sequences.
+func (w *walk) freshPosts(l postList) postList {
+	k := w.freshEntries(l.tids)
+	return postList{l.tids[:k], l.offs[:k+1], l.ends}
 }
 
 // freshBits returns the candidates a scan of the fresh entries found as the
@@ -92,8 +98,9 @@ func (w *walk) freshBits(cands []flist.Rank) []uint64 {
 	return bits
 }
 
-// scanRight is collectRight's scan over every entry of state.
-func (w *walk) scanRight(state postList, rt *postTable, skip flist.Rank, allow []uint64) []flist.Rank {
+// scanRight is collectRight's scan over every entry of state. Sequence tid
+// counts at weight wt[tid], or at its Weight when wt is nil.
+func (w *walk) scanRight(state postList, rt *postTable, skip flist.Rank, allow []uint64, wt []int64) []flist.Rank {
 	ct := &w.sc.count
 	if rt != nil {
 		rt.begin(w.n)
@@ -102,8 +109,10 @@ func (w *walk) scanRight(state postList, rt *postTable, skip flist.Rank, allow [
 	}
 	parent, bound, gamma := w.p.Parent, w.bound, int32(w.cfg.Gamma)
 	for i, tid := range state.tids {
-		ws := &w.p.Seqs[tid]
-		seq := ws.Items
+		seq, weight := w.p.Seqs[tid].Items, w.p.Seqs[tid].Weight
+		if wt != nil {
+			weight = wt[tid]
+		}
 		last := int32(len(seq)) - 1
 		next := int32(0) // first position no earlier window has visited
 		for _, end := range state.ends[state.offs[i]:state.offs[i+1]] {
@@ -113,9 +122,9 @@ func (w *walk) scanRight(state postList, rt *postTable, skip flist.Rank, allow [
 				for a := seq[q]; a != flist.NoRank; {
 					if a <= bound && a != skip && (allow == nil || allow[a>>6]&(1<<(a&63)) != 0) {
 						if rt != nil {
-							rt.add(a, tid, ws.Weight, q, false) // q ascending per tid: sorted and unique
+							rt.add(a, tid, weight, q, false) // q ascending per tid: sorted and unique
 						} else {
-							ct.add(a, tid, ws.Weight)
+							ct.add(a, tid, weight)
 						}
 					}
 					if int(a) >= len(parent) {
