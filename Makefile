@@ -71,7 +71,8 @@ fuzz:
 	done
 
 # bench-smoke is the CI pass: the root package's benchmarks —
-# BenchmarkDeltaMine, the handler-level BenchmarkServePatterns and the
+# BenchmarkDeltaMine, BenchmarkDeltaSteady (the steady-state zipf refresh
+# of a live corpus), the handler-level BenchmarkServePatterns and the
 # BenchmarkPindex* queries — must still run (1 iteration), so they cannot
 # bit-rot. Numbers worth quoting come from bench/ (see bench/README.md);
 # allocations are held by TestAllocBudget and the paper's claims by

@@ -9,6 +9,7 @@ package lash_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -106,4 +107,90 @@ func BenchmarkDeltaMine(b *testing.B) {
 		b.Fatalf("delta mine took %.1f%% of the cold mine (%v vs %v); budget is 50%%",
 			pct, perOp, deltaBench.cold)
 	}
+}
+
+// BenchmarkDeltaSteady times the steady-state zipf refresh of a live corpus,
+// the library side of bench/'s live-append workload: a 16 000-sentence text
+// corpus (σ 32, γ 1, λ 4, two workers) is mined cold, then goes through
+// cycles of a zipf append — ten of its own sentences, resampled — and a
+// topical one — 1 000 four-item sequences over ten fresh items — each
+// resumed from the previous mine's state. Two warm cycles run first, so the
+// resumed states keep their partitions' inputs and borders; each op is one
+// zipf refresh's mine (appends and the topical cycle are untimed). It
+// reports per refresh how many partitions were re-mined, grown, and grown
+// from a lean root (Stats.DeltaPartitionsLean).
+//
+// Run: go test -run '^$' -bench DeltaSteady -benchtime 10x .
+func BenchmarkDeltaSteady(b *testing.B) {
+	const sentences = 16_000
+	db, err := lash.GenerateTextDatabase(lash.TextConfig{Sentences: sentences, Lemmas: 2000, Seed: 59})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := lash.Options{MinSupport: 32, MaxGap: 1, MaxLength: 4, Workers: 2}
+	res, err := lash.Mine(db, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(59))
+	topic := 0
+	// cycle appends a zipf fragment and resumes (timed when zipf is the op),
+	// then appends a topical one and resumes.
+	cycle := func(timed bool) lash.RunStats {
+		zb := lash.NewDatabaseBuilder()
+		for range 10 {
+			zb.AddSequence(db.Sequence(rng.Intn(sentences))...)
+		}
+		var st lash.RunStats
+		for i, frag := range []*lash.DatabaseBuilder{zb, topicalFragment(&topic)} {
+			f, err := frag.Build()
+			if err == nil {
+				db, err = db.Append(f)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			resume := opt
+			resume.Resume = res.State
+			if timed && i == 0 {
+				b.StartTimer()
+			}
+			res, err = lash.Mine(db, resume)
+			if timed && i == 0 {
+				b.StopTimer()
+				st = res.Stats
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		return st
+	}
+	cycle(false)
+	cycle(false)
+	var remined, grown, lean int64
+	b.ResetTimer()
+	b.StopTimer()
+	for range b.N {
+		st := cycle(true)
+		remined += st.DeltaPartitionsDirty - st.DeltaPartitionsGrown
+		grown += st.DeltaPartitionsGrown
+		lean += st.DeltaPartitionsLean
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(remined)/n, "remined/op")
+	b.ReportMetric(float64(grown)/n, "grown/op")
+	b.ReportMetric(float64(lean)/n, "lean/op")
+}
+
+// topicalFragment is a topical append: 1 000 four-item sequences over ten
+// items no earlier fragment used.
+func topicalFragment(topic *int) *lash.DatabaseBuilder {
+	b := lash.NewDatabaseBuilder()
+	name := func(j int) string { return fmt.Sprintf("topic_%d_%d", *topic, j%10) }
+	for i := range 1000 {
+		b.AddSequence(name(i), name(i+1), name(i+3), name(i+7))
+	}
+	*topic++
+	return b
 }

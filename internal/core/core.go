@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,10 +122,13 @@ type Result struct {
 	Delta *DeltaState
 	// DeltaDirty and DeltaReused count, for delta runs (Options.Prev), the
 	// partitions that were mined vs. spliced from the previous state;
-	// DeltaGrown counts the dirty ones that were grown rather than re-mined.
+	// DeltaGrown counts the dirty ones that were grown rather than re-mined,
+	// and DeltaLean the grown ones whose mine read no old sequence (a lean
+	// root, miner.Prepass).
 	DeltaDirty  int
 	DeltaReused int
 	DeltaGrown  int
+	DeltaLean   int
 }
 
 // Mine runs LASH (or one of its flat variants) over the database.
@@ -315,12 +317,13 @@ type mineScratch struct {
 // reduceScratch is the pooled per-Reduce working set of the partition+mine
 // job: a miner instance, its Scratch (candidate tables, posting arenas, and
 // — via the Scratch's exported decode buffers — the rank arena every
-// partition sequence is decoded into), and the partition's mined patterns,
-// translated to vocabulary items back to back in the items arena. A delta
-// run also builds each partition's kept input in in, and a grown
-// partition's fold index over its fresh sequences in keys and folded (see
-// growKept), its fresh entries' appended multiplicities in appended, and the
-// previous record's patterns in known, through the rank buffer ranks
+// partition sequence is decoded into), and the partition's mined patterns and
+// border (onBorder collects it), translated to vocabulary items back to back
+// in the items and bitems arenas. A delta run also builds each partition's
+// kept input in in, and a grown partition's fold index over its fresh
+// sequences in keys and folded (see growKept; foldKept also encodes them in
+// enc and encOffs), its fresh entries' appended multiplicities in appended,
+// and the previous record in known, through the rank buffer ranks
 // (fillKnown). One reduceScratch serves one Reduce call at a time; the pool
 // hands them to the reduce workers.
 type reduceScratch struct {
@@ -329,12 +332,49 @@ type reduceScratch struct {
 	part     miner.Partition
 	items    []hierarchy.Item
 	pats     []gsm.Pattern
+	bitems   []hierarchy.Item
+	border   []gsm.Pattern
+	crossed  []gsm.Pattern
+	onBorder func(pattern []flist.Rank, bound int64, crossed bool)
 	in       []byte
 	keys     []freshKey
 	folded   []bool
+	enc      []byte
+	encOffs  []int32
 	appended []int64
 	known    miner.Known
 	ranks    []flist.Rank
+}
+
+// sealPatterns copies pattern lists, one after the other, into one
+// exact-size item arena and one slice, every pattern a capped slice of the
+// arena: a record's patterns outlive the scratch they were collected in.
+func sealPatterns(lists ...[]gsm.Pattern) []gsm.Pattern {
+	n, items := 0, 0
+	for _, l := range lists {
+		n += len(l)
+		for _, p := range l {
+			items += len(p.Items)
+		}
+	}
+	arena := make(gsm.Sequence, 0, items)
+	out := make([]gsm.Pattern, 0, n)
+	for _, l := range lists {
+		for _, p := range l {
+			start := len(arena)
+			arena = append(arena, p.Items...)
+			out = append(out, gsm.Pattern{Items: arena[start:len(arena):len(arena)], Support: p.Support})
+		}
+	}
+	return out
+}
+
+// tail returns ps[i:], or nil if that is empty.
+func tail(ps []gsm.Pattern, i int) []gsm.Pattern {
+	if i == len(ps) {
+		return nil
+	}
+	return ps[i:]
 }
 
 // mineJob runs the partitioning and mining phases (Alg. 1) as one streaming
@@ -372,7 +412,20 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		return &mineScratch{rw: rw}
 	}}
 	reducers := sync.Pool{New: func() any {
-		return &reduceScratch{m: miner.New(opt.Miner), sc: miner.NewScratch()}
+		rs := &reduceScratch{m: miner.New(opt.Miner), sc: miner.NewScratch()}
+		rs.onBorder = func(pat []flist.Rank, bound int64, crossed bool) {
+			start := len(rs.bitems)
+			for _, r := range pat {
+				rs.bitems = append(rs.bitems, fl.VocabOf(r))
+			}
+			p := gsm.Pattern{Items: rs.bitems[start:], Support: bound}
+			if crossed {
+				rs.crossed = append(rs.crossed, p)
+			} else {
+				rs.border = append(rs.border, p)
+			}
+		}
+		return rs
 	}}
 	localCfg := miner.Config{
 		Sigma:     opt.Params.Sigma,
@@ -475,13 +528,13 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 			// A grown partition whose previous record kept its input: the
 			// entries are its appended rewrites, the rest is read from there.
 			var kept []byte
+			keptLen := 0
 			if in := plan.keptInput(pivot, rec.Pivot); in != nil {
-				var n int
 				var ok bool
-				if kept, n, ok = keptBody(in); !ok {
+				if kept, keptLen, ok = keptBody(in); !ok {
 					return fmt.Errorf("core: partition %d: corrupt kept input header", pivot)
 				}
-				total += n
+				total += keptLen
 			}
 			if cap(sc.RankArena) < total {
 				sc.RankArena = make([]flist.Rank, 0, total)
@@ -524,43 +577,54 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 					}
 				}
 			}
+			rs.part = miner.Partition{Pivot: pivot, Parent: parent, Seqs: sc.Seqs, Fresh: nFresh}
+			if opt.Stream == nil {
+				rs.part.Border = rs.onBorder // the state keeps it
+			}
+			// The previous record, for PSM to take supports from instead of
+			// the old sequences (miner.Partition.Known).
+			prevRec := plan.grownPart(rec.Pivot, nFresh)
+			if prevRec != nil && plan.known {
+				if err := fillKnown(&rs.known, &rs.ranks, fl, pivot, prevRec); err != nil {
+					return err
+				}
+				rs.part.Known, rs.part.Appended = &rs.known, rs.appended
+			}
+			// A lean root reads no old sequence, so the pre-pass runs before
+			// the kept input is read: then that is folded into, not decoded.
+			lean := rs.part.Known != nil && miner.Prepass(&rs.part, localCfg, sc)
+			rec.lean = lean
+			seqs, positions := len(sc.Seqs), len(sc.RankArena)
 			if plan.keepsInputs() {
 				// The record keeps the partition's input for the next delta
 				// run to grow it from (DeltaPart.Input).
 				body := rs.in[:0]
-				if kept != nil {
-					var err error
-					if body, err = growKept(body, rs, fl, pivot, kept, nFresh); err != nil {
-						return err
-					}
-				} else {
+				var err error
+				switch {
+				case lean && kept != nil:
+					body, seqs, positions, err = foldKept(body, rs, fl, pivot, kept, keptLen)
+				case kept != nil:
+					body, err = growKept(body, rs, fl, pivot, kept, nFresh)
+					rs.part.Seqs, seqs, positions = sc.Seqs, len(sc.Seqs), len(sc.RankArena)
+				default:
 					for _, s := range sc.Seqs {
 						body = appendKept(body, fl, s.Items, s.Weight)
 					}
 				}
-				rs.in = body
-				rec.Input = sealInput(len(sc.RankArena), body)
-			}
-			rs.part = miner.Partition{Pivot: pivot, Parent: parent, Seqs: sc.Seqs, Fresh: nFresh}
-			rec.Seqs = int64(len(sc.Seqs))
-			// The previous record's patterns, for PSM to take supports from
-			// instead of the old sequences (miner.Partition.Known).
-			var old []gsm.Pattern
-			if pp := plan.grownPart(rec.Pivot, nFresh); pp != nil {
-				old = pp.Patterns
-				if plan.known {
-					if err := fillKnown(&rs.known, &rs.ranks, fl, pivot, old); err != nil {
-						return err
-					}
-					rs.part.Known, rs.part.Appended = &rs.known, rs.appended
+				if err != nil {
+					return err
 				}
+				rs.in = body
+				rec.Input = sealInput(positions, body)
 			}
+			rec.Seqs = int64(seqs)
 
-			// Mined patterns outlive the miner's buffers, so translate them
-			// into the scratch arena as they come. An append that grows the
-			// arena moves it but leaves the old array, and the patterns
-			// already slicing it, intact.
+			// Mined patterns and the border outlive the miner's buffers, so
+			// translate them into the scratch arenas as they come. An append
+			// that grows an arena moves it but leaves the old array, and the
+			// patterns already slicing it, intact.
 			rs.items, rs.pats = rs.items[:0], rs.pats[:0]
+			rs.bitems, rs.border, rs.crossed = rs.bitems[:0], rs.border[:0], rs.crossed[:0]
 			st := rs.m.Mine(&rs.part, localCfg, sc, func(pat []flist.Rank, sup int64) {
 				if over.Load() {
 					panic(mineAbort{})
@@ -574,20 +638,24 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 			rec.Explored, rec.Output = st.Explored, st.Output
 
 			// The record outlives the scratch: one exact-size arena per
-			// partition, every pattern a capped slice of it.
+			// partition, every pattern and border entry a capped slice of it.
 			if rs.part.Fresh == 0 {
-				arena := slices.Clone(rs.items)
-				rec.Patterns = make([]gsm.Pattern, len(rs.pats))
-				for i, p := range rs.pats {
-					n := len(p.Items)
-					rec.Patterns[i] = gsm.Pattern{Items: arena[:n:n], Support: p.Support}
-					arena = arena[n:]
-				}
+				all := sealPatterns(rs.pats, rs.border)
+				rec.Patterns, rec.Border = all[:len(rs.pats):len(rs.pats)], tail(all, len(rs.pats))
 			} else {
 				// Grown: MergeGrown builds the arena, adding the previous
-				// state's patterns that no appended sequence reaches.
+				// state's patterns that no appended sequence reaches. The
+				// crossed patterns of earlier grown runs stay crossed.
+				var old, crossed []gsm.Pattern
+				if prevRec != nil {
+					old, crossed = prevRec.Patterns, prevRec.Crossed
+				}
 				rec.Patterns = gsm.MergeGrown(rs.pats, old)
 				rec.Output = int64(len(rec.Patterns))
+				rec.Border, rec.Crossed = tail(sealPatterns(rs.border), 0), crossed
+				if len(rs.crossed) > 0 {
+					rec.Crossed = sealPatterns(crossed, rs.crossed)
+				}
 			}
 			emit(rec)
 			return nil

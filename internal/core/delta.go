@@ -10,20 +10,34 @@
 // re-parenting), and with them every support.
 //
 // One rule, decided before anything is shuffled, gives every frequent pivot
-// of the new version one of three outcomes. First, is its visible set of
-// old items unchanged? Then every old sequence rewrites to the same
-// partition sequence for it in item space as before: new items never occur
-// in old sequences and are never ancestors of old items, and only the
-// visible SET matters to the rewrite and to pattern-partition ownership.
-// One walk of the new rank order over old items decides it for every pivot:
-// keep the position k among old items and the largest old rank m seen so
-// far, a newly frequent old item counting as +∞. The pivot's visible old
-// items are unchanged iff its old rank and m both equal k−1. The test is
-// exact: the old items at or before the pivot in the new order are then k
-// distinct old ranks no larger than k−1, i.e. exactly the k items the old
-// order put at or before it; conversely equal sets give k = old rank + 1 and
-// no member above it. Second, the appended suffix is rewritten once, on the
-// driver, with the run's own Rewriter:
+// of the new version one of three outcomes. First, does every old sequence
+// rewrite to the same partition sequence for it, in item space, as before?
+// The rewrite of a sequence T for pivot w reads only which items of G1(T) are
+// visible to w ("frequent with rank ≤ rank(w)"), and new items never occur
+// in old sequences and are never ancestors of old items. So it does unless
+// some old sequence's G1 holds both w and an item whose order relative to w
+// flipped: one frequent in both versions that moved across w, or one newly
+// frequent before it.
+// Then the owner of every pattern of w's partition is w as before too, since
+// none of its items moved across w. Two steps decide it:
+//
+//   - One walk of the new rank order over old items finds the pivots whose
+//     visible set of old items is unchanged: keep the position k among old
+//     items and the largest old rank m seen so far, a newly frequent old
+//     item counting as +∞. The pivot's visible old items are unchanged iff
+//     its old rank and m both equal k−1. The test is exact: the old items at
+//     or before the pivot in the new order are then k distinct old ranks no
+//     larger than k−1, i.e. exactly the k items the old order put at or
+//     before it; conversely equal sets give k = old rank + 1 and no member
+//     above it. Such a pivot flipped with no item.
+//   - Every other old frequent pivot moved. Two items flip only if both
+//     moved or one is newly frequent, so one pass over the old sequences
+//     (rescueMoved), checking the pairs among those items in each one's G1,
+//     finds the moved pivots that share a sequence with an item they flipped
+//     with. The others are treated as unchanged.
+//
+// Second, the appended suffix is rewritten once, on the driver, with the
+// run's own Rewriter:
 //
 //   - An unchanged pivot that no appended rewrite reaches is reused: its
 //     input is its old input, its pattern set is spliced from the state, and
@@ -33,25 +47,30 @@
 //     holding one of them first and mines only the patterns occurring there
 //     (miner.Partition.Fresh). Every other pattern kept its old support, so
 //     it is frequent iff the state holds it: gsm.MergeGrown completes the
-//     output from the state's pattern set. Under PSM that set also gives
-//     supports: Reduce hands it to the miner (miner.Partition.Known) with
-//     how many appended sequences each fresh entry stands for, and a search
-//     node whose reachable patterns the state all holds adds their appended
-//     support to the state's without reading an old sequence.
-//   - Every other pivot is re-mined in full. So is a grown one under BFS,
-//     which has no pattern-growth search to limit.
+//     output from the state's pattern set. Under PSM that set, and the
+//     record's near-frequent border (DeltaPart.Border), also give supports:
+//     Reduce hands them to the miner (miner.Partition.Known) with how many
+//     appended sequences each fresh entry stands for, and a search node whose
+//     reachable patterns the state holds, or bounds below σ, adds their
+//     appended support to the state's without reading an old sequence.
+//   - Every other pivot — newly frequent, or moved and sharing a sequence
+//     with an item it flipped with — is re-mined in full. So is a grown one
+//     under BFS, which has no pattern-growth search to limit.
 //
 // A grown partition's old sequences have one of two sources. Every
 // partition a delta run mines keeps its aggregated input in its record
 // (DeltaPart.Input, in item space: old items keep their visible set but not
 // their ranks). When the previous record kept one, the map skips the pivot
-// for old sequences exactly as for a reused one, only the appended rewrites
-// are shuffled, and Reduce appends the kept input after them, translated to
-// this run's ranks, folding an old sequence equal to a fresh one into it.
-// When it kept none — the first delta run after a cold mine, whose state
-// keeps no inputs — the old sequences are shuffled with the appended ones
-// and the fresh-entry walk picks the latter out, as it does for the fresh
-// half of a kept partition.
+// for old sequences exactly as for a reused one, and only the appended
+// rewrites are shuffled. Reduce runs PSM's pre-pass on them first
+// (miner.Prepass): a lean root reads no old sequence, so the fresh sequences
+// are folded into the kept input on its encoded bytes (foldKept); otherwise
+// Reduce appends the kept input after them, translated to this run's ranks,
+// folding an old sequence equal to a fresh one into it (growKept). When it
+// kept none — the first delta run after a cold mine, whose state keeps no
+// inputs — the old sequences are shuffled with the appended ones and the
+// fresh-entry walk picks the latter out, as it does for the fresh half of a
+// kept partition.
 //
 // So an old sequence is read only for a re-mined pivot or for a grown one
 // whose record kept no input. The plan marks every vocabulary item with such
@@ -111,6 +130,20 @@ type DeltaPart struct {
 	// (version-stable ids), before any output restriction; their Items share
 	// one array per partition. Nil on a streaming run, which delivered them.
 	Patterns []gsm.Pattern
+	// Border is the partition's near-frequent border under PSM
+	// (miner.Partition.Border), in item space like Patterns: every pattern
+	// the mines of the partition counted below σ but at least σ − ⌈σ/4⌉, its
+	// Support an upper bound on its support — exact where the last mine
+	// counted it in full, else the bound carried forward plus what later
+	// appends added. A grown partition's mine decides from it, without
+	// reading old occurrences, that a pattern Patterns lacks stays below σ.
+	// Nil under BFS and DFS and on a streaming run.
+	Border []gsm.Pattern
+	// Crossed holds the patterns of Patterns that reached σ in a grown run
+	// since the partition was last mined in full, each with, as Support, the
+	// bound on the support of its never-counted one-item extensions
+	// (miner.Known.AddCrossed).
+	Crossed []gsm.Pattern
 	// Input is the partition's aggregated input, kept for the next delta run
 	// to grow the partition from without shuffling its old sequences. Delta
 	// runs keep it for every partition they mine; a cold run keeps none, and
@@ -122,6 +155,9 @@ type DeltaPart struct {
 	// sequences, then per distinct sequence uvarint(weight), uvarint(length)
 	// and the sequence in seqenc's token format over item ids.
 	Input []byte
+	// lean: the record's run grew the partition from a lean root, reading
+	// no old sequence (Result.DeltaLean).
+	lean bool
 }
 
 // part returns the captured partition for pivot, or nil.
@@ -244,27 +280,56 @@ func (p *deltaPlan) grownPart(w hierarchy.Item, nFresh int) *DeltaPart {
 	return p.prev.part(w)
 }
 
-// fillKnown restates a grown partition's previous patterns, in vocabulary
-// item space, as k in this run's rank space (miner.Partition.Known), through
-// the reusable rank buffer *buf. The pivot's visible items are the ones they
-// were, so every item is still frequent.
-func fillKnown(k *miner.Known, buf *[]flist.Rank, fl *flist.FList, pivot flist.Rank, pats []gsm.Pattern) error {
+// fillKnown restates a grown partition's previous record pp, in vocabulary
+// item space, as k in this run's rank space (miner.Partition.Known) — its
+// patterns, its border and its crossed patterns' bounds — through the
+// reusable rank buffer *buf. None of the pivot's old sequences holds an item
+// whose order relative to the pivot flipped (planDelta), so every item they
+// hold is still frequent and visible to the pivot.
+func fillKnown(k *miner.Known, buf *[]flist.Rank, fl *flist.FList, pivot flist.Rank, pp *DeltaPart) error {
 	n := 0
-	for _, p := range pats {
+	for _, p := range pp.Patterns {
 		n += len(p.Items)
 	}
-	k.Reset(len(pats), n)
-	for _, p := range pats {
-		ranks := (*buf)[:0]
+	for _, p := range pp.Border {
+		n += len(p.Items)
+	}
+	k.Reset(len(pp.Patterns)+len(pp.Border), n)
+	k.SetBordered()
+	ranks := func(p gsm.Pattern) ([]flist.Rank, error) {
+		rs := (*buf)[:0]
 		for _, w := range p.Items {
 			r := fl.RankOf(w)
 			if r == flist.NoRank {
-				return fmt.Errorf("core: partition %d: a previous pattern holds item %d, which is no longer frequent", pivot, w)
+				return nil, fmt.Errorf("core: partition %d: a previous pattern holds item %d, which is no longer frequent", pivot, w)
 			}
-			ranks = append(ranks, r)
+			rs = append(rs, r)
 		}
-		*buf = ranks
-		k.Add(ranks, p.Support)
+		*buf = rs
+		return rs, nil
+	}
+	for _, p := range pp.Patterns {
+		rs, err := ranks(p)
+		if err != nil {
+			return err
+		}
+		k.Add(rs, p.Support)
+	}
+	for _, p := range pp.Border {
+		rs, err := ranks(p)
+		if err != nil {
+			return err
+		}
+		k.AddBorder(rs, p.Support)
+	}
+	for _, p := range pp.Crossed {
+		rs, err := ranks(p)
+		if err != nil {
+			return err
+		}
+		if !k.AddCrossed(rs, p.Support) {
+			return fmt.Errorf("core: partition %d: a crossed pattern is not among the previous patterns", pivot)
+		}
 	}
 	return nil
 }
@@ -286,7 +351,8 @@ func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, erro
 		return nil, fmt.Errorf("core: rebuilding previous rank order: %w", err)
 	}
 
-	// unchanged[r]: the old items visible to pivot r are the ones that were.
+	// unchanged[r]: the old items visible to pivot r are the ones that were
+	// (then, after rescueMoved: every old sequence rewrites the same for it).
 	// k counts the old items before the current one; m is the largest old
 	// rank among them and it (NoRank, the largest Rank, for a newly frequent
 	// one).
@@ -302,6 +368,8 @@ func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, erro
 		unchanged[r] = ro == k && m == k
 		k++
 	}
+
+	rescueMoved(db, fl, oldFl, prev, unchanged)
 
 	// Which unchanged pivots the appended sequences reach, and with what.
 	rw := rewrite.NewRewriter(fl, opt.Params.Gamma, opt.Params.Lambda)
@@ -373,6 +441,67 @@ func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, erro
 	return plan, nil
 }
 
+// rescueMoved sets unchanged for every moved pivot — an old frequent item
+// whose visible set changed — that shares no old sequence with an item whose
+// order relative to it flipped (see the package doc). Items flip only in
+// pairs of moved pivots, or with a newly frequent old item, which counts as
+// flipped with every pivot after it: so one pass over the old sequences,
+// checking the pairs among those items in each one's G1, finds every moved
+// pivot that must be re-mined.
+func rescueMoved(db *gsm.Database, fl, oldFl *flist.FList, prev *DeltaState, unchanged []bool) {
+	f := db.Forest
+	// touch[w]: w is a moved pivot or a newly frequent old item; under[w]:
+	// w or one of its ancestors is.
+	touch, under := make([]bool, f.Size()), make([]bool, f.Size())
+	moved := false
+	for r, same := range unchanged {
+		w := fl.VocabOf(flist.Rank(r))
+		if same || int(w) >= len(prev.Freqs) {
+			continue // new items occur in no old sequence
+		}
+		touch[w] = true
+		moved = moved || oldFl.RankOf(w) != flist.NoRank
+	}
+	if !moved {
+		return
+	}
+	for w := range under {
+		for a := hierarchy.Item(w); a != hierarchy.NoItem && !under[w]; a = f.Parent(a) {
+			under[w] = touch[a]
+		}
+	}
+	// flips reports whether x and y, both touched, changed order; a newly
+	// frequent item has old rank NoRank, after every old frequent one.
+	flips := func(x, y hierarchy.Item) bool {
+		return (oldFl.RankOf(x) < oldFl.RankOf(y)) != (fl.RankOf(x) < fl.RankOf(y))
+	}
+	remine := make([]bool, len(unchanged))
+	var g []hierarchy.Item
+	for _, t := range db.Seqs[:prev.NumSeqs] {
+		g = g[:0]
+		for _, w := range t {
+			for a := w; under[w] && a != hierarchy.NoItem; a = f.Parent(a) {
+				if touch[a] && !slices.Contains(g, a) {
+					g = append(g, a)
+				}
+			}
+		}
+		for i, x := range g {
+			for _, y := range g[:i] {
+				if flips(x, y) {
+					remine[fl.RankOf(x)], remine[fl.RankOf(y)] = true, true
+				}
+			}
+		}
+	}
+	for r, same := range unchanged {
+		w := fl.VocabOf(flist.Rank(r))
+		if !same && touch[w] && oldFl.RankOf(w) != flist.NoRank && !remine[r] {
+			unchanged[r] = true
+		}
+	}
+}
+
 // keptBody returns a kept input's sequence records and the total length of
 // their sequences (see DeltaPart.Input); ok is false if the header is
 // corrupt.
@@ -393,10 +522,14 @@ func sealInput(positions int, body []byte) []byte {
 }
 
 // appendKept appends one aggregated partition sequence to a kept input's
-// body: its weight, its length, and its items as vocabulary ids in seqenc's
-// token format.
+// body: its weight, then appendKeptSeq.
 func appendKept(dst []byte, fl *flist.FList, seq []flist.Rank, weight int64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(weight))
+	return appendKeptSeq(binary.AppendUvarint(dst, uint64(weight)), fl, seq)
+}
+
+// appendKeptSeq appends a sequence in a kept input's format: its length,
+// and its items as vocabulary ids in seqenc's token format.
+func appendKeptSeq(dst []byte, fl *flist.FList, seq []flist.Rank) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(seq)))
 	for i := 0; i < len(seq); {
 		if seq[i] != flist.NoRank {
@@ -425,6 +558,15 @@ func hashRanks(s []flist.Rank) uint64 {
 	h := uint64(14695981039346656037)
 	for _, r := range s {
 		h = (h ^ uint64(r)) * 1099511628211
+	}
+	return h
+}
+
+// hashBytes is FNV-1a over an encoded sequence.
+func hashBytes(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
 	}
 	return h
 }
@@ -538,6 +680,97 @@ func growKept(out []byte, rs *reduceScratch, fl *flist.FList, pivot flist.Rank, 
 	return out, nil
 }
 
+// foldKept is growKept for a partition whose mine reads none of its old
+// sequences (a lean root, miner.Prepass): it folds the fresh sequences in
+// rs.sc.Seqs into the kept input body, whose header gave positions, by
+// comparing encoded bytes — nothing is translated into ranks — and appends to
+// out the body growKept would. It returns how many distinct sequences the new
+// input holds, and their total length.
+func foldKept(out []byte, rs *reduceScratch, fl *flist.FList, pivot flist.Rank, body []byte, positions int) ([]byte, int, int, error) {
+	fresh := rs.sc.Seqs
+	enc, offs, keys := rs.enc[:0], rs.encOffs[:0], rs.keys[:0]
+	var lens uint64 // bit n: a fresh sequence has length n, or one has 63 or more
+	for i, s := range fresh {
+		offs = append(offs, int32(len(enc)))
+		enc = appendKeptSeq(enc, fl, s.Items)
+		keys = append(keys, freshKey{hashBytes(enc[offs[i]:]), int32(i)})
+		lens |= 1 << min(len(s.Items), 63)
+	}
+	offs = append(offs, int32(len(enc)))
+	slices.SortFunc(keys, func(a, b freshKey) int { return cmp.Compare(a.h, b.h) })
+	rs.enc, rs.encOffs, rs.keys = enc, offs, keys
+	folded := slices.Grow(rs.folded[:0], len(fresh))[:len(fresh)]
+	clear(folded)
+	rs.folded = folded
+	corrupt := func() ([]byte, int, int, error) {
+		return nil, 0, 0, fmt.Errorf("core: partition %d: corrupt kept input", pivot)
+	}
+
+	seqs, copied := len(fresh), 0
+	for off := 0; off < len(body); {
+		start := off
+		w, n := binary.Uvarint(body[off:])
+		if n <= 0 {
+			return corrupt()
+		}
+		off += n
+		weightEnd := off
+		length, n := binary.Uvarint(body[off:])
+		if n <= 0 || length > seqenc.MaxDecodedLen {
+			return corrupt()
+		}
+		off += n
+		for pos := uint64(0); pos < length; {
+			v, n := keptToken(body, off)
+			if n <= 0 {
+				return corrupt()
+			}
+			off += n
+			step := uint64(1)
+			if v&1 == 1 { // blank run
+				step = v >> 1
+			}
+			if step == 0 || pos+step > length {
+				return corrupt()
+			}
+			pos += step
+		}
+		if lens&(1<<min(length, 63)) == 0 {
+			seqs++ // no fresh sequence is as long
+			continue
+		}
+		seq := body[weightEnd:off]
+
+		j := -1
+		h := hashBytes(seq)
+		k, _ := slices.BinarySearchFunc(keys, h, func(e freshKey, h uint64) int { return cmp.Compare(e.h, h) })
+		for ; k < len(keys) && keys[k].h == h; k++ {
+			if i := keys[k].i; bytes.Equal(enc[offs[i]:offs[i+1]], seq) {
+				j = int(i)
+				break
+			}
+		}
+		if j < 0 {
+			seqs++
+			continue
+		}
+		fresh[j].Weight += int64(w)
+		folded[j] = true
+		out = append(out, body[copied:start]...)
+		out = binary.AppendUvarint(out, uint64(fresh[j].Weight))
+		copied = weightEnd
+	}
+	out = append(out, body[copied:]...)
+	for i, s := range fresh {
+		if !folded[i] {
+			out = binary.AppendUvarint(out, uint64(s.Weight))
+			out = append(out, enc[offs[i]:offs[i+1]]...)
+			positions += len(s.Items)
+		}
+	}
+	return out, seqs, positions, nil
+}
+
 // assemble turns a run's per-partition records into its result: it sums the
 // statistics and gathers the patterns of the mined records and of the
 // reuse-masked partitions, which were never shuffled and come from the
@@ -549,6 +782,11 @@ func growKept(out []byte, rs *reduceScratch, fl *flist.FList, pivot flist.Rank, 
 func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, recs []DeltaPart, keep bool) {
 	if plan != nil {
 		res.DeltaDirty = len(recs)
+		for i := range recs {
+			if recs[i].lean {
+				res.DeltaLean++
+			}
+		}
 		for r, reuse := range plan.reuse {
 			if plan.fresh[r] != nil {
 				res.DeltaGrown++

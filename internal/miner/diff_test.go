@@ -82,7 +82,7 @@ func collect(m miner.Miner, p *miner.Partition, cfg miner.Config, sc *miner.Scra
 
 func sortWSeqs(out []miner.WSeq) {
 	// Canonical order: length, then rank-lexicographic (matches
-	// CollectPatterns and gsm.SortPatterns).
+	// gsm.SortPatterns).
 	slices.SortFunc(out, func(a, b miner.WSeq) int {
 		if len(a.Items) != len(b.Items) {
 			return len(a.Items) - len(b.Items)

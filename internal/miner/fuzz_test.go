@@ -156,6 +156,13 @@ func FuzzMinersAgree(f *testing.F) {
 // its Weight, as a fresh entry of a delta run does when an old sequence
 // equals it; that copy counts in Known, not in Appended. The emission order,
 // the supports and the Stats must be those of the grown mine without Known.
+//
+// Then, for both PSMs, a chain with borders: the old part is mined cold with
+// its border recorded (Partition.Border), the partition grows by a second
+// slice of the appended sequences and is mined with that border, then by the
+// rest and mined with the border the first grown mine recorded. Each grown
+// mine must match the grown mine without Known: same order, supports and
+// Stats.
 func FuzzGrownPartition(f *testing.F) {
 	addFuzzSeeds(f)
 	sc := miner.NewScratch()
@@ -210,7 +217,93 @@ func FuzzGrownPartition(f *testing.F) {
 					label, kind, prev, lean.Appended, gotOrder, gotStats, wantOrder, wantStats)
 			}
 		}
+
+		// The chain: Seqs[mid:] old, Seqs[:mid] appended in two steps.
+		mid := grown.Fresh
+		if mid < 2 {
+			return
+		}
+		first := 1 + int(data[2]>>2)%(mid-1) // γ reads data[2] mod 3
+		for _, kind := range []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex} {
+			m := miner.New(kind)
+			cold := &miner.Partition{Pivot: p.Pivot, Parent: p.Parent, Seqs: p.Seqs[mid:]}
+			pats, _, border, crossed := borderMine(m, cold, cfg, sc)
+			for step, fresh := range []int{mid - first, first} {
+				seqs := p.Seqs[mid-fresh:]
+				if step == 1 {
+					seqs = p.Seqs
+				}
+				part := &miner.Partition{Pivot: p.Pivot, Parent: p.Parent, Seqs: seqs, Fresh: fresh, Appended: weightsOf(seqs[:fresh])}
+				want, wantStats := mineOrdered(m, part, cfg, sc)
+				part.Known = knownFrom(pats, border, crossed)
+				got, gotStats, nextBorder, newCrossed := borderMine(m, part, cfg, sc)
+				if gotStats != wantStats || !equalWSeqs(got, want) {
+					t.Fatalf("%s %s: grown mine %d with the border %v (crossed %v) of %v mined %v %+v, without %v %+v",
+						label, kind, step+1, border, crossed, pats, got, gotStats, want, wantStats)
+				}
+				pats, border, crossed = mergeWSeqs(got, pats), nextBorder, append(crossed, newCrossed...)
+			}
+		}
 	})
+}
+
+// borderMine runs a miner with p's border recorded and returns its output in
+// emission order, its Stats, the border and the crossed patterns it
+// reported.
+func borderMine(m miner.Miner, p *miner.Partition, cfg miner.Config, sc *miner.Scratch) (out []miner.WSeq, st miner.Stats, border, crossed []miner.WSeq) {
+	p.Border = func(pat []flist.Rank, bound int64, isCrossed bool) {
+		e := miner.WSeq{Items: slices.Clone(pat), Weight: bound}
+		if isCrossed {
+			crossed = append(crossed, e)
+		} else {
+			border = append(border, e)
+		}
+	}
+	defer func() { p.Border = nil }()
+	out, st = mineOrdered(m, p, cfg, sc)
+	return out, st, border, crossed
+}
+
+// knownFrom restates a mine's patterns, border and crossed patterns as a
+// bordered Known.
+func knownFrom(pats, border, crossed []miner.WSeq) *miner.Known {
+	k := knownOf(pats)
+	k.SetBordered()
+	for _, b := range border {
+		k.AddBorder(b.Items, b.Weight)
+	}
+	for _, c := range crossed {
+		if !k.AddCrossed(c.Items, c.Weight) {
+			panic(fmt.Sprintf("crossed pattern %v is not among the patterns", c.Items))
+		}
+	}
+	return k
+}
+
+// mergeWSeqs is gsm.MergeGrown in rank space: the grown mine's patterns, and
+// the old ones it did not reach.
+func mergeWSeqs(mined, old []miner.WSeq) []miner.WSeq {
+	seen := map[string]bool{}
+	out := slices.Clone(mined)
+	for _, p := range mined {
+		seen[fmt.Sprint(p.Items)] = true
+	}
+	for _, p := range old {
+		if !seen[fmt.Sprint(p.Items)] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// weightsOf returns the weights of seqs: the appended multiplicities of
+// fresh entries that folded in no old copy.
+func weightsOf(seqs []miner.WSeq) []int64 {
+	w := make([]int64, len(seqs))
+	for i, s := range seqs {
+		w[i] = s.Weight
+	}
+	return w
 }
 
 // foldOldCopies returns grown with one old copy of every other appended
@@ -307,4 +400,109 @@ func asPatterns(ws []miner.WSeq) []gsm.Pattern {
 		out[i] = gsm.Pattern{Items: items, Support: w.Weight}
 	}
 	return out
+}
+
+// borderCase is the partition TestGrownBorderIndexPruned and
+// TestGrownBorderCrossed grow: pivot p over items a and b, σ 8, γ 0, λ 3, so
+// the border starts at 6 and a counted pattern below it has bound 5.
+var (
+	borderCfg                 = miner.Config{Sigma: 8, Gamma: 0, Lambda: 3, PivotOnly: true}
+	borderA, borderB, borderP = flist.Rank(0), flist.Rank(1), flist.Rank(2)
+	borderParent              = []flist.Rank{flist.NoRank, flist.NoRank, flist.NoRank}
+	borderAPB                 = []flist.Rank{borderA, borderP, borderB}
+	borderAP                  = []flist.Rank{borderA, borderP}
+	borderPB                  = []flist.Rank{borderP, borderB}
+)
+
+// hasWSeq reports whether ws holds items with the given support.
+func hasWSeq(ws []miner.WSeq, items []flist.Rank, support int64) bool {
+	for _, w := range ws {
+		if slices.Equal(w.Items, items) && w.Weight == support {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGrownBorderIndexPruned grows a partition at a pattern the index
+// pruned. Old: seven a·p·b and one a·p, so a·p is frequent (8), p·b is in the
+// border (7), and under PSM+Index a·p·b was never counted — the root's index
+// holds no b, since p·b was not frequent. An appended a·p·b lifts p·b and
+// a·p·b to 8: the pre-pass must bound a·p·b by p·b's entry, not by 5, and
+// mark a·p. Then a second partition whose append keeps p·b and a·p·b below
+// σ: old five a·p·b and three a·p, one more a·p·b folded into the appended
+// one (Weight 2, Appended 1), so p·b is in the border at 6 and reaches 7.
+// Its root must be lean — bounded at the appended multiplicity, not the
+// Weight — so the mine with Known must mine the same with the old sequences
+// emptied.
+func TestGrownBorderIndexPruned(t *testing.T) {
+	sc := miner.NewScratch()
+	for _, kind := range []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex} {
+		m := miner.New(kind)
+		old := []miner.WSeq{{Items: borderAPB, Weight: 7}, {Items: borderAP, Weight: 1}}
+		cold := &miner.Partition{Pivot: borderP, Parent: borderParent, Seqs: old}
+		pats, _, border, _ := borderMine(m, cold, borderCfg, sc)
+		if !hasWSeq(border, borderPB, 7) || kind == miner.KindPSM && len(border) != 1 {
+			t.Fatalf("%s: cold border %v, want p·b at 7 (and, under the index, nothing else)", kind, border)
+		}
+		grown := &miner.Partition{Pivot: borderP, Parent: borderParent, Fresh: 1, Appended: []int64{1},
+			Seqs: append([]miner.WSeq{{Items: borderAPB, Weight: 1}}, old...)}
+		want, wantStats := mineOrdered(m, grown, borderCfg, sc)
+		if !hasWSeq(want, borderAPB, 8) {
+			t.Fatalf("%s: the append lifts no a·p·b: %v", kind, want)
+		}
+		grown.Known = knownFrom(pats, border, nil)
+		if got, gotStats := mineOrdered(m, grown, borderCfg, sc); gotStats != wantStats || !equalWSeqs(got, want) {
+			t.Fatalf("%s: with the border mined %v %+v, without %v %+v", kind, got, gotStats, want, wantStats)
+		}
+
+		old = []miner.WSeq{{Items: borderAPB, Weight: 5}, {Items: borderAP, Weight: 3}}
+		pats, _, border, _ = borderMine(m, &miner.Partition{Pivot: borderP, Parent: borderParent,
+			Seqs: append(slices.Clone(old), miner.WSeq{Items: borderAPB, Weight: 1})}, borderCfg, sc)
+		grown = &miner.Partition{Pivot: borderP, Parent: borderParent, Fresh: 1, Appended: []int64{1},
+			Seqs: append([]miner.WSeq{{Items: borderAPB, Weight: 2}}, old...)}
+		want, wantStats = mineOrdered(m, grown, borderCfg, sc)
+		emptied := *grown
+		emptied.Seqs = slices.Clone(grown.Seqs)
+		for i := 1; i < len(emptied.Seqs); i++ {
+			emptied.Seqs[i].Items = nil
+		}
+		emptied.Known = knownFrom(pats, border, nil)
+		if got, gotStats := mineOrdered(m, &emptied, borderCfg, sc); gotStats != wantStats || !equalWSeqs(got, want) {
+			t.Fatalf("%s: old sequences emptied, with the border mined %v %+v; want %v %+v", kind, got, gotStats, want, wantStats)
+		}
+	}
+}
+
+// TestGrownBorderCrossed grows a partition twice. Old: seven a·p·b and one
+// a·p, as in TestGrownBorderIndexPruned. The first append, p·b, lifts p·b
+// over σ without reaching a·p·b; the second, a·p·b, reaches a·p·b (now 8),
+// which the first grown mine never counted and PSM+Index's cold mine pruned.
+// Its bound is p·b's from before it crossed (Known.AddCrossed), so the
+// pre-pass must mark a·p.
+func TestGrownBorderCrossed(t *testing.T) {
+	sc := miner.NewScratch()
+	for _, kind := range []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex} {
+		m := miner.New(kind)
+		seqs := []miner.WSeq{{Items: borderAPB, Weight: 7}, {Items: borderAP, Weight: 1}}
+		pats, _, border, crossed := borderMine(m, &miner.Partition{Pivot: borderP, Parent: borderParent, Seqs: seqs}, borderCfg, sc)
+		for step, fresh := range [][]flist.Rank{borderPB, borderAPB} {
+			seqs = append([]miner.WSeq{{Items: fresh, Weight: 1}}, seqs...)
+			grown := &miner.Partition{Pivot: borderP, Parent: borderParent, Seqs: seqs, Fresh: 1, Appended: []int64{1}}
+			want, wantStats := mineOrdered(m, grown, borderCfg, sc)
+			grown.Known = knownFrom(pats, border, crossed)
+			got, gotStats, nextBorder, newCrossed := borderMine(m, grown, borderCfg, sc)
+			if gotStats != wantStats || !equalWSeqs(got, want) {
+				t.Fatalf("%s: grown mine %d with the border %v (crossed %v) mined %v %+v, without %v %+v",
+					kind, step+1, border, crossed, got, gotStats, want, wantStats)
+			}
+			if step == 0 && !hasWSeq(newCrossed, borderPB, 7) {
+				t.Fatalf("%s: p·b crossed with %v", kind, newCrossed)
+			}
+			pats, border, crossed = mergeWSeqs(got, pats), nextBorder, append(crossed, newCrossed...)
+		}
+		if !hasWSeq(pats, borderAPB, 8) {
+			t.Fatalf("%s: the second append lifts no a·p·b: %v", kind, pats)
+		}
+	}
 }

@@ -9,23 +9,53 @@ import (
 
 // Known is what a grown partition's previous mine found (Partition.Known):
 // every pattern it emitted, in this mine's rank space, with its support over
-// the old sequences. Fill it with Reset and Add. Its hash index grows with
-// it, so a Known reused across partitions allocates only when it outgrows
-// every earlier fill.
+// the old sequences, and — when SetBordered says the mine recorded one — its
+// near-frequent border (see the package doc). Fill it with Reset, Add,
+// AddBorder and AddCrossed. Its hash index grows with it, so a Known reused
+// across partitions allocates only when it outgrows every earlier fill.
+//
+// A mine also writes to it: the pre-pass adds the border entries it finds,
+// and both record what they learn of them. Fill it again before the next
+// mine.
 type Known struct {
 	items []flist.Rank // the patterns back to back
 	offs  []int32      // pattern i is items[offs[i]:offs[i+1]]
-	sups  []int64
+	// sups[i] is a frequent pattern's support over the old sequences, or a
+	// border pattern's bound on it.
+	sups []int64
+	kind []knownKind
+	// ext[i] is, for a frequent pattern, its bound from AddCrossed (0 if
+	// none); for a border pattern, the support over the appended sequences
+	// the pre-pass found (0 if it did not reach the pattern).
+	ext []int64
 	// slots is an open-addressing hash index over the patterns: 1 + the
 	// index of a pattern, 0 for an empty slot, probed linearly from the top
 	// bits of the pattern's hash. At most half of the slots are in use.
 	slots []int32
 	shift uint
+
+	bordered bool // SetBordered was called
+	crossed  bool // AddCrossed gave some pattern a bound
+	// The pre-pass's outcome: marked[i] says frequent pattern i has a
+	// descendant that may reach σ; leanRoot that the pivot has none.
+	prepassed bool
+	leanRoot  bool
+	marked    []bool
 }
+
+type knownKind uint8
+
+const (
+	knownFrequent knownKind = iota
+	knownBorder
+	// knownCrossed: a border pattern this mine found frequent.
+	knownCrossed
+)
 
 // ErrKnown is what the panic of a PSM mine wraps when a node it answers
 // from Known (see Partition.Known) reaches a pattern whose support Known
-// cannot give. A consistent Known never causes it.
+// cannot give, or whose support exceeds the bound Known gave. A Known true
+// to the old sequences never causes it.
 var ErrKnown = errors.New("miner: grown node reached a pattern the previous mine does not hold")
 
 // Reset empties k and sizes it for n patterns of ranks items in all.
@@ -33,12 +63,48 @@ func (k *Known) Reset(n, ranks int) {
 	k.items = slices.Grow(k.items[:0], ranks)
 	k.offs = append(slices.Grow(k.offs[:0], n+1), 0)
 	k.sups = slices.Grow(k.sups[:0], n)
+	k.kind = slices.Grow(k.kind[:0], n)
+	k.ext = slices.Grow(k.ext[:0], n)
+	k.bordered, k.crossed, k.prepassed, k.leanRoot = false, false, false, false
 	k.resize(2 * n)
 }
 
 // Add records a pattern the previous mine emitted and its support over the
-// old sequences. Patterns must be distinct.
+// old sequences. Patterns must be distinct, here and in AddBorder.
 func (k *Known) Add(pattern []flist.Rank, support int64) {
+	k.add(pattern, support, knownFrequent, 0)
+}
+
+// SetBordered says the previous mine recorded its near-frequent border, and
+// every pattern of it is added with AddBorder (there may be none): k then
+// bounds the old support of the patterns it lacks, and a mine records the
+// partition's border anew (Partition.Border). Without it, a mine treats every
+// pattern k lacks as one whose old occurrences it must read.
+func (k *Known) SetBordered() { k.bordered = true }
+
+// AddBorder records a pattern of the previous mine's border: not frequent,
+// with bound an upper bound on its support over the old sequences.
+func (k *Known) AddBorder(pattern []flist.Rank, bound int64) {
+	k.add(pattern, bound, knownBorder, 0)
+}
+
+// AddCrossed gives a pattern Add recorded the bound Partition.Border reported
+// for it as crossed: an upper bound on the old support of every pattern that
+// extends it by one item and that no mine since has counted. It reports
+// false if k lacks the pattern.
+func (k *Known) AddCrossed(pattern []flist.Rank, bound int64) bool {
+	if len(pattern) == 0 {
+		return false
+	}
+	i := k.find(pattern[:len(pattern)-1], pattern[len(pattern)-1], false)
+	if i < 0 || k.kind[i] != knownFrequent {
+		return false
+	}
+	k.ext[i], k.crossed = bound, true
+	return true
+}
+
+func (k *Known) add(pattern []flist.Rank, sup int64, kind knownKind, ext int64) {
 	if len(k.offs) == 0 {
 		k.Reset(0, 0)
 	}
@@ -50,9 +116,30 @@ func (k *Known) Add(pattern []flist.Rank, support int64) {
 	}
 	k.items = append(k.items, pattern...)
 	k.offs = append(k.offs, int32(len(k.items)))
-	k.sups = append(k.sups, support)
+	k.sups = append(k.sups, sup)
+	k.kind = append(k.kind, kind)
+	k.ext = append(k.ext, ext)
 	k.insert(int32(len(k.sups) - 1))
 }
+
+// addChild adds the border pattern that extends pattern by a — prepended
+// when left, appended otherwise — with its old bound and appended support.
+func (k *Known) addChild(pattern []flist.Rank, a flist.Rank, left bool, bound, appended int64) {
+	start := len(k.items)
+	if left {
+		k.items = append(k.items, a)
+	}
+	k.items = append(k.items, pattern...)
+	if !left {
+		k.items = append(k.items, a)
+	}
+	child := k.items[start:]
+	k.items = k.items[:start]
+	k.add(child, bound, knownBorder, appended)
+}
+
+// frequent reports whether entry i is a pattern the previous mine emitted.
+func (k *Known) frequent(i int32) bool { return k.kind[i] == knownFrequent }
 
 // resize empties the index and gives it the smallest power-of-two number of
 // slots, at least 8, that holds n.
@@ -96,7 +183,7 @@ func (k *Known) insert(i int32) {
 	k.slots[s] = i + 1
 }
 
-// find returns the index of the pattern that extends pattern by a —
+// find returns the index of the entry that extends pattern by a —
 // prepended when left, appended otherwise — or -1 if k lacks it.
 func (k *Known) find(pattern []flist.Rank, a flist.Rank, left bool) int32 {
 	if len(k.slots) == 0 {

@@ -39,17 +39,42 @@
 //
 // Given the earlier mine's patterns (Partition.Known), PSM reads old
 // sequences only where a support needs them. A pattern Known holds has
-// support Known's plus its support over the appended sequences; one Known
-// lacks had old support below σ, and so do all its extensions. A pre-pass
-// first walks PSM's search tree over the fresh sequences alone, with no σ
-// and no index, so it reaches every node the mine can; it stops at each
-// pattern Known lacks and marks every proper ancestor of one. In the mine, a
-// node Known holds and the pre-pass left unmarked is lean: it scans its
-// fresh occurrences alone, at their appended multiplicities, and its
-// children are lean too. Every other node scans in full, as above. A lean
-// root reads no old sequence at all. The nodes visited, their order and
-// every support are those of the mine without Known; only where a support
-// comes from differs.
+// support Known's plus its support over the appended sequences. A pre-pass
+// first walks PSM's search tree over the fresh sequences alone, at their
+// appended multiplicities, with no σ and no index, so it reaches every node
+// the mine can; it stops at each pattern Known does not hold as frequent and
+// marks every proper ancestor of one that may reach σ. Without a border,
+// every such pattern may. In the mine, a node Known holds and the pre-pass
+// left unmarked is lean: it scans its fresh occurrences alone, at their
+// appended multiplicities, and its children are lean too. Every other node
+// scans in full, as above. A lean root reads no old sequence at all. The
+// nodes visited, their order and every support are those of the mine
+// without Known; only where a support comes from differs.
+//
+// The border makes "may reach σ" rare. Every PSM mine can record the
+// partition's near-frequent border (Partition.Border): the patterns it
+// counted with support in [σ − ⌈σ/4⌉, σ), which the next mine of the grown
+// partition restates in Known beside the patterns (Known.AddBorder). An
+// entry bounds its pattern's old support; a pattern with no entry that the
+// earlier mine counted is below the border, so its old support is at most
+// f = max(σ − ⌈σ/4⌉ − 1, 0). The pre-pass stops at a pattern with its bound plus its
+// appended support, and marks its ancestors only when that reaches σ. Two
+// kinds of pattern were never counted:
+//
+//   - Right expansions the index pruned. The index prunes c only when its
+//     left-trimmed suffix c′ was not frequent, and c's support is at most
+//     c′'s: c takes max(f, bound(c′)).
+//   - Extensions of a pattern that crossed σ in a grown mine, which counts
+//     only what the fresh sequences reach. The crossing pattern keeps its
+//     bound from before (Known.AddCrossed) as the bound of its extensions by
+//     one item, left or right, until the partition is mined in full again.
+//
+// A grown mine records the next border: every entry, and every pattern the
+// pre-pass stopped at whose bound plus appended support reaches the border,
+// with its exact support where a full scan counted it and that sum where
+// only the pre-pass did (the supports of a lean node's children Known lacks
+// stay bounds), less the entries that crossed σ; what a full node counted;
+// and the crossing patterns with their bounds.
 package miner
 
 import (
@@ -89,12 +114,22 @@ type Partition struct {
 	// old copies an entry of Seqs[:Fresh] may have folded into its Weight.
 	// Appended[i], for i < Fresh, is how many appended sequences entry i
 	// stands for: its Weight less those copies. Output, emission order and
-	// Stats are those of the mine without them. A lean node that reaches a
-	// pattern Known cannot give a support for — which a Known true to the
-	// old sequences never lets happen — panics with an error wrapping
-	// ErrKnown.
+	// Stats are those of the mine without them. A node that reaches a
+	// pattern Known cannot give a support for, or whose support exceeds the
+	// bound Known's border gave — which a Known true to the old sequences
+	// never lets happen — panics with an error wrapping ErrKnown.
 	Known    *Known
 	Appended []int64
+	// Border, when set, receives PSM's near-frequent border of the
+	// partition (see the package doc): each pattern it counted and found
+	// below σ but at least σ − ⌈σ/4⌉, with that support — on a grown partition
+	// with a bordered Known, a bound on it, Known's entries included — and,
+	// with crossed set, each pattern Known lacked that this mine found
+	// frequent, with the bound for Known.AddCrossed. A grown partition without
+	// Known has its border recorded only where the fresh sequences reach, and
+	// one with a Known without a border (Known.SetBordered) none. BFS and DFS
+	// record none. The pattern slice is only valid during the call.
+	Border func(pattern []flist.Rank, bound int64, crossed bool)
 }
 
 // Config carries the local mining parameters.
@@ -201,6 +236,10 @@ func New(k Kind) Miner {
 	panic("miner: unknown kind")
 }
 
+// nearSigma is the lowest support of the near-frequent border for σ:
+// σ − ⌈σ/4⌉.
+func nearSigma(sigma int64) int64 { return sigma - (sigma+3)/4 }
+
 // ContainsPivot reports whether a rank pattern contains the pivot. A
 // partition may hold ranks above the pivot (rewrite.ModeNone partitions do),
 // but with PivotOnly set the miners expand no candidate above it (walk.bound),
@@ -220,21 +259,4 @@ func sortUniqueTail(dst []int32, start int) []int32 {
 	region := dst[start:]
 	slices.Sort(region)
 	return dst[:start+len(slices.Compact(region))]
-}
-
-// CollectPatterns is a test convenience: runs a miner (with a private
-// scratch) and returns patterns sorted canonically (by length, then
-// rank-lexicographic).
-func CollectPatterns(m Miner, p *Partition, cfg Config) ([]WSeq, Stats) {
-	var out []WSeq
-	stats := m.Mine(p, cfg, nil, func(pattern []flist.Rank, support int64) {
-		out = append(out, WSeq{Items: append([]flist.Rank(nil), pattern...), Weight: support})
-	})
-	slices.SortFunc(out, func(a, b WSeq) int {
-		if len(a.Items) != len(b.Items) {
-			return len(a.Items) - len(b.Items)
-		}
-		return slices.Compare(a.Items, b.Items)
-	})
-	return out, stats
 }

@@ -88,7 +88,7 @@ func TestPaperPartitionsAllMiners(t *testing.T) {
 	for pivotName, wantPats := range want {
 		p, fl := paperPartition(t, pivotName)
 		for _, kind := range allKinds {
-			got, stats := miner.CollectPatterns(miner.New(kind), p, cfg)
+			got, stats := collect(miner.New(kind), p, cfg, nil)
 			if len(got) != len(wantPats) {
 				var names []string
 				for _, g := range got {
@@ -118,7 +118,7 @@ func TestPivotOnlyFilter(t *testing.T) {
 	p, fl := paperPartition(t, "c")
 	cfg := miner.Config{Sigma: 2, Gamma: 1, Lambda: 3, PivotOnly: false}
 	for _, kind := range []miner.Kind{miner.KindBFS, miner.KindDFS} {
-		got, _ := miner.CollectPatterns(miner.New(kind), p, cfg)
+		got, _ := collect(miner.New(kind), p, cfg, nil)
 		found := false
 		for _, g := range got {
 			if patStr(fl, g.Items) == "a B" {

@@ -40,8 +40,8 @@ func TestPSMIndexPruningScenario(t *testing.T) {
 		[]flist.Rank{y, pivot, y},
 	)
 	cfg := miner.Config{Sigma: 2, Gamma: 0, Lambda: 3, PivotOnly: true}
-	noIdx, sPlain := miner.CollectPatterns(miner.New(miner.KindPSMNoIndex), p, cfg)
-	withIdx, sIdx := miner.CollectPatterns(miner.New(miner.KindPSM), p, cfg)
+	noIdx, sPlain := collect(miner.New(miner.KindPSMNoIndex), p, cfg, nil)
+	withIdx, sIdx := collect(miner.New(miner.KindPSM), p, cfg, nil)
 	if len(noIdx) != len(withIdx) {
 		t.Fatalf("index changed output: %d vs %d patterns", len(noIdx), len(withIdx))
 	}

@@ -68,10 +68,6 @@ type Scratch struct {
 	// a bitset over ranks (walk.freshBits).
 	fresh []uint64
 
-	// marked[i]: Partition.Known's pattern i needs old occurrences (PSM's
-	// pre-pass, psmRun.markAnchor).
-	marked []bool
-
 	// PSM anchor scan (flattened aEntry list).
 	anchorTids []int32
 	anchorOffs []int32

@@ -276,8 +276,10 @@ func (s *MineState) NumSequences() int {
 
 // SizeBytes returns the deterministic byte accounting of what the state
 // retains: the f-list counts, one record per partition, every partition
-// pattern with its items at their element widths, and the encoded input of
-// each partition a Resume run kept (none in a from-scratch run's state).
+// pattern and every pattern of its near-frequent border (which a Resume run
+// reads to leave old sequences unread) with its items at their element
+// widths, and the encoded input of each partition a Resume run kept (none in
+// a from-scratch run's state).
 // Two runs over equal inputs report equal sizes, so a holder can charge the
 // state against a memory budget.
 func (s *MineState) SizeBytes() int64 {
@@ -292,14 +294,17 @@ func (s *MineState) SizeBytes() int64 {
 // charged as if it were the only one held.
 func deltaStateBytes(d *core.DeltaState) int64 {
 	const (
-		partBytes    = 80 // core.DeltaPart: pivot (padded to a word), three counters, two slice headers
-		patternBytes = 32 // gsm.Pattern: one slice header plus the support
+		partBytes    = 128 // core.DeltaPart: pivot and flag (padded to a word), three counters, four slice headers
+		patternBytes = 32  // gsm.Pattern: one slice header plus the support
 	)
 	size := int64(len(d.Freqs))*8 + int64(len(d.Parts))*partBytes
 	for i := range d.Parts {
-		size += int64(len(d.Parts[i].Input))
-		for _, p := range d.Parts[i].Patterns {
-			size += patternBytes + int64(len(p.Items))*4
+		part := &d.Parts[i]
+		size += int64(len(part.Input))
+		for _, ps := range [][]gsm.Pattern{part.Patterns, part.Border, part.Crossed} {
+			for _, p := range ps {
+				size += patternBytes + int64(len(p.Items))*4
+			}
 		}
 	}
 	return size
@@ -470,10 +475,13 @@ type RunStats struct {
 	// resumed state (together, NumPartitions). DeltaPartitionsGrown counts
 	// the dirty partitions that were mined incrementally: only for the
 	// patterns their appended sequences reach, the rest taken from the
-	// state. All zero for from-scratch runs.
+	// state. DeltaPartitionsLean counts the grown partitions whose mine read
+	// none of their old sequences: the resumed state's patterns and border
+	// gave every support it needed. All zero for from-scratch runs.
 	DeltaPartitionsDirty  int64
 	DeltaPartitionsReused int64
 	DeltaPartitionsGrown  int64
+	DeltaPartitionsLean   int64
 }
 
 // Mine runs the selected algorithm over the database. It is
@@ -662,6 +670,7 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 	out.Stats.DeltaPartitionsDirty = int64(res.DeltaDirty)
 	out.Stats.DeltaPartitionsReused = int64(res.DeltaReused)
 	out.Stats.DeltaPartitionsGrown = int64(res.DeltaGrown)
+	out.Stats.DeltaPartitionsLean = int64(res.DeltaLean)
 	if len(res.Patterns) > 0 {
 		out.Patterns = make([]Pattern, 0, len(res.Patterns))
 	}
