@@ -13,8 +13,8 @@
 // identical in-flight requests coalesce onto one run, and finished results
 // are retained under -cache-bytes so repeats are answered instantly.
 // DELETE /v1/jobs/{id} cancels a queued or running job; POST
-// /v1/mine/stream streams patterns as NDJSON while the run is still
-// mining. Databases are mutable by append: POST
+// /v1/mine/stream submits like POST /v1/mine and sends the job's result as
+// NDJSON once it completes. Databases are mutable by append: POST
 // /v1/databases/{name}/sequences installs a new immutable corpus version,
 // later mines resume incrementally from the newest retained state, and
 // every non-2xx response carries the uniform {"error": {...}} envelope.
@@ -38,7 +38,7 @@
 //
 //	lashd -demo &
 //	curl -s localhost:8080/v1/mine -d '{"database":"demo-text","options":{"min_support":100,"max_gap":1,"max_length":3},"wait":true}'
-//	curl -sN localhost:8080/v1/mine/stream -d '{"database":"demo-text","options":{"min_support":100,"max_gap":1,"max_length":3}}'
+//	curl -sN localhost:8080/v1/mine/stream -d '{"database":"demo-text","options":{"min_support":100,"max_gap":1,"max_length":3}}'   # a cache hit now
 //	curl -s 'localhost:8080/v1/patterns?db=demo-text&top=5'
 //	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/metrics

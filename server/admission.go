@@ -47,7 +47,7 @@ func (m *manager) submit(ctx context.Context, dbName string, db *lash.Database, 
 	}
 
 	if _, ok := m.cache.get(key); ok {
-		j := m.newJobLocked(m.baseCtx, key, dbName, version, opt)
+		j := m.newJobLocked(key, dbName, version, opt)
 		j.status = JobDone
 		j.cached = true
 		j.started = j.created
@@ -71,7 +71,7 @@ func (m *manager) submit(ctx context.Context, dbName string, db *lash.Database, 
 	// Only now would a fresh job join the queue. Cache hits and coalesced
 	// submits are always admitted above — they cost no queue slot — so
 	// saturation never degrades already-answerable requests.
-	j, err := m.admitLocked(m.baseCtx, reqID, key, dbName, version, opt, false)
+	j, err := m.admitLocked(reqID, key, dbName, version, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -81,18 +81,17 @@ func (m *manager) submit(ctx context.Context, dbName string, db *lash.Database, 
 	// delta run is differentially identical to a cold one.
 	j.options.Resume = m.cache.resume(dbName, db, opt)
 	m.inflight[key] = j
-	go m.run(j, db, nil)
+	go m.run(j, db)
 	return j, nil
 }
 
-// admitLocked is the one admission step of every fresh run — batch job or
-// stream: a draining manager refuses it with
-// errShutdown and a full queue with errOverloaded (429) instead of letting
-// the backlog grow unbounded; otherwise the run gets its record, queued and
-// counted, with the server's policies applied to its options. parent is the
-// context the run dies with. The caller holds m.mu and must hand the job to
-// run, which releases the wait-group count taken here.
-func (m *manager) admitLocked(parent context.Context, reqID, key, dbName string, version int, opt lash.Options, stream bool) (*job, error) {
+// admitLocked is the one admission step of every fresh run: a draining
+// manager refuses it with errShutdown and a full queue with errOverloaded
+// (429) instead of letting the backlog grow unbounded; otherwise the run
+// gets its record, queued and counted, with the server's policies applied to
+// its options. The caller holds m.mu and must hand the job to run, which
+// releases the wait-group count taken here.
+func (m *manager) admitLocked(reqID, key, dbName string, version int, opt lash.Options) (*job, error) {
 	if m.closed {
 		return nil, errShutdown
 	}
@@ -101,23 +100,19 @@ func (m *manager) admitLocked(parent context.Context, reqID, key, dbName string,
 			return nil, fmt.Errorf("%w: %d jobs queued (bound %d)", errOverloaded, queued, m.maxQueue)
 		}
 	}
-	j := m.newJobLocked(parent, key, dbName, version, m.applyPolicies(opt))
-	j.stream = stream
+	j := m.newJobLocked(key, dbName, version, m.applyPolicies(opt))
 	j.status = JobQueued
 	m.met.jobsSubmitted.Inc()
 	m.met.jobsQueued.Inc()
-	if stream {
-		m.met.streams.Inc()
-	}
 	m.wg.Add(1)
-	m.log.Info("job queued", "job_id", j.id, "request_id", reqID, "database", dbName, "stream", stream)
+	m.log.Info("job queued", "job_id", j.id, "request_id", reqID, "database", dbName)
 	return j, nil
 }
 
 // newJobLocked allocates and registers a job record, pruning the oldest
 // terminal records past the retention bound. The job's context derives from
-// parent. Caller holds m.mu.
-func (m *manager) newJobLocked(parent context.Context, key, dbName string, version int, opt lash.Options) *job {
+// the manager's, so shutdown cancels it. Caller holds m.mu.
+func (m *manager) newJobLocked(key, dbName string, version int, opt lash.Options) *job {
 	m.nextID++
 	j := &job{
 		id:      fmt.Sprintf("job-%d", m.nextID),
@@ -128,7 +123,7 @@ func (m *manager) newJobLocked(parent context.Context, key, dbName string, versi
 		done:    make(chan struct{}),
 		created: time.Now().UTC(),
 	}
-	j.ctx, j.cancelCause = context.WithCancelCause(parent)
+	j.ctx, j.cancelCause = context.WithCancelCause(m.baseCtx)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	if m.maxJobs > 0 && len(m.order) > m.maxJobs {
@@ -158,21 +153,4 @@ func (m *manager) newJobLocked(parent context.Context, key, dbName string, versi
 		}
 	}
 	return j
-}
-
-// stream runs one streaming mining request as a job on the caller's
-// goroutine: admitted, listed, cancellable and counted like any other, it
-// waits for a worker slot and mines under the request's context — a client
-// that goes away cancels it, as does closing the manager — delivering its
-// patterns through emit.
-func (m *manager) stream(ctx context.Context, dbName string, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
-	m.mu.Lock()
-	j, err := m.admitLocked(ctx, requestIDFrom(ctx), jobKey(dbName, db.Version(), opt), dbName, db.Version(), opt, true)
-	m.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	stop := context.AfterFunc(m.baseCtx, func() { j.cancelCause(errShutdown) })
-	defer stop()
-	return m.run(j, db, emit)
 }

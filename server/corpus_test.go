@@ -381,6 +381,21 @@ func TestLiveCorporaEndToEnd(t *testing.T) {
 	if status != http.StatusOK || int(body["corpus_version"].(float64)) != 1 {
 		t.Fatalf("patterns version=1 after append: status %d, body %v", status, body)
 	}
+
+	// A stream after the next append resumes from v2's state like a mine.
+	reusedBefore := metricValue(t, ts, "lash_delta_partitions_reused_total")
+	if status, info := call(t, "POST", ts.URL+"/v1/databases/db/sequences",
+		map[string]any{"sequences": []string{"n3 n2 n1"}}); status != http.StatusOK {
+		t.Fatalf("second append: status %d, body %v", status, info)
+	}
+	status, lines := streamLines(t, ts.URL, map[string]any{"database": "db", "options": opts})
+	if _, trailer := streamPatterns(t, lines); status != http.StatusOK || trailer["error"] != nil {
+		t.Fatalf("stream of v3: status %d, trailer %v", status, trailer)
+	}
+	if reused := metricValue(t, ts, "lash_delta_partitions_reused_total"); reused <= reusedBefore {
+		t.Errorf("lash_delta_partitions_reused_total %v → %v over the stream of v3, want it to rise (the stream resumes)",
+			reusedBefore, reused)
+	}
 }
 
 // subscribeAcrossAppend follows a version-1 job held in flight while an
@@ -401,7 +416,7 @@ func subscribeAcrossAppend(t *testing.T, v2Done bool) {
 	baseSeqs := len(testSpec("db").Sequences)
 
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			if db.NumSequences() == baseSeqs {
 				return gatedResult(ctx, releaseA, patsA)
 			}

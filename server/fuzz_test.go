@@ -26,7 +26,7 @@ import (
 // is small so a long fuzz run does not grow with the requests it made.
 func fuzzServer(t testing.TB) *Server {
 	s := New(Config{CacheBytes: 1 << 20, JobHistory: 64,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			return &lash.Result{Patterns: []lash.Pattern{{Items: []string{"a", "B"}, Support: 3}}}, ctx.Err()
 		}})
 	if _, err := s.AddDatabase(paperSpec("paper")); err != nil {
@@ -114,7 +114,10 @@ func FuzzPatternQuery(f *testing.F) {
 	})
 }
 
-// FuzzMineRequest sends arbitrary bodies to POST /v1/mine.
+// FuzzMineRequest sends arbitrary bodies to POST /v1/mine and to
+// POST /v1/mine/stream. The stream submits as the mine does, so it refuses
+// the same bodies with the same status; what it accepts it answers with
+// pattern records and one trailer counting them.
 func FuzzMineRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"database":"paper","options":{"min_support":2,"max_gap":1,"max_length":3},"wait":true}`,
@@ -136,9 +139,36 @@ func FuzzMineRequest(f *testing.F) {
 	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var v JobView
-		checkFuzzReply(t, serve(s, "POST", "/v1/mine", string(body)), &v,
+		rec := serve(s, "POST", "/v1/mine", string(body))
+		checkFuzzReply(t, rec, &v,
 			http.StatusOK, http.StatusAccepted, http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge)
+		stream := serve(s, "POST", "/v1/mine/stream", string(body))
+		if rec.Code >= 300 {
+			checkFuzzReply(t, stream, nil, rec.Code)
+			return
+		}
+		if stream.Code != http.StatusOK {
+			t.Fatalf("stream of a body /v1/mine accepted: status %d: %s", stream.Code, stream.Body)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(stream.Body.Bytes(), []byte("\n")), []byte("\n"))
+		for _, line := range lines[:len(lines)-1] {
+			var p PatternView
+			if err := strictDecode(line, &p); err != nil || len(p.Items) == 0 {
+				t.Fatalf("stream record %s: %v", line, err)
+			}
+		}
+		var tr StreamTrailer
+		if err := strictDecode(lines[len(lines)-1], &tr); err != nil || !tr.Done || tr.JobID == "" || tr.Patterns != len(lines)-1 {
+			t.Fatalf("stream trailer %s after %d records: %v", lines[len(lines)-1], len(lines)-1, err)
+		}
 	})
+}
+
+// strictDecode decodes one JSON value, refusing fields v does not declare.
+func strictDecode(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // TestOptionsSpecDeadline: a deadline_ms is taken as sent or refused by name,

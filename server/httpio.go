@@ -92,7 +92,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, errBadSpec):
 		return http.StatusBadRequest
-	case errors.Is(err, errConflict), errors.Is(err, errJobCancelled): // a stream DELETEd before its first pattern
+	case errors.Is(err, errConflict):
 		return http.StatusConflict
 	case errors.Is(err, errShutdown):
 		return http.StatusServiceUnavailable

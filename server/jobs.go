@@ -47,10 +47,6 @@ type JobStats struct {
 	// Cancelled counts jobs cancelled via DELETE /v1/jobs/{id} or server
 	// shutdown before completing.
 	Cancelled uint64 `json:"cancelled"`
-	// Streams counts streaming runs (POST /v1/mine/stream); they are jobs
-	// too, so they also count into Submitted, into MinesRun when mining
-	// actually starts, and into one terminal counter.
-	Streams uint64 `json:"streams"`
 	// QueueTimeMS and RunTimeMS split what used to be reported as one
 	// mine_time_ms field: cumulative milliseconds finished runs spent
 	// waiting for a worker slot (QueueTimeMS) versus actually mining
@@ -58,7 +54,7 @@ type JobStats struct {
 	QueueTimeMS int64 `json:"queue_time_ms"`
 	RunTimeMS   int64 `json:"run_time_ms"`
 	// SpilledRuns and SpilledBytes accumulate the shuffle spilling of every
-	// run (jobs and streams, failed and cancelled ones included) whose
+	// run (failed and cancelled ones included) whose
 	// memory_budget forced it to disk — how much external-memory work this
 	// server has absorbed. They read lash_spill_runs_total and
 	// lash_spill_bytes_total.
@@ -73,14 +69,10 @@ type JobStats struct {
 // terminal status. Server shutdown cancels every job's ctx, and DELETE
 // /v1/jobs/{id} cancels one.
 type job struct {
-	id      string
-	key     string
-	dbName  string
-	version int // corpus version the job mines (immutable snapshot)
-	// stream marks a streaming run (POST /v1/mine/stream): it delivers its
-	// patterns as it mines instead of leaving a result, so it bypasses the
-	// cache, singleflight and resume.
-	stream      bool
+	id          string
+	key         string
+	dbName      string
+	version     int // corpus version the job mines (immutable snapshot)
 	options     lash.Options
 	done        chan struct{}
 	ctx         context.Context
@@ -95,18 +87,9 @@ type job struct {
 	finished  time.Time
 }
 
-// MineFunc runs one blocking mining run under a context: a batch run
-// (lash.MineContext's contract) when emit is nil, a streaming run delivering
-// its patterns through emit (lash.Stream's contract) otherwise.
-type MineFunc func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error)
-
-// mine is the default MineFunc.
-func mine(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
-	if emit == nil {
-		return lash.MineContext(ctx, db, opt)
-	}
-	return lash.Stream(ctx, db, opt, emit)
-}
+// MineFunc runs one blocking mining run under a context, with
+// lash.MineContext's contract.
+type MineFunc func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error)
 
 // manager runs mining jobs on a bounded worker pool. Identical in-flight
 // requests (same database, same canonical options) coalesce onto one job,
@@ -123,8 +106,8 @@ type manager struct {
 
 	// Robustness knobs, set once by New before the manager serves anything.
 	// maxQueue bounds the backlog of runs waiting for a worker slot (0 =
-	// unbounded): jobs and streams that would queue past it are refused
-	// with errOverloaded. maxJobTime caps every run's Options.Deadline (0 =
+	// unbounded): runs that would queue past it are refused with
+	// errOverloaded. maxJobTime caps every run's Options.Deadline (0 =
 	// uncapped): a request may set a tighter deadline, never a looser one.
 	// faults arms the run-level injection points of every mine (nil in
 	// production).
@@ -204,7 +187,6 @@ func (m *manager) stats() JobStats {
 		Completed:    uint64(m.met.jobsCompleted.Value()),
 		Failed:       uint64(m.met.jobsFailed.Value()),
 		Cancelled:    uint64(m.met.jobsCancelled.Value()),
-		Streams:      uint64(m.met.streams.Value()),
 		QueueTimeMS:  int64(m.met.queueSeconds.Sum() * 1000),
 		RunTimeMS:    int64(m.met.runSeconds.Sum() * 1000),
 		SpilledRuns:  uint64(m.met.pm.SpillRuns.Value()),

@@ -10,21 +10,18 @@ import (
 	"lash"
 )
 
-// run executes one job on a worker slot — the only place one is acquired —
-// and returns what finish was told. The job's context covers both the wait
-// for the slot and the mining itself. Batch jobs run on their own goroutine
-// with a nil emit; a stream runs on its caller's, which passes the emit it
-// delivers through (it is never stored).
-func (m *manager) run(j *job, db *lash.Database, emit func(lash.Pattern) error) (*lash.Result, error) {
+// run executes one job on its own goroutine and a worker slot — the only
+// place one is acquired — and hands the outcome to finish. The job's context
+// covers both the wait for the slot and the mining itself.
+func (m *manager) run(j *job, db *lash.Database) {
 	defer m.wg.Done()
 	defer j.cancelCause(nil) // release the context's resources
 
 	select {
 	case m.sem <- struct{}{}:
 	case <-j.ctx.Done():
-		err := causeOf(j.ctx)
-		m.finish(j, nil, err)
-		return nil, err
+		m.finish(j, nil, causeOf(j.ctx))
+		return
 	}
 	defer func() { <-m.sem }()
 
@@ -32,7 +29,7 @@ func (m *manager) run(j *job, db *lash.Database, emit func(lash.Pattern) error) 
 	if m.closed {
 		m.mu.Unlock()
 		m.finish(j, nil, errShutdown)
-		return nil, errShutdown
+		return
 	}
 	j.status = JobRunning
 	j.started = time.Now().UTC()
@@ -49,16 +46,15 @@ func (m *manager) run(j *job, db *lash.Database, emit func(lash.Pattern) error) 
 		"queued_ms", j.started.Sub(j.created).Milliseconds())
 
 	res, err := safeMine(func() (*lash.Result, error) {
-		return m.mineFn(j.ctx, db, j.options, emit)
+		return m.mineFn(j.ctx, db, j.options)
 	})
 	m.finish(j, res, err)
-	return res, err
 }
 
 // causeOf resolves a done context into its most specific error: the
 // cancellation cause if one was set (errJobCancelled for DELETE,
 // errShutdown when the manager's base context died), otherwise the plain
-// context error (e.g. a streaming client disconnecting).
+// context error.
 func causeOf(ctx context.Context) error {
 	if cause := context.Cause(ctx); cause != nil && cause != ctx.Err() {
 		return cause
@@ -80,14 +76,13 @@ func safeMine(fn func() (*lash.Result, error)) (res *lash.Result, err error) {
 }
 
 // finish moves a job to its terminal status — the only place a run's
-// outcome is decided and counted — hands a batch job's result to the cache,
-// and wakes all waiters, including every request that coalesced onto the
-// job. A run that ended because the job's context was cancelled — by
-// DELETE /v1/jobs/{id}, by server shutdown, or by a stream's client going
-// away — lands in JobCancelled, not JobFailed.
+// outcome is decided and counted — hands its result to the cache, and wakes
+// all waiters, including every request that coalesced onto the job. A run
+// that ended because the job's context was cancelled — by DELETE
+// /v1/jobs/{id} or by server shutdown — lands in JobCancelled, not
+// JobFailed.
 func (m *manager) finish(j *job, res *lash.Result, err error) {
-	mined := err == nil && !j.stream // a stream delivered as it mined; nothing to keep or serve
-	if mined {
+	if err == nil {
 		// Before the job leaves its singleflight slot, so a resubmission is
 		// coalesced or a hit, never a re-mine; ahead of the lock, because
 		// charging a result walks every pattern.
@@ -113,9 +108,6 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 	case err == nil:
 		j.status = JobDone
 		m.met.jobsCompleted.Inc()
-		if !mined {
-			break
-		}
 		m.met.deltaDirty.Add(res.Stats.DeltaPartitionsDirty)
 		m.met.deltaReused.Add(res.Stats.DeltaPartitionsReused)
 		m.met.deltaGrown.Add(res.Stats.DeltaPartitionsGrown)
@@ -139,9 +131,7 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 			m.met.jobsDeadline.Inc()
 		}
 	}
-	if !j.stream { // a stream never took the singleflight slot of its key
-		delete(m.inflight, j.key)
-	}
+	delete(m.inflight, j.key)
 	close(j.done)
 	status, jerr := j.status, j.err
 	m.mu.Unlock()
@@ -173,16 +163,10 @@ func (m *manager) buildIndex(key string, res *lash.Result) {
 // cancelled rather than mining failing on its own: the cancel sentinels in
 // the error chain directly, or a context.Canceled whose job context was
 // cancelled by DELETE or shutdown. (A MineFunc may surface either the
-// plain ctx error or the substrate's cause-carrying wrap.) A stream's
-// context also dies with its request, and there any error counts: a
-// disconnect can surface as the NDJSON write error, because the emit error
-// takes precedence over the context error in lash.Stream.
+// plain ctx error or the substrate's cause-carrying wrap.)
 func wasCancelled(j *job, err error) bool {
 	if errors.Is(err, errJobCancelled) || errors.Is(err, errShutdown) {
 		return true
-	}
-	if j.stream {
-		return j.ctx.Err() != nil
 	}
 	if !errors.Is(err, context.Canceled) {
 		return false

@@ -27,7 +27,6 @@ type serverMetrics struct {
 	jobsCompleted *obs.Counter
 	jobsFailed    *obs.Counter
 	jobsCancelled *obs.Counter
-	streams       *obs.Counter
 	jobsQueued    *obs.Gauge
 	jobsRunning   *obs.Gauge
 	queueSeconds  *obs.Histogram
@@ -57,9 +56,8 @@ type serverMetrics struct {
 	pindexBytes        *obs.Counter
 	pindexQueries      map[string]*obs.Counter
 
-	databases  *obs.Gauge
-	uptime     *obs.Gauge
-	streamEmit *obs.Histogram
+	databases *obs.Gauge
+	uptime    *obs.Gauge
 
 	// httpRequests caches the lash_http_requests_total handles by series
 	// (see httpRequest), guarded by httpMu.
@@ -84,30 +82,28 @@ func newServerMetrics() *serverMetrics {
 		pm:  obs.NewPipelineMetrics(r),
 
 		jobsSubmitted: r.Counter("lash_jobs_submitted_total",
-			"Mine requests accepted, including cache hits, coalesced submissions and streams."),
+			"Mine requests accepted, including cache hits and coalesced submissions."),
 		jobsCoalesced: r.Counter("lash_jobs_coalesced_total",
 			"Requests attached to an identical in-flight job instead of starting their own (singleflight)."),
 		minesRun: r.Counter("lash_mines_run_total",
 			"Actual executions of the mining function (work not avoided by the cache or coalescing)."),
 		jobsCompleted: r.Counter("lash_jobs_completed_total",
-			"Jobs and streams that finished with a result."),
+			"Jobs that finished with a result."),
 		jobsFailed: r.Counter("lash_jobs_failed_total",
-			"Jobs and streams that finished with a mining error."),
+			"Jobs that finished with a mining error."),
 		jobsCancelled: r.Counter("lash_jobs_cancelled_total",
-			"Jobs and streams cancelled by DELETE /v1/jobs/{id}, client disconnect or shutdown."),
-		streams: r.Counter("lash_streams_total",
-			"Streaming mining runs accepted on POST /v1/mine/stream."),
+			"Jobs cancelled by DELETE /v1/jobs/{id} or shutdown."),
 		jobsQueued: r.Gauge("lash_jobs_queued",
 			"Jobs currently waiting for a worker slot (queue depth)."),
 		jobsRunning: r.Gauge("lash_jobs_running",
 			"Jobs currently mining on a worker slot."),
 		queueSeconds: r.Histogram("lash_job_queue_seconds",
-			"Time jobs and streams spent waiting for a worker slot.", obs.DurationBuckets),
+			"Time jobs spent waiting for a worker slot.", obs.DurationBuckets),
 		runSeconds: r.Histogram("lash_job_run_seconds",
 			"Wall-clock time of mining runs, from worker pickup to a terminal state.", obs.DurationBuckets),
 
 		jobsDeadline: r.Counter("lash_jobs_deadline_exceeded_total",
-			"Jobs and streams that failed because they outlived their deadline (deadline_ms or -max-job-time)."),
+			"Jobs that failed because they outlived their deadline (deadline_ms or -max-job-time)."),
 		rateLimited: r.Counter("lash_http_rate_limited_total",
 			"HTTP requests rejected with 429 by the per-client rate limiter."),
 		spillDirFree: r.Gauge("lash_spill_dir_free_bytes",
@@ -133,9 +129,6 @@ func newServerMetrics() *serverMetrics {
 			"Databases registered with the server."),
 		uptime: r.Gauge("lash_uptime_seconds",
 			"Seconds since the server was assembled."),
-		streamEmit: r.Histogram("lash_stream_emit_seconds",
-			"Time spent writing one pattern record to a streaming client; long tails mean client backpressure.",
-			obs.DurationBuckets),
 
 		corpusVersions: r.Counter("lash_corpus_versions_total",
 			"Corpus versions installed: database registrations plus appends (POST /v1/databases/{name}/sequences)."),

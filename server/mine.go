@@ -1,13 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
-
-	"lash"
 )
 
 // writeJobResult answers 200 with the job's view, including the mined
@@ -15,7 +12,7 @@ import (
 // entered the cache before the job turned done).
 func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
 	v := s.jobs.view(j)
-	if v.Status == JobDone && !v.Stream {
+	if v.Status == JobDone {
 		if res, ok := s.jobs.cache.result(j.key); ok {
 			newWireWriter(w).writeJobBody(v, res)
 			return
@@ -24,48 +21,49 @@ func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-// resolveMineDB resolves a mine request's database and corpus version,
-// writing the error response itself on failure.
-func (s *Server) resolveMineDB(w http.ResponseWriter, req MineRequest) (*lash.Database, bool) {
+// submitMine decodes a mine request, resolves its database and corpus
+// version, and submits it — the one submission step of POST /v1/mine and
+// POST /v1/mine/stream — writing the error response itself on failure.
+func (s *Server) submitMine(w http.ResponseWriter, r *http.Request) (MineRequest, *job, bool) {
+	var req MineRequest
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeError(w, bodyStatus(err), err)
+		return req, nil, false
+	}
 	if req.Database == "" {
 		writeError(w, http.StatusBadRequest, errors.New("database is required"))
-		return nil, false
+		return req, nil, false
 	}
 	if req.Version < 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad version %d", req.Version))
-		return nil, false
+		return req, nil, false
 	}
 	db, dbOK, verOK := s.registry.getVersion(req.Database, req.Version)
 	switch {
 	case !dbOK:
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w %q", errDBMissing, req.Database))
-		return nil, false
+		return req, nil, false
 	case !verOK:
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("database %q has no corpus version %d", req.Database, req.Version))
-		return nil, false
-	}
-	return db, true
-}
-
-func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	var req MineRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, bodyStatus(err), err)
-		return
-	}
-	db, ok := s.resolveMineDB(w, req)
-	if !ok {
-		return
+		return req, nil, false
 	}
 	opt, err := req.Options.toOptions()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return req, nil, false
 	}
 	j, err := s.jobs.submit(r.Context(), req.Database, db, opt)
 	if err != nil {
 		writeError(w, statusFor(err), err)
+		return req, nil, false
+	}
+	return req, j, true
+}
+
+func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
+	req, j, ok := s.submitMine(w, r)
+	if !ok {
 		return
 	}
 	if req.Wait {
@@ -124,68 +122,34 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.jobs.view(j))
 }
 
-// handleMineStream answers POST /v1/mine/stream: it mines synchronously,
-// writing each pattern as one NDJSON line the moment its partition
-// completes, then exactly one trailer line. Closing the request (client
-// disconnect), DELETE /v1/jobs/{id} or shutting the server down cancels
-// the run. Since patterns are delivered before the run's fate is known,
-// errors after the first write surface in the trailer, not the HTTP status.
+// handleMineStream answers POST /v1/mine/stream (contract in the package
+// doc): it submits as handleMine does, waits for the job and sends its
+// cached result. Only a refused submission gets an error status; the
+// headers go out before the wait, so anything later reaches the trailer.
 func (s *Server) handleMineStream(w http.ResponseWriter, r *http.Request) {
-	var req MineRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, bodyStatus(err), err)
-		return
-	}
-	db, ok := s.resolveMineDB(w, req)
+	start := time.Now()
+	_, j, ok := s.submitMine(w, r)
 	if !ok {
 		return
 	}
-	opt, err := req.Options.toOptions()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	enc, flush := startNDJSON(w)
+	flush() // the headers reach the client before the wait
+	select {
+	case <-j.done:
+	case <-r.Context().Done():
 		return
 	}
-	if err := opt.ValidateStream(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	start := time.Now()
-	patterns := 0
-	emit := func(p lash.Pattern) error {
-		begin := time.Now()
-		if err := enc.Encode(PatternView{Items: p.Items, Support: p.Support}); err != nil {
-			return err
-		}
-		patterns++
-		// Flush in small batches: every pattern would thrash syscalls on
-		// dense result sets, while never flushing would defeat streaming.
-		if patterns%64 == 0 && flusher != nil {
-			flusher.Flush()
-		}
-		// Long emit tails mean the client is not keeping up (backpressure
-		// stalls the mining goroutines behind the pipe).
-		s.metrics.streamEmit.Observe(time.Since(begin).Seconds())
-		return nil
-	}
-	res, err := s.jobs.stream(r.Context(), req.Database, db, opt, emit)
-
-	// Nothing has been written yet for runs that failed before their first
-	// pattern (e.g. refused at shutdown), so those can still carry a real
-	// HTTP status instead of a 200-with-error-trailer.
-	if err != nil && patterns == 0 {
-		writeError(w, statusFor(err), err)
-		return
-	}
-
-	trailer := StreamTrailer{Done: true, Patterns: patterns, RuntimeMS: time.Since(start).Milliseconds()}
-	if err != nil {
+	trailer := StreamTrailer{Done: true, JobID: j.id}
+	if res, err := s.jobs.resultOf(j); err != nil {
 		trailer.Error = err.Error()
 	} else {
+		n, ok := sendIndex(enc, flush, res, func(items []string, support int64) any {
+			return PatternView{Items: items, Support: support}
+		})
+		if !ok {
+			return
+		}
+		trailer.Patterns = n
 		trailer.FrequentItems = viewPatterns(res.FrequentItems)
 		trailer.NumPartitions = res.NumPartitions
 		trailer.Explored = res.Explored
@@ -196,8 +160,7 @@ func (s *Server) handleMineStream(w http.ResponseWriter, r *http.Request) {
 		trailer.TaskRetries = res.Stats.TaskRetries
 		trailer.FaultsInjected = res.Stats.FaultsInjected
 	}
+	trailer.RuntimeMS = time.Since(start).Milliseconds()
 	enc.Encode(trailer) //nolint:errcheck // nothing to do about a broken client pipe
-	if flusher != nil {
-		flusher.Flush()
-	}
+	flush()
 }

@@ -211,7 +211,7 @@ func (s *Server) resolvePatternsJob(w http.ResponseWriter, v url.Values) (*job, 
 			return nil, nil, false
 		}
 		var res *lash.Result
-		if status, done := j.terminal(); done && status == JobDone && !j.stream {
+		if status, done := j.terminal(); done && status == JobDone {
 			res, _ = s.jobs.cache.result(j.key)
 		}
 		if res == nil {

@@ -313,7 +313,7 @@ func TestJobsPagination(t *testing.T) {
 	stall := make(chan struct{})
 	_, ts := newTestServer(t, server.Config{
 		Workers: 2,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			select {
 			case <-stall:
 			case <-ctx.Done():
@@ -323,32 +323,15 @@ func TestJobsPagination(t *testing.T) {
 	})
 	mustRegister(t, ts, testSpec("db"))
 
-	// Five distinct jobs (different min_support so nothing coalesces), the
-	// third a stream — listed among the jobs in submission order.
-	streamDone := make(chan struct{})
+	// Five distinct jobs (different min_support so nothing coalesces).
 	for i := 1; i <= 5; i++ {
 		opts := map[string]any{"min_support": i, "max_gap": 1, "max_length": 3}
-		req := map[string]any{"database": "db", "options": opts}
-		if i == 3 {
-			go func() {
-				defer close(streamDone)
-				streamLines(t, ts.URL, req)
-			}()
-			waitUntil(t, "the stream to show in GET /v1/jobs", func() bool {
-				_, page := call(t, "GET", ts.URL+"/v1/jobs", nil)
-				return int(page["total"].(float64)) == 3
-			})
-			continue
-		}
-		status, body := call(t, "POST", ts.URL+"/v1/mine", req)
+		status, body := call(t, "POST", ts.URL+"/v1/mine", map[string]any{"database": "db", "options": opts})
 		if status != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d, body %v", i, status, body)
 		}
 	}
-	defer func() { // release every run, and let the stream's request end
-		close(stall)
-		<-streamDone
-	}()
+	defer close(stall)
 
 	var ids []string
 	pageURL := ts.URL + "/v1/jobs?limit=2"
@@ -364,11 +347,7 @@ func TestJobsPagination(t *testing.T) {
 			t.Errorf("jobs total = %v, want 5", page["total"])
 		}
 		for _, j := range page["jobs"].([]any) {
-			j := j.(map[string]any)
-			ids = append(ids, j["job_id"].(string))
-			if isStream, _ := j["stream"].(bool); isStream != (len(ids) == 3) {
-				t.Errorf("listing position %d: %v, want only the third run marked as a stream", len(ids), j)
-			}
+			ids = append(ids, j.(map[string]any)["job_id"].(string))
 		}
 		cur, ok := page["next_cursor"].(string)
 		if !ok {

@@ -190,7 +190,7 @@ func TestResumeFromNewestValidState(t *testing.T) {
 	gate := make(chan struct{})
 	c := newRetentionClient(t, Config{
 		CacheBytes: -1, // resubmissions re-mine, so the last step runs at all
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			mu.Lock()
 			resumed[db.Version()] = opt.Resume.CorpusVersion()
 			mu.Unlock()

@@ -80,7 +80,7 @@ func TestShutdownDrainRefusesSubmissions(t *testing.T) {
 	gate := make(chan struct{})
 	srv, ts := newTestServer(t, server.Config{
 		Workers: 1,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			<-gate
 			return lash.Mine(db, opt)
 		},
@@ -160,7 +160,7 @@ func TestQueueBoundAdmission(t *testing.T) {
 			_, ts := newTestServer(t, server.Config{
 				Workers:  1,
 				MaxQueue: 1,
-				MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+				MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 					<-gate
 					return lash.Mine(db, opt)
 				},
@@ -184,28 +184,23 @@ func TestQueueBoundAdmission(t *testing.T) {
 			}
 			waitForStat("running")
 
-			// ...run B — a job, or a stream waiting for the slot — fills the
+			// ...run B — a job, or a stream waiting for its job — fills the
 			// queue...
 			var b map[string]any
-			streamDone := make(chan struct{})
 			if filler == "job" {
 				if status, b = call(t, "POST", ts.URL+"/v1/mine", distinct(4)); status != http.StatusAccepted {
 					t.Fatalf("job B: %d %v", status, b)
 				}
-				close(streamDone)
+				defer close(gate) // release A, then B
 			} else {
-				go func() {
-					defer close(streamDone)
-					if status, lines := streamLines(t, ts.URL, distinct(4)); status != http.StatusOK {
+				stream := postStream(t, ts.URL, distinct(4))
+				defer func() { // release A, then B, and read the stream's result
+					close(gate)
+					if status, lines := readStream(t, stream); status != http.StatusOK || lines[len(lines)-1]["error"] != nil {
 						t.Errorf("stream B: %d %v", status, lines)
 					}
 				}()
-				waitForStat("queued")
 			}
-			defer func() { // release A, then B, and let the stream's request end
-				close(gate)
-				<-streamDone
-			}()
 
 			// ...so a third distinct job and a stream are refused with 429 +
 			// Retry-After...
@@ -234,12 +229,11 @@ func TestQueueBoundAdmission(t *testing.T) {
 				t.Errorf("readyz with saturated queue: %d, want 503", resp.StatusCode)
 			}
 
-			// A repeat of job B's request coalesces — no queue slot, still admitted.
-			if filler == "job" {
-				status, coalesced := call(t, "POST", ts.URL+"/v1/mine", distinct(4))
-				if status != http.StatusAccepted || coalesced["job_id"] != b["job_id"] {
-					t.Fatalf("coalescible submit during saturation: %d %v, want job %v", status, coalesced, b["job_id"])
-				}
+			// A repeat of run B's request coalesces onto its job — no queue
+			// slot, still admitted.
+			status, coalesced := call(t, "POST", ts.URL+"/v1/mine", distinct(4))
+			if status != http.StatusAccepted || coalesced["coalesced"] != 1.0 || (b != nil && coalesced["job_id"] != b["job_id"]) {
+				t.Fatalf("coalescible submit during saturation: %d %v, want run B's job", status, coalesced)
 			}
 		})
 	}
@@ -326,7 +320,7 @@ func TestDeadlineJobFailsFast(t *testing.T) {
 func TestDeadlinePreExpiredJob(t *testing.T) {
 	var mined bool
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			mined = true // reached only if the deadline were ignored
 			return lash.MineContext(ctx, db, opt)
 		},
@@ -362,7 +356,7 @@ func TestRequestDeadlineCappedByServer(t *testing.T) {
 		// reaching the MineFunc. Disable caching so every submit runs.
 		CacheBytes: -1,
 		MaxJobTime: 50 * time.Millisecond,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			got = opt
 			return lash.MineContext(ctx, db, opt)
 		},
@@ -401,7 +395,7 @@ func TestRequestDeadlineCappedByServer(t *testing.T) {
 func TestRequestWorkersClamped(t *testing.T) {
 	var got lash.Options
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			got = opt
 			return lash.MineContext(ctx, db, opt)
 		},

@@ -4,10 +4,9 @@
 //   - a database registry that loads named sequence databases once (from
 //     server-side files, inline request payloads, or the built-in synthetic
 //     generators) and shares the immutable *lash.Database across requests;
-//   - a job manager that runs every mine — asynchronous batch job or
-//     stream — through one admission step and one lifecycle on a bounded
-//     worker pool, coalescing identical in-flight batch requests onto a
-//     single run (singleflight);
+//   - a job manager that runs every mine through one admission step and one
+//     lifecycle on a bounded worker pool, coalescing identical in-flight
+//     requests onto a single run (singleflight);
 //   - a result cache, the only holder of finished results: resubmissions,
 //     job records, the pattern endpoints and delta resume all read through
 //     its one LRU list under Config.CacheBytes (see cache.go).
@@ -19,10 +18,10 @@
 //	GET    /v1/databases/{name}   one database's metadata
 //	POST   /v1/databases/{name}/sequences  append sequences; installs the next corpus version
 //	POST   /v1/mine               submit a mining job (MineRequest)
-//	POST   /v1/mine/stream        mine and stream patterns as NDJSON (a job like any other)
-//	GET    /v1/jobs               list jobs, streams included ("stream": true)
-//	GET    /v1/jobs/{id}          poll one job; includes the result when done and still retained (streams leave none)
-//	DELETE /v1/jobs/{id}          cancel a queued or running job or stream
+//	POST   /v1/mine/stream        submit like /v1/mine, wait, and send the job's result as NDJSON
+//	GET    /v1/jobs               list jobs (paginated)
+//	GET    /v1/jobs/{id}          poll one job; includes the result when done and still retained
+//	DELETE /v1/jobs/{id}          cancel a queued or running job
 //	GET    /v1/patterns           query a database's latest retained mined patterns
 //	GET    /v1/patterns/subscribe replay mined patterns, then each in-flight job's result (NDJSON)
 //	GET    /v1/stats              registry / job / cache counters
@@ -32,20 +31,26 @@
 //
 // Robustness: every run can carry a deadline (deadline_ms, capped by
 // Config.MaxJobTime) and a task-retry budget (max_attempts); the manager
-// refuses runs — jobs and streams alike — that would wait for a worker
-// past its queue bound, and rate-limits per client,
-// answering 429 with Retry-After in both cases. Shutdown flips /readyz to
-// 503 immediately and refuses new submissions with 503 + Retry-After while
-// in-flight jobs drain.
+// refuses runs that would wait for a worker past its queue bound, and
+// rate-limits per client, answering 429 with Retry-After in both cases.
+// Shutdown flips /readyz to 503 immediately and refuses new submissions with
+// 503 + Retry-After while in-flight jobs drain.
 //
 // Every job runs under a context derived from the server's lifetime:
 // DELETE /v1/jobs/{id} cancels one job (it lands in the "cancelled" state,
 // waking every request coalesced onto it), and shutting the server down
-// cancels them all. POST /v1/mine/stream delivers patterns incrementally
-// as newline-delimited JSON — one pattern object per line in
-// partition-completion order, then exactly one trailer object (marked
-// "done":true) carrying the run's stats or error — so clients can consume
-// arbitrarily large result sets without either side materializing them.
+// cancels them all.
+//
+// POST /v1/mine/stream submits like POST /v1/mine — a cache hit, a job
+// coalesced with an identical in-flight one, or a new job resuming from a
+// retained state; restricted runs included — and, once the job completes
+// (not per partition), sends its result as NDJSON: one pattern per line in
+// serving order, the order GET /v1/patterns?job= lists, then one
+// "done":true trailer with the job_id and the run's stats. A client
+// disconnect does not cancel the job, which may be shared; DELETE
+// /v1/jobs/{id} does. A job that ends failed or cancelled, or whose result
+// was evicted before it was sent, still answers 200 with a trailer-only
+// "error".
 //
 // Command lashd wraps this package in a binary with graceful shutdown.
 package server
@@ -61,6 +66,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lash"
 	"lash/internal/faults"
 )
 
@@ -83,9 +89,9 @@ type Config struct {
 	// DataDir, when non-empty, enables file-based DatabaseSpecs resolved
 	// relative to this directory.
 	DataDir string
-	// MineFunc replaces lash.MineContext (and, for streaming runs,
-	// lash.Stream); tests use it to observe and stall mining runs and to
-	// script streamed deliveries. It must honor ctx cancellation.
+	// MineFunc replaces lash.MineContext, which runs every mine when nil;
+	// tests use it to observe, stall and script mining runs. It must honor
+	// ctx cancellation.
 	MineFunc MineFunc
 	// Logger receives structured request and job-lifecycle logs. Every
 	// record carries the ids needed to correlate them: request_id for HTTP
@@ -98,8 +104,8 @@ type Config struct {
 	// lash_jobs_deadline_exceeded_total.
 	MaxJobTime time.Duration
 	// MaxQueue, when positive, bounds the backlog of runs waiting for a
-	// worker (lashd -max-queue): jobs and streams that would queue past it
-	// are refused with 429 + Retry-After. Cache hits, coalesced submissions
+	// worker (lashd -max-queue): runs that would queue past it are refused
+	// with 429 + Retry-After. Cache hits, coalesced submissions
 	// and subscriptions are always admitted — they cost no queue slot.
 	MaxQueue int
 	// RateLimit, when positive, enables per-client token-bucket rate
@@ -145,7 +151,7 @@ func New(cfg Config) *Server {
 	}
 	mineFn := cfg.MineFunc
 	if mineFn == nil {
-		mineFn = mine
+		mineFn = lash.MineContext
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -271,7 +277,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 }
 
 // statusWriter captures the response status for logging/metrics while
-// forwarding Flush, which the NDJSON streaming handler depends on.
+// forwarding Flush, which the NDJSON streaming handlers depend on.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

@@ -234,7 +234,7 @@ func TestCoalescingAndCache(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, server.Config{
 		Workers: 4,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			runs.Add(1)
 			<-gate // hold the job in-flight so the second request must coalesce
 			return lash.Mine(db, opt)
@@ -567,7 +567,7 @@ func TestPatternsEndpoint(t *testing.T) {
 
 func TestFailedJob(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			return nil, fmt.Errorf("synthetic mining failure")
 		},
 	})
@@ -705,7 +705,7 @@ func TestJobHistoryPruningSkipsRunning(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts := newTestServer(t, server.Config{
 		JobHistory: 2, CacheBytes: -1, Workers: 4,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			if opt.MaxLength == 99 { // the marker job blocks until released
 				<-gate
 			}
@@ -753,7 +753,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 	var concurrent, peak atomic.Int64
 	_, ts := newTestServer(t, server.Config{
 		Workers: 2,
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			n := concurrent.Add(1)
 			for {
 				p := peak.Load()
@@ -807,7 +807,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 func TestPanickingMineFailsJob(t *testing.T) {
 	calls := 0
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			calls++
 			if calls == 1 {
 				panic("miner exploded")

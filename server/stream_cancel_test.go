@@ -7,9 +7,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 // blocks until its context is cancelled (returning the ctx error) or the
 // release channel closes (returning a result).
 func blockingMine(started chan<- string, release <-chan struct{}) server.MineFunc {
-	return func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+	return func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 		select {
 		case started <- opt.CacheKey():
 		default:
@@ -167,7 +168,7 @@ func TestCancelConflicts(t *testing.T) {
 // TestJobDurations: terminal jobs report their mining wall-clock in
 // runtime_ms, and the stats counters accumulate it.
 func TestJobDurations(t *testing.T) {
-	slowMine := func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+	slowMine := func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 		select {
 		case <-time.After(30 * time.Millisecond):
 		case <-ctx.Done():
@@ -199,6 +200,14 @@ func TestJobDurations(t *testing.T) {
 // records.
 func streamLines(t *testing.T, url string, req any) (int, []map[string]any) {
 	t.Helper()
+	return readStream(t, postStream(t, url, req))
+}
+
+// postStream POSTs to /v1/mine/stream and returns the response once its
+// headers arrive: the handler sends them after it submitted the job, before
+// it waits for the job.
+func postStream(t *testing.T, url string, req any) *http.Response {
+	t.Helper()
 	raw, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -207,6 +216,13 @@ func streamLines(t *testing.T, url string, req any) (int, []map[string]any) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resp
+}
+
+// readStream reads a stream response to its end and returns its status and
+// decoded NDJSON records.
+func readStream(t *testing.T, resp *http.Response) (int, []map[string]any) {
+	t.Helper()
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		// Error responses are one pretty-printed JSON object, not NDJSON.
@@ -235,154 +251,143 @@ func streamLines(t *testing.T, url string, req any) (int, []map[string]any) {
 	return resp.StatusCode, lines
 }
 
-// TestMineStreamEndpoint: POST /v1/mine/stream delivers one NDJSON record
-// per pattern and exactly one trailer carrying the run summary.
+// streamPatterns splits a stream into its pattern records, rendered as
+// patternsOf renders a listing, and its trailer.
+func streamPatterns(t *testing.T, lines []map[string]any) ([]string, map[string]any) {
+	t.Helper()
+	if len(lines) == 0 || lines[len(lines)-1]["done"] != true {
+		t.Fatalf("stream does not end with a trailer: %v", lines)
+	}
+	records := make([]any, 0, len(lines)-1)
+	for _, rec := range lines[:len(lines)-1] {
+		records = append(records, rec)
+	}
+	return patternsOf(t, map[string]any{"patterns": records}), lines[len(lines)-1]
+}
+
+// TestMineStreamEndpoint: POST /v1/mine/stream sends the result of the job
+// it submitted — item for item the job's GET /v1/patterns?job= listing, in
+// order — then one trailer naming the job and summarizing its run. An
+// identical second stream is answered from the cache: same records, a new
+// cached job, no second mine.
 func TestMineStreamEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	mustRegister(t, ts, testSpec("db"))
+	req := map[string]any{"database": "db", "options": testOptions()}
 
-	status, lines := streamLines(t, ts.URL, map[string]any{"database": "db", "options": testOptions()})
+	status, lines := streamLines(t, ts.URL, req)
 	if status != http.StatusOK {
 		t.Fatalf("stream: status %d", status)
 	}
-	if len(lines) == 0 {
-		t.Fatal("no NDJSON records")
-	}
-	trailer := lines[len(lines)-1]
-	if trailer["done"] != true {
-		t.Fatalf("last record is not the trailer: %v", trailer)
-	}
+	got, trailer := streamPatterns(t, lines)
 	if errStr, _ := trailer["error"].(string); errStr != "" {
 		t.Fatalf("trailer error: %s", errStr)
 	}
-	patterns := lines[:len(lines)-1]
-	if got := int(trailer["patterns"].(float64)); got != len(patterns) {
-		t.Errorf("trailer counts %d patterns, %d records streamed", got, len(patterns))
+	if n := int(trailer["patterns"].(float64)); n != len(got) {
+		t.Errorf("trailer counts %d patterns, %d records streamed", n, len(got))
 	}
-
-	// The streamed set matches a direct library run.
+	id := trailer["job_id"].(string)
+	status, listing := call(t, "GET", ts.URL+"/v1/patterns?job="+id, nil)
+	if status != http.StatusOK {
+		t.Fatalf("GET /v1/patterns?job=%s: status %d, body %v", id, status, listing)
+	}
+	if want := patternsOf(t, listing); len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("streamed records differ from the job's listing:\ngot  %v\nwant %v", got, want)
+	}
 	want, err := lash.Mine(testDB(t), lash.Options{MinSupport: 2, MaxGap: 1, MaxLength: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSet := map[string]int64{}
-	for _, p := range want.Patterns {
-		wantSet[strings.Join(p.Items, " ")] = p.Support
-	}
-	for _, rec := range patterns {
-		if rec["done"] != nil {
-			t.Fatalf("pattern record carries done field: %v", rec)
-		}
-		var items []string
-		for _, it := range rec["items"].([]any) {
-			items = append(items, it.(string))
-		}
-		key := strings.Join(items, " ")
-		if wantSet[key] != int64(rec["support"].(float64)) {
-			t.Errorf("streamed %q support %v, library says %d", key, rec["support"], wantSet[key])
-		}
-		delete(wantSet, key)
-	}
-	if len(wantSet) != 0 {
-		t.Errorf("patterns not streamed: %v", wantSet)
-	}
-	if n := int(trailer["num_partitions"].(float64)); n != want.NumPartitions {
-		t.Errorf("trailer num_partitions = %d, want %d", n, want.NumPartitions)
+	if len(got) != len(want.Patterns) || int(trailer["num_partitions"].(float64)) != want.NumPartitions {
+		t.Errorf("streamed %d patterns over %v partitions, the library mines %d over %d",
+			len(got), trailer["num_partitions"], len(want.Patterns), want.NumPartitions)
 	}
 
-	// Streaming runs count into the stats.
-	_, stats := call(t, "GET", ts.URL+"/v1/stats", nil)
-	jobs := stats["jobs"].(map[string]any)
-	if n := jobs["streams"].(float64); n != 1 {
-		t.Errorf("stats streams = %v, want 1", n)
+	status, lines = streamLines(t, ts.URL, req)
+	again, trailer2 := streamPatterns(t, lines)
+	if status != http.StatusOK || !slices.Equal(again, got) || trailer2["job_id"] == id {
+		t.Errorf("second stream: status %d, job %v, %d records; want 200, a job other than %s, the same %d records",
+			status, trailer2["job_id"], len(again), id, len(got))
 	}
-
-	// The stream was a job: listed as done and marked as a stream, with
-	// nothing kept to serve — its patterns went down the wire.
-	_, page := call(t, "GET", ts.URL+"/v1/jobs", nil)
-	listed := page["jobs"].([]any)
-	if len(listed) != 1 {
-		t.Fatalf("GET /v1/jobs lists %d jobs after one stream, want 1: %v", len(listed), listed)
+	if n := jobStats(t, ts)["mines_run"].(float64); n != 1 {
+		t.Errorf("mines_run = %v after two identical streams, want 1", n)
 	}
-	view := listed[0].(map[string]any)
-	if view["stream"] != true || view["status"] != "done" || view["result"] != nil {
-		t.Errorf("stream listed as %v, want stream:true, status done, no result", view)
-	}
-	id := view["job_id"].(string)
-	if status, one := call(t, "GET", ts.URL+"/v1/jobs/"+id, nil); status != http.StatusOK || one["result"] != nil || one["stream"] != true {
-		t.Errorf("GET /v1/jobs/%s: status %d body %v, want the same view", id, status, one)
-	}
-	if status, body := call(t, "GET", ts.URL+"/v1/patterns?job="+id, nil); status != http.StatusConflict {
-		t.Errorf("GET /v1/patterns?job=%s: status %d body %v, want 409 (a stream keeps no result)", id, status, body)
+	if status, view := call(t, "GET", ts.URL+"/v1/jobs/"+trailer2["job_id"].(string), nil); status != http.StatusOK ||
+		view["cached"] != true || view["status"] != "done" {
+		t.Errorf("second stream's job: status %d, view %v; want a done, cached job", status, view)
 	}
 	if status, body := call(t, "DELETE", ts.URL+"/v1/jobs/"+id, nil); status != http.StatusConflict {
-		t.Errorf("DELETE of the finished stream: status %d body %v, want 409", status, body)
+		t.Errorf("DELETE of the finished stream's job: status %d body %v, want 409", status, body)
 	}
 }
 
-// TestMineStreamRejectsRestrictions: restrictions need the full output and
-// are a 400 on the streaming endpoint (but fine on POST /v1/mine).
-func TestMineStreamRejectsRestrictions(t *testing.T) {
+// TestMineStreamAcceptsRestrictions: a restricted (closed) run streams like
+// any other, and it is the same job POST /v1/mine answers: a later
+// identical mine is a cache hit holding the streamed patterns.
+func TestMineStreamAcceptsRestrictions(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	mustRegister(t, ts, testSpec("db"))
 	opts := testOptions()
 	opts["restriction"] = "closed"
 	status, lines := streamLines(t, ts.URL, map[string]any{"database": "db", "options": opts})
-	if status != http.StatusBadRequest {
-		t.Fatalf("stream with closed restriction: status %d lines %v, want 400", status, lines)
+	if status != http.StatusOK {
+		t.Fatalf("stream with closed restriction: status %d lines %v, want 200", status, lines)
+	}
+	got, trailer := streamPatterns(t, lines)
+	if errStr, _ := trailer["error"].(string); errStr != "" || len(got) == 0 {
+		t.Fatalf("closed stream: %d records, trailer %v", len(got), trailer)
 	}
 	status, body := call(t, "POST", ts.URL+"/v1/mine",
 		map[string]any{"database": "db", "options": opts, "wait": true})
-	if status != http.StatusOK {
-		t.Errorf("blocking mine with closed restriction: status %d body %v, want 200", status, body)
+	if status != http.StatusOK || body["cached"] != true {
+		t.Fatalf("mine after the closed stream: status %d body %v, want a cache hit", status, body)
+	}
+	// The reply lists the result in mined order, the stream in serving order.
+	want := patternsOf(t, body["result"].(map[string]any))
+	if !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) {
+		t.Errorf("closed stream sent %v, the cached result holds %v", got, want)
 	}
 }
 
-// TestMineStreamErrorInTrailer: an error mid-stream surfaces in the
-// trailer record, after the patterns that made it out.
+// TestMineStreamErrorInTrailer: a run that fails still answers 200, with a
+// trailer-only stream whose error names the job and its failure.
 func TestMineStreamErrorInTrailer(t *testing.T) {
 	boom := errors.New("partition 3 caught fire")
-	streamFn := func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
-		if err := emit(lash.Pattern{Items: []string{"a", "B"}, Support: 2}); err != nil {
-			return nil, err
-		}
+	failing := func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 		return nil, boom
 	}
-	_, ts := newTestServer(t, server.Config{MineFunc: streamFn})
+	_, ts := newTestServer(t, server.Config{MineFunc: failing})
 	mustRegister(t, ts, testSpec("db"))
 	status, lines := streamLines(t, ts.URL, map[string]any{"database": "db", "options": testOptions()})
 	if status != http.StatusOK {
 		t.Fatalf("stream: status %d", status)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("got %d records, want pattern + trailer", len(lines))
+	if len(lines) != 1 || lines[0]["done"] != true {
+		t.Fatalf("got %v, want the trailer alone", lines)
 	}
-	trailer := lines[1]
-	if trailer["done"] != true {
-		t.Fatalf("missing trailer: %v", lines)
+	trailer := lines[0]
+	id, _ := trailer["job_id"].(string)
+	if errStr, _ := trailer["error"].(string); id == "" || errStr != fmt.Sprintf("job %s failed: %v", id, boom) {
+		t.Errorf("trailer error = %q, want the job's failure", errStr)
 	}
-	if errStr, _ := trailer["error"].(string); !strings.Contains(errStr, "caught fire") {
-		t.Errorf("trailer error = %q, want the stream error", errStr)
-	}
-	// A failed stream counts as failed, not completed.
-	_, stats := call(t, "GET", ts.URL+"/v1/stats", nil)
-	jobs := stats["jobs"].(map[string]any)
-	if n := jobs["failed"].(float64); n != 1 {
+	if n := jobStats(t, ts)["failed"].(float64); n != 1 {
 		t.Errorf("stats failed = %v, want 1", n)
 	}
 }
 
-// TestStreamCancelledWhileQueuedIsCounted: however a run ends — the case
-// that names the test is a stream whose client goes away while it waits for
-// a worker slot — it is listed with that status, a stream marked
-// "stream":true and never carrying a result, and the stats keep their
-// invariants once idle: submitted == completed + failed + cancelled, and
-// nothing queued or running. Jobs and streams go through the same
-// lifecycle, so the matrix is {job, stream} × every way a run can end.
+// TestStreamCancelledWhileQueuedIsCounted: however a run ends, it is listed
+// with that status, carries a result only when done, and the stats keep
+// their invariants once idle: submitted == completed + failed + cancelled,
+// and nothing queued or running. A stream submits the same job POST
+// /v1/mine does, so the matrix is {job, stream} × every way a run can end,
+// and a stream's trailer reports the end its job came to. The case that
+// names the test, a stream whose client goes away while its job waits for a
+// worker slot, no longer cancels: the job may be shared, so it mines and
+// leaves its result cached.
 func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 	outcomes := []struct {
 		name, status string
-		queued       bool // the run under test never gets the worker slot
+		queued       bool // a blocker holds the worker slot when the run under test is submitted
 	}{
 		{"done", "done", false},
 		{"failed", "failed", false},
@@ -390,19 +395,20 @@ func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 		{"cancelled while running", "cancelled", false},
 		{"shutdown", "cancelled", false},
 		{"cancelled while queued", "cancelled", true},
-		{"client gone while queued", "cancelled", true},
+		{"client gone while queued", "done", true},
 	}
 	for _, kind := range []string{"job", "stream"} {
 		for _, oc := range outcomes {
 			if kind == "job" && oc.name == "client gone while queued" {
-				continue // an async job outlives the request that submitted it
+				continue // POST /v1/mine answers before its job runs
 			}
 			t.Run(kind+"/"+oc.name, func(t *testing.T) {
 				started := make(chan struct{}, 2)
 				release := make(chan struct{}) // frees the blocker holding the worker slot
+				releaseBlocker := sync.OnceFunc(func() { close(release) })
 				srv, ts := newTestServer(t, server.Config{
 					Workers: 1,
-					MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+					MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 						started <- struct{}{}
 						if opt.MinSupport == 1 { // the blocker
 							select {
@@ -413,12 +419,7 @@ func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 							}
 						}
 						switch oc.name {
-						case "done":
-							if emit != nil {
-								if err := emit(lash.Pattern{Items: []string{"a", "B"}, Support: 2}); err != nil {
-									return nil, err
-								}
-							}
+						case "done", "client gone while queued":
 							return &lash.Result{}, nil
 						case "failed":
 							return nil, errors.New("partition 3 caught fire")
@@ -439,13 +440,17 @@ func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 					return map[string]any{"database": "db", "options": opts}
 				}
 				// listed returns the view GET /v1/jobs gives of the job with
-				// that id — or, for "", of the (only) stream.
+				// that id — or, for "", of the newest job.
 				listed := func(id string) map[string]any {
 					_, page := call(t, "GET", ts.URL+"/v1/jobs", nil)
-					for _, j := range page["jobs"].([]any) {
-						if j := j.(map[string]any); j["job_id"] == id || (id == "" && j["stream"] == true) {
+					jobs := page["jobs"].([]any)
+					for _, j := range jobs {
+						if j := j.(map[string]any); j["job_id"] == id {
 							return j
 						}
+					}
+					if id == "" && len(jobs) > 0 {
+						return jobs[len(jobs)-1].(map[string]any)
 					}
 					return nil
 				}
@@ -463,6 +468,7 @@ func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 				// Start the run under test and learn its job id: from the
 				// 202 for a job, from the listing for a stream.
 				var id string
+				var trailer map[string]any // a stream's last record, set before streamDone closes
 				ctx, hangUp := context.WithCancel(context.Background())
 				defer hangUp()
 				streamDone := make(chan struct{})
@@ -482,12 +488,21 @@ func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 					}
 					go func() {
 						defer close(streamDone)
-						if resp, err := http.DefaultClient.Do(hreq); err == nil {
-							io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining; the stream's fate is read off the job
-							resp.Body.Close()
+						resp, err := http.DefaultClient.Do(hreq)
+						if err != nil {
+							return // the client hung up
+						}
+						defer resp.Body.Close()
+						sc := bufio.NewScanner(resp.Body)
+						for sc.Scan() {
+							trailer = nil
+							json.Unmarshal(sc.Bytes(), &trailer) //nolint:errcheck // a bad line leaves no trailer, which the checks below report
 						}
 					}()
-					waitUntil(t, "the stream to show in GET /v1/jobs", func() bool { return listed("") != nil })
+					waitUntil(t, "the stream's job to show in GET /v1/jobs", func() bool {
+						v := listed("")
+						return v != nil && v["job_id"] != blockerID
+					})
 					id = listed("")["job_id"].(string)
 				}
 
@@ -499,6 +514,11 @@ func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 					call(t, "DELETE", ts.URL+"/v1/jobs/"+id, nil)
 				case "client gone while queued":
 					hangUp()
+					<-streamDone
+					if v := listed(id); v["status"] != "queued" {
+						t.Errorf("job listed as %v once its stream's client left, want still queued", v["status"])
+					}
+					releaseBlocker() // the job outlives its client: it gets the slot and mines
 				case "cancelled while running":
 					<-started
 					call(t, "DELETE", ts.URL+"/v1/jobs/"+id, nil)
@@ -513,7 +533,7 @@ func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 
 				final := waitForJob(t, ts, id)
 				<-streamDone
-				close(release)
+				releaseBlocker()
 				if oc.queued {
 					waitForJob(t, ts, blockerID)
 				}
@@ -530,11 +550,15 @@ func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 				if v := listed(id); v == nil || v["status"] != oc.status {
 					t.Errorf("GET /v1/jobs lists the run as %v, want status %s", v, oc.status)
 				}
-				if isStream, _ := final["stream"].(bool); isStream != (kind == "stream") {
-					t.Errorf("view %v: stream = %v for a %s", final, final["stream"], kind)
+				if _, has := final["result"]; has != (oc.status == "done") {
+					t.Errorf("view %v: result present = %v for a run that ended %s", final, has, oc.name)
 				}
-				if _, has := final["result"]; has != (kind == "job" && oc.name == "done") {
-					t.Errorf("view %v: result present = %v for a %s that ended %s", final, has, kind, oc.name)
+				if kind == "stream" && oc.name != "client gone while queued" {
+					errStr, _ := trailer["error"].(string)
+					if trailer["done"] != true || trailer["job_id"] != id ||
+						(oc.status == "done") != (errStr == "") || (errStr != "" && !strings.Contains(errStr, oc.status)) {
+						t.Errorf("stream trailer %v, want one for job %s naming its end (%s)", trailer, id, oc.status)
+					}
 				}
 				if j["submitted"].(float64) != j["completed"].(float64)+j["failed"].(float64)+j["cancelled"].(float64) {
 					t.Errorf("submitted != completed + failed + cancelled: %v", j)
@@ -543,9 +567,14 @@ func TestStreamCancelledWhileQueuedIsCounted(t *testing.T) {
 					t.Errorf("submitted = %v, want %d: %v", j["submitted"], submitted, j)
 				}
 				// Either the run under test mined, or the blocker did and the
-				// run under test ended in the queue without mining.
-				if j["mines_run"].(float64) != 1 {
-					t.Errorf("mines_run = %v, want 1: %v", j["mines_run"], j)
+				// run under test ended in the queue without mining — unless
+				// both mined, the job whose stream's client left included.
+				wantMines := 1
+				if oc.name == "client gone while queued" {
+					wantMines = 2
+				}
+				if j["mines_run"].(float64) != float64(wantMines) {
+					t.Errorf("mines_run = %v, want %d: %v", j["mines_run"], wantMines, j)
 				}
 				if n := metricValue(t, ts, "lash_jobs_deadline_exceeded_total"); (n == 1) != (oc.name == "deadline") {
 					t.Errorf("lash_jobs_deadline_exceeded_total = %v after a run that ended %s", n, oc.name)

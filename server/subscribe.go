@@ -14,21 +14,72 @@ import (
 
 // This file is the live half of the pattern-serving tier:
 // GET /v1/patterns/subscribe replays a database's latest completed serving
-// index as NDJSON, then follows the database's batch jobs, sending each one's
+// index as NDJSON, then follows the database's jobs, sending each one's
 // result — the one /v1/patterns?job= serves — once the job completes. A
-// subscription mines nothing itself.
+// subscription mines nothing itself. POST /v1/mine/stream sends one job's
+// result the same way (mine.go).
 
-// follow returns the newest batch job of dbName that a subscription begun at
-// since has not delivered yet: one still queued or running, or one that
-// finished after the subscription began. Streams keep no result and cache-hit
-// pseudo-jobs answer with another job's, so neither is followed. Nil when no
-// job is left to deliver.
+// startNDJSON sets a streaming response's headers and returns its encoder,
+// and a flush that pushes what was encoded to the client.
+func startNDJSON(w http.ResponseWriter) (*json.Encoder, func()) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
+	flusher, _ := w.(http.Flusher)
+	return json.NewEncoder(w), func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
+// sendIndex writes res's patterns, one record each as built by record, in
+// serving order — the order /v1/patterns lists — and returns how many it
+// wrote. It walks res's serving index, which is immutable, so it needs no
+// lock. It flushes every 64 records: every record would thrash syscalls on
+// dense results, never would defeat streaming. False means the client is
+// gone.
+func sendIndex(enc *json.Encoder, flush func(), res *lash.Result, record func(items []string, support int64) any) (int, bool) {
+	ix := res.Index()
+	ids, _ := ix.Search(nil, pindex.Query{Level: pindex.NoLevel}, 0, -1)
+	var items []string
+	for n, id := range ids {
+		items = ix.AppendItems(items[:0], id)
+		if enc.Encode(record(items, ix.Support(id))) != nil {
+			return n, false
+		}
+		if (n+1)%64 == 0 {
+			flush()
+		}
+	}
+	return len(ids), true
+}
+
+// resultOf returns a job's cached result once the job is done, or the reason
+// it has none to send: the job failed or was cancelled, or the cache evicted
+// its result. done is closed after the job's status, error and cached result
+// are final, so they are read here without the manager's lock.
+func (m *manager) resultOf(j *job) (*lash.Result, error) {
+	if j.status != JobDone {
+		return nil, fmt.Errorf("job %s %s: %v", j.id, j.status, j.err)
+	}
+	res, ok := m.cache.result(j.key)
+	if !ok {
+		return nil, fmt.Errorf("job %s's result was evicted before it was sent", j.id)
+	}
+	return res, nil
+}
+
+// follow returns the newest job of dbName that a subscription begun at since
+// has not delivered yet: one still queued or running, or one that finished
+// after the subscription began. Cache-hit pseudo-jobs answer with another
+// job's result, so they are not followed. Nil when no job is left to
+// deliver.
 func (m *manager) follow(dbName string, since time.Time, delivered map[string]bool) *job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, id := range slices.Backward(m.order) {
 		j := m.jobs[id]
-		if j.dbName != dbName || j.stream || j.cached || delivered[j.id] {
+		if j.dbName != dbName || j.cached || delivered[j.id] {
 			continue
 		}
 		if j.status == JobQueued || j.status == JobRunning || !j.finished.Before(since) {
@@ -77,7 +128,7 @@ type SubscribeTrailer struct {
 
 // handleSubscribe answers GET /v1/patterns/subscribe?db=NAME as NDJSON:
 // first every pattern of the database's latest completed result (marked
-// "replay":true), then the result of every batch job of the database that is
+// "replay":true), then the result of every job of the database that is
 // queued or running, or completes, while the subscription lasts ("replay":
 // false), newest job first, and finally exactly one trailer (marked
 // "done":true). A followed job's records arrive when it completes — not per
@@ -124,22 +175,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
+	enc, flush := startNDJSON(w)
 	trailer := SubscribeTrailer{Done: true, Database: dbName}
 	curVer := 0 // last version marker emitted
-	var items []string
 
-	// send writes one result from its serving index, behind a marker when
-	// its corpus version differs from the last one sent. The index is
-	// immutable, so the walk needs no lock. False means the client is gone.
+	// send writes one result, behind a marker when its corpus version
+	// differs from the last one sent. False means the client is gone.
 	send := func(version int, res *lash.Result, replay bool, count *int) bool {
 		if version != curVer {
 			curVer = version
@@ -147,19 +188,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				return false
 			}
 		}
-		ix := res.Index()
-		ids, _ := ix.Search(nil, pindex.Query{Level: pindex.NoLevel}, 0, -1)
-		for _, id := range ids {
-			items = ix.AppendItems(items[:0], id)
-			if enc.Encode(SubscribeRecord{Items: items, Support: ix.Support(id), Replay: replay}) != nil {
-				return false
-			}
-			*count++
-			if *count%64 == 0 {
-				flush()
-			}
-		}
-		return true
+		n, ok := sendIndex(enc, flush, res, func(items []string, support int64) any {
+			return SubscribeRecord{Items: items, Support: support, Replay: replay}
+		})
+		*count += n
+		return ok
 	}
 
 	if hasLatest {
@@ -177,15 +210,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		}
-		// done is closed after the job's status, error and cached result are
-		// final, so they are read here without the manager's lock.
-		if j.status != JobDone {
-			trailer.Error = fmt.Sprintf("job %s %s: %v", j.id, j.status, j.err)
-			break
-		}
-		res, ok := s.jobs.cache.result(j.key)
-		if !ok {
-			trailer.Error = fmt.Sprintf("job %s's result was evicted before it was sent", j.id)
+		res, err := s.jobs.resultOf(j)
+		if err != nil {
+			trailer.Error = err.Error()
 			break
 		}
 		if !send(j.version, res, false, &trailer.Live) {

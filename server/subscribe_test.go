@@ -180,7 +180,7 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 
 	release := make(chan struct{}) // holds the followed job open
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			if opt.MinSupport == 1 { // job A: the completed result to replay
 				return &lash.Result{Patterns: slices.Clone(replayPats)}, nil
 			}
@@ -245,8 +245,8 @@ func TestSubscribeReplayAndLive(t *testing.T) {
 	wg.Wait()
 
 	jobs := jobStats(t, ts)
-	if jobs["streams"].(float64) != 0 || jobs["mines_run"].(float64) != 2 || jobs["submitted"].(float64) != 2 {
-		t.Errorf("stats after three subscribers of one run: %v, want streams 0, mines_run 2, submitted 2 (the two jobs)", jobs)
+	if jobs["mines_run"].(float64) != 2 || jobs["submitted"].(float64) != 2 {
+		t.Errorf("stats after three subscribers of one run: %v, want mines_run 2, submitted 2 (the two jobs)", jobs)
 	}
 }
 
@@ -259,7 +259,7 @@ func TestSubscribeLiveOnly(t *testing.T) {
 	}
 	release := make(chan struct{})
 	_, ts := newTestServer(t, server.Config{
-		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+		MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 			return gatedResult(ctx, release, livePats)
 		},
 	})
@@ -295,15 +295,16 @@ func TestSubscribeLiveOnly(t *testing.T) {
 // TestSubscribeSendsFollowedJobsListing mines for real: a subscriber of an
 // in-flight job receives exactly that job's GET /v1/patterns?job= listing,
 // in order, and mines nothing itself — mines_run rises by the job's one run.
-// Restricted runs, which cannot stream, are followed like any other.
+// Restricted runs are followed like any other, and so is a job a stream
+// submitted, whose stream sends the same records.
 func TestSubscribeSendsFollowedJobsListing(t *testing.T) {
-	for _, restriction := range []string{"none", "closed"} {
-		t.Run(restriction, func(t *testing.T) {
+	for _, row := range []struct{ name, restriction string }{{"none", "none"}, {"closed", "closed"}, {"stream", "none"}} {
+		t.Run(row.name, func(t *testing.T) {
 			gate := make(chan struct{})
 			_, ts := newTestServer(t, server.Config{
 				// The patterns are the library's; the gate only holds the
 				// job in flight until the subscriber follows it.
-				MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+				MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 					select {
 					case <-gate:
 					case <-ctx.Done():
@@ -313,12 +314,21 @@ func TestSubscribeSendsFollowedJobsListing(t *testing.T) {
 				},
 			})
 			mustRegister(t, ts, server.DatabaseSpec{Name: "gen", Generator: "text", Size: 300, Seed: 3})
-			opts := map[string]any{"min_support": 5, "max_gap": 1, "max_length": 3, "restriction": restriction}
-			status, body := call(t, "POST", ts.URL+"/v1/mine", map[string]any{"database": "gen", "options": opts})
-			if status != http.StatusAccepted {
-				t.Fatalf("submit: status %d, body %v", status, body)
+			opts := map[string]any{"min_support": 5, "max_gap": 1, "max_length": 3, "restriction": row.restriction}
+			req := map[string]any{"database": "gen", "options": opts}
+			var id string
+			var stream *http.Response
+			if row.name == "stream" {
+				stream = postStream(t, ts.URL, req)
+				_, page := call(t, "GET", ts.URL+"/v1/jobs", nil)
+				id = page["jobs"].([]any)[0].(map[string]any)["job_id"].(string)
+			} else {
+				status, body := call(t, "POST", ts.URL+"/v1/mine", req)
+				if status != http.StatusAccepted {
+					t.Fatalf("submit: status %d, body %v", status, body)
+				}
+				id = body["job_id"].(string)
 			}
-			id := body["job_id"].(string)
 
 			resp := openSubscription(t, ts.URL+"/v1/patterns/subscribe?db=gen")
 			close(gate)
@@ -339,12 +349,18 @@ func TestSubscribeSendsFollowedJobsListing(t *testing.T) {
 			if len(want) == 0 || !slices.Equal(got, want) {
 				t.Errorf("live records (%d) differ from the job's listing (%d)", len(got), len(want))
 			}
+			if stream != nil {
+				_, lines := readStream(t, stream)
+				if streamed, tr := streamPatterns(t, lines); !slices.Equal(streamed, want) || tr["job_id"] != id {
+					t.Errorf("stream of job %v sent %d records, want %s's %d", tr["job_id"], len(streamed), id, len(want))
+				}
+			}
 			if trailer.LiveJobID != id || trailer.Live != len(want) || trailer.Replayed != 0 || trailer.Error != "" {
 				t.Errorf("trailer = %+v, want live=%d from %s", trailer, len(want), id)
 			}
 			jobs := jobStats(t, ts)
-			if jobs["mines_run"].(float64) != 1 || jobs["streams"].(float64) != 0 || jobs["submitted"].(float64) != 1 {
-				t.Errorf("stats = %v, want mines_run 1, streams 0, submitted 1: following costs no run", jobs)
+			if jobs["mines_run"].(float64) != 1 || jobs["submitted"].(float64) != 1 {
+				t.Errorf("stats = %v, want mines_run 1, submitted 1: following costs no run", jobs)
 			}
 		})
 	}
@@ -359,7 +375,7 @@ func TestSubscribeEndsOnUnsendableJob(t *testing.T) {
 	newServer := func(cacheBytes int64) *httptest.Server {
 		_, ts := newTestServer(t, server.Config{
 			CacheBytes: cacheBytes,
-			MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options, emit func(lash.Pattern) error) (*lash.Result, error) {
+			MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
 				return gatedResult(ctx, gates[opt.MaxLength], pats)
 			},
 		})

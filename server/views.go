@@ -35,9 +35,9 @@ type OptionsSpec struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// MaxAttempts, when > 1, re-executes transiently-failed MapReduce
 	// tasks (spill I/O errors and the like) up to this many total attempts
-	// each (see lash.Options.MaxAttempts), on POST /v1/mine/stream as on
-	// POST /v1/mine. Retried runs are differentially tested byte-identical
-	// to fault-free runs, so this too is invisible to the cache key.
+	// each (see lash.Options.MaxAttempts). Retried runs are differentially
+	// tested byte-identical to fault-free runs, so this too is invisible to
+	// the cache key.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
@@ -150,13 +150,10 @@ type JobView struct {
 	// version current at submission; appends never retarget them).
 	CorpusVersion int       `json:"corpus_version,omitempty"`
 	Status        JobStatus `json:"status"`
-	// Stream marks a streaming run (POST /v1/mine/stream); its patterns were
-	// delivered as it mined, so it never carries a Result.
-	Stream    bool      `json:"stream,omitempty"`
-	Cached    bool      `json:"cached"`
-	Coalesced int       `json:"coalesced"`
-	Error     string    `json:"error,omitempty"`
-	Created   time.Time `json:"created"`
+	Cached        bool      `json:"cached"`
+	Coalesced     int       `json:"coalesced"`
+	Error         string    `json:"error,omitempty"`
+	Created       time.Time `json:"created"`
 	// QueueMS is how long the job waited for a worker slot: final once it
 	// started (or terminally never started), live while still queued.
 	QueueMS   int64       `json:"queue_ms,omitempty"`
@@ -175,7 +172,6 @@ func (m *manager) view(j *job) JobView {
 		Database:      j.dbName,
 		CorpusVersion: j.version,
 		Status:        j.status,
-		Stream:        j.stream,
 		Cached:        j.cached,
 		Coalesced:     j.coalesced,
 		Created:       j.created,
@@ -209,10 +205,12 @@ type StatsView struct {
 }
 
 // StreamTrailer is the final NDJSON record of POST /v1/mine/stream. It is
-// distinguishable from pattern records by its "done" field, and reports
-// either the completed run's summary or the error that ended it.
+// distinguishable from pattern records by its "done" field, names the job
+// that answered the request, and reports either the run's summary or why
+// the job has no result to send. RuntimeMS is the request's wall time.
 type StreamTrailer struct {
 	Done             bool          `json:"done"` // always true
+	JobID            string        `json:"job_id"`
 	Error            string        `json:"error,omitempty"`
 	Patterns         int           `json:"patterns"` // pattern records streamed before this trailer
 	FrequentItems    []PatternView `json:"frequent_items,omitempty"`
