@@ -80,14 +80,14 @@ func TestAllocBudget(t *testing.T) {
 		{"Fig4aLASHPublic", func(string) error {
 			_, err := lash.Mine(public, opt)
 			return err
-		}, 6_620}, // 6 026
+		}, 4_710}, // 4 274
 		{"DeltaSteady", func(string) error {
 			res, err := lash.Mine(v3db, resume)
 			if err == nil && res.Stats.DeltaPartitionsGrown == 0 {
 				err = errors.New("the resume grew no partition")
 			}
 			return err
-		}, 6_790}, // 6 166
+		}, 4_450}, // 4 037
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -118,7 +118,10 @@ func BenchmarkDeltaMine(b *testing.B) {
 // resumed states keep their partitions' inputs and borders; each op is one
 // zipf refresh's mine (appends and the topical cycle are untimed). It
 // reports per refresh how many partitions were re-mined, grown, and grown
-// from a lean root (Stats.DeltaPartitionsLean).
+// from a lean root (Stats.DeltaPartitionsLean), and beside the op, timed
+// apart from it: the topical refresh's mine (topical-ns/op), the zipf
+// result's serving index build (index-ns/op, Result.Index), and the zipf
+// result's state size (state-B/op, MineState.SizeBytes).
 //
 // Run: go test -run '^$' -bench DeltaSteady -benchtime 10x .
 func BenchmarkDeltaSteady(b *testing.B) {
@@ -136,6 +139,8 @@ func BenchmarkDeltaSteady(b *testing.B) {
 	topic := 0
 	// cycle appends a zipf fragment and resumes (timed when zipf is the op),
 	// then appends a topical one and resumes.
+	var topical, index time.Duration
+	var stateBytes int64
 	cycle := func(timed bool) lash.RunStats {
 		zb := lash.NewDatabaseBuilder()
 		for range 10 {
@@ -155,13 +160,24 @@ func BenchmarkDeltaSteady(b *testing.B) {
 			if timed && i == 0 {
 				b.StartTimer()
 			}
+			begin := time.Now()
 			res, err = lash.Mine(db, resume)
+			took := time.Since(begin)
 			if timed && i == 0 {
 				b.StopTimer()
-				st = res.Stats
 			}
 			if err != nil {
 				b.Fatal(err)
+			}
+			switch {
+			case !timed:
+			case i == 0:
+				st, stateBytes = res.Stats, stateBytes+res.State.SizeBytes()
+				begin = time.Now()
+				res.Index()
+				index += time.Since(begin)
+			default:
+				topical += took
 			}
 		}
 		return st
@@ -181,6 +197,9 @@ func BenchmarkDeltaSteady(b *testing.B) {
 	b.ReportMetric(float64(remined)/n, "remined/op")
 	b.ReportMetric(float64(grown)/n, "grown/op")
 	b.ReportMetric(float64(lean)/n, "lean/op")
+	b.ReportMetric(float64(topical.Nanoseconds())/n, "topical-ns/op")
+	b.ReportMetric(float64(index.Nanoseconds())/n, "index-ns/op")
+	b.ReportMetric(float64(stateBytes)/n, "state-B/op")
 }
 
 // topicalFragment is a topical append: 1 000 four-item sequences over ten

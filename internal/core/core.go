@@ -97,8 +97,15 @@ type JobStats struct {
 // Result is the output of a LASH run.
 type Result struct {
 	// Patterns are the frequent generalized sequences, 2 ≤ |S| ≤ λ, in
-	// canonical order (gsm.SortPatterns).
+	// canonical order (gsm.SortPatterns), in the vocabulary item space: item
+	// ids are shared between the flat and hierarchical forests. A batch run's
+	// list is its state's (Delta.Patterns): it is read-only.
 	Patterns []gsm.Pattern
+	// Mined and Inserted list, for a delta run (Options.Prev), the indexes in
+	// Patterns, ascending, of the patterns the run mined and of those of them
+	// Prev.Patterns lacks. Every pattern not inserted is, in order, one of
+	// Prev.Patterns, and one not mined has its support there.
+	Mined, Inserted []int32
 	// FrequentItems are the length-1 frequent items with their generalized
 	// f-list frequencies (determined during preprocessing; the problem
 	// statement excludes them from Patterns).
@@ -184,11 +191,6 @@ func Mine(ctx context.Context, db *gsm.Database, opt Options) (*Result, error) {
 	}
 	res.Jobs.FList = flStats
 	res.FList = fl
-
-	// Translate patterns back to the caller's vocabulary space. Item ids are
-	// shared between the flat and hierarchical forests, so no remapping is
-	// needed beyond rank → vocab (done in mineJob).
-	gsm.SortPatterns(res.Patterns)
 	for r := 0; r < fl.NumFrequent(); r++ {
 		res.FrequentItems = append(res.FrequentItems, gsm.Pattern{
 			Items:   gsm.Sequence{fl.VocabOf(flist.Rank(r))},
@@ -453,7 +455,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 	for i := range input {
 		input[i] = int32(i)
 	}
-	job := mapreduce.AggJob[int32, DeltaPart]{
+	job := mapreduce.AggJob[int32, minedPart]{
 		Name: "partition+mine",
 		Map: func(i int32, emit func(uint32, []byte, int64)) {
 			if plan.skipsSeq(int(i), db.Seqs[i]) {
@@ -483,9 +485,9 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		Size: func(pivot uint32, keyLen int, weight int64) int {
 			return seqenc.UvarintLen(uint64(pivot)) + keyLen + seqenc.UvarintLen(uint64(weight))
 		},
-		Reduce: func(group uint32, entries []mapreduce.Entry, emit func(DeltaPart)) (err error) {
+		Reduce: func(group uint32, entries []mapreduce.Entry, emit func(minedPart)) (err error) {
 			pivot := flist.Rank(group)
-			rec := DeltaPart{Pivot: fl.VocabOf(pivot)}
+			rec := minedPart{DeltaPart: DeltaPart{Pivot: fl.VocabOf(pivot)}}
 			begin := time.Now()
 			defer func() {
 				// An aborted local mine ends the Reduce here (Scratch
@@ -636,6 +638,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 				rs.pats = append(rs.pats, gsm.Pattern{Items: rs.items[start:], Support: sup})
 			})
 			rec.Explored, rec.Output = st.Explored, st.Output
+			rec.mined = int32(len(rs.pats))
 
 			// The record outlives the scratch: one exact-size arena per
 			// partition, every pattern and border entry a capped slice of it.
@@ -665,7 +668,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 		// The first error ends all delivery, here and in every later
 		// partition; so does a run lost some other way, whose aborted Reduces
 		// committed short records.
-		job.Deliver = func(recs []DeltaPart) error {
+		job.Deliver = func(recs []minedPart) error {
 			for i := range recs {
 				for _, p := range recs[i].Patterns {
 					if over.Load() {
@@ -687,6 +690,8 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 	}
 	res := &Result{}
 	res.Jobs.Mine = stats
-	assemble(res, db, fl, plan, out, opt.Stream == nil)
+	if err := assemble(res, db, fl, plan, out, opt.Stream == nil); err != nil {
+		return nil, err
+	}
 	return res, nil
 }

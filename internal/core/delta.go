@@ -80,6 +80,17 @@
 // A pivot no appended sequence mentions is never reached, so every pivot
 // the crossing-interval rule this replaced reused (clean, and uncrossed by
 // any dirty item, hence unchanged) is still reused.
+//
+// The result is the previous one plus what changed. σ is fixed and an
+// append only raises supports, so no pattern ever leaves the result: the
+// previous canonical list (DeltaState.Patterns) is a subsequence of the new
+// one. A pattern no Reduce of the run mined belongs to a reused or grown
+// partition whose pivot was its pivot before — a pattern changes pivot only
+// if two of its items flip, and then both are re-mined, since the pattern's
+// old sequences hold them — so the previous record held it, and it kept its
+// support. So the run sorts only the patterns its Reduces mined and merges
+// them into the previous list in one walk: an equal key takes the new
+// support, a new key is inserted (canonicalize).
 package core
 
 import (
@@ -112,6 +123,11 @@ type DeltaState struct {
 	Freqs []int64
 	// Parts holds one entry per non-empty partition, sorted by pivot item.
 	Parts []DeltaPart
+	// Patterns is the run's result before any output restriction, in
+	// canonical order (gsm.SortPatterns): every pattern of every part, each
+	// sharing its Items with the part's Patterns. A delta run merges the
+	// patterns it mined into it (see assemble).
+	Patterns []gsm.Pattern
 }
 
 // DeltaPart is one partition's result — the record its Reduce emits and the
@@ -127,8 +143,9 @@ type DeltaPart struct {
 	Explored int64
 	Output   int64
 	// Patterns are the partition's mined patterns in vocabulary item space
-	// (version-stable ids), before any output restriction; their Items share
-	// one array per partition. Nil on a streaming run, which delivered them.
+	// (version-stable ids), before any output restriction, in canonical order
+	// once the run has assembled its state; their Items share one array per
+	// partition. Nil on a streaming run, which delivered them.
 	Patterns []gsm.Pattern
 	// Border is the partition's near-frequent border under PSM
 	// (miner.Partition.Border), in item space like Patterns: every pattern
@@ -155,9 +172,19 @@ type DeltaPart struct {
 	// sequences, then per distinct sequence uvarint(weight), uvarint(length)
 	// and the sequence in seqenc's token format over item ids.
 	Input []byte
-	// lean: the record's run grew the partition from a lean root, reading
-	// no old sequence (Result.DeltaLean).
+}
+
+// minedPart is a Reduce's output: the partition's record, and what only
+// assemble reads of the run that mined it.
+type minedPart struct {
+	DeltaPart
+	// lean: the run grew the partition from a lean root, reading no old
+	// sequence (Result.DeltaLean).
 	lean bool
+	// mined is how many patterns, at the front of Patterns, the Reduce mined:
+	// all of a cold or re-mined partition's, a grown one's reached patterns
+	// (gsm.MergeGrown puts them first).
+	mined int32
 }
 
 // part returns the captured partition for pivot, or nil.
@@ -772,21 +799,22 @@ func foldKept(out []byte, rs *reduceScratch, fl *flist.FList, pivot flist.Rank, 
 }
 
 // assemble turns a run's per-partition records into its result: it sums the
-// statistics and gathers the patterns of the mined records and of the
-// reuse-masked partitions, which were never shuffled and come from the
-// previous state, and when the run keeps state adopts the record slice as
-// Result.Delta's parts. The caller canonicalizes the final pattern order
-// with gsm.SortPatterns, which is total over the distinct patterns (each
-// belongs to exactly one partition), so record order cannot leak into the
-// output.
-func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, recs []DeltaPart, keep bool) {
-	if plan != nil {
-		res.DeltaDirty = len(recs)
-		for i := range recs {
-			if recs[i].lean {
-				res.DeltaLean++
-			}
+// statistics and adds the records of the reuse-masked partitions, which were
+// never shuffled and come from the previous state. When the run keeps state
+// it builds the canonical pattern list (canonicalize) and adopts the record
+// slice as Result.Delta's parts. A streaming run's records hold no patterns.
+func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, out []minedPart, keep bool) error {
+	dirty := len(out)
+	recs := make([]DeltaPart, dirty)
+	mined := make([]int32, dirty)
+	for i := range out {
+		recs[i], mined[i] = out[i].DeltaPart, out[i].mined
+		if out[i].lean {
+			res.DeltaLean++
 		}
+	}
+	if plan != nil {
+		res.DeltaDirty = dirty
 		for r, reuse := range plan.reuse {
 			if plan.fresh[r] != nil {
 				res.DeltaGrown++
@@ -799,24 +827,37 @@ func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, r
 				recs = append(recs, *pp)
 			}
 		}
-		res.DeltaReused = len(recs) - res.DeltaDirty
+		res.DeltaReused = len(recs) - dirty
 	}
 	res.NumPartitions = len(recs)
-	total := 0
 	for i := range recs {
 		part := &recs[i]
 		res.PartitionSeqs += part.Seqs
 		res.MaxPartitionSeqs = max(res.MaxPartitionSeqs, part.Seqs)
 		res.Miner.Explored += part.Explored
 		res.Miner.Output += part.Output
-		total += len(part.Patterns)
-	}
-	res.Patterns = slices.Grow(res.Patterns, total)
-	for i := range recs {
-		res.Patterns = append(res.Patterns, recs[i].Patterns...)
 	}
 	if !keep {
-		return
+		return nil
+	}
+	// The run sorts only what its Reduces mined: on a delta run, the
+	// re-mined partitions and what the appended sequences reached.
+	n := 0
+	for _, m := range mined {
+		n += int(m)
+	}
+	pats := make([]gsm.Pattern, 0, n)
+	for i, m := range mined {
+		pats = append(pats, recs[i].Patterns[:m]...)
+	}
+	gsm.SortPatterns(pats)
+	var prev *DeltaState
+	if plan != nil {
+		prev = plan.prev
+	}
+	var err error
+	if res.Patterns, res.Mined, res.Inserted, err = canonicalize(fl, recs, mined, prev, pats); err != nil {
+		return err
 	}
 	freqs := make([]int64, db.Forest.Size())
 	for w := range freqs {
@@ -825,5 +866,159 @@ func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, r
 	// part() binary-searches by pivot item; records arrive in reduce order,
 	// not id order.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Pivot < recs[j].Pivot })
-	res.Delta = &DeltaState{NumSeqs: len(db.Seqs), Freqs: freqs, Parts: recs}
+	res.Delta = &DeltaState{NumSeqs: len(db.Seqs), Freqs: freqs, Parts: recs, Patterns: res.Patterns}
+	return nil
+}
+
+// gallop returns the index of the first pattern of ps[i:] that does not sort
+// before key, probing ahead in doubling steps and then bisecting: a merge of
+// a few patterns into a long list compares few.
+func gallop(ps []gsm.Pattern, i int, key gsm.Sequence) int {
+	lo, hi := i, i
+	for step := 1; hi < len(ps) && gsm.CompareSeq(ps[hi].Items, key) < 0; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	k, _ := slices.BinarySearchFunc(ps[lo:min(hi, len(ps))], key, func(p gsm.Pattern, key gsm.Sequence) int {
+		return gsm.CompareSeq(p.Items, key)
+	})
+	return lo + k
+}
+
+// Slots of canonicalize's partition table besides a mined record's index.
+const (
+	reusedPart = -1
+	noPart     = -2
+)
+
+// canonicalize returns a run's canonical pattern list and, on a delta run
+// (prev non-nil), the indexes in it of pats and of those prev.Patterns lacks
+// (Result.Mined, Result.Inserted). pats are the patterns the run's Reduces
+// mined, in canonical order; the first len(mined) records hold them, record
+// i mined[i] of them at the front of its Patterns. It also puts those
+// records' Patterns in canonical order, in place.
+//
+// A from-scratch run's list is pats. A delta run's is a merge (see the
+// package doc): prev.Patterns is a subsequence of the new list, and one walk
+// builds it: on an equal key the mined entry wins, a key prev lacks is
+// inserted, every other entry of prev is carried. A carried pattern is a
+// reused record's, whose arena the new state shares, or one a grown record
+// kept (gsm.MergeGrown). The latter is re-pointed at the grown record's copy,
+// so the list shares arenas only with records the new state holds and no
+// version pins an older one's. The grown record holds its kept patterns
+// after its mined ones in its previous record's order, canonical, so the
+// walk meets them in that order. A carried pattern of a re-mined partition
+// would mean the invariant broke: that fails the run, as does a record the
+// list does not cover exactly.
+func canonicalize(fl *flist.FList, recs []DeltaPart, mined []int32, prev *DeltaState, pats []gsm.Pattern) (list []gsm.Pattern, minedAt, inserted []int32, err error) {
+	dirty := len(mined)
+	// slot, by rank, is the index of the pivot's mined record, or reusedPart
+	// or noPart.
+	slot := make([]int32, fl.NumFrequent())
+	for r := range slot {
+		slot[r] = noPart
+	}
+	for i := range recs {
+		s := int32(reusedPart)
+		if i < dirty {
+			s = int32(i)
+		}
+		slot[fl.RankOf(recs[i].Pivot)] = s
+	}
+	cur := make([]recCursor, dirty)
+	place := func(p *gsm.Pattern, carried bool) error {
+		r := fl.RankOf(p.Items[0])
+		for _, w := range p.Items[1:] {
+			r = max(r, fl.RankOf(w))
+		}
+		if int(r) >= len(slot) || slot[r] == noPart {
+			return fmt.Errorf("core: pattern %v belongs to no partition", p.Items)
+		}
+		s := slot[r]
+		if s == reusedPart {
+			return nil
+		}
+		rec, c := &recs[s], &cur[s]
+		if carried {
+			k := int(mined[s]) + c.kept
+			if k >= len(rec.Patterns) || !slices.Equal(rec.Patterns[k].Items, p.Items) {
+				return fmt.Errorf("core: partition %d: previous pattern %v was neither mined nor kept", rec.Pivot, p.Items)
+			}
+			c.kept++
+			p.Items = rec.Patterns[k].Items
+		}
+		// In place: pats holds copies of the mined patterns, and a kept one
+		// is read before its position can be written.
+		if c.placed == len(rec.Patterns) {
+			return fmt.Errorf("core: partition %d: the result holds more patterns than its record", rec.Pivot)
+		}
+		rec.Patterns[c.placed] = *p
+		c.placed++
+		return nil
+	}
+
+	if prev == nil {
+		for i := range pats {
+			if err := place(&pats[i], false); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		return pats, nil, nil, covered(recs, mined, cur)
+	}
+
+	old := prev.Patterns
+	list = make([]gsm.Pattern, 0, len(old)+len(pats))
+	minedAt = make([]int32, 0, len(pats))
+	// A carried pattern is placed only to be re-pointed: with no grown record
+	// keeping one, every carried pattern is a reused record's.
+	kept := false
+	for s, m := range mined {
+		kept = kept || int(m) < len(recs[s].Patterns)
+	}
+	carry := func(run []gsm.Pattern) error {
+		start := len(list)
+		list = append(list, run...)
+		for k := start; kept && k < len(list); k++ {
+			if err := place(&list[k], true); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	i := 0
+	for _, m := range pats {
+		j := gallop(old, i, m.Items)
+		if err := carry(old[i:j]); err != nil {
+			return nil, nil, nil, err
+		}
+		minedAt = append(minedAt, int32(len(list)))
+		if i = j; i < len(old) && slices.Equal(old[i].Items, m.Items) {
+			i++
+		} else {
+			inserted = append(inserted, int32(len(list)))
+		}
+		list = append(list, m)
+		if err := place(&list[len(list)-1], false); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if err := carry(old[i:]); err != nil {
+		return nil, nil, nil, err
+	}
+	return list, minedAt, inserted, covered(recs, mined, cur)
+}
+
+// recCursor is canonicalize's place in a record the run mined: how many of
+// its patterns the walk placed, and how many of its kept ones (those after
+// its mined ones) the walk met.
+type recCursor struct{ placed, kept int }
+
+// covered fails unless canonicalize's walk placed every pattern of each
+// record the run mined, its kept patterns among them.
+func covered(recs []DeltaPart, mined []int32, cur []recCursor) error {
+	for s, m := range mined {
+		if rec, c := &recs[s], cur[s]; c.placed != len(rec.Patterns) || int(m)+c.kept != len(rec.Patterns) {
+			return fmt.Errorf("core: partition %d: the result holds %d of its %d patterns", rec.Pivot, c.placed, len(rec.Patterns))
+		}
+	}
+	return nil
 }

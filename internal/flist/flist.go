@@ -200,16 +200,6 @@ func (fl *FList) PivotRanks(dst []Rank, t gsm.Sequence) []Rank {
 	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
-// TranslateToRanks maps a vocabulary sequence into rank space with no
-// generalization: infrequent items become NoRank (blank). Used by flat
-// mining paths and tests.
-func (fl *FList) TranslateToRanks(dst []Rank, t gsm.Sequence) []Rank {
-	for _, w := range t {
-		dst = append(dst, fl.rankOf[w])
-	}
-	return dst
-}
-
 // TranslateFromRanks maps a rank sequence back to vocabulary items; blanks
 // are not allowed (patterns never contain blanks).
 func (fl *FList) TranslateFromRanks(dst gsm.Sequence, s []Rank) (gsm.Sequence, error) {

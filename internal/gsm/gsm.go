@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"lash/internal/hierarchy"
@@ -339,18 +338,13 @@ func SortPatterns(ps []Pattern) {
 	})
 }
 
-// lessSeq is SortPatterns' order as a comparison, for binary searches over a
-// sorted pattern list.
-func lessSeq(a, b Sequence) bool {
+// CompareSeq is SortPatterns' order as a comparison: negative when a sorts
+// before b, zero when they are equal, positive otherwise.
+func CompareSeq(a, b Sequence) int {
 	if len(a) != len(b) {
-		return len(a) < len(b)
+		return len(a) - len(b)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return slices.Compare(a, b)
 }
 
 // MergeGrown returns the output of a grown partition (LASH's delta mining):
@@ -359,15 +353,14 @@ func lessSeq(a, b Sequence) bool {
 // before the append. A pattern occurring in no appended sequence kept its
 // support, so it is frequent now iff it is in old; one that is in both takes
 // its support from mined. The result is mined, sorted in place, followed by
-// the patterns of old that mined lacks, their Items copied into one new
-// array: it retains neither input, so a chain of merges holds no earlier
-// result's memory.
+// the patterns of old that mined lacks, in old's order, their Items copied
+// into one new array: it retains neither input, so a chain of merges holds
+// no earlier result's memory.
 func MergeGrown(mined, old []Pattern) []Pattern {
 	SortPatterns(mined)
 	out := append(make([]Pattern, 0, len(mined)+len(old)), mined...)
 	for _, p := range old {
-		i := sort.Search(len(mined), func(i int) bool { return !lessSeq(mined[i].Items, p.Items) })
-		if i == len(mined) || !slices.Equal(mined[i].Items, p.Items) {
+		if _, found := slices.BinarySearchFunc(mined, p.Items, func(m Pattern, s Sequence) int { return CompareSeq(m.Items, s) }); !found {
 			out = append(out, p)
 		}
 	}

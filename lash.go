@@ -46,6 +46,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -241,8 +242,11 @@ type Options struct {
 }
 
 // MineState is the opaque, reusable residue of a mining run (Result.State):
-// the corpus version it covered, plus the internal f-list counts and each
-// partition's statistics and pattern set, which a Resume run splices from.
+// the corpus version it covered, plus the internal f-list counts, each
+// partition's statistics and pattern set, which a Resume run splices from,
+// and the run's whole result before any restriction, in canonical order and
+// translated, into which a Resume run merges what it mined: the patterns it
+// carries keep their Items, and only the ones it inserts are named.
 // A state taken by a Resume run also keeps the aggregated input of every
 // partition that run mined, from which the next Resume run grows the
 // partition without repartitioning its old sequences; a from-scratch run's
@@ -255,7 +259,11 @@ type MineState struct {
 	numSeqs int
 	key     string
 	delta   *core.DeltaState
-	size    int64 // SizeBytes, computed once when the run assembles the state
+	// patterns is the run's result before any output restriction, translated:
+	// delta.Patterns named. A Resume run reuses the Items of every pattern it
+	// carries from it.
+	patterns []Pattern
+	size     int64 // SizeBytes, computed once when the run assembles the state
 }
 
 // CorpusVersion returns the Database.Version the state was taken at.
@@ -278,8 +286,11 @@ func (s *MineState) NumSequences() int {
 // retains: the f-list counts, one record per partition, every partition
 // pattern and every pattern of its near-frequent border (which a Resume run
 // reads to leave old sequences unread) with its items at their element
-// widths, and the encoded input of each partition a Resume run kept (none in
-// a from-scratch run's state).
+// widths, the encoded input of each partition a Resume run kept (none in
+// a from-scratch run's state), and one pattern header per pattern of the
+// canonical list, whose items are the partitions'. The translated list is
+// the run's Result.Patterns unless the run was restricted, and only then
+// charged here (each pattern's header and its names' string headers).
 // Two runs over equal inputs report equal sizes, so a holder can charge the
 // state against a memory budget.
 func (s *MineState) SizeBytes() int64 {
@@ -289,15 +300,17 @@ func (s *MineState) SizeBytes() int64 {
 	return s.size
 }
 
+// patternBytes is the size of a pattern's header, gsm.Pattern and Pattern
+// alike: one slice header plus the support.
+const patternBytes = 32
+
 // deltaStateBytes is SizeBytes' accounting of d. A kept input shared with
 // the state a record was reused from is charged again: each state is
-// charged as if it were the only one held.
+// charged as if it were the only one held. The canonical list charges its
+// headers only: its items are the partitions'.
 func deltaStateBytes(d *core.DeltaState) int64 {
-	const (
-		partBytes    = 128 // core.DeltaPart: pivot and flag (padded to a word), three counters, four slice headers
-		patternBytes = 32  // gsm.Pattern: one slice header plus the support
-	)
-	size := int64(len(d.Freqs))*8 + int64(len(d.Parts))*partBytes
+	const partBytes = 128 // core.DeltaPart: pivot (padded to a word), three counters, four slice headers
+	size := int64(len(d.Freqs))*8 + int64(len(d.Parts))*partBytes + int64(len(d.Patterns))*patternBytes
 	for i := range d.Parts {
 		part := &d.Parts[i]
 		size += int64(len(part.Input))
@@ -306,6 +319,16 @@ func deltaStateBytes(d *core.DeltaState) int64 {
 				size += patternBytes + int64(len(p.Items))*4
 			}
 		}
+	}
+	return size
+}
+
+// patternListBytes charges a translated pattern list: each pattern's header
+// and its names' string headers (the names themselves are the vocabulary's).
+func patternListBytes(ps []Pattern) int64 {
+	size := int64(len(ps)) * patternBytes
+	for _, p := range ps {
+		size += int64(len(p.Items)) * 16
 	}
 	return size
 }
@@ -395,7 +418,10 @@ type Result struct {
 	// Patterns holds the frequent generalized sequences (2 ≤ length ≤
 	// MaxLength) in canonical order: by length, then lexicographically by
 	// vocabulary item id, which is the order items were interned in, not
-	// their names' or frequencies' order.
+	// their names' or frequencies' order. The list and its patterns' Items
+	// are read-only: the run's State keeps them, and the Items of a pattern
+	// are shared by every later result of the lineage that resumed from it
+	// (Options.Resume).
 	Patterns []Pattern
 	// FrequentItems are the frequent single items with their hierarchy-aware
 	// document frequencies (the generalized f-list).
@@ -600,6 +626,8 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 	var (
 		res *core.Result
 		err error
+		// resumed is the state the run merged its result into, if any.
+		resumed *MineState
 		// flistRetries and flistInjected are the preprocessing job's share
 		// of the run's fault-tolerance counters.
 		flistRetries, flistInjected int64
@@ -620,7 +648,7 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 			if !opt.Resume.ValidFor(db, opt) {
 				return nil, fmt.Errorf("lash: Resume state is not valid for this database and options (want the State of a run on a snapshot this database descends from, with equal canonical options)")
 			}
-			co.Prev = opt.Resume.delta
+			co.Prev, resumed = opt.Resume.delta, opt.Resume
 		} else {
 			// A delta run extends its state's item counts; every other run
 			// takes the snapshot's, counting them if it is the first.
@@ -646,42 +674,39 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 		return nil, err
 	}
 
+	all, err := translate(f, res, resumed)
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Patterns: all, NumPartitions: res.NumPartitions, Explored: res.Miner.Explored, forest: f}
 	switch opt.Restriction {
 	case RestrictNone:
 	case RestrictClosed:
-		res.Patterns = stats.FilterClosed(restrictionForest(db, res), res.Patterns)
+		out.Patterns = restrict(all, res.Patterns, stats.FilterClosed(restrictionForest(db, res), res.Patterns))
 	case RestrictMaximal:
-		res.Patterns = stats.FilterMaximal(restrictionForest(db, res), res.Patterns)
+		out.Patterns = restrict(all, res.Patterns, stats.FilterMaximal(restrictionForest(db, res), res.Patterns))
 	default:
 		return nil, fmt.Errorf("lash: unknown restriction %d", int(opt.Restriction))
 	}
-
-	out := &Result{NumPartitions: res.NumPartitions, Explored: res.Miner.Explored, forest: f}
 	if res.Delta != nil {
 		out.State = &MineState{
-			ident:   db.identAt(db.Version()),
-			version: db.Version(),
-			numSeqs: db.NumSequences(),
-			key:     opt.CacheKey(),
-			delta:   res.Delta,
-			size:    deltaStateBytes(res.Delta),
+			ident:    db.identAt(db.Version()),
+			version:  db.Version(),
+			numSeqs:  db.NumSequences(),
+			key:      opt.CacheKey(),
+			delta:    res.Delta,
+			patterns: all,
+			size:     deltaStateBytes(res.Delta),
+		}
+		if opt.Restriction != RestrictNone {
+			// Result.Patterns is a subset: the state alone holds the list.
+			out.State.size += patternListBytes(all)
 		}
 	}
 	out.Stats.DeltaPartitionsDirty = int64(res.DeltaDirty)
 	out.Stats.DeltaPartitionsReused = int64(res.DeltaReused)
 	out.Stats.DeltaPartitionsGrown = int64(res.DeltaGrown)
 	out.Stats.DeltaPartitionsLean = int64(res.DeltaLean)
-	if len(res.Patterns) > 0 {
-		out.Patterns = make([]Pattern, 0, len(res.Patterns))
-	}
-	for _, p := range res.Patterns {
-		// One []string per pattern: holding a pattern pins only itself.
-		items := make([]string, len(p.Items))
-		for i, w := range p.Items {
-			items[i] = f.Name(w)
-		}
-		out.Patterns = append(out.Patterns, Pattern{Items: items, Support: p.Support})
-	}
 	for _, p := range res.FrequentItems {
 		out.FrequentItems = append(out.FrequentItems, Pattern{
 			Items:   []string{f.Name(p.Items[0])},
@@ -705,6 +730,79 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 	out.Stats.TaskRetries += flistRetries
 	out.Stats.FaultsInjected += flistInjected
 	return out, nil
+}
+
+// translate names the patterns of res, a run that resumed from prev when it
+// is non-nil. A from-scratch run's are all translated. A delta run's list is
+// prev's with the patterns it lacked inserted (core.Result.Inserted), so a
+// carried pattern takes the Items of prev's translation and only an inserted
+// one is named. The names of one call share one array.
+func translate(f *hierarchy.Forest, res *core.Result, prev *MineState) ([]Pattern, error) {
+	if len(res.Patterns) == 0 {
+		return nil, nil
+	}
+	var old []Pattern
+	if prev != nil {
+		if old = prev.patterns; len(old) != len(res.Patterns)-len(res.Inserted) {
+			return nil, fmt.Errorf("lash: internal error: a delta run carried %d patterns of a state holding %d",
+				len(res.Patterns)-len(res.Inserted), len(old))
+		}
+	}
+	n := 0
+	if prev == nil {
+		for _, p := range res.Patterns {
+			n += len(p.Items)
+		}
+	}
+	for _, i := range res.Inserted {
+		n += len(res.Patterns[i].Items)
+	}
+	names := make([]string, 0, n)
+	name := func(items gsm.Sequence) []string {
+		start := len(names)
+		for _, w := range items {
+			names = append(names, f.Name(w))
+		}
+		return names[start:len(names):len(names)]
+	}
+	out := make([]Pattern, len(res.Patterns))
+	if prev == nil {
+		for i, p := range res.Patterns {
+			out[i] = Pattern{Items: name(p.Items), Support: p.Support}
+		}
+		return out, nil
+	}
+	// The runs between inserted patterns are carried, copied whole; only a
+	// mined pattern's support can have moved.
+	i, j := 0, 0
+	for _, k := range res.Inserted {
+		j += copy(out[i:k], old[j:])
+		out[k].Items = name(res.Patterns[k].Items)
+		i = int(k) + 1
+	}
+	copy(out[i:], old[j:])
+	for _, k := range res.Mined {
+		out[k].Support = res.Patterns[k].Support
+	}
+	return out, nil
+}
+
+// restrict returns the translated patterns of all, the translation of
+// mined, that kept (a subsequence of mined) holds.
+func restrict(all []Pattern, mined, kept []gsm.Pattern) []Pattern {
+	if len(kept) == 0 {
+		return nil
+	}
+	out := make([]Pattern, 0, len(kept))
+	i := 0
+	for _, p := range kept {
+		for !slices.Equal(mined[i].Items, p.Items) {
+			i++
+		}
+		out = append(out, all[i])
+		i++
+	}
+	return out
 }
 
 // progressAdapter bridges the substrate's concurrent progress snapshots to
