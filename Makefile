@@ -27,8 +27,7 @@ race:
 
 # chaos runs the fault-injection differential tests under the race
 # detector: with faults armed and retries enabled, mining output must be
-# byte-identical to the fault-free run (TestChaosDifferential) and a stream
-# must deliver that run's patterns exactly once (TestChaosStreamExactlyOnce).
+# byte-identical to the fault-free run (TestChaosDifferential).
 # Set LASH_CHAOS_SEED to shift the deterministic seed window (CI randomizes
 # it so every run exercises a fresh fault schedule; the seed is echoed for
 # reproduction).

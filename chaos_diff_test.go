@@ -1,11 +1,9 @@
 package lash_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,7 +25,7 @@ import (
 // The tests deliberately leave Options.MaxIntermediate unset: the
 // baselines' emit-cap counter is cumulative across attempts, so a retried
 // map task counts its emits twice and a cap could trip early (documented
-// in README "Robustness").
+// on Options.MaxIntermediate).
 func chaosSeeds(t *testing.T) []int64 {
 	base := int64(1)
 	if env := os.Getenv("LASH_CHAOS_SEED"); env != "" {
@@ -267,80 +265,6 @@ func chaosChainedResume(t *testing.T, db *lash.Database, seed int64, opt lash.Op
 	if got.Stats.FaultsInjected != preg.Injected() {
 		t.Errorf("prob-armed: run counted %d injections, registry %d",
 			got.Stats.FaultsInjected, preg.Injected())
-	}
-}
-
-// TestChaosStreamExactlyOnce: a streamed run retries its reduce tasks like a
-// batch run — delivery happens once per partition, after the attempt that
-// produced its patterns has committed — so with the reduce-side points armed
-// lash.Stream survives, counts the retries, and still hands the consumer
-// every pattern of the fault-free batch result exactly once.
-func TestChaosStreamExactlyOnce(t *testing.T) {
-	keys := func(ps []lash.Pattern) []string {
-		ks := make([]string, len(ps))
-		for i, p := range ps {
-			ks[i] = patternKey(p)
-		}
-		slices.Sort(ks)
-		return ks
-	}
-	for _, seed := range chaosSeeds(t) {
-		db := genDB(t, 200, seed)
-		for _, alg := range chaosAlgorithms {
-			for _, budget := range []int64{0, 4 << 10} {
-				mode := "in-memory"
-				if budget > 0 {
-					mode = "spill"
-				}
-				t.Run(fmt.Sprintf("seed%d/%s/%s", seed, alg, mode), func(t *testing.T) {
-					opt := lash.Options{
-						MinSupport: 5, MaxGap: 1, MaxLength: 3,
-						Algorithm: alg, MemoryBudget: budget, Workers: 4,
-					}
-					want, err := lash.Mine(db, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					// Both faults must land in the job that streams. Only it
-					// merges spilled runs; and its reduce tasks are the run's
-					// first — the LASH variants read the frequencies the
-					// reference run left on the snapshot, naive counts none —
-					// except under semi-naive, which always runs an f-list job
-					// of its own, 4×Workers reduce tasks ahead of them.
-					firstReduce := 1
-					if alg == lash.AlgorithmSemiNaive {
-						firstReduce += 4 * opt.Workers
-					}
-					reg := &faults.Registry{}
-					reg.FailNth("mapreduce.reduce.task", firstReduce, faults.Error)
-					reg.FailNth("mapreduce.spill.merge", 1, faults.Error)
-					chaos := opt
-					chaos.MaxAttempts = 3 // both faults may hit one partition
-					chaos.Faults = reg
-					var streamed []lash.Pattern
-					got, err := lash.Stream(context.Background(), db, chaos, func(p lash.Pattern) error {
-						streamed = append(streamed, p)
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(keys(streamed), keys(want.Patterns)) {
-						t.Errorf("streamed %d patterns under retry, the batch run mined %d: not the same multiset",
-							len(streamed), len(want.Patterns))
-					}
-					wantFired := int64(1) // reduce.task
-					if budget > 0 {
-						wantFired = 2 // + spill.merge
-					}
-					if got.Stats.FaultsInjected != wantFired || got.Stats.TaskRetries != wantFired {
-						t.Errorf("FaultsInjected=%d TaskRetries=%d, want %d/%d",
-							got.Stats.FaultsInjected, got.Stats.TaskRetries, wantFired, wantFired)
-					}
-				})
-			}
-		}
 	}
 }
 

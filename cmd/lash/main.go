@@ -10,10 +10,7 @@
 //
 // Ctrl-C (SIGINT) or SIGTERM cancels a run in flight: mining aborts
 // cooperatively and the command exits non-zero without writing partial
-// (non-streamed) output. With -stream, patterns are printed the moment
-// their partition finishes mining — in partition-completion order, not the
-// canonical sorted order — so interrupted runs keep everything printed so
-// far. -progress reports live phase/partition progress on stderr.
+// output. -progress reports live phase/partition progress on stderr.
 package main
 
 import (
@@ -85,7 +82,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		output      = fs.String("output", "", "output file (default stdout)")
 		items       = fs.Bool("items", false, "also print frequent single items")
 		quiet       = fs.Bool("quiet", false, "suppress the run summary on stderr")
-		stream      = fs.Bool("stream", false, "print patterns as partitions finish mining (completion order, unsorted)")
 		progress    = fs.Bool("progress", false, "report live mining progress on stderr")
 		memBudget   = fs.String("mem-budget", "", "shuffle memory budget before spilling sorted runs to disk (e.g. 64MiB, 2G, 1048576; empty = unlimited)")
 		traceOut    = fs.String("trace-out", "", "write the run's span tree (corpus load, jobs, phases, per-partition mining) as JSON to this file")
@@ -145,21 +141,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 
 	start := time.Now()
-	var (
-		res      *lash.Result
-		streamed int
-	)
-	if *stream {
-		// Streamed patterns go out unbuffered as they arrive, so a
-		// cancelled run keeps everything printed so far.
-		res, err = lash.Stream(ctx, db, opt, func(p lash.Pattern) error {
-			streamed++
-			_, werr := fmt.Fprintf(out, "%d\t%s\n", p.Support, strings.Join(p.Items, " "))
-			return werr
-		})
-	} else {
-		res, err = lash.MineContext(ctx, db, opt)
-	}
+	res, err := lash.MineContext(ctx, db, opt)
 	// The trace is written even for failed or interrupted runs — a
 	// truncated span tree still shows where the time went.
 	if tr != nil {
@@ -169,9 +151,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			if *stream {
-				return fmt.Errorf("interrupted (%d patterns streamed): %w", streamed, err)
-			}
 			return fmt.Errorf("interrupted: %w", err)
 		}
 		return err
@@ -196,17 +175,13 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return err
 		}
 	}
-	patterns := len(res.Patterns)
-	if *stream {
-		patterns = streamed
-	}
 	if !*quiet {
 		spilled := ""
 		if res.Stats.SpillRuns > 0 {
 			spilled = fmt.Sprintf(", %d runs (%s) spilled", res.Stats.SpillRuns, byteCount(res.Stats.SpillBytes))
 		}
 		fmt.Fprintf(stderr, "lash: %d sequences, %d frequent items, %d patterns, %d partitions, %s shuffled%s, %v\n",
-			db.NumSequences(), len(res.FrequentItems), patterns,
+			db.NumSequences(), len(res.FrequentItems), len(res.Patterns),
 			res.NumPartitions, byteCount(res.Stats.MapOutputBytes), spilled, elapsed.Round(time.Millisecond))
 	}
 	return nil

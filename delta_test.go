@@ -590,12 +590,6 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatal("delta mine across a fork differs from cold mine")
 	}
 
-	// Streaming rejects Resume.
-	sOpt := lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3, Resume: v1.State}
-	if err := sOpt.ValidateStream(); err == nil {
-		t.Fatal("ValidateStream accepted Resume")
-	}
-
 	// CacheKey ignores Resume: a delta-mined result answers the same cache
 	// lookups a cold mine would.
 	plain := lash.Options{MinSupport: 5, MaxGap: 1, MaxLength: 3}

@@ -42,13 +42,6 @@ type Options struct {
 	// MaxEmit caps the total number of emitted generalized subsequences
 	// across all mappers (0 = unlimited).
 	MaxEmit int64
-	// Stream, when non-nil, receives every frequent pattern (vocabulary
-	// item space) once its reduce partition has committed, instead of the
-	// pattern being collected into Result.Patterns. It is the counting job's
-	// mapreduce.AggJob.Deliver: reduce tasks retry under MR.Retry as in a
-	// batch run and each pattern still arrives once. Calls are serialized;
-	// order is partition-completion order. A non-nil error fails the run.
-	Stream func(items gsm.Sequence, support int64) error
 }
 
 // MineNaive runs the naïve algorithm: the counting job over every
@@ -157,8 +150,7 @@ type scratch struct {
 // count runs the counting job (§3.2's "word counting"): map enumerates the
 // generalized subsequences of each prepared input sequence and emits every
 // one as a key of weight 1, the shuffle sums, and reduce keeps the keys whose
-// aggregated weight reaches σ. A streaming run hands each committed
-// partition's patterns to opt.Stream instead of returning them.
+// aggregated weight reaches σ.
 func count(ctx context.Context, db *gsm.Database, opt Options, c counting) (*core.Result, error) {
 	var emitted atomic.Int64
 	capped := opt.MaxEmit > 0
@@ -187,8 +179,8 @@ func count(ctx context.Context, db *gsm.Database, opt Options, c counting) (*cor
 		Reduce: func(_ uint32, entries []mapreduce.Entry, emit func(gsm.Pattern)) error {
 			// A tripped emission cap means the map side stopped enumerating
 			// and aggregated supports may be silently undercounted: fail
-			// before anything is output, let alone delivered. Every map task
-			// has retired before a partition reduces, so the count is final.
+			// before anything is output. Every map task has retired before a
+			// partition reduces, so the count is final.
 			if capped && emitted.Load() > opt.MaxEmit {
 				return ErrEmitCapExceeded
 			}
@@ -205,17 +197,6 @@ func count(ctx context.Context, db *gsm.Database, opt Options, c counting) (*cor
 			return nil
 		},
 	}
-	if opt.Stream != nil {
-		job.Deliver = func(pats []gsm.Pattern) error {
-			for _, p := range pats {
-				if err := opt.Stream(p.Items, p.Support); err != nil {
-					return err
-				}
-			}
-			clear(pats) // handed on: the run keeps nothing it delivered
-			return nil
-		}
-	}
 	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, job)
 	if errors.Is(err, ErrEmitCapExceeded) {
 		return nil, ErrEmitCapExceeded // the sentinel itself, not the job's annotation of it
@@ -223,12 +204,8 @@ func count(ctx context.Context, db *gsm.Database, opt Options, c counting) (*cor
 	if err != nil {
 		return nil, err
 	}
-	res := &core.Result{Jobs: core.JobStats{Mine: stats}}
-	if opt.Stream == nil {
-		res.Patterns = out
-		gsm.SortPatterns(res.Patterns)
-	}
-	return res, nil
+	gsm.SortPatterns(out)
+	return &core.Result{Patterns: out, Jobs: core.JobStats{Mine: stats}}, nil
 }
 
 // CountG1 returns |G1(T)| summed over the database — the replication factor

@@ -72,20 +72,8 @@ type Options struct {
 	// statistic but Miner.Explored are byte-identical to a from-scratch run;
 	// a grown partition's Explored is at most the cold count. The caller must
 	// guarantee Prev comes from a run over a prefix of db.Seqs under the
-	// same Params, Miner, Flat, and Rewrites. Incompatible with Stream.
+	// same Params, Miner, Flat, and Rewrites.
 	Prev *DeltaState
-
-	// Stream, when non-nil, receives every mined pattern (translated to
-	// the vocabulary item space) once its reduce partition has committed,
-	// instead of the pattern being collected into Result.Patterns; the run
-	// then keeps no state (Result.Delta is nil). It is the job's
-	// mapreduce.AggJob.Deliver: reduce tasks retry under MR.Retry exactly as
-	// in a batch run, and a retried partition's patterns still arrive once.
-	// items is the callback's to keep. Calls are serialized, but their order
-	// is partition-completion order, which is nondeterministic.
-	// A non-nil error stops streaming and fails the run with that error in
-	// the chain; partitions still being mined are aborted.
-	Stream func(items gsm.Sequence, support int64) error
 }
 
 // JobStats carries the per-job MapReduce statistics.
@@ -98,8 +86,8 @@ type JobStats struct {
 type Result struct {
 	// Patterns are the frequent generalized sequences, 2 ≤ |S| ≤ λ, in
 	// canonical order (gsm.SortPatterns), in the vocabulary item space: item
-	// ids are shared between the flat and hierarchical forests. A batch run's
-	// list is its state's (Delta.Patterns): it is read-only.
+	// ids are shared between the flat and hierarchical forests. The list is
+	// the run's state's (Delta.Patterns): it is read-only.
 	Patterns []gsm.Pattern
 	// Mined and Inserted list, for a delta run (Options.Prev), the indexes in
 	// Patterns, ascending, of the patterns the run mined and of those of them
@@ -124,8 +112,7 @@ type Result struct {
 	// FList exposes the rank space for downstream analysis.
 	FList *flist.FList
 	// Delta is the run's reusable residue, for seeding a delta re-mine of
-	// an appended corpus via Options.Prev. Every batch run returns one;
-	// streaming runs (Options.Stream) return nil.
+	// an appended corpus via Options.Prev. Every run returns one.
 	Delta *DeltaState
 	// DeltaDirty and DeltaReused count, for delta runs (Options.Prev), the
 	// partitions that were mined vs. spliced from the previous state;
@@ -147,9 +134,6 @@ func Mine(ctx context.Context, db *gsm.Database, opt Options) (*Result, error) {
 	}
 	if err := db.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.Prev != nil && opt.Stream != nil {
-		return nil, fmt.Errorf("core: Prev splices previous partition results and cannot be combined with Stream")
 	}
 	work := db
 	if opt.Flat {
@@ -302,8 +286,7 @@ func buildFList(o *obs.Run, forest *hierarchy.Forest, freq []int64, sigma int64)
 }
 
 // mineAbort is the panic sentinel the miner-emit callback uses to unwind an
-// in-flight local miner once the run is over (context done, or the stream
-// failed in another partition); Reduce recovers it.
+// in-flight local miner once the run's context is done; Reduce recovers it.
 type mineAbort struct{}
 
 // mineScratch is the pooled per-map-call working set of the partition+mine
@@ -395,16 +378,12 @@ func tail(ps []gsm.Pattern, i int) []gsm.Pattern {
 // (delta.go). The miner-emit closure is the one place a
 // mined pattern leaves rank space. Reduce has no side effect beyond its
 // record and reads only the immutable plan and states, so it retries under
-// opt.MR.Retry in every mode; a streaming run is
-// the same job with a Deliver, which hands each committed record's patterns
-// to opt.Stream and strips them from the record. assemble turns the records
-// into the Result.
+// opt.MR.Retry in every mode. assemble turns the records into the Result.
 func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options, plan *deltaPlan) (*Result, error) {
-	// over flips once the run is lost — ctx is done, or a stream delivery
-	// failed — so local miners still running abort at their next pattern
-	// instead of exploring to exhaustion. Both ways RunAgg returns an error
-	// and discards every record, which is why a Reduce that observes it
-	// returns nil without emitting one.
+	// over flips once ctx is done, so local miners still running abort at
+	// their next pattern instead of exploring to exhaustion. RunAgg then
+	// returns an error and discards every record, which is why a Reduce that
+	// observes it returns nil without emitting one.
 	var over atomic.Bool
 	defer context.AfterFunc(ctx, func() { over.Store(true) })()
 
@@ -580,9 +559,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 				}
 			}
 			rs.part = miner.Partition{Pivot: pivot, Parent: parent, Seqs: sc.Seqs, Fresh: nFresh}
-			if opt.Stream == nil {
-				rs.part.Border = rs.onBorder // the state keeps it
-			}
+			rs.part.Border = rs.onBorder // the state keeps it
 			// The previous record, for PSM to take supports from instead of
 			// the old sequences (miner.Partition.Known).
 			prevRec := plan.grownPart(rec.Pivot, nFresh)
@@ -664,33 +641,13 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 			return nil
 		},
 	}
-	if opt.Stream != nil {
-		// The first error ends all delivery, here and in every later
-		// partition; so does a run lost some other way, whose aborted Reduces
-		// committed short records.
-		job.Deliver = func(recs []minedPart) error {
-			for i := range recs {
-				for _, p := range recs[i].Patterns {
-					if over.Load() {
-						return nil
-					}
-					if err := opt.Stream(p.Items, p.Support); err != nil {
-						over.Store(true)
-						return err
-					}
-				}
-				recs[i].Patterns = nil
-			}
-			return nil
-		}
-	}
 	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, input, job)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
 	res.Jobs.Mine = stats
-	if err := assemble(res, db, fl, plan, out, opt.Stream == nil); err != nil {
+	if err := assemble(res, db, fl, plan, out); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -145,7 +145,7 @@ type DeltaPart struct {
 	// Patterns are the partition's mined patterns in vocabulary item space
 	// (version-stable ids), before any output restriction, in canonical order
 	// once the run has assembled its state; their Items share one array per
-	// partition. Nil on a streaming run, which delivered them.
+	// partition.
 	Patterns []gsm.Pattern
 	// Border is the partition's near-frequent border under PSM
 	// (miner.Partition.Border), in item space like Patterns: every pattern
@@ -154,7 +154,7 @@ type DeltaPart struct {
 	// counted it in full, else the bound carried forward plus what later
 	// appends added. A grown partition's mine decides from it, without
 	// reading old occurrences, that a pattern Patterns lacks stays below σ.
-	// Nil under BFS and DFS and on a streaming run.
+	// Nil under BFS and DFS.
 	Border []gsm.Pattern
 	// Crossed holds the patterns of Patterns that reached σ in a grown run
 	// since the partition was last mined in full, each with, as Support, the
@@ -800,10 +800,10 @@ func foldKept(out []byte, rs *reduceScratch, fl *flist.FList, pivot flist.Rank, 
 
 // assemble turns a run's per-partition records into its result: it sums the
 // statistics and adds the records of the reuse-masked partitions, which were
-// never shuffled and come from the previous state. When the run keeps state
-// it builds the canonical pattern list (canonicalize) and adopts the record
-// slice as Result.Delta's parts. A streaming run's records hold no patterns.
-func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, out []minedPart, keep bool) error {
+// never shuffled and come from the previous state. It builds the canonical
+// pattern list (canonicalize) and adopts the record slice as Result.Delta's
+// parts.
+func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, out []minedPart) error {
 	dirty := len(out)
 	recs := make([]DeltaPart, dirty)
 	mined := make([]int32, dirty)
@@ -836,9 +836,6 @@ func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, o
 		res.MaxPartitionSeqs = max(res.MaxPartitionSeqs, part.Seqs)
 		res.Miner.Explored += part.Explored
 		res.Miner.Output += part.Output
-	}
-	if !keep {
-		return nil
 	}
 	// The run sorts only what its Reduces mined: on a delta run, the
 	// re-mined partitions and what the appended sequences reached.

@@ -10,7 +10,6 @@ import (
 
 	"lash/internal/core"
 	"lash/internal/datagen"
-	"lash/internal/faults"
 	"lash/internal/gsm"
 	"lash/internal/hierarchy"
 	"lash/internal/mapreduce"
@@ -30,11 +29,11 @@ func statsOf(res *core.Result) partitionStats {
 	return partitionStats{res.NumPartitions, res.PartitionSeqs, res.MaxPartitionSeqs, res.Miner.Explored, res.Miner.Output}
 }
 
-// The one reduce path serves batch, streaming, delta and retried runs: at a
-// scale the oracle cannot reach (TestOracleMatrix is the oracle-sized
-// counterpart), each must mine the batch run's patterns and report identical
-// partition statistics — but for a delta run's Explored, which its grown
-// partitions (none under BFS) leave lower.
+// The one reduce path serves batch, delta and retried runs: at a scale the
+// oracle cannot reach (TestOracleMatrix is the oracle-sized counterpart),
+// each must mine the batch run's patterns and report identical partition
+// statistics — but for a delta run's Explored, which its grown partitions
+// (none under BFS) leave lower.
 func TestRunModesAgree(t *testing.T) {
 	params := gsm.Params{Sigma: 8, Gamma: 1, Lambda: 4}
 	mr := mapreduce.Config{Workers: 4, MapTasks: 7, ReduceTasks: 5}
@@ -60,28 +59,6 @@ func TestRunModesAgree(t *testing.T) {
 					t.Error("batch run returned no state")
 				}
 
-				// streamRun mines with a collecting Stream and returns the
-				// result with the delivered patterns, sorted, in Patterns.
-				streamRun := func(o core.Options) *core.Result {
-					t.Helper()
-					var streamed []gsm.Pattern
-					o.Stream = func(items gsm.Sequence, support int64) error {
-						streamed = append(streamed, gsm.Pattern{Items: items, Support: support})
-						return nil
-					}
-					res, err := core.Mine(ctx, db, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Delta != nil || len(res.Patterns) != 0 {
-						t.Error("streaming run kept state or patterns")
-					}
-					gsm.SortPatterns(streamed)
-					res.Patterns = streamed
-					return res
-				}
-				stream := streamRun(opt)
-
 				prefix := &gsm.Database{Seqs: db.Seqs[:len(db.Seqs)-10], Forest: db.Forest}
 				v1, err := core.Mine(ctx, prefix, opt)
 				if err != nil {
@@ -103,32 +80,20 @@ func TestRunModesAgree(t *testing.T) {
 				}
 
 				// The mining job's second reduce task fails once (the first
-				// ReduceTasks hits of the point belong to the f-list job) —
-				// batch and streamed alike: Reduce retries in every mode, and
-				// a retried partition is still delivered once.
-				faulted := func() core.Options {
-					o := opt
-					o.MR.Faults = &faults.Registry{}
-					o.MR.Faults.FailNth("mapreduce.reduce.task", mr.ReduceTasks+2, faults.Error)
-					o.MR.Retry = mapreduce.RetryPolicy{MaxAttempts: 2}
-					return o
-				}
-				retried, err := core.Mine(ctx, db, faulted())
+				// ReduceTasks hits of the point belong to the f-list job).
+				retried, err := core.Mine(ctx, db, withReduceFault(opt))
 				if err != nil {
 					t.Fatal(err)
 				}
-				streamRetried := streamRun(faulted())
-				for _, r := range []*core.Result{retried, streamRetried} {
-					if r.Jobs.Mine.TaskRetries != 1 || r.Jobs.Mine.FaultsInjected != 1 {
-						t.Errorf("retried run: %d retries, %d faults in the mining job; want 1 and 1",
-							r.Jobs.Mine.TaskRetries, r.Jobs.Mine.FaultsInjected)
-					}
+				if retried.Jobs.Mine.TaskRetries != 1 || retried.Jobs.Mine.FaultsInjected != 1 {
+					t.Errorf("retried run: %d retries, %d faults in the mining job; want 1 and 1",
+						retried.Jobs.Mine.TaskRetries, retried.Jobs.Mine.FaultsInjected)
 				}
 
 				for _, m := range []struct {
 					name string
 					res  *core.Result
-				}{{"stream", stream}, {"resume", resumed}, {"retried", retried}, {"streamed + retried", streamRetried}} {
+				}{{"resume", resumed}, {"retried", retried}} {
 					if !gsm.EqualPatterns(m.res.Patterns, want) {
 						t.Errorf("%s: patterns diverge from the batch run's:\n%s", m.name, gsm.DiffPatterns(db.Forest, m.res.Patterns, want))
 					}

@@ -197,23 +197,6 @@ func oracleCorpora(t *testing.T) []oracleCorpus {
 	return append(out, generatedCorpora(t)...)
 }
 
-// streamed mines with a collecting Stream and returns the run's result and
-// the delivered patterns, sorted.
-func streamed(t *testing.T, db *gsm.Database, o core.Options) (*core.Result, []gsm.Pattern) {
-	t.Helper()
-	var got []gsm.Pattern
-	o.Stream = func(items gsm.Sequence, support int64) error {
-		got = append(got, gsm.Pattern{Items: items, Support: support})
-		return nil
-	}
-	res, err := core.Mine(context.Background(), db, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsm.SortPatterns(got)
-	return res, got
-}
-
 // withReduceFault arms the mining job's second reduce task to fail once (the
 // first ReduceTasks hits of the point are the f-list job's) and allows a
 // retry.
@@ -282,18 +265,6 @@ func TestOracleMatrix(t *testing.T) {
 			}
 			return res
 		}},
-		row{"retry", false, func(t *testing.T, db *gsm.Database, o core.Options) *core.Result {
-			res := mine(t, db, withReduceFault(o))
-			if res.Jobs.Mine.TaskRetries != 1 || res.Jobs.Mine.FaultsInjected != 1 {
-				t.Errorf("retry: %d retries, %d faults in the mining job; want 1 and 1", res.Jobs.Mine.TaskRetries, res.Jobs.Mine.FaultsInjected)
-			}
-			return res
-		}},
-		row{"stream", false, func(t *testing.T, db *gsm.Database, o core.Options) *core.Result {
-			res, got := streamed(t, db, o)
-			res.Patterns = got
-			return res
-		}},
 		row{"resume", false, func(t *testing.T, db *gsm.Database, o core.Options) *core.Result {
 			v1 := mine(t, &gsm.Database{Seqs: db.Seqs[:len(db.Seqs)*2/3], Forest: db.Forest}, o)
 			o.Prev = v1.Delta
@@ -302,6 +273,19 @@ func TestOracleMatrix(t *testing.T) {
 			return res
 		}},
 	)
+	for _, kind := range []miner.Kind{miner.KindPSM, miner.KindBFS} {
+		rows = append(rows, row{"retry " + kind.String(), false, func(t *testing.T, db *gsm.Database, o core.Options) *core.Result {
+			o.Miner = kind
+			res, err := core.Mine(ctx, db, withReduceFault(o))
+			if err != nil {
+				t.Fatalf("retry %s: %v", kind, err)
+			}
+			if res.Jobs.Mine.TaskRetries != 1 || res.Jobs.Mine.FaultsInjected != 1 {
+				t.Errorf("retry %s: %d retries, %d faults in the mining job; want 1 and 1", kind, res.Jobs.Mine.TaskRetries, res.Jobs.Mine.FaultsInjected)
+			}
+			return res
+		}})
+	}
 
 	for _, c := range oracleCorpora(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -344,24 +328,4 @@ func TestOracleMatrix(t *testing.T) {
 		t.Fatalf("test vacuous: %d runs spilled; resumes reused %d, grew %d and re-mined %d partitions", spilled, reused, grown, remined)
 	}
 	t.Logf("%d runs spilled; resumes reused %d, grew %d and re-mined %d partitions", spilled, reused, grown, remined)
-}
-
-// Streamed runs whose reduce task fails once and is retried deliver the
-// oracle's patterns, each once, with PSM and with BFS on the generated
-// corpora (TestRunModesAgree is the at-scale counterpart).
-func TestStreamingMatchesReferenceOnRandomDBs(t *testing.T) {
-	for _, c := range generatedCorpora(t) {
-		for _, kind := range []miner.Kind{miner.KindPSM, miner.KindBFS} {
-			t.Run(fmt.Sprintf("%s/%s", c.name, kind), func(t *testing.T) {
-				o := core.Options{Params: c.params, Miner: kind, MR: mapreduce.Config{Workers: 4, MapTasks: 7, ReduceTasks: 5}}
-				res, got := streamed(t, c.db, withReduceFault(o))
-				if res.Jobs.Mine.TaskRetries != 1 {
-					t.Errorf("%d reduce retries, want 1", res.Jobs.Mine.TaskRetries)
-				}
-				if want := c.oracle(); !gsm.EqualPatterns(got, want) {
-					t.Fatalf("streamed patterns diverge from the oracle:\n%s", gsm.DiffPatterns(c.db.Forest, got, want))
-				}
-			})
-		}
-	}
 }

@@ -268,7 +268,7 @@ func TestGeneratedCorpusMines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := flist.BuildFromDB(db, 10)
+	fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

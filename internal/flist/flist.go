@@ -126,11 +126,6 @@ func Build(forest *hierarchy.Forest, freq []int64, sigma int64) (*FList, error) 
 	return fl, nil
 }
 
-// BuildFromDB computes frequencies and builds the f-list in one step.
-func BuildFromDB(db *gsm.Database, sigma int64) (*FList, error) {
-	return Build(db.Forest, ComputeFrequencies(db), sigma)
-}
-
 // Forest returns the hierarchy this f-list was built over.
 func (fl *FList) Forest() *hierarchy.Forest { return fl.forest }
 

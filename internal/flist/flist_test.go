@@ -58,7 +58,7 @@ func TestPaperFList(t *testing.T) {
 
 func TestGeneralizeTo(t *testing.T) {
 	db := paperex.Database()
-	fl, err := flist.BuildFromDB(db, 2)
+	fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestGeneralizeTo(t *testing.T) {
 
 func TestPivotRanks(t *testing.T) {
 	db := paperex.Database()
-	fl, err := flist.BuildFromDB(db, 2)
+	fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestBuildErrors(t *testing.T) {
 
 func TestTranslate(t *testing.T) {
 	db := paperex.Database()
-	fl, _ := flist.BuildFromDB(db, 2)
+	fl, _ := flist.Build(db.Forest, flist.ComputeFrequencies(db), 2)
 	f := db.Forest
 	s := paperex.Seq(f, "a b1 c")
 	ranks := fl.TranslateToRanks(nil, s)

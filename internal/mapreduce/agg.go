@@ -59,18 +59,8 @@ type AggJob[I any, R any] struct {
 	// Reduce is retryable by contract: a partition whose attempt failed
 	// transiently is merged and reduced again under Config.Retry, so Reduce
 	// must have no effect beyond emit (a failed attempt's records are
-	// discarded). What has to happen once per partition goes in Deliver.
+	// discarded).
 	Reduce func(group uint32, entries []Entry, emit func(R)) error
-
-	// Deliver, when non-nil, is handed each reduce partition's records once,
-	// after the attempt that produced them has committed — outside the retry
-	// loop, so a failed attempt's records never reach it and a retried
-	// partition's arrive exactly once. Calls are serialized and come in
-	// partition-completion order. records is the partition's share of
-	// RunAgg's output and may be edited in place (a streaming job hands the
-	// bulk on and keeps the summary). An error fails the run and is never
-	// retried — a delivery cannot be taken back — and ends all delivery.
-	Deliver func(records []R) error
 }
 
 func (job AggJob[I, R]) hash(group uint32, key []byte) uint32 {
@@ -198,18 +188,15 @@ func (t *byteTable) mem() int64 {
 // aggPart is the reduce-side state of one partition; its runs live in the
 // shuffle.
 type aggPart[R any] struct {
-	contrib   atomic.Int64 // map tasks retired so far; == mapTasks ⇒ ready
-	out       []R
-	committed bool // a reduce attempt succeeded: out is final
+	contrib atomic.Int64 // map tasks retired so far; == mapTasks ⇒ ready
+	out     []R
 }
 
 // RunAgg executes a byte-key weighted-aggregation job over the input. The
 // reduce outputs are ordered by reduce partition, then by ascending group,
 // then by Reduce's emit order — deterministic for a fixed Config regardless
-// of Workers. A job with a Deliver is also handed each partition's records
-// the moment the partition commits. Panics in any task and errors returned
-// by Reduce or Deliver cancel the run and are returned annotated with the
-// job name and task/partition.
+// of Workers. Panics in any task and errors returned by Reduce cancel the
+// run and are returned annotated with the job name and task/partition.
 // Cancelling ctx aborts the run cooperatively (between tasks, between
 // reduce groups, and at every map emit) and returns ctx.Err() wrapped with
 // the job name; a context that is already done returns before any task
@@ -322,30 +309,12 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 		}
 		// Commit region: the attempt succeeded (or was cut short by
 		// cancellation, whose partial counts die with the run).
-		st.committed = true
 		redKeys.Add(keys)
 		redRecords.Add(int64(len(st.out)))
 		rc.ReduceTasksDone.Add(1)
 		report("reduce")
 		return nil
 	})
-
-	// Delivery is a task of one attempt (the zero policy): it borrows guard's
-	// panic recovery and error annotation, never its retry loop. The lock is
-	// held across Deliver on purpose — serialized calls are the contract.
-	var deliverMu sync.Mutex
-	deliverOne := guard(ctx, errs, RetryPolicy{}, rc, oh.taskRetries, job.Name, "deliver partition", func(p, _ int) error {
-		deliverMu.Lock()
-		defer deliverMu.Unlock()
-		checkAbort(errs) // a delivery that failed while this one waited ended the run
-		return job.Deliver(parts[p].out)
-	})
-	reducePart := func(p int) {
-		reduceOne(p)
-		if job.Deliver != nil && parts[p].committed {
-			deliverOne(p)
-		}
-	}
 
 	// --- map + map-side aggregation + flush ------------------------------
 	// Every failure-capable step (the fault hook, user Map code, flushing
@@ -479,7 +448,7 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 					if !ok {
 						return
 					}
-					reducePart(p)
+					reduceOne(p)
 					continue
 				default:
 				}
@@ -499,7 +468,7 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 				if !ok {
 					return
 				}
-				reducePart(p)
+				reduceOne(p)
 			}
 		}()
 	}

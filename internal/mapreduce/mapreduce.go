@@ -23,7 +23,7 @@
 // (group = pivot, key = encoded rewritten sequence).
 //
 // Error contract: a panic inside any user-supplied task function (Map,
-// Reduce, Deliver, Size, Hash) is recovered, annotated with the job name,
+// Reduce, Size, Hash) is recovered, annotated with the job name,
 // phase, and task index, and returned as an error — one misbehaving job must
 // not take down the process hosting the substrate (lashd runs many). The
 // first task error cancels the run: unstarted tasks are skipped and the
@@ -36,10 +36,8 @@
 // are dropped and its tables rebuilt — so a retried run's output is
 // byte-identical to a fault-free run's. Recovered panics and corrupt runs
 // are deterministic and never retried. Map and Reduce are retryable by
-// contract; what must happen once goes in AggJob.Deliver, which is handed a
-// partition's records after the attempt that produced them has committed —
-// so a streaming run retries like a batch run and still delivers each record
-// exactly once. Config.Faults wires in a fault-injection registry
+// contract: a job's one output is RunAgg's return value, made of committed
+// attempts only. Config.Faults wires in a fault-injection registry
 // (internal/faults) for chaos testing.
 //
 // Cancellation contract: RunAgg takes a context.Context and observes it
@@ -107,8 +105,8 @@ type Config struct {
 	Obs *obs.Run
 
 	// Retry re-executes failed map and reduce tasks whose failure
-	// classifies as transient (see IsTransient); a job's AggJob.Deliver
-	// runs after the retry loop, once. The zero policy disables retries.
+	// classifies as transient (see IsTransient). The zero policy disables
+	// retries.
 	Retry RetryPolicy
 
 	// Faults, when non-nil, arms the substrate's fault-injection points

@@ -4,12 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 
 	"lash/internal/faults"
@@ -119,7 +115,8 @@ func TestUserPanicNotRetried(t *testing.T) {
 }
 
 // TestReduceRetryGate: a transiently-failing reducer recovers under
-// Config.Retry — Reduce is retryable by contract.
+// Config.Retry — Reduce is retryable by contract. The flake comes after
+// emitting, so the failed attempt leaves records the retry must discard.
 func TestReduceRetryGate(t *testing.T) {
 	input := spillInput(100)
 	base := mapreduce.Config{Workers: 2, MapTasks: 4, ReduceTasks: 3}
@@ -129,10 +126,13 @@ func TestReduceRetryGate(t *testing.T) {
 	job := spillJob()
 	inner := job.Reduce
 	job.Reduce = func(group uint32, entries []mapreduce.Entry, emit func(string)) error {
+		if err := inner(group, entries, emit); err != nil {
+			return err
+		}
 		if failed.CompareAndSwap(false, true) {
 			return fmt.Errorf("synthetic flake: %w", mapreduce.ErrTransient)
 		}
-		return inner(group, entries, emit)
+		return nil
 	}
 	cfg := base
 	cfg.Retry = mapreduce.RetryPolicy{MaxAttempts: 3}
@@ -143,79 +143,6 @@ func TestReduceRetryGate(t *testing.T) {
 	assertSameOutput(t, got, want)
 	if stats.TaskRetries != 1 {
 		t.Fatalf("TaskRetries = %d, want 1", stats.TaskRetries)
-	}
-}
-
-// TestDeliverOncePerPartition: Deliver sits outside the retry loop. A Reduce
-// that flakes once per partition — after emitting, so every failed attempt
-// leaves records behind — still has each partition delivered exactly once,
-// with the committed records, never concurrently; and a Deliver error fails
-// the run without a retry even when it classifies as transient.
-func TestDeliverOncePerPartition(t *testing.T) {
-	input := spillInput(200)
-	base := mapreduce.Config{Workers: 4, MapTasks: 8, ReduceTasks: 5}
-	want := runClean(t, base, input, spillJob())
-
-	// spillJob hashes by group, so a group's first Reduce call is its
-	// partition's failed attempt; the groups that follow it there get theirs
-	// on the retry.
-	var flaked sync.Map
-	job := spillJob()
-	inner := job.Reduce
-	job.Reduce = func(group uint32, entries []mapreduce.Entry, emit func(string)) error {
-		if err := inner(group, entries, emit); err != nil {
-			return err
-		}
-		if _, seen := flaked.LoadOrStore(job.Hash(group, nil)%uint32(base.ReduceTasks), true); !seen {
-			return fmt.Errorf("synthetic flake: %w", mapreduce.ErrTransient)
-		}
-		return nil
-	}
-	var inside atomic.Int32
-	var calls int
-	var delivered []string
-	job.Deliver = func(recs []string) error {
-		if inside.Add(1) != 1 {
-			t.Error("Deliver called concurrently")
-		}
-		defer inside.Add(-1)
-		calls++
-		delivered = append(delivered, recs...)
-		return nil
-	}
-	cfg := base
-	cfg.Retry = mapreduce.RetryPolicy{MaxAttempts: 2}
-	got, stats, err := mapreduce.RunAgg(context.Background(), cfg, input, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameOutput(t, got, want)
-	if calls != base.ReduceTasks || stats.TaskRetries != int64(base.ReduceTasks) {
-		t.Fatalf("Deliver called %d times with %d retries, want %d and %d (once per partition, every partition retried)",
-			calls, stats.TaskRetries, base.ReduceTasks, base.ReduceTasks)
-	}
-	// Partition-completion order is not partition order: compare as multisets.
-	slices.Sort(delivered)
-	sorted := slices.Clone(want)
-	slices.Sort(sorted)
-	assertSameOutput(t, delivered, sorted)
-
-	job = spillJob()
-	calls = 0
-	job.Deliver = func([]string) error {
-		calls++
-		return os.NewSyscallError("write", syscall.EPIPE)
-	}
-	_, stats, err = mapreduce.RunAgg(context.Background(), cfg, input, job)
-	var sysErr *os.SyscallError
-	if !errors.As(err, &sysErr) || !mapreduce.IsTransient(err) {
-		t.Fatalf("err = %v, want the Deliver error (one IsTransient would retry)", err)
-	}
-	if !strings.Contains(err.Error(), `mapreduce: job "spill-diff": deliver partition`) {
-		t.Fatalf("error not annotated with job/phase/partition: %v", err)
-	}
-	if calls != 1 || stats.TaskRetries != 0 {
-		t.Fatalf("Deliver called %d times, TaskRetries = %d; want 1 and 0", calls, stats.TaskRetries)
 	}
 }
 

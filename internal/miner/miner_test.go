@@ -20,7 +20,7 @@ var allKinds = []miner.Kind{miner.KindPSM, miner.KindPSMNoIndex, miner.KindBFS, 
 func paperPartition(t testing.TB, pivotName string) (*miner.Partition, *flist.FList) {
 	t.Helper()
 	db := paperex.Database()
-	fl, err := flist.BuildFromDB(db, 2)
+	fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestEmptyPartitions(t *testing.T) {
 // result of §2.
 func TestWholeDatabaseMining(t *testing.T) {
 	db := paperex.Database()
-	fl, err := flist.BuildFromDB(db, 2)
+	fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

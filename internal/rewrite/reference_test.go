@@ -299,7 +299,7 @@ func TestRewriteLoopAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := flist.BuildFromDB(db, 4)
+	fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func FuzzRewriteWindows(f *testing.F) {
 			last := &db.Seqs[len(db.Seqs)-1]
 			*last = append(*last, hierarchy.Item(int(c)%n))
 		}
-		fl, err := flist.BuildFromDB(db, sigma)
+		fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), sigma)
 		if err != nil {
 			t.Fatal(err)
 		}

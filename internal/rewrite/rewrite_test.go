@@ -31,7 +31,8 @@ func rankStr(fl *flist.FList, s []flist.Rank) string {
 
 func paperFlist(t testing.TB) *flist.FList {
 	t.Helper()
-	fl, err := flist.BuildFromDB(paperex.Database(), 2)
+	db := paperex.Database()
+	fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func checkEquivalency(t *testing.T, fl *flist.FList, seq gsm.Sequence, gamma, la
 func TestWEquivalencyPaperDB(t *testing.T) {
 	db := paperex.Database()
 	for _, gl := range [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 4}, {1, 5}} {
-		fl, err := flist.BuildFromDB(db, 2)
+		fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func TestQuickWEquivalency(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		db := randDB(r)
 		sigma := 1 + int64(r.Intn(3))
-		fl, err := flist.BuildFromDB(db, sigma)
+		fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), sigma)
 		if err != nil || fl.NumFrequent() == 0 {
 			return err == nil
 		}
@@ -293,7 +294,7 @@ func TestQuickModesWEquivalent(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db := randDB(r)
-		fl, err := flist.BuildFromDB(db, 1+int64(r.Intn(3)))
+		fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 1+int64(r.Intn(3)))
 		if err != nil || fl.NumFrequent() == 0 {
 			return err == nil
 		}
@@ -361,7 +362,7 @@ func TestQuickRewriteShape(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db := randDB(r)
-		fl, err := flist.BuildFromDB(db, 1+int64(r.Intn(3)))
+		fl, err := flist.Build(db.Forest, flist.ComputeFrequencies(db), 1+int64(r.Intn(3)))
 		if err != nil || fl.NumFrequent() == 0 {
 			return err == nil
 		}

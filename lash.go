@@ -23,15 +23,13 @@
 //		fmt.Println(strings.Join(p.Items, " "), p.Support)
 //	}
 //
-// # Cancellation, streaming, and progress
+// # Cancellation and progress
 //
 // Long runs are controlled through contexts: MineContext is Mine with a
 // context.Context — cancel it and the run aborts cooperatively, returning
-// an error that matches ctx.Err() under errors.Is. Stream delivers patterns
-// incrementally through a callback as each partition's local mining
-// completes, instead of materializing the whole result; and
-// Options.Progress receives live phase/partition/shuffle updates while a
-// run is in flight. Mine is MineContext under context.Background().
+// an error that matches ctx.Err() under errors.Is. Options.Progress
+// receives live phase/partition/shuffle updates while a run is in flight.
+// Mine is MineContext under context.Background().
 //
 // # Parameter sweeps
 //
@@ -162,7 +160,9 @@ type Options struct {
 	// Workers bounds real parallelism (default: all CPUs).
 	Workers int
 	// MaxIntermediate caps the records the naïve/semi-naïve baselines may
-	// emit before aborting with ErrAborted (0 = unlimited).
+	// emit before aborting with ErrAborted (0 = unlimited). The count is
+	// cumulative across attempts: under MaxAttempts a retried map task's
+	// re-emissions count against the cap twice.
 	MaxIntermediate int64
 	// MemoryBudget, when positive, bounds the bytes the mining shuffle may
 	// hold: the sorted runs it merges into partitions then live in temp
@@ -179,8 +179,7 @@ type Options struct {
 	MemoryBudget int64
 	// Restriction optionally thins the output to closed or maximal patterns
 	// (computed relative to the mined output, i.e. supersequences up to
-	// MaxLength). See §6.7 of the paper. Restrictions need the full pattern
-	// set, so ValidateStream rejects them for streaming runs.
+	// MaxLength). See §6.7 of the paper.
 	Restriction Restriction
 	// Progress, when non-nil, receives live progress events while the run
 	// is in flight: one event per retired map task, per mined partition,
@@ -211,9 +210,7 @@ type Options struct {
 	// MaxAttempts, when > 1, re-executes MapReduce tasks that fail
 	// transiently (I/O errors on the spill path, injected faults) up to
 	// this many total attempts each, with capped exponential backoff.
-	// Retried runs produce byte-identical output to fault-free runs, and
-	// Stream retries the same tasks: a partition's patterns are delivered
-	// once, after the attempt that mined them has committed.
+	// Retried runs produce byte-identical output to fault-free runs.
 	// 0 (or 1) disables retries. Ignored by CacheKey.
 	MaxAttempts int
 	// Faults, when non-nil, arms the pipeline's fault-injection points for
@@ -236,8 +233,7 @@ type Options struct {
 	// Result.Explored may be lower). The state must come
 	// from a run on an earlier version of the same database lineage with
 	// equal canonical options (see MineState.ValidFor); baselines ignore
-	// Resume and mine from scratch. Ignored by CacheKey; rejected for
-	// streaming runs (ValidateStream).
+	// Resume and mine from scratch. Ignored by CacheKey.
 	Resume *MineState
 }
 
@@ -438,16 +434,15 @@ type Result struct {
 	Explored int64
 	// Stats reports MapReduce phase measurements of the main mining job.
 	Stats RunStats
-	// State is the run's reusable residue: every batch run (Mine,
-	// MineContext) of a LASH variant (AlgorithmLASH, AlgorithmLASHFlat,
-	// AlgorithmMGFSM) returns one; the baselines have no partitions to keep,
-	// and streaming runs never materialize them, so both leave it nil. Pass
+	// State is the run's reusable residue: every run of a LASH variant
+	// (AlgorithmLASH, AlgorithmLASHFlat, AlgorithmMGFSM) returns one; the
+	// baselines have no partitions to keep and leave it nil. Pass
 	// it as Options.Resume to delta-mine a later version of the same
 	// database lineage. It does not depend on Options.Restriction.
 	State *MineState
 
 	// forest is the hierarchy the patterns were named under, stashed by
-	// mine() so Index() can attach level and roll-up tables. nil for
+	// MineContext so Index() can attach level and roll-up tables. nil for
 	// hand-assembled Results — Index() then builds a flat index.
 	forest *hierarchy.Forest
 	// index memoizes Index(): the serving index is immutable and every
@@ -513,7 +508,7 @@ type RunStats struct {
 // Mine runs the selected algorithm over the database. It is
 // MineContext(context.Background(), db, opt).
 func Mine(db *Database, opt Options) (*Result, error) {
-	return mine(context.Background(), db, opt, nil)
+	return MineContext(context.Background(), db, opt)
 }
 
 // MineContext runs the selected algorithm over the database under a
@@ -522,40 +517,10 @@ func Mine(db *Database, opt Options) (*Result, error) {
 // matching ctx.Err() (and the cancellation cause, if one was set) under
 // errors.Is. A context that is already done returns before any job runs.
 func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error) {
-	return mine(ctx, db, opt, nil)
-}
-
-// Stream mines like MineContext but delivers patterns incrementally: emit
-// is called once per frequent pattern as each reduce partition commits,
-// instead of the full pattern set being materialized in the Result. The
-// returned Result carries FrequentItems, Stats, and the partition/exploration
-// counters, but an empty Patterns slice. It is the same run as MineContext's
-// up to the point of delivery: Options.MaxAttempts retries its map and reduce
-// tasks alike, and a task that was retried still has its patterns delivered
-// exactly once. What is never retried is emit itself.
-//
-// Deliveries are serialized (emit is never called concurrently) but arrive
-// in partition-completion order, which is nondeterministic; collect and
-// sort if a total order is needed. An error returned by emit cancels the
-// run promptly, and Stream returns that error. Options that require the
-// full output to post-process (RestrictClosed, RestrictMaximal) are
-// rejected by ValidateStream, which Stream applies.
-func Stream(ctx context.Context, db *Database, opt Options, emit func(Pattern) error) (*Result, error) {
-	return mine(ctx, db, opt, emit)
-}
-
-// mine implements Mine, MineContext, and Stream; a non-nil emit selects the
-// streaming path.
-func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) error) (*Result, error) {
 	if db == nil || db.db == nil {
 		return nil, fmt.Errorf("lash: nil database (use NewDatabaseBuilder().Build())")
 	}
-	streaming := emit != nil
-	if streaming {
-		if err := opt.ValidateStream(); err != nil {
-			return nil, err
-		}
-	} else if err := opt.Validate(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	params := gsm.Params{Sigma: opt.MinSupport, Gamma: opt.MaxGap, Lambda: opt.MaxLength}
@@ -593,36 +558,7 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 		mr.Obs = runObs
 	}
 
-	// The streaming path wraps emit: translate to item names, record the
-	// first emit error — it wins over the substrate's cancellation error on
-	// the way out — and cancel the run's context with it so the other
-	// partitions abort instead of mining into the void. Stream calls are
-	// the job's deliveries, which the substrate serializes, and the run is
-	// over before emitErr is read back, so it needs no lock.
-	var (
-		emitErr    error
-		coreStream func(items gsm.Sequence, support int64) error
-	)
 	f := db.db.Forest
-	if streaming {
-		var cancel context.CancelCauseFunc
-		ctx, cancel = context.WithCancelCause(ctx)
-		defer cancel(nil)
-		coreStream = func(items gsm.Sequence, support int64) error {
-			if emitErr != nil {
-				return emitErr
-			}
-			names := make([]string, len(items))
-			for i, w := range items {
-				names[i] = f.Name(w)
-			}
-			if emitErr = emit(Pattern{Items: names, Support: support}); emitErr != nil {
-				cancel(emitErr)
-			}
-			return emitErr
-		}
-	}
-
 	var (
 		res *core.Result
 		err error
@@ -634,7 +570,7 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 	)
 	switch opt.Algorithm {
 	case AlgorithmLASH, AlgorithmLASHFlat, AlgorithmMGFSM:
-		co := core.Options{Params: params, Miner: opt.LocalMiner.kind(), MR: mr, Stream: coreStream}
+		co := core.Options{Params: params, Miner: opt.LocalMiner.kind(), MR: mr}
 		co.Flat = opt.Algorithm != AlgorithmLASH
 		if opt.Algorithm == AlgorithmMGFSM {
 			co.Miner = miner.KindBFS
@@ -659,18 +595,13 @@ func mine(ctx context.Context, db *Database, opt Options, emit func(Pattern) err
 		}
 		res, err = core.Mine(ctx, db.db, co)
 	case AlgorithmNaive:
-		res, err = baseline.MineNaive(ctx, db.db, baseline.Options{Params: params, MR: mr, MaxEmit: opt.MaxIntermediate, Stream: coreStream})
+		res, err = baseline.MineNaive(ctx, db.db, baseline.Options{Params: params, MR: mr, MaxEmit: opt.MaxIntermediate})
 	case AlgorithmSemiNaive:
-		res, err = baseline.MineSemiNaive(ctx, db.db, baseline.Options{Params: params, MR: mr, MaxEmit: opt.MaxIntermediate, Stream: coreStream})
+		res, err = baseline.MineSemiNaive(ctx, db.db, baseline.Options{Params: params, MR: mr, MaxEmit: opt.MaxIntermediate})
 	default:
 		return nil, fmt.Errorf("lash: unknown algorithm %d", int(opt.Algorithm))
 	}
 	if err != nil {
-		// The emit error caused the cancellation; report it, not the
-		// substrate's wrapping of it.
-		if emitErr != nil {
-			return nil, emitErr
-		}
 		return nil, err
 	}
 

@@ -66,25 +66,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// ValidateStream checks that o is a well-formed configuration for a
-// streaming run (Stream calls it): everything Validate
-// checks, plus the restrictions that post-process the full pattern set —
-// RestrictClosed and RestrictMaximal — are rejected, because a streaming
-// run never materializes that set, and so is Resume, which splices
-// materialized partition results.
-func (o Options) ValidateStream() error {
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	if o.Restriction != RestrictNone {
-		return fmt.Errorf("lash: restriction %q needs the full pattern set and cannot be streamed (use MineContext, or RestrictNone)", o.Restriction)
-	}
-	if o.Resume != nil {
-		return fmt.Errorf("lash: Resume splices previous partition results and cannot be streamed (use MineContext)")
-	}
-	return nil
-}
-
 // Canonical returns o with every field that cannot affect Mine's output
 // normalized to its zero value: Workers (a pure parallelism knob), the
 // observability hooks (Progress, Trace, Metrics), MemoryBudget (it only

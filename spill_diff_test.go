@@ -58,36 +58,6 @@ func TestSpillDifferential(t *testing.T) {
 	}
 }
 
-// TestSpillStream: the budgeted path also composes with streaming delivery.
-func TestSpillStream(t *testing.T) {
-	db := genDB(t, 400, 5)
-	opt := lash.Options{MinSupport: 8, MaxGap: 1, MaxLength: 3, MemoryBudget: 4 << 10}
-	want, err := lash.Mine(db, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed []lash.Pattern
-	res, err := lash.Stream(t.Context(), db, opt, func(p lash.Pattern) error {
-		streamed = append(streamed, p)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.SpillRuns == 0 {
-		t.Fatal("streamed budgeted run did not spill")
-	}
-	wantSet, gotSet := patternSet(t, want.Patterns), patternSet(t, streamed)
-	if len(wantSet) != len(gotSet) {
-		t.Fatalf("streamed %d distinct patterns, Mine produced %d", len(gotSet), len(wantSet))
-	}
-	for k, n := range wantSet {
-		if gotSet[k] != n {
-			t.Errorf("pattern %q: streamed %d, mined %d", k, gotSet[k], n)
-		}
-	}
-}
-
 func assertSamePatterns(t *testing.T, what string, got, want []lash.Pattern) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -216,7 +216,7 @@ func TypeFromPkg(t types.Type, pkgBase, typeName string) bool {
 // FuncFromPkg resolves a call expression's callee and reports whether it
 // is the function (or method) pkgBase.name — pkgBase matched against the
 // import-path base of the defining package, name against the function
-// name ("RunAgg", "Stream", ...).
+// name ("RunAgg", "MineContext", ...).
 func FuncFromPkg(info *types.Info, call *ast.CallExpr, pkgBase string, names ...string) bool {
 	fn := CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil || PathBase(fn.Pkg().Path()) != pkgBase {

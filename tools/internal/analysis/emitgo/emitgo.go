@@ -1,7 +1,7 @@
 // Package emitgo enforces the serialized-emit contract (internal/mapreduce
-// package doc; lash.Stream doc): emit/progress/stream callbacks handed to
-// Map and Reduce functions — and the callbacks callers pass into
-// mapreduce.RunAgg and lash.Stream — are invoked serially by
+// package doc): emit/progress callbacks handed to Map and Reduce
+// functions — and the callbacks callers pass into mapreduce.RunAgg and
+// lash.Options.Progress — are invoked serially by
 // the framework and are only valid for the duration of the call. User code
 // must therefore never invoke such a callback from a `go` statement, hand
 // it to a goroutine, store it in a struct field, global, map, slice, or
