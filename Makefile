@@ -72,12 +72,13 @@ fuzz:
 # bench-smoke is the CI pass: the root package's benchmarks —
 # BenchmarkDeltaMine, BenchmarkDeltaSteady (the steady-state zipf refresh
 # of a live corpus), the handler-level BenchmarkServePatterns and the
-# BenchmarkPindex* queries — must still run (1 iteration), so they cannot
-# bit-rot. Numbers worth quoting come from bench/ (see bench/README.md);
-# allocations are held by TestAllocBudget and the paper's claims by
-# TestPaperClaims (internal/experiments).
+# BenchmarkPindex* queries — and the server's BenchmarkMineReply (the wire
+# writer on a cold-text-sized mine reply) must still run (1 iteration), so
+# they cannot bit-rot. Numbers worth quoting come from bench/ (see
+# bench/README.md); allocations are held by TestAllocBudget and the paper's
+# claims by TestPaperClaims (internal/experiments).
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ .
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./server
 
 # loc prints the per-package line table (wc -l) that simplicity PRs quote in
 # CHANGES.md, as Markdown: non-test Go, _test.go, and files under testdata/,

@@ -21,12 +21,13 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
+// writeJSON sends v as one compact JSON document (json.Encoder's output: no
+// indentation, one trailing newline), like every body the service writes;
+// pipe it through jq to read it.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about a broken client pipe
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // nothing to do about a broken client pipe
 }
 
 // ErrorBody is the uniform error envelope of every non-2xx JSON response:

@@ -143,9 +143,7 @@ func (s *Server) handleMineStream(w http.ResponseWriter, r *http.Request) {
 	if res, err := s.jobs.resultOf(j); err != nil {
 		trailer.Error = err.Error()
 	} else {
-		n, ok := sendIndex(enc, flush, res, func(items []string, support int64) any {
-			return PatternView{Items: items, Support: support}
-		})
+		n, ok := sendIndex(w, flush, res, "}\n")
 		if !ok {
 			return
 		}

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
+	"strconv"
 	"time"
 
 	"lash"
@@ -32,26 +34,31 @@ func startNDJSON(w http.ResponseWriter) (*json.Encoder, func()) {
 	}
 }
 
-// sendIndex writes res's patterns, one record each as built by record, in
-// serving order — the order /v1/patterns lists — and returns how many it
-// wrote. It walks res's serving index, which is immutable, so it needs no
-// lock. It flushes every 64 records: every record would thrash syscalls on
-// dense results, never would defeat streaming. False means the client is
-// gone.
-func sendIndex(enc *json.Encoder, flush func(), res *lash.Result, record func(items []string, support int64) any) (int, bool) {
+// sendIndex writes res's patterns to w as NDJSON records in serving order —
+// the order /v1/patterns lists — and returns how many it wrote. Each record
+// is rendered by appendPattern with tail closing it: "}\n" gives a
+// PatternView, `,"replay":true}` plus a newline a SubscribeRecord. It walks
+// res's serving index, which is immutable, so it needs no lock. It writes
+// and flushes every 64 records: every record would thrash syscalls on dense
+// results, never would defeat streaming. False means the client is gone.
+func sendIndex(w io.Writer, flush func(), res *lash.Result, tail string) (int, bool) {
 	ix := res.Index()
 	ids, _ := ix.Search(nil, pindex.Query{Level: pindex.NoLevel}, 0, -1)
+	var buf []byte
 	var items []string
 	for n, id := range ids {
 		items = ix.AppendItems(items[:0], id)
-		if enc.Encode(record(items, ix.Support(id))) != nil {
-			return n, false
-		}
+		buf = appendPattern(buf, items, ix.Support(id), tail)
 		if (n+1)%64 == 0 {
+			if _, err := w.Write(buf); err != nil {
+				return n, false
+			}
+			buf = buf[:0]
 			flush()
 		}
 	}
-	return len(ids), true
+	_, err := w.Write(buf)
+	return len(ids), err == nil
 }
 
 // resultOf returns a job's cached result once the job is done, or the reason
@@ -188,9 +195,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				return false
 			}
 		}
-		n, ok := sendIndex(enc, flush, res, func(items []string, support int64) any {
-			return SubscribeRecord{Items: items, Support: support, Replay: replay}
-		})
+		n, ok := sendIndex(w, flush, res, `,"replay":`+strconv.FormatBool(replay)+"}\n")
 		*count += n
 		return ok
 	}

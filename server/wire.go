@@ -12,20 +12,21 @@ import (
 )
 
 // This file is the wire encoder of every body that carries a pattern list:
-// GET /v1/patterns pages and the result-bearing job bodies of POST /v1/mine
-// and GET /v1/jobs/{id}. Those bodies are the bytes the service ships most
-// of, so they are appended straight from index ids / lash.Pattern into one
-// pooled buffer — no intermediate view structs, no reflection, no second
-// indenting pass — and handed to the connection in bounded chunks. The
-// output is byte-identical to what writeJSON (encoding/json with
-// SetIndent("", "  ")) produces for the equivalent map or view struct; the
-// differential tests in wire_test.go hold the two together. Small bodies
-// (errors, stats, databases, result-less jobs) stay on writeJSON.
+// GET /v1/patterns pages, the result-bearing job bodies of POST /v1/mine and
+// GET /v1/jobs/{id}, and the NDJSON records of POST /v1/mine/stream and
+// GET /v1/patterns/subscribe. Those bodies are the bytes the service ships
+// most of, so they are appended straight from index ids / lash.Pattern into
+// one buffer — no intermediate view structs, no reflection — and handed to
+// the connection in bounded chunks. The output is byte-identical to what
+// json.Encoder (writeJSON, compact like every body the service sends)
+// produces for the equivalent map or view struct; the differential tests in
+// wire_test.go hold the two together. Small bodies (errors, stats,
+// databases, result-less jobs) stay on writeJSON.
 
 // wireChunk bounds how much of a body is buffered before it is written to
-// the connection. A body that never reaches it (any page of up to ~2 000
+// the connection. A body that never reaches it (any page of up to ~5 000
 // patterns) goes out in one write with Content-Length set; longer ones are
-// streamed chunk by chunk, so a 16 MB mine reply never sits in memory whole.
+// streamed chunk by chunk, so a 5.5 MB mine reply never sits in memory whole.
 const wireChunk = 256 << 10
 
 // maxPooledIDs bounds the search scratch a pooled writer keeps: an
@@ -33,20 +34,11 @@ const wireChunk = 256 << 10
 // not worth pinning between requests.
 const maxPooledIDs = 16 << 10
 
-// wireIndents is a newline followed by the deepest indentation any body
-// here reaches (job → result → patterns → pattern → items → item).
-const wireIndents = "\n                "
-
-// wireWriter renders one indented JSON document into w. The zero depth is
-// the top level; more records whether the innermost open container already
-// holds an element (and so whether the next one needs a comma, and the
-// closing bracket a line of its own).
+// wireWriter renders one compact JSON document into w.
 type wireWriter struct {
-	w     http.ResponseWriter
-	buf   []byte
-	depth int
-	more  bool
-	sent  bool // the header and a first chunk are already on the wire
+	w    http.ResponseWriter
+	buf  []byte
+	sent bool // the header and a first chunk are already on the wire
 
 	// Scratch the pattern handlers borrow along with the buffer.
 	ids   []uint32
@@ -80,13 +72,15 @@ func (ww *wireWriter) finish() {
 	wirePool.Put(ww)
 }
 
-// spill sends the buffer once it has reached wireChunk. Callers invoke it
-// between list elements, which keeps the buffer within one element of the
-// bound.
-func (ww *wireWriter) spill() {
-	if len(ww.buf) >= wireChunk {
+// spill takes over buf, the writer's buffer extended by a list loop, and
+// sends it once it has reached wireChunk. Loops call it after each element,
+// which keeps the buffer within one element of the bound.
+func (ww *wireWriter) spill(buf []byte) []byte {
+	ww.buf = buf
+	if len(buf) >= wireChunk {
 		ww.flush()
 	}
+	return ww.buf
 }
 
 func (ww *wireWriter) flush() {
@@ -99,37 +93,11 @@ func (ww *wireWriter) flush() {
 	ww.buf = ww.buf[:0]
 }
 
-func (ww *wireWriter) open(bracket byte) {
-	ww.buf = append(ww.buf, bracket)
-	ww.depth++
-	ww.more = false
-}
-
-func (ww *wireWriter) close(bracket byte) {
-	ww.depth--
-	if ww.more {
-		ww.buf = append(ww.buf, wireIndents[:1+2*ww.depth]...)
-	}
-	ww.buf = append(ww.buf, bracket)
-	ww.more = true
-}
-
-// elem starts the next element of the innermost container on its own line.
-func (ww *wireWriter) elem() {
-	if ww.more {
-		ww.buf = append(ww.buf, ',')
-	}
-	ww.buf = append(ww.buf, wireIndents[:1+2*ww.depth]...)
-	ww.more = true
-}
-
-// key starts the next member of the innermost object. Keys are this file's
-// own literals (plain ASCII), so they need no escaping.
+// key starts a member of the open object after its first, which the
+// callers write with the brace. Keys are this file's own literals (plain
+// ASCII), so they need no escaping.
 func (ww *wireWriter) key(k string) {
-	ww.elem()
-	ww.buf = append(ww.buf, '"')
-	ww.buf = append(ww.buf, k...)
-	ww.buf = append(ww.buf, `": `...)
+	ww.buf = append(append(append(ww.buf, ',', '"'), k...), '"', ':')
 }
 
 func (ww *wireWriter) str(k, v string) {
@@ -149,39 +117,37 @@ func (ww *wireWriter) optInt(k string, v int64) {
 	}
 }
 
-func (ww *wireWriter) bool(k string, v bool) {
-	ww.key(k)
-	ww.buf = strconv.AppendBool(ww.buf, v)
-}
-
-// pattern appends one PatternView as the next element of the open list.
-func (ww *wireWriter) pattern(items []string, support int64) {
-	ww.elem()
-	ww.open('{')
-	ww.key("items")
+// appendPattern appends one pattern as encoding/json renders a PatternView
+// (nil items as null), with tail in place of its closing brace: "}" in a
+// list, more members and a newline in an NDJSON record.
+func appendPattern(buf []byte, items []string, support int64, tail string) []byte {
+	buf = append(buf, `{"items":`...)
 	if items == nil {
-		ww.buf = append(ww.buf, "null"...)
+		buf = append(buf, "null"...)
 	} else {
-		ww.open('[')
-		for _, item := range items {
-			ww.elem()
-			ww.buf = appendJSONString(ww.buf, item)
+		buf = append(buf, '[')
+		for i, item := range items {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendJSONString(buf, item)
 		}
-		ww.close(']')
+		buf = append(buf, ']')
 	}
-	ww.int("support", support)
-	ww.close('}')
-	ww.spill()
+	buf = strconv.AppendInt(append(buf, `,"support":`...), support, 10)
+	return append(buf, tail...)
 }
 
-// patterns appends a []PatternView member rendered from mined patterns.
-func (ww *wireWriter) patterns(k string, ps []lash.Pattern) {
-	ww.key(k)
-	ww.open('[')
-	for _, p := range ps {
-		ww.pattern(p.Items, p.Support)
+// patterns appends a []PatternView value rendered from mined patterns.
+func (ww *wireWriter) patterns(ps []lash.Pattern) {
+	buf := append(ww.buf, '[')
+	for i, p := range ps {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = ww.spill(appendPattern(buf, p.Items, p.Support, "}"))
 	}
-	ww.close(']')
+	ww.buf = append(buf, ']')
 }
 
 // writePatternsBody sends a GET /v1/patterns reply: the patterns ids names
@@ -189,23 +155,24 @@ func (ww *wireWriter) patterns(k string, ps []lash.Pattern) {
 // the cursor of the next page when there is one. Keys are in the sorted
 // order encoding/json gives the map this body used to be.
 func (ww *wireWriter) writePatternsBody(j *job, ix *pindex.Index, ids []uint32, total int, nextCursor string) {
-	ww.open('{')
-	ww.int("corpus_version", int64(j.version))
+	ww.buf = strconv.AppendInt(append(ww.buf, `{"corpus_version":`...), int64(j.version), 10)
 	ww.str("database", j.dbName)
 	ww.str("job_id", j.id)
 	if nextCursor != "" {
 		ww.str("next_cursor", nextCursor)
 	}
-	ww.key("patterns")
-	ww.open('[')
-	for _, id := range ids {
+	buf := append(ww.buf, `,"patterns":[`...)
+	for i, id := range ids {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
 		ww.items = ix.AppendItems(ww.items[:0], id)
-		ww.pattern(ww.items, ix.Support(id))
+		buf = ww.spill(appendPattern(buf, ww.items, ix.Support(id), "}"))
 	}
-	ww.close(']')
+	ww.buf = append(buf, ']')
 	ww.int("returned", int64(len(ids)))
 	ww.int("total", int64(total))
-	ww.close('}')
+	ww.buf = append(ww.buf, '}')
 	ww.finish()
 }
 
@@ -213,12 +180,12 @@ func (ww *wireWriter) writePatternsBody(j *job, ix *pindex.Index, ids []uint32, 
 // in the Result position, field for field what encoding/json makes of
 // JobView{..., Result: &ResultView{...}}.
 func (ww *wireWriter) writeJobBody(v JobView, res *lash.Result) {
-	ww.open('{')
-	ww.str("job_id", v.ID)
+	ww.buf = appendJSONString(append(ww.buf, `{"job_id":`...), v.ID)
 	ww.str("database", v.Database)
 	ww.optInt("corpus_version", int64(v.CorpusVersion))
 	ww.str("status", string(v.Status))
-	ww.bool("cached", v.Cached)
+	ww.key("cached")
+	ww.buf = strconv.AppendBool(ww.buf, v.Cached)
 	ww.int("coalesced", int64(v.Coalesced))
 	if v.Error != "" {
 		ww.str("error", v.Error)
@@ -228,11 +195,11 @@ func (ww *wireWriter) writeJobBody(v JobView, res *lash.Result) {
 	ww.optInt("queue_ms", v.QueueMS)
 	ww.optInt("runtime_ms", v.RuntimeMS)
 
-	ww.key("result")
-	ww.open('{')
-	ww.patterns("patterns", res.Patterns)
+	ww.buf = append(ww.buf, `,"result":{"patterns":`...)
+	ww.patterns(res.Patterns)
 	if len(res.FrequentItems) > 0 {
-		ww.patterns("frequent_items", res.FrequentItems)
+		ww.key("frequent_items")
+		ww.patterns(res.FrequentItems)
 	}
 	ww.int("corpus_version", int64(v.CorpusVersion))
 	ww.int("num_partitions", int64(res.NumPartitions))
@@ -246,8 +213,7 @@ func (ww *wireWriter) writeJobBody(v JobView, res *lash.Result) {
 	ww.optInt("delta_partitions_dirty", res.Stats.DeltaPartitionsDirty)
 	ww.optInt("delta_partitions_reused", res.Stats.DeltaPartitionsReused)
 	ww.optInt("delta_partitions_grown", res.Stats.DeltaPartitionsGrown)
-	ww.close('}')
-	ww.close('}')
+	ww.buf = append(ww.buf, '}', '}')
 	ww.finish()
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,7 +21,8 @@ import (
 // The wire writer's contract is "the bytes encoding/json would have sent".
 // These tests hold it to that: every body the writer can produce is compared
 // byte for byte with writeJSON over the map / view struct the handlers used
-// to build, which is kept here as the reference.
+// to build, which is kept here as the reference, and every NDJSON record
+// with json.Encoder over the record struct the streaming handlers encoded.
 
 // nastyItems are item names exercising every escaping rule of
 // encoding/json's string encoder.
@@ -79,6 +81,68 @@ func refJobBody(v JobView, res *lash.Result) []byte {
 	rec := httptest.NewRecorder()
 	writeJSON(rec, http.StatusOK, v)
 	return rec.Body.Bytes()
+}
+
+// refNDJSON is the pattern records of a stream as the streaming handlers
+// wrote them before the wire writer: record(items, support) of each pattern
+// of ix in serving order, through one json.Encoder.
+func refNDJSON(ix *pindex.Index, record func(items []string, support int64) any) []byte {
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	ids, _ := ix.Search(nil, pindex.Query{Level: pindex.NoLevel}, 0, -1)
+	var items []string
+	for _, id := range ids {
+		items = ix.AppendItems(items[:0], id)
+		enc.Encode(record(items, ix.Support(id))) //nolint:errcheck // a bytes.Buffer does not fail
+	}
+	return out.Bytes()
+}
+
+// The records of POST /v1/mine/stream and of GET /v1/patterns/subscribe.
+func streamRecord(items []string, support int64) any {
+	return PatternView{Items: items, Support: support}
+}
+
+func subscribeRecord(replay bool) func([]string, int64) any {
+	return func(items []string, support int64) any {
+		return SubscribeRecord{Items: items, Support: support, Replay: replay}
+	}
+}
+
+// ndjsonTails pairs each record tail the streaming handlers pass to
+// sendIndex with the record struct it stands for.
+var ndjsonTails = []struct {
+	tail   string
+	record func([]string, int64) any
+}{
+	{"}\n", streamRecord},
+	{`,"replay":true}` + "\n", subscribeRecord(true)},
+	{`,"replay":false}` + "\n", subscribeRecord(false)},
+}
+
+// checkNDJSON renders res's records through sendIndex with each tail and
+// compares them with refNDJSON, and checks that a flush follows every 64th
+// record.
+func checkNDJSON(t *testing.T, name string, res *lash.Result) {
+	t.Helper()
+	total := res.Index().Len()
+	var wantFlushes []int
+	for n := 64; n <= total; n += 64 {
+		wantFlushes = append(wantFlushes, n)
+	}
+	for _, c := range ndjsonTails {
+		var got bytes.Buffer
+		var flushes []int // records written at each flush
+		n, ok := sendIndex(&got, func() { flushes = append(flushes, bytes.Count(got.Bytes(), []byte("\n"))) }, res, c.tail)
+		want := refNDJSON(res.Index(), c.record)
+		if !ok || n != total || !slices.Equal(flushes, wantFlushes) {
+			t.Errorf("%s, tail %q: sendIndex = %d, %v, flushed after records %v; want %d, true, flushed after %v",
+				name, c.tail, n, ok, flushes, total, wantFlushes)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s, tail %q: records differ from json.Encoder\n got  %.300q\n want %.300q", name, c.tail, got.Bytes(), want)
+		}
+	}
 }
 
 // checkBody compares a recorded wire-writer response with the reference
@@ -203,6 +267,35 @@ func TestWireJobBodyMatchesEncodingJSON(t *testing.T) {
 		newWireWriter(rec).writeJobBody(v, &lash.Result{})
 		checkBody(t, at.String(), rec, refJobBody(v, &lash.Result{}))
 	}
+}
+
+// FuzzWirePatterns holds every pattern list the writer renders — a job
+// body's, a page's and the NDJSON records' — to encoding/json's compact
+// output, for fuzzed item names and supports.
+func FuzzWirePatterns(f *testing.F) {
+	for i, item := range nastyItems {
+		f.Add(item, nastyItems[(i+1)%len(nastyItems)], int64(1)<<(5*i))
+	}
+	f.Fuzz(func(t *testing.T, a, b string, support int64) {
+		res := &lash.Result{
+			Patterns:      []lash.Pattern{{Items: []string{a, b}, Support: support}, {Items: []string{b, a, b}, Support: support / 3}},
+			FrequentItems: []lash.Pattern{{Items: []string{a}, Support: support}},
+		}
+		v := JobView{ID: a, Database: b, Status: JobDone, Created: time.Unix(1_700_000_000, 0)}
+		rec := httptest.NewRecorder()
+		newWireWriter(rec).writeJobBody(v, res)
+		checkBody(t, "job body", rec, refJobBody(v, res))
+
+		ix := res.Index()
+		all, _ := ix.Search(nil, pindex.Query{Level: pindex.NoLevel}, 0, -1)
+		j := &job{id: a, dbName: b, version: 1}
+		cursor := encodeCursor(b, 1)
+		rec = httptest.NewRecorder()
+		newWireWriter(rec).writePatternsBody(j, ix, all, len(all), cursor)
+		checkBody(t, "page", rec, refPatternsBody(j, ix, all, len(all), cursor))
+
+		checkNDJSON(t, "records", res)
+	})
 }
 
 // TestWireChunkedBody sends bodies several times the chunk bound: they must
@@ -389,12 +482,86 @@ func TestHandlersServeEncodingJSONBytes(t *testing.T) {
 	checkBody(t, "POST mine (cache hit)", rec, refJobBody(s.jobs.view(hj), resultOf(t, s, hj)))
 }
 
+// TestWireNDJSONMatchesEncodingJSON holds the NDJSON records of
+// POST /v1/mine/stream and GET /v1/patterns/subscribe to json.Encoder:
+// sendIndex directly over patterns of nastyItems, across several 64-record
+// batches, then both handlers over a result mined from a corpus whose items
+// are the fields of nastyItems.
+func TestWireNDJSONMatchesEncodingJSON(t *testing.T) {
+	var pats []lash.Pattern
+	for i, a := range nastyItems {
+		pats = append(pats, lash.Pattern{Items: []string{a}, Support: int64(i) - 3})
+		for j, b := range nastyItems {
+			pats = append(pats, lash.Pattern{Items: []string{a, b}, Support: int64(1) << (i + j)})
+		}
+	}
+	checkNDJSON(t, "nastyItems", &lash.Result{Patterns: pats})
+	checkNDJSON(t, "no patterns", &lash.Result{})
+
+	s, _ := wireTestServer(t)
+	var words []string
+	for _, item := range nastyItems {
+		words = append(words, strings.Fields(item)...)
+	}
+	var seqs []string
+	for i, w := range words {
+		seqs = append(seqs, strings.Join([]string{w, words[(i+1)%len(words)], words[(i+3)%len(words)], w}, " "))
+	}
+	if _, err := s.AddDatabase(DatabaseSpec{
+		Name: "nasty", Hierarchy: []string{words[0] + " P<&>", words[1] + " P<&>"}, Sequences: seqs,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	serve := func(method, target, body string) []byte {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	const mine = `{"database":"nasty","options":{"min_support":1,"max_gap":1,"max_length":3},"wait":true}`
+	serve("POST", "/v1/mine", mine)
+	j, res, ok := s.jobs.cache.latest("nasty", 0)
+	if !ok {
+		t.Fatal("no mined result")
+	}
+	if n := res.Index().Len(); n < 3*64 {
+		t.Fatalf("nasty corpus mined %d patterns; want several 64-record batches", n)
+	}
+	marker, _ := json.Marshal(SubscribeMarker{Version: j.version})
+	for _, c := range []struct {
+		method, target, body string
+		want                 []byte
+	}{
+		{"POST", "/v1/mine/stream", mine, refNDJSON(res.Index(), streamRecord)},
+		{"GET", "/v1/patterns/subscribe?db=nasty", "", append(append(marker, '\n'), refNDJSON(res.Index(), subscribeRecord(true))...)},
+	} {
+		got := serve(c.method, c.target, c.body)
+		if !bytes.HasPrefix(got, c.want) {
+			at := 0
+			for at < len(got) && at < len(c.want) && got[at] == c.want[at] {
+				at++
+			}
+			t.Errorf("%s: records differ from json.Encoder at byte %d\n got  %q\n want %q", c.target, at,
+				got[at:min(at+80, len(got))], c.want[at:min(at+80, len(c.want))])
+			continue
+		}
+		if trailer := got[len(c.want):]; !bytes.HasPrefix(trailer, []byte(`{"done":true,`)) || bytes.Count(trailer, []byte("\n")) != 1 {
+			t.Errorf("%s: want one trailer line after the records, got %q", c.target, trailer)
+		}
+	}
+}
+
 // discardResponse is the cheapest possible ResponseWriter, so that the
 // allocation bound below counts the handler and not the recorder.
-type discardResponse struct{ h http.Header }
+type discardResponse struct {
+	h http.Header
+	n int // bytes written
+}
 
 func (d *discardResponse) Header() http.Header         { return d.h }
-func (d *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardResponse) Write(b []byte) (int, error) { d.n += len(b); return len(b), nil }
 func (d *discardResponse) WriteHeader(int)             {}
 
 // TestServeTop100AllocsBound pins the request path of the most common
@@ -470,4 +637,32 @@ func TestConcurrentPatternRequests(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkMineReply times the largest body the service sends: the
+// POST /v1/mine reply of a result the size of bench/'s cold-text workload
+// (16 000 sentences, σ 32, γ 1, λ 4), rendered by writeJobBody to a writer
+// that discards it. reply-B/op is the body's size.
+func BenchmarkMineReply(b *testing.B) {
+	s := New(Config{})
+	b.Cleanup(func() { s.Close(b.Context()) }) //nolint:errcheck // benchmark teardown
+	if _, err := s.AddDatabase(DatabaseSpec{Name: "text", Generator: "text", Size: 16000, Seed: 23}); err != nil {
+		b.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/mine", strings.NewReader(
+		`{"database":"text","options":{"min_support":32,"max_gap":1,"max_length":4},"wait":true}`)))
+	j, res, ok := s.jobs.cache.latest("text", 0)
+	if rec.Code != http.StatusOK || !ok {
+		b.Fatalf("mine: %d %.200s", rec.Code, rec.Body)
+	}
+	res.Index() // the service's own build, off the clock and out of allocs/op
+	v := s.jobs.view(j)
+	w := &discardResponse{h: http.Header{}}
+	b.ReportAllocs()
+	for b.Loop() {
+		w.n = 0
+		newWireWriter(w).writeJobBody(v, res)
+	}
+	b.ReportMetric(float64(w.n), "reply-B/op")
 }

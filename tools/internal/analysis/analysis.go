@@ -213,23 +213,6 @@ func TypeFromPkg(t types.Type, pkgBase, typeName string) bool {
 	return PathBase(obj.Pkg().Path()) == pkgBase
 }
 
-// FuncFromPkg resolves a call expression's callee and reports whether it
-// is the function (or method) pkgBase.name — pkgBase matched against the
-// import-path base of the defining package, name against the function
-// name ("RunAgg", "MineContext", ...).
-func FuncFromPkg(info *types.Info, call *ast.CallExpr, pkgBase string, names ...string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || PathBase(fn.Pkg().Path()) != pkgBase {
-		return false
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
 // CalleeFunc resolves the *types.Func a call expression invokes (static
 // calls and method calls), or nil for calls through function values.
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
