@@ -118,10 +118,13 @@ func BenchmarkDeltaMine(b *testing.B) {
 // resumed states keep their partitions' inputs and borders; each op is one
 // zipf refresh's mine (appends and the topical cycle are untimed). It
 // reports per refresh how many partitions were re-mined, grown, and grown
-// from a lean root (Stats.DeltaPartitionsLean), and beside the op, timed
-// apart from it: the topical refresh's mine (topical-ns/op), the zipf
-// result's serving index build (index-ns/op, Result.Index), and the zipf
-// result's state size (state-B/op, MineState.SizeBytes).
+// from a lean root (Stats.DeltaPartitionsLean), and how often a refresh
+// rebased (rebase/op, Stats.Rebased: the lineage had drifted from
+// frequency order and mined from scratch); the drift of the last zipf
+// result's state (drift, MineState.Drift); and beside the op, timed apart
+// from it: the topical refresh's mine (topical-ns/op), the zipf result's
+// serving index build (index-ns/op, Result.Index), and the zipf result's
+// state size (state-B/op, MineState.SizeBytes).
 //
 // Run: go test -run '^$' -bench DeltaSteady -benchtime 10x .
 func BenchmarkDeltaSteady(b *testing.B) {
@@ -141,6 +144,7 @@ func BenchmarkDeltaSteady(b *testing.B) {
 	// then appends a topical one and resumes.
 	var topical, index time.Duration
 	var stateBytes int64
+	var drift float64
 	cycle := func(timed bool) lash.RunStats {
 		zb := lash.NewDatabaseBuilder()
 		for range 10 {
@@ -172,7 +176,7 @@ func BenchmarkDeltaSteady(b *testing.B) {
 			switch {
 			case !timed:
 			case i == 0:
-				st, stateBytes = res.Stats, stateBytes+res.State.SizeBytes()
+				st, stateBytes, drift = res.Stats, stateBytes+res.State.SizeBytes(), res.State.Drift()
 				begin = time.Now()
 				res.Index()
 				index += time.Since(begin)
@@ -184,7 +188,7 @@ func BenchmarkDeltaSteady(b *testing.B) {
 	}
 	cycle(false)
 	cycle(false)
-	var remined, grown, lean int64
+	var remined, grown, lean, rebases int64
 	b.ResetTimer()
 	b.StopTimer()
 	for range b.N {
@@ -192,11 +196,16 @@ func BenchmarkDeltaSteady(b *testing.B) {
 		remined += st.DeltaPartitionsDirty - st.DeltaPartitionsGrown
 		grown += st.DeltaPartitionsGrown
 		lean += st.DeltaPartitionsLean
+		if st.Rebased {
+			rebases++
+		}
 	}
 	n := float64(b.N)
 	b.ReportMetric(float64(remined)/n, "remined/op")
 	b.ReportMetric(float64(grown)/n, "grown/op")
 	b.ReportMetric(float64(lean)/n, "lean/op")
+	b.ReportMetric(float64(rebases)/n, "rebase/op")
+	b.ReportMetric(drift, "drift")
 	b.ReportMetric(float64(topical.Nanoseconds())/n, "topical-ns/op")
 	b.ReportMetric(float64(index.Nanoseconds())/n, "index-ns/op")
 	b.ReportMetric(float64(stateBytes)/n, "state-B/op")

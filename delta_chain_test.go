@@ -16,8 +16,8 @@ import (
 // lineage — LASH, LASH(flat), MG-FSM, and LASH under RestrictClosed — takes
 // 40 seeded appends on a corpus the brute-force oracle can mine, mixing three
 // shapes: resampled old sentences (grown partitions), sentences over fresh
-// items, and copies of an infrequent old item pushing it over σ (the rank
-// order flips, pivots move). One step resumes from the state two versions
+// items, and copies of an infrequent old item pushing it over σ (a newly
+// frequent item, ranked after every old one and re-mined). One step resumes from the state two versions
 // back, as a server whose newest result was evicted does. Every version's
 // Patterns and FrequentItems must equal a cold mine's, and every tenth the
 // oracle's; no state may hold items of a partition record it replaced, so a

@@ -2,11 +2,25 @@ package lash
 
 import (
 	"bytes"
+	"context"
 
+	"lash/internal/core"
 	"lash/internal/gsm"
 	"lash/internal/hierarchy"
+	"lash/internal/mapreduce"
 	"lash/internal/stats"
 )
+
+// mineUnder is a from-scratch LASH mine of db ranked in order
+// (core.MineUnder): the reference a resume's statistics are held to, under
+// the order it kept.
+func mineUnder(db *Database, opt Options, order []hierarchy.Item) (*core.Result, error) {
+	return core.MineUnder(context.Background(), db.db, core.Options{
+		Params: gsm.Params{Sigma: opt.MinSupport, Gamma: opt.MaxGap, Lambda: opt.MaxLength},
+		Miner:  opt.LocalMiner.kind(),
+		MR:     mapreduce.Config{Workers: opt.Workers},
+	}, order)
+}
 
 // KeptInputs returns a copy of the partition inputs a state keeps, one per
 // partition record (nil where the record keeps none), so a test can check

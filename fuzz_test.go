@@ -1,6 +1,7 @@
 package lash
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -76,8 +77,10 @@ func FuzzReadCorpusText(f *testing.F) {
 // version with the base's sequences, item ids, parents and levels untouched
 // and the fragment's sequences after them — and a mine resumed from the
 // base's state equals a cold mine of the result, the invariant delta
-// mining's reuse-grow-re-mine rule rests on (Explored only at most the cold
-// count when a partition was grown).
+// mining's reuse-grow-re-mine rule rests on. Its partition statistics equal
+// a from-scratch mine under the item order it kept (mineUnder), with
+// Explored only at most that count when a partition was grown; its drift is
+// finite.
 func FuzzMergeAppend(f *testing.F) {
 	for _, seed := range [][4]string{
 		// Grows partitions: the appended sequences repeat base content, and
@@ -140,8 +143,9 @@ func FuzzMergeAppend(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// resume mines db from state and holds it to a cold mine; grown counts
-		// the partitions that the states it descends from grew.
+		// resume mines db from state and holds it to a cold mine, and its
+		// statistics to one under its order; grown counts the partitions that
+		// the states it descends from grew.
 		resume := func(db *Database, state *MineState, grown int64) *Result {
 			t.Helper()
 			cold, err := Mine(db, opt)
@@ -155,11 +159,18 @@ func FuzzMergeAppend(f *testing.F) {
 				t.Fatal(err)
 			}
 			grown += resumed.Stats.DeltaPartitionsGrown
+			ordered, err := mineUnder(db, opt, resumed.State.delta.Order)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(resumed.Patterns, cold.Patterns) || !reflect.DeepEqual(resumed.FrequentItems, cold.FrequentItems) ||
-				resumed.NumPartitions != cold.NumPartitions || resumed.Explored > cold.Explored || (grown == 0 && resumed.Explored != cold.Explored) {
-				t.Fatalf("resumed mine: %d patterns, %d partitions, %d explored (%d grown)\n%v\ncold mine: %d patterns, %d partitions, %d explored\n%v",
+				resumed.NumPartitions != ordered.NumPartitions || resumed.Explored > ordered.Miner.Explored || (grown == 0 && resumed.Explored != ordered.Miner.Explored) {
+				t.Fatalf("resumed mine: %d patterns, %d partitions, %d explored (%d grown)\n%v\ncold mine: %d patterns\n%v\nunder its order: %d partitions, %d explored",
 					len(resumed.Patterns), resumed.NumPartitions, resumed.Explored, grown, resumed.Patterns,
-					len(cold.Patterns), cold.NumPartitions, cold.Explored, cold.Patterns)
+					len(cold.Patterns), cold.Patterns, ordered.NumPartitions, ordered.Miner.Explored)
+			}
+			if d := resumed.State.Drift(); math.IsNaN(d) || math.IsInf(d, 0) {
+				t.Fatalf("drift %v", d)
 			}
 			if st := resumed.Stats; int(st.DeltaPartitionsDirty+st.DeltaPartitionsReused) != resumed.NumPartitions || st.DeltaPartitionsGrown > st.DeltaPartitionsDirty {
 				t.Fatalf("%d dirty (%d grown) + %d reused != %d partitions", st.DeltaPartitionsDirty, st.DeltaPartitionsGrown, st.DeltaPartitionsReused, resumed.NumPartitions)

@@ -68,11 +68,14 @@ type Options struct {
 	// re-mined (see delta.go). A grown partition whose record in Prev kept
 	// its input reads its old sequences from there, so only the appended
 	// sequences are shuffled for it; the run's own state keeps the input of
-	// every partition it mined (DeltaPart.Input). Patterns and every
-	// statistic but Miner.Explored are byte-identical to a from-scratch run;
-	// a grown partition's Explored is at most the cold count. The caller must
-	// guarantee Prev comes from a run over a prefix of db.Seqs under the
-	// same Params, Miner, Flat, and Rewrites.
+	// every partition it mined (DeltaPart.Input). The run keeps Prev's rank
+	// order: Patterns and FrequentItems are byte-identical to a from-scratch
+	// run, and every other statistic to a from-scratch run under that order,
+	// but for Miner.Explored, which a grown partition leaves at most the cold
+	// count. A Prev that drifted (DeltaState.Drift) is not resumed: the run
+	// mines from scratch instead (Result.Rebased). The caller must guarantee
+	// Prev comes from a run over a prefix of db.Seqs under the same Params,
+	// Miner, Flat, and Rewrites.
 	Prev *DeltaState
 }
 
@@ -96,7 +99,8 @@ type Result struct {
 	Mined, Inserted []int32
 	// FrequentItems are the length-1 frequent items with their generalized
 	// f-list frequencies (determined during preprocessing; the problem
-	// statement excludes them from Patterns).
+	// statement excludes them from Patterns), in frequency order whatever
+	// their ranks (flist.FList.ByFrequency).
 	FrequentItems []gsm.Pattern
 	// NumPartitions is the number of non-empty partitions mined.
 	NumPartitions int
@@ -123,12 +127,24 @@ type Result struct {
 	DeltaReused int
 	DeltaGrown  int
 	DeltaLean   int
+	// Rebased reports a run given an Options.Prev that had drifted: it mined
+	// every partition from scratch (DeltaDirty), re-ranking by frequency, and
+	// merged its patterns into Prev's (Mined, Inserted).
+	Rebased bool
 }
 
 // Mine runs LASH (or one of its flat variants) over the database.
 // Cancelling ctx aborts the run cooperatively and returns the wrapped
 // ctx.Err() (see internal/mapreduce).
 func Mine(ctx context.Context, db *gsm.Database, opt Options) (*Result, error) {
+	return MineUnder(ctx, db, opt, nil)
+}
+
+// MineUnder is Mine, but a run with no opt.Prev ranks its frequent items in
+// order (flist.Build) if that is non-nil: the order a delta run keeps, under
+// which its statistics equal a from-scratch run's. Tests mine that
+// reference with it; production runs call Mine.
+func MineUnder(ctx context.Context, db *gsm.Database, opt Options, order []hierarchy.Item) (*Result, error) {
 	if err := opt.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -144,27 +160,32 @@ func Mine(ctx context.Context, db *gsm.Database, opt Options) (*Result, error) {
 		fl      *flist.FList
 		flStats *mapreduce.Stats
 		plan    *deltaPlan
+		freq    []int64
 		err     error
 	)
 	switch {
 	case opt.Prev != nil:
 		// Delta mode: frequencies are recomputed incrementally from the
 		// appended suffix (no f-list job), and the plan decides which
-		// partitions are spliced from the previous state or grown.
-		var freq []int64
-		freq, err = deltaFrequencies(work, opt.Prev)
-		if err != nil {
+		// partitions are spliced from the previous state or grown. A drifted
+		// lineage goes cold, re-ranked by frequency.
+		if freq, err = deltaFrequencies(work, opt.Prev); err != nil {
 			return nil, err
 		}
-		fl, err = flist.Build(work.Forest, freq, opt.Params.Sigma)
-		if err != nil {
-			return nil, err
+		if drifted(opt.Prev.Load, opt.Prev.FreqLoad) {
+			fl, err = buildFList(opt.MR.Obs, work.Forest, freq, opt.Params.Sigma)
+			break
 		}
-		plan, err = planDelta(work, fl, opt)
-	case opt.Freqs != nil:
-		fl, err = buildFList(opt.MR.Obs, work.Forest, opt.Freqs, opt.Params.Sigma)
+		if fl, err = flist.Build(work.Forest, freq, opt.Params.Sigma, opt.Prev.Order...); err == nil {
+			plan = planDelta(work, fl, opt)
+			plan.freqLoad, err = plan.countByFrequency(work, fl, freq, opt)
+		}
+	case opt.Freqs == nil:
+		if freq, flStats, err = flistFrequencies(ctx, work, opt.MR); err == nil {
+			fl, err = buildFList(opt.MR.Obs, work.Forest, freq, opt.Params.Sigma, order...)
+		}
 	default:
-		fl, flStats, err = FListJob(ctx, work, opt.Params.Sigma, opt.MR)
+		fl, err = buildFList(opt.MR.Obs, work.Forest, opt.Freqs, opt.Params.Sigma, order...)
 	}
 	if err != nil {
 		return nil, err
@@ -173,13 +194,11 @@ func Mine(ctx context.Context, db *gsm.Database, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Rebased = opt.Prev != nil && plan == nil
 	res.Jobs.FList = flStats
 	res.FList = fl
-	for r := 0; r < fl.NumFrequent(); r++ {
-		res.FrequentItems = append(res.FrequentItems, gsm.Pattern{
-			Items:   gsm.Sequence{fl.VocabOf(flist.Rank(r))},
-			Support: fl.FreqOfRank(flist.Rank(r)),
-		})
+	for _, w := range fl.ByFrequency() {
+		res.FrequentItems = append(res.FrequentItems, gsm.Pattern{Items: gsm.Sequence{w}, Support: fl.Freq(w)})
 	}
 	return res, nil
 }
@@ -251,7 +270,7 @@ func flistFrequencies(ctx context.Context, db *gsm.Database, cfg mapreduce.Confi
 }
 
 // FListJob computes the generalized f-list with a MapReduce job and derives
-// the rank space for the given σ.
+// the rank space for the given σ, in frequency order.
 func FListJob(ctx context.Context, db *gsm.Database, sigma int64, cfg mapreduce.Config) (*flist.FList, *mapreduce.Stats, error) {
 	freq, stats, err := flistFrequencies(ctx, db, cfg)
 	if err != nil {
@@ -264,12 +283,12 @@ func FListJob(ctx context.Context, db *gsm.Database, sigma int64, cfg mapreduce.
 	return fl, stats, nil
 }
 
-// buildFList derives the rank space for σ from counted frequencies — the
-// only preprocessing left when the counts are reused (Options.Freqs) — and
-// records the build's duration and span.
-func buildFList(o *obs.Run, forest *hierarchy.Forest, freq []int64, sigma int64) (*flist.FList, error) {
+// buildFList derives the rank space for σ from counted frequencies, in order
+// if one is given (flist.Build) — the only preprocessing left when the counts
+// are reused (Options.Freqs) — and records the build's duration and span.
+func buildFList(o *obs.Run, forest *hierarchy.Forest, freq []int64, sigma int64, order ...hierarchy.Item) (*flist.FList, error) {
 	begin := time.Now()
-	fl, err := flist.Build(forest, freq, sigma)
+	fl, err := flist.Build(forest, freq, sigma, order...)
 	if err != nil {
 		return nil, err
 	}
@@ -647,7 +666,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 	}
 	res := &Result{}
 	res.Jobs.Mine = stats
-	if err := assemble(res, db, fl, plan, out); err != nil {
+	if err := assemble(res, db, fl, plan, opt.Prev, out); err != nil {
 		return nil, err
 	}
 	return res, nil

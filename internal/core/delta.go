@@ -9,32 +9,20 @@
 // ancestor chains of existing items never change — Database.Append forbids
 // re-parenting), and with them every support.
 //
-// One rule, decided before anything is shuffled, gives every frequent pivot
-// of the new version one of three outcomes. First, does every old sequence
-// rewrite to the same partition sequence for it, in item space, as before?
-// The rewrite of a sequence T for pivot w reads only which items of G1(T) are
-// visible to w ("frequent with rank ≤ rank(w)"), and new items never occur
-// in old sequences and are never ancestors of old items. So it does unless
-// some old sequence's G1 holds both w and an item whose order relative to w
-// flipped: one frequent in both versions that moved across w, or one newly
-// frequent before it.
-// Then the owner of every pattern of w's partition is w as before too, since
-// none of its items moved across w. Two steps decide it:
-//
-//   - One walk of the new rank order over old items finds the pivots whose
-//     visible set of old items is unchanged: keep the position k among old
-//     items and the largest old rank m seen so far, a newly frequent old
-//     item counting as +∞. The pivot's visible old items are unchanged iff
-//     its old rank and m both equal k−1. The test is exact: the old items at
-//     or before the pivot in the new order are then k distinct old ranks no
-//     larger than k−1, i.e. exactly the k items the old order put at or
-//     before it; conversely equal sets give k = old rank + 1 and no member
-//     above it. Such a pivot flipped with no item.
-//   - Every other old frequent pivot moved. Two items flip only if both
-//     moved or one is newly frequent, so one pass over the old sequences
-//     (rescueMoved), checking the pairs among those items in each one's G1,
-//     finds the moved pivots that share a sequence with an item they flipped
-//     with. The others are treated as unchanged.
+// A delta run keeps its state's rank order (DeltaState.Order): the old
+// frequent items keep their ranks, and newly frequent items rank after them
+// (flist.Build). That is all the partitioning needs (a parent still ranks
+// before its child); frequency order only balances the partitions, and a
+// lineage whose order has grown too dear to partition by goes cold again
+// (DeltaState.Drift). So one rule, decided before anything is shuffled,
+// gives every frequent pivot of the new version one of three outcomes.
+// First, an old frequent pivot w sees the old items it saw before, and no
+// newly frequent one: every old sequence rewrites to the same partition
+// sequence for it, in item space, as before. (The rewrite of a sequence T
+// for w reads only which items of G1(T) are visible to w, "frequent with
+// rank ≤ rank(w)", and new items never occur in old sequences and are never
+// ancestors of old items.) The owner of every pattern of w's partition is w
+// as before too.
 //
 // Second, the appended suffix is rewritten once, on the driver, with the
 // run's own Rewriter:
@@ -53,20 +41,19 @@
 //     appended sequences each fresh entry stands for, and a search node whose
 //     reachable patterns the state holds, or bounds below σ, adds their
 //     appended support to the state's without reading an old sequence.
-//   - Every other pivot — newly frequent, or moved and sharing a sequence
-//     with an item it flipped with — is re-mined in full. So is a grown one
-//     under BFS, which has no pattern-growth search to limit.
+//   - A newly frequent pivot is re-mined in full. So is a grown one under
+//     BFS, which has no pattern-growth search to limit.
 //
 // A grown partition's old sequences have one of two sources. Every
 // partition a delta run mines keeps its aggregated input in its record
-// (DeltaPart.Input, in item space: old items keep their visible set but not
-// their ranks). When the previous record kept one, the map skips the pivot
-// for old sequences exactly as for a reused one, and only the appended
-// rewrites are shuffled. Reduce runs PSM's pre-pass on them first
-// (miner.Prepass): a lean root reads no old sequence, so the fresh sequences
-// are folded into the kept input on its encoded bytes (foldKept); otherwise
-// Reduce appends the kept input after them, translated to this run's ranks,
-// folding an old sequence equal to a fresh one into it (growKept). When it
+// (DeltaPart.Input, in item space). When the previous record kept one, the
+// map skips the pivot for old sequences exactly as for a reused one, and
+// only the appended rewrites are shuffled. Reduce runs PSM's pre-pass on
+// them first (miner.Prepass): a lean root reads no old sequence, so the
+// fresh sequences are folded into the kept input on its encoded bytes
+// (foldKept); otherwise Reduce appends the kept input after them, translated
+// to this run's ranks, folding an old sequence equal to a fresh one into it
+// (growKept). When it
 // kept none — the first delta run after a cold mine, whose state keeps no
 // inputs — the old sequences are shuffled with the appended ones and the
 // fresh-entry walk picks the latter out, as it does for the fresh half of a
@@ -77,20 +64,15 @@
 // a pivot among its frequent generalizations, and the map skips an old
 // sequence with no marked item before loading it into the rewriter.
 //
-// A pivot no appended sequence mentions is never reached, so every pivot
-// the crossing-interval rule this replaced reused (clean, and uncrossed by
-// any dirty item, hence unchanged) is still reused.
-//
 // The result is the previous one plus what changed. σ is fixed and an
 // append only raises supports, so no pattern ever leaves the result: the
 // previous canonical list (DeltaState.Patterns) is a subsequence of the new
 // one. A pattern no Reduce of the run mined belongs to a reused or grown
-// partition whose pivot was its pivot before — a pattern changes pivot only
-// if two of its items flip, and then both are re-mined, since the pattern's
-// old sequences hold them — so the previous record held it, and it kept its
-// support. So the run sorts only the patterns its Reduces mined and merges
-// them into the previous list in one walk: an equal key takes the new
-// support, a new key is inserted (canonicalize).
+// partition whose pivot was its pivot before — its items kept their ranks —
+// so the previous record held it, and it kept its support. So the run sorts
+// only the patterns its Reduces mined and merges them into the previous list
+// in one walk: an equal key takes the new support, a new key is inserted
+// (canonicalize).
 package core
 
 import (
@@ -121,6 +103,14 @@ type DeltaState struct {
 	// indexed by vocabulary item id (hierarchy-aware, or flat counts for
 	// flat runs — a state only seeds runs with identical options).
 	Freqs []int64
+	// Order is the rank order the state's partitions were mined under, rank
+	// → item; a delta run from the state keeps it (see the package doc).
+	Order []hierarchy.Item
+	// Load and FreqLoad count partition sequences: both start at the
+	// lineage's last cold mine's (Result.PartitionSeqs), and every later
+	// append adds those it rewrites to under the lineage's order (Load) and
+	// under frequency order (FreqLoad). Drift compares them.
+	Load, FreqLoad int64
 	// Parts holds one entry per non-empty partition, sorted by pivot item.
 	Parts []DeltaPart
 	// Patterns is the run's result before any output restriction, in
@@ -167,10 +157,10 @@ type DeltaPart struct {
 	// neither do runs whose old input it could not stand for (BFS, which never
 	// grows, and rewrite.ModeNone, whose sequences hold items the pivot cannot
 	// see). A reused record shares its predecessor's. It is in vocabulary
-	// item space — old items' ranks move between versions even when a pivot's
-	// visible set does not: uvarint(positions), the total length of its
-	// sequences, then per distinct sequence uvarint(weight), uvarint(length)
-	// and the sequence in seqenc's token format over item ids.
+	// item space — ranks move across a rebase (DeltaState.Drift), item ids
+	// never: uvarint(positions), the total length of its sequences, then per
+	// distinct sequence uvarint(weight), uvarint(length) and the sequence in
+	// seqenc's token format over item ids.
 	Input []byte
 }
 
@@ -202,6 +192,59 @@ func (s *DeltaState) part(pivot hierarchy.Item) *DeltaPart {
 		return &s.Parts[lo]
 	}
 	return nil
+}
+
+// maxDrift bounds a lineage's drift (DeltaState.Drift): a delta run from a
+// state that drifted further mines cold, re-ranking by frequency.
+const maxDrift = 1.1
+
+// drift returns a measure as a multiple of its reference value, 1 while the
+// reference is 0 (nothing to compare against).
+func drift(now, ref int64) float64 {
+	if ref == 0 {
+		return 1
+	}
+	return float64(now) / float64(ref)
+}
+
+// drifted is the one trigger that sends mined work cold again: a measure
+// past maxDrift times its reference value.
+func drifted(now, ref int64) bool { return drift(now, ref) > maxDrift }
+
+// Drift returns Load as a multiple of FreqLoad: how much more the lineage's
+// kept order has cost, in partition sequences, than frequency order would
+// have since its last cold mine. Old sequences rewrite the same for an old
+// pivot under a kept order, so only the appends move it. Past maxDrift, a
+// delta run from the state mines cold (Result.Rebased).
+func (s *DeltaState) Drift() float64 { return drift(s.Load, s.FreqLoad) }
+
+// countByFrequency counts the partition sequences the appended sequences
+// rewrite to under frequency order (DeltaState.FreqLoad), given the counted
+// frequencies; planDelta counted them under fl, the lineage's order.
+func (p *deltaPlan) countByFrequency(db *gsm.Database, fl *flist.FList, freq []int64, opt Options) (int64, error) {
+	byFreq, err := flist.Build(db.Forest, freq, opt.Params.Sigma)
+	if err != nil || slices.Equal(byFreq.Order(), fl.Order()) {
+		return p.load, err
+	}
+	var n int64
+	eachRewrite(db.Seqs[p.prev.NumSeqs:], byFreq, opt, func(flist.Rank, []flist.Rank) { n++ })
+	return n, nil
+}
+
+// eachRewrite calls f with every non-empty rewrite of seqs under fl, and its
+// pivot: what the map would emit for them.
+func eachRewrite(seqs []gsm.Sequence, fl *flist.FList, opt Options, f func(flist.Rank, []flist.Rank)) {
+	rw := rewrite.NewRewriter(fl, opt.Params.Gamma, opt.Params.Lambda)
+	rw.Mode = opt.Rewrites
+	var buf []flist.Rank
+	for _, t := range seqs {
+		rw.Load(t)
+		for pivot, ok := rw.Next(); ok; pivot, ok = rw.Next() {
+			if buf = rw.Rewritten(buf[:0]); len(buf) > 0 {
+				f(pivot, buf)
+			}
+		}
+	}
 }
 
 // deltaFrequencies recomputes the full corpus frequencies incrementally:
@@ -255,6 +298,8 @@ type deltaPlan struct {
 	// known: grown partitions are mined with the previous record's patterns
 	// (miner.Partition.Known), which PSM, with or without the index, reads.
 	known bool
+	// load and freqLoad are the run's terms of DeltaState.Load and FreqLoad.
+	load, freqLoad int64
 }
 
 // freshOf returns pivot's appended rewrites, and how many appended
@@ -310,9 +355,8 @@ func (p *deltaPlan) grownPart(w hierarchy.Item, nFresh int) *DeltaPart {
 // fillKnown restates a grown partition's previous record pp, in vocabulary
 // item space, as k in this run's rank space (miner.Partition.Known) — its
 // patterns, its border and its crossed patterns' bounds — through the
-// reusable rank buffer *buf. None of the pivot's old sequences holds an item
-// whose order relative to the pivot flipped (planDelta), so every item they
-// hold is still frequent and visible to the pivot.
+// reusable rank buffer *buf. The run kept the ranks of the items they hold
+// (planDelta), so each translates to the rank it was mined under.
 func fillKnown(k *miner.Known, buf *[]flist.Rank, fl *flist.FList, pivot flist.Rank, pp *DeltaPart) error {
 	n := 0
 	for _, p := range pp.Patterns {
@@ -365,55 +409,27 @@ func fillKnown(k *miner.Known, buf *[]flist.Rank, fl *flist.FList, pivot flist.R
 func (p *deltaPlan) keepsInputs() bool { return p != nil && p.keep }
 
 // planDelta decides every pivot's outcome (see the package doc). fl is the
-// new version's f-list over db, the run's working database.
-func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, error) {
+// new version's f-list over db, the run's working database, in the order of
+// opt.Prev.
+func planDelta(db *gsm.Database, fl *flist.FList, opt Options) *deltaPlan {
 	prev := opt.Prev
-	// Rebuild the previous version's rank order from its stored counts:
-	// padding new items with frequency 0 leaves them infrequent, so the
-	// frequent set and its order are exactly the old run's.
-	oldFreq := make([]int64, db.Forest.Size())
-	copy(oldFreq, prev.Freqs)
-	oldFl, err := flist.Build(db.Forest, oldFreq, fl.Sigma())
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuilding previous rank order: %w", err)
-	}
-
-	// unchanged[r]: the old items visible to pivot r are the ones that were
-	// (then, after rescueMoved: every old sequence rewrites the same for it).
-	// k counts the old items before the current one; m is the largest old
-	// rank among them and it (NoRank, the largest Rank, for a newly frequent
-	// one).
+	// unchanged[r]: every old sequence rewrites the same for pivot r as
+	// before, since the items ranked up to r are the ones that were.
 	unchanged := make([]bool, fl.NumFrequent())
-	var k, m flist.Rank
-	for r := range unchanged {
-		w := fl.VocabOf(flist.Rank(r))
-		if int(w) >= len(prev.Freqs) {
-			continue // a new item
-		}
-		ro := oldFl.RankOf(w)
-		m = max(m, ro)
-		unchanged[r] = ro == k && m == k
-		k++
+	for r := range prev.Order {
+		unchanged[r] = true
 	}
 
-	rescueMoved(db, fl, oldFl, prev, unchanged)
-
-	// Which unchanged pivots the appended sequences reach, and with what.
-	rw := rewrite.NewRewriter(fl, opt.Params.Gamma, opt.Params.Lambda)
-	rw.Mode = opt.Rewrites
+	// Which unchanged pivots the appended sequences reach, and with what; and
+	// how many partition sequences they rewrite to in all (DeltaState.Load).
 	fresh := make([][][]byte, len(unchanged))
-	var buf []flist.Rank
-	for _, t := range db.Seqs[prev.NumSeqs:] {
-		rw.Load(t)
-		for pivot, ok := rw.Next(); ok; pivot, ok = rw.Next() {
-			if !unchanged[pivot] {
-				continue
-			}
-			if buf = rw.Rewritten(buf[:0]); len(buf) > 0 {
-				fresh[pivot] = append(fresh[pivot], seqenc.AppendSeq(nil, buf))
-			}
+	var load int64
+	eachRewrite(db.Seqs[prev.NumSeqs:], fl, opt, func(pivot flist.Rank, seq []flist.Rank) {
+		load++
+		if unchanged[pivot] {
+			fresh[pivot] = append(fresh[pivot], seqenc.AppendSeq(nil, seq))
 		}
-	}
+	})
 	// Kept inputs are read only by runs that keep them: a state whose
 	// options match this run's kept them under the same rule.
 	keep := opt.Miner != miner.KindBFS && opt.Rewrites != rewrite.ModeNone
@@ -453,7 +469,7 @@ func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, erro
 	}
 	plan := &deltaPlan{
 		prev: prev, reuse: unchanged, fresh: fresh, appended: appended, kept: kept, keep: keep,
-		known: opt.Miner == miner.KindPSM || opt.Miner == miner.KindPSMNoIndex,
+		known: opt.Miner == miner.KindPSM || opt.Miner == miner.KindPSMNoIndex, load: load,
 	}
 	parent := fl.ParentTable()
 	plan.oldNeeded = make([]bool, db.Forest.Size())
@@ -465,68 +481,7 @@ func planDelta(db *gsm.Database, fl *flist.FList, opt Options) (*deltaPlan, erro
 			}
 		}
 	}
-	return plan, nil
-}
-
-// rescueMoved sets unchanged for every moved pivot — an old frequent item
-// whose visible set changed — that shares no old sequence with an item whose
-// order relative to it flipped (see the package doc). Items flip only in
-// pairs of moved pivots, or with a newly frequent old item, which counts as
-// flipped with every pivot after it: so one pass over the old sequences,
-// checking the pairs among those items in each one's G1, finds every moved
-// pivot that must be re-mined.
-func rescueMoved(db *gsm.Database, fl, oldFl *flist.FList, prev *DeltaState, unchanged []bool) {
-	f := db.Forest
-	// touch[w]: w is a moved pivot or a newly frequent old item; under[w]:
-	// w or one of its ancestors is.
-	touch, under := make([]bool, f.Size()), make([]bool, f.Size())
-	moved := false
-	for r, same := range unchanged {
-		w := fl.VocabOf(flist.Rank(r))
-		if same || int(w) >= len(prev.Freqs) {
-			continue // new items occur in no old sequence
-		}
-		touch[w] = true
-		moved = moved || oldFl.RankOf(w) != flist.NoRank
-	}
-	if !moved {
-		return
-	}
-	for w := range under {
-		for a := hierarchy.Item(w); a != hierarchy.NoItem && !under[w]; a = f.Parent(a) {
-			under[w] = touch[a]
-		}
-	}
-	// flips reports whether x and y, both touched, changed order; a newly
-	// frequent item has old rank NoRank, after every old frequent one.
-	flips := func(x, y hierarchy.Item) bool {
-		return (oldFl.RankOf(x) < oldFl.RankOf(y)) != (fl.RankOf(x) < fl.RankOf(y))
-	}
-	remine := make([]bool, len(unchanged))
-	var g []hierarchy.Item
-	for _, t := range db.Seqs[:prev.NumSeqs] {
-		g = g[:0]
-		for _, w := range t {
-			for a := w; under[w] && a != hierarchy.NoItem; a = f.Parent(a) {
-				if touch[a] && !slices.Contains(g, a) {
-					g = append(g, a)
-				}
-			}
-		}
-		for i, x := range g {
-			for _, y := range g[:i] {
-				if flips(x, y) {
-					remine[fl.RankOf(x)], remine[fl.RankOf(y)] = true, true
-				}
-			}
-		}
-	}
-	for r, same := range unchanged {
-		w := fl.VocabOf(flist.Rank(r))
-		if !same && touch[w] && oldFl.RankOf(w) != flist.NoRank && !remine[r] {
-			unchanged[r] = true
-		}
-	}
+	return plan
 }
 
 // keptBody returns a kept input's sequence records and the total length of
@@ -801,9 +756,9 @@ func foldKept(out []byte, rs *reduceScratch, fl *flist.FList, pivot flist.Rank, 
 // assemble turns a run's per-partition records into its result: it sums the
 // statistics and adds the records of the reuse-masked partitions, which were
 // never shuffled and come from the previous state. It builds the canonical
-// pattern list (canonicalize) and adopts the record slice as Result.Delta's
-// parts.
-func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, out []minedPart) error {
+// pattern list (canonicalize), merged into prev's if the run had one, and
+// adopts the record slice as Result.Delta's parts.
+func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, prev *DeltaState, out []minedPart) error {
 	dirty := len(out)
 	recs := make([]DeltaPart, dirty)
 	mined := make([]int32, dirty)
@@ -813,8 +768,10 @@ func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, o
 			res.DeltaLean++
 		}
 	}
-	if plan != nil {
+	if prev != nil {
 		res.DeltaDirty = dirty
+	}
+	if plan != nil {
 		for r, reuse := range plan.reuse {
 			if plan.fresh[r] != nil {
 				res.DeltaGrown++
@@ -848,10 +805,6 @@ func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, o
 		pats = append(pats, recs[i].Patterns[:m]...)
 	}
 	gsm.SortPatterns(pats)
-	var prev *DeltaState
-	if plan != nil {
-		prev = plan.prev
-	}
 	var err error
 	if res.Patterns, res.Mined, res.Inserted, err = canonicalize(fl, recs, mined, prev, pats); err != nil {
 		return err
@@ -863,7 +816,11 @@ func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, o
 	// part() binary-searches by pivot item; records arrive in reduce order,
 	// not id order.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Pivot < recs[j].Pivot })
-	res.Delta = &DeltaState{NumSeqs: len(db.Seqs), Freqs: freqs, Parts: recs, Patterns: res.Patterns}
+	res.Delta = &DeltaState{NumSeqs: len(db.Seqs), Freqs: freqs, Order: fl.Order(), Parts: recs, Patterns: res.Patterns,
+		Load: res.PartitionSeqs, FreqLoad: res.PartitionSeqs}
+	if plan != nil {
+		res.Delta.Load, res.Delta.FreqLoad = prev.Load+plan.load, prev.FreqLoad+plan.freqLoad
+	}
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"lash/internal/datagen"
 	"lash/internal/flist"
@@ -43,17 +44,13 @@ func TestDeltaMapSkip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl, err := flist.Build(db.Forest, freq, opt.Params.Sigma)
+		fl, err := flist.Build(db.Forest, freq, opt.Params.Sigma, prev.Order...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := opt
 		o.Prev = prev
-		plan, err := planDelta(db, fl, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan, fl
+		return planDelta(db, fl, o), fl
 	}
 
 	topical := appendTopical(t, db, 50)
@@ -143,14 +140,13 @@ func appendTopical(t *testing.T, db *gsm.Database, n int) *gsm.Database {
 	return &gsm.Database{Seqs: seqs, Forest: forest}
 }
 
-// TestDeltaFlipRescue holds planDelta's rescue of moved pivots to its rule.
-// Over y (in every sequence) and three items of one order — t1 and t2 in
-// five sequences each, x in four, three of them with t1 — an append of
-// three x·y and one y·t2 lifts x over t1 and t2 (and t2 over t1). Every one
-// of them moved, but t2 shares no old sequence with an item whose order
-// relative to it flipped: it must be grown, from the state, and match the
-// cold mine. t1 and x share three: both must be re-mined, or the pattern
-// t1·x, which x owned before and t1 owns now, would be lost.
+// TestDeltaFlipRescue holds a delta run to the order it resumes. Over y (in
+// every sequence) and three items of one order — t1 and t2 in five
+// sequences each, x in four, three of them with t1 — an append of three x·y
+// and one y·t2 would lift x over t1 and t2 (and t2 over t1) in frequency
+// order, and t1·x, which x owns, to t1. The lineage keeps its order instead:
+// the ranks of t1, t2 and x must not move, no pivot may be re-mined, and the
+// patterns must equal the cold mine's.
 func TestDeltaFlipRescue(t *testing.T) {
 	ctx := context.Background()
 	b := hierarchy.NewBuilder()
@@ -176,34 +172,8 @@ func TestDeltaFlipRescue(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := &gsm.Database{Seqs: append(slices.Clone(seqs), gsm.Sequence{x, y}, gsm.Sequence{x, y}, gsm.Sequence{x, y}, gsm.Sequence{y, t2}), Forest: forest}
-
-	freq, err := deltaFrequencies(grown, prev.Delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, err := flist.Build(forest, freq, opt.Params.Sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old := prev.FList; !(old.RankOf(t1) < old.RankOf(t2) && old.RankOf(t2) < old.RankOf(x) &&
-		fl.RankOf(x) < fl.RankOf(t2) && fl.RankOf(t2) < fl.RankOf(t1)) {
-		t.Fatal("x did not jump over t2 and t1")
-	}
 	o := opt
 	o.Prev = prev.Delta
-	plan, err := planDelta(grown, fl, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.fresh[fl.RankOf(t2)] == nil {
-		t.Fatal("t2 shares no old sequence with x or t1, yet is not grown")
-	}
-	for _, w := range []hierarchy.Item{t1, x} {
-		if r := fl.RankOf(w); plan.reuse[r] || plan.fresh[r] != nil {
-			t.Fatalf("%s shares old sequences with an item it flipped with, yet is not re-mined", forest.Name(w))
-		}
-	}
-
 	delta, err := Mine(ctx, grown, o)
 	if err != nil {
 		t.Fatal(err)
@@ -212,12 +182,23 @@ func TestDeltaFlipRescue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	old, fl := prev.FList, delta.FList
+	if c := cold.FList; !(c.RankOf(x) < c.RankOf(t2) && c.RankOf(t2) < c.RankOf(t1)) {
+		t.Fatal("the append does not reverse t1, t2 and x in frequency order")
+	}
+	for _, w := range []hierarchy.Item{t1, t2, x} {
+		if fl.RankOf(w) != old.RankOf(w) {
+			t.Fatalf("%s moved from rank %d to %d", forest.Name(w), old.RankOf(w), fl.RankOf(w))
+		}
+	}
+	if delta.Rebased || delta.DeltaDirty != delta.DeltaGrown || delta.DeltaGrown == 0 {
+		t.Fatalf("resume rebased %v, mined %d partitions, grew %d: want none re-mined", delta.Rebased, delta.DeltaDirty, delta.DeltaGrown)
+	}
 	if !gsm.EqualPatterns(delta.Patterns, cold.Patterns) {
 		t.Fatalf("resume differs from the cold mine:\n%s", gsm.DiffPatterns(forest, delta.Patterns, cold.Patterns))
 	}
-	if delta.NumPartitions != cold.NumPartitions || delta.PartitionSeqs != cold.PartitionSeqs || delta.Miner.Explored > cold.Miner.Explored {
-		t.Fatalf("resume: %d partitions, %d partition sequences, explored %d; cold %d, %d, %d",
-			delta.NumPartitions, delta.PartitionSeqs, delta.Miner.Explored, cold.NumPartitions, cold.PartitionSeqs, cold.Miner.Explored)
+	if !gsm.EqualPatterns(delta.FrequentItems, cold.FrequentItems) {
+		t.Fatalf("frequent items %v, cold mine %v", delta.FrequentItems, cold.FrequentItems)
 	}
 }
 
@@ -226,7 +207,8 @@ func TestDeltaFlipRescue(t *testing.T) {
 // one growKept writes by decoding it: DFS never has a lean root, so a chain
 // of resampled appends resumed under PSM and under DFS must keep
 // byte-identical inputs and equal sequence counts in every record, and
-// count the partition sequences a cold mine counts.
+// count the partition sequences a cold mine under the lineage's order
+// counts.
 func TestDeltaLeanFold(t *testing.T) {
 	ctx := context.Background()
 	db, err := datagen.GenerateText(datagen.TextConfig{Sentences: 600, Lemmas: 150, Seed: 9}).Build(datagen.HierarchyCLP)
@@ -252,7 +234,7 @@ func TestDeltaLeanFold(t *testing.T) {
 			seqs = append(seqs, db.Seqs[rng.Intn(len(db.Seqs))])
 		}
 		db = &gsm.Database{Seqs: seqs, Forest: db.Forest}
-		cold, err := Mine(ctx, db, psm)
+		cold, err := MineUnder(ctx, db, psm, prev[0].Order)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,4 +263,282 @@ func TestDeltaLeanFold(t *testing.T) {
 	if lean == 0 {
 		t.Fatal("vacuous: no resume from kept inputs had a lean root")
 	}
+}
+
+// TestDeltaExploredUnderOrder holds a resume's Explored to a from-scratch
+// mine under the order the resume kept (mine): at most that count, and equal
+// to it while no run of the chain grew a partition (never under BFS). Each
+// corpus takes two chained appends — a hundredth of its own sequences plus
+// a topical fragment over new items, then five of its own sequences — under
+// LASH, flat LASH and MG-FSM. The patterns must equal a frequency-ordered
+// cold mine's too.
+func TestDeltaExploredUnderOrder(t *testing.T) {
+	ctx := context.Background()
+	modes := []struct {
+		name string
+		opt  Options
+	}{
+		{"LASH", Options{}},
+		{"LASH-flat", Options{Flat: true}},
+		{"MG-FSM", Options{Flat: true, Miner: miner.KindBFS}},
+	}
+	for _, seed := range []int64{1, 7} {
+		text, err := datagen.GenerateText(datagen.TextConfig{Sentences: 400, Lemmas: 120, Seed: seed}).Build(datagen.HierarchyCLP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		market, err := datagen.GenerateMarket(datagen.MarketConfig{Users: 250, Products: 300, Seed: seed}).Build(datagen.MaxLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, base := range map[string]*gsm.Database{"text": text, "market": market} {
+			for _, m := range modes {
+				t.Run(fmt.Sprintf("seed%d/%s/%s", seed, name, m.name), func(t *testing.T) {
+					opt := m.opt
+					opt.Params, opt.MR = gsm.Params{Sigma: 12, Gamma: 1, Lambda: 4}, mapreduce.Config{Workers: 2}
+					res, err := Mine(ctx, base, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					db, grown := base, 0
+					for step, n := range []int{len(base.Seqs)/100 + 2, 5} {
+						seqs := slices.Clone(db.Seqs)
+						for i := range n {
+							seqs = append(seqs, db.Seqs[(3+8*step+i)%len(base.Seqs)])
+						}
+						db = &gsm.Database{Seqs: seqs, Forest: db.Forest}
+						if step == 0 {
+							db = appendTopical(t, db, 20)
+						}
+						o := opt
+						o.Prev = res.Delta
+						if res, err = Mine(ctx, db, o); err != nil {
+							t.Fatal(err)
+						}
+						grown += res.DeltaGrown
+						cold, err := Mine(ctx, db, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ordered, err := MineUnder(ctx, db, opt, res.Delta.Order)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !gsm.EqualPatterns(res.Patterns, cold.Patterns) || !gsm.EqualPatterns(res.FrequentItems, cold.FrequentItems) {
+							t.Fatalf("append %d: resume differs from the cold mine:\n%s", step+1, gsm.DiffPatterns(db.Forest, res.Patterns, cold.Patterns))
+						}
+						got, want := res.Miner.Explored, ordered.Miner.Explored
+						if got > want || grown == 0 && got != want {
+							t.Fatalf("append %d: explored %d after growing %d partitions; under the kept order from scratch, %d", step+1, got, grown, want)
+						}
+						if res.NumPartitions != ordered.NumPartitions || res.PartitionSeqs != ordered.PartitionSeqs {
+							t.Fatalf("append %d: %d partitions, %d partition sequences; under the kept order from scratch, %d and %d",
+								step+1, res.NumPartitions, res.PartitionSeqs, ordered.NumPartitions, ordered.PartitionSeqs)
+						}
+					}
+					if grows := opt.Miner != miner.KindBFS; grows != (grown > 0) {
+						t.Fatalf("%s grew %d partitions", m.name, grown)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDeltaStateAudit recounts a lineage's state by brute force at every
+// cycle of 40 resampled appends, each resumed under PSM from the state
+// before. For every partition record the cycle mined (at the last cycle,
+// for every record) it counts, over the
+// corpus sequences whose generalizations hold the pivot, the support of
+// each of its patterns (which must be exact), of each border entry (whose
+// bound must be at least that), and of each one-item extension, left or
+// right, of a crossed pattern by an item the pivot sees. An extension the
+// record neither holds nor bounds was never counted since the pattern
+// crossed: its support must be within the larger of the floor below the
+// border and the bounds of its two one-item reductions, crossed or border
+// entries (miner.Known.AddCrossed, and the suffix bounds of miner's
+// oldBound). A bound too low drops a pattern silently; the miner notices
+// only when a full scan meets it.
+func TestDeltaStateAudit(t *testing.T) {
+	ctx := context.Background()
+	db, err := datagen.GenerateText(datagen.TextConfig{Sentences: 200, Lemmas: 80, Seed: 13}).Build(datagen.HierarchyCLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Params: gsm.Params{Sigma: 6, Gamma: 1, Lambda: 3}, MR: mapreduce.Config{Workers: 2}}
+	res, err := Mine(ctx, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	var a stateAudit
+	lean := 0
+	for c := 1; c <= 40; c++ {
+		seqs := slices.Clone(db.Seqs)
+		for range 1 + rng.Intn(8) {
+			seqs = append(seqs, db.Seqs[rng.Intn(len(db.Seqs))])
+		}
+		db = &gsm.Database{Seqs: seqs, Forest: db.Forest}
+		o := opt
+		o.Prev = res.Delta
+		if res, err = Mine(ctx, db, o); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		if res.Rebased {
+			t.Fatalf("cycle %d rebased: the audit follows one order", c)
+		}
+		lean += res.DeltaLean
+		from := o.Prev
+		if c == 40 {
+			from = nil
+		}
+		if err := a.check(db, opt.Params, from, res.Delta); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+	}
+	if lean == 0 || a.loose == 0 || a.crossed == 0 || a.extensions == 0 {
+		t.Fatalf("vacuous: %d lean roots, %d border bounds above the support, %d crossed patterns, %d extensions", lean, a.loose, a.crossed, a.extensions)
+	}
+	t.Logf("%d lean roots; %d records, %d border entries (%d bounds above the support), %d crossed patterns (%d extensions bounded)",
+		lean, a.records, a.border, a.loose, a.crossed, a.extensions)
+}
+
+// stateAudit is TestDeltaStateAudit's brute-force count, kept across the
+// cycles of one lineage: which sequences hold each pivot among their
+// generalizations, which items those hold, and each pattern's support over
+// the first sequences of its pivot's. Old sequences never change, so a count
+// only ever adds the appended ones. It also counts what it checked.
+type stateAudit struct {
+	seqs   int // sequences indexed
+	of     map[hierarchy.Item][]gsm.Sequence
+	near   map[hierarchy.Item]map[hierarchy.Item]bool
+	counts map[hierarchy.Item]map[string]count
+
+	records, border, loose, crossed, extensions int
+}
+
+// count is a pattern's support over the first upto sequences of its pivot's.
+type count struct {
+	n    int64
+	upto int
+}
+
+// index adds db's sequences appended since the last call.
+func (a *stateAudit) index(db *gsm.Database) {
+	if a.of == nil {
+		a.of, a.near, a.counts = map[hierarchy.Item][]gsm.Sequence{}, map[hierarchy.Item]map[hierarchy.Item]bool{}, map[hierarchy.Item]map[string]count{}
+	}
+	for _, t := range db.Seqs[a.seqs:] {
+		g := gsm.ItemGeneralizations(db.Forest, t)
+		for _, w := range g {
+			a.of[w] = append(a.of[w], t)
+			if a.near[w] == nil {
+				a.near[w], a.counts[w] = map[hierarchy.Item]bool{}, map[string]count{}
+			}
+			for _, v := range g {
+				a.near[w][v] = true
+			}
+		}
+	}
+	a.seqs = len(db.Seqs)
+}
+
+// support returns the support of s, a pattern of pivot's partition, over
+// the sequences index saw.
+func (a *stateAudit) support(db *gsm.Database, gamma int, pivot hierarchy.Item, s gsm.Sequence) int64 {
+	seqs, c := a.of[pivot], a.counts[pivot][gsm.Key(s)]
+	for _, t := range seqs[c.upto:] {
+		if gsm.IsGenSubseq(db.Forest, s, t, gamma) {
+			c.n++
+		}
+	}
+	c.upto = len(seqs)
+	a.counts[pivot][gsm.Key(s)] = c
+	return c.n
+}
+
+// check recounts every record of st over db that st did not take from prev,
+// every record if prev is nil (see TestDeltaStateAudit).
+func (a *stateAudit) check(db *gsm.Database, p gsm.Params, prev, st *DeltaState) error {
+	f := db.Forest
+	floor := max(p.Sigma-(p.Sigma+3)/4-1, 0)
+	rank := make(map[hierarchy.Item]int, len(st.Order))
+	for r, w := range st.Order {
+		rank[w] = r
+	}
+	a.index(db)
+	for _, part := range st.Parts {
+		if prev != nil && sameRecord(prev.part(part.Pivot), &part) {
+			continue // reused
+		}
+		a.records++
+		support := func(s gsm.Sequence) int64 { return a.support(db, p.Gamma, part.Pivot, s) }
+		// bound, by key: -1 for a pattern, else a border or crossed bound.
+		bound := map[string]int64{}
+		for _, q := range part.Patterns {
+			bound[gsm.Key(q.Items)] = -1
+			if n := support(q.Items); n != q.Support {
+				return fmt.Errorf("partition %s: pattern %s has support %d, the record says %d",
+					f.Name(part.Pivot), gsm.String(f, q.Items), n, q.Support)
+			}
+		}
+		for _, q := range part.Border {
+			bound[gsm.Key(q.Items)] = q.Support
+			a.border++
+			n := support(q.Items)
+			if n > q.Support {
+				return fmt.Errorf("partition %s: border entry %s has support %d above its bound %d",
+					f.Name(part.Pivot), gsm.String(f, q.Items), n, q.Support)
+			}
+			if n < q.Support {
+				a.loose++
+			}
+		}
+		for _, q := range part.Crossed {
+			if bound[gsm.Key(q.Items)] != -1 {
+				return fmt.Errorf("partition %s: crossed pattern %s is not among its patterns", f.Name(part.Pivot), gsm.String(f, q.Items))
+			}
+			bound[gsm.Key(q.Items)] = q.Support
+		}
+		// uncounted bounds a pattern the record neither holds nor bounds:
+		// the floor, or a reduction's bound, a reduction it does not hold
+		// bounded the same way (support falls as a pattern grows).
+		var uncounted func(e gsm.Sequence) int64
+		uncounted = func(e gsm.Sequence) int64 {
+			b := floor
+			for _, r := range []gsm.Sequence{e[1:], e[:len(e)-1]} {
+				if v, held := bound[gsm.Key(r)]; held {
+					b = max(b, v)
+				} else if slices.Contains(r, part.Pivot) && len(r) > 1 {
+					b = max(b, uncounted(r))
+				}
+			}
+			return b
+		}
+		for _, q := range part.Crossed {
+			a.crossed++
+			for _, w := range st.Order[:rank[part.Pivot]+1] {
+				if !a.near[part.Pivot][w] {
+					continue // no sequence of the pivot's holds w
+				}
+				for _, e := range []gsm.Sequence{append(gsm.Sequence{w}, q.Items...), append(slices.Clone(q.Items), w)} {
+					if _, held := bound[gsm.Key(e)]; held {
+						continue
+					}
+					a.extensions++
+					if n, b := support(e), uncounted(e); n > b {
+						return fmt.Errorf("partition %s: %s extends crossed %s and has support %d above its bound %d",
+							f.Name(part.Pivot), gsm.String(f, e), gsm.String(f, q.Items), n, b)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// sameRecord reports whether b is a copy of a, sharing all its slices.
+func sameRecord(a, b *DeltaPart) bool {
+	return a != nil && a.Seqs == b.Seqs && unsafe.SliceData(a.Patterns) == unsafe.SliceData(b.Patterns) &&
+		unsafe.SliceData(a.Border) == unsafe.SliceData(b.Border) && unsafe.SliceData(a.Crossed) == unsafe.SliceData(b.Crossed)
 }

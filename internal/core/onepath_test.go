@@ -32,8 +32,9 @@ func statsOf(res *core.Result) partitionStats {
 // The one reduce path serves batch, delta and retried runs: at a scale the
 // oracle cannot reach (TestOracleMatrix is the oracle-sized counterpart),
 // each must mine the batch run's patterns and report identical partition
-// statistics — but for a delta run's Explored, which its grown partitions
-// (none under BFS) leave lower.
+// statistics to its reference — the batch run, or for a delta run a batch
+// run ranked in the order it kept (core.MineUnder) — but for a delta run's
+// Explored, which its grown partitions (none under BFS) leave lower.
 func TestRunModesAgree(t *testing.T) {
 	params := gsm.Params{Sigma: 8, Gamma: 1, Lambda: 4}
 	mr := mapreduce.Config{Workers: 4, MapTasks: 7, ReduceTasks: 5}
@@ -90,14 +91,19 @@ func TestRunModesAgree(t *testing.T) {
 						retried.Jobs.Mine.TaskRetries, retried.Jobs.Mine.FaultsInjected)
 				}
 
+				ordered, err := core.MineUnder(ctx, db, opt, resumed.Delta.Order)
+				if err != nil {
+					t.Fatal(err)
+				}
+
 				for _, m := range []struct {
-					name string
-					res  *core.Result
-				}{{"resume", resumed}, {"retried", retried}} {
+					name     string
+					res, ref *core.Result
+				}{{"resume", resumed, ordered}, {"retried", retried, batch}} {
 					if !gsm.EqualPatterns(m.res.Patterns, want) {
 						t.Errorf("%s: patterns diverge from the batch run's:\n%s", m.name, gsm.DiffPatterns(db.Forest, m.res.Patterns, want))
 					}
-					got, want := statsOf(m.res), statsOf(batch)
+					got, want := statsOf(m.res), statsOf(m.ref)
 					// A grown partition explores only what its appended
 					// sequences reach (v1 is cold: no state in the chain grew).
 					if got.Explored > want.Explored || (m.res.DeltaGrown == 0 && got.Explored != want.Explored) {

@@ -3,25 +3,29 @@
 //
 // The generalized f-list is hierarchy-aware: the frequency f0(w, D) of an
 // item w is the number of input sequences that contain w or any of its
-// descendants. Frequent items (f0 ≥ σ) are assigned dense ranks following
-// the paper's order: more frequent items are "smaller"; ties are broken in a
-// hierarchy-aware way (items at higher — more general — levels first), and
-// remaining ties by vocabulary id. This ordering guarantees that
-// w2 → w1 (w1 parent of w2) implies rank(w1) < rank(w2).
+// descendants. Frequent items (f0 ≥ σ) are assigned dense ranks. The
+// partitioning needs only one property of the order: a parent ranks before
+// its child (w2 → w1 implies rank(w1) < rank(w2)); Build checks it. A cold
+// mine ranks in the paper's order, which balances the partitions: more
+// frequent items are "smaller"; ties are broken in a hierarchy-aware way
+// (items at higher — more general — levels first), and remaining ties by
+// vocabulary id. A lineage of delta mines keeps its order instead: the
+// items it ranked keep their ranks, and newly frequent items follow in the
+// paper's order, which puts their ancestors, at least as frequent, first.
 package flist
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"lash/internal/gsm"
 	"lash/internal/hierarchy"
 )
 
-// Rank is a frequency-ordered dense id of a frequent item: rank 0 is the
-// "smallest" (most frequent) item of the total order <.
+// Rank is a dense id of a frequent item in the total order <: rank 0 is the
+// "smallest" item, the most frequent one under a cold mine's order.
 type Rank uint32
 
 // NoRank marks infrequent items. Because it compares larger than every real
@@ -67,8 +71,12 @@ func ComputeFrequencies(db *gsm.Database) []int64 {
 	return freq
 }
 
-// Build derives the rank space from per-item frequencies and σ.
-func Build(forest *hierarchy.Forest, freq []int64, sigma int64) (*FList, error) {
+// Build derives the rank space from per-item frequencies and σ. With no
+// order, the frequent items rank in frequency order (see the package doc).
+// order is a lineage's rank order, rank → item: its items, all frequent,
+// keep their ranks, and the frequent items it lacks rank after them in
+// frequency order. Either way every parent must rank before its child.
+func Build(forest *hierarchy.Forest, freq []int64, sigma int64, order ...hierarchy.Item) (*FList, error) {
 	if len(freq) != forest.Size() {
 		return nil, fmt.Errorf("flist: %d frequencies for %d items", len(freq), forest.Size())
 	}
@@ -76,34 +84,32 @@ func Build(forest *hierarchy.Forest, freq []int64, sigma int64) (*FList, error) 
 		return nil, fmt.Errorf("flist: σ must be positive, got %d", sigma)
 	}
 	fl := &FList{
-		forest: forest,
-		sigma:  sigma,
-		freq:   append([]int64(nil), freq...),
-		rankOf: make([]Rank, forest.Size()),
+		forest:  forest,
+		sigma:   sigma,
+		freq:    append([]int64(nil), freq...),
+		rankOf:  make([]Rank, forest.Size()),
+		vocabOf: slices.Clone(order),
 	}
-	var frequent []hierarchy.Item
-	for w := 0; w < forest.Size(); w++ {
+	for w := range fl.rankOf {
 		fl.rankOf[w] = NoRank
-		if freq[w] >= sigma {
-			frequent = append(frequent, hierarchy.Item(w))
-		}
 	}
-	sort.Slice(frequent, func(i, j int) bool {
-		a, b := frequent[i], frequent[j]
-		if freq[a] != freq[b] {
-			return freq[a] > freq[b]
+	for r, w := range order {
+		if int(w) >= forest.Size() || freq[w] < sigma || fl.rankOf[w] != NoRank {
+			return nil, fmt.Errorf("flist: the order's item %d at rank %d is unknown, infrequent or repeated", w, r)
 		}
-		if la, lb := forest.Level(a), forest.Level(b); la != lb {
-			return la < lb
-		}
-		return a < b
-	})
-	fl.vocabOf = frequent
-	fl.parent = make([]Rank, len(frequent))
-	for r, w := range frequent {
 		fl.rankOf[w] = Rank(r)
 	}
-	for r, w := range frequent {
+	for w := range forest.Size() {
+		if freq[w] >= sigma && fl.rankOf[w] == NoRank {
+			fl.vocabOf = append(fl.vocabOf, hierarchy.Item(w))
+		}
+	}
+	slices.SortFunc(fl.vocabOf[len(order):], fl.byFrequency)
+	fl.parent = make([]Rank, len(fl.vocabOf))
+	for r, w := range fl.vocabOf {
+		fl.rankOf[w] = Rank(r)
+	}
+	for r, w := range fl.vocabOf {
 		p := forest.Parent(w)
 		if p == hierarchy.NoItem {
 			fl.parent[r] = NoRank
@@ -124,6 +130,21 @@ func Build(forest *hierarchy.Forest, freq []int64, sigma int64) (*FList, error) 
 		fl.parent[r] = pr
 	}
 	return fl, nil
+}
+
+// byFrequency compares two items in a cold mine's order.
+func (fl *FList) byFrequency(a, b hierarchy.Item) int {
+	return cmp.Or(cmp.Compare(fl.freq[b], fl.freq[a]),
+		cmp.Compare(fl.forest.Level(a), fl.forest.Level(b)), cmp.Compare(a, b))
+}
+
+// Order returns the rank order, rank → item (shared; do not modify).
+func (fl *FList) Order() []hierarchy.Item { return fl.vocabOf }
+
+// ByFrequency returns the frequent items in a cold mine's order, whatever
+// their ranks.
+func (fl *FList) ByFrequency() []hierarchy.Item {
+	return slices.SortedFunc(slices.Values(fl.vocabOf), fl.byFrequency)
 }
 
 // Forest returns the hierarchy this f-list was built over.

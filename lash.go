@@ -221,19 +221,21 @@ type Options struct {
 	// Resume, when non-nil, seeds a delta re-mine from an earlier run's
 	// Result.State: the run recomputes item frequencies incrementally from
 	// the sequences appended since that run and decides, before anything is
-	// shuffled, each partition's outcome. A partition whose input provably
-	// did not change is spliced from the state; one whose old input is
-	// unchanged but gained appended sequences is grown — mined only for the
-	// patterns those sequences reach, the rest taken from the state; every
-	// other partition is re-mined. A grown partition whose input the state
-	// kept (states taken by Resume runs keep the input of every partition
-	// they mined) reads its old sequences from there, and only the appended
-	// sequences are partitioned for it. The patterns are byte-identical to a
-	// from-scratch mine (Result.Stats reports the dirty/reused/grown split;
-	// Result.Explored may be lower). The state must come
-	// from a run on an earlier version of the same database lineage with
-	// equal canonical options (see MineState.ValidFor); baselines ignore
-	// Resume and mine from scratch. Ignored by CacheKey.
+	// shuffled, each partition's outcome. The run keeps the state's item
+	// order, so an old item's partition keeps its old input: it is spliced
+	// from the state if no appended sequence reaches it, else grown — mined
+	// only for the patterns those sequences reach, the rest taken from the
+	// state; a newly frequent item's partition is mined. A grown partition
+	// whose input the state kept (states taken by Resume runs keep the input
+	// of every partition they mined) reads its old sequences from there, and
+	// only the appended sequences are partitioned for it. A state that has
+	// drifted too far from frequency order (MineState.Drift) is not resumed:
+	// the run mines from scratch (RunStats.Rebased). The patterns and
+	// frequent items are byte-identical to a from-scratch mine (Result.Stats
+	// reports the dirty/reused/grown split). The state must come from a run
+	// on an earlier version of the same database lineage with equal
+	// canonical options (see MineState.ValidFor); baselines ignore Resume and
+	// mine from scratch. Ignored by CacheKey.
 	Resume *MineState
 }
 
@@ -278,17 +280,31 @@ func (s *MineState) NumSequences() int {
 	return s.numSeqs
 }
 
+// Drift returns how many partition sequences the state's lineage has cost
+// since its last from-scratch mine, as a multiple of what frequency order
+// would have cost: a Resume run keeps its state's item order, which appends
+// can leave far from frequency order, and each counts what its appended
+// sequences rewrite to under both. A Resume run from a state whose drift
+// exceeds 1.1 mines from scratch (RunStats.Rebased). It is 1 for a
+// from-scratch run's state.
+func (s *MineState) Drift() float64 {
+	if s == nil {
+		return 0
+	}
+	return s.delta.Drift()
+}
+
 // SizeBytes returns the deterministic byte accounting of what the state
-// retains: the f-list counts, one record per partition, every partition
-// pattern and every pattern of its near-frequent border (which a Resume run
-// reads to leave old sequences unread) with its items at their element
-// widths, the encoded input of each partition a Resume run kept (none in
-// a from-scratch run's state), and one pattern header per pattern of the
-// canonical list, whose items are the partitions'. The translated list is
-// the run's Result.Patterns unless the run was restricted, and only then
-// charged here (each pattern's header and its names' string headers).
-// Two runs over equal inputs report equal sizes, so a holder can charge the
-// state against a memory budget.
+// retains: the f-list counts and rank order, one record per partition,
+// every partition pattern and every pattern of its near-frequent border
+// (which a Resume run reads to leave old sequences unread) with its items at
+// their element widths, the encoded input of each partition a Resume run
+// kept (none in a from-scratch run's state), and one pattern header per
+// pattern of the canonical list, whose items are the partitions'. The
+// translated list is the run's Result.Patterns unless the run was
+// restricted, and only then charged here (each pattern's header and its
+// names' string headers). Two runs over equal inputs report equal sizes, so
+// a holder can charge the state against a memory budget.
 func (s *MineState) SizeBytes() int64 {
 	if s == nil {
 		return 0
@@ -306,7 +322,7 @@ const patternBytes = 32
 // headers only: its items are the partitions'.
 func deltaStateBytes(d *core.DeltaState) int64 {
 	const partBytes = 128 // core.DeltaPart: pivot (padded to a word), three counters, four slice headers
-	size := int64(len(d.Freqs))*8 + int64(len(d.Parts))*partBytes + int64(len(d.Patterns))*patternBytes
+	size := int64(len(d.Freqs))*8 + int64(len(d.Order))*4 + int64(len(d.Parts))*partBytes + int64(len(d.Patterns))*patternBytes
 	for i := range d.Parts {
 		part := &d.Parts[i]
 		size += int64(len(part.Input))
@@ -425,12 +441,11 @@ type Result struct {
 	// NumPartitions is the number of partitions mined (LASH variants only).
 	NumPartitions int
 	// Explored counts candidate sequences whose support was computed by the
-	// local miners (LASH variants only). A delta run (Options.Resume) counts
-	// a grown partition's candidates only as far as its appended sequences
-	// reach — the cold count is unknowable without the cold search — so its
-	// Explored is at most a cold mine's, and equal to it when neither the
-	// run nor the states it descends from grew a partition
-	// (Stats.DeltaPartitionsGrown).
+	// local miners (LASH variants only). A delta run (Options.Resume) mines
+	// in its state's item order, which partitions differently from a
+	// from-scratch mine's, and counts a grown partition's candidates only as
+	// far as its appended sequences reach, so its Explored is not a cold
+	// mine's.
 	Explored int64
 	// Stats reports MapReduce phase measurements of the main mining job.
 	Stats RunStats
@@ -503,6 +518,10 @@ type RunStats struct {
 	DeltaPartitionsReused int64
 	DeltaPartitionsGrown  int64
 	DeltaPartitionsLean   int64
+	// Rebased reports a Resume run whose state had drifted
+	// (MineState.Drift): it mined every partition from scratch, in
+	// frequency order, and its state starts the lineage's order afresh.
+	Rebased bool
 }
 
 // Mine runs the selected algorithm over the database. It is
@@ -638,6 +657,7 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 	out.Stats.DeltaPartitionsReused = int64(res.DeltaReused)
 	out.Stats.DeltaPartitionsGrown = int64(res.DeltaGrown)
 	out.Stats.DeltaPartitionsLean = int64(res.DeltaLean)
+	out.Stats.Rebased = res.Rebased
 	for _, p := range res.FrequentItems {
 		out.FrequentItems = append(out.FrequentItems, Pattern{
 			Items:   []string{f.Name(p.Items[0])},
