@@ -30,12 +30,15 @@ race:
 # byte-identical to the fault-free run (TestChaosDifferential). It also runs
 # TestChaosDriftLineage, a zipf + topical resume lineage held to the drift
 # bound at every resume: 20 cycles from seed 1 in plain `go test`, 200 from
-# LASH_CHAOS_SEED when that is set.
+# LASH_CHAOS_SEED when that is set; and TestDeltaStateAudit (internal/core),
+# which recounts a resumed PSM lineage's state by brute force at every
+# cycle: 40 cycles from seed 13 in plain `go test`, 100 from LASH_CHAOS_SEED.
 # Set LASH_CHAOS_SEED to shift the deterministic seed window (CI randomizes
-# it so every run exercises a fresh fault schedule and a fresh lineage; the
+# it so every run exercises a fresh fault schedule and fresh lineages; the
 # seed is echoed for reproduction).
 chaos:
 	$(GO) test -race -count=1 -run '^TestChaos' -v .
+	$(GO) test -race -count=1 -run '^TestDeltaStateAudit$$' -v ./internal/core
 
 # lashvet runs the project-invariant analyzer suite (ctxfirst,
 # atomicfield, obshandle, emitgo, errjob, faultpoint, apierr) over the

@@ -220,7 +220,7 @@ func chaosChainedResume(t *testing.T, db *lash.Database, seed int64, opt lash.Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameMining(t, cold, want, true)
+	assertSameMining(t, db, opt, cold, want, true)
 	if want.Stats.DeltaPartitionsGrown == 0 {
 		t.Fatal("the chained resume grew no partition — no kept input is read")
 	}

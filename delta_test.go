@@ -134,18 +134,24 @@ func TestDeltaDifferential(t *testing.T) {
 }
 
 // assertSameMining checks the full user-visible mining output matches
-// (assertSameOutput), and the partition count, where the delta run ranks as
-// the cold mine does. A grown partition explores only what its appended
-// sequences reach, so Explored may only be lower, and only if grown (delta
-// or the state it resumed grew a partition).
-func assertSameMining(t *testing.T, cold, delta *lash.Result, grown bool) {
+// (assertSameOutput), and the partition count against a from-scratch mine
+// of db under the rank order the delta run kept (lash.MineUnder): a resume's
+// partitions follow that order, not the cold mine's frequency order. A grown
+// partition explores only what its appended sequences reach, so Explored
+// may only be lower than that mine's, and only if grown (delta or the state
+// it resumed grew a partition).
+func assertSameMining(t *testing.T, db *lash.Database, opt lash.Options, cold, delta *lash.Result, grown bool) {
 	t.Helper()
 	assertSameOutput(t, cold, delta)
-	if cold.NumPartitions != delta.NumPartitions {
-		t.Fatalf("NumPartitions: cold %d, delta %d", cold.NumPartitions, delta.NumPartitions)
+	ordered, err := lash.MineUnder(db, opt, lash.KeptOrder(delta.State))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if delta.Explored > cold.Explored || (!grown && delta.Explored != cold.Explored) {
-		t.Fatalf("Explored: cold %d, delta %d (grown: %v)", cold.Explored, delta.Explored, grown)
+	if ordered.NumPartitions != delta.NumPartitions {
+		t.Fatalf("NumPartitions: under the kept order %d, delta %d", ordered.NumPartitions, delta.NumPartitions)
+	}
+	if delta.Explored > ordered.Miner.Explored || (!grown && delta.Explored != ordered.Miner.Explored) {
+		t.Fatalf("Explored: under the kept order %d, delta %d (grown: %v)", ordered.Miner.Explored, delta.Explored, grown)
 	}
 }
 
@@ -197,7 +203,7 @@ func TestDeltaReusesPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameMining(t, cold, delta, delta.Stats.DeltaPartitionsGrown > 0)
+	assertSameMining(t, v2db, opt, cold, delta, delta.Stats.DeltaPartitionsGrown > 0)
 	if delta.Stats.DeltaPartitionsReused == 0 {
 		t.Fatalf("new-topic append reused 0 partitions (dirty %d)", delta.Stats.DeltaPartitionsDirty)
 	}
@@ -239,7 +245,7 @@ func TestDeltaGrowsHotPartitions(t *testing.T) {
 		if st.DeltaPartitionsGrown == 0 || st.DeltaPartitionsGrown > st.DeltaPartitionsDirty {
 			t.Fatalf("append %d: %d grown of %d dirty partitions", i+1, st.DeltaPartitionsGrown, st.DeltaPartitionsDirty)
 		}
-		assertSameMining(t, cold, delta, true)
+		assertSameMining(t, db, opt, cold, delta, true)
 		if delta.Explored >= cold.Explored {
 			t.Fatalf("append %d: explored %d, cold mine %d", i+1, delta.Explored, cold.Explored)
 		}
@@ -288,7 +294,7 @@ func TestDeltaRankShiftChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameMining(t, cold, delta, true)
+		assertSameMining(t, db, opt, cold, delta, true)
 		if delta.Stats.DeltaPartitionsGrown == 0 {
 			t.Fatalf("append %d grew no partition", i+1)
 		}
@@ -364,7 +370,7 @@ func TestDeltaSharedStateResumes(t *testing.T) {
 		if res[i].Stats.DeltaPartitionsGrown == 0 {
 			t.Fatal("the resume grew no partition")
 		}
-		assertSameMining(t, cold, res[i], true)
+		assertSameMining(t, db, opt, cold, res[i], true)
 	}
 	if !reflect.DeepEqual(lash.KeptInputs(v2.State), before) {
 		t.Fatal("resuming from the state changed its kept inputs")
@@ -415,7 +421,7 @@ func TestDeltaAppendedCopies(t *testing.T) {
 		if delta.Stats.DeltaPartitionsGrown == 0 {
 			t.Fatalf("append %d grew no partition", i+1)
 		}
-		assertSameMining(t, cold, delta, true)
+		assertSameMining(t, db, opt, cold, delta, true)
 		prev = delta
 	}
 }

@@ -8,19 +8,32 @@ import (
 	"lash/internal/gsm"
 	"lash/internal/hierarchy"
 	"lash/internal/mapreduce"
+	"lash/internal/miner"
 	"lash/internal/stats"
 )
 
-// mineUnder is a from-scratch LASH mine of db ranked in order
-// (core.MineUnder): the reference a resume's statistics are held to, under
-// the order it kept.
+// mineUnder is a from-scratch mine of db ranked in order (core.MineUnder),
+// under opt's partitioned algorithm: the reference a resume's statistics are
+// held to, under the order it kept.
 func mineUnder(db *Database, opt Options, order []hierarchy.Item) (*core.Result, error) {
-	return core.MineUnder(context.Background(), db.db, core.Options{
+	co := core.Options{
 		Params: gsm.Params{Sigma: opt.MinSupport, Gamma: opt.MaxGap, Lambda: opt.MaxLength},
 		Miner:  opt.LocalMiner.kind(),
+		Flat:   opt.Algorithm != AlgorithmLASH,
 		MR:     mapreduce.Config{Workers: opt.Workers},
-	}, order)
+	}
+	if opt.Algorithm == AlgorithmMGFSM {
+		co.Miner = miner.KindBFS
+	}
+	return core.MineUnder(context.Background(), db.db, co, order)
 }
+
+// MineUnder is mineUnder for the package's external tests.
+var MineUnder = mineUnder
+
+// KeptOrder returns the rank order a state's partitions were mined under
+// (core.DeltaState.Order), which a resume from it keeps.
+func KeptOrder(s *MineState) []hierarchy.Item { return s.delta.Order }
 
 // KeptInputs returns a copy of the partition inputs a state keeps, one per
 // partition record (nil where the record keeps none), so a test can check

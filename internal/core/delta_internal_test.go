@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -346,8 +348,9 @@ func TestDeltaExploredUnderOrder(t *testing.T) {
 }
 
 // TestDeltaStateAudit recounts a lineage's state by brute force at every
-// cycle of 40 resampled appends, each resumed under PSM from the state
-// before. For every partition record the cycle mined (at the last cycle,
+// cycle of its resampled appends, each resumed under PSM from the state
+// before: 40 cycles over a corpus and appends drawn from seed 13 in plain
+// `go test`, 100 from LASH_CHAOS_SEED when that is set (make chaos). For every partition record the cycle mined (at the last cycle,
 // for every record) it counts, over the
 // corpus sequences whose generalizations hold the pivot, the support of
 // each of its patterns (which must be exact), of each border entry (whose
@@ -360,8 +363,17 @@ func TestDeltaExploredUnderOrder(t *testing.T) {
 // oldBound). A bound too low drops a pattern silently; the miner notices
 // only when a full scan meets it.
 func TestDeltaStateAudit(t *testing.T) {
+	cycles, seed := 40, int64(13)
+	if env := os.Getenv("LASH_CHAOS_SEED"); env != "" {
+		n, err := strconv.ParseInt(env, 10, 64)
+		if err != nil {
+			t.Fatalf("LASH_CHAOS_SEED=%q: %v", env, err)
+		}
+		cycles, seed = 100, n
+	}
+	t.Logf("%d cycles from seed %d", cycles, seed)
 	ctx := context.Background()
-	db, err := datagen.GenerateText(datagen.TextConfig{Sentences: 200, Lemmas: 80, Seed: 13}).Build(datagen.HierarchyCLP)
+	db, err := datagen.GenerateText(datagen.TextConfig{Sentences: 200, Lemmas: 80, Seed: seed}).Build(datagen.HierarchyCLP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +382,10 @@ func TestDeltaStateAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(13))
+	rng := rand.New(rand.NewSource(seed))
 	var a stateAudit
 	lean := 0
-	for c := 1; c <= 40; c++ {
+	for c := 1; c <= cycles; c++ {
 		seqs := slices.Clone(db.Seqs)
 		for range 1 + rng.Intn(8) {
 			seqs = append(seqs, db.Seqs[rng.Intn(len(db.Seqs))])
@@ -389,7 +401,7 @@ func TestDeltaStateAudit(t *testing.T) {
 		}
 		lean += res.DeltaLean
 		from := o.Prev
-		if c == 40 {
+		if c == cycles {
 			from = nil
 		}
 		if err := a.check(db, opt.Params, from, res.Delta); err != nil {

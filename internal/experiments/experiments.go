@@ -477,15 +477,19 @@ func runFig5f(ctx context.Context, c *Context) (*Table, error) {
 
 // --- Fig. 6: scalability --------------------------------------------------
 
-func runFig6a(ctx context.Context, c *Context) (*Table, error) {
+// fig6Mine mines the first frac of NYT-CLP under Fig. 6's settings.
+func fig6Mine(ctx context.Context, c *Context, frac float64, mr mapreduce.Config) (*core.Result, error) {
 	full, err := c.TextDB(datagen.HierarchyCLP)
 	if err != nil {
 		return nil, err
 	}
+	return core.Mine(ctx, datagen.Sample(full, frac), core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: mr})
+}
+
+func runFig6a(ctx context.Context, c *Context) (*Table, error) {
 	t := phaseTable("fig6a", "% of data")
 	for _, frac := range []float64{0.25, 0.50, 0.75, 1.0} {
-		db := datagen.Sample(full, frac)
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.mr()})
+		res, err := fig6Mine(ctx, c, frac, c.mr())
 		if err != nil {
 			return nil, err
 		}
@@ -496,35 +500,26 @@ func runFig6a(ctx context.Context, c *Context) (*Table, error) {
 }
 
 func runFig6b(ctx context.Context, c *Context) (*Table, error) {
-	db, err := c.TextDB(datagen.HierarchyCLP)
-	if err != nil {
-		return nil, err
-	}
 	t := phaseTable("fig6b", "Machines")
-	res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.scalingMR()})
+	res, err := fig6Mine(ctx, c, 1, c.scalingMR())
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range []int{2, 4, 8} {
 		addPhaseRow(t, fmt.Sprintf("%d", m), Simulate(res.Jobs.Mine, ClusterSpec{Machines: m}))
 	}
-	t.AddNote("paper: near-linear strong scaling; simulated here by scheduling one run's measured tasks on m×8 slots")
+	t.AddNote("paper: near-linear strong scaling; simulated here by scheduling one run's counted tasks on m×8 slots")
 	t.AddNote("at host scale the largest single partition bounds the reduce makespan (item-partitioning skew); the paper's corpus is ~4000× larger, so its heaviest partition is far below 1/80 of total work")
 	return t, nil
 }
 
 func runFig6c(ctx context.Context, c *Context) (*Table, error) {
-	full, err := c.TextDB(datagen.HierarchyCLP)
-	if err != nil {
-		return nil, err
-	}
 	t := phaseTable("fig6c", "Machines (% data)")
 	for _, step := range []struct {
 		m    int
 		frac float64
 	}{{2, 0.25}, {4, 0.50}, {8, 1.0}} {
-		db := datagen.Sample(full, step.frac)
-		res, err := core.Mine(ctx, db, core.Options{Params: gsm.Params{Sigma: c.Scale.SigmaLo, Gamma: 0, Lambda: 5}, MR: c.scalingMR()})
+		res, err := fig6Mine(ctx, c, step.frac, c.scalingMR())
 		if err != nil {
 			return nil, err
 		}

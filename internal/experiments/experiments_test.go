@@ -96,6 +96,16 @@ func TestPaperClaims(t *testing.T) {
 	label := func(name string, p gsm.Params) string {
 		return fmt.Sprintf("%s(%d,%d,%d)", name, p.Sigma, p.Gamma, p.Lambda)
 	}
+	// fig6 mines the fig6a runner's 25/50/75/100 % samples of NYT-CLP.
+	quarters := []int64{1, 2, 3, 4}
+	fig6 := func(t *testing.T) []*core.Result {
+		var out []*core.Result
+		for _, q := range quarters {
+			db := datagen.Sample(text(t, datagen.HierarchyCLP), float64(q)/4)
+			out = append(out, mine(t, db, core.Options{Params: gsm.Params{Sigma: s.SigmaLo, Gamma: 0, Lambda: 5}}))
+		}
+		return out
+	}
 
 	for _, claim := range []struct {
 		name  string
@@ -192,6 +202,30 @@ func TestPaperClaims(t *testing.T) {
 			expect(t, "LP bytes None/GeneralizeOnly/Full", shuffled, above)
 			expect(t, "LP patterns None/GeneralizeOnly/Full", output, equal)
 		}},
+		{"Fig6a: shuffle and partition sequences linear in the data, output at least linear", func(t *testing.T) {
+			var shuffled, seqs, perQuarter []int64
+			for i, res := range fig6(t) {
+				shuffled = append(shuffled, res.Jobs.Mine.MapOutputBytes)
+				seqs = append(seqs, res.PartitionSeqs)
+				perQuarter = append(perQuarter, int64(len(res.Patterns))*4/quarters[i])
+			}
+			expectLinear(t, "CLP bytes shuffled by data 25/50/75/100%", quarters, shuffled)
+			expectLinear(t, "CLP partition sequences by data 25/50/75/100%", quarters, seqs)
+			expect(t, "CLP patterns ÷ data fraction by data 25/50/75/100%", perQuarter, atMost)
+		}},
+		{"Fig6bc: the largest partition's share falls as the data grows", func(t *testing.T) {
+			var seqShare, exploredShare []int64
+			for _, res := range fig6(t) {
+				var largest, explored int64
+				for _, part := range res.Delta.Parts {
+					largest, explored = max(largest, part.Explored), explored+part.Explored
+				}
+				seqShare = append(seqShare, ppm(res.MaxPartitionSeqs, res.PartitionSeqs))
+				exploredShare = append(exploredShare, ppm(largest, explored))
+			}
+			expect(t, "CLP largest partition's ppm of partition sequences by data 25/50/75/100%", seqShare, above)
+			expect(t, "CLP largest partition's ppm of explored by data 25/50/75/100%", exploredShare, above)
+		}},
 		{"Table3: non-trivial share > 0", func(t *testing.T) {
 			p := gsm.Params{Sigma: s.SigmaLo, Gamma: 0, Lambda: 5}
 			for _, v := range []datagen.TextHierarchy{datagen.HierarchyP, datagen.HierarchyLP, datagen.HierarchyCLP} {
@@ -234,6 +268,24 @@ func expect(t *testing.T, what string, readings []int64, rel relation) {
 	}
 	t.Logf("%s: %v", what, readings)
 }
+
+// expectLinear fails t unless each reading, taken at quarters[i] quarters of
+// the data, stays within a factor of 1.5 of linear in the last one (the
+// full data's): that reading scaled by the data fraction.
+func expectLinear(t *testing.T, what string, quarters, readings []int64) {
+	t.Helper()
+	last := len(readings) - 1
+	for i, r := range readings {
+		if linear := float64(readings[last]) * float64(quarters[i]) / float64(quarters[last]); float64(r) < linear/1.5 || float64(r) > linear*1.5 {
+			t.Errorf("%s: %v, want each within 1.5× of %d × its share of the data", what, readings, readings[last])
+			return
+		}
+	}
+	t.Logf("%s: %v", what, readings)
+}
+
+// ppm is part as parts per million of whole.
+func ppm(part, whole int64) int64 { return part * 1_000_000 / whole }
 
 // A scaled-down scale for unit testing the runners end to end.
 func testScale() experiments.Scale {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -28,21 +29,28 @@ func (c ClusterSpec) withDefaults() ClusterSpec {
 	return c
 }
 
-// Simulate derives the phase times one measured job run would take on the
-// cluster: the map and reduce tasks' measured durations are scheduled onto
-// Machines × SlotsPerMachine slots (LPT), and the shuffle ships the measured
-// MAP_OUTPUT_BYTES over the machines' aggregate bandwidth. This stands in
-// for the paper's Hadoop cluster (§6.1) and reproduces its scaling shapes
-// (Fig. 6). It is a pure function of the Stats, so one run can be
-// scheduled onto any number of clusters.
+// Simulate derives the phase times one job run would take on the cluster:
+// the tasks' counted work (Stats.MapTaskRecords, ReduceTaskEntries) is
+// scheduled onto Machines × SlotsPerMachine slots (LPT) and timed by the
+// phase's wall on the host's own Stats.Workers slots, so the host simulates
+// to its measured wall; the shuffle ships MAP_OUTPUT_BYTES over the
+// machines' aggregate bandwidth. This stands in for the paper's Hadoop
+// cluster (§6.1) and reproduces its scaling shapes (Fig. 6).
 func Simulate(st *mapreduce.Stats, spec ClusterSpec) mapreduce.PhaseTimes {
 	spec = spec.withDefaults()
 	slots := spec.Machines * spec.SlotsPerMachine
+	phase := func(wall time.Duration, tasks []int64) time.Duration {
+		span, host := lptMakespan(tasks, slots), lptMakespan(tasks, max(st.Workers, 1))
+		if span == host {
+			return wall
+		}
+		return time.Duration(float64(wall) * float64(span) / float64(host))
+	}
 	return mapreduce.PhaseTimes{
-		Map: lptMakespan(st.MapTaskTimes, slots),
+		Map: phase(st.Wall.Map, st.MapTaskRecords),
 		Shuffle: time.Duration(float64(st.MapOutputBytes) /
 			(float64(spec.Machines) * spec.NetBytesPerSec) * float64(time.Second)),
-		Reduce: lptMakespan(st.ReduceTaskTimes, slots),
+		Reduce: phase(st.Wall.Reduce, st.ReduceTaskEntries),
 	}
 }
 
@@ -50,12 +58,12 @@ func Simulate(st *mapreduce.Stats, spec ClusterSpec) mapreduce.PhaseTimes {
 // target of every experiment that does not vary the machine count.
 func sim(st *mapreduce.Stats) mapreduce.PhaseTimes { return Simulate(st, ClusterSpec{}) }
 
-// lptMakespan schedules task durations onto `slots` parallel slots using
+// lptMakespan schedules task sizes onto `slots` parallel slots using
 // longest-processing-time-first and returns the makespan.
-func lptMakespan(tasks []time.Duration, slots int) time.Duration {
-	sorted := append([]time.Duration(nil), tasks...)
+func lptMakespan(tasks []int64, slots int) int64 {
+	sorted := append([]int64(nil), tasks...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	loads := make([]time.Duration, slots)
+	loads := make([]int64, slots)
 	for _, t := range sorted {
 		// Place on least-loaded slot (slots is small; linear scan).
 		best := 0
@@ -66,9 +74,5 @@ func lptMakespan(tasks []time.Duration, slots int) time.Duration {
 		}
 		loads[best] += t
 	}
-	var makespan time.Duration
-	for _, l := range loads {
-		makespan = max(makespan, l)
-	}
-	return makespan
+	return slices.Max(loads)
 }

@@ -248,8 +248,8 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	tablePool := sync.Pool{New: func() any { return &byteTable{} }}
 
 	var redKeys, redRecords atomic.Int64
-	mapTimes := make([]time.Duration, mapTasks)
-	redTimes := make([]time.Duration, reduceTasks)
+	mapWork := make([]int64, mapTasks)
+	redWork := make([]int64, reduceTasks)
 
 	start := time.Now()
 	oh := newObsHooks(cfg.Obs, start)
@@ -288,19 +288,17 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 		}
 		st := &parts[p]
 		st.out = st.out[:0] // attempt-scoped: discard a failed attempt's output
-		var keys int64
+		var keys, merged int64
 		if len(sh.parts[p].runs) > 0 {
 			begin := time.Now()
-			defer func() {
-				redTimes[p] = time.Since(begin)
-				oh.taskSpan("reduce-partition", job.Name, "reduce", p, begin)
-			}()
+			defer oh.taskSpan("reduce-partition", job.Name, "reduce", p, begin)
 			emit := func(r R) {
 				checkAbort(errs)
 				st.out = append(st.out, r)
 			}
 			err := sh.mergeRuns(p, errs.canceled.Load, func(group uint32, entries []Entry) error {
 				keys++
+				merged += int64(len(entries))
 				return job.Reduce(group, entries, emit)
 			})
 			if err != nil {
@@ -311,6 +309,7 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 		// cancellation, whose partial counts die with the run).
 		redKeys.Add(keys)
 		redRecords.Add(int64(len(st.out)))
+		redWork[p] = merged
 		rc.ReduceTasksDone.Add(1)
 		report("reduce")
 		return nil
@@ -414,7 +413,7 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 		rc.ShuffleBytes.Add(shufBytes)
 		oh.shufRecords.Add(shufRecs)
 		oh.shufBytes.Add(shufBytes)
-		mapTimes[task] = time.Since(begin)
+		mapWork[task] = int64(hi - lo)
 		oh.taskSpan("map-task", job.Name, "map", task, begin)
 		if rc.MapTasksDone.Add(1) == int64(mapTasks) {
 			mapWall = time.Since(start)
@@ -429,13 +428,13 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	})
 
 	// One pool of cfg.Workers goroutines serves both phases, so real
-	// concurrency never exceeds the configured bound (experiments.Simulate
-	// schedules the per-task durations onto a simulated cluster, so they
-	// must not be inflated by oversubscription). Ready partitions are
-	// drained in preference to starting new map tasks — the streaming
-	// overlap — and workers block on `ready` once the map tasks are
-	// exhausted. The worker that retires the last map task (whether it ran
-	// or was skipped by cancellation) closes the channel.
+	// concurrency never exceeds the configured bound: the wall times are
+	// measured on exactly Stats.Workers slots, against which
+	// experiments.Simulate calibrates its schedule of the counted tasks.
+	// Ready partitions are drained in preference to starting new map tasks
+	// — the streaming overlap — and workers block on `ready` once the map
+	// tasks are exhausted. The worker that retires the last map task
+	// (whether it ran or was skipped by cancellation) closes the channel.
 	var nextMap, mapsRetired atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -479,8 +478,9 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 		stats.Wall.Shuffle = shufWall - mapWall
 	}
 	stats.Wall.Reduce = time.Since(start) - stats.Wall.Map - stats.Wall.Shuffle
-	stats.MapTaskTimes = mapTimes
-	stats.ReduceTaskTimes = redTimes
+	stats.Workers = cfg.Workers
+	stats.MapTaskRecords = mapWork
+	stats.ReduceTaskEntries = redWork
 	stats.MapOutputRecords = rc.ShuffleRecords.Load()
 	stats.MapOutputBytes = rc.ShuffleBytes.Load()
 	stats.ReduceInputKeys = redKeys.Load()

@@ -1,13 +1,13 @@
 // Package mapreduce is the in-process MapReduce substrate the distributed
 // algorithms run on. It executes map / aggregate / shuffle / reduce with
 // real (bounded) parallelism on the host and collects Hadoop-style counters
-// (MAP_OUTPUT_BYTES, record counts) and per-task durations.
+// (MAP_OUTPUT_BYTES, record counts) and each task's counted work.
 //
 // This substitutes for the paper's 11-node Hadoop cluster (§6.1): LASH's
 // experimental claims rest on bytes shuffled and relative per-phase work,
-// both of which are preserved by measuring real task costs and real encoded
-// bytes. Scheduling those measured tasks onto a simulated cluster (Fig. 6)
-// is the experiment harness's business — see experiments.Simulate.
+// both of which are preserved by counting each task's records and real
+// encoded bytes. Scheduling those counted tasks onto a simulated cluster
+// (Fig. 6) is the experiment harness's business — see experiments.Simulate.
 //
 // There is one job shape and one shuffle. RunAgg executes a byte-key
 // weighted-aggregation job (AggJob): map emits (group, key bytes, int64
@@ -191,14 +191,15 @@ type PhaseTimes struct {
 // Total sums the phases.
 func (p PhaseTimes) Total() time.Duration { return p.Map + p.Shuffle + p.Reduce }
 
-// Stats reports everything measured about one job run. A map task's time
-// covers mapping its split and sorting and encoding its runs; a reduce
-// task's covers merging the partition's runs and reducing its groups.
+// Stats reports everything measured about one job run. A task's counted work
+// (a map task's input records; a reduce partition's merged entries, for the
+// mine job its partition sequences) depends only on the input and task counts.
 type Stats struct {
-	Wall PhaseTimes // actually elapsed on this host
+	Wall PhaseTimes // actually elapsed on this host, on Workers goroutines
 	Counters
-	MapTaskTimes    []time.Duration
-	ReduceTaskTimes []time.Duration
+	Workers           int
+	MapTaskRecords    []int64
+	ReduceTaskEntries []int64
 }
 
 // errOnce records the first task error of a run and flips a cancellation
