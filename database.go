@@ -58,9 +58,9 @@ type freqCache struct {
 // hook cover the job. Each mode has its own lock: the first caller counts
 // while concurrent callers for that mode wait for its result, and a failed
 // count caches nothing, so the next run tries again. The run that paid for
-// the job reports its retry and fault counts, read off the job's final
-// ("done") progress event.
-func (d *Database) frequencies(ctx context.Context, flat bool, cfg mapreduce.Config) (freqs []int64, retries, injected int64, err error) {
+// the job gets its Stats (nil for every other run), for its retry and fault
+// counts.
+func (d *Database) frequencies(ctx context.Context, flat bool, cfg mapreduce.Config) ([]int64, *mapreduce.Stats, error) {
 	c := &d.hier
 	if flat {
 		c = &d.flat
@@ -68,22 +68,14 @@ func (d *Database) frequencies(ctx context.Context, flat bool, cfg mapreduce.Con
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.freqs != nil {
-		return c.freqs, 0, 0, nil
+		return c.freqs, nil, nil
 	}
-	progress := cfg.Progress
-	cfg.Progress = func(p mapreduce.Progress) {
-		if p.Phase == "done" {
-			retries, injected = p.TaskRetries, p.FaultsInjected
-		}
-		if progress != nil {
-			progress(p)
-		}
-	}
-	if freqs, err = core.Frequencies(ctx, d.db, flat, cfg); err != nil {
-		return nil, 0, 0, err
+	freqs, stats, err := core.CountFrequencies(ctx, d.db, flat, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	c.freqs = freqs
-	return freqs, retries, injected, nil
+	return freqs, stats, nil
 }
 
 // corpusID is a unique per-version identity token; only pointer identity

@@ -219,15 +219,20 @@ func flatForest(f *hierarchy.Forest) *hierarchy.Forest {
 // off the f-list job output without deriving a rank space (no σ is involved
 // in the counts themselves).
 func Frequencies(ctx context.Context, db *gsm.Database, flat bool, cfg mapreduce.Config) ([]int64, error) {
+	freq, _, err := CountFrequencies(ctx, db, flat, cfg)
+	return freq, err
+}
+
+// CountFrequencies is Frequencies, also returning the counting job's Stats.
+func CountFrequencies(ctx context.Context, db *gsm.Database, flat bool, cfg mapreduce.Config) ([]int64, *mapreduce.Stats, error) {
 	work := db
 	if flat {
 		work = &gsm.Database{Seqs: db.Seqs, Forest: flatForest(db.Forest)}
 	}
 	if err := work.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	freq, _, err := flistFrequencies(ctx, work, cfg)
-	return freq, err
+	return flistFrequencies(ctx, work, cfg)
 }
 
 // flistFrequencies is the MapReduce core of the preprocessing job (§3.3):
@@ -285,22 +290,15 @@ func FListJob(ctx context.Context, db *gsm.Database, sigma int64, cfg mapreduce.
 
 // buildFList derives the rank space for σ from counted frequencies, in order
 // if one is given (flist.Build) — the only preprocessing left when the counts
-// are reused (Options.Freqs) — and records the build's duration and span.
+// are reused (Options.Freqs) — and records the build's interval.
 func buildFList(o *obs.Run, forest *hierarchy.Forest, freq []int64, sigma int64, order ...hierarchy.Item) (*flist.FList, error) {
 	begin := time.Now()
 	fl, err := flist.Build(forest, freq, sigma, order...)
 	if err != nil {
 		return nil, err
 	}
-	if pm := o.PipelineMetricsOf(); pm != nil {
-		pm.FListBuildSeconds.Observe(time.Since(begin).Seconds())
-	}
-	if tr := o.TracerOf(); tr != nil {
-		tr.Record(obs.SpanRecord{
-			Parent: o.Root, Name: "flist-build", Job: "flist", Partition: -1,
-			Start: begin, Duration: time.Since(begin),
-		})
-	}
+	o.Record(obs.SpanRecord{Name: "flist-build", Job: "flist", Partition: -1, Start: begin, Duration: time.Since(begin)},
+		o.PipelineMetricsOf().FListBuildSeconds)
 	return fl, nil
 }
 
@@ -439,13 +437,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 	// nil when opt.MR.Obs (or its fields) are unset; the records below are
 	// nil-safe no-ops then.
 	o := opt.MR.Obs
-	tr := o.TracerOf()
-	var partMined *obs.Counter
-	var partSeconds *obs.Histogram
-	if pm := o.PipelineMetricsOf(); pm != nil {
-		partMined, partSeconds = pm.PartitionsMined, pm.PartitionMineSeconds
-		localCfg.Obs = &pm.Miner
-	}
+	pm := o.PipelineMetricsOf()
 
 	// The map reads each sequence by its index, which tells a delta run's
 	// old sequences from its appended ones.
@@ -499,15 +491,12 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 						panic(r)
 					}
 				}
-				partMined.Inc()
-				partSeconds.Observe(time.Since(begin).Seconds())
-				if tr != nil {
-					tr.Record(obs.SpanRecord{
-						Parent: o.JobSpan(), Name: "mine", Job: "partition+mine",
-						Phase: "reduce", Partition: int(pivot),
-						Start: begin, Duration: time.Since(begin),
-					})
-				}
+				pm.PartitionsMined.Inc()
+				o.Record(obs.SpanRecord{
+					Parent: o.JobSpan(), Name: "mine", Job: "partition+mine",
+					Phase: "reduce", Partition: int(pivot),
+					Start: begin, Duration: time.Since(begin),
+				}, pm.PartitionMineSeconds)
 			}()
 			rs := reducers.Get().(*reduceScratch)
 			defer reducers.Put(rs)
@@ -633,6 +622,10 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 				}
 				rs.pats = append(rs.pats, gsm.Pattern{Items: rs.items[start:], Support: sup})
 			})
+			// A local mine is counted once it completes: an aborted one
+			// never gets here.
+			pm.MinerExplored.Add(st.Explored)
+			pm.MinerOutput.Add(st.Output)
 			rec.Explored, rec.Output = st.Explored, st.Output
 			rec.mined = int32(len(rs.pats))
 

@@ -167,7 +167,7 @@ func TestCancelAbortsInsideHotPartition(t *testing.T) {
 	}
 	// The miner counters record completed local mines only. The two cold
 	// partitions output fewer than 2^(λ+1) patterns between them.
-	if out := pm.Miner.Output.Value(); out >= 1<<(lambda+1) {
+	if out := pm.MinerOutput.Value(); out >= 1<<(lambda+1) {
 		t.Errorf("miner output counter = %d: the hot partition was mined to its end after the cancel", out)
 	}
 }

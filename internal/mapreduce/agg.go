@@ -221,10 +221,12 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	}
 	reduceTasks := cfg.ReduceTasks
 
-	// rc is the run's single source of truth for live counters: progress
-	// snapshots, the final Stats, and (through obsHooks) the process-wide
-	// pipeline metrics are all derived reads of it.
+	// rc is the run's single record of its counters: progress snapshots and
+	// the final Stats read it, and on the way out — after the spill cleanup,
+	// whose failures it counts, so this defer comes first — its totals are
+	// added to the process-wide pipeline metrics, on every exit path.
 	rc := &obs.RunCounters{}
+	defer cfg.Obs.PipelineMetricsOf().AddRun(rc)
 
 	// Config.MemoryBudget is consulted here and nowhere else. With a budget
 	// the runs land in spill files instead of memory, a task also flushes
@@ -236,7 +238,7 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	sh := newShuffle(reduceTasks, mapTasks, rc)
 	share, recycle := int64(math.MaxInt64), true
 	if cfg.MemoryBudget > 0 {
-		if err := sh.openDisk(cfg.SpillDir, cfg.Faults, cfg.Obs.PipelineMetricsOf()); err != nil {
+		if err := sh.openDisk(cfg.SpillDir, cfg.Faults); err != nil {
 			return nil, stats, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
 		}
 		defer sh.cleanup()
@@ -280,10 +282,9 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	// Each reduce attempt merges the partition's runs again and rebuilds its
 	// output and group count from scratch, committing them only on success
 	// — a retried partition is indistinguishable from a fault-free one.
-	reduceOne := guard(ctx, errs, cfg.Retry, rc, oh.taskRetries, job.Name, "reduce partition", func(p, attempt int) error {
+	reduceOne := guard(ctx, errs, cfg.Retry, rc, job.Name, "reduce partition", func(p, attempt int) error {
 		if err := cfg.Faults.Hit("mapreduce.reduce.task"); err != nil {
 			rc.FaultsInjected.Add(1)
-			oh.faultsInjected.Inc()
 			return err
 		}
 		st := &parts[p]
@@ -291,7 +292,7 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 		var keys, merged int64
 		if len(sh.parts[p].runs) > 0 {
 			begin := time.Now()
-			defer oh.taskSpan("reduce-partition", job.Name, "reduce", p, begin)
+			defer oh.taskSpan("reduce-partition", job.Name, "reduce", p, begin, sh.mergeSeconds(cfg.Obs))
 			emit := func(r R) {
 				checkAbort(errs)
 				st.out = append(st.out, r)
@@ -320,10 +321,9 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 	// runs) precedes the commit region (counters, contrib/ready handoff). A
 	// retried attempt therefore only has to drop its own runs and rebuild
 	// its tables; nothing partially-committed exists to undo.
-	mapOne := guard(ctx, errs, cfg.Retry, rc, oh.taskRetries, job.Name, "map", func(task, attempt int) error {
+	mapOne := guard(ctx, errs, cfg.Retry, rc, job.Name, "map", func(task, attempt int) error {
 		if err := cfg.Faults.Hit("mapreduce.map.task"); err != nil {
 			rc.FaultsInjected.Add(1)
-			oh.faultsInjected.Inc()
 			return err
 		}
 		if attempt > 0 {
@@ -371,8 +371,8 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 					tablePool.Put(t)
 				}
 			}
-			if flushed {
-				sh.pmFlushes.Inc()
+			if flushed && sh.dir != "" {
+				rc.SpillFlushes.Add(1)
 			}
 			taskMem = 0
 			return nil
@@ -411,10 +411,8 @@ func RunAgg[I any, R any](ctx context.Context, cfg Config, input []I, job AggJob
 		// overlaps the map phase instead of waiting behind it.
 		rc.ShuffleRecords.Add(shufRecs)
 		rc.ShuffleBytes.Add(shufBytes)
-		oh.shufRecords.Add(shufRecs)
-		oh.shufBytes.Add(shufBytes)
 		mapWork[task] = int64(hi - lo)
-		oh.taskSpan("map-task", job.Name, "map", task, begin)
+		oh.taskSpan("map-task", job.Name, "map", task, begin, nil)
 		if rc.MapTasksDone.Add(1) == int64(mapTasks) {
 			mapWall = time.Since(start)
 		}

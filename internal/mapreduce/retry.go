@@ -118,9 +118,9 @@ func runAttempt(fn func(task, attempt int) error, task, attempt int) (err error)
 // (attempt-scoped output discard is the body's contract). A deterministic
 // failure, or the last allowed attempt's failure, is annotated with the job
 // name, phase, and task index and recorded as the run's error; the abort
-// sentinel retires the task quietly. Retries are counted into rc and the
-// (nil-safe) pipeline counter, and backoff sleeps observe ctx.
-func guard(ctx context.Context, errs *errOnce, pol RetryPolicy, rc *obs.RunCounters, retried *obs.Counter, jobName, phase string, fn func(task, attempt int) error) func(int) {
+// sentinel retires the task quietly. Retries are counted into rc, and
+// backoff sleeps observe ctx.
+func guard(ctx context.Context, errs *errOnce, pol RetryPolicy, rc *obs.RunCounters, jobName, phase string, fn func(task, attempt int) error) func(int) {
 	return func(task int) {
 		if errs.canceled.Load() {
 			return
@@ -148,7 +148,6 @@ func guard(ctx context.Context, errs *errOnce, pol RetryPolicy, rc *obs.RunCount
 				return
 			}
 			rc.TaskRetries.Add(1)
-			retried.Inc()
 			if !sleepCtx(ctx, backoffDelay(task, attempt)) {
 				return
 			}

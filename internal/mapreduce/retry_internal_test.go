@@ -118,7 +118,7 @@ func TestRetryAfterEmit(t *testing.T) {
 func newDiskShuffle(t *testing.T, reduceTasks int) *shuffle {
 	t.Helper()
 	s := newShuffle(reduceTasks, 1, &obs.RunCounters{})
-	if err := s.openDisk(t.TempDir(), nil, nil); err != nil {
+	if err := s.openDisk(t.TempDir(), nil); err != nil {
 		t.Fatal(err)
 	}
 	return s

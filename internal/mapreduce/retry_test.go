@@ -10,6 +10,7 @@ import (
 
 	"lash/internal/faults"
 	"lash/internal/mapreduce"
+	"lash/internal/obs"
 )
 
 // runClean runs the reference fault-free job for comparison.
@@ -219,5 +220,72 @@ func TestSpillMergeFaultRecovered(t *testing.T) {
 	if stats.TaskRetries != 1 || stats.FaultsInjected != 1 {
 		t.Fatalf("TaskRetries=%d FaultsInjected=%d, want 1/1", stats.TaskRetries, stats.FaultsInjected)
 	}
+	assertEmptyDir(t, cfg.SpillDir)
+}
+
+// TestPipelineCountersAddedOnEveryExit: the process-wide counters are the
+// run's own, added once when RunAgg returns — after a retried success, a
+// failure and a cancellation alike.
+func TestPipelineCountersAddedOnEveryExit(t *testing.T) {
+	pm := obs.NewPipelineMetrics(obs.NewRegistry())
+	var want mapreduce.Counters
+	check := func(name string, st *mapreduce.Stats) {
+		t.Helper()
+		want.MapOutputRecords += st.MapOutputRecords
+		want.MapOutputBytes += st.MapOutputBytes
+		want.SpillRuns += st.SpillRuns
+		want.SpillBytes += st.SpillBytes
+		want.SpillRecords += st.SpillRecords
+		want.TaskRetries += st.TaskRetries
+		want.FaultsInjected += st.FaultsInjected
+		got := mapreduce.Counters{
+			MapOutputRecords: pm.ShuffleRecords.Value(), MapOutputBytes: pm.ShuffleBytes.Value(),
+			SpillRuns: pm.SpillRuns.Value(), SpillBytes: pm.SpillBytes.Value(), SpillRecords: pm.SpillRecords.Value(),
+			TaskRetries: pm.TaskRetries.Value(), FaultsInjected: pm.FaultsInjected.Value(),
+		}
+		if got != want {
+			t.Fatalf("%s: process-wide counters %+v, want the runs' totals %+v", name, got, want)
+		}
+	}
+	input := spillInput(300)
+	cfg := mapreduce.Config{Workers: 2, MapTasks: 6, ReduceTasks: 4, MemoryBudget: 512,
+		SpillDir: t.TempDir(), Obs: &obs.Run{Metrics: pm}}
+
+	reg := &faults.Registry{}
+	reg.FailNth("mapreduce.spill.merge", 1, faults.Error)
+	retried := cfg
+	retried.Retry, retried.Faults = mapreduce.RetryPolicy{MaxAttempts: 3}, reg
+	_, st, err := mapreduce.RunAgg(context.Background(), retried, input, spillJob())
+	if err != nil || st.TaskRetries != 1 || st.SpillRuns == 0 {
+		t.Fatalf("retried run: err %v, %d retries, %d spill runs", err, st.TaskRetries, st.SpillRuns)
+	}
+	check("retried", st)
+	if pm.SpillFlushes.Value() == 0 {
+		t.Fatal("a spilling run counted no flush")
+	}
+
+	reg = &faults.Registry{}
+	reg.FailNth("mapreduce.reduce.task", 2, faults.Error)
+	failed := cfg
+	failed.Faults = reg
+	if _, st, err = mapreduce.RunAgg(context.Background(), failed, input, spillJob()); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("failed run: err %v", err)
+	}
+	check("failed", st)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	job := spillJob()
+	var reduces atomic.Int64
+	reduce := job.Reduce
+	job.Reduce = func(g uint32, es []mapreduce.Entry, emit func(string)) error {
+		if reduces.Add(1) == 3 {
+			cancel()
+		}
+		return reduce(g, es, emit)
+	}
+	if _, st, err = mapreduce.RunAgg(ctx, cfg, input, job); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err %v", err)
+	}
+	check("cancelled", st)
 	assertEmptyDir(t, cfg.SpillDir)
 }

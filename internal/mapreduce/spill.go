@@ -11,7 +11,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"time"
 
 	"lash/internal/faults"
 	"lash/internal/obs"
@@ -156,23 +155,15 @@ type shufflePart struct {
 }
 
 // shuffle holds every partition's runs. dir == "" is the memory backing.
-// The fields below it are set by openDisk only: the spill fault points and
-// the lash_spill_* metric handles (nil-safe, mirrored from the run's spill
-// counters in rc) report physical I/O and stay idle on memory runs.
+// The fields below it are set by openDisk only: the spill fault points, and
+// with them the run's spill counters in rc, report physical I/O and stay
+// idle on memory runs.
 type shuffle struct {
 	parts []shufflePart
 	rc    *obs.RunCounters
 
 	dir    string
 	faults *faults.Registry
-
-	pmFlushes     *obs.Counter
-	pmRuns        *obs.Counter
-	pmBytes       *obs.Counter
-	pmRecords     *obs.Counter
-	pmMerge       *obs.Histogram
-	pmFaults      *obs.Counter
-	pmCleanupErrs *obs.Counter
 }
 
 // newShuffle returns a shuffle on the memory backing with room for one run
@@ -187,18 +178,24 @@ func newShuffle(reduceTasks, mapTasks int, rc *obs.RunCounters) *shuffle {
 
 // openDisk switches the shuffle to the disk backing: it creates the run's
 // private spill directory under baseDir (os.TempDir() when empty) and arms
-// the spill fault points and metrics.
-func (s *shuffle) openDisk(baseDir string, reg *faults.Registry, pm *obs.PipelineMetrics) error {
+// the spill fault points.
+func (s *shuffle) openDisk(baseDir string, reg *faults.Registry) error {
 	dir, err := os.MkdirTemp(baseDir, "lash-spill-")
 	if err != nil {
 		return fmt.Errorf("mapreduce: create spill dir: %w", err)
 	}
 	s.dir, s.faults = dir, reg
-	if pm != nil {
-		s.pmFlushes, s.pmRuns, s.pmBytes, s.pmRecords = pm.SpillFlushes, pm.SpillRuns, pm.SpillBytes, pm.SpillRecords
-		s.pmMerge, s.pmFaults, s.pmCleanupErrs = pm.MergeSeconds, pm.FaultsInjected, pm.SpillCleanupErrors
-	}
 	return nil
+}
+
+// mergeSeconds is the histogram a reduced partition's interval is observed
+// into besides its span: lash_spill_merge_seconds when its runs were merged
+// from disk, none on the memory backing.
+func (s *shuffle) mergeSeconds(o *obs.Run) *obs.Histogram {
+	if s.dir == "" {
+		return nil
+	}
+	return o.PipelineMetricsOf().MergeSeconds
 }
 
 // cleanup closes every partition file and removes the spill directory with
@@ -206,21 +203,18 @@ func (s *shuffle) openDisk(baseDir string, reg *faults.Registry, pm *obs.Pipelin
 // Failures cannot be returned (cleanup runs on every exit path, after the
 // run's error is already decided) but must not vanish either — a close or
 // remove error means a temp file or the directory may have leaked, so each
-// one is counted into the run's counters and the process-wide gauge feeding
-// lash_spill_cleanup_errors_total.
+// one is counted into the run's counters (lash_spill_cleanup_errors_total).
 func (s *shuffle) cleanup() {
 	for p := range s.parts {
 		if f := s.parts[p].f; f != nil {
 			if err := f.Close(); err != nil {
 				s.rc.SpillCleanupErrors.Add(1)
-				s.pmCleanupErrs.Inc()
 			}
 			s.parts[p].f = nil
 		}
 	}
 	if err := os.RemoveAll(s.dir); err != nil {
 		s.rc.SpillCleanupErrors.Add(1)
-		s.pmCleanupErrs.Inc()
 	}
 }
 
@@ -258,7 +252,6 @@ func (s *shuffle) appendRun(p, owner int, enc []byte, records int) error {
 	// handle.
 	if err := s.faults.Hit("mapreduce.spill.write"); err != nil {
 		s.rc.FaultsInjected.Add(1)
-		s.pmFaults.Inc()
 		return failRun(st, fmt.Errorf("mapreduce: write spill run: %w", err))
 	}
 	r.off = st.off
@@ -267,9 +260,6 @@ func (s *shuffle) appendRun(p, owner int, enc []byte, records int) error {
 	s.rc.SpillRuns.Add(1)
 	s.rc.SpillBytes.Add(r.len)
 	s.rc.SpillRecords.Add(int64(records))
-	s.pmRuns.Inc()
-	s.pmBytes.Add(r.len)
-	s.pmRecords.Add(int64(records))
 	return nil
 }
 
@@ -471,11 +461,8 @@ func (s *shuffle) mergeRuns(p int, abort func() bool, reduce func(group uint32, 
 	// Injected merge failures model a read error at merge start.
 	if err := s.faults.Hit("mapreduce.spill.merge"); err != nil {
 		s.rc.FaultsInjected.Add(1)
-		s.pmFaults.Inc()
 		return fmt.Errorf("mapreduce: merge spill runs: %w", err)
 	}
-	begin := time.Now()
-	defer func() { s.pmMerge.Observe(time.Since(begin).Seconds()) }()
 
 	cursors := make([]runCursor, len(st.runs))
 	heap := make(cursorHeap, 0, len(st.runs))

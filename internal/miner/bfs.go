@@ -120,7 +120,6 @@ func (BFS) Mine(p *Partition, cfg Config, sc *Scratch, emit Emit) Stats {
 	//lashvet:ignore emitgo bfsRun is call-scoped traversal state; Mine returns before the struct is released and emit never crosses a goroutine
 	b := &bfsRun{walk: walk{p: p, cfg: cfg, bound: cfg.bound(p), sc: sc, n: maxRankPlus1(p)}, emit: emit}
 	b.run()
-	cfg.record(b.stats)
 	return b.stats
 }
 

@@ -27,7 +27,6 @@ func (DFS) Mine(p *Partition, cfg Config, sc *Scratch, emit Emit) Stats {
 	}
 	d.run()
 	sc.pattern = d.pattern[:0]
-	cfg.record(d.stats)
 	return d.stats
 }
 

@@ -82,7 +82,6 @@ import (
 	"slices"
 
 	"lash/internal/flist"
-	"lash/internal/obs"
 )
 
 // WSeq is a rank-space sequence with an aggregation weight (the number of
@@ -147,16 +146,6 @@ type Config struct {
 	// locally frequent sequences of length ≥ 2 are emitted (used for whole-
 	// database mining and tests).
 	PivotOnly bool
-
-	// Obs, when non-nil, receives the mine's work counters (explored
-	// candidates, emitted patterns) in one flush when Mine returns — never
-	// per expansion, so the mining hot loop stays alloc- and atomic-free.
-	Obs *obs.MinerCounters
-}
-
-// record flushes one finished mine's Stats into cfg.Obs (no-op when unset).
-func (c Config) record(st Stats) {
-	c.Obs.Record(st.Explored, st.Output)
 }
 
 // bound returns the largest admissible candidate rank for a partition.

@@ -48,7 +48,6 @@ func (m *PSM) Mine(p *Partition, cfg Config, sc *Scratch, emit Emit) Stats {
 	run := newPSMRun(p, cfg, sc, emit, m.UseIndex)
 	run.run()
 	sc.pattern = run.pattern[:0]
-	cfg.record(run.stats)
 	return run.stats
 }
 

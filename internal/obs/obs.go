@@ -14,9 +14,12 @@
 // nil-receiver safe, so instrumented code needs no "is observability on?"
 // branches: a nil handle records into the void at the cost of one branch.
 //
-// Handles also work standalone — a zero &Counter{} counts without any
-// registry — which lets per-run counters (see RunCounters) share the
-// implementation without polluting the process-wide scrape.
+// Each event is recorded once. A MapReduce job counts into its own
+// RunCounters, and PipelineMetrics.AddRun adds them to the process-wide
+// families when the job ends, so those counters move per job, at its end,
+// not while it runs. A timed interval reads the clock once and goes through
+// Run.Record, which makes it a span when a tracer is attached and observes
+// its histogram when metrics are.
 //
 // # Exposition
 //

@@ -4,7 +4,9 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestNilHandlesAreSafe(t *testing.T) {
@@ -27,14 +29,53 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	if h.Sum() != 0 || h.Count() != 0 {
 		t.Fatal("nil histogram state")
 	}
-	var p *JobPhases
-	p.Observe(1, 2, 3)
-	var mc *MinerCounters
-	mc.Record(10, 20)
 	var run *Run
 	run.SetJobSpan(7)
-	if run.JobSpan() != 0 || run.TracerOf() != nil || run.PipelineMetricsOf() != nil {
+	run.Record(SpanRecord{Name: "s", Duration: time.Second}, nil)
+	pm := run.PipelineMetricsOf()
+	pm.Phases("flist").Map.Observe(1)
+	pm.AddRun(&RunCounters{})
+	pm.PartitionsMined.Inc()
+	if run.JobSpan() != 0 || run.TracerOf() != nil || pm == nil || pm.ShuffleBytes != nil {
 		t.Fatal("nil Run accessors")
+	}
+}
+
+// Record feeds one interval to both readers: the tracer's span (under the
+// run's root by default) and the histogram, with the same duration.
+func TestRunRecord(t *testing.T) {
+	run := &Run{Tracer: NewTracer(0), Root: 7}
+	h := NewHistogram(DurationBuckets)
+	start := time.Now()
+	run.Record(SpanRecord{Name: "queue", Partition: -1, Start: start, Duration: 1500 * time.Millisecond}, h)
+	run.Record(SpanRecord{Name: "mine", Job: "partition+mine", Parent: 3, Partition: 7, Start: start.Add(time.Second), Duration: time.Millisecond}, nil)
+	spans := run.Tracer.Spans()
+	if len(spans) != 2 || spans[0].Parent != 7 || spans[1].Parent != 3 {
+		t.Fatalf("spans %+v: want a root child of span 7 and a child of span 3", spans)
+	}
+	if got := spans[1]; got.Name != "mine" || got.Job != "partition+mine" || got.Partition != 7 || got.Duration != time.Millisecond {
+		t.Fatalf("labels lost: %+v", got)
+	}
+	if h.Count() != 1 || h.Sum() != spans[0].Duration.Seconds() {
+		t.Fatalf("histogram count %d sum %v, span %v", h.Count(), h.Sum(), spans[0].Duration)
+	}
+}
+
+// AddRun adds every counter of a finished run to its process-wide family.
+func TestAddRun(t *testing.T) {
+	pm := NewPipelineMetrics(NewRegistry())
+	var rc RunCounters
+	for i, c := range []*atomic.Int64{&rc.ShuffleRecords, &rc.ShuffleBytes, &rc.SpillFlushes, &rc.SpillRuns,
+		&rc.SpillBytes, &rc.SpillRecords, &rc.TaskRetries, &rc.FaultsInjected, &rc.SpillCleanupErrors} {
+		c.Store(int64(i + 1))
+	}
+	pm.AddRun(&rc)
+	pm.AddRun(&rc)
+	for i, c := range []*Counter{pm.ShuffleRecords, pm.ShuffleBytes, pm.SpillFlushes, pm.SpillRuns,
+		pm.SpillBytes, pm.SpillRecords, pm.TaskRetries, pm.FaultsInjected, pm.SpillCleanupErrors} {
+		if got := c.Value(); got != 2*int64(i+1) {
+			t.Errorf("counter %d = %d, want %d", i, got, 2*(i+1))
+		}
 	}
 }
 
@@ -186,8 +227,7 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 				c.Inc()
 				g.Set(int64(j))
 				h.Observe(float64(seed*j) * 1e-6)
-				sp := tr.Start("hammer", 0)
-				sp.End()
+				tr.Record(SpanRecord{Name: "hammer"})
 			}
 		}(i)
 	}
@@ -220,19 +260,16 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 func TestPipelineMetricsPhases(t *testing.T) {
 	r := NewRegistry()
 	pm := NewPipelineMetrics(r)
-	pm.Phases("flist").Observe(1, 2, 3)
-	pm.Phases("partition+mine").Observe(1, 2, 3)
-	pm.Phases("naive").Observe(1, 2, 3)
-	pm.Phases("semi-naive").Observe(1, 2, 3)
-	pm.Phases("mystery").Observe(1, 2, 3)
+	for _, job := range []string{"flist", "partition+mine", "naive", "semi-naive", "mystery"} {
+		ph := pm.Phases(job)
+		ph.Map.Observe(1)
+		ph.Shuffle.Observe(2)
+		ph.Reduce.Observe(3)
+	}
 	if pm.FList.Map.Count() != 1 || pm.Mine.Shuffle.Count() != 1 ||
 		pm.Naive.Reduce.Count() != 1 || pm.SemiNaive.Map.Count() != 1 ||
 		pm.Other.Map.Count() != 1 {
 		t.Fatal("phase routing wrong")
-	}
-	var nilPM *PipelineMetrics
-	if nilPM.Phases("flist") != nil {
-		t.Fatal("nil PipelineMetrics should route to nil")
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

@@ -5,15 +5,17 @@ import (
 )
 
 // RunCounters are the per-run live counters of one mining run — the single
-// source of truth behind progress snapshots (lash.ProgressEvent) and the
-// run's final shuffle/spill statistics. The MapReduce substrate increments
-// them as tasks retire and spill runs are written; everything user-visible
-// is a read of these atomics.
+// record behind progress snapshots (lash.ProgressEvent), the run's final
+// shuffle/spill statistics and, added once when the run ends
+// (PipelineMetrics.AddRun), the process-wide lash_* counters. The MapReduce
+// substrate increments them as tasks retire and spill runs are written;
+// everything user-visible is a read of these atomics.
 type RunCounters struct {
 	MapTasksDone    atomic.Int64
 	ReduceTasksDone atomic.Int64
 	ShuffleRecords  atomic.Int64
 	ShuffleBytes    atomic.Int64
+	SpillFlushes    atomic.Int64
 	SpillRuns       atomic.Int64
 	SpillBytes      atomic.Int64
 	SpillRecords    atomic.Int64
@@ -27,44 +29,20 @@ type RunCounters struct {
 }
 
 // JobPhases bundles one job family's per-phase duration histograms. The
-// nil receiver observes nothing, so callers need no nil checks.
+// zero value's nil handles observe nothing.
 type JobPhases struct {
 	Map     *Histogram
 	Shuffle *Histogram
 	Reduce  *Histogram
 }
 
-// Observe records one job's phase wall times, in seconds.
-func (p *JobPhases) Observe(mapS, shuffleS, reduceS float64) {
-	if p == nil {
-		return
-	}
-	p.Map.Observe(mapS)
-	p.Shuffle.Observe(shuffleS)
-	p.Reduce.Observe(reduceS)
-}
-
-// MinerCounters are the local miners' work counters, flushed once per
-// partition mined (never per expansion — the mining hot loop stays
-// alloc- and atomic-free). The nil receiver records nothing.
-type MinerCounters struct {
-	Explored *Counter
-	Output   *Counter
-}
-
-// Record adds one partition's exploration counters.
-func (c *MinerCounters) Record(explored, output int64) {
-	if c == nil {
-		return
-	}
-	c.Explored.Add(explored)
-	c.Output.Add(output)
-}
-
 // PipelineMetrics are the process-wide, pre-registered handles the mining
 // pipeline records into (the hot-path handle contract: registration at
 // construction, atomics at record time). One PipelineMetrics serves every
-// run in the process; per-run numbers live in RunCounters.
+// run in the process. The shuffle, spill and fault-tolerance counters are
+// added per MapReduce job when the job ends, from its RunCounters (AddRun);
+// the local-mining counters and the histograms are recorded as each
+// partition or interval finishes.
 type PipelineMetrics struct {
 	// Per-phase wall-time histograms, one fixed label set per job family.
 	FList     JobPhases
@@ -93,10 +71,12 @@ type PipelineMetrics struct {
 	SpillCleanupErrors *Counter
 
 	// Local mining: partitions mined, per-partition mining duration, and
-	// the miners' work counters.
+	// the miners' work counters (candidates whose support was computed,
+	// patterns emitted), added once per completed local mine.
 	PartitionsMined      *Counter
 	PartitionMineSeconds *Histogram
-	Miner                MinerCounters
+	MinerExplored        *Counter
+	MinerOutput          *Counter
 
 	// Preprocessing: corpus load/decode and f-list rank-space build times.
 	CorpusLoadSeconds *Histogram
@@ -109,7 +89,7 @@ func NewPipelineMetrics(r *Registry) *PipelineMetrics {
 	phases := func(job string) JobPhases {
 		h := func(phase string) *Histogram {
 			return r.Histogram("lash_phase_duration_seconds",
-				"Wall time of one MapReduce phase, per job family. On the streaming aggregated path phases overlap; times are cumulative watermarks that sum to job wall time.",
+				"Wall time of one MapReduce phase, per job family. Map, shuffle and reduce overlap; times are cumulative watermarks that sum to job wall time.",
 				DurationBuckets, "job", job, "phase", phase)
 		}
 		return JobPhases{Map: h("map"), Shuffle: h("shuffle"), Reduce: h("reduce")}
@@ -136,10 +116,8 @@ func NewPipelineMetrics(r *Registry) *PipelineMetrics {
 
 		PartitionsMined:      r.Counter("lash_partitions_mined_total", "Partitions handed to a local miner."),
 		PartitionMineSeconds: r.Histogram("lash_partition_mine_seconds", "Duration of one partition's decode and local mining.", DurationBuckets),
-		Miner: MinerCounters{
-			Explored: r.Counter("lash_miner_explored_total", "Candidate sequences whose support the local miners computed."),
-			Output:   r.Counter("lash_miner_output_total", "Frequent patterns emitted by the local miners."),
-		},
+		MinerExplored:        r.Counter("lash_miner_explored_total", "Candidate sequences whose support the local miners computed."),
+		MinerOutput:          r.Counter("lash_miner_output_total", "Frequent patterns emitted by the local miners."),
 
 		CorpusLoadSeconds: r.Histogram("lash_corpus_load_seconds", "Duration of one corpus load/decode into an immutable database.", DurationBuckets),
 		FListBuildSeconds: r.Histogram("lash_flist_build_seconds", "Duration of one f-list rank-space build from item frequencies.", DurationBuckets),
@@ -147,29 +125,41 @@ func NewPipelineMetrics(r *Registry) *PipelineMetrics {
 }
 
 // Phases selects the job family's phase histograms by MapReduce job name.
-// Unknown names land in the "other" family; the nil receiver returns nil
-// (which observes nothing).
-func (m *PipelineMetrics) Phases(job string) *JobPhases {
-	if m == nil {
-		return nil
-	}
+// Unknown names land in the "other" family.
+func (m *PipelineMetrics) Phases(job string) JobPhases {
 	switch job {
 	case "flist":
-		return &m.FList
+		return m.FList
 	case "partition+mine":
-		return &m.Mine
+		return m.Mine
 	case "naive":
-		return &m.Naive
+		return m.Naive
 	case "semi-naive":
-		return &m.SemiNaive
+		return m.SemiNaive
 	}
-	return &m.Other
+	return m.Other
+}
+
+// AddRun adds one finished MapReduce job's counters to the process-wide
+// families — the only place they are counted, once per job, whether the
+// job succeeded, failed or was cancelled.
+func (m *PipelineMetrics) AddRun(rc *RunCounters) {
+	m.ShuffleRecords.Add(rc.ShuffleRecords.Load())
+	m.ShuffleBytes.Add(rc.ShuffleBytes.Load())
+	m.SpillFlushes.Add(rc.SpillFlushes.Load())
+	m.SpillRuns.Add(rc.SpillRuns.Load())
+	m.SpillBytes.Add(rc.SpillBytes.Load())
+	m.SpillRecords.Add(rc.SpillRecords.Load())
+	m.TaskRetries.Add(rc.TaskRetries.Load())
+	m.FaultsInjected.Add(rc.FaultsInjected.Load())
+	m.SpillCleanupErrors.Add(rc.SpillCleanupErrors.Load())
 }
 
 // Run is the observability carrier threaded through one mining run:
 // an optional tracer (with the run's root span id) and optional
 // process-wide metrics. A nil *Run disables both; a non-nil Run with nil
-// fields enables either independently.
+// fields enables either independently. A timed interval is recorded once,
+// through Record, which feeds both.
 type Run struct {
 	Tracer  *Tracer
 	Metrics *PipelineMetrics
@@ -196,12 +186,31 @@ func (r *Run) JobSpan() SpanID {
 	return SpanID(r.jobSpan.Load())
 }
 
-// PipelineMetricsOf returns the run's metrics handle bundle (nil-safe).
+// noMetrics is the bundle of a run without metrics: every handle is nil and
+// records nothing.
+var noMetrics PipelineMetrics
+
+// PipelineMetricsOf returns the run's metrics handle bundle, or one whose
+// nil handles record nothing when no metrics are attached — never nil.
 func (r *Run) PipelineMetricsOf() *PipelineMetrics {
-	if r == nil {
-		return nil
+	if r == nil || r.Metrics == nil {
+		return &noMetrics
 	}
 	return r.Metrics
+}
+
+// Record is the one record of a timed interval, read off the clock once by
+// the caller (sp.Start, sp.Duration): the interval becomes a span when r has
+// a tracer — under r.Root when sp.Parent is 0 — and an observation of h, in
+// seconds, when h is non-nil. Safe on a nil Run.
+func (r *Run) Record(sp SpanRecord, h *Histogram) {
+	h.Observe(sp.Duration.Seconds())
+	if tr := r.TracerOf(); tr != nil {
+		if sp.Parent == 0 {
+			sp.Parent = r.Root
+		}
+		tr.Record(sp)
+	}
 }
 
 // TracerOf returns the run's tracer (nil-safe).

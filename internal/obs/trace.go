@@ -27,44 +27,18 @@ type SpanRecord struct {
 	Duration  time.Duration
 }
 
-// Span is a live span handle, returned by Tracer.Start. Set the label
-// fields before calling End. The zero Span (and any span from a nil
-// Tracer) is inert: End is a no-op.
-type Span struct {
-	ID        SpanID
-	Parent    SpanID
-	Name      string
-	Job       string
-	Phase     string
-	Partition int
-	Start     time.Time
-
-	t *Tracer
-}
-
-// End records the span into the tracer's ring buffer. No-op on an inert
-// span.
-func (s Span) End() {
-	if s.t == nil {
-		return
-	}
-	s.t.Record(SpanRecord{
-		ID: s.ID, Parent: s.Parent, Name: s.Name,
-		Job: s.Job, Phase: s.Phase, Partition: s.Partition,
-		Start: s.Start, Duration: time.Since(s.Start),
-	})
-}
-
-// Tracer collects finished spans into a fixed-capacity ring buffer of
-// recent spans (oldest records are overwritten once full; Dropped counts
-// the overwrites). All methods are nil-receiver safe, so instrumented code
-// can thread an optional *Tracer without branching.
+// Tracer collects finished spans into a ring buffer of recent spans that
+// grows on demand up to a fixed capacity (oldest records are overwritten
+// once it is full; Dropped counts the overwrites), so a tracer costs what
+// it holds. All methods are nil-receiver safe, so instrumented code can
+// thread an optional *Tracer without branching.
 type Tracer struct {
 	next atomic.Uint64
 
-	mu    sync.Mutex
-	ring  []SpanRecord
-	total int // records ever written
+	mu       sync.Mutex
+	ring     []SpanRecord
+	capacity int
+	total    int // records ever written
 }
 
 // DefaultTraceCapacity is the ring size NewTracer(0) uses — enough for a
@@ -72,12 +46,13 @@ type Tracer struct {
 const DefaultTraceCapacity = 1 << 16
 
 // NewTracer returns a tracer whose ring holds up to capacity finished
-// spans (0 = DefaultTraceCapacity).
+// spans (0 = DefaultTraceCapacity). The ring starts empty and doubles as
+// spans arrive.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{ring: make([]SpanRecord, 0, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 // NextID allocates a span id without starting a span — for spans whose
@@ -91,22 +66,6 @@ func (t *Tracer) NextID() SpanID {
 	return SpanID(t.next.Add(1))
 }
 
-// Start begins a span as a child of parent (0 for a root span). The
-// returned handle is inert when t is nil.
-func (t *Tracer) Start(name string, parent SpanID) Span {
-	if t == nil {
-		return Span{Partition: -1}
-	}
-	return Span{
-		ID:        t.NextID(),
-		Parent:    parent,
-		Name:      name,
-		Partition: -1,
-		Start:     time.Now(),
-		t:         t,
-	}
-}
-
 // Record stores one finished span, assigning an id if rec.ID is 0, and
 // returns the id. Oldest records are overwritten once the ring is full.
 // No-op (returning 0) on a nil tracer.
@@ -118,10 +77,15 @@ func (t *Tracer) Record(rec SpanRecord) SpanID {
 		rec.ID = t.NextID()
 	}
 	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
+	switch {
+	case len(t.ring) == t.capacity:
+		t.ring[t.total%t.capacity] = rec
+	case len(t.ring) == cap(t.ring):
+		grown := make([]SpanRecord, len(t.ring), min(max(2*cap(t.ring), 16), t.capacity))
+		copy(grown, t.ring)
+		t.ring = append(grown, rec)
+	default:
 		t.ring = append(t.ring, rec)
-	} else {
-		t.ring[t.total%cap(t.ring)] = rec
 	}
 	t.total++
 	t.mu.Unlock()
@@ -148,10 +112,7 @@ func (t *Tracer) Dropped() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.total <= cap(t.ring) {
-		return 0
-	}
-	return t.total - cap(t.ring)
+	return t.total - len(t.ring)
 }
 
 // TraceNode is one span in the JSON span tree written by WriteTraceJSON.

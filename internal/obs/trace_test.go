@@ -12,8 +12,6 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.NextID() != 0 {
 		t.Fatal("nil NextID")
 	}
-	sp := tr.Start("x", 0)
-	sp.End() // must not panic
 	if tr.Record(SpanRecord{Name: "y"}) != 0 {
 		t.Fatal("nil Record")
 	}
@@ -38,6 +36,21 @@ func TestTracerRingOverwrite(t *testing.T) {
 	// The retained spans are the 4 most recent ones.
 	if got := spans[0].Start; got != base.Add(6*time.Millisecond) {
 		t.Fatalf("oldest retained span at +%v, want +6ms", got.Sub(base))
+	}
+
+	// A larger ring grows as spans arrive, stops at its capacity and then
+	// wraps like the small one.
+	tr = NewTracer(100)
+	for i := 0; i < 250; i++ {
+		tr.Record(SpanRecord{Name: "s", Start: base.Add(time.Duration(i) * time.Millisecond)})
+		if i == 29 && (len(tr.ring) != 30 || cap(tr.ring) >= 100) {
+			t.Fatalf("after 30 spans the ring holds %d in %d slots, want 30 in fewer than 100", len(tr.ring), cap(tr.ring))
+		}
+	}
+	if spans := tr.Spans(); len(spans) != 100 || cap(tr.ring) != 100 || tr.Dropped() != 150 {
+		t.Fatalf("retained %d in %d slots, dropped %d; want 100, 100, 150", len(spans), cap(tr.ring), tr.Dropped())
+	} else if got := spans[0].Start; got != base.Add(150*time.Millisecond) {
+		t.Fatalf("oldest retained span at +%v, want +150ms", got.Sub(base))
 	}
 }
 
@@ -82,26 +95,5 @@ func TestWriteTraceJSON(t *testing.T) {
 	}
 	if doc.Spans != 1 || len(doc.Roots) != 1 || doc.Roots[0].Name != "run" {
 		t.Fatalf("doc = %+v", doc)
-	}
-}
-
-func TestSpanStartEnd(t *testing.T) {
-	tr := NewTracer(8)
-	parent := tr.NextID()
-	sp := tr.Start("work", parent)
-	sp.Job = "partition+mine"
-	sp.Partition = 7
-	time.Sleep(2 * time.Millisecond)
-	sp.End()
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("spans = %d", len(spans))
-	}
-	got := spans[0]
-	if got.Parent != parent || got.Job != "partition+mine" || got.Partition != 7 {
-		t.Fatalf("labels lost: %+v", got)
-	}
-	if got.Duration < 2*time.Millisecond {
-		t.Fatalf("duration = %v", got.Duration)
 	}
 }

@@ -195,7 +195,10 @@ type Options struct {
 	Trace *Trace
 	// Metrics, when non-nil, records the run's pipeline metrics (phase
 	// duration histograms, shuffle/spill counters, miner work counters)
-	// into the given process-wide handle bundle. The field's type lives in
+	// into the given process-wide handle bundle. Durations are observed as
+	// each interval ends; the shuffle, spill and fault-tolerance counters
+	// are added per MapReduce job, once, at the job's end, so they do not
+	// move while a job runs. The field's type lives in
 	// an internal package: it is settable only from inside this module
 	// (lashd's /metrics endpoint uses it); external callers leave it nil.
 	// Metrics do not affect the mined output and are ignored by CacheKey.
@@ -566,13 +569,16 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 		if tr := runObs.Tracer; tr != nil {
 			// One root span for the whole run; every job parents to it, so
 			// the emitted tree has a single top-level mining node whose
-			// children's phase durations sum to the jobs' wall times.
-			runObs.Root = tr.NextID()
-			begin := time.Now()
-			defer func() {
-				tr.Record(obs.SpanRecord{ID: runObs.Root, Name: "mine", Partition: -1,
-					Start: begin, Duration: time.Since(begin)})
-			}()
+			// children's phase durations sum to the jobs' wall times. A
+			// trace from NewTraceUnder names a root its owner records.
+			if runObs.Root = opt.Trace.root; runObs.Root == 0 {
+				runObs.Root = tr.NextID()
+				begin := time.Now()
+				defer func() {
+					tr.Record(obs.SpanRecord{ID: runObs.Root, Name: "mine", Partition: -1,
+						Start: begin, Duration: time.Since(begin)})
+				}()
+			}
 		}
 		mr.Obs = runObs
 	}
@@ -583,9 +589,9 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 		err error
 		// resumed is the state the run merged its result into, if any.
 		resumed *MineState
-		// flistRetries and flistInjected are the preprocessing job's share
-		// of the run's fault-tolerance counters.
-		flistRetries, flistInjected int64
+		// flist is the preprocessing job this run paid for, if any: its
+		// retries and faults count toward the run's.
+		flist *mapreduce.Stats
 	)
 	switch opt.Algorithm {
 	case AlgorithmLASH, AlgorithmLASHFlat, AlgorithmMGFSM:
@@ -607,7 +613,7 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 		} else {
 			// A delta run extends its state's item counts; every other run
 			// takes the snapshot's, counting them if it is the first.
-			co.Freqs, flistRetries, flistInjected, err = db.frequencies(ctx, co.Flat, mr)
+			co.Freqs, flist, err = db.frequencies(ctx, co.Flat, mr)
 			if err != nil {
 				return nil, err
 			}
@@ -675,11 +681,13 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 	// Preprocessing-job retries/faults count toward the run too (the mining
 	// job's other counters keep their main-job-only meaning). The semi-naïve
 	// baseline runs its own f-list job; the LASH variants' was counted above.
-	if res.Jobs.FList != nil {
-		flistRetries, flistInjected = res.Jobs.FList.TaskRetries, res.Jobs.FList.FaultsInjected
+	if flist == nil {
+		flist = res.Jobs.FList
 	}
-	out.Stats.TaskRetries += flistRetries
-	out.Stats.FaultsInjected += flistInjected
+	if flist != nil {
+		out.Stats.TaskRetries += flist.TaskRetries
+		out.Stats.FaultsInjected += flist.FaultsInjected
+	}
 	return out, nil
 }
 

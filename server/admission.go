@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lash"
+	"lash/internal/obs"
 )
 
 // jobKey identifies equivalent mining requests: same database, same corpus
@@ -102,6 +103,7 @@ func (m *manager) admitLocked(reqID, key, dbName string, version int, opt lash.O
 	}
 	j := m.newJobLocked(key, dbName, version, m.applyPolicies(opt))
 	j.status = JobQueued
+	j.trace = &obs.Run{Tracer: obs.NewTracer(0)}
 	m.met.jobsSubmitted.Inc()
 	m.met.jobsQueued.Inc()
 	m.wg.Add(1)

@@ -9,6 +9,7 @@ import (
 
 	"lash"
 	"lash/internal/faults"
+	"lash/internal/obs"
 )
 
 // JobStatus is a job's lifecycle state.
@@ -85,6 +86,15 @@ type job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
+
+	// trace records the job's intervals, each once, as a span of its trace
+	// and an observation of its histogram: queue wait, the run (the "mine"
+	// span mineSpan, under which the library's job tree hangs) and the
+	// index build. Set at admission and never replaced, so it is read
+	// without the lock; nil for a cache hit, which runs nothing. It lives
+	// as long as the job record (Config.JobHistory).
+	trace    *obs.Run
+	mineSpan obs.SpanID
 }
 
 // MineFunc runs one blocking mining run under a context, with

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lash"
+	"lash/internal/obs"
 )
 
 // run executes one job on its own goroutine and a worker slot — the only
@@ -33,14 +34,17 @@ func (m *manager) run(j *job, db *lash.Database) {
 	}
 	j.status = JobRunning
 	j.started = time.Now().UTC()
+	j.trace.Record(obs.SpanRecord{Name: "queue", Partition: -1, Start: j.created, Duration: j.started.Sub(j.created)}, m.met.queueSeconds)
 	// The run feeds the server-wide pipeline families (per-phase duration
-	// histograms, spill counters, ...) scraped on GET /metrics. The job key
-	// is unaffected: Canonical() zeroes Metrics.
+	// histograms, spill counters, ...) scraped on GET /metrics, and hangs
+	// its span tree from the job's "mine" span, which finish records. The
+	// job key is unaffected: Canonical() zeroes Metrics and Trace.
 	j.options.Metrics = m.met.pm
+	j.mineSpan = j.trace.Tracer.NextID()
+	j.options.Trace = lash.NewTraceUnder(j.trace.Tracer, j.mineSpan)
 	m.met.jobsQueued.Dec()
 	m.met.jobsRunning.Inc()
 	m.met.minesRun.Inc()
-	m.met.queueSeconds.Observe(j.started.Sub(j.created).Seconds())
 	m.mu.Unlock()
 	m.log.Info("job running", "job_id", j.id, "database", j.dbName,
 		"queued_ms", j.started.Sub(j.created).Milliseconds())
@@ -91,18 +95,16 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 	m.mu.Lock()
 	j.finished = time.Now().UTC()
 	j.options.Resume = nil // the run is over; only the cache retains states
-	// Settle the state gauges from the status being left behind, and time
+	// Settle the state gauges from the status being left behind, and record
 	// the interval the job just completed: its run when it held a worker,
 	// or its whole queued life when it never got one.
 	switch j.status {
 	case JobQueued:
 		m.met.jobsQueued.Dec()
-		m.met.queueSeconds.Observe(j.finished.Sub(j.created).Seconds())
+		j.trace.Record(obs.SpanRecord{Name: "queue", Partition: -1, Start: j.created, Duration: j.finished.Sub(j.created)}, m.met.queueSeconds)
 	case JobRunning:
 		m.met.jobsRunning.Dec()
-	}
-	if !j.started.IsZero() {
-		m.met.runSeconds.Observe(j.finished.Sub(j.started).Seconds())
+		j.trace.Record(obs.SpanRecord{ID: j.mineSpan, Name: "mine", Partition: -1, Start: j.started, Duration: j.finished.Sub(j.started)}, m.met.runSeconds)
 	}
 	switch {
 	case err == nil:
@@ -115,7 +117,7 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 		// lock. The wg.Add is safe against close(): the caller still holds
 		// its own wg count.
 		m.wg.Add(1)
-		go m.buildIndex(j.key, res)
+		go m.buildIndex(j, res)
 	case wasCancelled(j, err):
 		j.status = JobCancelled
 		j.err = err
@@ -144,19 +146,19 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 		"status", string(status), "run_ms", j.finished.Sub(j.started).Milliseconds())
 }
 
-// buildIndex builds a finished result's serving index off the worker
-// goroutine, records the build cost, and adds the index's exact size to the
-// result's cache charge. Result.Index is memoized, so the pattern endpoints
-// share the one index built here; a request that races ahead of this
-// goroutine simply builds it first and this call returns the memoized copy
-// instantly.
-func (m *manager) buildIndex(key string, res *lash.Result) {
+// buildIndex builds a finished job's serving index off the worker
+// goroutine, records the build in the job's trace and histogram, and adds
+// the index's exact size to the result's cache charge. Result.Index is
+// memoized, so the pattern endpoints share the one index built here; a
+// request that races ahead of this goroutine simply builds it first and
+// this call returns the memoized copy instantly.
+func (m *manager) buildIndex(j *job, res *lash.Result) {
 	defer m.wg.Done()
 	begin := time.Now()
 	ix := res.Index()
-	m.met.pindexBuildSeconds.Observe(time.Since(begin).Seconds())
+	j.trace.Record(obs.SpanRecord{Name: "index", Partition: -1, Start: begin, Duration: time.Since(begin)}, m.met.pindexBuildSeconds)
 	m.met.pindexBytes.Add(ix.SizeBytes())
-	m.cache.recost(key, ix.SizeBytes())
+	m.cache.recost(j.key, ix.SizeBytes())
 }
 
 // wasCancelled reports whether a run's error means its context was

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"lash/internal/faults"
 	"lash/server"
 )
 
@@ -260,5 +261,49 @@ func TestSpilledCountersSurviveEviction(t *testing.T) {
 	}
 	if got := sampleSum(text, "lash_spill_bytes_total"); got != wantBytes {
 		t.Errorf("lash_spill_bytes_total = %v, want %v", got, wantBytes)
+	}
+}
+
+// TestFaultCountersFoldFailedJobs: under an armed fault registry the
+// process-wide retry and fault counters equal their totals over the jobs,
+// a job that failed included. A run's counters reach /metrics once, when
+// its MapReduce job ends, on the error path as on success.
+func TestFaultCountersFoldFailedJobs(t *testing.T) {
+	reg := &faults.Registry{}
+	reg.FailNth("mapreduce.map.task", 1, faults.Error)
+	_, ts := newTestServer(t, server.Config{Faults: reg})
+	mustRegister(t, ts, testSpec("db"))
+
+	opts := testOptions()
+	opts["max_attempts"] = 3
+	status, body := call(t, "POST", ts.URL+"/v1/mine", map[string]any{"database": "db", "options": opts, "wait": true})
+	if status != http.StatusOK || body["status"] != "done" {
+		t.Fatalf("retried mine: status %d body %v", status, body)
+	}
+	result := body["result"].(map[string]any)
+	retries, injected := result["task_retries"].(float64), result["faults_injected"].(float64)
+	if retries != 1 || injected != 1 {
+		t.Fatalf("retried mine reports %v retries, %v faults; want 1, 1", retries, injected)
+	}
+
+	// Every reduce attempt now fails: on one worker the first partition is
+	// tried twice, once retried, and its second failure fails the job.
+	reg.FailProb("mapreduce.reduce.task", 1, 1, faults.Error)
+	opts["min_support"], opts["max_attempts"], opts["workers"] = 1, 2, 1
+	status, body = call(t, "POST", ts.URL+"/v1/mine", map[string]any{"database": "db", "options": opts, "wait": true})
+	if status != http.StatusOK || body["status"] != "failed" {
+		t.Fatalf("failing mine: status %d body %v", status, body)
+	}
+	retries, injected = retries+1, injected+2
+	if n := reg.Injected(); float64(n) != injected {
+		t.Fatalf("registry injected %d faults, want %v", n, injected)
+	}
+
+	text := scrapeMetrics(t, ts)
+	if got := sampleSum(text, "lash_task_retries_total"); got != retries {
+		t.Errorf("lash_task_retries_total = %v, want %v over both jobs", got, retries)
+	}
+	if got := sampleSum(text, "lash_faults_injected_total"); got != injected {
+		t.Errorf("lash_faults_injected_total = %v, want %v over both jobs", got, injected)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"lash/internal/obs"
 )
 
 // writeJobResult answers 200 with the job's view, including the mined
@@ -101,6 +103,23 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJobResult(w, j)
+}
+
+// handleJobTrace answers GET /v1/jobs/{id}/trace with the job's span forest
+// in `lash -trace-out`'s schema (obs.TraceDoc): the queue wait, the "mine"
+// span of its run with the library's jobs, phases, tasks and partitions
+// beneath it, and the serving-index build. A job that failed or was
+// cancelled has what it recorded before it ended; a cache hit mined
+// nothing and has an empty forest.
+func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.jobs.get(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", errJobMissing, r.PathValue("id")))
+		return
+	}
+	tr := j.trace.TracerOf()
+	w.Header().Set("Content-Type", "application/json")
+	obs.WriteTraceJSON(w, tr.Spans(), tr.Dropped()) //nolint:errcheck // nothing to do about a broken client pipe
 }
 
 // handleCancelJob answers DELETE /v1/jobs/{id}: a queued or running job is

@@ -21,6 +21,7 @@
 //	POST   /v1/mine/stream        submit like /v1/mine, wait, and send the job's result as NDJSON
 //	GET    /v1/jobs               list jobs (paginated)
 //	GET    /v1/jobs/{id}          poll one job; includes the result when done and still retained
+//	GET    /v1/jobs/{id}/trace    the job's span forest: queue wait, mine tree, index build
 //	DELETE /v1/jobs/{id}          cancel a queued or running job
 //	GET    /v1/patterns           query a database's latest retained mined patterns
 //	GET    /v1/patterns/subscribe replay mined patterns, then each in-flight job's result (NDJSON)
@@ -52,6 +53,16 @@
 // was evicted before it was sent, still answers 200 with a trailer-only
 // "error".
 //
+// GET /v1/jobs/{id}/trace answers a job's span forest in `lash -trace-out`'s
+// schema: a "queue" span, the "mine" span of its run with the library's
+// jobs, phases, tasks and partitions beneath it, and the "index" span of its
+// serving-index build. Each interval is recorded once, and that record is
+// its span, its lash_job_queue_seconds / lash_job_run_seconds /
+// lash_pindex_build_seconds observation and the job view's queue_ms /
+// runtime_ms alike. A failed or cancelled job has what it recorded before
+// it ended; a cache hit mined nothing and has an empty forest. A trace is
+// kept with its job record, so Config.JobHistory bounds how many are kept.
+//
 // Command lashd wraps this package in a binary with graceful shutdown.
 package server
 
@@ -68,6 +79,7 @@ import (
 
 	"lash"
 	"lash/internal/faults"
+	"lash/internal/obs"
 )
 
 // Config parameterizes New. The zero value is usable: 4 mining workers, a
@@ -166,7 +178,7 @@ func New(cfg Config) *Server {
 		log:      logger,
 		started:  time.Now().UTC(),
 	}
-	s.registry.loadSeconds = met.pm.CorpusLoadSeconds
+	s.registry.obs = &obs.Run{Metrics: met.pm}
 	s.registry.versionsTotal = met.corpusVersions
 	s.registry.faults = cfg.Faults
 	s.jobs.maxQueue = cfg.MaxQueue
@@ -194,6 +206,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/mine/stream", s.handleMineStream)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	s.mux.HandleFunc("GET /v1/patterns", s.handlePatterns)
 	s.mux.HandleFunc("GET /v1/patterns/subscribe", s.handleSubscribe)

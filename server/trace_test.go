@@ -1,0 +1,160 @@
+package server_test
+
+import (
+	"context"
+	"encoding/json"
+	"math"
+	"net/http"
+	"sync/atomic"
+	"testing"
+
+	"lash"
+	"lash/internal/faults"
+	"lash/internal/obs"
+	"lash/server"
+)
+
+// getTrace fetches GET /v1/jobs/{id}/trace.
+func getTrace(t *testing.T, ts string, id string) *obs.TraceDoc {
+	t.Helper()
+	resp, err := http.Get(ts + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace of %s: status %d", id, resp.StatusCode)
+	}
+	var doc obs.TraceDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return &doc
+}
+
+// rootNamed returns the forest's root span of that name, or nil.
+func rootNamed(doc *obs.TraceDoc, name string) *obs.TraceNode {
+	for _, n := range doc.Roots {
+		if n.Name == name {
+			return n
+		}
+	}
+	return nil
+}
+
+// jobSpans maps the MapReduce job names under a mine span to their spans.
+func jobSpans(mine *obs.TraceNode) map[string]*obs.TraceNode {
+	jobs := map[string]*obs.TraceNode{}
+	for _, c := range mine.Children {
+		if c.Name == "job" {
+			jobs[c.Job] = c
+		}
+	}
+	return jobs
+}
+
+// TestJobTrace: every job that ran has its span forest at
+// GET /v1/jobs/{id}/trace — a done job its queue wait, the mine tree with
+// the library's jobs and phases, and the index build; a failed and a
+// cancelled job what they recorded before ending — while a cache hit has
+// an empty forest and an unknown id is a 404.
+func TestJobTrace(t *testing.T) {
+	reg := &faults.Registry{}
+	var stall atomic.Bool
+	_, ts := newTestServer(t, server.Config{Faults: reg, MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		if stall.Load() {
+			<-ctx.Done()
+			return nil, context.Cause(ctx)
+		}
+		return lash.MineContext(ctx, db, opt)
+	}})
+	mustRegister(t, ts, testSpec("db"))
+	mine := func(opts map[string]any, wait bool) map[string]any {
+		t.Helper()
+		status, body := call(t, "POST", ts.URL+"/v1/mine", map[string]any{"database": "db", "options": opts, "wait": wait})
+		if status != http.StatusOK && status != http.StatusAccepted {
+			t.Fatalf("mine: status %d body %v", status, body)
+		}
+		return body
+	}
+
+	done := mine(testOptions(), true)
+	id := done["job_id"].(string)
+	var doc *obs.TraceDoc
+	waitUntil(t, "the index span", func() bool {
+		doc = getTrace(t, ts.URL, id)
+		return rootNamed(doc, "index") != nil
+	})
+	queue, run := rootNamed(doc, "queue"), rootNamed(doc, "mine")
+	if queue == nil || run == nil || len(doc.Roots) != 3 || doc.Dropped != 0 {
+		t.Fatalf("done job's roots %+v, want queue, mine and index", doc.Roots)
+	}
+	// The job view and the spans read the same record of each interval.
+	view := waitForJob(t, ts, id)
+	if got, want := math.Floor(queue.DurationMS), view["queue_ms"]; want != nil && got != want.(float64) || want == nil && got != 0 {
+		t.Errorf("queue span %v ms, job view queue_ms %v", queue.DurationMS, want)
+	}
+	if got, want := math.Floor(run.DurationMS), view["runtime_ms"]; want != nil && got != want.(float64) || want == nil && got != 0 {
+		t.Errorf("mine span %v ms, job view runtime_ms %v", run.DurationMS, want)
+	}
+	jobs := jobSpans(run)
+	for _, name := range []string{"flist", "partition+mine"} {
+		j := jobs[name]
+		if j == nil {
+			t.Fatalf("mine span has no %s job: %+v", name, run.Children)
+		}
+		phases := map[string]bool{}
+		for _, c := range j.Children {
+			if c.Name == "phase" {
+				phases[c.Phase] = true
+			}
+		}
+		if !phases["map"] || !phases["shuffle"] || !phases["reduce"] {
+			t.Errorf("%s job's phases %v, want map, shuffle and reduce", name, phases)
+		}
+	}
+
+	hit := mine(testOptions(), true)
+	if hit["cached"] != true {
+		t.Fatalf("repeat mine was not a cache hit: %v", hit)
+	}
+	if doc := getTrace(t, ts.URL, hit["job_id"].(string)); doc.Spans != 0 || len(doc.Roots) != 0 {
+		t.Errorf("cache hit's trace %+v, want an empty forest", doc)
+	}
+
+	// Every reduce attempt fails: the job fails inside partition+mine.
+	reg.FailProb("mapreduce.reduce.task", 1, 1, faults.Error)
+	opts := testOptions()
+	opts["min_support"] = 1
+	failed := mine(opts, true)
+	if failed["status"] != "failed" {
+		t.Fatalf("faulted mine: %v", failed)
+	}
+	doc = getTrace(t, ts.URL, failed["job_id"].(string))
+	if run := rootNamed(doc, "mine"); rootNamed(doc, "queue") == nil || run == nil || jobSpans(run)["partition+mine"] == nil {
+		t.Errorf("failed job's trace %+v, want queue and a mine span over its partition+mine job", doc.Roots)
+	}
+	reg.Disarm("mapreduce.reduce.task")
+
+	stall.Store(true)
+	opts["min_support"] = 3
+	id = mine(opts, false)["job_id"].(string)
+	waitUntil(t, "the stalled job to run", func() bool {
+		_, v := call(t, "GET", ts.URL+"/v1/jobs/"+id, nil)
+		return v["status"] == "running"
+	})
+	if status, body := call(t, "DELETE", ts.URL+"/v1/jobs/"+id, nil); status != http.StatusAccepted && status != http.StatusOK {
+		t.Fatalf("cancel: status %d body %v", status, body)
+	}
+	if v := waitForJob(t, ts, id); v["status"] != "cancelled" {
+		t.Fatalf("stalled job ended %v", v["status"])
+	}
+	if doc := getTrace(t, ts.URL, id); rootNamed(doc, "queue") == nil || rootNamed(doc, "mine") == nil {
+		t.Errorf("cancelled job's trace %+v, want queue and mine spans", doc.Roots)
+	}
+
+	status, body := call(t, "GET", ts.URL+"/v1/jobs/job-999/trace", nil)
+	if code, _, _ := errBody(t, body); status != http.StatusNotFound || code != "job_not_found" {
+		t.Errorf("unknown job's trace: status %d code %q, want 404 job_not_found", status, code)
+	}
+}

@@ -2,7 +2,7 @@
 //
 //	ctxfirst    context-first parameters, no stored/synthesized contexts
 //	atomicfield no plain access to atomically-accessed struct fields
-//	obshandle   obs Registry registration only in constructors/init
+//	obshandle   obs Registry registration only in constructors/init; no held handles in mapreduce/miner
 //	emitgo      serialized emit/progress callbacks never cross goroutines
 //	errjob      %w-wrapped, job/phase-annotated errors at the boundary
 //	faultpoint  fault-injection points are constant, package-prefixed, unique names

@@ -18,10 +18,20 @@
 //
 // The package that defines Registry is exempt — its method bodies are the
 // implementation being wrapped, not a use site.
+//
+// It also keeps each event's record single in the packages that count into
+// a run's own record (by default mapreduce and miner): any struct field or
+// variable there whose type is an obs Counter, Gauge or Histogram (or a
+// pointer to one) is reported. Those packages count into the run's
+// obs.RunCounters, which obs.PipelineMetrics.AddRun adds to the
+// process-wide families once, when the run ends; a handle held beside it
+// would count the same event twice. A handle passed in as a parameter is
+// not held and is not reported.
 package obshandle
 
 import (
 	"go/ast"
+	"go/types"
 
 	"lash/tools/internal/analysis"
 )
@@ -31,12 +41,21 @@ type Config struct {
 	// HotPackages are import-path bases in which any registration/lookup
 	// call is reported regardless of position.
 	HotPackages []string
+	// RunRecordPackages are import-path bases in which any field or
+	// variable holding a metric handle is reported.
+	RunRecordPackages []string
 }
 
 // DefaultConfig matches this repository's hot layers.
 func DefaultConfig() Config {
-	return Config{HotPackages: []string{"mapreduce", "miner", "core", "gsm"}}
+	return Config{
+		HotPackages:       []string{"mapreduce", "miner", "core", "gsm"},
+		RunRecordPackages: []string{"mapreduce", "miner"},
+	}
 }
+
+// handleTypes are the obs metric handle types.
+var handleTypes = []string{"Counter", "Gauge", "Histogram"}
 
 // registryMethods are the obs.Registry methods that hash and lock.
 var registryMethods = map[string]bool{
@@ -50,7 +69,7 @@ var registryMethods = map[string]bool{
 func NewAnalyzer(cfg Config) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "obshandle",
-		Doc:  "obs Registry registration/lookup only in constructors/init — never in loops or hot-path packages; record through pre-bound handles",
+		Doc:  "obs Registry registration/lookup only in constructors/init — never in loops or hot-path packages; record through pre-bound handles, and hold none in the packages that count into a run's own record",
 		Run:  func(pass *analysis.Pass) error { return run(pass, cfg) },
 	}
 }
@@ -67,6 +86,11 @@ func run(pass *analysis.Pass, cfg Config) error {
 	for _, h := range cfg.HotPackages {
 		if analysis.PathBase(pass.Pkg.Path()) == h {
 			hot = true
+		}
+	}
+	for _, p := range cfg.RunRecordPackages {
+		if analysis.PathBase(pass.Pkg.Path()) == p {
+			reportHeldHandles(pass)
 		}
 	}
 
@@ -96,6 +120,42 @@ func run(pass *analysis.Pass, cfg Config) error {
 		return true
 	})
 	return nil
+}
+
+// reportHeldHandles reports every struct field and variable of the package
+// whose type is an obs metric handle; parameters and results are skipped.
+func reportHeldHandles(pass *analysis.Pass) {
+	params := map[*ast.Ident]bool{}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ft, ok := n.(*ast.FuncType); ok {
+				for _, fl := range []*ast.FieldList{ft.Params, ft.Results} {
+					if fl == nil {
+						continue
+					}
+					for _, field := range fl.List {
+						for _, name := range field.Names {
+							params[name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range pass.TypesInfo.Defs {
+		v, ok := obj.(*types.Var)
+		if !ok || params[id] {
+			continue
+		}
+		for _, name := range handleTypes {
+			if analysis.TypeFromPkg(v.Type(), "obs", name) {
+				pass.Reportf(id.Pos(),
+					"obs.%s handle %s held in %s; count into the run's obs.RunCounters, which are added to the process-wide families once, when the run ends",
+					name, id.Name, pass.Pkg.Path())
+			}
+		}
+	}
 }
 
 // registryMethodCall reports whether call invokes a registration/lookup

@@ -8,5 +8,5 @@ import (
 )
 
 func TestObsHandle(t *testing.T) {
-	vettest.Run(t, vettest.TestData(t), obshandle.Analyzer, "a", "core", "suppress")
+	vettest.Run(t, vettest.TestData(t), obshandle.Analyzer, "a", "core", "suppress", "mapreduce", "miner")
 }

@@ -19,11 +19,21 @@ import (
 // spans of concurrent runs interleave into one forest.
 type Trace struct {
 	tracer *obs.Tracer
+	root   obs.SpanID // 0: each run records a "mine" root span of its own
 }
 
 // NewTrace returns an empty trace.
 func NewTrace() *Trace {
 	return &Trace{tracer: obs.NewTracer(0)}
+}
+
+// NewTraceUnder returns a trace that records into tracer and hangs a run's
+// jobs from the span root instead of a "mine" span of its own: the caller
+// times the run and records root itself, so the interval is read once.
+// lashd makes each job's run that span. The tracer's type lives in an
+// internal package: only this module can call it.
+func NewTraceUnder(tracer *obs.Tracer, root obs.SpanID) *Trace {
+	return &Trace{tracer: tracer, root: root}
 }
 
 // handle exposes the internal tracer to the mining pipeline (nil-safe).
@@ -46,8 +56,10 @@ func (t *Trace) Span(name string) func() {
 	if t == nil {
 		return func() {}
 	}
-	sp := t.tracer.Start(name, 0)
-	return sp.End
+	begin := time.Now()
+	return func() {
+		t.tracer.Record(obs.SpanRecord{Name: name, Partition: -1, Start: begin, Duration: time.Since(begin)})
+	}
 }
 
 // TraceSpan is one finished span, in caller-visible form.
