@@ -43,12 +43,14 @@ func (h *obsHooks) taskSpan(name, jobName, phase string, idx int, begin time.Tim
 // the job's wall time — and the phase duration histograms, once the run's
 // PhaseTimes are final. Safe on the zero hooks.
 func (h *obsHooks) finish(jobName string, w PhaseTimes) {
-	ph := h.run.PipelineMetricsOf().Phases(jobName)
 	mapEnd := h.start.Add(w.Map)
 	shufEnd := mapEnd.Add(w.Shuffle)
-	h.run.Record(obs.SpanRecord{Parent: h.jobID, Name: "phase", Job: jobName, Phase: "map", Partition: -1, Start: h.start, Duration: w.Map}, ph.Map)
-	h.run.Record(obs.SpanRecord{Parent: h.jobID, Name: "phase", Job: jobName, Phase: "shuffle", Partition: -1, Start: mapEnd, Duration: w.Shuffle}, ph.Shuffle)
-	h.run.Record(obs.SpanRecord{Parent: h.jobID, Name: "phase", Job: jobName, Phase: "reduce", Partition: -1, Start: shufEnd, Duration: w.Reduce}, ph.Reduce)
+	h.run.Record(obs.SpanRecord{Parent: h.jobID, Name: "phase", Job: jobName, Phase: "map", Partition: -1, Start: h.start, Duration: w.Map},
+		h.run.PipelineMetricsOf().Phases(jobName).Map)
+	h.run.Record(obs.SpanRecord{Parent: h.jobID, Name: "phase", Job: jobName, Phase: "shuffle", Partition: -1, Start: mapEnd, Duration: w.Shuffle},
+		h.run.PipelineMetricsOf().Phases(jobName).Shuffle)
+	h.run.Record(obs.SpanRecord{Parent: h.jobID, Name: "phase", Job: jobName, Phase: "reduce", Partition: -1, Start: shufEnd, Duration: w.Reduce},
+		h.run.PipelineMetricsOf().Phases(jobName).Reduce)
 	h.run.Record(obs.SpanRecord{ID: h.jobID, Name: "job", Job: jobName, Partition: -1, Start: h.start, Duration: w.Total()}, nil)
 	h.run.SetJobSpan(0)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // SpanID identifies a span within one Tracer. 0 means "no span" and is the
@@ -90,6 +91,21 @@ func (t *Tracer) Record(rec SpanRecord) SpanID {
 	t.total++
 	t.mu.Unlock()
 	return rec.ID
+}
+
+// Trim releases the ring's unused slots, for a trace whose last span is in,
+// and returns the bytes the ring then holds. A later Record grows it again.
+// 0 on a nil tracer.
+func (t *Tracer) Trim() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.ring) < cap(t.ring) {
+		t.ring = append(make([]SpanRecord, 0, len(t.ring)), t.ring...)
+	}
+	return int64(cap(t.ring)) * int64(unsafe.Sizeof(SpanRecord{}))
 }
 
 // Spans returns a copy of the retained spans, ordered by start time.

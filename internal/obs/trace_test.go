@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTracerNilSafe(t *testing.T) {
@@ -15,7 +16,7 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.Record(SpanRecord{Name: "y"}) != 0 {
 		t.Fatal("nil Record")
 	}
-	if tr.Spans() != nil || tr.Dropped() != 0 {
+	if tr.Spans() != nil || tr.Dropped() != 0 || tr.Trim() != 0 {
 		t.Fatal("nil accessors")
 	}
 }
@@ -45,6 +46,12 @@ func TestTracerRingOverwrite(t *testing.T) {
 		tr.Record(SpanRecord{Name: "s", Start: base.Add(time.Duration(i) * time.Millisecond)})
 		if i == 29 && (len(tr.ring) != 30 || cap(tr.ring) >= 100) {
 			t.Fatalf("after 30 spans the ring holds %d in %d slots, want 30 in fewer than 100", len(tr.ring), cap(tr.ring))
+		}
+		// Trimmed, the ring holds exactly its spans and grows again after.
+		if i == 29 {
+			if b := tr.Trim(); cap(tr.ring) != 30 || b != 30*int64(unsafe.Sizeof(SpanRecord{})) {
+				t.Fatalf("trimmed ring has %d slots, %d bytes; want 30 slots", cap(tr.ring), b)
+			}
 		}
 	}
 	if spans := tr.Spans(); len(spans) != 100 || cap(tr.ring) != 100 || tr.Dropped() != 150 {

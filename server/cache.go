@@ -30,8 +30,9 @@ type CacheStats struct {
 // retains.
 //
 // The policy is one LRU list under one byte budget. add charges a result
-// its estimated footprint plus its State, recost adds the serving index
-// once it is built, and every read (get, result, latest, resume) promotes.
+// its estimated footprint plus its State, recost adds the serving index and
+// the trace of the job that mined it once the index is built (an entry
+// keeps its job, and so its trace, past the job record), and every read (get, result, latest, resume) promotes.
 // add and recost then evict from the least recently used end while the
 // charges exceed the budget, but never the most recently used entry: a
 // result larger than the whole budget still reaches whoever waits on it,
@@ -59,12 +60,11 @@ type resultCache struct {
 // cacheEntry is one retained result. Everything but the charge is
 // immutable, so readers use what a lookup returned without the lock.
 type cacheEntry struct {
-	job     *job   // the run that mined res: its id, key, database and corpus version name the result
-	optKey  string // the run's canonical options without the corpus version: what a resume must match
-	res     *lash.Result
-	bytes   int64
-	indexed bool          // recost has charged res's serving index
-	el      *list.Element // the entry's place in the LRU list
+	job    *job   // the run that mined res: its id, key, database and corpus version name the result
+	optKey string // the run's canonical options without the corpus version: what a resume must match
+	res    *lash.Result
+	bytes  int64
+	el     *list.Element // the entry's place in the LRU list
 }
 
 // newResultCache builds a cache with the given byte budget, counting into
@@ -166,16 +166,16 @@ func (c *resultCache) add(j *job, res *lash.Result) {
 	c.evictOverBudgetLocked()
 }
 
-// recost adds the size of an entry's serving index, built after add, to its
-// charge — once — and re-applies the budget. The entry may have been
-// evicted in the meantime (ignored) or re-mined (the late report still
-// fits: results under one key, and so their indexes, are byte-identical).
-func (c *resultCache) recost(key string, indexBytes int64) {
+// recost adds bytes — the serving index and the trace of job j, both
+// complete after add — to the charge of the entry j's result was added as,
+// and re-applies the budget. Ignored when that entry has gone: evicted, or
+// replaced by a re-mine, whose own job recosts it.
+func (c *resultCache) recost(j *job, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok && !e.indexed {
-		e.indexed, e.bytes = true, e.bytes+indexBytes
-		c.bytes += indexBytes
+	if e, ok := c.items[j.key]; ok && e.job == j {
+		e.bytes += bytes
+		c.bytes += bytes
 		c.evictOverBudgetLocked()
 	}
 }

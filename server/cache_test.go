@@ -56,11 +56,12 @@ func TestCacheHalfBudgetEntryStays(t *testing.T) {
 	res := resultN(1)
 	const indexBytes = 40
 	c := testCache(2 * (estimateResultBytes(res) + indexBytes))
-	c.add(&job{key: "big"}, res)
+	j := &job{key: "big"}
+	c.add(j, res)
 	if _, ok := c.get("big"); !ok {
 		t.Fatal("entry charged half the budget was evicted on insertion")
 	}
-	c.recost("big", indexBytes)
+	c.recost(j, indexBytes)
 	if _, ok := c.get("big"); !ok {
 		t.Fatal("entry charged half the budget was evicted on recost")
 	}
@@ -102,24 +103,29 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCacheRecost(t *testing.T) {
 	c := testCache(1000)
-	c.add(&job{key: "k0"}, resultN(1))
-	c.add(&job{key: "k1"}, resultN(2))
+	j0, j1 := &job{key: "k0"}, &job{key: "k1"}
+	c.add(j0, resultN(1))
+	c.add(j1, resultN(2))
 	if s := c.stats(); s.Size != 2 {
 		t.Fatalf("size = %d, want 2", s.Size)
 	}
 	// Recosting k0 far above the budget evicts from the LRU end — k0 itself
 	// is the least recently used, so it goes.
-	c.recost("k0", 10_000)
+	c.recost(j0, 10_000)
 	if _, ok := c.get("k0"); ok {
 		t.Error("k0 survived recost past the budget")
 	}
 	if _, ok := c.get("k1"); !ok {
 		t.Error("k1 evicted although within budget after k0 left")
 	}
-	// Recosting a missing key is a no-op.
-	c.recost("never-added", 123)
-	if s := c.stats(); s.Size != 1 {
-		t.Errorf("size = %d after no-op recost, want 1", s.Size)
+	// Recosting a job never added, or one whose entry a re-mine under its
+	// key replaced, is a no-op: the entry charges only its own job.
+	before := c.stats().Bytes
+	c.recost(&job{key: "never-added"}, 123)
+	c.add(&job{key: "k1"}, resultN(2))
+	c.recost(j1, 123)
+	if s := c.stats(); s.Size != 1 || s.Bytes != before {
+		t.Errorf("size %d, bytes %d after no-op recosts, want 1 and %d", s.Size, s.Bytes, before)
 	}
 }
 

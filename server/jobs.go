@@ -92,7 +92,8 @@ type job struct {
 	// span mineSpan, under which the library's job tree hangs) and the
 	// index build. Set at admission and never replaced, so it is read
 	// without the lock; nil for a cache hit, which runs nothing. It lives
-	// as long as the job record (Config.JobHistory).
+	// as long as the job record (Config.JobHistory) and, for a done job,
+	// as long as its cached result, which is charged for it (buildIndex).
 	trace    *obs.Run
 	mineSpan obs.SpanID
 }

@@ -138,6 +138,7 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 	status, jerr := j.status, j.err
 	m.mu.Unlock()
 	if jerr != nil {
+		j.trace.Tracer.Trim() // its run was the last span
 		m.log.Info("job finished", "job_id", j.id, "database", j.dbName,
 			"status", string(status), "error", jerr.Error())
 		return
@@ -147,8 +148,9 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 }
 
 // buildIndex builds a finished job's serving index off the worker
-// goroutine, records the build in the job's trace and histogram, and adds
-// the index's exact size to the result's cache charge. Result.Index is
+// goroutine, records the build in the job's trace and histogram — the
+// trace's last span, so the trace is trimmed — and adds the index's exact
+// size and the trace's to the result's cache charge. Result.Index is
 // memoized, so the pattern endpoints share the one index built here; a
 // request that races ahead of this goroutine simply builds it first and
 // this call returns the memoized copy instantly.
@@ -158,7 +160,7 @@ func (m *manager) buildIndex(j *job, res *lash.Result) {
 	ix := res.Index()
 	j.trace.Record(obs.SpanRecord{Name: "index", Partition: -1, Start: begin, Duration: time.Since(begin)}, m.met.pindexBuildSeconds)
 	m.met.pindexBytes.Add(ix.SizeBytes())
-	m.cache.recost(j.key, ix.SizeBytes())
+	m.cache.recost(j, ix.SizeBytes()+j.trace.Tracer.Trim())
 }
 
 // wasCancelled reports whether a run's error means its context was

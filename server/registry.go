@@ -69,11 +69,10 @@ type DatabaseInfo struct {
 // were submitted against without locking.
 type registry struct {
 	dataDir string // "" disables file-based specs
-	// obs, when set, records how long each registration spent
-	// loading/generating its corpus (nil-safe; server.New attaches the
-	// pipeline metrics, for lash_corpus_load_seconds). A registration is
-	// no job's: it has no trace to join.
-	obs *obs.Run
+	// loadSeconds, when set, observes how long each registration spent
+	// loading/generating its corpus (nil-safe; server.New wires it to
+	// lash_corpus_load_seconds).
+	loadSeconds *obs.Histogram
 	// versionsTotal, when set, counts every corpus version installed —
 	// registrations and appends alike (lash_corpus_versions_total).
 	versionsTotal *obs.Counter
@@ -120,8 +119,7 @@ func (r *registry) add(spec DatabaseSpec) (DatabaseInfo, error) {
 	if err != nil {
 		return DatabaseInfo{}, err
 	}
-	r.obs.Record(obs.SpanRecord{Name: "corpus-load", Partition: -1, Start: begin, Duration: time.Since(begin)},
-		r.obs.PipelineMetricsOf().CorpusLoadSeconds)
+	r.loadSeconds.Observe(time.Since(begin).Seconds())
 	return r.install(spec.Name, source, db)
 }
 

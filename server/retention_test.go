@@ -11,9 +11,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 	"weak"
 
 	"lash"
+	"lash/internal/obs"
 )
 
 // This file tests what the server retains of a finished run: the result
@@ -109,14 +111,21 @@ func (c retentionClient) weakRefs(version int) (weak.Pointer[lash.Result], weak.
 // corpus versions leaves two entries, and version 1's result is gone — from
 // the heap, not only from the cache's accounting — for every reader at once.
 func TestEvictionReleasesMemory(t *testing.T) {
+	// The charge of a resumed run's entry: its trace, charged with it, is
+	// shorter than a cold mine's.
 	probe := newRetentionClient(t, Config{})
 	probe.mine(0)
 	probe.settle()
+	probe.appendVersion(2)
 	_, cache := probe.stats()
-	charge := int64(cache["bytes"].(float64))
+	before := int64(cache["bytes"].(float64))
+	probe.mine(0)
+	probe.settle()
+	_, cache = probe.stats()
+	charge := int64(cache["bytes"].(float64)) - before
 
-	// Room for two entries and not three; the half entry of slack absorbs
-	// the few bytes each appended item adds to a State.
+	// Room for two resumed entries and not three; the half entry of slack
+	// absorbs the few bytes each appended item adds to a State.
 	c := newRetentionClient(t, Config{CacheBytes: charge*5/2 + 1})
 	first := c.mine(0)["job_id"].(string)
 	c.settle()
@@ -161,6 +170,23 @@ func TestEvictionReleasesMemory(t *testing.T) {
 	jobs, _ = c.stats()
 	if again["cached"] != false || jobs["mines_run"].(float64) != ran+1 || again["result"] == nil {
 		t.Errorf("resubmission: cached %v, mines_run %v → %v, want a re-mine with its result", again["cached"], ran, jobs["mines_run"])
+	}
+}
+
+// TestTraceChargedToCache: a cached result keeps its job, and so the job's
+// trace, past the job record; the trace is charged with the serving index,
+// trimmed to the spans it holds, so CacheBytes bounds the traces the cache
+// keeps.
+func TestTraceChargedToCache(t *testing.T) {
+	c := newRetentionClient(t, Config{})
+	id := c.mine(0)["job_id"].(string)
+	c.settle()
+	j, _ := c.s.jobs.get(id)
+	_, res, _ := c.s.jobs.cache.latest("paper", 0)
+	spans := int64(len(j.trace.Tracer.Spans()))
+	want := estimateResultBytes(res) + res.State.SizeBytes() + res.Index().SizeBytes() + spans*int64(unsafe.Sizeof(obs.SpanRecord{}))
+	if _, cache := c.stats(); int64(cache["bytes"].(float64)) != want || spans == 0 {
+		t.Errorf("cache charges %v bytes, want %d (result, state, index and %d trace spans)", cache["bytes"], want, spans)
 	}
 }
 

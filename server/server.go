@@ -61,7 +61,9 @@
 // lash_pindex_build_seconds observation and the job view's queue_ms /
 // runtime_ms alike. A failed or cancelled job has what it recorded before
 // it ended; a cache hit mined nothing and has an empty forest. A trace is
-// kept with its job record, so Config.JobHistory bounds how many are kept.
+// kept with its job record, and a done job's is trimmed and charged to its
+// cached result with the serving index: Config.JobHistory bounds the traces
+// of listed jobs, Config.CacheBytes those the cache keeps past their record.
 //
 // Command lashd wraps this package in a binary with graceful shutdown.
 package server
@@ -79,7 +81,6 @@ import (
 
 	"lash"
 	"lash/internal/faults"
-	"lash/internal/obs"
 )
 
 // Config parameterizes New. The zero value is usable: 4 mining workers, a
@@ -178,7 +179,7 @@ func New(cfg Config) *Server {
 		log:      logger,
 		started:  time.Now().UTC(),
 	}
-	s.registry.obs = &obs.Run{Metrics: met.pm}
+	s.registry.loadSeconds = met.pm.CorpusLoadSeconds
 	s.registry.versionsTotal = met.corpusVersions
 	s.registry.faults = cfg.Faults
 	s.jobs.maxQueue = cfg.MaxQueue

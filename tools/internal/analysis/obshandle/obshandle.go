@@ -20,13 +20,13 @@
 // implementation being wrapped, not a use site.
 //
 // It also keeps each event's record single in the packages that count into
-// a run's own record (by default mapreduce and miner): any struct field or
-// variable there whose type is an obs Counter, Gauge or Histogram (or a
-// pointer to one) is reported. Those packages count into the run's
-// obs.RunCounters, which obs.PipelineMetrics.AddRun adds to the
-// process-wide families once, when the run ends; a handle held beside it
-// would count the same event twice. A handle passed in as a parameter is
-// not held and is not reported.
+// a run's own record (mapreduce and miner): any struct field or variable
+// there whose type is an obs Counter, Gauge or Histogram, or a bundle of
+// them — PipelineMetrics, JobPhases — (or a pointer to one) is reported.
+// Those packages count into the run's obs.RunCounters, which
+// obs.PipelineMetrics.AddRun adds to the process-wide families once, when
+// the run ends; a handle held beside it would count the same event twice.
+// A handle passed in as a parameter is not held and is not reported.
 package obshandle
 
 import (
@@ -41,21 +41,19 @@ type Config struct {
 	// HotPackages are import-path bases in which any registration/lookup
 	// call is reported regardless of position.
 	HotPackages []string
-	// RunRecordPackages are import-path bases in which any field or
-	// variable holding a metric handle is reported.
-	RunRecordPackages []string
 }
 
 // DefaultConfig matches this repository's hot layers.
 func DefaultConfig() Config {
-	return Config{
-		HotPackages:       []string{"mapreduce", "miner", "core", "gsm"},
-		RunRecordPackages: []string{"mapreduce", "miner"},
-	}
+	return Config{HotPackages: []string{"mapreduce", "miner", "core", "gsm"}}
 }
 
-// handleTypes are the obs metric handle types.
-var handleTypes = []string{"Counter", "Gauge", "Histogram"}
+// runRecordPackages are the import-path bases of the packages that count
+// into a run's own record, in which no field or variable may hold a handle.
+var runRecordPackages = []string{"mapreduce", "miner"}
+
+// handleTypes are the obs metric handle types and the bundles of them.
+var handleTypes = []string{"Counter", "Gauge", "Histogram", "PipelineMetrics", "JobPhases"}
 
 // registryMethods are the obs.Registry methods that hash and lock.
 var registryMethods = map[string]bool{
@@ -88,7 +86,7 @@ func run(pass *analysis.Pass, cfg Config) error {
 			hot = true
 		}
 	}
-	for _, p := range cfg.RunRecordPackages {
+	for _, p := range runRecordPackages {
 		if analysis.PathBase(pass.Pkg.Path()) == p {
 			reportHeldHandles(pass)
 		}

@@ -13,6 +13,23 @@ type shuffle struct {
 
 var retries *obs.Counter // want `obs.Counter handle retries held in mapreduce`
 
+// hooks may carry the run, whose counters are its own record, but no bundle
+// of process-wide handles beside it.
+type hooks struct {
+	run    *obs.Run
+	rc     *obs.RunCounters
+	pm     *obs.PipelineMetrics // want `obs.PipelineMetrics handle pm held in mapreduce`
+	phases obs.JobPhases        // want `obs.JobPhases handle phases held in mapreduce`
+}
+
+// finish reads a histogram through the run without holding its bundle.
+func (h *hooks) finish(job string) *obs.Histogram {
+	pm := h.run.PipelineMetricsOf() // want `obs.PipelineMetrics handle pm held in mapreduce`
+	ph := pm.Phases(job)            // want `obs.JobPhases handle ph held in mapreduce`
+	_ = ph
+	return h.run.PipelineMetricsOf().Phases(job).Map
+}
+
 // observe records through a handle its caller passed in: allowed.
 func observe(h *obs.Histogram, v float64) *obs.Histogram {
 	h.Observe(v)

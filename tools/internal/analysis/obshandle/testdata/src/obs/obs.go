@@ -24,3 +24,18 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return &Histogram{}
 }
 func (r *Registry) OnScrape(fn func()) {}
+
+type JobPhases struct{ Map, Shuffle, Reduce *Histogram }
+
+type PipelineMetrics struct {
+	Mine           JobPhases
+	ShuffleRecords *Counter
+}
+
+func (m *PipelineMetrics) Phases(job string) JobPhases { return m.Mine }
+
+type RunCounters struct{ ShuffleRecords int64 }
+
+type Run struct{ Metrics *PipelineMetrics }
+
+func (r *Run) PipelineMetricsOf() *PipelineMetrics { return r.Metrics }
