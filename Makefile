@@ -41,9 +41,11 @@ chaos:
 	$(GO) test -race -count=1 -run '^TestDeltaStateAudit$$' -v ./internal/core
 
 # lashvet runs the project-invariant analyzer suite (ctxfirst,
-# atomicfield, obshandle, emitgo, errjob, faultpoint, apierr) over the
-# root module. The analyzers live in the tools/ module so the root go.mod
-# stays dependency-free. See "Static analysis" in README.md.
+# atomicfield, obshandle, emitgo, errjob, faultpoint, apierr, and the
+# whole-program testonly: every internal/... declaration is referenced by
+# production code of the root module or of bench/, not only by tests) over
+# the root module. The analyzers live in the tools/ module so the root
+# go.mod stays dependency-free. See "Static analysis" in README.md.
 lashvet:
 	$(GO) -C tools run ./cmd/lashvet -dir .. ./...
 

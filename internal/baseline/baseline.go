@@ -207,15 +207,3 @@ func count(ctx context.Context, db *gsm.Database, opt Options, c counting) (*cor
 	gsm.SortPatterns(out)
 	return &core.Result{Patterns: out, Jobs: core.JobStats{Mine: stats}}, nil
 }
-
-// CountG1 returns |G1(T)| summed over the database — the replication factor
-// of the naïve partitioning discussion (§4). Exposed for experiments.
-func CountG1(db *gsm.Database) int64 {
-	var n int64
-	var g1 gsm.Sequence
-	for _, t := range db.Seqs {
-		g1 = gsm.AppendItemGeneralizations(g1[:0], db.Forest, t)
-		n += int64(len(g1))
-	}
-	return n
-}

@@ -76,12 +76,3 @@ func TestBaselineValidation(t *testing.T) {
 		t.Error("semi-naive accepted nil forest")
 	}
 }
-
-func TestCountG1(t *testing.T) {
-	db := paperex.Database()
-	// |G1| per sequence: T1 {a,b1,B}=3, T2 {a,b3,B,c,b2}=5, T3 {a,c}=2,
-	// T4 {b11,b1,B,a,e}=5, T5 {a,b12,b1,B,d1,D,c}=7, T6 {b13,b1,B,f,d2,D}=6.
-	if got := baseline.CountG1(db); got != 3+5+2+5+7+6 {
-		t.Fatalf("CountG1 = %d, want 28", got)
-	}
-}

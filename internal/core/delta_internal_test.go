@@ -441,7 +441,7 @@ func (a *stateAudit) index(db *gsm.Database) {
 		a.of, a.near, a.counts = map[hierarchy.Item][]gsm.Sequence{}, map[hierarchy.Item]map[hierarchy.Item]bool{}, map[hierarchy.Item]map[string]count{}
 	}
 	for _, t := range db.Seqs[a.seqs:] {
-		g := gsm.ItemGeneralizations(db.Forest, t)
+		g := gsm.AppendItemGeneralizations(nil, db.Forest, t)
 		for _, w := range g {
 			a.of[w] = append(a.of[w], t)
 			if a.near[w] == nil {

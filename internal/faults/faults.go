@@ -68,8 +68,7 @@ type point struct {
 	prob float64
 	rng  uint64 // splitmix64 state; guarded by mu
 
-	hits     atomic.Int64
-	injected atomic.Int64
+	hits atomic.Int64
 
 	mu sync.Mutex
 }
@@ -108,7 +107,7 @@ func (r *Registry) Disarm(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if old, ok := r.points[name]; ok {
-		// Keep the point so counters persist, but strip the arming.
+		// Keep the point so its hit count persists, but strip the arming.
 		old.mu.Lock()
 		old.nth = 0
 		old.prob = 0
@@ -123,9 +122,8 @@ func (r *Registry) arm(name string, p *point) {
 		r.points = make(map[string]*point)
 	}
 	if old, ok := r.points[name]; ok {
-		// Preserve counters across re-arms.
+		// Preserve the hit count across re-arms.
 		p.hits.Store(old.hits.Load())
-		p.injected.Store(old.injected.Load())
 	}
 	r.points[name] = p
 }
@@ -164,7 +162,6 @@ func (r *Registry) Hit(name string) error {
 	if !fire {
 		return nil
 	}
-	p.injected.Add(1)
 	r.injected.Add(1)
 	if p.mode == Panic {
 		panic(InjectedPanic{Point: name})
@@ -179,33 +176,4 @@ func (r *Registry) Injected() int64 {
 		return 0
 	}
 	return r.injected.Load()
-}
-
-// Hits returns how many times the named point was reached (whether or
-// not it fired). Nil-safe.
-func (r *Registry) Hits(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	p := r.points[name]
-	r.mu.Unlock()
-	if p == nil {
-		return 0
-	}
-	return p.hits.Load()
-}
-
-// InjectedAt returns how many faults the named point injected. Nil-safe.
-func (r *Registry) InjectedAt(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	p := r.points[name]
-	r.mu.Unlock()
-	if p == nil {
-		return 0
-	}
-	return p.injected.Load()
 }

@@ -14,12 +14,13 @@ func TestNilRegistry(t *testing.T) {
 	if got := r.Injected(); got != 0 {
 		t.Fatalf("nil registry Injected = %d, want 0", got)
 	}
-	if got := r.Hits("any.point"); got != 0 {
-		t.Fatalf("nil registry Hits = %d, want 0", got)
-	}
-	if got := r.InjectedAt("any.point"); got != 0 {
-		t.Fatalf("nil registry InjectedAt = %d, want 0", got)
-	}
+}
+
+// fires reports whether the next hit of name is its n-th: it arms the
+// point to fail on hit n and hits it once.
+func fires(r *Registry, name string, n int) bool {
+	r.FailNth(name, n, Error)
+	return r.Hit(name) != nil
 }
 
 func TestUnarmedPoint(t *testing.T) {
@@ -29,8 +30,8 @@ func TestUnarmedPoint(t *testing.T) {
 			t.Fatalf("unarmed Hit = %v, want nil", err)
 		}
 	}
-	if got := r.Hits("pkg.unarmed"); got != 0 {
-		t.Fatalf("Hits on never-armed point = %d, want 0 (point not tracked)", got)
+	if !fires(r, "pkg.unarmed", 1) {
+		t.Fatal("first hit after arming was not hit 1: a never-armed point was tracked")
 	}
 }
 
@@ -51,12 +52,6 @@ func TestFailNthFiresExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("hit %d: err = %v, want nil (fires only on the 3rd)", i, err)
 		}
-	}
-	if got := r.Hits("pkg.point"); got != 5 {
-		t.Fatalf("Hits = %d, want 5", got)
-	}
-	if got := r.InjectedAt("pkg.point"); got != 1 {
-		t.Fatalf("InjectedAt = %d, want 1", got)
 	}
 	if got := r.Injected(); got != 1 {
 		t.Fatalf("Injected = %d, want 1", got)
@@ -146,11 +141,8 @@ func TestDisarmKeepsCounters(t *testing.T) {
 	if err := r.Hit("pkg.d"); err != nil {
 		t.Fatalf("disarmed hit: err = %v, want nil", err)
 	}
-	if got := r.Hits("pkg.d"); got != 2 {
-		t.Fatalf("Hits after disarm = %d, want 2", got)
-	}
-	if got := r.InjectedAt("pkg.d"); got != 1 {
-		t.Fatalf("InjectedAt after disarm = %d, want 1", got)
+	if !fires(r, "pkg.d", 3) {
+		t.Fatal("hit count did not survive disarm: the third hit did not fire")
 	}
 }
 
@@ -158,12 +150,8 @@ func TestRearmPreservesCounters(t *testing.T) {
 	r := new(Registry)
 	r.FailNth("pkg.r", 1, Error)
 	_ = r.Hit("pkg.r")
-	r.FailNth("pkg.r", 100, Error)
-	if got := r.Hits("pkg.r"); got != 1 {
-		t.Fatalf("Hits after re-arm = %d, want 1", got)
-	}
-	if got := r.InjectedAt("pkg.r"); got != 1 {
-		t.Fatalf("InjectedAt after re-arm = %d, want 1", got)
+	if !fires(r, "pkg.r", 2) {
+		t.Fatal("hit count did not survive re-arm: the second hit did not fire")
 	}
 }
 
@@ -193,7 +181,7 @@ func TestConcurrentHits(t *testing.T) {
 	if injected != 1 {
 		t.Fatalf("count-armed point fired %d times under concurrency, want exactly 1", injected)
 	}
-	if got := r.Hits("pkg.c"); got != goroutines*per {
-		t.Fatalf("Hits = %d, want %d", got, goroutines*per)
+	if !fires(r, "pkg.c", goroutines*per+1) {
+		t.Fatalf("hit %d did not fire: concurrent hits were miscounted", goroutines*per+1)
 	}
 }

@@ -36,7 +36,6 @@ const NoRank Rank = math.MaxUint32
 // FList is the generalized f-list plus the derived rank space.
 type FList struct {
 	forest  *hierarchy.Forest
-	sigma   int64
 	freq    []int64          // vocab → f0(w, D)
 	rankOf  []Rank           // vocab → rank or NoRank
 	vocabOf []hierarchy.Item // rank → vocab item
@@ -85,7 +84,6 @@ func Build(forest *hierarchy.Forest, freq []int64, sigma int64, order ...hierarc
 	}
 	fl := &FList{
 		forest:  forest,
-		sigma:   sigma,
 		freq:    append([]int64(nil), freq...),
 		rankOf:  make([]Rank, forest.Size()),
 		vocabOf: slices.Clone(order),
@@ -150,9 +148,6 @@ func (fl *FList) ByFrequency() []hierarchy.Item {
 // Forest returns the hierarchy this f-list was built over.
 func (fl *FList) Forest() *hierarchy.Forest { return fl.forest }
 
-// Sigma returns the support threshold the f-list was built with.
-func (fl *FList) Sigma() int64 { return fl.sigma }
-
 // NumFrequent returns the number of frequent items (= number of partitions
 // LASH will create).
 func (fl *FList) NumFrequent() int { return len(fl.vocabOf) }
@@ -168,10 +163,6 @@ func (fl *FList) RankOf(w hierarchy.Item) Rank { return fl.rankOf[w] }
 
 // VocabOf returns the vocabulary item of a rank.
 func (fl *FList) VocabOf(r Rank) hierarchy.Item { return fl.vocabOf[r] }
-
-// ParentRank returns the rank of the parent of rank r (NoRank for roots).
-// Parents always have smaller ranks.
-func (fl *FList) ParentRank(r Rank) Rank { return fl.parent[r] }
 
 // ParentTable returns the rank → parent-rank table (shared; do not modify).
 // Local miners use it for hierarchy-aware expansion without touching the

@@ -47,11 +47,11 @@ func TestPaperFList(t *testing.T) {
 	// Parent ranks: b1's parent is B (rank 1); D, a, B, c are roots.
 	b1, _ := f.Lookup("b1")
 	B, _ := f.Lookup("B")
-	if fl.ParentRank(fl.RankOf(b1)) != fl.RankOf(B) {
+	if fl.ParentTable()[fl.RankOf(b1)] != fl.RankOf(B) {
 		t.Error("parent rank of b1 should be B")
 	}
 	a, _ := f.Lookup("a")
-	if fl.ParentRank(fl.RankOf(a)) != flist.NoRank {
+	if fl.ParentTable()[fl.RankOf(a)] != flist.NoRank {
 		t.Error("a is a root")
 	}
 }
@@ -218,7 +218,7 @@ func TestQuickOrderAndFrequencies(t *testing.T) {
 		}
 		// (1) order property.
 		for rr := 0; rr < fl.NumFrequent(); rr++ {
-			if p := fl.ParentRank(flist.Rank(rr)); p != flist.NoRank && p >= flist.Rank(rr) {
+			if p := fl.ParentTable()[flist.Rank(rr)]; p != flist.NoRank && p >= flist.Rank(rr) {
 				return false
 			}
 		}

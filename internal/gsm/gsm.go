@@ -150,49 +150,6 @@ func IsGenSubseq(f *hierarchy.Forest, s, t Sequence, gamma int) bool {
 	return false
 }
 
-// IsSubseq reports whether S is a plain (non-generalized) gap-constrained
-// subsequence of T, i.e. S ⊆γ T.
-func IsSubseq(s, t Sequence, gamma int) bool {
-	n, m := len(s), len(t)
-	if n == 0 || n > m {
-		return n == 0
-	}
-	memo := make([]byte, n*m)
-	var match func(i, j int) bool
-	match = func(i, j int) bool {
-		if t[j] != s[i] {
-			return false
-		}
-		if i == n-1 {
-			return true
-		}
-		switch memo[i*m+j] {
-		case 1:
-			return true
-		case 2:
-			return false
-		}
-		hi := j + 1 + gamma
-		if hi >= m {
-			hi = m - 1
-		}
-		for jn := j + 1; jn <= hi; jn++ {
-			if match(i+1, jn) {
-				memo[i*m+j] = 1
-				return true
-			}
-		}
-		memo[i*m+j] = 2
-		return false
-	}
-	for j := 0; j+n <= m; j++ {
-		if match(0, j) {
-			return true
-		}
-	}
-	return false
-}
-
 // Frequency computes f_γ(S, D): the number of database sequences T with
 // S ⊑γ T.
 func Frequency(db *Database, s Sequence, gamma int) int64 {
@@ -205,13 +162,9 @@ func Frequency(db *Database, s Sequence, gamma int) int64 {
 	return n
 }
 
-// ItemGeneralizations returns G1(T): the distinct items occurring in T
-// together with all their generalizations, in ascending item order.
-func ItemGeneralizations(f *hierarchy.Forest, t Sequence) []hierarchy.Item {
-	return AppendItemGeneralizations(nil, f, t)
-}
-
-// AppendItemGeneralizations appends G1(T) to dst, in ascending item order.
+// AppendItemGeneralizations appends G1(T) to dst: the distinct items
+// occurring in T together with all their generalizations, in ascending
+// item order.
 func AppendItemGeneralizations(dst []hierarchy.Item, f *hierarchy.Forest, t Sequence) []hierarchy.Item {
 	start := len(dst)
 	for _, w := range t {

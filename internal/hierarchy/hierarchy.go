@@ -28,7 +28,6 @@ type Forest struct {
 	// begin[v] <= begin[u] && end[u] <= end[v].
 	begin []int32
 	end   []int32
-	roots []Item
 	depth int // number of levels = max level + 1 (0 for empty forest)
 }
 
@@ -59,25 +58,13 @@ func (f *Forest) Level(w Item) int { return int(f.level[w]) }
 // A "flat" vocabulary (all roots) has depth 1; an empty forest, depth 0.
 func (f *Forest) Depth() int { return f.depth }
 
-// Roots returns the root items in id order. The returned slice is shared;
-// callers must not modify it.
-func (f *Forest) Roots() []Item { return f.roots }
-
 // IsRoot reports whether w has no parent.
 func (f *Forest) IsRoot(w Item) bool { return f.parent[w] == NoItem }
-
-// IsLeaf reports whether w has no children.
-func (f *Forest) IsLeaf(w Item) bool { return f.end[w] == f.begin[w] }
 
 // GeneralizesTo reports whether u →* v, i.e. v is an ancestor of u or v == u.
 // Runs in O(1) using DFS interval labels.
 func (f *Forest) GeneralizesTo(u, v Item) bool {
 	return f.begin[v] <= f.begin[u] && f.end[u] <= f.end[v]
-}
-
-// IsAncestor reports whether v is a proper ancestor of u.
-func (f *Forest) IsAncestor(u, v Item) bool {
-	return u != v && f.GeneralizesTo(u, v)
 }
 
 // Ancestors appends the proper ancestors of w (parent first, root last) to
@@ -93,26 +80,6 @@ func (f *Forest) Ancestors(dst []Item, w Item) []Item {
 func (f *Forest) SelfAndAncestors(dst []Item, w Item) []Item {
 	dst = append(dst, w)
 	return f.Ancestors(dst, w)
-}
-
-// Root returns the root of the tree containing w.
-func (f *Forest) Root(w Item) Item {
-	for f.parent[w] != NoItem {
-		w = f.parent[w]
-	}
-	return w
-}
-
-// Children returns the children of w in id order. O(Size) — intended for
-// tests, statistics and generators, not for inner mining loops.
-func (f *Forest) Children(w Item) []Item {
-	var out []Item
-	for c := range f.parent {
-		if f.parent[c] == w {
-			out = append(out, Item(c))
-		}
-	}
-	return out
 }
 
 // Stats summarizes the shape of a hierarchy, mirroring Table 2 of the paper.
@@ -204,15 +171,6 @@ func (b *Builder) AddEdge(child, parent string) {
 	b.parent[c] = p
 }
 
-// Size returns the number of items interned so far.
-func (b *Builder) Size() int { return len(b.names) }
-
-// Lookup returns the id interned for name, if any.
-func (b *Builder) Lookup(name string) (Item, bool) {
-	w, ok := b.byName[name]
-	return w, ok
-}
-
 // Build validates the structure (forest shape, no cycles) and returns the
 // immutable Forest.
 func (b *Builder) Build() (*Forest, error) {
@@ -270,12 +228,13 @@ func (b *Builder) Build() (*Forest, error) {
 			f.level[chain[i]] = base
 		}
 	}
+	var roots []Item
 	for w := 0; w < n; w++ {
 		if int(f.level[w])+1 > f.depth {
 			f.depth = int(f.level[w]) + 1
 		}
 		if f.parent[w] == NoItem {
-			f.roots = append(f.roots, Item(w))
+			roots = append(roots, Item(w))
 		}
 	}
 	// DFS interval labels. Children grouped per parent first.
@@ -292,7 +251,7 @@ func (b *Builder) Build() (*Forest, error) {
 		next int
 	}
 	var stack []frame
-	for _, r := range f.roots {
+	for _, r := range roots {
 		stack = append(stack[:0], frame{r, 0})
 		f.begin[r] = timer
 		for len(stack) > 0 {

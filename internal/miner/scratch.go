@@ -414,8 +414,3 @@ func (x *rIndex) add(depth int, a flist.Rank) {
 	}
 	lvl[a>>6] |= 1 << (a & 63)
 }
-
-func (x *rIndex) has(depth int, a flist.Rank) bool {
-	lvl := x.levels[depth-1]
-	return lvl != nil && lvl[a>>6]&(1<<(a&63)) != 0
-}

@@ -179,13 +179,6 @@ var DurationBuckets = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
 }
 
-// ByteBuckets are the default upper bounds (bytes) for size histograms:
-// 1 KiB to 1 GiB.
-var ByteBuckets = []float64{
-	1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,
-	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
-}
-
 type metricType int
 
 const (

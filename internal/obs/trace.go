@@ -201,9 +201,8 @@ func durMS(d time.Duration) float64 {
 }
 
 // WriteTraceJSON renders the span forest of a tracer's retained spans as
-// indented JSON (see TraceDoc for the schema).
+// one compact JSON document with a trailing newline (see TraceDoc for the
+// schema); pipe it through jq to read it.
 func WriteTraceJSON(w io.Writer, spans []SpanRecord, dropped int) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(BuildTree(spans, dropped))
+	return json.NewEncoder(w).Encode(BuildTree(spans, dropped))
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -95,6 +96,13 @@ func TestWriteTraceJSON(t *testing.T) {
 	var b strings.Builder
 	if err := WriteTraceJSON(&b, tr.Spans(), tr.Dropped()); err != nil {
 		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, []byte(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSuffix(b.String(), "\n"); got != compact.String() {
+		t.Fatalf("trace JSON is not compact:\n%s", b.String())
 	}
 	var doc TraceDoc
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {

@@ -257,9 +257,6 @@ func (ix *Index) Len() int { return len(ix.supports) }
 // Support returns pattern id's support.
 func (ix *Index) Support(id uint32) int64 { return ix.supports[id] }
 
-// NumItems returns the size of the index's private vocabulary.
-func (ix *Index) NumItems() int { return len(ix.names) }
-
 // AppendItems appends pattern id's item names to dst and returns the
 // extended slice — the allocation-free rendering primitive.
 func (ix *Index) AppendItems(dst []string, id uint32) []string {
@@ -267,11 +264,6 @@ func (ix *Index) AppendItems(dst []string, id uint32) []string {
 		dst = append(dst, ix.names[w])
 	}
 	return dst
-}
-
-// Items returns pattern id's item names as a fresh slice.
-func (ix *Index) Items(id uint32) []string {
-	return ix.AppendItems(make([]string, 0, len(ix.items(id))), id)
 }
 
 // SizeBytes returns the deterministic byte accounting of the index's
@@ -353,15 +345,6 @@ func (ix *Index) Rollup(items []string) []uint32 {
 		chain = append(chain, id)
 	}
 	return chain
-}
-
-// Parent returns the canonical id of pattern id's parent generalization,
-// if one is indexed.
-func (ix *Index) Parent(id uint32) (uint32, bool) {
-	if p := ix.parent[id]; p != noParent {
-		return uint32(p), true
-	}
-	return 0, false
 }
 
 // Query selects patterns. The zero value matches everything. Filters

@@ -51,7 +51,7 @@ func testPatterns() []Pattern {
 func names(ix *Index, ids []uint32) [][]string {
 	out := make([][]string, len(ids))
 	for i, id := range ids {
-		out[i] = ix.Items(id)
+		out[i] = ix.AppendItems(nil, id)
 	}
 	return out
 }
@@ -89,7 +89,7 @@ func TestTopKAndOffset(t *testing.T) {
 	if total != 9 || len(ids) != 3 {
 		t.Fatalf("top 3: total=%d len=%d", total, len(ids))
 	}
-	if got := ix.Items(ids[0]); !reflect.DeepEqual(got, []string{"FRUIT"}) {
+	if got := ix.AppendItems(nil, ids[0]); !reflect.DeepEqual(got, []string{"FRUIT"}) {
 		t.Fatalf("top pattern = %v", got)
 	}
 	// Offset pagination must continue exactly where the previous page ended.
@@ -116,7 +116,7 @@ func TestMinSupport(t *testing.T) {
 	}
 	for _, id := range ids {
 		if ix.Support(id) < 4 {
-			t.Fatalf("pattern %v support %d < 4", ix.Items(id), ix.Support(id))
+			t.Fatalf("pattern %v support %d < 4", ix.AppendItems(nil, id), ix.Support(id))
 		}
 	}
 }
@@ -196,7 +196,7 @@ func TestLookupAndRollup(t *testing.T) {
 	if !ok {
 		t.Fatal("Lookup(apple,carrot) missed")
 	}
-	if got := ix.Items(id); !reflect.DeepEqual(got, []string{"apple", "carrot"}) {
+	if got := ix.AppendItems(nil, id); !reflect.DeepEqual(got, []string{"apple", "carrot"}) {
 		t.Fatalf("Lookup returned %v", got)
 	}
 	if _, ok := ix.Lookup([]string{"carrot", "apple"}); ok {
@@ -286,8 +286,8 @@ func TestWideKeys(t *testing.T) {
 		}
 	}
 	ix := Build(pats, nil)
-	if ix.NumItems() != vocab {
-		t.Fatalf("vocabulary has %d items, want %d", ix.NumItems(), vocab)
+	if len(ix.names) != vocab {
+		t.Fatalf("vocabulary has %d items, want %d", len(ix.names), vocab)
 	}
 
 	n := len(pats)

@@ -244,15 +244,6 @@ func (r *Reader) Close() error {
 	return err
 }
 
-// Forest returns the decoded item hierarchy.
-func (r *Reader) Forest() *hierarchy.Forest { return r.forest }
-
-// NumSequences returns the declared sequence count.
-func (r *Reader) NumSequences() int64 { return int64(r.seqs) }
-
-// TotalItems returns the declared total item count across all sequences.
-func (r *Reader) TotalItems() int64 { return int64(r.total) }
-
 // Next decodes the next sequence, appending its items to dst (pass dst[:0]
 // to reuse a buffer, or a shared arena to accumulate). It returns io.EOF
 // after the last sequence. Once Next returns an error it keeps returning
@@ -337,13 +328,6 @@ func ReadFile(path string) (*gsm.Database, error) {
 	}
 	defer r.Close()
 	return r.ReadAll()
-}
-
-// IsMagic reports whether b (the first bytes of some input) identifies a
-// binary sequence database. Callers sniffing a stream should hand at least
-// len(Magic) bytes.
-func IsMagic(b []byte) bool {
-	return len(b) >= len(Magic) && string(b[:len(Magic)]) == Magic
 }
 
 // readUvarint reads one varint, annotating truncation with what was being

@@ -94,18 +94,12 @@ func assertSameDB(t *testing.T, got, want *gsm.Database) {
 func TestRoundTrip(t *testing.T) {
 	want := testDB(t)
 	enc := encode(t, want)
-	if !seqdb.IsMagic(enc) {
+	if !bytes.HasPrefix(enc, []byte(seqdb.Magic)) {
 		t.Fatal("encoded file does not start with the magic")
 	}
 	r, err := seqdb.NewReader(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.NumSequences() != int64(len(want.Seqs)) {
-		t.Fatalf("NumSequences = %d, want %d", r.NumSequences(), len(want.Seqs))
-	}
-	if r.TotalItems() != 9 {
-		t.Fatalf("TotalItems = %d, want 9", r.TotalItems())
 	}
 	got, err := r.ReadAll()
 	if err != nil {

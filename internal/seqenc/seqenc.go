@@ -114,26 +114,6 @@ func DecodedLen(buf []byte) (int, error) {
 	return decoded, nil
 }
 
-// EncodedSize returns len(AppendSeq(nil, seq)) without allocating.
-func EncodedSize(seq []flist.Rank) int {
-	size := 0
-	i := 0
-	for i < len(seq) {
-		if seq[i] == flist.NoRank {
-			run := uint64(0)
-			for i < len(seq) && seq[i] == flist.NoRank {
-				run++
-				i++
-			}
-			size += uvarintLen(run<<1 | 1)
-			continue
-		}
-		size += uvarintLen((uint64(seq[i]) + 1) << 1)
-		i++
-	}
-	return size
-}
-
 // AppendVocabSeq encodes a vocabulary-space sequence (no blanks) onto dst.
 // Used by the naïve baseline, which has no f-list and therefore no rank
 // space.
@@ -160,15 +140,6 @@ func DecodeVocabSeq(dst gsm.Sequence, buf []byte) (gsm.Sequence, error) {
 	return dst, nil
 }
 
-// VocabEncodedSize returns len(AppendVocabSeq(nil, seq)) without allocating.
-func VocabEncodedSize(seq gsm.Sequence) int {
-	size := 0
-	for _, w := range seq {
-		size += uvarintLen(uint64(w))
-	}
-	return size
-}
-
 // UvarintLen returns the encoded size of v as a uvarint.
 func UvarintLen(v uint64) int {
 	n := 1
@@ -178,5 +149,3 @@ func UvarintLen(v uint64) int {
 	}
 	return n
 }
-
-func uvarintLen(v uint64) int { return UvarintLen(v) }

@@ -144,7 +144,7 @@ func (ref *refIndex) parentOf(items []string) ([]string, bool) {
 func renderIDs(ix *pindex.Index, ids []uint32) []string {
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = fmt.Sprintf("%s=%d", strings.Join(ix.Items(id), " "), ix.Support(id))
+		out[i] = fmt.Sprintf("%s=%d", strings.Join(ix.AppendItems(nil, id), " "), ix.Support(id))
 	}
 	return out
 }
@@ -327,7 +327,7 @@ func TestPindexDifferential(t *testing.T) {
 						gotIDs := ix.Rollup(p.items)
 						var got [][]string
 						for _, id := range gotIDs {
-							got = append(got, ix.Items(id))
+							got = append(got, ix.AppendItems(nil, id))
 						}
 						if len(got) != len(wantChain) {
 							t.Errorf("rollup %v: chain %v, want %v", p.items, got, wantChain)

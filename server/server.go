@@ -37,6 +37,18 @@
 // Shutdown flips /readyz to 503 immediately and refuses new submissions with
 // 503 + Retry-After while in-flight jobs drain.
 //
+// Corpus versions: POST /v1/databases/{name}/sequences (a JSON spec, or a
+// raw .ldb fragment) installs the next version of a database, and every
+// earlier version stays readable, so a running mine, query or subscription
+// keeps the snapshot it started on. A mine resumes from the newest state
+// the cache retains for its database and options that validates for its
+// snapshot (lash.Options.Resume), and mines cold when there is none.
+// Results and serving indexes are keyed by database, version and options;
+// GET /v1/patterns takes version=N (default: the newest version with a
+// retained result) and reports corpus_version, as job and result views do
+// with the delta_partitions_* split of a resumed run. A subscription
+// follows appends: a {"version":N} marker precedes each version's records.
+//
 // Every job runs under a context derived from the server's lifetime:
 // DELETE /v1/jobs/{id} cancels one job (it lands in the "cancelled" state,
 // waking every request coalesced onto it), and shutting the server down

@@ -35,7 +35,7 @@ var nastyItems = []string{
 func refViewPatterns(ix *pindex.Index, ids []uint32) []PatternView {
 	out := make([]PatternView, len(ids))
 	for i, id := range ids {
-		out[i] = PatternView{Items: ix.Items(id), Support: ix.Support(id)}
+		out[i] = PatternView{Items: ix.AppendItems([]string{}, id), Support: ix.Support(id)}
 	}
 	return out
 }

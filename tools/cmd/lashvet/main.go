@@ -7,6 +7,7 @@
 //	errjob      %w-wrapped, job/phase-annotated errors at the boundary
 //	faultpoint  fault-injection points are constant, package-prefixed, unique names
 //	apierr      server handlers respond non-2xx only through the writeError envelope
+//	testonly    every internal/... declaration is referenced by production code, not only by tests
 //
 // Usage (the `make lint` gate):
 //
@@ -16,6 +17,11 @@
 // analyzer, prints findings as file:line:col: [analyzer] message, and
 // exits 1 if there were any. Diagnostics in _test.go files are skipped:
 // the invariants are production-code contracts.
+//
+// testonly is the one whole-program analyzer. It also reads the packages
+// of every module nested under -dir whose go.mod requires the loaded
+// module (this repository's bench/), and the test files of both, which it
+// type-checks.
 //
 // Findings are suppressed by a directive on the same line or the line
 // above:
@@ -30,7 +36,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,6 +50,7 @@ import (
 	"lash/tools/internal/analysis/faultpoint"
 	"lash/tools/internal/analysis/load"
 	"lash/tools/internal/analysis/obshandle"
+	"lash/tools/internal/analysis/testonly"
 )
 
 // suite is every analyzer lashvet runs, in reporting order.
@@ -56,6 +62,7 @@ var suite = []*analysis.Analyzer{
 	errjob.Analyzer,
 	faultpoint.Analyzer,
 	apierr.Analyzer,
+	testonly.Analyzer,
 }
 
 func main() {
@@ -96,25 +103,14 @@ func runStandalone(dir string, patterns []string) ([]finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	var findings []finding
+	var files []*ast.File
 	for _, p := range prog.Targets {
-		fs, err := analyzePackage(prog.Fset, p.Files, p.Pkg, p.Info)
-		if err != nil {
-			return nil, err
-		}
-		findings = append(findings, fs...)
+		files = append(files, p.Files...)
 	}
-	return findings, nil
-}
-
-// analyzePackage runs every analyzer over one type-checked package,
-// applies //lashvet:ignore suppression, reports malformed directives, and
-// drops findings in _test.go files. Results are position-sorted.
-func analyzePackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]finding, error) {
-	dirs, bad := analysis.ParseDirectives(fset, files)
+	dirs, bad := analysis.ParseDirectives(prog.Fset, files)
 	var out []finding
 	add := func(name string, d analysis.Diagnostic) {
-		pos := fset.Position(d.Pos)
+		pos := prog.Fset.Position(d.Pos)
 		if strings.HasSuffix(pos.Filename, "_test.go") {
 			return
 		}
@@ -123,22 +119,23 @@ func analyzePackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, 
 	}
 	for _, a := range suite {
 		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path(), err)
+		report := func(d analysis.Diagnostic) { diags = append(diags, d) }
+		if a.RunProgram != nil {
+			if err := a.RunProgram(&analysis.ProgramPass{Prog: prog, Report: report}); err != nil {
+				return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
+			}
+		} else {
+			for _, p := range prog.Targets {
+				pass := &analysis.Pass{Analyzer: a, Fset: prog.Fset, Files: p.Files, Pkg: p.Pkg, TypesInfo: p.Info, Report: report}
+				if err := a.Run(pass); err != nil {
+					return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, p.Pkg.Path(), err)
+				}
+			}
 		}
 		for _, d := range diags {
-			if analysis.Suppressed(fset, dirs, a.Name, d.Pos) {
-				continue
+			if !analysis.Suppressed(prog.Fset, dirs, a.Name, d.Pos) {
+				add(a.Name, d)
 			}
-			add(a.Name, d)
 		}
 	}
 	for _, d := range bad {

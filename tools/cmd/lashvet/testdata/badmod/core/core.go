@@ -1,6 +1,7 @@
-// Package core packs one violation of every lashvet analyzer into a
-// boundary+hot package, plus one suppressed finding, for the multichecker
-// smoke test.
+// Package core packs one violation of every per-package lashvet analyzer
+// into a boundary+hot package, plus one suppressed finding, for the
+// multichecker smoke test; it is also the production caller testonly
+// needs to see in internal/store.
 package core
 
 import (
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"badmod/internal/store"
 	"badmod/obs"
 )
 
@@ -29,7 +31,7 @@ var total stats
 
 func run(ctx context.Context, name string) error {
 	// atomicfield: plain read of an atomically-written field.
-	atomic.AddInt64(&total.emitted, 1)
+	atomic.AddInt64(&total.emitted, int64(store.Count()))
 	if total.emitted > 1_000_000 {
 		// errjob: unannotated, unwrapped error at the boundary.
 		return fmt.Errorf("too much output from %s: %v", name, ctx.Err())

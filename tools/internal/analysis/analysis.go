@@ -7,7 +7,8 @@
 // driver-side suppression filter for `//lashvet:ignore` directives. The
 // analyzers themselves are plain Run(*Pass) functions over go/ast +
 // go/types, so they would port to the real go/analysis framework by
-// swapping this import.
+// swapping this import. The one addition is RunProgram, for an analyzer
+// that needs every package at once (testonly).
 package analysis
 
 import (
@@ -16,6 +17,8 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"lash/tools/internal/analysis/load"
 )
 
 // Analyzer describes one invariant checker.
@@ -27,6 +30,9 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one type-checked package.
 	Run func(*Pass) error
+	// RunProgram, set in place of Run, applies the analyzer once to the
+	// whole loaded program, for a contract no single package can decide.
+	RunProgram func(*ProgramPass) error
 }
 
 // Pass carries one type-checked package through an analyzer run.
@@ -40,6 +46,17 @@ type Pass struct {
 	// Report delivers one diagnostic. The driver applies suppression
 	// directives after the pass completes.
 	Report func(Diagnostic)
+}
+
+// ProgramPass carries a whole loaded program through an analyzer run.
+type ProgramPass struct {
+	Prog   *load.Program
+	Report func(Diagnostic)
+}
+
+// Reportf reports a formatted diagnostic at pos.
+func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
+	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -17,23 +17,30 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 )
 
 // ListPackage is the subset of `go list -json` output the loader uses.
 type ListPackage struct {
-	Dir        string
-	ImportPath string
-	Name       string
-	Export     string // export data file (with -export)
-	GoFiles    []string
-	Imports    []string
-	Standard   bool
-	DepOnly    bool
-	Error      *struct{ Err string }
+	Dir          string
+	ImportPath   string
+	Name         string
+	Export       string // export data file (with -export)
+	GoFiles      []string
+	TestGoFiles  []string // _test.go files in the package itself
+	XTestGoFiles []string // _test.go files of the external <name>_test package
+	Imports      []string
+	Deps         []string // transitive imports
+	Module       *struct{ Path, Dir string }
+	Standard     bool
+	DepOnly      bool
+	Error        *struct{ Err string }
 }
 
 // Package is one parsed and type-checked target package.
@@ -49,15 +56,54 @@ type Package struct {
 type Program struct {
 	Fset    *token.FileSet
 	Targets []*Package
+	// Dependents are the packages of the modules nested under the load
+	// directory that require the target module (this repository's bench/).
+	// They are type-checked like targets, so whole-program analyzers can
+	// count their references, but nothing is reported on them.
+	Dependents []*Package
 
 	exports map[string]string // import path → export data file
 	imp     types.ImporterFrom
 }
 
 // Load lists patterns (with dependencies) in dir, then parses and
-// type-checks every matched non-standard package. Listing or parse errors
-// fail the load; type errors are attached per package by Check.
+// type-checks every matched non-standard package, and the ./... of every
+// dependent module (see Program.Dependents). Listing, parse and type
+// errors fail the load.
 func Load(dir string, patterns ...string) (*Program, error) {
+	prog := &Program{Fset: token.NewFileSet(), exports: make(map[string]string)}
+	prog.imp = ExportImporter(prog.Fset, prog.lookup)
+	targets, err := prog.list(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	if prog.Targets, err = prog.checkAll(targets); err != nil {
+		return nil, err
+	}
+	if len(targets) == 0 || targets[0].Module == nil {
+		return prog, nil
+	}
+	mods, err := dependentModules(dir, targets[0].Module.Path)
+	if err != nil {
+		return nil, err
+	}
+	for _, mod := range mods {
+		lps, err := prog.list(mod, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		pkgs, err := prog.checkAll(lps)
+		if err != nil {
+			return nil, err
+		}
+		prog.Dependents = append(prog.Dependents, pkgs...)
+	}
+	return prog, nil
+}
+
+// list runs `go list -export -deps` in dir, records every listed
+// package's export data, and returns the matched non-standard packages.
+func (p *Program) list(dir string, patterns []string) ([]*ListPackage, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -70,7 +116,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	prog := &Program{Fset: token.NewFileSet(), exports: make(map[string]string)}
 	var targets []*ListPackage
 	dec := json.NewDecoder(out)
 	for {
@@ -81,8 +126,8 @@ func Load(dir string, patterns ...string) (*Program, error) {
 			cmd.Wait()
 			return nil, fmt.Errorf("load: decoding go list output: %w", err)
 		}
-		if lp.Export != "" {
-			prog.exports[lp.ImportPath] = lp.Export
+		if _, ok := p.exports[lp.ImportPath]; !ok && lp.Export != "" {
+			p.exports[lp.ImportPath] = lp.Export
 		}
 		if !lp.DepOnly && !lp.Standard {
 			targets = append(targets, lp)
@@ -91,19 +136,136 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	if err := cmd.Wait(); err != nil {
 		return nil, fmt.Errorf("load: go list: %w\n%s", err, stderr.String())
 	}
-	prog.imp = ExportImporter(prog.Fset, prog.lookup)
-	for _, lp := range targets {
+	return targets, nil
+}
+
+func (p *Program) checkAll(lps []*ListPackage) ([]*Package, error) {
+	pkgs := make([]*Package, 0, len(lps))
+	for _, lp := range lps {
 		if lp.Error != nil {
 			return nil, fmt.Errorf("load: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		pkg, err := prog.check(lp)
+		pkg, err := p.check(lp)
 		if err != nil {
 			return nil, err
 		}
-		prog.Targets = append(prog.Targets, pkg)
+		pkgs = append(pkgs, pkg)
 	}
-	return prog, nil
+	return pkgs, nil
 }
+
+// dependentModules returns the directories under root whose go.mod
+// requires module path: the modules that build against it. Like the go
+// command, the walk skips testdata, vendor and dot/underscore directories.
+func dependentModules(root, path string) ([]string, error) {
+	var mods []string
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || dir == root {
+			return err
+		}
+		if name := d.Name(); name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		gomod := filepath.Join(dir, "go.mod")
+		if _, err := os.Stat(gomod); err != nil {
+			return nil
+		}
+		out, err := exec.Command("go", "mod", "edit", "-json", gomod).Output()
+		if err != nil {
+			return fmt.Errorf("load: go mod edit -json %s: %w", gomod, err)
+		}
+		var mf struct{ Require []struct{ Path string } }
+		if err := json.Unmarshal(out, &mf); err != nil {
+			return fmt.Errorf("load: %s: %w", gomod, err)
+		}
+		for _, r := range mf.Require {
+			if r.Path == path {
+				mods = append(mods, dir)
+				break
+			}
+		}
+		return filepath.SkipDir // a nested module's tree is its own
+	})
+	return mods, err
+}
+
+// CheckTests type-checks the _test.go files of every target and dependent
+// package: the package's own files with its in-package test files, and its
+// external _test package against that. Each returned Package holds only
+// the test files, under the ListPackage of the package they test.
+//
+// Type errors are ignored. An external test package sees the package it
+// tests with its test files, while the other packages it imports were
+// compiled against the package without them, so the two copies of a type
+// need not unify; what a test file refers to resolves all the same.
+func (p *Program) CheckTests() ([]*Package, error) {
+	var out []*Package
+	missing := make(map[string]map[string]bool) // module dir → test imports without export data
+	type testFiles struct {
+		pkg       *Package
+		in, xtest []*ast.File
+	}
+	var all []testFiles
+	for _, pkg := range append(append([]*Package(nil), p.Targets...), p.Dependents...) {
+		lp := pkg.List
+		in, err := ParseFiles(p.Fset, lp.Dir, lp.TestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		xtest, err := ParseFiles(p.Fset, lp.Dir, lp.XTestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range append(append([]*ast.File(nil), in...), xtest...) {
+			for _, spec := range f.Imports {
+				path, _ := strconv.Unquote(spec.Path.Value)
+				if _, ok := p.exports[path]; !ok && path != lp.ImportPath && lp.Module != nil {
+					if missing[lp.Module.Dir] == nil {
+						missing[lp.Module.Dir] = make(map[string]bool)
+					}
+					missing[lp.Module.Dir][path] = true
+				}
+			}
+		}
+		all = append(all, testFiles{pkg, in, xtest})
+	}
+	for dir, paths := range missing {
+		var list []string
+		for path := range paths {
+			list = append(list, path)
+		}
+		if _, err := p.list(dir, list); err != nil {
+			return nil, err
+		}
+	}
+	for _, t := range all {
+		lp, under := t.pkg.List, t.pkg.Pkg
+		if len(t.in) > 0 {
+			info := NewInfo()
+			conf := types.Config{Importer: p.imp, Error: func(error) {}}
+			under, _ = conf.Check(lp.ImportPath, p.Fset, append(append([]*ast.File(nil), t.pkg.Files...), t.in...), info)
+			out = append(out, &Package{List: lp, Files: t.in, Pkg: under, Info: info})
+		}
+		if len(t.xtest) > 0 {
+			info := NewInfo()
+			imp := importerFunc(func(path string) (*types.Package, error) {
+				if path == lp.ImportPath {
+					return under, nil
+				}
+				return p.imp.Import(path)
+			})
+			conf := types.Config{Importer: imp, Error: func(error) {}}
+			xpkg, _ := conf.Check(lp.ImportPath+"_test", p.Fset, t.xtest, info)
+			out = append(out, &Package{List: lp, Files: t.xtest, Pkg: xpkg, Info: info})
+		}
+	}
+	return out, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func (p *Program) lookup(path string) (io.ReadCloser, error) {
 	file, ok := p.exports[path]

@@ -10,6 +10,9 @@
 // match types by import-path base precisely so stubs exercise the same
 // code paths as the real tree. Standard-library imports resolve from the
 // build cache's export data.
+//
+// A whole-program analyzer is checked with RunProgram, over a real module
+// under testdata (its own go.mod), loaded as lashvet loads the repository.
 package vettest
 
 import (
@@ -72,6 +75,31 @@ func runOne(t *testing.T, imp *testImporter, a *analysis.Analyzer, pkg string) {
 	}
 	diags = Filter(imp.fset, tp.files, a.Name, diags)
 	check(t, imp.fset, tp.files, diags)
+}
+
+// RunProgram loads the module at dir, with the modules nested under it
+// that require it, applies the whole-program analyzer, filters the
+// diagnostics through //lashvet:ignore directives, and checks them against
+// the // want comments of the module's non-test files.
+func RunProgram(t *testing.T, dir string, a *analysis.Analyzer) {
+	t.Helper()
+	prog, err := load.Load(dir, "./...")
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
+	}
+	var diags []analysis.Diagnostic
+	pass := &analysis.ProgramPass{
+		Prog:   prog,
+		Report: func(d analysis.Diagnostic) { diags = append(diags, d) },
+	}
+	if err := a.RunProgram(pass); err != nil {
+		t.Fatalf("analyzer %s: %v", a.Name, err)
+	}
+	var files []*ast.File
+	for _, p := range prog.Targets {
+		files = append(files, p.Files...)
+	}
+	check(t, prog.Fset, files, Filter(prog.Fset, files, a.Name, diags))
 }
 
 // Filter applies the driver-side suppression pass: diagnostics covered by

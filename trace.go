@@ -94,7 +94,9 @@ func (t *Trace) Dropped() int {
 	return t.handle().Dropped()
 }
 
-// WriteJSON renders the collected spans as an indented JSON span forest:
+// WriteJSON renders the collected spans as a JSON span forest, one compact
+// document with a trailing newline (pipe it through `jq .` to read it),
+// shaped like this once indented:
 //
 //	{
 //	  "spans": 12,            // retained spans
