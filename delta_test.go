@@ -558,8 +558,8 @@ func TestResumeValidation(t *testing.T) {
 	if !v1.State.ValidFor(v2a, opt) {
 		t.Fatal("state invalid for the lineage tip")
 	}
-	if v1.State.CorpusVersion() != 1 || v1.State.NumSequences() != base.NumSequences() {
-		t.Fatalf("state covers version %d / %d sequences", v1.State.CorpusVersion(), v1.State.NumSequences())
+	if v1.State.CorpusVersion() != base.Version() || !v1.State.ValidFor(base, opt) {
+		t.Fatalf("state covers version %d; want the database's version %d, and valid for it", v1.State.CorpusVersion(), base.Version())
 	}
 
 	// Different options: invalid, and Mine rejects it.

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"lash/internal/core"
 	"lash/internal/flist"
@@ -198,6 +199,7 @@ func count(ctx context.Context, db *gsm.Database, opt Options, c counting) (*cor
 		},
 	}
 	out, stats, err := mapreduce.RunAgg(ctx, opt.MR, db.Seqs, job)
+	done := time.Now()
 	if errors.Is(err, ErrEmitCapExceeded) {
 		return nil, ErrEmitCapExceeded // the sentinel itself, not the job's annotation of it
 	}
@@ -205,5 +207,5 @@ func count(ctx context.Context, db *gsm.Database, opt Options, c counting) (*cor
 		return nil, err
 	}
 	gsm.SortPatterns(out)
-	return &core.Result{Patterns: out, Jobs: core.JobStats{Mine: stats}}, nil
+	return &core.Result{Patterns: out, Jobs: core.JobStats{Mine: stats}, JobsDone: done}, nil
 }

@@ -92,11 +92,6 @@ type Result struct {
 	// ids are shared between the flat and hierarchical forests. The list is
 	// the run's state's (Delta.Patterns): it is read-only.
 	Patterns []gsm.Pattern
-	// Mined and Inserted list, for a delta run (Options.Prev), the indexes in
-	// Patterns, ascending, of the patterns the run mined and of those of them
-	// Prev.Patterns lacks. Every pattern not inserted is, in order, one of
-	// Prev.Patterns, and one not mined has its support there.
-	Mined, Inserted []int32
 	// FrequentItems are the length-1 frequent items with their generalized
 	// f-list frequencies (determined during preprocessing; the problem
 	// statement excludes them from Patterns), in frequency order whatever
@@ -113,6 +108,9 @@ type Result struct {
 	Miner miner.Stats
 	// Jobs carries MapReduce phase times and counters.
 	Jobs JobStats
+	// JobsDone is when the run's last MapReduce job returned: what follows
+	// assembles the result (the canonical merge, and the caller's naming).
+	JobsDone time.Time
 	// FList exposes the rank space for downstream analysis.
 	FList *flist.FList
 	// Delta is the run's reusable residue, for seeding a delta re-mine of
@@ -129,7 +127,7 @@ type Result struct {
 	DeltaLean   int
 	// Rebased reports a run given an Options.Prev that had drifted: it mined
 	// every partition from scratch (DeltaDirty), re-ranking by frequency, and
-	// merged its patterns into Prev's (Mined, Inserted).
+	// merged its patterns into Prev's.
 	Rebased bool
 }
 
@@ -657,7 +655,7 @@ func mineJob(ctx context.Context, db *gsm.Database, fl *flist.FList, opt Options
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	res := &Result{JobsDone: time.Now()}
 	res.Jobs.Mine = stats
 	if err := assemble(res, db, fl, plan, opt.Prev, out); err != nil {
 		return nil, err

@@ -808,7 +808,7 @@ func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, p
 	}
 	gsm.SortPatterns(pats)
 	var err error
-	if res.Patterns, res.Mined, res.Inserted, err = canonicalize(fl, recs, mined, prev, pats); err != nil {
+	if res.Patterns, err = canonicalize(fl, recs, mined, prev, pats); err != nil {
 		return err
 	}
 	freqs := make([]int64, db.Forest.Size())
@@ -846,12 +846,11 @@ const (
 	noPart     = -2
 )
 
-// canonicalize returns a run's canonical pattern list and, on a delta run
-// (prev non-nil), the indexes in it of pats and of those prev.Patterns lacks
-// (Result.Mined, Result.Inserted). pats are the patterns the run's Reduces
-// mined, in canonical order; the first len(mined) records hold them, record
-// i mined[i] of them at the front of its Patterns. It also puts those
-// records' Patterns in canonical order, in place.
+// canonicalize returns a run's canonical pattern list, merged into
+// prev.Patterns on a delta run (prev non-nil). pats are the patterns the
+// run's Reduces mined, in canonical order; the first len(mined) records
+// hold them, record i mined[i] of them at the front of its Patterns. It also
+// puts those records' Patterns in canonical order, in place.
 //
 // A from-scratch run's list is pats. A delta run's is a merge (see the
 // package doc): prev.Patterns is a subsequence of the new list, and one walk
@@ -865,7 +864,7 @@ const (
 // walk meets them in that order. A carried pattern of a re-mined partition
 // would mean the invariant broke: that fails the run, as does a record the
 // list does not cover exactly.
-func canonicalize(fl *flist.FList, recs []DeltaPart, mined []int32, prev *DeltaState, pats []gsm.Pattern) (list []gsm.Pattern, minedAt, inserted []int32, err error) {
+func canonicalize(fl *flist.FList, recs []DeltaPart, mined []int32, prev *DeltaState, pats []gsm.Pattern) ([]gsm.Pattern, error) {
 	dirty := len(mined)
 	// slot, by rank, is the index of the pivot's mined record, or reusedPart
 	// or noPart.
@@ -915,15 +914,14 @@ func canonicalize(fl *flist.FList, recs []DeltaPart, mined []int32, prev *DeltaS
 	if prev == nil {
 		for i := range pats {
 			if err := place(&pats[i], false); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 		}
-		return pats, nil, nil, covered(recs, mined, cur)
+		return pats, covered(recs, mined, cur)
 	}
 
 	old := prev.Patterns
-	list = make([]gsm.Pattern, 0, len(old)+len(pats))
-	minedAt = make([]int32, 0, len(pats))
+	list := make([]gsm.Pattern, 0, len(old)+len(pats))
 	// A carried pattern is placed only to be re-pointed: with no grown record
 	// keeping one, every carried pattern is a reused record's.
 	kept := false
@@ -944,23 +942,20 @@ func canonicalize(fl *flist.FList, recs []DeltaPart, mined []int32, prev *DeltaS
 	for _, m := range pats {
 		j := gallop(old, i, m.Items)
 		if err := carry(old[i:j]); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		minedAt = append(minedAt, int32(len(list)))
 		if i = j; i < len(old) && slices.Equal(old[i].Items, m.Items) {
 			i++
-		} else {
-			inserted = append(inserted, int32(len(list)))
 		}
 		list = append(list, m)
 		if err := place(&list[len(list)-1], false); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	if err := carry(old[i:]); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return list, minedAt, inserted, covered(recs, mined, cur)
+	return list, covered(recs, mined, cur)
 }
 
 // recCursor is canonicalize's place in a record the run mined: how many of

@@ -245,9 +245,10 @@ type Options struct {
 // MineState is the opaque, reusable residue of a mining run (Result.State):
 // the corpus version it covered, plus the internal f-list counts, each
 // partition's statistics and pattern set, which a Resume run splices from,
-// and the run's whole result before any restriction, in canonical order and
-// translated, into which a Resume run merges what it mined: the patterns it
-// carries keep their Items, and only the ones it inserts are named.
+// and the run's whole result before any restriction, in canonical order,
+// into which a Resume run merges what it mined. All of it is in item-id
+// space: the state holds no names, and a Resume run names every pattern of
+// its result afresh, so no two results of a lineage share a pattern's Items.
 // A state taken by a Resume run also keeps the aggregated input of every
 // partition that run mined, from which the next Resume run grows the
 // partition without repartitioning its old sequences; a from-scratch run's
@@ -260,11 +261,7 @@ type MineState struct {
 	numSeqs int
 	key     string
 	delta   *core.DeltaState
-	// patterns is the run's result before any output restriction, translated:
-	// delta.Patterns named. A Resume run reuses the Items of every pattern it
-	// carries from it.
-	patterns []Pattern
-	size     int64 // SizeBytes, computed once when the run assembles the state
+	size    int64 // SizeBytes, computed once when the run assembles the state
 }
 
 // CorpusVersion returns the Database.Version the state was taken at.
@@ -273,14 +270,6 @@ func (s *MineState) CorpusVersion() int {
 		return 0
 	}
 	return s.version
-}
-
-// NumSequences returns the number of input sequences the state covers.
-func (s *MineState) NumSequences() int {
-	if s == nil {
-		return 0
-	}
-	return s.numSeqs
 }
 
 // Drift returns how many partition sequences the state's lineage has cost
@@ -303,11 +292,10 @@ func (s *MineState) Drift() float64 {
 // (which a Resume run reads to leave old sequences unread) with its items at
 // their element widths, the encoded input of each partition a Resume run
 // kept (none in a from-scratch run's state), and one pattern header per
-// pattern of the canonical list, whose items are the partitions'. The
-// translated list is the run's Result.Patterns unless the run was
-// restricted, and only then charged here (each pattern's header and its
-// names' string headers). Two runs over equal inputs report equal sizes, so
-// a holder can charge the state against a memory budget.
+// pattern of the canonical list, whose items are the partitions'. The named
+// list, Result.Patterns, is not the state's and is not charged here. Two
+// runs over equal inputs report equal sizes, so a holder can charge the
+// state against a memory budget.
 func (s *MineState) SizeBytes() int64 {
 	if s == nil {
 		return 0
@@ -334,16 +322,6 @@ func deltaStateBytes(d *core.DeltaState) int64 {
 				size += patternBytes + int64(len(p.Items))*4
 			}
 		}
-	}
-	return size
-}
-
-// patternListBytes charges a translated pattern list: each pattern's header
-// and its names' string headers (the names themselves are the vocabulary's).
-func patternListBytes(ps []Pattern) int64 {
-	size := int64(len(ps)) * patternBytes
-	for _, p := range ps {
-		size += int64(len(p.Items)) * 16
 	}
 	return size
 }
@@ -434,9 +412,10 @@ type Result struct {
 	// MaxLength) in canonical order: by length, then lexicographically by
 	// vocabulary item id, which is the order items were interned in, not
 	// their names' or frequencies' order. The list and its patterns' Items
-	// are read-only: the run's State keeps them, and the Items of a pattern
-	// are shared by every later result of the lineage that resumed from it
-	// (Options.Resume).
+	// belong to this Result alone: its State holds the patterns in item-id
+	// space, and a run that resumes from it (Options.Resume) names its own.
+	// Index reads the list once, on its first call, and keeps no reference
+	// to it, so a holder that has built the index may drop the list.
 	Patterns []Pattern
 	// FrequentItems are the frequent single items with their hierarchy-aware
 	// document frequencies (the generalized f-list).
@@ -587,8 +566,6 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 	var (
 		res *core.Result
 		err error
-		// resumed is the state the run merged its result into, if any.
-		resumed *MineState
 		// flist is the preprocessing job this run paid for, if any: its
 		// retries and faults count toward the run's.
 		flist *mapreduce.Stats
@@ -609,7 +586,7 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 			if !opt.Resume.ValidFor(db, opt) {
 				return nil, fmt.Errorf("lash: Resume state is not valid for this database and options (want the State of a run on a snapshot this database descends from, with equal canonical options)")
 			}
-			co.Prev, resumed = opt.Resume.delta, opt.Resume
+			co.Prev = opt.Resume.delta
 		} else {
 			// A delta run extends its state's item counts; every other run
 			// takes the snapshot's, counting them if it is the first.
@@ -630,10 +607,7 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 		return nil, err
 	}
 
-	all, err := translate(f, res, resumed)
-	if err != nil {
-		return nil, err
-	}
+	all := translate(f, res)
 	out := &Result{Patterns: all, NumPartitions: res.NumPartitions, Explored: res.Miner.Explored, forest: f}
 	switch opt.Restriction {
 	case RestrictNone:
@@ -646,17 +620,12 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 	}
 	if res.Delta != nil {
 		out.State = &MineState{
-			ident:    db.identAt(db.Version()),
-			version:  db.Version(),
-			numSeqs:  db.NumSequences(),
-			key:      opt.CacheKey(),
-			delta:    res.Delta,
-			patterns: all,
-			size:     deltaStateBytes(res.Delta),
-		}
-		if opt.Restriction != RestrictNone {
-			// Result.Patterns is a subset: the state alone holds the list.
-			out.State.size += patternListBytes(all)
+			ident:   db.identAt(db.Version()),
+			version: db.Version(),
+			numSeqs: db.NumSequences(),
+			key:     opt.CacheKey(),
+			delta:   res.Delta,
+			size:    deltaStateBytes(res.Delta),
 		}
 	}
 	out.Stats.DeltaPartitionsDirty = int64(res.DeltaDirty)
@@ -688,62 +657,32 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 		out.Stats.TaskRetries += flist.TaskRetries
 		out.Stats.FaultsInjected += flist.FaultsInjected
 	}
+	// One span for the work after the jobs: the canonical merge, the naming
+	// and the restriction.
+	mr.Obs.Record(obs.SpanRecord{Name: "assemble", Partition: -1, Start: res.JobsDone, Duration: time.Since(res.JobsDone)}, nil)
 	return out, nil
 }
 
-// translate names the patterns of res, a run that resumed from prev when it
-// is non-nil. A from-scratch run's are all translated. A delta run's list is
-// prev's with the patterns it lacked inserted (core.Result.Inserted), so a
-// carried pattern takes the Items of prev's translation and only an inserted
-// one is named. The names of one call share one array.
-func translate(f *hierarchy.Forest, res *core.Result, prev *MineState) ([]Pattern, error) {
+// translate names the patterns of res through f. The names of one call
+// share one array.
+func translate(f *hierarchy.Forest, res *core.Result) []Pattern {
 	if len(res.Patterns) == 0 {
-		return nil, nil
-	}
-	var old []Pattern
-	if prev != nil {
-		if old = prev.patterns; len(old) != len(res.Patterns)-len(res.Inserted) {
-			return nil, fmt.Errorf("lash: internal error: a delta run carried %d patterns of a state holding %d",
-				len(res.Patterns)-len(res.Inserted), len(old))
-		}
+		return nil
 	}
 	n := 0
-	if prev == nil {
-		for _, p := range res.Patterns {
-			n += len(p.Items)
-		}
-	}
-	for _, i := range res.Inserted {
-		n += len(res.Patterns[i].Items)
+	for _, p := range res.Patterns {
+		n += len(p.Items)
 	}
 	names := make([]string, 0, n)
-	name := func(items gsm.Sequence) []string {
+	out := make([]Pattern, len(res.Patterns))
+	for i, p := range res.Patterns {
 		start := len(names)
-		for _, w := range items {
+		for _, w := range p.Items {
 			names = append(names, f.Name(w))
 		}
-		return names[start:len(names):len(names)]
+		out[i] = Pattern{Items: names[start:len(names):len(names)], Support: p.Support}
 	}
-	out := make([]Pattern, len(res.Patterns))
-	if prev == nil {
-		for i, p := range res.Patterns {
-			out[i] = Pattern{Items: name(p.Items), Support: p.Support}
-		}
-		return out, nil
-	}
-	// The runs between inserted patterns are carried, copied whole; only a
-	// mined pattern's support can have moved.
-	i, j := 0, 0
-	for _, k := range res.Inserted {
-		j += copy(out[i:k], old[j:])
-		out[k].Items = name(res.Patterns[k].Items)
-		i = int(k) + 1
-	}
-	copy(out[i:], old[j:])
-	for _, k := range res.Mined {
-		out[k].Support = res.Patterns[k].Support
-	}
-	return out, nil
+	return out
 }
 
 // restrict returns the translated patterns of all, the translation of

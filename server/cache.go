@@ -25,14 +25,21 @@ type CacheStats struct {
 
 // resultCache is the only long-lived holder of finished mining results:
 // job records, the pattern endpoints and delta resume read a result — its
-// patterns, its State, its memoized serving index — through here and keep
-// no pointer of their own, so the server remembers of a run what this file
-// retains.
+// State, its memoized serving index, its frequent items and counters —
+// through here and keep no pointer of their own, so the server remembers of
+// a run what this file retains. A result holds its patterns twice: in
+// item-id space in its State, which the next append resumes from, and by
+// name in its serving index, which every pattern body renders from. The
+// named list a run returns (lash.Result.Patterns) is held only until that
+// index is built: the first job bodies render from it, so a reply never
+// waits for the index, and then the entry and the result both drop it.
 //
 // The policy is one LRU list under one byte budget. add charges a result
-// its estimated footprint plus its State, recost adds the serving index and
-// the trace of the job that mined it once the index is built (an entry
-// keeps its job, and so its trace, past the job record), and every read (get, result, latest, resume) promotes.
+// its State, its named list and the rest of its footprint
+// (estimateResultBytes). Once the index is built, recost swaps the named
+// list's charge for the index's and for the trace of the job that mined it
+// (an entry keeps its job, and so its trace, past the job record). Every
+// read (get, result, body, latest, resume) promotes.
 // add and recost then evict from the least recently used end while the
 // charges exceed the budget, but never the most recently used entry: a
 // result larger than the whole budget still reaches whoever waits on it,
@@ -57,14 +64,19 @@ type resultCache struct {
 	hits, misses, evictions *obs.Counter
 }
 
-// cacheEntry is one retained result. Everything but the charge is
-// immutable, so readers use what a lookup returned without the lock.
+// cacheEntry is one retained result. Everything but the charge and the
+// named list is immutable, so readers use what a lookup returned without
+// the lock.
 type cacheEntry struct {
 	job    *job   // the run that mined res: its id, key, database and corpus version name the result
 	optKey string // the run's canonical options without the corpus version: what a resume must match
 	res    *lash.Result
-	bytes  int64
-	el     *list.Element // the entry's place in the LRU list
+	// named is res.Patterns until recost drops it, and namedBytes its share
+	// of bytes. Both are guarded by the cache's lock.
+	named      []lash.Pattern
+	namedBytes int64
+	bytes      int64
+	el         *list.Element // the entry's place in the LRU list
 }
 
 // newResultCache builds a cache with the given byte budget, counting into
@@ -88,14 +100,21 @@ func (c *resultCache) get(key string) (*lash.Result, bool) {
 // result returns the retained result for key: what a job record with that
 // key reports.
 func (c *resultCache) result(key string) (*lash.Result, bool) {
+	res, _, ok := c.body(key)
+	return res, ok
+}
+
+// body returns the retained result for key with its named list, nil once
+// the serving index is built: what a job body with that key renders.
+func (c *resultCache) body(key string) (*lash.Result, []lash.Pattern, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	c.ll.MoveToFront(e.el)
-	return e.res, true
+	return e.res, e.named, true
 }
 
 // latest returns the most recently mined retained result of a database at
@@ -129,26 +148,38 @@ func (c *resultCache) resume(dbName string, db *lash.Database, opt lash.Options)
 	return nil
 }
 
-// estimateResultBytes approximates the footprint of a result's pattern
-// lists: per-pattern and per-item overheads plus string bytes.
+// estimateResultBytes approximates what a cached result holds besides its
+// State, its named list and its serving index, which are charged on their
+// own: its fixed fields, and its frequent items with per-pattern and
+// per-item overheads plus string bytes.
 func estimateResultBytes(res *lash.Result) int64 {
 	bytes := int64(256)
-	for _, ps := range [][]lash.Pattern{res.Patterns, res.FrequentItems} {
-		for _, p := range ps {
-			bytes += 32 // Pattern header
-			for _, it := range p.Items {
-				bytes += int64(len(it)) + 16
-			}
+	for _, p := range res.FrequentItems {
+		bytes += 32 // Pattern header
+		for _, it := range p.Items {
+			bytes += int64(len(it)) + 16
 		}
 	}
 	return bytes
 }
 
-// add retains the result job j mined as the most recently used entry,
-// replacing one already held under j's key, and re-applies the budget.
+// namedBytes charges a named pattern list: each pattern's header and its
+// names' string headers. The names themselves are the hierarchy's.
+func namedBytes(ps []lash.Pattern) int64 {
+	bytes := int64(len(ps)) * 32
+	for _, p := range ps {
+		bytes += int64(len(p.Items)) * 16
+	}
+	return bytes
+}
+
+// add retains the result job j mined, with its named list, as the most
+// recently used entry, replacing one already held under j's key, and
+// re-applies the budget.
 func (c *resultCache) add(j *job, res *lash.Result) {
 	e := &cacheEntry{job: j, optKey: j.options.CacheKey(), res: res,
-		bytes: estimateResultBytes(res) + res.State.SizeBytes()}
+		named: res.Patterns, namedBytes: namedBytes(res.Patterns)}
+	e.bytes = estimateResultBytes(res) + e.namedBytes + res.State.SizeBytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.items[j.key]; ok {
@@ -166,14 +197,17 @@ func (c *resultCache) add(j *job, res *lash.Result) {
 	c.evictOverBudgetLocked()
 }
 
-// recost adds bytes — the serving index and the trace of job j, both
-// complete after add — to the charge of the entry j's result was added as,
-// and re-applies the budget. Ignored when that entry has gone: evicted, or
+// recost re-charges the entry j's result was added as once its serving
+// index is built: the entry drops its named list and that list's charge,
+// adds bytes — the index and the trace of job j, both complete now — and
+// re-applies the budget. Ignored when that entry has gone: evicted, or
 // replaced by a re-mine, whose own job recosts it.
 func (c *resultCache) recost(j *job, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[j.key]; ok && e.job == j {
+		bytes -= e.namedBytes
+		e.named, e.namedBytes = nil, 0
 		e.bytes += bytes
 		c.bytes += bytes
 		c.evictOverBudgetLocked()

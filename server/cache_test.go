@@ -13,8 +13,8 @@ func testCache(budget int64) *resultCache {
 	return newResultCache(budget, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
 }
 
-// resultN is a single-pattern result; its estimate is 256 + 32 + 1 + 16 =
-// 305 bytes.
+// resultN is a single-pattern result; add charges it 304 bytes: the
+// estimate's 256 and its named list's 32 + 16.
 func resultN(n int64) *lash.Result {
 	return &lash.Result{Patterns: []lash.Pattern{{Items: []string{"x"}, Support: n}}}
 }
@@ -50,7 +50,7 @@ func TestCacheLRUByteBudget(t *testing.T) {
 }
 
 // One result may use any share of the budget: an entry charged half of it
-// (part at insertion, the rest when recost adds its index) stays cached. A
+// (once recost has swapped its named list for its index) stays cached. A
 // budget split across shards evicted it on its own insertion.
 func TestCacheHalfBudgetEntryStays(t *testing.T) {
 	res := resultN(1)
@@ -118,14 +118,27 @@ func TestCacheRecost(t *testing.T) {
 	if _, ok := c.get("k1"); !ok {
 		t.Error("k1 evicted although within budget after k0 left")
 	}
+	// Recosting swaps the entry's named list for the bytes given: the list
+	// leaves the entry and the charge.
+	before := c.stats().Bytes
+	if _, named, _ := c.body("k1"); len(named) != 1 {
+		t.Fatalf("k1 holds a named list of %d patterns before recost, want 1", len(named))
+	}
+	c.recost(j1, 100)
+	if res, named, _ := c.body("k1"); named != nil || res.Patterns == nil {
+		t.Errorf("after recost the entry holds %v, the result %v; want the entry's list dropped, the result's left to its owner", named, res.Patterns)
+	}
+	if got, want := c.stats().Bytes, before-namedBytes(resultN(2).Patterns)+100; got != want {
+		t.Errorf("charge %d after recost, want %d", got, want)
+	}
 	// Recosting a job never added, or one whose entry a re-mine under its
 	// key replaced, is a no-op: the entry charges only its own job.
-	before := c.stats().Bytes
 	c.recost(&job{key: "never-added"}, 123)
 	c.add(&job{key: "k1"}, resultN(2))
+	before = c.stats().Bytes
 	c.recost(j1, 123)
-	if s := c.stats(); s.Size != 1 || s.Bytes != before {
-		t.Errorf("size %d, bytes %d after no-op recosts, want 1 and %d", s.Size, s.Bytes, before)
+	if s := c.stats(); s.Size != 1 || s.Bytes != before || before != 304 {
+		t.Errorf("size %d, bytes %d (%d before them) after no-op recosts, want 1 and 304", s.Size, s.Bytes, before)
 	}
 }
 

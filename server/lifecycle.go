@@ -89,7 +89,7 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 	if err == nil {
 		// Before the job leaves its singleflight slot, so a resubmission is
 		// coalesced or a hit, never a re-mine; ahead of the lock, because
-		// charging a result walks every pattern.
+		// charging the named list walks every pattern.
 		m.cache.add(j, res)
 	}
 	m.mu.Lock()
@@ -148,16 +148,21 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 }
 
 // buildIndex builds a finished job's serving index off the worker
-// goroutine, records the build in the job's trace and histogram — the
-// trace's last span, so the trace is trimmed — and adds the index's exact
-// size and the trace's to the result's cache charge. Result.Index is
-// memoized, so the pattern endpoints share the one index built here; a
-// request that races ahead of this goroutine simply builds it first and
-// this call returns the memoized copy instantly.
+// goroutine, then drops the result's named list: from here on the index
+// renders every body of the result, and the list is garbage once the cache
+// entry drops it too. It records the build in the job's trace and histogram
+// — the trace's last span, so the trace is trimmed — and recosts the
+// result's cache entry: the index's exact size and the trace's in, the
+// named list out. Result.Index is memoized under a sync.Once, so the
+// pattern endpoints share the one index built here; a request that races
+// ahead of this goroutine builds it first and this call returns the
+// memoized copy, and every build, the only reader of the list besides the
+// cache entry's, is over before the list is dropped.
 func (m *manager) buildIndex(j *job, res *lash.Result) {
 	defer m.wg.Done()
 	begin := time.Now()
 	ix := res.Index()
+	res.Patterns = nil
 	j.trace.Record(obs.SpanRecord{Name: "index", Partition: -1, Start: begin, Duration: time.Since(begin)}, m.met.pindexBuildSeconds)
 	m.met.pindexBytes.Add(ix.SizeBytes())
 	m.cache.recost(j, ix.SizeBytes()+j.trace.Tracer.Trim())

@@ -15,8 +15,8 @@ import (
 func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
 	v := s.jobs.view(j)
 	if v.Status == JobDone {
-		if res, ok := s.jobs.cache.result(j.key); ok {
-			newWireWriter(w).writeJobBody(v, res)
+		if res, named, ok := s.jobs.cache.body(j.key); ok {
+			newWireWriter(w).writeJobBody(v, res, named)
 			return
 		}
 	}
@@ -107,8 +107,8 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 
 // handleJobTrace answers GET /v1/jobs/{id}/trace with the job's span forest
 // in `lash -trace-out`'s schema (obs.TraceDoc): the queue wait, the "mine"
-// span of its run with the library's jobs, phases, tasks and partitions
-// beneath it, and the serving-index build. A job that failed or was
+// span of its run with the library's jobs, phases, tasks and partitions and
+// the assembly after them beneath it, and the serving-index build. A job that failed or was
 // cancelled has what it recorded before it ended; a cache hit mined
 // nothing and has an empty forest.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -186,7 +187,30 @@ func TestTraceChargedToCache(t *testing.T) {
 	spans := int64(len(j.trace.Tracer.Spans()))
 	want := estimateResultBytes(res) + res.State.SizeBytes() + res.Index().SizeBytes() + spans*int64(unsafe.Sizeof(obs.SpanRecord{}))
 	if _, cache := c.stats(); int64(cache["bytes"].(float64)) != want || spans == 0 {
-		t.Errorf("cache charges %v bytes, want %d (result, state, index and %d trace spans)", cache["bytes"], want, spans)
+		t.Errorf("cache charges %v bytes, want %d (frequent items and fixed fields, state, index and %d trace spans; no named list)", cache["bytes"], want, spans)
+	}
+}
+
+// TestIndexDropsNamedList: a server holding one cold result keeps the
+// result's named list only until its serving index is built. Once the index
+// span is in, the cached Result.Patterns and the entry's list are nil and
+// the index lists what the reply did; TestTraceChargedToCache checks that
+// the charge then holds no list.
+func TestIndexDropsNamedList(t *testing.T) {
+	c := newRetentionClient(t, Config{})
+	reply := c.mine(0)
+	c.settle()
+	j, _ := c.s.jobs.get(reply["job_id"].(string))
+	if !slices.ContainsFunc(j.trace.Tracer.Spans(), func(sp obs.SpanRecord) bool { return sp.Name == "index" }) {
+		t.Fatal("no index span once the job settled")
+	}
+	res, named, ok := c.s.jobs.cache.body(j.key)
+	if !ok || named != nil || res.Patterns != nil {
+		t.Fatalf("retained %v with a named list of %d and Result.Patterns of %d; want retained, both nil", ok, len(named), len(res.Patterns))
+	}
+	listed := len(reply["result"].(map[string]any)["patterns"].([]any))
+	if n := res.Index().Len(); n != listed || n == 0 {
+		t.Errorf("index holds %d patterns, the reply listed %d", n, listed)
 	}
 }
 

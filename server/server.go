@@ -9,7 +9,11 @@
 //     requests onto a single run (singleflight);
 //   - a result cache, the only holder of finished results: resubmissions,
 //     job records, the pattern endpoints and delta resume all read through
-//     its one LRU list under Config.CacheBytes (see cache.go).
+//     its one LRU list under Config.CacheBytes (see cache.go). A cached
+//     result holds its patterns in item-id space, in the State a resume
+//     starts from, and by name in its serving index; the named list a run
+//     returns serves the first replies and is dropped once the index is
+//     built.
 //
 // The HTTP/JSON API (all stdlib) is:
 //
@@ -67,8 +71,9 @@
 //
 // GET /v1/jobs/{id}/trace answers a job's span forest in `lash -trace-out`'s
 // schema: a "queue" span, the "mine" span of its run with the library's
-// jobs, phases, tasks and partitions beneath it, and the "index" span of its
-// serving-index build. Each interval is recorded once, and that record is
+// jobs, phases, tasks and partitions beneath it and its "assemble" span (the
+// canonical merge and the naming after the jobs), and the "index" span of
+// its serving-index build. Each interval is recorded once, and that record is
 // its span, its lash_job_queue_seconds / lash_job_run_seconds /
 // lash_pindex_build_seconds observation and the job view's queue_ms /
 // runtime_ms alike. A failed or cancelled job has what it recorded before
@@ -102,8 +107,9 @@ type Config struct {
 	// Workers bounds how many mining jobs run concurrently (default 4).
 	// Each job itself parallelizes internally via Options.Workers.
 	Workers int
-	// CacheBytes bounds the bytes of mined results — patterns, state,
-	// index — the server retains for every purpose (default 256 MiB); see
+	// CacheBytes bounds the bytes of mined results — state, index, and the
+	// named pattern list until the index is built — the server retains for
+	// every purpose (default 256 MiB); see
 	// resultCache for the policy. Negative means no budget: resubmissions
 	// always re-mine and nothing is evicted.
 	CacheBytes int64

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -55,9 +56,9 @@ func jobSpans(mine *obs.TraceNode) map[string]*obs.TraceNode {
 
 // TestJobTrace: every job that ran has its span forest at
 // GET /v1/jobs/{id}/trace — a done job its queue wait, the mine tree with
-// the library's jobs and phases, and the index build; a failed and a
-// cancelled job what they recorded before ending — while a cache hit has
-// an empty forest and an unknown id is a 404.
+// the library's jobs and phases and the assembly after them, and the index
+// build; a failed and a cancelled job what they recorded before ending —
+// while a cache hit has an empty forest and an unknown id is a 404.
 func TestJobTrace(t *testing.T) {
 	reg := &faults.Registry{}
 	var stall atomic.Bool
@@ -112,6 +113,17 @@ func TestJobTrace(t *testing.T) {
 		if !phases["map"] || !phases["shuffle"] || !phases["reduce"] {
 			t.Errorf("%s job's phases %v, want map, shuffle and reduce", name, phases)
 		}
+	}
+	// The work after the jobs — the canonical merge and the naming — is the
+	// mine span's assemble child.
+	i := slices.IndexFunc(run.Children, func(c *obs.TraceNode) bool { return c.Name == "assemble" })
+	if i < 0 {
+		t.Fatalf("mine span has no assemble child: %+v", run.Children)
+	}
+	if asm, last := run.Children[i], jobs["partition+mine"]; asm.StartMS < last.StartMS+last.DurationMS-1e-3 ||
+		asm.StartMS+asm.DurationMS > run.StartMS+run.DurationMS+1e-3 {
+		t.Errorf("assemble span [%v, +%v] ms, want it after the partition+mine job (ends %v) and within mine (ends %v)",
+			asm.StartMS, asm.DurationMS, last.StartMS+last.DurationMS, run.StartMS+run.DurationMS)
 	}
 
 	hit := mine(testOptions(), true)

@@ -178,8 +178,11 @@ func (ww *wireWriter) writePatternsBody(j *job, ix *pindex.Index, ids []uint32, 
 
 // writeJobBody sends v — a JobView without its Result — with res rendered
 // in the Result position, field for field what encoding/json makes of
-// JobView{..., Result: &ResultView{...}}.
-func (ww *wireWriter) writeJobBody(v JobView, res *lash.Result) {
+// JobView{..., Result: &ResultView{...}}. The patterns are named, res's list
+// while the cache still holds it, and otherwise res's serving index in
+// canonical order: ids 0..Len−1, the order pindex.Build was given the list
+// in, so both render the same bytes.
+func (ww *wireWriter) writeJobBody(v JobView, res *lash.Result, named []lash.Pattern) {
 	ww.buf = appendJSONString(append(ww.buf, `{"job_id":`...), v.ID)
 	ww.str("database", v.Database)
 	ww.optInt("corpus_version", int64(v.CorpusVersion))
@@ -196,7 +199,20 @@ func (ww *wireWriter) writeJobBody(v JobView, res *lash.Result) {
 	ww.optInt("runtime_ms", v.RuntimeMS)
 
 	ww.buf = append(ww.buf, `,"result":{"patterns":`...)
-	ww.patterns(res.Patterns)
+	if named != nil {
+		ww.patterns(named)
+	} else {
+		ix := res.Index()
+		buf := append(ww.buf, '[')
+		for id := range uint32(ix.Len()) {
+			if id > 0 {
+				buf = append(buf, ',')
+			}
+			ww.items = ix.AppendItems(ww.items[:0], id)
+			buf = ww.spill(appendPattern(buf, ww.items, ix.Support(id), "}"))
+		}
+		ww.buf = append(buf, ']')
+	}
 	if len(res.FrequentItems) > 0 {
 		ww.key("frequent_items")
 		ww.patterns(res.FrequentItems)

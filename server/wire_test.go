@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,6 +41,16 @@ func refViewPatterns(ix *pindex.Index, ids []uint32) []PatternView {
 	return out
 }
 
+// refIndexViews is every pattern of ix in canonical order, ids 0..Len−1:
+// the list a job body renders once the index serves it.
+func refIndexViews(ix *pindex.Index) []PatternView {
+	ids := make([]uint32, ix.Len())
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return refViewPatterns(ix, ids)
+}
+
 // refPatternsBody is the GET /v1/patterns body as the handler built it
 // before the wire writer: a map through writeJSON.
 func refPatternsBody(j *job, ix *pindex.Index, ids []uint32, total int, nextCursor string) []byte {
@@ -60,10 +71,13 @@ func refPatternsBody(j *job, ix *pindex.Index, ids []uint32, total int, nextCurs
 }
 
 // refJobBody is a result-bearing job body as the handlers built it before
-// the wire writer: the JobView with a ResultView attached, through writeJSON.
-func refJobBody(v JobView, res *lash.Result) []byte {
+// the wire writer: the JobView with a ResultView of res and patterns
+// attached, through writeJSON. patterns come from the body's source — the
+// named list it was given, or refIndexViews — never from res.Patterns,
+// which the service drops once the index is built.
+func refJobBody(v JobView, res *lash.Result, patterns []PatternView) []byte {
 	v.Result = &ResultView{
-		Patterns:              viewPatterns(res.Patterns),
+		Patterns:              patterns,
 		FrequentItems:         viewPatterns(res.FrequentItems),
 		CorpusVersion:         v.CorpusVersion,
 		NumPartitions:         res.NumPartitions,
@@ -254,19 +268,43 @@ func TestWireJobBodyMatchesEncodingJSON(t *testing.T) {
 		} else if bit(0) == 1 {
 			res.Patterns, res.FrequentItems = []lash.Pattern{}, []lash.Pattern{}
 		}
-		rec := httptest.NewRecorder()
-		newWireWriter(rec).writeJobBody(v, res)
-		checkBody(t, fmt.Sprintf("mask %013b", mask), rec, refJobBody(v, res))
+		checkJobBody(t, fmt.Sprintf("mask %013b", mask), v, res)
 	}
 
 	// Timestamps as the manager makes them: local, UTC, monotonic reading
 	// attached, whole seconds, and the zero value.
 	for _, at := range []time.Time{time.Now(), time.Now().UTC(), time.Unix(1_700_000_000, 0), {}} {
 		v := JobView{ID: "job-1", Database: "db", Status: JobDone, Created: at}
-		rec := httptest.NewRecorder()
-		newWireWriter(rec).writeJobBody(v, &lash.Result{})
-		checkBody(t, at.String(), rec, refJobBody(v, &lash.Result{}))
+		checkJobBody(t, at.String(), v, &lash.Result{})
 	}
+
+	// A mined result over a hierarchy and names that need escaping: its
+	// named list and its index render the same body.
+	s, _ := wireTestServer(t)
+	db, _, _ := s.registry.getVersion("db", 0)
+	res, err := lash.Mine(db, lash.Options{MinSupport: 1, MaxGap: 1, MaxLength: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := JobView{ID: "job-1", Database: "db", Status: JobDone, Created: created}
+	checkJobBody(t, "mined", v, res)
+	rec := httptest.NewRecorder()
+	newWireWriter(rec).writeJobBody(v, res, res.Patterns)
+	checkBody(t, "mined, named against the index", rec, refJobBody(v, res, refIndexViews(res.Index())))
+}
+
+// checkJobBody renders res's job body from both sources — its named list,
+// as the first replies do, and its serving index, as every reply after the
+// index build does — and compares each with encoding/json over the same
+// source.
+func checkJobBody(t *testing.T, name string, v JobView, res *lash.Result) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	newWireWriter(rec).writeJobBody(v, res, res.Patterns)
+	checkBody(t, name+", named", rec, refJobBody(v, res, viewPatterns(res.Patterns)))
+	rec = httptest.NewRecorder()
+	newWireWriter(rec).writeJobBody(v, res, nil)
+	checkBody(t, name+", indexed", rec, refJobBody(v, res, refIndexViews(res.Index())))
 }
 
 // FuzzWirePatterns holds every pattern list the writer renders — a job
@@ -282,15 +320,13 @@ func FuzzWirePatterns(f *testing.F) {
 			FrequentItems: []lash.Pattern{{Items: []string{a}, Support: support}},
 		}
 		v := JobView{ID: a, Database: b, Status: JobDone, Created: time.Unix(1_700_000_000, 0)}
-		rec := httptest.NewRecorder()
-		newWireWriter(rec).writeJobBody(v, res)
-		checkBody(t, "job body", rec, refJobBody(v, res))
+		checkJobBody(t, "job body", v, res)
 
 		ix := res.Index()
 		all, _ := ix.Search(nil, pindex.Query{Level: pindex.NoLevel}, 0, -1)
 		j := &job{id: a, dbName: b, version: 1}
 		cursor := encodeCursor(b, 1)
-		rec = httptest.NewRecorder()
+		rec := httptest.NewRecorder()
 		newWireWriter(rec).writePatternsBody(j, ix, all, len(all), cursor)
 		checkBody(t, "page", rec, refPatternsBody(j, ix, all, len(all), cursor))
 
@@ -328,10 +364,7 @@ func TestWireChunkedBody(t *testing.T) {
 	}
 
 	v := JobView{ID: "job-1", Database: "big", CorpusVersion: 1, Status: JobDone, Created: time.Now()}
-	res := &lash.Result{Patterns: mined, FrequentItems: mined[:10]}
-	rec = httptest.NewRecorder()
-	newWireWriter(rec).writeJobBody(v, res)
-	checkBody(t, "job", rec, refJobBody(v, res))
+	checkJobBody(t, "job", v, &lash.Result{Patterns: mined, FrequentItems: mined[:10]})
 
 	rec = httptest.NewRecorder()
 	newWireWriter(rec).writePatternsBody(j, ix, all[:2], len(all), "")
@@ -470,7 +503,7 @@ func TestHandlersServeEncodingJSONBytes(t *testing.T) {
 
 	// The job endpoints: GET /v1/jobs/{id}, and POST /v1/mine answered from
 	// the cache (a fresh job id, cached: true, the same result).
-	checkBody(t, "GET job", get("/v1/jobs/"+j.id), refJobBody(s.jobs.view(j), resultOf(t, s, j)))
+	checkBody(t, "GET job", get("/v1/jobs/"+j.id), refJobBody(s.jobs.view(j), resultOf(t, s, j), refIndexViews(ix)))
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/mine", strings.NewReader(
 		`{"database":"db","options":{"min_support":1,"max_gap":1,"max_length":3}}`)))
@@ -479,7 +512,7 @@ func TestHandlersServeEncodingJSONBytes(t *testing.T) {
 		t.Fatalf("repeat mine was not a cache hit: %v %s", err, rec.Body)
 	}
 	hj, _ := s.jobs.get(hit.ID)
-	checkBody(t, "POST mine (cache hit)", rec, refJobBody(s.jobs.view(hj), resultOf(t, s, hj)))
+	checkBody(t, "POST mine (cache hit)", rec, refJobBody(s.jobs.view(hj), resultOf(t, s, hj), refIndexViews(ix)))
 }
 
 // TestWireNDJSONMatchesEncodingJSON holds the NDJSON records of
@@ -613,7 +646,7 @@ func TestConcurrentPatternRequests(t *testing.T) {
 		"/v1/patterns?db=db":            refPatternsBody(j, ix, all, total, ""),
 		"/v1/patterns?db=db&top=2":      refPatternsBody(j, ix, all[:2], total, ""),
 		"/v1/patterns?db=db&prefix=a":   refPatternsBody(j, ix, withA, totalA, ""),
-		"/v1/jobs/" + j.id:              refJobBody(s.jobs.view(j), resultOf(t, s, j)),
+		"/v1/jobs/" + j.id:              refJobBody(s.jobs.view(j), resultOf(t, s, j), refIndexViews(ix)),
 		"/v1/patterns?db=db&top=notint": nil, // a 400 through writeError, counted under another series
 	}
 	var wg sync.WaitGroup
@@ -639,10 +672,80 @@ func TestConcurrentPatternRequests(t *testing.T) {
 	wg.Wait()
 }
 
+// TestJobBodyWhileListDrops hammers GET /v1/jobs/{id} from several
+// goroutines while the job finishes and buildIndex drops its named list, so
+// under -race a reader of the list that the drop is not ordered with shows
+// up, and every done body, whichever source rendered it, must be the same
+// bytes as the index's.
+func TestJobBodyWhileListDrops(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(func() { s.Close(t.Context()) }) //nolint:errcheck // test teardown
+	if _, err := s.AddDatabase(DatabaseSpec{Name: "text", Generator: "text", Size: 1500, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/mine", strings.NewReader(
+		`{"database":"text","options":{"min_support":20,"max_gap":1,"max_length":4}}`)))
+	var sub JobView
+	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+	var (
+		wg         sync.WaitGroup
+		stop       = make(chan struct{})
+		firstBody  = make([][]byte, 4)
+		doneBodies atomic.Int64
+	)
+	for g := range firstBody {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+sub.ID, nil))
+				if !bytes.Contains(rec.Body.Bytes(), []byte(`"result":`)) {
+					continue
+				}
+				doneBodies.Add(1)
+				if firstBody[g] == nil {
+					firstBody[g] = rec.Body.Bytes()
+				} else if !bytes.Equal(rec.Body.Bytes(), firstBody[g]) {
+					t.Error("two done bodies of one job differ")
+					return
+				}
+			}
+		}()
+	}
+	j, _ := s.jobs.get(sub.ID)
+	<-j.done
+	s.jobs.wg.Wait() // the index is built and the list dropped
+	for after := doneBodies.Load() + int64(len(firstBody)); doneBodies.Load() < after; {
+		time.Sleep(time.Millisecond) // until bodies rendered after the drop are in
+	}
+	close(stop)
+	wg.Wait()
+	res, named, ok := s.jobs.cache.body(j.key)
+	if !ok || named != nil || res.Patterns != nil {
+		t.Fatalf("after the index build: retained %v, named list of %d, Result.Patterns of %d; want retained, both dropped", ok, len(named), len(res.Patterns))
+	}
+	want := refJobBody(s.jobs.view(j), res, refIndexViews(res.Index()))
+	for g, body := range firstBody {
+		if !bytes.Equal(body, want) {
+			t.Errorf("goroutine %d: done body differs from the index's", g)
+		}
+	}
+}
+
 // BenchmarkMineReply times the largest body the service sends: the
 // POST /v1/mine reply of a result the size of bench/'s cold-text workload
-// (16 000 sentences, σ 32, γ 1, λ 4), rendered by writeJobBody to a writer
-// that discards it. reply-B/op is the body's size.
+// (16 000 sentences, σ 32, γ 1, λ 4), rendered by writeJobBody from the
+// result's serving index, as every reply after the index build is, to a
+// writer that discards it. reply-B/op is the body's size.
 func BenchmarkMineReply(b *testing.B) {
 	s := New(Config{})
 	b.Cleanup(func() { s.Close(b.Context()) }) //nolint:errcheck // benchmark teardown
@@ -662,7 +765,7 @@ func BenchmarkMineReply(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		w.n = 0
-		newWireWriter(w).writeJobBody(v, res)
+		newWireWriter(w).writeJobBody(v, res, nil)
 	}
 	b.ReportMetric(float64(w.n), "reply-B/op")
 }
