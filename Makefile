@@ -42,9 +42,10 @@ chaos:
 
 # lashvet runs the project-invariant analyzer suite (ctxfirst,
 # atomicfield, obshandle, emitgo, errjob, faultpoint, apierr, and the
-# whole-program testonly: every internal/... declaration is referenced by
-# production code of the root module or of bench/, not only by tests) over
-# the root module. The analyzers live in the tools/ module so the root
+# whole-program testonly: every declaration of every package of the root
+# module, exported or not, is referenced by production code of the root
+# module or of bench/, or by an Example with a checked "// Output:", not
+# only by tests) over the root module. The analyzers live in the tools/ module so the root
 # go.mod stays dependency-free. See "Static analysis" in README.md.
 lashvet:
 	$(GO) -C tools run ./cmd/lashvet -dir .. ./...

@@ -10,7 +10,7 @@
 // sequence per line) and <out>.hier (one "child parent" edge per line).
 // With -format binary, one compact file <out>.ldb is produced — the binary
 // corpus format (dictionary + hierarchy + varint sequences) that the lash
-// CLI and lash.OpenBinaryDatabase read without materializing item strings.
+// CLI and lash.ReadBinaryDatabase read without materializing item strings.
 package main
 
 import (

@@ -141,17 +141,6 @@ func (d *Database) Append(fragment *Database) (*Database, error) {
 	return &Database{db: merged, version: d.Version() + 1, idents: ids}, nil
 }
 
-// AppendBinary is Append with the fragment decoded from the compact binary
-// format (a self-contained .ldb stream: its own dictionary, hierarchy, and
-// sequences; items are matched to the base database by name).
-func (d *Database) AppendBinary(r io.Reader) (*Database, error) {
-	frag, err := ReadBinaryDatabase(r)
-	if err != nil {
-		return nil, err
-	}
-	return d.Append(frag)
-}
-
 // mergeAppend merges fragment into base by item name: existing items keep
 // their ids, levels, and parents (a conflicting fragment parent is an
 // error); new items are interned after the existing vocabulary in fragment
@@ -237,26 +226,6 @@ func (d *Database) NumItems() int { return d.db.Forest.Size() }
 // HierarchyDepth returns the number of hierarchy levels (1 = flat).
 func (d *Database) HierarchyDepth() int { return d.db.Forest.Depth() }
 
-// ItemLevel returns the hierarchy level of the named item (0 = root), or
-// -1 when the item is not in the vocabulary.
-func (d *Database) ItemLevel(name string) int {
-	w, ok := d.db.Forest.Lookup(name)
-	if !ok {
-		return -1
-	}
-	return d.db.Forest.Level(w)
-}
-
-// ItemParent returns the name of the item's direct generalization. The
-// second result is false when the item is unknown or a hierarchy root.
-func (d *Database) ItemParent(name string) (string, bool) {
-	w, ok := d.db.Forest.Lookup(name)
-	if !ok || d.db.Forest.IsRoot(w) {
-		return "", false
-	}
-	return d.db.Forest.Name(d.db.Forest.Parent(w)), true
-}
-
 // Sequence returns the i-th input sequence as item names.
 func (d *Database) Sequence(i int) []string {
 	seq := d.db.Seqs[i]
@@ -289,13 +258,6 @@ func (d *DatabaseBuilder) AddParent(child, parent string) *DatabaseBuilder {
 	return d
 }
 
-// AddItem interns an item without a parent (a root, unless AddParent later
-// gives it one).
-func (d *DatabaseBuilder) AddItem(name string) *DatabaseBuilder {
-	d.b.Add(name)
-	return d
-}
-
 // AddSequence appends one input sequence; unknown items are interned as
 // roots.
 func (d *DatabaseBuilder) AddSequence(items ...string) *DatabaseBuilder {
@@ -306,9 +268,6 @@ func (d *DatabaseBuilder) AddSequence(items ...string) *DatabaseBuilder {
 	d.seqs = append(d.seqs, seq)
 	return d
 }
-
-// NumSequences returns the number of sequences added so far.
-func (d *DatabaseBuilder) NumSequences() int { return len(d.seqs) }
 
 // Build validates the hierarchy (forest shape, no cycles) and returns the
 // immutable database.
@@ -337,15 +296,6 @@ func ReadBinaryDatabase(r io.Reader) (*Database, error) {
 		return nil, err
 	}
 	db, err := sr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return newDatabase(db), nil
-}
-
-// OpenBinaryDatabase reads a binary database file from path.
-func OpenBinaryDatabase(path string) (*Database, error) {
-	db, err := seqdb.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}

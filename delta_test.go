@@ -639,7 +639,11 @@ func TestAppendBinary(t *testing.T) {
 	if err := frag.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := base.AppendBinary(&buf)
+	fragBack, err := lash.ReadBinaryDatabase(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := base.Append(fragBack)
 	if err != nil {
 		t.Fatal(err)
 	}

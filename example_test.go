@@ -2,6 +2,7 @@ package lash_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"lash"
@@ -117,4 +118,83 @@ func ExampleMine_sweep() {
 	// σ=10: 979 patterns
 	// σ=5: 3681 patterns
 	// f-list jobs run: 1
+}
+
+// Hierarchy-aware against flat mining of the same purchase sessions (the
+// paper's AMZN use case, §6.1): most of what LASH finds are behaviours over
+// categories ("some camera, then some photography book"), which flat
+// mining (MG-FSM) cannot see.
+func ExampleMine_flat() {
+	db, err := lash.GenerateMarketDatabase(lash.MarketConfig{Users: 2000, Products: 1000, HierarchyLevels: 4, Seed: 7})
+	if err != nil {
+		panic(err)
+	}
+	opt := lash.Options{MinSupport: 20, MaxGap: 1, MaxLength: 3}
+	res, err := lash.Mine(db, opt)
+	if err != nil {
+		panic(err)
+	}
+	opt.Algorithm = lash.AlgorithmMGFSM
+	flat, err := lash.Mine(db, opt)
+	if err != nil {
+		panic(err)
+	}
+	// Products are "prodN"; a top-level category is "cN", and its
+	// subcategories "cN/M", "cN/M/K".
+	categories := 0
+	var top lash.Pattern
+	for _, p := range res.Patterns {
+		if slices.ContainsFunc(p.Items, func(it string) bool { return strings.HasPrefix(it, "prod") }) {
+			continue
+		}
+		categories++
+		topLevel := !slices.ContainsFunc(p.Items, func(it string) bool { return strings.Contains(it, "/") })
+		if topLevel && len(p.Items) == 3 && p.Items[0] != p.Items[1] && p.Items[1] != p.Items[2] && p.Support > top.Support {
+			top = p
+		}
+	}
+	fmt.Println("LASH:", len(res.Patterns), "patterns, MG-FSM:", len(flat.Patterns))
+	fmt.Println(categories, "name categories only; the most frequent over three top-level ones:")
+	fmt.Println(strings.Join(top.Items, " "), top.Support)
+	// Output:
+	// LASH: 2068 patterns, MG-FSM: 61
+	// 1142 name categories only; the most frequent over three top-level ones:
+	// c30 c22 c30 41
+}
+
+// Generalized n-grams (the paper's NYT use case, §6.2): with γ=0 a pattern
+// is contiguous, and each of its items may be a word, its lemma or its
+// part-of-speech tag, so templates are mined that no sentence holds
+// literally. Words and lemmas carry digits ("w12s", "w12"); tags do not.
+func ExampleMine_ngram() {
+	db, err := lash.GenerateTextDatabase(lash.TextConfig{Sentences: 2000, Lemmas: 1000, Seed: 2015})
+	if err != nil {
+		panic(err)
+	}
+	res, err := lash.Mine(db, lash.Options{MinSupport: 20, MaxGap: 0, MaxLength: 3})
+	if err != nil {
+		panic(err)
+	}
+	isTag := func(it string) bool { return !strings.ContainsAny(it, "0123456789") }
+	templates := 0
+	var top lash.Pattern
+	for _, p := range res.Patterns {
+		tags := 0
+		for _, it := range p.Items {
+			if isTag(it) {
+				tags++
+			}
+		}
+		if tags > 0 && tags < len(p.Items) {
+			templates++
+			if len(p.Items) == 3 && p.Support > top.Support {
+				top = p
+			}
+		}
+	}
+	fmt.Println(len(res.Patterns), "n-grams,", templates, "mix words with tags, the most frequent of length 3:")
+	fmt.Println(strings.Join(top.Items, " "), top.Support)
+	// Output:
+	// 2865 n-grams, 1811 mix words with tags, the most frequent of length 3:
+	// NN NN w0 329
 }

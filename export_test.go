@@ -4,13 +4,56 @@ import (
 	"bytes"
 	"context"
 
+	"lash/internal/baseline"
 	"lash/internal/core"
 	"lash/internal/gsm"
 	"lash/internal/hierarchy"
 	"lash/internal/mapreduce"
 	"lash/internal/miner"
+	"lash/internal/obs"
 	"lash/internal/stats"
 )
+
+// ErrAborted is the error of a baseline run that exceeded
+// Options.MaxIntermediate.
+var ErrAborted = baseline.ErrEmitCapExceeded
+
+// ItemLevel returns the hierarchy level of the named item (0 = root), or
+// -1 when the item is not in the vocabulary.
+func (d *Database) ItemLevel(name string) int {
+	w, ok := d.db.Forest.Lookup(name)
+	if !ok {
+		return -1
+	}
+	return d.db.Forest.Level(w)
+}
+
+// ItemParent returns the name of the item's direct generalization. The
+// second result is false when the item is unknown or a hierarchy root.
+func (d *Database) ItemParent(name string) (string, bool) {
+	w, ok := d.db.Forest.Lookup(name)
+	if !ok || d.db.Forest.IsRoot(w) {
+		return "", false
+	}
+	return d.db.Forest.Name(d.db.Forest.Parent(w)), true
+}
+
+// NumUsers returns the number of distinct users seen so far.
+func (s *SessionBuilder) NumUsers() int { return len(s.order) }
+
+// Drift returns how many partition sequences the state's lineage has cost
+// since its last from-scratch mine, as a multiple of what frequency order
+// would have cost (core.DeltaState.Drift). It is 1 for a from-scratch
+// run's state.
+func (s *MineState) Drift() float64 {
+	if s == nil {
+		return 0
+	}
+	return s.delta.Drift()
+}
+
+// Spans returns the trace's retained spans ordered by start time.
+func (t *Trace) Spans() []obs.SpanRecord { return t.handle().Spans() }
 
 // mineUnder is a from-scratch mine of db ranked in order (core.MineUnder),
 // under opt's partitioned algorithm: the reference a resume's statistics are

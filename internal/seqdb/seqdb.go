@@ -22,7 +22,9 @@
 // size its arena exactly once. The format is streaming-writable and
 // streaming-readable; readers validate every length and id against hard
 // bounds before allocating, so truncated or corrupt input fails with an
-// error instead of an OOM or a panic (fuzz-tested).
+// error instead of an OOM or a panic. Truncation, trailing garbage, a
+// duplicate dictionary name and an out-of-vocabulary id are all errors
+// (FuzzReader, FuzzRoundTrip).
 package seqdb
 
 import (
@@ -151,7 +153,6 @@ type Reader struct {
 	seqs    uint64 // declared sequence count
 	total   uint64 // declared Σ sequence lengths
 	read    uint64 // sequences returned so far
-	closer  io.Closer
 	lastErr error
 }
 
@@ -217,31 +218,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, err
 	}
 	return &Reader{br: br, forest: forest, items: itemCount, seqs: seqCount, total: total}, nil
-}
-
-// Open opens path and parses its header; Close releases the file.
-func Open(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r.closer = f
-	return r, nil
-}
-
-// Close closes the underlying file, when the Reader owns one (Open).
-func (r *Reader) Close() error {
-	if r.closer == nil {
-		return nil
-	}
-	err := r.closer.Close()
-	r.closer = nil
-	return err
 }
 
 // Next decodes the next sequence, appending its items to dst (pass dst[:0]
@@ -318,16 +294,6 @@ func (r *Reader) ReadAll() (*gsm.Database, error) {
 		return nil, errors.New("seqdb: trailing garbage after last sequence")
 	}
 	return &gsm.Database{Seqs: seqs, Forest: r.forest}, nil
-}
-
-// ReadFile opens, fully decodes, and closes path.
-func ReadFile(path string) (*gsm.Database, error) {
-	r, err := Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return r.ReadAll()
 }
 
 // readUvarint reads one varint, annotating truncation with what was being

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -130,7 +131,16 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := seqdb.WriteFile(path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := seqdb.ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := seqdb.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ type Options struct {
 	// Workers bounds real parallelism (default: all CPUs).
 	Workers int
 	// MaxIntermediate caps the records the naïve/semi-naïve baselines may
-	// emit before aborting with ErrAborted (0 = unlimited). The count is
+	// emit before the run fails (0 = unlimited). The count is
 	// cumulative across attempts: under MaxAttempts a retried map task's
 	// re-emissions count against the cap twice.
 	MaxIntermediate int64
@@ -231,11 +231,12 @@ type Options struct {
 	// state; a newly frequent item's partition is mined. A grown partition
 	// whose input the state kept (states taken by Resume runs keep the input
 	// of every partition they mined) reads its old sequences from there, and
-	// only the appended sequences are partitioned for it. A state that has
-	// drifted too far from frequency order (MineState.Drift) is not resumed:
-	// the run mines from scratch (RunStats.Rebased). The patterns and
-	// frequent items are byte-identical to a from-scratch mine (Result.Stats
-	// reports the dirty/reused/grown split). The state must come from a run
+	// only the appended sequences are partitioned for it. A state whose
+	// lineage has drifted too far from frequency order (its resumes cost
+	// over 1.1 times the partition sequences frequency order would have) is
+	// not resumed: the run mines from scratch (RunStats.Rebased). The
+	// patterns and frequent items are byte-identical to a from-scratch mine
+	// (Result.Stats reports the dirty/reused/grown split). The state must come from a run
 	// on an earlier version of the same database lineage with equal
 	// canonical options (see MineState.ValidFor); baselines ignore Resume and
 	// mine from scratch. Ignored by CacheKey.
@@ -270,20 +271,6 @@ func (s *MineState) CorpusVersion() int {
 		return 0
 	}
 	return s.version
-}
-
-// Drift returns how many partition sequences the state's lineage has cost
-// since its last from-scratch mine, as a multiple of what frequency order
-// would have cost: a Resume run keeps its state's item order, which appends
-// can leave far from frequency order, and each counts what its appended
-// sequences rewrite to under both. A Resume run from a state whose drift
-// exceeds 1.1 mines from scratch (RunStats.Rebased). It is 1 for a
-// from-scratch run's state.
-func (s *MineState) Drift() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.delta.Drift()
 }
 
 // SizeBytes returns the deterministic byte accounting of what the state
@@ -387,9 +374,6 @@ const (
 	// RestrictMaximal keeps only patterns with no frequent supersequence.
 	RestrictMaximal
 )
-
-// ErrAborted reports that a baseline run exceeded Options.MaxIntermediate.
-var ErrAborted = baseline.ErrEmitCapExceeded
 
 // ErrDeadlineExceeded reports that a run outlived Options.Deadline and was
 // cancelled. Errors returned by deadline-exceeded runs match it (and
@@ -500,9 +484,10 @@ type RunStats struct {
 	DeltaPartitionsReused int64
 	DeltaPartitionsGrown  int64
 	DeltaPartitionsLean   int64
-	// Rebased reports a Resume run whose state had drifted
-	// (MineState.Drift): it mined every partition from scratch, in
-	// frequency order, and its state starts the lineage's order afresh.
+	// Rebased reports a Resume run whose state had drifted too far from
+	// frequency order (see Options.Resume): it mined every partition from
+	// scratch, in frequency order, and its state starts the lineage's
+	// order afresh.
 	Rebased bool
 }
 

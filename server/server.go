@@ -81,6 +81,10 @@
 // kept with its job record, and a done job's is trimmed and charged to its
 // cached result with the serving index: Config.JobHistory bounds the traces
 // of listed jobs, Config.CacheBytes those the cache keeps past their record.
+// To follow one request into its run, take its request_id from the
+// "http request" log line to the admission line ("job queued", "job
+// coalesced" or "job answered from cache") that logs it with the job_id,
+// whose trace this is.
 //
 // Command lashd wraps this package in a binary with graceful shutdown.
 package server

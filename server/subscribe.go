@@ -37,7 +37,7 @@ func startNDJSON(w http.ResponseWriter) (*json.Encoder, func()) {
 // sendIndex writes res's patterns to w as NDJSON records in serving order —
 // the order /v1/patterns lists — and returns how many it wrote. Each record
 // is rendered by appendPattern with tail closing it: "}\n" gives a
-// PatternView, `,"replay":true}` plus a newline a SubscribeRecord. It walks
+// PatternView, `,"replay":true}` plus a newline a subscribe record. It walks
 // res's serving index, which is immutable, so it needs no lock. It writes
 // and flushes every 64 records: every record would thrash syscalls on dense
 // results, never would defeat streaming. False means the client is gone.
@@ -94,16 +94,6 @@ func (m *manager) follow(dbName string, since time.Time, delivered map[string]bo
 		}
 	}
 	return nil
-}
-
-// SubscribeRecord is one NDJSON line of GET /v1/patterns/subscribe before
-// the trailer: a pattern, marked replay:true when it came from the latest
-// result completed before the subscription began and replay:false when it
-// came from a followed job.
-type SubscribeRecord struct {
-	Items   []string `json:"items"`
-	Support int64    `json:"support"`
-	Replay  bool     `json:"replay"`
 }
 
 // SubscribeMarker is the corpus-version marker line of

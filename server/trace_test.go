@@ -3,9 +3,11 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"math"
 	"net/http"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -168,5 +170,107 @@ func TestJobTrace(t *testing.T) {
 	status, body := call(t, "GET", ts.URL+"/v1/jobs/job-999/trace", nil)
 	if code, _, _ := errBody(t, body); status != http.StatusNotFound || code != "job_not_found" {
 		t.Errorf("unknown job's trace: status %d code %q, want 404 job_not_found", status, code)
+	}
+}
+
+// captureLog is a slog handler that keeps each record's message and
+// attributes as strings.
+type captureLog struct {
+	mu   sync.Mutex
+	recs []map[string]string
+}
+
+func (c *captureLog) Enabled(context.Context, slog.Level) bool { return true }
+
+func (c *captureLog) Handle(_ context.Context, r slog.Record) error {
+	rec := map[string]string{"msg": r.Message}
+	r.Attrs(func(a slog.Attr) bool {
+		rec[a.Key] = a.Value.String()
+		return true
+	})
+	c.mu.Lock()
+	c.recs = append(c.recs, rec)
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *captureLog) WithAttrs([]slog.Attr) slog.Handler { return c }
+func (c *captureLog) WithGroup(string) slog.Handler      { return c }
+
+// find returns the records whose msg is msg.
+func (c *captureLog) find(msg string) []map[string]string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []map[string]string
+	for _, r := range c.recs {
+		if r["msg"] == msg {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestRequestJobJoin: a request is followed to the job that answered it
+// through the logs. Each admission outcome — queued, coalesced onto a
+// running job, answered from the cache — logs one record with the
+// request's request_id and the job_id it got, the request_id is that of the
+// request's own "http request" record, and the job's trace then leads to
+// its partitions.
+func TestRequestJobJoin(t *testing.T) {
+	logs := &captureLog{}
+	gate := make(chan struct{})
+	_, ts := newTestServer(t, server.Config{Logger: slog.New(logs), MineFunc: func(ctx context.Context, db *lash.Database, opt lash.Options) (*lash.Result, error) {
+		<-gate // hold the first run so the second request coalesces onto it
+		return lash.MineContext(ctx, db, opt)
+	}})
+	mustRegister(t, ts, testSpec("db"))
+	req := map[string]any{"database": "db", "options": testOptions()}
+	mine := func() string {
+		t.Helper()
+		status, body := call(t, "POST", ts.URL+"/v1/mine", req)
+		if status != http.StatusOK && status != http.StatusAccepted {
+			t.Fatalf("mine: status %d body %v", status, body)
+		}
+		return body["job_id"].(string)
+	}
+	queued := mine()
+	if coalesced := mine(); coalesced != queued {
+		t.Fatalf("the repeat got job %s, want the running %s", coalesced, queued)
+	}
+	close(gate)
+	waitForJob(t, ts, queued)
+	hit := mine()
+
+	seen := map[string]bool{}
+	for _, c := range []struct{ msg, job string }{
+		{"job queued", queued}, {"job coalesced", queued}, {"job answered from cache", hit},
+	} {
+		recs := logs.find(c.msg)
+		if len(recs) != 1 {
+			t.Fatalf("%d %q records, want 1", len(recs), c.msg)
+		}
+		id := recs[0]["request_id"]
+		if recs[0]["job_id"] != c.job || seen[id] {
+			t.Errorf("%q record %v: want job_id %s and a request_id of its own", c.msg, recs[0], c.job)
+		}
+		seen[id] = true
+		// The middleware logs a request once its handler has returned.
+		var path string
+		waitUntil(t, "the http request record of "+c.msg, func() bool {
+			for _, r := range logs.find("http request") {
+				if r["request_id"] == id {
+					path = r["path"]
+					return true
+				}
+			}
+			return false
+		})
+		if path != "/v1/mine" {
+			t.Errorf("%q record's request_id %s is a request to %s, want POST /v1/mine", c.msg, id, path)
+		}
+	}
+	run := rootNamed(getTrace(t, ts.URL, queued), "mine")
+	if run == nil || jobSpans(run)["partition+mine"] == nil {
+		t.Fatalf("job %s's trace has no partition+mine job under its mine span", queued)
 	}
 }

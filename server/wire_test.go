@@ -123,6 +123,14 @@ func subscribeRecord(replay bool) func([]string, int64) any {
 	}
 }
 
+// SubscribeRecord is one NDJSON pattern line of GET
+// /v1/patterns/subscribe, as the handler encoded it before the wire writer.
+type SubscribeRecord struct {
+	Items   []string `json:"items"`
+	Support int64    `json:"support"`
+	Replay  bool     `json:"replay"`
+}
+
 // ndjsonTails pairs each record tail the streaming handlers pass to
 // sendIndex with the record struct it stands for.
 var ndjsonTails = []struct {

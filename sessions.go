@@ -36,9 +36,6 @@ func (s *SessionBuilder) Add(user string, timestamp int64, item string) *Session
 	return s
 }
 
-// NumUsers returns the number of distinct users seen so far.
-func (s *SessionBuilder) NumUsers() int { return len(s.order) }
-
 // AppendTo sorts each user's events by timestamp and appends one sequence
 // per user (in user first-seen order) to the database builder.
 func (s *SessionBuilder) AppendTo(db *DatabaseBuilder) {

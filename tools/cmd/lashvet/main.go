@@ -7,7 +7,7 @@
 //	errjob      %w-wrapped, job/phase-annotated errors at the boundary
 //	faultpoint  fault-injection points are constant, package-prefixed, unique names
 //	apierr      server handlers respond non-2xx only through the writeError envelope
-//	testonly    every internal/... declaration is referenced by production code, not only by tests
+//	testonly    every declaration of the module is referenced by production code or a checked example, not only by tests
 //
 // Usage (the `make lint` gate):
 //

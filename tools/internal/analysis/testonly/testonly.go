@@ -1,20 +1,23 @@
 // Package testonly enforces that production code holds only what
 // production calls: every package-level function, type, variable,
-// constant and method declared in one of the module's internal/...
-// packages is referenced by some non-test file of the module, or of a
-// module nested under it that builds against it (this repository's
-// bench/), outside the symbol's own declaration. A type's methods count
-// as part of its declaration, so a type named only in its own receivers is
-// unused. Each other symbol is reported as "unused", or as "used only by
-// tests of this package" when its own package's tests name it: delete it,
-// or move it into the package's _test.go files.
+// constant and method declared in any package of the module, exported or
+// not, is referenced by a program outside the symbol's own declaration.
+// A program is a non-test file of the module, or of a module nested under
+// it that builds against it (this repository's bench/), or an Example
+// function with a checked "// Output:" comment: go test runs it and
+// compares what it prints, so it is a caller of the public API that the
+// tests keep working. A type's methods count as part of its declaration,
+// so a type named only in its own receivers is unused. Each other symbol
+// is reported as "unused", or as "used only by tests of this package"
+// when its own package's tests name it: delete it, or move it into the
+// package's _test.go files.
 //
 // Three kinds of symbol are not reported, each worked out from the code:
 //   - a method that implements a method of an interface type the program
 //     declares, imports or writes inline (String, Error, a miner's Mine):
 //     it is called through the interface;
-//   - any symbol of a package that no production file imports (a package
-//     of test fixtures), since all of it exists for tests;
+//   - any symbol of a non-main package that no production file imports (a
+//     package of test fixtures), since all of it exists for tests;
 //   - a symbol that the _test.go files of another package use, because Go
 //     cannot move an API shared across packages' tests into a test file.
 //
@@ -24,6 +27,7 @@ package testonly
 
 import (
 	"go/ast"
+	"go/doc"
 	"go/types"
 
 	"lash/tools/internal/analysis"
@@ -33,7 +37,7 @@ import (
 // Analyzer is the whole-program testonly pass.
 var Analyzer = &analysis.Analyzer{
 	Name:       "testonly",
-	Doc:        "internal/... declarations are referenced by production code, not only by tests",
+	Doc:        "declarations are referenced by production code or checked examples, not only by tests",
 	RunProgram: run,
 }
 
@@ -49,13 +53,13 @@ func run(pass *analysis.ProgramPass) error {
 		}
 	}
 	implements := interfaceMethods(all)
-	tests, err := scanTests(prog)
+	tests, err := scanTests(prog, used)
 	if err != nil {
 		return err
 	}
 	for _, p := range prog.Targets {
 		path := p.Pkg.Path()
-		if !analysis.PathHasElement(path, "internal") || !imported[path] {
+		if p.Pkg.Name() != "main" && !imported[path] {
 			continue
 		}
 		for _, d := range declared(p) {
@@ -272,8 +276,11 @@ func interfaceMethods(pkgs []*load.Package) map[string]bool {
 }
 
 // scanTests type-checks the program's test files and maps the key of each
-// symbol they refer to to the packages whose tests refer to it.
-func scanTests(prog *load.Program) (map[string]map[string]bool, error) {
+// symbol they refer to to the packages whose tests refer to it. The keys
+// that a checked example refers to (go/doc's reading of the file: the
+// example's body, or its whole file when that is the example) are marked
+// in used.
+func scanTests(prog *load.Program, used map[string]bool) (map[string]map[string]bool, error) {
 	tests, err := prog.CheckTests()
 	if err != nil {
 		return nil, err
@@ -293,6 +300,19 @@ func scanTests(prog *load.Program) (map[string]map[string]bool, error) {
 				}
 				return true
 			})
+			for _, ex := range doc.Examples(f) {
+				if ex.Output == "" && !ex.EmptyOutput {
+					continue // compiled but never run
+				}
+				ast.Inspect(ex.Code, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && p.Info.Uses[id] != nil {
+						if k := key(p.Info.Uses[id]); k != "" {
+							used[k] = true
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
 	return t, nil

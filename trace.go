@@ -14,7 +14,7 @@ import (
 // the `lash -trace-out` flag does exactly that.
 //
 // A Trace retains a bounded ring of recent spans (the most recent 65536);
-// Dropped reports how many older spans a very large run overwrote. Trace is
+// WriteJSON's "dropped" counts the older spans a very large run overwrote. Trace is
 // safe for concurrent use, but is meant to observe one run at a time —
 // spans of concurrent runs interleave into one forest.
 type Trace struct {
@@ -60,38 +60,6 @@ func (t *Trace) Span(name string) func() {
 	return func() {
 		t.tracer.Record(obs.SpanRecord{Name: name, Partition: -1, Start: begin, Duration: time.Since(begin)})
 	}
-}
-
-// TraceSpan is one finished span, in caller-visible form.
-type TraceSpan struct {
-	Name      string
-	Job       string // MapReduce job name ("flist", "partition+mine", ...)
-	Phase     string // "map", "shuffle", "reduce" for phase/task spans
-	Partition int    // partition or task index; -1 when not applicable
-	Start     time.Time
-	Duration  time.Duration
-}
-
-// Spans returns the retained spans ordered by start time.
-func (t *Trace) Spans() []TraceSpan {
-	if t == nil {
-		return nil
-	}
-	recs := t.tracer.Spans()
-	out := make([]TraceSpan, len(recs))
-	for i, r := range recs {
-		out[i] = TraceSpan{
-			Name: r.Name, Job: r.Job, Phase: r.Phase, Partition: r.Partition,
-			Start: r.Start, Duration: r.Duration,
-		}
-	}
-	return out
-}
-
-// Dropped reports how many spans were overwritten because the trace's ring
-// buffer filled up (0 means WriteJSON's tree is complete).
-func (t *Trace) Dropped() int {
-	return t.handle().Dropped()
 }
 
 // WriteJSON renders the collected spans as a JSON span forest, one compact
