@@ -1,6 +1,6 @@
 GO ?= go
 FUZZTIME ?= 60s
-FUZZ_PKGS ?= . ./internal/seqenc ./internal/seqdb ./internal/mapreduce ./internal/rewrite ./internal/miner ./internal/gsm ./server
+FUZZ_PKGS ?= . ./internal/seqenc ./internal/seqdb ./internal/mapreduce ./internal/rewrite ./internal/miner ./internal/gsm ./internal/pindex ./server
 
 .PHONY: build test vet lint lashvet tools-test bench-smoke fuzz race chaos loc clean
 

@@ -141,9 +141,10 @@ func BenchmarkDeltaSteady(b *testing.B) {
 	rng := rand.New(rand.NewSource(59))
 	topic := 0
 	// cycle appends a zipf fragment and resumes (timed when zipf is the op),
-	// then appends a topical one and resumes.
+	// then appends a topical one and resumes. Every version builds its index,
+	// as lashd does, so each extends the last (Result.Index).
 	var topical, index time.Duration
-	var stateBytes int64
+	var stateBytes, indexBytes int64
 	var drift float64
 	cycle := func(timed bool) lash.RunStats {
 		zb := lash.NewDatabaseBuilder()
@@ -178,11 +179,12 @@ func BenchmarkDeltaSteady(b *testing.B) {
 			case i == 0:
 				st, stateBytes, drift = res.Stats, stateBytes+res.State.SizeBytes(), res.State.Drift()
 				begin = time.Now()
-				res.Index()
+				indexBytes += res.Index().SizeBytes()
 				index += time.Since(begin)
 			default:
 				topical += took
 			}
+			res.Index()
 		}
 		return st
 	}
@@ -208,6 +210,7 @@ func BenchmarkDeltaSteady(b *testing.B) {
 	b.ReportMetric(drift, "drift")
 	b.ReportMetric(float64(topical.Nanoseconds())/n, "topical-ns/op")
 	b.ReportMetric(float64(index.Nanoseconds())/n, "index-ns/op")
+	b.ReportMetric(float64(indexBytes)/n, "index-B/op")
 	b.ReportMetric(float64(stateBytes)/n, "state-B/op")
 }
 

@@ -11,6 +11,7 @@ import (
 	"lash/internal/mapreduce"
 	"lash/internal/miner"
 	"lash/internal/obs"
+	"lash/internal/pindex"
 	"lash/internal/stats"
 )
 
@@ -159,3 +160,7 @@ func PinsReplaced(prev, next *MineState) bool {
 	}
 	return false
 }
+
+// FullIndex builds r's serving index in full, whatever Index extended: the
+// reference an extension is held to.
+func (r *Result) FullIndex() *pindex.Index { return fullIndex(r.Patterns, r.forest) }

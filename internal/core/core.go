@@ -92,6 +92,12 @@ type Result struct {
 	// ids are shared between the flat and hierarchical forests. The list is
 	// the run's state's (Delta.Patterns): it is read-only.
 	Patterns []gsm.Pattern
+	// Changed and Inserted are, on a delta run (Options.Prev), the
+	// positions in Patterns, ascending, of the patterns Prev's list lacks or
+	// holds at another support, and of those it lacks. Prev's list with
+	// these applied is Patterns: every other pattern is Prev's, in Prev's
+	// order. Both are nil on a from-scratch run.
+	Changed, Inserted []int32
 	// FrequentItems are the length-1 frequent items with their generalized
 	// f-list frequencies (determined during preprocessing; the problem
 	// statement excludes them from Patterns), in frequency order whatever

@@ -807,8 +807,7 @@ func assemble(res *Result, db *gsm.Database, fl *flist.FList, plan *deltaPlan, p
 		pats = append(pats, recs[i].Patterns[:m]...)
 	}
 	gsm.SortPatterns(pats)
-	var err error
-	if res.Patterns, err = canonicalize(fl, recs, mined, prev, pats); err != nil {
+	if err := canonicalize(res, fl, recs, mined, prev, pats); err != nil {
 		return err
 	}
 	freqs := make([]int64, db.Forest.Size())
@@ -846,25 +845,26 @@ const (
 	noPart     = -2
 )
 
-// canonicalize returns a run's canonical pattern list, merged into
-// prev.Patterns on a delta run (prev non-nil). pats are the patterns the
-// run's Reduces mined, in canonical order; the first len(mined) records
-// hold them, record i mined[i] of them at the front of its Patterns. It also
-// puts those records' Patterns in canonical order, in place.
+// canonicalize sets a run's canonical pattern list, merged into
+// prev.Patterns on a delta run (prev non-nil), as res.Patterns, and what
+// the merge changed as res.Changed and res.Inserted. pats are the patterns
+// the run's Reduces mined, in canonical order; the first len(mined) records
+// hold them, record i mined[i] of them at the front of its Patterns. It
+// also puts those records' Patterns in canonical order, in place.
 //
 // A from-scratch run's list is pats. A delta run's is a merge (see the
 // package doc): prev.Patterns is a subsequence of the new list, and one walk
-// builds it: on an equal key the mined entry wins, a key prev lacks is
-// inserted, every other entry of prev is carried. A carried pattern is a
-// reused record's, whose arena the new state shares, or one a grown record
-// kept (gsm.MergeGrown). The latter is re-pointed at the grown record's copy,
+// builds it: on an equal key the mined entry wins — a change when its
+// support differs — a key prev lacks is inserted, every other entry of prev
+// is carried. A carried pattern is a reused record's, whose arena the new
+// state shares, or one a grown record kept (gsm.MergeGrown). The latter is re-pointed at the grown record's copy,
 // so the list shares arenas only with records the new state holds and no
 // version pins an older one's. The grown record holds its kept patterns
 // after its mined ones in its previous record's order, canonical, so the
 // walk meets them in that order. A carried pattern of a re-mined partition
 // would mean the invariant broke: that fails the run, as does a record the
 // list does not cover exactly.
-func canonicalize(fl *flist.FList, recs []DeltaPart, mined []int32, prev *DeltaState, pats []gsm.Pattern) ([]gsm.Pattern, error) {
+func canonicalize(res *Result, fl *flist.FList, recs []DeltaPart, mined []int32, prev *DeltaState, pats []gsm.Pattern) error {
 	dirty := len(mined)
 	// slot, by rank, is the index of the pivot's mined record, or reusedPart
 	// or noPart.
@@ -914,10 +914,11 @@ func canonicalize(fl *flist.FList, recs []DeltaPart, mined []int32, prev *DeltaS
 	if prev == nil {
 		for i := range pats {
 			if err := place(&pats[i], false); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return pats, covered(recs, mined, cur)
+		res.Patterns = pats
+		return covered(recs, mined, cur)
 	}
 
 	old := prev.Patterns
@@ -942,20 +943,28 @@ func canonicalize(fl *flist.FList, recs []DeltaPart, mined []int32, prev *DeltaS
 	for _, m := range pats {
 		j := gallop(old, i, m.Items)
 		if err := carry(old[i:j]); err != nil {
-			return nil, err
+			return err
 		}
+		at := int32(len(list))
 		if i = j; i < len(old) && slices.Equal(old[i].Items, m.Items) {
+			if old[i].Support != m.Support {
+				res.Changed = append(res.Changed, at)
+			}
 			i++
+		} else {
+			res.Changed = append(res.Changed, at)
+			res.Inserted = append(res.Inserted, at)
 		}
 		list = append(list, m)
 		if err := place(&list[len(list)-1], false); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := carry(old[i:]); err != nil {
-		return nil, err
+		return err
 	}
-	return list, covered(recs, mined, cur)
+	res.Patterns = list
+	return covered(recs, mined, cur)
 }
 
 // recCursor is canonicalize's place in a record the run mined: how many of

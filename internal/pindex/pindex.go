@@ -35,9 +35,32 @@
 //     pattern" a pointer chase instead of a search.
 //
 // Everything is position-based and append-only at build time; after Build
-// returns, the Index is never written again. SizeBytes accounts the layout
+// (or Extend) returns, the Index is never written again, nor is anything
+// it shares with another Index. SizeBytes accounts the layout
 // deterministically, which is what lets the server's result cache budget
 // bytes instead of entries.
+//
+// # Extensions
+//
+// A later version of a result is mostly the earlier one: its patterns are
+// the earlier version's, a few with a raised support, plus a few inserted,
+// and its canonical order is the earlier order with the insertions placed
+// in it. Extend lays such a version out as a shared base — an index Build
+// made, never written again — plus an overlay: the patterns that are new
+// since the base or whose support changed, laid out by the rules above over
+// the merged vocabulary (the base's items, then the items only the overlay
+// holds), the canonical ids of both in the new version, and a bitmask over
+// the base's canonical ids of the patterns the overlay replaces. Building
+// it costs what changed, not what the version holds. Every query merges the
+// base's answer, masked, with the overlay's in serving order, so an
+// extension answers byte for byte what Build over the whole version would,
+// and out of the caller's dst alone; an index Build made answers from its
+// own tables as before. Overlays never chain: extending an extension merges
+// both overlays against the one base, and once the overlay would hold more
+// than a fixed share of the base's patterns Extend makes a full index
+// instead, which later versions extend in turn. An extension's SizeBytes is
+// its overlay's; Base names the index it shares, which a holder of several
+// versions charges once.
 package pindex
 
 import (
@@ -84,6 +107,10 @@ type Index struct {
 	parent    []int32    // canonical id → canonical id of parent generalization
 
 	size int64 // SizeBytes, computed once at build
+
+	// ov is set on an extension (Extend): every table above is then empty,
+	// and the base and overlay it names answer instead.
+	ov *overlay
 }
 
 // Build constructs the index over patterns, which must be in canonical
@@ -100,10 +127,9 @@ func Build(patterns []Pattern, f *hierarchy.Forest) *Index {
 	}
 
 	// Intern the vocabulary and encode every pattern into the arena.
-	total, maxLen := 0, 0
+	total := 0
 	for _, p := range patterns {
 		total += len(p.Items)
-		maxLen = max(maxLen, len(p.Items))
 	}
 	ix.arena = make([]uint32, 0, total)
 	for i, p := range patterns {
@@ -118,70 +144,43 @@ func Build(patterns []Pattern, f *hierarchy.Forest) *Index {
 	// Hierarchy parents resolve only after the whole vocabulary is known: a
 	// parent item matters to the index only if it occurs in some pattern.
 	ix.up = make([]uint32, len(ix.names))
-	for id := range ix.names {
-		ix.up[id] = noID
-		if f == nil {
-			continue
-		}
-		w, ok := f.Lookup(ix.names[id])
-		if !ok || f.IsRoot(w) {
-			continue
-		}
-		if p, ok := ix.byName[f.Name(f.Parent(w))]; ok {
-			ix.up[id] = p
-		}
+	for id, name := range ix.names {
+		ix.up[id] = parentID(name, f, ix.vocabID)
 	}
+	return ix.finish()
+}
 
-	// Lex table: canonical ids sorted by encoded item sequence. Position k
-	// keys as vocab id + 1, and a position past the end as 0, so a pattern
-	// sorts before its extensions.
-	ix.lex = canonicalIDs(n)
-	radix.Sort(ix.lex, maxLen, uint64(len(ix.names)), func(id uint32, k int) uint64 {
-		if items := ix.items(id); k < len(items) {
-			return uint64(items[k]) + 1
-		}
-		return 0
-	})
-
-	// Serving permutation: support descending, ties canonical-id ascending —
-	// the sort is stable and starts from canonical order.
-	ix.bySupport = canonicalIDs(n)
-	maxSup, minSup := int64(0), int64(0)
-	if n > 0 {
-		maxSup, minSup = slices.Max(ix.supports), slices.Min(ix.supports)
+// parentID returns the vocabulary id, under lookup, of the hierarchy parent
+// of the item name, or noID when the item is a root, unknown to f, or its
+// parent is not in the vocabulary.
+func parentID(name string, f *hierarchy.Forest, lookup func(string) (uint32, bool)) uint32 {
+	if f == nil {
+		return noID
 	}
-	radix.Sort(ix.bySupport, 1, uint64(maxSup-minSup), func(id uint32, _ int) uint64 {
-		return uint64(maxSup - ix.supports[id])
-	})
+	w, ok := f.Lookup(name)
+	if !ok || f.IsRoot(w) {
+		return noID
+	}
+	if p, ok := lookup(f.Name(f.Parent(w))); ok {
+		return p
+	}
+	return noID
+}
+
+// vocabID returns name's vocabulary id.
+func (ix *Index) vocabID(name string) (uint32, bool) {
+	id, ok := ix.byName[name]
+	return id, ok
+}
+
+// finish lays out a full index over its encoded patterns and vocabulary:
+// the derived tables, the roll-up table and the size.
+func (ix *Index) finish() *Index {
+	ix.derive()
+	n := len(ix.supports)
 	ix.rank = make([]uint32, n)
 	for r, id := range ix.bySupport {
 		ix.rank[id] = uint32(r)
-	}
-
-	// Postings and level buckets, walked in rank order so every list is
-	// born sorted by serving rank.
-	ix.postings = make([][]uint32, len(ix.names))
-	maxLevel := 0
-	patLevel := make([]int32, n)
-	for id := 0; id < n; id++ {
-		lvl := ix.patternLevel(uint32(id))
-		patLevel[id] = lvl
-		if int(lvl) > maxLevel {
-			maxLevel = int(lvl)
-		}
-	}
-	ix.levels = make([][]uint32, maxLevel+1)
-	for r := 0; r < n; r++ {
-		id := ix.bySupport[r]
-		items := ix.items(id)
-		for j, w := range items {
-			if seenBefore(items[:j], w) {
-				continue // one postings entry per pattern, even for repeats
-			}
-			ix.postings[w] = append(ix.postings[w], uint32(r))
-		}
-		lvl := patLevel[id]
-		ix.levels[lvl] = append(ix.levels[lvl], uint32(r))
 	}
 
 	// Roll-up table: the canonical parent generalization, when indexed.
@@ -207,6 +206,69 @@ func Build(patterns []Pattern, f *hierarchy.Forest) *Index {
 
 	ix.size = ix.computeSize()
 	return ix
+}
+
+// derive builds the lex, serving, postings and level tables over the
+// encoded patterns (arena, offs, supports) and the item levels. The serving
+// rank table is finish's: an overlay's queries never read it.
+func (ix *Index) derive() {
+	n := len(ix.supports)
+	maxLen, vocab := 0, 0
+	for id := range n {
+		items := ix.items(uint32(id))
+		maxLen = max(maxLen, len(items))
+		for _, w := range items {
+			vocab = max(vocab, int(w)+1)
+		}
+	}
+
+	// Lex table: canonical ids sorted by encoded item sequence. Position k
+	// keys as vocab id + 1, and a position past the end as 0, so a pattern
+	// sorts before its extensions.
+	ix.lex = canonicalIDs(n)
+	radix.Sort(ix.lex, maxLen, uint64(vocab), func(id uint32, k int) uint64 {
+		if items := ix.items(id); k < len(items) {
+			return uint64(items[k]) + 1
+		}
+		return 0
+	})
+
+	// Serving permutation: support descending, ties canonical-id ascending —
+	// the sort is stable and starts from canonical order.
+	ix.bySupport = canonicalIDs(n)
+	maxSup, minSup := int64(0), int64(0)
+	if n > 0 {
+		maxSup, minSup = slices.Max(ix.supports), slices.Min(ix.supports)
+	}
+	radix.Sort(ix.bySupport, 1, uint64(maxSup-minSup), func(id uint32, _ int) uint64 {
+		return uint64(maxSup - ix.supports[id])
+	})
+
+	// Postings and level buckets, walked in rank order so every list is
+	// born sorted by serving rank.
+	ix.postings = make([][]uint32, vocab)
+	maxLevel := 0
+	patLevel := make([]int32, n)
+	for id := 0; id < n; id++ {
+		lvl := ix.patternLevel(uint32(id))
+		patLevel[id] = lvl
+		if int(lvl) > maxLevel {
+			maxLevel = int(lvl)
+		}
+	}
+	ix.levels = make([][]uint32, maxLevel+1)
+	for r := 0; r < n; r++ {
+		id := ix.bySupport[r]
+		items := ix.items(id)
+		for j, w := range items {
+			if seenBefore(items[:j], w) {
+				continue // one postings entry per pattern, even for repeats
+			}
+			ix.postings[w] = append(ix.postings[w], uint32(r))
+		}
+		lvl := patLevel[id]
+		ix.levels[lvl] = append(ix.levels[lvl], uint32(r))
+	}
 }
 
 // intern returns the vocabulary id for name, interning it on first sight.
@@ -252,26 +314,51 @@ func (ix *Index) items(id uint32) []uint32 {
 }
 
 // Len returns the number of indexed patterns.
-func (ix *Index) Len() int { return len(ix.supports) }
+func (ix *Index) Len() int {
+	if ix.ov != nil {
+		return ix.ov.n
+	}
+	return len(ix.supports)
+}
 
 // Support returns pattern id's support.
-func (ix *Index) Support(id uint32) int64 { return ix.supports[id] }
+func (ix *Index) Support(id uint32) int64 {
+	if ix.ov != nil {
+		return ix.ov.support(id)
+	}
+	return ix.supports[id]
+}
 
 // AppendItems appends pattern id's item names to dst and returns the
 // extended slice — the allocation-free rendering primitive.
 func (ix *Index) AppendItems(dst []string, id uint32) []string {
+	if ix.ov != nil {
+		return ix.ov.appendItems(dst, id)
+	}
 	for _, w := range ix.items(id) {
 		dst = append(dst, ix.names[w])
 	}
 	return dst
 }
 
-// SizeBytes returns the deterministic byte accounting of the index's
-// retained layout: every backing array at its element width, plus the
-// vocabulary strings and an amortized per-entry charge for the name map.
-// Two builds over equal inputs report equal sizes, which makes the value
-// safe to use as a cache charging key.
+// SizeBytes returns the deterministic byte accounting of what the index
+// itself holds: for an index Build made, every backing array at its element
+// width, plus the vocabulary strings and an amortized per-entry charge for
+// the name map; for an extension, its overlay only, not the base it shares
+// (Base). Two builds over equal inputs report equal sizes, which makes the
+// value safe to use as a cache charging key.
 func (ix *Index) SizeBytes() int64 { return ix.size }
+
+// Base returns the full index ix shares: ix itself when Build made it (or
+// Extend returned a full index), else the base its overlay extends. A
+// holder of several versions charges each distinct base once, and each
+// version's SizeBytes on its own.
+func (ix *Index) Base() *Index {
+	if ix.ov != nil {
+		return ix.ov.base
+	}
+	return ix
+}
 
 func (ix *Index) computeSize() int64 {
 	const (
@@ -298,6 +385,9 @@ func (ix *Index) computeSize() int64 {
 // MaxLevel returns the largest pattern level in the index (0 for a flat
 // vocabulary or an empty index).
 func (ix *Index) MaxLevel() int {
+	if ix.ov != nil {
+		return ix.ov.maxLevel
+	}
 	if len(ix.levels) == 0 {
 		return 0
 	}
@@ -319,6 +409,13 @@ func (ix *Index) lookupIDs(want []uint32) (uint32, bool) {
 // Lookup finds the canonical id of the pattern with exactly the given
 // items, if indexed.
 func (ix *Index) Lookup(items []string) (uint32, bool) {
+	if ix.ov != nil {
+		ids, ok := ix.ov.resolve(make([]uint32, 0, len(items)), items)
+		if !ok {
+			return 0, false
+		}
+		return ix.ov.lookupIDs(ids)
+	}
 	ids := make([]uint32, len(items))
 	for i, name := range items {
 		id, ok := ix.byName[name]
@@ -335,6 +432,9 @@ func (ix *Index) Lookup(items []string) (uint32, bool) {
 // the index (each one hierarchy step more general than the last). An empty
 // chain means the pattern itself is not indexed.
 func (ix *Index) Rollup(items []string) []uint32 {
+	if ix.ov != nil {
+		return ix.ov.rollup(items)
+	}
 	id, ok := ix.Lookup(items)
 	if !ok {
 		return nil
@@ -379,6 +479,9 @@ const NoLevel = -1
 // that lives in dst itself. With cap(dst) ≥ offset+limit (prefix) or
 // ≥ limit (everything else) Search does not allocate.
 func (ix *Index) Search(dst []uint32, q Query, offset, limit int) ([]uint32, int) {
+	if ix.ov != nil {
+		return ix.ov.search(dst, q, offset, limit)
+	}
 	n := len(ix.supports)
 	if limit < 0 || limit > n {
 		limit = n
@@ -476,12 +579,7 @@ func (ix *Index) searchPrefix(dst []uint32, prefix []string, contains []uint32, 
 	if !ok {
 		return dst, 0
 	}
-	cmpPrefix := func(id uint32) int {
-		items := ix.items(id)
-		return slices.Compare(items[:min(len(items), len(want))], want)
-	}
-	lo := sort.Search(len(ix.lex), func(i int) bool { return cmpPrefix(ix.lex[i]) >= 0 })
-	hi := lo + sort.Search(len(ix.lex)-lo, func(i int) bool { return cmpPrefix(ix.lex[lo+i]) > 0 })
+	lo, hi := ix.prefixRange(want)
 
 	k := min(offset+limit, hi-lo)
 	base := len(dst)
@@ -528,6 +626,18 @@ func (ix *Index) searchPrefix(dst []uint32, prefix []string, contains []uint32, 
 		sel[i] = ix.bySupport[r]
 	}
 	return dst[:base+len(sel)], total
+}
+
+// prefixRange returns the lex range [lo, hi) of the patterns whose encoded
+// item sequence starts with want.
+func (ix *Index) prefixRange(want []uint32) (lo, hi int) {
+	cmpPrefix := func(id uint32) int {
+		items := ix.items(id)
+		return slices.Compare(items[:min(len(items), len(want))], want)
+	}
+	lo = sort.Search(len(ix.lex), func(i int) bool { return cmpPrefix(ix.lex[i]) >= 0 })
+	hi = lo + sort.Search(len(ix.lex)-lo, func(i int) bool { return cmpPrefix(ix.lex[lo+i]) > 0 })
+	return lo, hi
 }
 
 // matches applies the contains and level terms to one pattern.

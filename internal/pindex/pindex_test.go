@@ -384,16 +384,52 @@ func buildLarge(n int) *Index {
 // largeIndex is the 100k-pattern index the cost-model tests share.
 var largeIndex = sync.OnceValue(func() *Index { return buildLarge(100_000) })
 
+// largeExtension is largeIndex's next version: every 50th pattern's support
+// raised, and 200 patterns inserted, half of them over items the base lacks.
+var largeExtension = sync.OnceValue(func() *Index {
+	base := largeIndex()
+	var changes []Change
+	p := uint32(0)
+	for c := range uint32(base.Len() + 200) {
+		if c%500 == 250 {
+			items := []string{"item0007", fmt.Sprintf("new%03d", c/500)}
+			if c%1000 == 250 {
+				items[1] = fmt.Sprintf("item%04d", c/1000)
+			}
+			changes = append(changes, Change{ID: c, Inserted: true, Pattern: Pattern{Items: items, Support: int64(c % 997)}})
+			continue
+		}
+		if p%50 == 0 {
+			changes = append(changes, Change{ID: c, Pattern: Pattern{Items: base.AppendItems(nil, p), Support: base.Support(p) + 3}})
+		}
+		p++
+	}
+	ix, err := Extend(base, changes, nil)
+	if err != nil {
+		panic(err)
+	}
+	return ix
+})
+
 // TestQueryAllocsBound is the regression test for the serving path's cost
 // model: on a 100k-pattern index every query kind runs out of the caller's
 // dst alone. Permutation walks and single-term queries copy a window of one
 // immutable list, multi-term queries intersect on the fly, and a prefix
 // query keeps its bounded selection inside dst — so with a dst of capacity
 // offset+limit nothing allocates, whatever the size of the index or of the
-// lists the terms name.
+// lists the terms name. An extension of it merges its base's answer with
+// its overlay's within the same bound.
 func TestQueryAllocsBound(t *testing.T) {
-	ix := largeIndex()
-	if ix.Len() != 100_000 {
+	for _, ix := range []*Index{largeIndex(), largeExtension()} {
+		queryAllocs(t, ix)
+	}
+	if ix := largeExtension(); ix.Base() != largeIndex() || ix.Len() != 100_200 {
+		t.Fatalf("the extension holds %d patterns over base %p", ix.Len(), ix.Base())
+	}
+}
+
+func queryAllocs(t *testing.T, ix *Index) {
+	if ix.Len() < 100_000 {
 		t.Fatalf("built %d patterns", ix.Len())
 	}
 	dst := make([]uint32, 0, 256)
@@ -420,6 +456,7 @@ func TestQueryAllocsBound(t *testing.T) {
 	measure("prefix paged", Query{Prefix: []string{"item0007"}, Level: NoLevel}, 20)
 	measure("combined", Query{Contains: []string{"item0007"}, MinSupport: 100, Level: NoLevel}, 0)
 	measure("prefix combined", Query{Prefix: []string{"item0007"}, Contains: []string{"item0007"}, MinSupport: 100, Level: 0}, 0)
+	measure("deep page", Query{Level: NoLevel}, 50_000)
 }
 
 // TestPrefixSelection pins the bounded selection behind prefix queries

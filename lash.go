@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lash/internal/baseline"
@@ -255,14 +256,29 @@ type Options struct {
 // partition without repartitioning its old sequences; a from-scratch run's
 // state keeps no inputs. States are immutable and safe to share across
 // goroutines; they are only meaningful for databases descended (by Append)
-// from the snapshot they were taken on.
+// from the snapshot they were taken on. A state shares its result's serving
+// index once Result.Index has built it, so that a Resume run's index can
+// extend it.
 type MineState struct {
 	ident   *corpusID
 	version int
 	numSeqs int
 	key     string
 	delta   *core.DeltaState
-	size    int64 // SizeBytes, computed once when the run assembles the state
+	size    int64      // SizeBytes, computed once when the run assembles the state
+	index   *indexCell // its result's, nil when that result lists a restriction
+}
+
+// indexCell is where a result publishes its serving index for its State:
+// empty until Result.Index has built it.
+type indexCell struct{ ix atomic.Pointer[pindex.Index] }
+
+// indexDelta is what a Resume run's Index extends: the resumed state's cell,
+// and the positions in Result.Patterns of what the run changed
+// (core.Result.Changed, Inserted).
+type indexDelta struct {
+	from              *indexCell
+	changed, inserted []int32
 }
 
 // CorpusVersion returns the Database.Version the state was taken at.
@@ -430,6 +446,11 @@ type Result struct {
 	// caller can share one copy.
 	indexOnce sync.Once
 	index     *pindex.Index
+	// cell is the State's: Index publishes the index there. nil when there
+	// is no State, or when Patterns lists a restriction of its patterns.
+	cell *indexCell
+	// delta, on a Resume run, is what Index extends; dropped once built.
+	delta *indexDelta
 }
 
 // Index returns the serving index over the result's patterns: an immutable
@@ -440,17 +461,60 @@ type Result struct {
 // can be served at query rates far above mining rates. The receiver must
 // not be copied by value once Index has been called.
 //
+// A run that resumed (Options.Resume) from a State whose result's index was
+// built by then extends that index: the new index shares its base and
+// holds an overlay of the patterns the run inserted or whose support it
+// changed, built in time and space proportional to those (pindex.Extend),
+// and answers every query byte for byte as a full build would. A rebased
+// or restricted run, a baseline, and a run whose resumed result never built
+// its index get a full build. Either way the index is published to the
+// result's State, for the next Resume run to extend.
+//
 // The returned type lives in an internal package: external callers can use
 // every method on it but cannot construct one except through this accessor.
 func (r *Result) Index() *pindex.Index {
 	r.indexOnce.Do(func() {
-		pats := make([]pindex.Pattern, len(r.Patterns))
-		for i, p := range r.Patterns {
-			pats[i] = pindex.Pattern{Items: p.Items, Support: p.Support}
+		r.index = r.buildIndex()
+		r.delta = nil
+		if r.cell != nil {
+			r.cell.ix.Store(r.index)
 		}
-		r.index = pindex.Build(pats, r.forest)
 	})
 	return r.index
+}
+
+// buildIndex extends the resumed result's index when r has one to extend,
+// and builds the index in full otherwise.
+func (r *Result) buildIndex() *pindex.Index {
+	if d := r.delta; d != nil {
+		if prev := d.from.ix.Load(); prev != nil {
+			changes := make([]pindex.Change, len(d.changed))
+			k := 0
+			for i, at := range d.changed {
+				inserted := k < len(d.inserted) && d.inserted[k] == at
+				if inserted {
+					k++
+				}
+				p := r.Patterns[at]
+				changes[i] = pindex.Change{ID: uint32(at), Inserted: inserted, Pattern: pindex.Pattern{Items: p.Items, Support: p.Support}}
+			}
+			// An error means the lineage broke pindex.Extend's contract;
+			// the full build below is then the index's only source.
+			if ix, err := pindex.Extend(prev, changes, r.forest); err == nil {
+				return ix
+			}
+		}
+	}
+	return fullIndex(r.Patterns, r.forest)
+}
+
+// fullIndex builds the serving index over ps in full.
+func fullIndex(ps []Pattern, f *hierarchy.Forest) *pindex.Index {
+	pats := make([]pindex.Pattern, len(ps))
+	for i, p := range ps {
+		pats[i] = pindex.Pattern{Items: p.Items, Support: p.Support}
+	}
+	return pindex.Build(pats, f)
 }
 
 // RunStats summarizes the MapReduce work of a run.
@@ -554,6 +618,8 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 		// flist is the preprocessing job this run paid for, if any: its
 		// retries and faults count toward the run's.
 		flist *mapreduce.Stats
+		// resumed is the cell of the state a LASH variant resumed from.
+		resumed *indexCell
 	)
 	switch opt.Algorithm {
 	case AlgorithmLASH, AlgorithmLASHFlat, AlgorithmMGFSM:
@@ -572,6 +638,7 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 				return nil, fmt.Errorf("lash: Resume state is not valid for this database and options (want the State of a run on a snapshot this database descends from, with equal canonical options)")
 			}
 			co.Prev = opt.Resume.delta
+			resumed = opt.Resume.index
 		} else {
 			// A delta run extends its state's item counts; every other run
 			// takes the snapshot's, counting them if it is the first.
@@ -612,6 +679,15 @@ func MineContext(ctx context.Context, db *Database, opt Options) (*Result, error
 			delta:   res.Delta,
 			size:    deltaStateBytes(res.Delta),
 		}
+		if opt.Restriction == RestrictNone {
+			out.cell = &indexCell{}
+			out.State.index = out.cell
+		}
+	}
+	// A resume's list is its state's with res.Changed applied. A rebase
+	// changes too much to extend, and a restriction lists a subsequence.
+	if resumed != nil && !res.Rebased && opt.Restriction == RestrictNone {
+		out.delta = &indexDelta{from: resumed, changed: res.Changed, inserted: res.Inserted}
 	}
 	out.Stats.DeltaPartitionsDirty = int64(res.DeltaDirty)
 	out.Stats.DeltaPartitionsReused = int64(res.DeltaReused)

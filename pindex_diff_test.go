@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"lash"
@@ -346,4 +347,162 @@ func TestPindexDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameIndex holds an extended index to a full build of the same result on
+// every query kind — paged — on the canonical walk, and on Lookup and
+// Rollup for a sample of patterns.
+func sameIndex(t *testing.T, got, want *pindex.Index, pats []lash.Pattern) {
+	t.Helper()
+	if got.Len() != want.Len() || got.MaxLevel() != want.MaxLevel() {
+		t.Fatalf("Len %d MaxLevel %d, want %d and %d", got.Len(), got.MaxLevel(), want.Len(), want.MaxLevel())
+	}
+	if !slices.Equal(renderIDs(got, canonicalIDs(got.Len())), renderIDs(want, canonicalIDs(want.Len()))) {
+		t.Fatal("canonical walk differs from the full build's")
+	}
+	check := func(q pindex.Query) {
+		t.Helper()
+		all, total := want.Search(nil, q, 0, -1)
+		for _, page := range [][2]int{{0, -1}, {0, 100}, {total / 3, 7}, {total - 1, 5}, {total + 1, 1}} {
+			g, gt := got.Search(nil, q, page[0], page[1])
+			w := all[min(max(page[0], 0), total):]
+			if page[1] >= 0 {
+				w = w[:min(page[1], len(w))]
+			}
+			if gt != total || !slices.Equal(g, w) {
+				t.Fatalf("query %+v offset %d limit %d: %d of %d, want %d of %d", q, page[0], page[1], len(g), gt, len(w), total)
+			}
+		}
+	}
+	none := pindex.Query{Level: pindex.NoLevel}
+	check(none)
+	for lvl := 0; lvl <= want.MaxLevel()+1; lvl++ {
+		check(pindex.Query{Level: lvl})
+	}
+	for i := 0; i < len(pats); i += 1 + len(pats)/40 {
+		p := pats[i]
+		check(pindex.Query{MinSupport: p.Support, Level: pindex.NoLevel})
+		check(pindex.Query{Contains: p.Items[:1], Level: pindex.NoLevel})
+		check(pindex.Query{Contains: p.Items, Level: pindex.NoLevel})
+		check(pindex.Query{Prefix: p.Items[:1], Level: pindex.NoLevel})
+		check(pindex.Query{Prefix: p.Items, Level: pindex.NoLevel})
+		check(pindex.Query{Prefix: p.Items[:1], Contains: p.Items[len(p.Items)-1:], MinSupport: p.Support, Level: i % 3})
+		check(pindex.Query{Contains: p.Items[len(p.Items)-1:], MinSupport: p.Support / 2, Level: i % 3})
+		g, gok := got.Lookup(p.Items)
+		w, wok := want.Lookup(p.Items)
+		if g != w || gok != wok || !wok {
+			t.Fatalf("Lookup(%v) = %d %v, want %d %v", p.Items, g, gok, w, wok)
+		}
+		if g, w := got.Rollup(p.Items), want.Rollup(p.Items); !slices.Equal(g, w) {
+			t.Fatalf("Rollup(%v) = %v, want %v", p.Items, g, w)
+		}
+	}
+}
+
+func canonicalIDs(n int) []uint32 {
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
+}
+
+// TestPindexExtendChain: along a 24-version lineage of alternating zipf
+// appends (the corpus's own sentences) and topical ones (new items), each
+// version resumed from the last and its index extending the last version's,
+// every version's index answers as a full build of its result does. Most
+// versions are overlays over a shared base, and the overlay's growth
+// crosses the compaction threshold at least once, after which the full
+// index that replaced it is the base later versions share.
+func TestPindexExtendChain(t *testing.T) {
+	db, err := lash.GenerateTextDatabase(lash.TextConfig{Sentences: 800, Lemmas: 150, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := lash.Options{MinSupport: 8, MaxGap: 1, MaxLength: 3}
+	res, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := res.Index()
+	overlays, compactions := 0, 0
+	for v := 1; v <= 24; v++ {
+		var extra [][]string
+		n := 2
+		if v%2 == 0 { // topical: new items, each pair frequent
+			n = 0
+			for j := range 3 * int(opt.MinSupport) {
+				extra = append(extra, []string{fmt.Sprintf("topic%d_%d", v, j%3), fmt.Sprintf("topic%d_%d", v, j%3+1)})
+			}
+		}
+		if db, err = db.Append(fragmentOf(t, db, v*37, n, extra)); err != nil {
+			t.Fatal(err)
+		}
+		resume := opt
+		resume.Resume = res.State
+		if res, err = lash.Mine(db, resume); err != nil {
+			t.Fatal(err)
+		}
+		ix := res.Index()
+		switch {
+		case ix.Base() == prev.Base() && ix != prev:
+			overlays++
+		case ix.Base() == ix && prev.Base() != prev:
+			compactions++
+		}
+		sameIndex(t, ix, res.FullIndex(), res.Patterns)
+		prev = ix
+	}
+	if overlays < 12 || compactions == 0 {
+		t.Fatalf("%d overlays and %d compactions in 24 versions; want most versions overlays, and a compaction", overlays, compactions)
+	}
+	t.Logf("%d overlays, %d compactions, %d patterns at the end", overlays, compactions, prev.Len())
+}
+
+// TestIndexConcurrentExtend: a resumed result's Index may run while the
+// result it resumed from is still building its own, from any number of
+// goroutines at once. Every caller gets the one memoized index, which
+// either extends the source's or, when that was not built yet, is a full
+// build; both answer as the full build does.
+func TestIndexConcurrentExtend(t *testing.T) {
+	db, err := lash.GenerateTextDatabase(lash.TextConfig{Sentences: 300, Lemmas: 120, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := lash.Options{MinSupport: 4, MaxGap: 1, MaxLength: 3}
+	cold, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, err = db.Append(fragmentOf(t, db, 5, 3, nil)); err != nil {
+		t.Fatal(err)
+	}
+	resume := opt
+	resume.Resume = cold.State
+	next, err := lash.Mine(db, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]*pindex.Index, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				cold.Index()
+			}
+			got[i] = next.Index()
+		}()
+	}
+	wg.Wait()
+	for _, ix := range got {
+		if ix != got[0] {
+			t.Fatal("callers got different indexes")
+		}
+	}
+	if b := got[0].Base(); b != got[0] && b != cold.Index() {
+		t.Fatal("the index extends a base that is not the resumed result's")
+	}
+	sameIndex(t, got[0], next.FullIndex(), next.Patterns)
 }

@@ -7,6 +7,7 @@ import (
 
 	"lash"
 	"lash/internal/obs"
+	"lash/internal/pindex"
 )
 
 // CacheStats is a snapshot of the result cache counters, as reported by
@@ -38,7 +39,12 @@ type CacheStats struct {
 // its State, its named list and the rest of its footprint
 // (estimateResultBytes). Once the index is built, recost swaps the named
 // list's charge for the index's and for the trace of the job that mined it
-// (an entry keeps its job, and so its trace, past the job record). Every
+// (an entry keeps its job, and so its trace, past the job record;
+// chargeTrace re-reads the trace when a later span grows it). A resumed
+// version's index is an overlay on a base it shares with earlier versions
+// (pindex.Extend): the entry is charged its overlay, and the base is
+// charged once, when the first entry holding it is recosted, and freed
+// when the last such entry goes, so Bytes is the distinct bytes held. Every
 // read (get, result, body, latest, resume) promotes.
 // add and recost then evict from the least recently used end while the
 // charges exceed the budget, but never the most recently used entry: a
@@ -58,15 +64,18 @@ type resultCache struct {
 	items map[string]*cacheEntry // by job key
 	// byDB orders each database's entries by corpus version, equal versions
 	// by insertion: the last is what /v1/patterns serves by default.
-	byDB  map[string][]*cacheEntry
+	byDB map[string][]*cacheEntry
+	// bases counts, per shared index base, the entries holding it; a base
+	// is in bytes while it has a holder.
+	bases map[*pindex.Index]int
 	bytes int64
 
 	hits, misses, evictions *obs.Counter
 }
 
-// cacheEntry is one retained result. Everything but the charge and the
-// named list is immutable, so readers use what a lookup returned without
-// the lock.
+// cacheEntry is one retained result. Everything but the charges, the
+// named list and the base is immutable, so readers use what a lookup
+// returned without the lock.
 type cacheEntry struct {
 	job    *job   // the run that mined res: its id, key, database and corpus version name the result
 	optKey string // the run's canonical options without the corpus version: what a resume must match
@@ -75,6 +84,11 @@ type cacheEntry struct {
 	// of bytes. Both are guarded by the cache's lock.
 	named      []lash.Pattern
 	namedBytes int64
+	// base is the index base the entry holds once recosted, charged to the
+	// cache rather than to the entry; traceBytes is the trace's share of
+	// bytes. Both are guarded by the cache's lock.
+	base       *pindex.Index
+	traceBytes int64
 	bytes      int64
 	el         *list.Element // the entry's place in the LRU list
 }
@@ -83,7 +97,8 @@ type cacheEntry struct {
 // the given handles.
 func newResultCache(budgetBytes int64, hits, misses, evictions *obs.Counter) *resultCache {
 	return &resultCache{budget: budgetBytes, ll: list.New(), items: make(map[string]*cacheEntry),
-		byDB: make(map[string][]*cacheEntry), hits: hits, misses: misses, evictions: evictions}
+		byDB: make(map[string][]*cacheEntry), bases: make(map[*pindex.Index]int),
+		hits: hits, misses: misses, evictions: evictions}
 }
 
 // get answers a resubmission with the retained result for key. It is the
@@ -198,20 +213,52 @@ func (c *resultCache) add(j *job, res *lash.Result) {
 }
 
 // recost re-charges the entry j's result was added as once its serving
-// index is built: the entry drops its named list and that list's charge,
-// adds bytes — the index and the trace of job j, both complete now — and
-// re-applies the budget. Ignored when that entry has gone: evicted, or
-// replaced by a re-mine, whose own job recosts it.
-func (c *resultCache) recost(j *job, bytes int64) {
+// index ix is built: the entry drops its named list and that list's
+// charge, and adds ix's overlay when ix extends a base; the base is charged
+// to the cache if no other entry holds it. The trace of job j is charged
+// too (chargeTrace), and the budget re-applied. Ignored when that entry has
+// gone: evicted, or replaced by a re-mine, whose own job recosts it.
+func (c *resultCache) recost(j *job, ix *pindex.Index) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.items[j.key]
+	if !ok || e.job != j {
+		return
+	}
+	bytes := -e.namedBytes
+	e.named, e.namedBytes = nil, 0
+	if e.base = ix.Base(); e.base != ix {
+		bytes += ix.SizeBytes()
+	}
+	if c.bases[e.base]++; c.bases[e.base] == 1 {
+		c.bytes += e.base.SizeBytes()
+	}
+	e.bytes += bytes
+	c.bytes += bytes
+	c.chargeTraceLocked(e)
+	c.evictOverBudgetLocked()
+}
+
+// chargeTrace re-charges the trace of job j to the entry j's result was
+// added as, after a span was recorded into it: the trace is trimmed, and
+// the entry charged what it then holds. Ignored when that entry has gone.
+func (c *resultCache) chargeTrace(j *job) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[j.key]; ok && e.job == j {
-		bytes -= e.namedBytes
-		e.named, e.namedBytes = nil, 0
-		e.bytes += bytes
-		c.bytes += bytes
+		c.chargeTraceLocked(e)
 		c.evictOverBudgetLocked()
 	}
+}
+
+// chargeTraceLocked trims e's trace and charges it afresh. Reading the
+// trace under the lock orders every charge after the spans it follows, so
+// the last one counts every span. Caller holds c.mu.
+func (c *resultCache) chargeTraceLocked(e *cacheEntry) {
+	bytes := e.job.trace.TracerOf().Trim()
+	e.bytes += bytes - e.traceBytes
+	c.bytes += bytes - e.traceBytes
+	e.traceBytes = bytes
 }
 
 // evictOverBudgetLocked drops least recently used entries while the cache
@@ -229,6 +276,12 @@ func (c *resultCache) removeLocked(e *cacheEntry) {
 	c.ll.Remove(e.el)
 	delete(c.items, e.job.key)
 	c.bytes -= e.bytes
+	if e.base != nil {
+		if c.bases[e.base]--; c.bases[e.base] == 0 {
+			delete(c.bases, e.base)
+			c.bytes -= e.base.SizeBytes()
+		}
+	}
 	els := c.byDB[e.job.dbName]
 	i := slices.Index(els, e)
 	c.byDB[e.job.dbName] = slices.Delete(els, i, i+1)

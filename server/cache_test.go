@@ -6,6 +6,7 @@ import (
 
 	"lash"
 	"lash/internal/obs"
+	"lash/internal/pindex"
 )
 
 // testCache is a cache counting into handles of its own.
@@ -17,6 +18,15 @@ func testCache(budget int64) *resultCache {
 // estimate's 256 and its named list's 32 + 16.
 func resultN(n int64) *lash.Result {
 	return &lash.Result{Patterns: []lash.Pattern{{Items: []string{"x"}, Support: n}}}
+}
+
+// indexN is a serving index over n two-item patterns, for recost.
+func indexN(n int) *pindex.Index {
+	pats := make([]pindex.Pattern, n)
+	for i := range pats {
+		pats[i] = pindex.Pattern{Items: []string{"x", fmt.Sprint(i)}, Support: int64(1 + i)}
+	}
+	return pindex.Build(pats, nil)
 }
 
 func TestCacheLRUByteBudget(t *testing.T) {
@@ -54,14 +64,14 @@ func TestCacheLRUByteBudget(t *testing.T) {
 // budget split across shards evicted it on its own insertion.
 func TestCacheHalfBudgetEntryStays(t *testing.T) {
 	res := resultN(1)
-	const indexBytes = 40
-	c := testCache(2 * (estimateResultBytes(res) + indexBytes))
+	ix := indexN(1)
+	c := testCache(2 * (estimateResultBytes(res) + ix.SizeBytes()))
 	j := &job{key: "big"}
 	c.add(j, res)
 	if _, ok := c.get("big"); !ok {
 		t.Fatal("entry charged half the budget was evicted on insertion")
 	}
-	c.recost(j, indexBytes)
+	c.recost(j, ix)
 	if _, ok := c.get("big"); !ok {
 		t.Fatal("entry charged half the budget was evicted on recost")
 	}
@@ -111,32 +121,33 @@ func TestCacheRecost(t *testing.T) {
 	}
 	// Recosting k0 far above the budget evicts from the LRU end — k0 itself
 	// is the least recently used, so it goes.
-	c.recost(j0, 10_000)
+	c.recost(j0, indexN(100))
 	if _, ok := c.get("k0"); ok {
 		t.Error("k0 survived recost past the budget")
 	}
 	if _, ok := c.get("k1"); !ok {
 		t.Error("k1 evicted although within budget after k0 left")
 	}
-	// Recosting swaps the entry's named list for the bytes given: the list
+	// Recosting swaps the entry's named list for the index given: the list
 	// leaves the entry and the charge.
 	before := c.stats().Bytes
 	if _, named, _ := c.body("k1"); len(named) != 1 {
 		t.Fatalf("k1 holds a named list of %d patterns before recost, want 1", len(named))
 	}
-	c.recost(j1, 100)
+	small := indexN(1)
+	c.recost(j1, small)
 	if res, named, _ := c.body("k1"); named != nil || res.Patterns == nil {
 		t.Errorf("after recost the entry holds %v, the result %v; want the entry's list dropped, the result's left to its owner", named, res.Patterns)
 	}
-	if got, want := c.stats().Bytes, before-namedBytes(resultN(2).Patterns)+100; got != want {
+	if got, want := c.stats().Bytes, before-namedBytes(resultN(2).Patterns)+small.SizeBytes(); got != want {
 		t.Errorf("charge %d after recost, want %d", got, want)
 	}
 	// Recosting a job never added, or one whose entry a re-mine under its
 	// key replaced, is a no-op: the entry charges only its own job.
-	c.recost(&job{key: "never-added"}, 123)
+	c.recost(&job{key: "never-added"}, small)
 	c.add(&job{key: "k1"}, resultN(2))
 	before = c.stats().Bytes
-	c.recost(j1, 123)
+	c.recost(j1, small)
 	if s := c.stats(); s.Size != 1 || s.Bytes != before || before != 304 {
 		t.Errorf("size %d, bytes %d (%d before them) after no-op recosts, want 1 and 304", s.Size, s.Bytes, before)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lash"
@@ -89,13 +90,17 @@ type job struct {
 
 	// trace records the job's intervals, each once, as a span of its trace
 	// and an observation of its histogram: queue wait, the run (the "mine"
-	// span mineSpan, under which the library's job tree hangs) and the
-	// index build. Set at admission and never replaced, so it is read
-	// without the lock; nil for a cache hit, which runs nothing. It lives
-	// as long as the job record (Config.JobHistory) and, for a done job,
-	// as long as its cached result, which is charged for it (buildIndex).
+	// span mineSpan, under which the library's job tree hangs), the index
+	// build and the first reply carrying the result (respond). Set at
+	// admission and never replaced, so it is read without the lock; nil for
+	// a cache hit, which runs nothing. It lives as long as the job record
+	// (Config.JobHistory) and, for a done job, as long as its cached result,
+	// which is charged for it (buildIndex, writeJobResult).
 	trace    *obs.Run
 	mineSpan obs.SpanID
+	// responded is set by the first reply that carries the done job's
+	// result, the one its respond span times.
+	responded atomic.Bool
 }
 
 // MineFunc runs one blocking mining run under a context, with

@@ -148,16 +148,19 @@ func (m *manager) finish(j *job, res *lash.Result, err error) {
 }
 
 // buildIndex builds a finished job's serving index off the worker
-// goroutine, then drops the result's named list: from here on the index
-// renders every body of the result, and the list is garbage once the cache
-// entry drops it too. It records the build in the job's trace and histogram
-// — the trace's last span, so the trace is trimmed — and recosts the
-// result's cache entry: the index's exact size and the trace's in, the
-// named list out. Result.Index is memoized under a sync.Once, so the
-// pattern endpoints share the one index built here; a request that races
-// ahead of this goroutine builds it first and this call returns the
-// memoized copy, and every build, the only reader of the list besides the
-// cache entry's, is over before the list is dropped.
+// goroutine — extending the index of the version the run resumed from when
+// it can (lash.Result.Index) — then drops the result's named list: from
+// here on the index renders every body of the result, and the list is
+// garbage once the cache entry drops it too. It records the build in the
+// job's trace and histogram, counts the bytes it built (an extension's
+// overlay, or a full index), and recosts the result's cache entry: the
+// index's exact size and the trace's in, the named list out; a base the
+// index shares with cached versions is charged once. Result.Index is
+// memoized under a sync.Once, so the pattern endpoints share the one index
+// built here; a request that races ahead of this goroutine builds it first
+// and this call returns the memoized copy, and every build, the only reader
+// of the list besides the cache entry's, is over before the list is
+// dropped.
 func (m *manager) buildIndex(j *job, res *lash.Result) {
 	defer m.wg.Done()
 	begin := time.Now()
@@ -165,7 +168,7 @@ func (m *manager) buildIndex(j *job, res *lash.Result) {
 	res.Patterns = nil
 	j.trace.Record(obs.SpanRecord{Name: "index", Partition: -1, Start: begin, Duration: time.Since(begin)}, m.met.pindexBuildSeconds)
 	m.met.pindexBytes.Add(ix.SizeBytes())
-	m.cache.recost(j, ix.SizeBytes()+j.trace.Tracer.Trim())
+	m.cache.recost(j, ix)
 }
 
 // wasCancelled reports whether a run's error means its context was

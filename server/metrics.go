@@ -118,12 +118,12 @@ func newServerMetrics() *serverMetrics {
 		cacheEntries: r.Gauge("lash_cache_entries",
 			"Mined results the server currently retains."),
 		cacheBytes: r.Gauge("lash_cache_bytes",
-			"Bytes charged for the retained results: patterns, state and serving index."),
+			"Bytes charged for the retained results: patterns, state, trace and serving index, with an index base shared by several versions charged once."),
 
 		pindexBuildSeconds: r.Histogram("lash_pindex_build_seconds",
-			"Time to build one serving index over a completed mining result.", obs.DurationBuckets),
+			"Time to build one serving index over a completed mining result: a full build, or the overlay that extends the index of the version a delta run resumed from.", obs.DurationBuckets),
 		pindexBytes: r.Counter("lash_pindex_bytes_total",
-			"Bytes of serving indexes built (SizeBytes summed over builds)."),
+			"Bytes of serving index built: a full build's size, or an extension's overlay, whose shared base is not counted again."),
 
 		databases: r.Gauge("lash_databases",
 			"Databases registered with the server."),

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"lash"
 	"lash/internal/faults"
 	"lash/server"
 )
@@ -305,5 +306,73 @@ func TestFaultCountersFoldFailedJobs(t *testing.T) {
 	}
 	if got := sampleSum(text, "lash_faults_injected_total"); got != injected {
 		t.Errorf("lash_faults_injected_total = %v, want %v over both jobs", got, injected)
+	}
+}
+
+// TestPindexMetricsCountExtensions: along a mine → append → mine chain,
+// lash_pindex_bytes_total counts what each build made — the cold mine's
+// full index, then the resumed version's overlay, not a second full index
+// — and lash_pindex_build_seconds observes each build, the extension
+// included, once. The library mines the same two versions for the sizes.
+func TestPindexMetricsCountExtensions(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	mustRegister(t, ts, server.DatabaseSpec{Name: "gen", Generator: "text", Size: 800, Seed: 5})
+	opt := lash.Options{MinSupport: 6, MaxGap: 1, MaxLength: 3}
+	db, err := lash.GenerateTextDatabase(lash.TextConfig{Sentences: 800, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := cold.Index().SizeBytes()
+
+	mine := func(builds float64) string {
+		t.Helper()
+		status, body := call(t, "POST", ts.URL+"/v1/mine", map[string]any{"database": "gen", "wait": true,
+			"options": map[string]any{"min_support": opt.MinSupport, "max_gap": opt.MaxGap, "max_length": opt.MaxLength}})
+		if status != http.StatusOK || body["status"] != "done" {
+			t.Fatalf("mine: status %d body %v", status, body)
+		}
+		var text string
+		waitUntil(t, "the index build", func() bool {
+			text = scrapeMetrics(t, ts)
+			return sampleSum(text, "lash_pindex_build_seconds_count") == builds
+		})
+		return text
+	}
+	if got := sampleSum(mine(1), "lash_pindex_bytes_total"); got != float64(full) {
+		t.Fatalf("lash_pindex_bytes_total = %v after a cold mine, want its index's %d bytes", got, full)
+	}
+
+	b := lash.NewDatabaseBuilder()
+	var seqs []string
+	for _, i := range []int{22, 58} {
+		b.AddSequence(db.Sequence(i)...)
+		seqs = append(seqs, strings.Join(db.Sequence(i), " "))
+	}
+	if status, body := call(t, "POST", ts.URL+"/v1/databases/gen/sequences", map[string]any{"sequences": seqs}); status != http.StatusOK {
+		t.Fatalf("append: status %d body %v", status, body)
+	}
+	frag, err := b.Build()
+	if err == nil {
+		db, err = db.Append(frag)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := opt
+	resume.Resume = cold.State
+	next, err := lash.Mine(db, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlay := next.Index()
+	if overlay.Base() != cold.Index() || overlay.SizeBytes()*5 > full {
+		t.Fatalf("the resumed version's index is %d bytes over base %p; want an overlay of at most a fifth of %p's %d", overlay.SizeBytes(), overlay.Base(), cold.Index(), full)
+	}
+	if got := sampleSum(mine(2), "lash_pindex_bytes_total"); got != float64(full+overlay.SizeBytes()) {
+		t.Errorf("lash_pindex_bytes_total = %v after the resumed mine, want %d: the full index and the overlay", got, full+overlay.SizeBytes())
 	}
 }

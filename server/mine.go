@@ -11,12 +11,19 @@ import (
 
 // writeJobResult answers 200 with the job's view, including the mined
 // result once the job is done, for as long as the cache retains it (it
-// entered the cache before the job turned done).
+// entered the cache before the job turned done). The first such reply of a
+// job that ran is its trace's respond span: rendering the result and
+// writing it out, which the span's cached result is then charged for.
 func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
 	v := s.jobs.view(j)
 	if v.Status == JobDone {
 		if res, named, ok := s.jobs.cache.body(j.key); ok {
+			begin := time.Now()
 			newWireWriter(w).writeJobBody(v, res, named)
+			if j.trace != nil && j.responded.CompareAndSwap(false, true) {
+				j.trace.Record(obs.SpanRecord{Name: "respond", Partition: -1, Start: begin, Duration: time.Since(begin)}, nil)
+				s.jobs.cache.chargeTrace(j)
+			}
 			return
 		}
 	}

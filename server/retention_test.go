@@ -17,6 +17,7 @@ import (
 
 	"lash"
 	"lash/internal/obs"
+	"lash/internal/pindex"
 )
 
 // This file tests what the server retains of a finished run: the result
@@ -113,7 +114,8 @@ func (c retentionClient) weakRefs(version int) (weak.Pointer[lash.Result], weak.
 // the heap, not only from the cache's accounting — for every reader at once.
 func TestEvictionReleasesMemory(t *testing.T) {
 	// The charge of a resumed run's entry: its trace, charged with it, is
-	// shorter than a cold mine's.
+	// shorter than a cold mine's. Its index shares the cold mine's base,
+	// which the cache charges once, not with the entry.
 	probe := newRetentionClient(t, Config{})
 	probe.mine(0)
 	probe.settle()
@@ -124,10 +126,13 @@ func TestEvictionReleasesMemory(t *testing.T) {
 	probe.settle()
 	_, cache = probe.stats()
 	charge := int64(cache["bytes"].(float64)) - before
+	_, res, _ := probe.s.jobs.cache.latest("paper", 0)
+	base := res.Index().Base().SizeBytes()
 
-	// Room for two resumed entries and not three; the half entry of slack
-	// absorbs the few bytes each appended item adds to a State.
-	c := newRetentionClient(t, Config{CacheBytes: charge*5/2 + 1})
+	// Room for the shared base and two resumed entries, not three; the half
+	// entry of slack absorbs the few bytes each appended item adds to a
+	// State.
+	c := newRetentionClient(t, Config{CacheBytes: base + charge*5/2 + 1})
 	first := c.mine(0)["job_id"].(string)
 	c.settle()
 	weakRes, weakState := c.weakRefs(1)
@@ -176,18 +181,109 @@ func TestEvictionReleasesMemory(t *testing.T) {
 
 // TestTraceChargedToCache: a cached result keeps its job, and so the job's
 // trace, past the job record; the trace is charged with the serving index,
-// trimmed to the spans it holds, so CacheBytes bounds the traces the cache
-// keeps.
+// trimmed to the spans it holds — the reply's respond span among them — so
+// CacheBytes bounds the traces the cache keeps. A cold mine's index is a
+// full build, its own base, charged once.
 func TestTraceChargedToCache(t *testing.T) {
 	c := newRetentionClient(t, Config{})
 	id := c.mine(0)["job_id"].(string)
 	c.settle()
 	j, _ := c.s.jobs.get(id)
 	_, res, _ := c.s.jobs.cache.latest("paper", 0)
-	spans := int64(len(j.trace.Tracer.Spans()))
-	want := estimateResultBytes(res) + res.State.SizeBytes() + res.Index().SizeBytes() + spans*int64(unsafe.Sizeof(obs.SpanRecord{}))
-	if _, cache := c.stats(); int64(cache["bytes"].(float64)) != want || spans == 0 {
-		t.Errorf("cache charges %v bytes, want %d (frequent items and fixed fields, state, index and %d trace spans; no named list)", cache["bytes"], want, spans)
+	spans := j.trace.Tracer.Spans()
+	if !slices.ContainsFunc(spans, func(sp obs.SpanRecord) bool { return sp.Name == "respond" }) {
+		t.Fatal("the trace holds no respond span after the reply")
+	}
+	if ix := res.Index(); ix.Base() != ix {
+		t.Fatal("a cold mine's index extends a base")
+	}
+	want := estimateResultBytes(res) + res.State.SizeBytes() + res.Index().SizeBytes() + int64(len(spans))*int64(unsafe.Sizeof(obs.SpanRecord{}))
+	if _, cache := c.stats(); int64(cache["bytes"].(float64)) != want {
+		t.Errorf("cache charges %v bytes, want %d (frequent items and fixed fields, state, index and %d trace spans; no named list)", cache["bytes"], want, len(spans))
+	}
+}
+
+// TestBaseChargedOnce: versions resumed one from the next share the first
+// version's index as their base, each holding an overlay of what it
+// changed. The cache charges each entry its state, trace and overlay, and
+// the base once: evicting the entries one by one frees each entry's own
+// charge, and the base only with the last of them, and at every step the
+// cache's bytes are the distinct bytes it holds.
+func TestBaseChargedOnce(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck // test teardown
+	if _, err := s.AddDatabase(DatabaseSpec{Name: "gen", Generator: "text", Size: 800, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	mine := func() *lash.Result {
+		t.Helper()
+		rec := serve(s, "POST", "/v1/mine", `{"database":"gen","options":{"min_support":6,"max_gap":1,"max_length":3},"wait":true}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("mine: %d %s", rec.Code, rec.Body)
+		}
+		s.jobs.wg.Wait()
+		_, res, _ := s.jobs.cache.latest("gen", 0)
+		return res
+	}
+	cold := mine()
+	base := cold.Index()
+	for v := 2; v <= 3; v++ {
+		db, _ := s.registry.get("gen")
+		seqs, _ := json.Marshal([]string{strings.Join(db.Sequence(v*11), " "), strings.Join(db.Sequence(v*29), " ")})
+		if rec := serve(s, "POST", "/v1/databases/gen/sequences", `{"sequences":`+string(seqs)+`}`); rec.Code != http.StatusOK {
+			t.Fatalf("append: %d %s", rec.Code, rec.Body)
+		}
+		if ix := mine().Index(); ix.Base() != base || ix == base || ix.SizeBytes()*5 > base.SizeBytes() {
+			t.Fatalf("version %d: index of %d bytes over base %p, want an overlay of at most a fifth of base %p's %d bytes",
+				v, ix.SizeBytes(), ix.Base(), base, base.SizeBytes())
+		}
+	}
+
+	cache := s.jobs.cache
+	distinct := func() int64 {
+		t.Helper()
+		bases := map[*pindex.Index]bool{}
+		held := int64(0)
+		for _, e := range cache.items {
+			ix := e.res.Index()
+			held += estimateResultBytes(e.res) + e.res.State.SizeBytes() + e.job.trace.TracerOf().Trim()
+			if ix.Base() != ix {
+				held += ix.SizeBytes()
+			}
+			if !bases[ix.Base()] {
+				bases[ix.Base()] = true
+				held += ix.Base().SizeBytes()
+			}
+		}
+		if got := cache.stats().Bytes; got != held {
+			t.Fatalf("cache charges %d bytes, holds %d distinct bytes", got, held)
+		}
+		return held
+	}
+	cache.mu.Lock()
+	entries := slices.Clone(cache.byDB["gen"]) // by version: the base's own entry first
+	cache.mu.Unlock()
+	if len(entries) != 3 {
+		t.Fatalf("%d cached versions, want 3", len(entries))
+	}
+	held := distinct()
+	for i, e := range entries {
+		own := e.bytes
+		cache.mu.Lock()
+		cache.removeLocked(e)
+		cache.mu.Unlock()
+		freed := held - distinct()
+		held -= freed
+		want := own
+		if i == len(entries)-1 {
+			want += base.SizeBytes()
+		}
+		if freed != want {
+			t.Errorf("evicting version %d freed %d bytes, want %d", i+1, freed, want)
+		}
+	}
+	if held != 0 || len(cache.bases) != 0 {
+		t.Errorf("an empty cache charges %d bytes for %d bases", held, len(cache.bases))
 	}
 }
 

@@ -13,7 +13,10 @@
 //     result holds its patterns in item-id space, in the State a resume
 //     starts from, and by name in its serving index; the named list a run
 //     returns serves the first replies and is dropped once the index is
-//     built.
+//     built. A resumed version's index extends the previous version's: it
+//     shares that index's base and holds an overlay of what the version
+//     changed, so the cache charges each entry its overlay and each base
+//     once, while any entry holds it.
 //
 // The HTTP/JSON API (all stdlib) is:
 //
@@ -72,8 +75,10 @@
 // GET /v1/jobs/{id}/trace answers a job's span forest in `lash -trace-out`'s
 // schema: a "queue" span, the "mine" span of its run with the library's
 // jobs, phases, tasks and partitions beneath it and its "assemble" span (the
-// canonical merge and the naming after the jobs), and the "index" span of
-// its serving-index build. Each interval is recorded once, and that record is
+// canonical merge and the naming after the jobs), the "respond" span of the
+// first reply that carried its result (POST /v1/mine with wait, or
+// GET /v1/jobs/{id}: rendering and writing the body), and the "index" span
+// of its serving-index build. Each interval is recorded once, and that record is
 // its span, its lash_job_queue_seconds / lash_job_run_seconds /
 // lash_pindex_build_seconds observation and the job view's queue_ms /
 // runtime_ms alike. A failed or cancelled job has what it recorded before
@@ -111,11 +116,12 @@ type Config struct {
 	// Workers bounds how many mining jobs run concurrently (default 4).
 	// Each job itself parallelizes internally via Options.Workers.
 	Workers int
-	// CacheBytes bounds the bytes of mined results — state, index, and the
-	// named pattern list until the index is built — the server retains for
-	// every purpose (default 256 MiB); see
-	// resultCache for the policy. Negative means no budget: resubmissions
-	// always re-mine and nothing is evicted.
+	// CacheBytes bounds the bytes of mined results — state, index, trace,
+	// and the named pattern list until the index is built — the server
+	// retains for every purpose (default 256 MiB); see resultCache for the
+	// policy. An index base that several cached versions share is charged
+	// once, while any of them is cached. Negative means no budget:
+	// resubmissions always re-mine and nothing is evicted.
 	CacheBytes int64
 	// JobHistory bounds the retained job records (default 1024; negative
 	// retains everything). Once past the bound, the oldest finished jobs

@@ -7,9 +7,11 @@ import (
 	"math"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lash"
 	"lash/internal/faults"
@@ -58,8 +60,9 @@ func jobSpans(mine *obs.TraceNode) map[string]*obs.TraceNode {
 
 // TestJobTrace: every job that ran has its span forest at
 // GET /v1/jobs/{id}/trace — a done job its queue wait, the mine tree with
-// the library's jobs and phases and the assembly after them, and the index
-// build; a failed and a cancelled job what they recorded before ending —
+// the library's jobs and phases and the assembly after them, the reply that
+// first carried its result, and the index build; a failed and a cancelled
+// job what they recorded before ending —
 // while a cache hit has an empty forest and an unknown id is a 404.
 func TestJobTrace(t *testing.T) {
 	reg := &faults.Registry{}
@@ -89,8 +92,11 @@ func TestJobTrace(t *testing.T) {
 		return rootNamed(doc, "index") != nil
 	})
 	queue, run := rootNamed(doc, "queue"), rootNamed(doc, "mine")
-	if queue == nil || run == nil || len(doc.Roots) != 3 || doc.Dropped != 0 {
-		t.Fatalf("done job's roots %+v, want queue, mine and index", doc.Roots)
+	if queue == nil || run == nil || rootNamed(doc, "respond") == nil || len(doc.Roots) != 4 || doc.Dropped != 0 {
+		t.Fatalf("done job's roots %+v, want queue, mine, respond and index", doc.Roots)
+	}
+	if _, again := call(t, "GET", ts.URL+"/v1/jobs/"+id, nil); again["result"] == nil || len(getTrace(t, ts.URL, id).Roots) != 4 {
+		t.Fatalf("a second reply with the result added a span: %+v", getTrace(t, ts.URL, id).Roots)
 	}
 	// The job view and the spans read the same record of each interval.
 	view := waitForJob(t, ts, id)
@@ -272,5 +278,50 @@ func TestRequestJobJoin(t *testing.T) {
 	run := rootNamed(getTrace(t, ts.URL, queued), "mine")
 	if run == nil || jobSpans(run)["partition+mine"] == nil {
 		t.Fatalf("job %s's trace has no partition+mine job under its mine span", queued)
+	}
+}
+
+// TestRequestTraceCoverage: a POST /v1/mine that waits spends its time in
+// its job's queue, mine and respond spans — together at least 95% of the
+// request's time in the middleware, as its "http request" log line reports
+// it — so no stretch of a request goes untimed. The corpus makes the mine
+// take well over 200 ms, so scheduler noise cannot decide it.
+func TestRequestTraceCoverage(t *testing.T) {
+	logs := &captureLog{}
+	_, ts := newTestServer(t, server.Config{Logger: slog.New(logs)})
+	mustRegister(t, ts, server.DatabaseSpec{Name: "gen", Generator: "text", Size: 6000, Seed: 23})
+	status, body := call(t, "POST", ts.URL+"/v1/mine", map[string]any{"database": "gen", "wait": true,
+		"options": map[string]any{"min_support": 12, "max_gap": 1, "max_length": 4, "workers": 2}})
+	if status != http.StatusOK || body["status"] != "done" {
+		t.Fatalf("mine: status %d body %v", status, body)
+	}
+	id := body["job_id"].(string)
+	queued := logs.find("job queued")
+	if len(queued) != 1 || queued[0]["job_id"] != id {
+		t.Fatalf("job queued records %v, want one for %s", queued, id)
+	}
+	var request time.Duration
+	waitUntil(t, "the http request record", func() bool {
+		for _, r := range logs.find("http request") {
+			if r["request_id"] == queued[0]["request_id"] {
+				ms, err := strconv.ParseInt(r["duration_ms"], 10, 64)
+				request = time.Duration(ms) * time.Millisecond
+				return err == nil
+			}
+		}
+		return false
+	})
+	doc := getTrace(t, ts.URL, id)
+	var covered time.Duration
+	for _, name := range []string{"queue", "mine", "respond"} {
+		n := rootNamed(doc, name)
+		if n == nil {
+			t.Fatalf("the trace has no %s root: %+v", name, doc.Roots)
+		}
+		covered += time.Duration(n.DurationMS * float64(time.Millisecond))
+	}
+	t.Logf("queue + mine + respond cover %v of the %v request (%.1f%%)", covered, request, 100*float64(covered)/float64(request))
+	if request < 200*time.Millisecond || float64(covered) < 0.95*float64(request) {
+		t.Errorf("queue + mine + respond cover %v of the %v request, want at least 95%% of a request of at least 200 ms", covered, request)
 	}
 }

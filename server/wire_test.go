@@ -299,6 +299,70 @@ func TestWireJobBodyMatchesEncodingJSON(t *testing.T) {
 	rec := httptest.NewRecorder()
 	newWireWriter(rec).writeJobBody(v, res, res.Patterns)
 	checkBody(t, "mined, named against the index", rec, refJobBody(v, res, refIndexViews(res.Index())))
+
+	// A resumed version's index extends the previous version's: its
+	// canonical walk renders the body its named list does, and its pages
+	// are a full build's.
+	next := resumedResult(t)
+	checkJobBody(t, "resumed", v, next)
+	rec = httptest.NewRecorder()
+	newWireWriter(rec).writeJobBody(v, next, next.Patterns)
+	checkBody(t, "resumed, named against the overlay", rec, refJobBody(v, next, refIndexViews(next.Index())))
+	pats := make([]pindex.Pattern, len(next.Patterns))
+	for i, p := range next.Patterns {
+		pats[i] = pindex.Pattern{Items: p.Items, Support: p.Support}
+	}
+	full, ix := pindex.Build(pats, nil), next.Index()
+	j := &job{id: "job-2", dbName: "gen", version: 2}
+	mid := next.Patterns[len(pats)/2]
+	for _, q := range []pindex.Query{
+		{Level: pindex.NoLevel}, {MinSupport: mid.Support, Level: pindex.NoLevel},
+		{Contains: mid.Items[:1], Level: pindex.NoLevel}, {Prefix: mid.Items[:1], Level: pindex.NoLevel},
+	} {
+		for _, page := range [][2]int{{0, 100}, {len(pats) / 3, 50}, {0, -1}} {
+			ids, total := ix.Search(nil, q, page[0], page[1])
+			want, wantTotal := full.Search(nil, q, page[0], page[1])
+			rec := httptest.NewRecorder()
+			newWireWriter(rec).writePatternsBody(j, ix, ids, total, "")
+			checkBody(t, fmt.Sprintf("resumed page %+v %v", q, page), rec, refPatternsBody(j, full, want, wantTotal, ""))
+		}
+	}
+}
+
+// resumedResult mines a generated corpus, builds its index, appends two of
+// its own sentences and resumes: the result's index is an overlay on the
+// first's.
+func resumedResult(t *testing.T) *lash.Result {
+	t.Helper()
+	db, err := lash.GenerateTextDatabase(lash.TextConfig{Sentences: 800, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := lash.Options{MinSupport: 6, MaxGap: 1, MaxLength: 3}
+	cold, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := lash.NewDatabaseBuilder()
+	b.AddSequence(db.Sequence(22)...)
+	b.AddSequence(db.Sequence(58)...)
+	frag, err := b.Build()
+	if err == nil {
+		db, err = db.Append(frag)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Resume = cold.State
+	cold.Index()
+	next, err := lash.Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix := next.Index(); ix.Base() != cold.Index() || ix == ix.Base() {
+		t.Fatal("the resumed result's index is not an overlay on the first's")
+	}
+	return next
 }
 
 // checkJobBody renders res's job body from both sources — its named list,
